@@ -264,7 +264,9 @@ fn bench_serve(c: &mut Criterion) {
 /// plus the verb's full wire round trip for context. Pairs are strided
 /// across the id space and pre-filtered to routable ones, so both
 /// searches measure successful answers over a near-and-far endpoint
-/// mix.
+/// mix. The in-memory tiers are asked through `route_ids_uncached`:
+/// these lines time the searches, and eight interleaved sources would
+/// otherwise time the engine's source-tree cache churning instead.
 fn bench_path(c: &mut Criterion) {
     use pathalias_graph::NodeId;
     use pathalias_mapgen::{generate, MapSpec};
@@ -327,7 +329,7 @@ fn bench_path(c: &mut Criterion) {
         b.iter(|| {
             let (src, dst) = pairs[i % pairs.len()];
             i = i.wrapping_add(1);
-            black_box(engine.route_ids(src, dst).unwrap())
+            black_box(engine.route_ids_uncached(src, dst).unwrap())
         });
     });
     let mut i = 0usize;
@@ -353,7 +355,7 @@ fn bench_path(c: &mut Criterion) {
         b.iter(|| {
             let (src, dst) = pairs[i % pairs.len()];
             i = i.wrapping_add(1);
-            black_box(ch_engine.route_ids(src, dst).unwrap())
+            black_box(ch_engine.route_ids_uncached(src, dst).unwrap())
         });
     });
 

@@ -10,7 +10,7 @@
 //! server — freezes once and calls the `*_frozen` entry points.
 
 use crate::cost_model::CostModel;
-use crate::tree::{Label, MapStats, ShortestPathTree, TraceDecision, TraceEvent};
+use crate::tree::{Label, MapStats, PackedTree, ShortestPathTree, TraceDecision, TraceEvent};
 use pathalias_graph::{
     Cost, Dir, EdgeId, FrozenEdge, FrozenGraph, Graph, LinkFlags, NodeFlags, NodeId,
 };
@@ -59,7 +59,7 @@ impl std::error::Error for MapError {}
 /// then visible hops, then the node id — totally ordered, so
 /// extraction order and therefore output are deterministic, and small
 /// enough that a heap slot is one 16-byte move.
-type Key = u128;
+pub(crate) type Key = u128;
 
 #[inline]
 fn pack_key(cost: Cost, hops: u32, node: u32) -> Key {
@@ -349,27 +349,8 @@ impl<'g> Run<'g> {
 
     /// Materializes the packed run state into the public tree labels.
     fn finish(self, frozen: Arc<FrozenGraph>) -> ShortestPathTree {
-        let labels = self
-            .state
-            .iter()
-            .enumerate()
-            .map(|(i, &st)| {
-                if st & LABELLED == 0 {
-                    return None;
-                }
-                let pred = self.pred[i];
-                Some(Label {
-                    cost: (self.key[i] >> 64) as Cost,
-                    hops: (self.key[i] >> 32) as u32,
-                    pred: (pred != NO_PRED)
-                        .then(|| (NodeId::from_raw(pred.0), EdgeId::from_raw(pred.1))),
-                    has_left: st & HAS_LEFT != 0,
-                    has_right: st & HAS_RIGHT != 0,
-                    tainted: st & TAINTED != 0,
-                    via_backlink: st & VIA_BACK != 0,
-                    ambiguous: st & AMBIGUOUS != 0,
-                })
-            })
+        let labels = (self.key.iter().zip(&self.pred).zip(&self.state))
+            .map(|((&key, &pred), &st)| unpack_label(key, pred, st))
             .collect();
         ShortestPathTree {
             source: self.source,
@@ -379,6 +360,34 @@ impl<'g> Run<'g> {
             trace: self.trace,
         }
     }
+
+    /// Hands the packed run state over as it stands.
+    fn pack(self) -> PackedTree {
+        PackedTree {
+            key: self.key,
+            pred: self.pred,
+            state: self.state,
+            stats: self.stats,
+        }
+    }
+}
+
+/// One node's packed run state as the public label, `None` if the run
+/// never reached it.
+pub(crate) fn unpack_label(key: Key, pred: (u32, u32), st: u8) -> Option<Label> {
+    if st & LABELLED == 0 {
+        return None;
+    }
+    Some(Label {
+        cost: (key >> 64) as Cost,
+        hops: (key >> 32) as u32,
+        pred: (pred != NO_PRED).then(|| (NodeId::from_raw(pred.0), EdgeId::from_raw(pred.1))),
+        has_left: st & HAS_LEFT != 0,
+        has_right: st & HAS_RIGHT != 0,
+        tainted: st & TAINTED != 0,
+        via_backlink: st & VIA_BACK != 0,
+        ambiguous: st & AMBIGUOUS != 0,
+    })
 }
 
 /// Maps the frozen graph from `source` with the priority-queue variant
@@ -398,6 +407,29 @@ pub fn map_frozen_readonly(
     source: NodeId,
     opts: &MapOptions,
 ) -> Result<ShortestPathTree, MapError> {
+    Ok(heap_run(f, source, opts)?.finish(f.clone()))
+}
+
+/// [`map_frozen_readonly`] — the same run, relaxation for relaxation —
+/// with the result left in the run's packed arrays instead of
+/// materialized as labels: no second per-node array is built, and a
+/// kept tree costs 25 bytes a node. For callers that keep several
+/// trees and read a few labels from each (the point-to-point engine's
+/// source-tree cache). Traced relaxations are not carried over.
+pub fn map_frozen_readonly_packed(
+    f: &FrozenGraph,
+    source: NodeId,
+    opts: &MapOptions,
+) -> Result<PackedTree, MapError> {
+    Ok(heap_run(f, source, opts)?.pack())
+}
+
+/// The priority-queue run both entry points above share.
+fn heap_run<'g>(
+    f: &'g FrozenGraph,
+    source: NodeId,
+    opts: &MapOptions,
+) -> Result<Run<'g>, MapError> {
     let mut run = Run::new(f, source, opts)?;
     let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(256);
     heap.push(Reverse(pack_key(0, 0, source.raw())));
@@ -423,7 +455,7 @@ pub fn map_frozen_readonly(
             }
         }
     }
-    Ok(run.finish(f.clone()))
+    Ok(run)
 }
 
 /// Maps with the standard O(v²) array-scan Dijkstra the paper compares
@@ -789,6 +821,15 @@ g h(10)
         assert!(t1.stats.pushes > 0);
         assert_eq!(t2.stats.pushes, 0);
         assert!(t2.stats.scan_steps > 0);
+
+        // The packed form is the same run with the labels left packed:
+        // unreached `g`/`h` and out-of-range ids included.
+        let packed = map_frozen_readonly_packed(&frozen, a, &opts).unwrap();
+        for id in g.node_ids() {
+            assert_eq!(packed.label(id), t1.label(id).copied(), "{}", g.name(id));
+        }
+        assert_eq!(packed.stats, t1.stats);
+        assert_eq!(packed.label(NodeId::from_raw(u32::MAX)), None);
     }
 
     #[test]

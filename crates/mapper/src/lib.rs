@@ -55,8 +55,9 @@ mod tree;
 
 pub use cost_model::CostModel;
 pub use dijkstra::{
-    map, map_frozen, map_frozen_quadratic_readonly, map_frozen_readonly, map_quadratic_readonly,
-    map_readonly, repair_frozen, MapError, MapOptions,
+    map, map_frozen, map_frozen_quadratic_readonly, map_frozen_readonly,
+    map_frozen_readonly_packed, map_quadratic_readonly, map_readonly, repair_frozen, MapError,
+    MapOptions,
 };
 pub use dual::{map_dual, map_dual_frozen, DualTree};
-pub use tree::{format_trace, Label, MapStats, ShortestPathTree, TraceEvent};
+pub use tree::{format_trace, Label, MapStats, PackedTree, ShortestPathTree, TraceEvent};

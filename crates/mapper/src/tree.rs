@@ -121,6 +121,29 @@ pub struct ShortestPathTree {
     pub trace: Vec<TraceEvent>,
 }
 
+/// A mapping run's result left in the run's own packed arrays (25
+/// bytes a node) — what
+/// [`map_frozen_readonly_packed`](crate::map_frozen_readonly_packed)
+/// returns. Labels are unpacked one at a time, on request; edge ids in
+/// them refer to the graph the run was given.
+#[derive(Debug)]
+pub struct PackedTree {
+    pub(crate) key: Vec<crate::dijkstra::Key>,
+    pub(crate) pred: Vec<(u32, u32)>,
+    pub(crate) state: Vec<u8>,
+    /// Counters from the run.
+    pub stats: MapStats,
+}
+
+impl PackedTree {
+    /// The label for `node`, if it was reached — field for field what
+    /// [`ShortestPathTree::label`] gives for the same run.
+    pub fn label(&self, node: NodeId) -> Option<Label> {
+        let i = node.index();
+        crate::dijkstra::unpack_label(*self.key.get(i)?, self.pred[i], self.state[i])
+    }
+}
+
 impl ShortestPathTree {
     /// The frozen graph this tree's labels (and their edge ids) refer
     /// to. After a back-link pass this includes the invented edges.

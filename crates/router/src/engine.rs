@@ -1,14 +1,17 @@
-//! The [`PointToPoint`] engine: a frozen graph, its reverse CSR, and a
-//! pool of reusable search state, answering `src → dst` queries.
+//! The [`PointToPoint`] engine: a frozen graph, its reverse CSR, a
+//! pool of reusable search state, and a small cache of whole
+//! shortest-path trees for the sources that keep asking, answering
+//! `src → dst` queries.
 
-use crate::route::{format_route, PathAnswer};
+use crate::route::PathAnswer;
 use crate::search::{
     ch_weights, search, search_ch, Scratch, SearchStats, AMBIGUOUS, NO_PRED, TAINTED, VIA_BACK,
 };
 use pathalias_graph::{ChIndex, Cost, EdgeId, FrozenGraph, NodeId, ReverseGraph};
-use pathalias_mapper::CostModel;
+use pathalias_mapper::{map_frozen_readonly_packed, CostModel, MapOptions, PackedTree};
 use std::fmt;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Why a point-to-point query produced no route.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,14 +51,88 @@ pub struct ViaEntry {
     pub cost: Cost,
 }
 
+/// Source trees an engine keeps, most recently used first.
+const TREE_SLOTS: usize = 4;
+/// Sources remembered as "asked once" while they have no tree.
+const SEEN_SLOTS: usize = 8;
+
+/// What the tree cache knows about a request's source.
+enum Sighting {
+    /// Its tree is kept: read the answer out of it.
+    Kept(Arc<PackedTree>),
+    /// It asked recently and has no tree: build one and keep it.
+    Repeat,
+    /// Not seen recently: search, and remember it asked.
+    First,
+}
+
+/// The source-tree cache in front of the search tiers.
+///
+/// A source's first request is searched and leaves only its id in the
+/// `seen` ring; a second request while the id is still there pays for
+/// the source's whole tree — the mapper's own, so a cached answer *is*
+/// the parity oracle's — and later requests read their label from it.
+/// Sources that ask once never cost a tree; sources that keep asking
+/// cost one search and one tree, then a table read each.
+struct TreeCache {
+    /// At most [`TREE_SLOTS`] entries, most recently used first.
+    trees: Vec<(NodeId, Arc<PackedTree>)>,
+    seen: [Option<NodeId>; SEEN_SLOTS],
+    /// The `seen` slot the next first sighting overwrites.
+    next_seen: usize,
+}
+
+impl TreeCache {
+    fn new() -> TreeCache {
+        TreeCache {
+            trees: Vec::new(),
+            seen: [None; SEEN_SLOTS],
+            next_seen: 0,
+        }
+    }
+
+    fn sight(&mut self, src: NodeId) -> Sighting {
+        if let Some(i) = self.trees.iter().position(|(s, _)| *s == src) {
+            self.trees[..=i].rotate_right(1);
+            return Sighting::Kept(self.trees[0].1.clone());
+        }
+        if let Some(slot) = self.seen.iter_mut().find(|s| **s == Some(src)) {
+            *slot = None;
+            // Make room before the build, not after it: the victim's
+            // arrays are the size the new tree's will be, so the
+            // allocator hands them straight back and the engine never
+            // holds more than `TREE_SLOTS` trees' worth at once.
+            self.trees.truncate(TREE_SLOTS - 1);
+            return Sighting::Repeat;
+        }
+        self.seen[self.next_seen] = Some(src);
+        self.next_seen = (self.next_seen + 1) % SEEN_SLOTS;
+        Sighting::First
+    }
+
+    fn keep(&mut self, src: NodeId, tree: Arc<PackedTree>) {
+        // Two threads can build the same source's tree at once; the
+        // trees are identical, so the second is simply dropped.
+        if self.trees.iter().any(|(s, _)| *s == src) {
+            return;
+        }
+        // Again, for the builds that raced this one into the room
+        // `sight` made.
+        self.trees.truncate(TREE_SLOTS - 1);
+        self.trees.insert(0, (src, tree));
+    }
+}
+
 /// The point-to-point route engine.
 ///
 /// Holds an [`Arc<FrozenGraph>`] plus the reverse CSR (built once, or
 /// loaded from a PAGF snapshot's reverse section) and a pool of
 /// generation-stamped search scratch, so concurrent queries allocate
 /// nothing in the steady state. Cloning the engine is cheap — both
-/// graphs are shared; the scratch pool is too (an `Arc`), so clones
-/// also share warmed-up buffers.
+/// graphs are shared; the scratch pool and the source-tree cache are
+/// too (an `Arc` each), so clones also share warmed-up buffers and
+/// kept trees. A new world means a new engine, so nothing ever has to
+/// invalidate a tree.
 #[derive(Clone)]
 pub struct PointToPoint {
     graph: Arc<FrozenGraph>,
@@ -63,6 +140,7 @@ pub struct PointToPoint {
     ch: Option<Arc<ChIndex>>,
     model: CostModel,
     scratch: Arc<Mutex<Vec<Scratch>>>,
+    trees: Arc<Mutex<TreeCache>>,
 }
 
 impl fmt::Debug for PointToPoint {
@@ -117,6 +195,7 @@ impl PointToPoint {
             ch,
             model,
             scratch: Arc::new(Mutex::new(Vec::new())),
+            trees: Arc::new(Mutex::new(TreeCache::new())),
         }
     }
 
@@ -149,21 +228,36 @@ impl PointToPoint {
         &self.model
     }
 
-    /// Resolves `src → dst` by name with the bidirectional search.
+    /// Resolves `src → dst` by name: from the source's kept tree when
+    /// it has one, else through the search tiers.
     pub fn route(&self, src: &str, dst: &str) -> Result<PathAnswer, RouteError> {
         let (s, d) = self.resolve(src, dst)?;
         self.route_ids(s, d)
     }
 
-    /// Resolves `src → dst` by id with the bidirectional search.
+    /// Resolves `src → dst` by id: from the source's kept tree when it
+    /// has one, else through the search tiers.
     pub fn route_ids(&self, src: NodeId, dst: NodeId) -> Result<PathAnswer, RouteError> {
-        self.run(src, dst, true).map(|(a, _)| a)
+        self.run_cached(src, dst).map(|(a, _)| a)
+    }
+
+    /// Resolves `src → dst` by id through the search tiers alone
+    /// (hierarchy, bidirectional, oracle), neither reading nor feeding
+    /// the source-tree cache — what a source's first request runs.
+    /// Parity tests and tier benchmarks use it to keep exercising the
+    /// searches on sources a serving engine would answer from a tree.
+    pub fn route_ids_uncached(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<(PathAnswer, SearchStats), RouteError> {
+        self.run(src, dst, true)
     }
 
     /// Resolves `src → dst` by id with the plain forward oracle
-    /// (uni-directional Dijkstra, stopped at the destination). Same
-    /// answer as [`route_ids`](Self::route_ids), fewer moving parts —
-    /// the parity baseline and the benchmark's control.
+    /// (uni-directional Dijkstra, stopped at the destination, never
+    /// cached). Same answer as [`route_ids`](Self::route_ids), fewer
+    /// moving parts — the parity baseline and the benchmark's control.
     pub fn route_ids_unidirectional(
         &self,
         src: NodeId,
@@ -173,25 +267,26 @@ impl PointToPoint {
     }
 
     /// [`route_ids`](Self::route_ids) plus the search counters
-    /// (settled/pushed/pruned), for tests and diagnostics.
+    /// (settled/pushed/pruned, and which stage answered), for tests
+    /// and diagnostics.
     pub fn route_ids_with_stats(
         &self,
         src: NodeId,
         dst: NodeId,
     ) -> Result<(PathAnswer, SearchStats), RouteError> {
-        self.run(src, dst, true)
+        self.run_cached(src, dst)
     }
 
     /// [`route`](Self::route) plus the search counters — the daemon
-    /// uses the `tried_ch`/`ch_certified` bits to report the CH tier's
-    /// certification rate.
+    /// uses the `from_tree`/`tried_ch`/`ch_certified` bits to report
+    /// which stage answered.
     pub fn route_with_stats(
         &self,
         src: &str,
         dst: &str,
     ) -> Result<(PathAnswer, SearchStats), RouteError> {
         let (s, d) = self.resolve(src, dst)?;
-        self.run(s, d, true)
+        self.run_cached(s, d)
     }
 
     /// Answers `PATH * dst`: every node with a direct edge to `dst`,
@@ -276,6 +371,80 @@ impl PointToPoint {
         row.iter().any(|e| e.to() == node)
     }
 
+    /// The serving path: the source-tree cache, then the search tiers.
+    /// The cache lock covers only the lookup and the insert; a tree is
+    /// built and read outside it.
+    fn run_cached(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<(PathAnswer, SearchStats), RouteError> {
+        // Refused before the cache hears of it, as the mapper would
+        // refuse to root a tree there.
+        if !self.graph.is_mappable(src) {
+            return Err(RouteError::DeletedSource);
+        }
+        let sighting = self.trees.lock().expect("tree cache poisoned").sight(src);
+        let from_tree = SearchStats {
+            from_tree: true,
+            ..SearchStats::default()
+        };
+        let (tree, stats) = match sighting {
+            Sighting::First => return self.run(src, dst, true),
+            Sighting::Kept(tree) => (tree, from_tree),
+            Sighting::Repeat => {
+                let start = Instant::now();
+                let opts = MapOptions {
+                    model: self.model,
+                    ..MapOptions::default()
+                };
+                let tree = Arc::new(
+                    map_frozen_readonly_packed(&self.graph, src, &opts)
+                        .expect("a mappable source roots a tree"),
+                );
+                let stats = SearchStats {
+                    settled: tree.stats.mapped as u64,
+                    pushes: tree.stats.pushes,
+                    tree_build_us: Some(
+                        u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
+                    ),
+                    ..from_tree
+                };
+                self.trees
+                    .lock()
+                    .expect("tree cache poisoned")
+                    .keep(src, tree.clone());
+                (tree, stats)
+            }
+        };
+        self.read_tree(&tree, dst)
+            .map(|answer| (answer, stats))
+            .ok_or(RouteError::NoRoute)
+    }
+
+    /// Reads `dst`'s answer out of a kept tree: its label, then the
+    /// predecessor walk back to the source.
+    fn read_tree(&self, tree: &PackedTree, dst: NodeId) -> Option<PathAnswer> {
+        let label = tree.label(dst)?;
+        let mut nodes: Vec<NodeId> = vec![dst];
+        let mut edges: Vec<EdgeId> = Vec::new();
+        let mut pred = label.pred;
+        while let Some((p, e)) = pred {
+            edges.push(e);
+            nodes.push(p);
+            pred = tree
+                .label(p)
+                .expect("a labelled node's predecessor is labelled")
+                .pred;
+        }
+        Some(PathAnswer {
+            via_domain: label.tainted,
+            via_backlink: label.via_backlink,
+            ambiguous: label.ambiguous,
+            ..PathAnswer::from_walk(&self.graph, nodes, edges, label.cost, label.hops)
+        })
+    }
+
     fn run(
         &self,
         src: NodeId,
@@ -335,20 +504,12 @@ impl PointToPoint {
                 nodes.push(NodeId::from_raw(p));
                 cur = p;
             }
-            nodes.reverse();
-            edges.reverse();
-            let (route, name) = format_route(&self.graph, &nodes, &edges);
             (
                 PathAnswer {
-                    cost: hit.cost,
-                    hops: hit.hops,
-                    nodes,
-                    edges,
-                    name,
-                    route,
                     via_domain: hit.state & TAINTED != 0,
                     via_backlink: hit.state & VIA_BACK != 0,
                     ambiguous: hit.state & AMBIGUOUS != 0,
+                    ..PathAnswer::from_walk(&self.graph, nodes, edges, hit.cost, hit.hops)
                 },
                 stats,
             )

@@ -4,7 +4,8 @@
 //! The mapper (`pathalias-mapper`) answers "routes from here to
 //! everywhere" by building a whole shortest-path tree. This crate
 //! answers the other question — "the route from *src* to *dst*" —
-//! without materializing a tree: a forward Dijkstra from `src` runs
+//! without materializing a tree (unless the source keeps asking: see
+//! "The source-tree cache" below): a forward Dijkstra from `src` runs
 //! until it settles `dst`, and a backward lower-bound Dijkstra from
 //! `dst` over the reverse CSR ([`pathalias_graph::ReverseGraph`])
 //! prunes the forward frontier so most of the graph is never touched.
@@ -60,6 +61,22 @@
 //! decides what the exact search may skip — so `PATH` parity survives
 //! even a hierarchy missing shortcuts; see `pathalias_graph::ch` for
 //! the trust model.
+//!
+//! # The source-tree cache
+//!
+//! In front of the tiers sits the paper's own trick, "map once, then
+//! every route is a table read", applied per source: a source's first
+//! request is searched; a second one soon after has the mapper build
+//! that source's whole tree (`map_frozen_readonly_packed` — the run
+//! the parity tests compare every search against, so a cached answer
+//! is the oracle's by construction, and no relaxation rule is written
+//! down a fourth time); every later request is the destination's
+//! label plus a predecessor walk. An engine keeps at most four trees,
+//! least recently used out first, and remembers the last eight
+//! sources that asked once. There is nothing to configure and nothing
+//! to invalidate — a changed world is a new engine.
+//! [`PointToPoint::route_ids_unidirectional`] and
+//! [`PointToPoint::route_ids_uncached`] bypass the cache.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -38,14 +38,39 @@ pub struct PathAnswer {
     pub ambiguous: bool,
 }
 
+impl PathAnswer {
+    /// The answer for a predecessor chain as a walk back from the
+    /// destination leaves it (`nodes` and `edges` destination-first),
+    /// with the three path-state flags unset for the caller to fill in
+    /// from wherever the walk read its labels.
+    pub(crate) fn from_walk(
+        f: &FrozenGraph,
+        mut nodes: Vec<NodeId>,
+        mut edges: Vec<EdgeId>,
+        cost: Cost,
+        hops: u32,
+    ) -> PathAnswer {
+        nodes.reverse();
+        edges.reverse();
+        let (route, name) = format_route(f, &nodes, &edges);
+        PathAnswer {
+            cost,
+            hops,
+            nodes,
+            edges,
+            name,
+            route,
+            via_domain: false,
+            via_backlink: false,
+            ambiguous: false,
+        }
+    }
+}
+
 /// Formats the route template and printable destination name for the
 /// node/edge chain `nodes` / `edges` (as produced by a search), using
 /// the printer's combination rules.
-pub(crate) fn format_route(
-    f: &FrozenGraph,
-    nodes: &[NodeId],
-    edges: &[EdgeId],
-) -> (String, String) {
+fn format_route(f: &FrozenGraph, nodes: &[NodeId], edges: &[EdgeId]) -> (String, String) {
     debug_assert_eq!(nodes.len(), edges.len() + 1);
     let mut route = "%s".to_string();
     let mut name = f.name(nodes[0]).to_string();

@@ -128,6 +128,13 @@ pub struct SearchStats {
     /// The CH tier's run certified — its answer was returned without
     /// falling back to the bidirectional search.
     pub ch_certified: bool,
+    /// The answer was read out of the engine's kept shortest-path tree
+    /// for this source — no search tier ran.
+    pub from_tree: bool,
+    /// This request admitted its source to the tree cache: the
+    /// microseconds the mapper spent building the tree (`settled` and
+    /// `pushes` then count the mapper's work, not a search's).
+    pub tree_build_us: Option<u64>,
 }
 
 /// Reusable search state: dense struct-of-arrays sized to the graph

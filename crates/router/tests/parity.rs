@@ -2,17 +2,18 @@
 //! mapper tree the daemon would print from `src` — same cost, hops,
 //! predecessor chain, state flags, and route string — for every
 //! destination, on every map, from any source. The uni-directional
-//! oracle, the pruned bidirectional search, and the contraction-
-//! hierarchy tier must all agree with each other exactly.
+//! oracle, the pruned bidirectional search, the contraction-hierarchy
+//! tier, and the source-tree cache in front of them must all agree
+//! with each other exactly.
 
 use pathalias_graph::{FrozenGraph, NodeId};
 use pathalias_mapgen::{generate, MapSpec};
 use pathalias_mapper::{map_frozen, map_frozen_readonly, CostModel, MapOptions};
 use pathalias_printer::compute_routes;
-use pathalias_router::{PointToPoint, RouteError};
+use pathalias_router::{PathAnswer, PointToPoint, RouteError};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, OnceLock};
 
 /// Builds the serving world the daemon would hold: the home tree's
 /// augmented snapshot (invented back links included), a plain
@@ -38,6 +39,10 @@ fn serving_world(text: &str, home: &str) -> (Arc<FrozenGraph>, PointToPoint, Poi
 /// mapped nodes must produce identical answers (including the printed
 /// route), unreached nodes must produce `NoRoute`, and the
 /// bidirectional and uni-directional searches must agree bit-for-bit.
+/// The tiers are asked through `route_ids_uncached`, so every pair is
+/// really searched; `route_ids` asks the serving path beside them,
+/// which from the second destination on answers from the source's
+/// kept tree.
 fn assert_parity_from(
     aug: &Arc<FrozenGraph>,
     engine: &PointToPoint,
@@ -62,11 +67,14 @@ fn assert_parity_from(
         if dst.raw() % stride != src.raw() % stride {
             continue;
         }
-        let bidi = engine.route_ids(src, dst);
+        let bidi = engine.route_ids_uncached(src, dst).map(|(a, _)| a);
         let uni = engine.route_ids_unidirectional(src, dst);
         assert_eq!(bidi, uni, "bidirectional vs oracle for {}", aug.name(dst));
-        let ch = ch_engine.route_ids(src, dst);
+        let ch = ch_engine.route_ids_uncached(src, dst).map(|(a, _)| a);
         assert_eq!(ch, bidi, "CH tier vs bidirectional for {}", aug.name(dst));
+        for served in [engine.route_ids(src, dst), ch_engine.route_ids(src, dst)] {
+            assert_eq!(served, uni, "serving path vs oracle for {}", aug.name(dst));
+        }
 
         match tree.label(dst) {
             None => assert_eq!(bidi, Err(RouteError::NoRoute)),
@@ -102,6 +110,116 @@ fn assert_parity_from(
             }
         }
     }
+}
+
+/// A new engine over `engine`'s graph and sections, with an empty
+/// source-tree cache.
+fn fresh(engine: &PointToPoint) -> PointToPoint {
+    PointToPoint::with_sections(
+        engine.graph().clone(),
+        engine.reverse().clone(),
+        engine.hierarchy().cloned(),
+        *engine.model(),
+    )
+}
+
+/// `dst`'s answer as the mapper and printer give it from `src`: the
+/// printed route and name, with the label's cost and hops.
+fn printed_answers(
+    aug: &Arc<FrozenGraph>,
+    src: NodeId,
+) -> HashMap<NodeId, (String, String, u64, u32)> {
+    let tree = map_frozen_readonly(aug, src, &MapOptions::default()).expect("tree maps");
+    compute_routes(&tree)
+        .entries
+        .iter()
+        .map(|r| {
+            let label = tree.label(r.node).expect("printed node is labelled");
+            (
+                r.node,
+                (r.route.clone(), r.name.clone(), label.cost, label.hops),
+            )
+        })
+        .collect()
+}
+
+fn assert_printed(
+    printed: &HashMap<NodeId, (String, String, u64, u32)>,
+    dst: NodeId,
+    got: &Result<PathAnswer, RouteError>,
+) {
+    match (printed.get(&dst), got) {
+        (None, Err(RouteError::NoRoute)) => {}
+        (Some((route, name, cost, hops)), Ok(a)) => {
+            assert_eq!(
+                (&a.route, &a.name, a.cost, a.hops),
+                (route, name, *cost, *hops)
+            );
+        }
+        (want, got) => panic!("tree says {want:?}, engine says {got:?}"),
+    }
+}
+
+/// More sources than an engine keeps trees for (it keeps four).
+const CYCLED_SOURCES: usize = 6;
+
+/// Walks the source-tree cache through its whole life on a fresh copy
+/// of `engine`: each source's first request is searched, its second
+/// builds the tree, the rest are read from it, and cycling through
+/// more sources than the cache keeps evicts the tree so the second
+/// round starts over. Every answer must equal the forward oracle's and
+/// the tree's printed route, reached or not.
+fn assert_cache_lifecycle(aug: &Arc<FrozenGraph>, engine: &PointToPoint, sources: &[NodeId]) {
+    assert_eq!(sources.len(), CYCLED_SOURCES);
+    let engine = fresh(engine);
+    let step = (aug.node_count() / 9).max(1);
+    let dsts: Vec<NodeId> = aug.node_ids().step_by(step).collect();
+    assert!(
+        dsts.len() >= 4,
+        "enough destinations for hits after the build"
+    );
+    for _round in 0..2 {
+        for &src in sources {
+            let printed = printed_answers(aug, src);
+            for (k, &dst) in dsts.iter().enumerate() {
+                let got = engine.route_ids_with_stats(src, dst);
+                if let Ok((_, stats)) = &got {
+                    assert_eq!(
+                        stats.from_tree,
+                        k >= 1,
+                        "request {k} from {}",
+                        aug.name(src)
+                    );
+                    assert_eq!(stats.tree_build_us.is_some(), k == 1);
+                }
+                let got = got.map(|(a, _)| a);
+                assert_eq!(got, engine.route_ids_unidirectional(src, dst));
+                assert_printed(&printed, dst, &got);
+            }
+        }
+    }
+}
+
+/// The first `CYCLED_SOURCES` distinct mappable nodes of a seed-chosen
+/// stride through the id space — hosts, nets and domains alike.
+fn cycled_sources(aug: &FrozenGraph, seed: u64) -> Vec<NodeId> {
+    let n = aug.node_count() as u64;
+    // A prime stride that does not divide `n` visits every id.
+    let stride = [13, 11, 7, 1]
+        .into_iter()
+        .find(|p| n % p != 0 || *p == 1)
+        .unwrap();
+    let mut out: Vec<NodeId> = Vec::new();
+    for k in 0..n {
+        let id = NodeId::from_raw(((seed * 7 + k * stride) % n) as u32);
+        if aug.is_mappable(id) && !out.contains(&id) {
+            out.push(id);
+            if out.len() == CYCLED_SOURCES {
+                break;
+            }
+        }
+    }
+    out
 }
 
 /// Hand-written maps exercising each cost-model rule the search must
@@ -292,26 +410,137 @@ proptest! {
             let src = NodeId::from_raw(((seed * 7 + k * 13) % n) as u32);
             assert_parity_from(&aug, &engine, &ch_engine, src, 1);
         }
+        let sources = cycled_sources(&aug, seed);
+        assert_cache_lifecycle(&aug, &engine, &sources);
+        assert_cache_lifecycle(&aug, &ch_engine, &sources);
     }
+}
+
+/// The cache's corner cases by name: an unreached destination read
+/// from a kept tree, a deleted source refused however often it asks,
+/// and a domain as the source of a kept tree.
+#[test]
+fn cached_trees_answer_no_route_deleted_and_domain_sources() {
+    let text = "h gw(10)\ngw .edu(5)\n.edu = {caip, topaz}(0)\ncaip far(20)\n\
+                island rock(5)\nh gone(1)\ngone far(1)\ndelete {gone}\n";
+    let (aug, engine, ch_engine) = serving_world(text, "h");
+    let id = |name: &str| aug.id_of(name).unwrap_or_else(|| panic!("{name} exists"));
+    for engine in [&engine, &ch_engine] {
+        // Nothing leads from `rock` to `far`, tree or no tree.
+        for k in 0..4 {
+            assert_eq!(
+                engine.route_ids(id("rock"), id("far")),
+                Err(RouteError::NoRoute),
+                "request {k}"
+            );
+            assert_eq!(
+                engine.route_ids(id("gone"), id("far")),
+                Err(RouteError::DeletedSource),
+                "request {k}"
+            );
+        }
+        let printed = printed_answers(&aug, id(".edu"));
+        for k in 0..4 {
+            for dst in ["caip", "topaz", "far", "h"] {
+                let got = engine.route_ids_with_stats(id(".edu"), id(dst));
+                if let Ok((a, stats)) = &got {
+                    assert!(a.via_domain, "a domain source taints every route");
+                    assert_eq!(stats.from_tree, k > 0 || dst != "caip");
+                }
+                let got = got.map(|(a, _)| a);
+                assert_eq!(got, engine.route_ids_unidirectional(id(".edu"), id(dst)));
+                assert_printed(&printed, id(dst), &got);
+            }
+        }
+    }
+}
+
+/// Four threads on one shared engine, their source lists overlapping
+/// and rotated against each other so lookups, tree builds of the same
+/// source, and evictions collide; every answer must still be the
+/// oracle's.
+#[test]
+fn shared_engine_hammer_matches_oracle() {
+    let map = generate(&MapSpec::small(300, 42));
+    let (aug, _engine, ch_engine) = serving_world(&map.concatenated(), &map.home);
+    let sources = cycled_sources(&aug, 42);
+    let dsts: Vec<NodeId> = aug.node_ids().step_by(17).collect();
+    let oracle: HashMap<(NodeId, NodeId), Result<PathAnswer, RouteError>> = sources
+        .iter()
+        .flat_map(|&s| dsts.iter().map(move |&d| (s, d)))
+        .map(|(s, d)| ((s, d), ch_engine.route_ids_unidirectional(s, d)))
+        .collect();
+    const THREADS: usize = 4;
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (engine, sources, dsts, oracle, start) =
+                (ch_engine.clone(), &sources, &dsts, &oracle, &start);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..6 {
+                    for i in 0..sources.len() {
+                        // Thread `t` leads with source `t`, and each
+                        // round shifts by one, so threads meet on a
+                        // source at different stages of its life.
+                        let src = sources[(i + t + round) % sources.len()];
+                        for &dst in dsts {
+                            assert_eq!(
+                                engine.route_ids(src, dst),
+                                oracle[&(src, dst)],
+                                "thread {t} round {round}"
+                            );
+                        }
+                    }
+                }
+            });
+        }
+    });
+}
+
+/// The paper-scale world, built once for the tests that need it (the
+/// hierarchy takes seconds). A test that depends on what the cache
+/// holds takes a [`fresh`] copy of an engine.
+fn paper_world() -> &'static (Arc<FrozenGraph>, PointToPoint, PointToPoint, NodeId) {
+    static WORLD: OnceLock<(Arc<FrozenGraph>, PointToPoint, PointToPoint, NodeId)> =
+        OnceLock::new();
+    WORLD.get_or_init(|| {
+        let map = generate(&MapSpec::usenet_1986(1986));
+        let (aug, engine, ch_engine) = serving_world(&map.concatenated(), &map.home);
+        let home = aug.id_of(&map.home).expect("home survives");
+        (aug, engine, ch_engine, home)
+    })
+}
+
+/// The paper-scale world: the cache's whole life from the home hub and
+/// five other sources, on both engines.
+#[test]
+fn paper_scale_cache_lifecycle() {
+    let (aug, engine, ch_engine, home) = paper_world();
+    let mut sources = cycled_sources(aug, 1986);
+    if !sources.contains(home) {
+        sources[0] = *home;
+    }
+    assert_cache_lifecycle(aug, engine, &sources);
+    assert_cache_lifecycle(aug, ch_engine, &sources);
 }
 
 /// The paper-scale world: full parity from the home on a sampled
 /// destination set, and the pruner must actually prune.
 #[test]
 fn paper_scale_parity_and_pruning() {
-    let map = generate(&MapSpec::usenet_1986(1986));
-    let (aug, engine, ch_engine) = serving_world(&map.concatenated(), &map.home);
-    let home = aug.id_of(&map.home).expect("home survives");
-    assert_parity_from(&aug, &engine, &ch_engine, home, 97);
+    let (aug, engine, ch_engine, home) = paper_world();
+    let home = *home;
+    assert_parity_from(aug, engine, ch_engine, home, 97);
     // A second perspective from an arbitrary mid-map host.
     let other = NodeId::from_raw((aug.node_count() / 2) as u32);
-    assert_parity_from(&aug, &engine, &ch_engine, other, 211);
+    assert_parity_from(aug, engine, ch_engine, other, 211);
 
     // The bidirectional search must do strictly less forward work
     // than the oracle somewhere on a map this size.
     let mut saw_pruning = false;
     for dst in aug.node_ids().filter(|d| d.raw() % 631 == 5) {
-        if let Ok((_, stats)) = engine.route_ids_with_stats(home, dst) {
+        if let Ok((_, stats)) = engine.route_ids_uncached(home, dst) {
             if stats.pruned > 0 {
                 saw_pruning = true;
                 break;
@@ -328,7 +557,7 @@ fn paper_scale_parity_and_pruning() {
     let mut tried = 0u32;
     let mut certified = 0u32;
     for dst in aug.node_ids().filter(|d| d.raw() % 631 == 5) {
-        if let Ok((_, stats)) = ch_engine.route_ids_with_stats(home, dst) {
+        if let Ok((_, stats)) = ch_engine.route_ids_uncached(home, dst) {
             assert!(stats.tried_ch, "engine carries a hierarchy");
             tried += 1;
             certified += u32::from(stats.ch_certified);

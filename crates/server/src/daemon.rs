@@ -41,7 +41,7 @@ use crate::protocol::{Request, Response};
 use crate::reload::MapSource;
 use crate::telemetry::{duration_ns, render_slow_entry, MapTelemetry};
 use pathalias_mailer::{BoxedResolver, ResolveError, Resolver};
-use pathalias_router::{PointToPoint, RouteError};
+use pathalias_router::{PointToPoint, RouteError, SearchStats};
 use pathalias_telemetry::{Logger, PromText, SlowEntry};
 use std::io;
 #[cfg(any(not(unix), test))]
@@ -225,23 +225,30 @@ impl State {
 
     /// Resolves one `PATH` request against one map. `src == "*"` lists
     /// the one-hop predecessors of `dst` from the reverse index;
-    /// otherwise it is a point-to-point bidirectional Dijkstra.
-    /// `wire_name` is echoed in the response for qualified requests.
+    /// otherwise it is a point-to-point query, answered from the
+    /// source's kept tree or by the search tiers. `wire_name` is echoed
+    /// in the response for qualified requests. Also returns the slow
+    /// log's outcome tag, which for an answered query names the stage
+    /// that answered.
     fn respond_path(
         &self,
         map: &MapState,
         src: &str,
         dst: &str,
         wire_name: Option<String>,
-    ) -> Response {
+    ) -> (Response, &'static str) {
+        let plain = |resp: Response| {
+            let outcome = outcome_of(&resp);
+            (resp, outcome)
+        };
         let Some(engine) = map.engine() else {
-            return Response::Failure(format!(
+            return plain(Response::Failure(format!(
                 "PATH unsupported on backend `{}`: no frozen graph",
                 map.source.kind()
-            ));
+            )));
         };
         if src == "*" {
-            return match engine.via(dst) {
+            return plain(match engine.via(dst) {
                 Ok(entries) => Response::Via {
                     map: wire_name,
                     dst: dst.to_string(),
@@ -252,7 +259,7 @@ impl State {
                 },
                 Err(RouteError::UnknownDest(_)) => Response::NoRoute(dst.to_string()),
                 Err(e) => Response::Failure(format!("via failed: {e}")),
-            };
+            });
         }
         match engine.route_with_stats(src, dst) {
             Ok((answer, stats)) => {
@@ -263,22 +270,37 @@ impl State {
                         bump(&map.metrics.path_ch_fallbacks);
                     }
                 }
-                Response::Path {
+                match stats.tree_build_us {
+                    Some(build_us) => {
+                        bump(&map.metrics.path_tree_builds);
+                        self.logger
+                            .debug("path_tree_built")
+                            .field("map", &map.name)
+                            .field("source", src)
+                            .field("nodes", stats.settled)
+                            .field("build_us", build_us)
+                            .emit();
+                    }
+                    None if stats.from_tree => bump(&map.metrics.path_tree_hits),
+                    None => {}
+                }
+                let resp = Response::Path {
                     map: wire_name,
                     cost: answer.cost,
                     hops: answer.hops,
                     route: answer.route,
-                }
+                };
+                (resp, path_outcome(&stats))
             }
             // Matches QUERY: an unreachable or unknown destination is
             // the expected negative answer, not a client error.
             Err(RouteError::NoRoute | RouteError::UnknownDest(_)) => {
-                Response::NoRoute(dst.to_string())
+                plain(Response::NoRoute(dst.to_string()))
             }
             // A bad *source* is the caller's mistake, not a missing
             // route: 400 with the engine's own message.
             Err(e @ (RouteError::UnknownSource(_) | RouteError::DeletedSource)) => {
-                Response::BadRequest(e.to_string())
+                plain(Response::BadRequest(e.to_string()))
             }
         }
     }
@@ -348,19 +370,15 @@ impl State {
                     Err(resp) => return vec![resp],
                 };
                 let start = Instant::now();
-                let resp = self.respond_path(state, &src, &dst, map);
+                let (resp, outcome) = self.respond_path(state, &src, &dst, map);
                 let ns = duration_ns(start.elapsed());
                 state.telemetry.path.record(ns);
                 // The slow-log host column carries the whole question:
                 // `src>dst` splits nowhere a key=value parser cares.
                 let endpoints = format!("{src}>{dst}");
-                state.telemetry.observe_slow(
-                    "PATH",
-                    &state.name,
-                    &endpoints,
-                    ns,
-                    outcome_of(&resp),
-                );
+                state
+                    .telemetry
+                    .observe_slow("PATH", &state.name, &endpoints, ns, outcome);
                 vec![resp]
             }
             Request::Proto { version } => vec![Response::Proto { version }],
@@ -615,7 +633,7 @@ impl State {
         // Per-map counter families, samples grouped under one
         // HELP/TYPE header per family as the exposition format wants.
         type Get = fn(&Metrics) -> u64;
-        let counters: [(&str, &str, Get); 10] = [
+        let counters: [(&str, &str, Get); 12] = [
             (
                 "pathalias_queries_total",
                 "Queries resolved against this map (QUERY and MQUERY items).",
@@ -661,6 +679,16 @@ impl State {
                 "pathalias_path_ch_fallbacks_total",
                 "PATH queries that tried the hierarchy tier but fell back.",
                 |m| m.path_ch_fallbacks.load(Ordering::Relaxed),
+            ),
+            (
+                "pathalias_path_tree_hits_total",
+                "PATH answers read from a kept source tree (no search ran).",
+                |m| m.path_tree_hits.load(Ordering::Relaxed),
+            ),
+            (
+                "pathalias_path_tree_builds_total",
+                "PATH queries that built and kept their source's tree.",
+                |m| m.path_tree_builds.load(Ordering::Relaxed),
             ),
         ];
         for (name, help, get) in counters {
@@ -789,6 +817,20 @@ impl State {
         if let Some(addr) = *self.wake_tcp.lock().expect("wake lock poisoned") {
             let _ = TcpStream::connect(addr);
         }
+    }
+}
+
+/// The slow-log outcome tag of an answered `PATH`: `ok` plus the stage
+/// that produced the answer, as a second `key=value` token.
+fn path_outcome(stats: &SearchStats) -> &'static str {
+    if stats.from_tree {
+        "ok tier=tree"
+    } else if stats.ch_certified {
+        "ok tier=ch"
+    } else if stats.fell_back {
+        "ok tier=forward"
+    } else {
+        "ok tier=bidir"
     }
 }
 
@@ -1755,7 +1797,8 @@ mod tests {
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].verb, "PATH");
         assert_eq!(slow[0].host, "unc>research");
-        assert_eq!(slow[0].outcome, "ok");
+        // A first sighting on an engine without a hierarchy.
+        assert_eq!(slow[0].outcome, "ok tier=bidir");
     }
 
     #[test]

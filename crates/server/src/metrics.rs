@@ -46,6 +46,14 @@ pub struct Metrics {
     /// `PATH` queries that tried the hierarchy tier but fell back to
     /// the bidirectional (or oracle) search.
     pub path_ch_fallbacks: AtomicU64,
+    /// `PATH` answers read from a source tree the engine had kept — no
+    /// search ran. A lifetime count, Prometheus-only like the
+    /// hierarchy counters: a reload's new engine starts with no trees
+    /// but does not reset it.
+    pub path_tree_hits: AtomicU64,
+    /// `PATH` queries whose source asked twice and had its whole tree
+    /// built and kept (the query itself is answered from that tree).
+    pub path_tree_builds: AtomicU64,
 }
 
 /// Daemon-wide counters: connection accounting and request hygiene,

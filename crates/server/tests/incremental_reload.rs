@@ -197,6 +197,104 @@ fn daemon_delta_reload_is_byte_identical_end_to_end() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
+/// One of the default map's counters out of a `METRICS` scrape.
+fn scraped(client: &mut Client, name: &str) -> u64 {
+    let text = client.metrics().unwrap();
+    let series = format!("{name}{{map=\"default\"}} ");
+    text.lines()
+        .find_map(|l| l.strip_prefix(series.as_str()))
+        .unwrap_or_else(|| panic!("missing series {name}"))
+        .trim()
+        .parse()
+        .unwrap()
+}
+
+/// The engine keeps whole source trees, and nothing invalidates them:
+/// a reload that changes the world swaps in a new engine whose cache
+/// starts empty, and a reload that changes nothing keeps the engine
+/// and its trees.
+#[test]
+fn reload_replaces_kept_source_trees_only_when_the_world_changes() {
+    // Sixteen spokes keep one edit's dirty cone under the delta
+    // planner's budget; n1 and n2 compete for `x`.
+    let spokes: Vec<String> = (1..=16).map(|i| format!("n{i}(10)")).collect();
+    let world = format!(
+        "hub\t{}\nn1\tx(30)\nn2\tx(20)\nx\ty(5)\n",
+        spokes.join(", ")
+    );
+    let dir = temp_dir("trees");
+    let path = dir.join("world.map");
+    std::fs::write(&path, &world).unwrap();
+    let paths = vec![path.clone()];
+    let options = Options {
+        local: Some("hub".into()),
+        ..Default::default()
+    };
+    let source = MapSource::map_files(paths.clone(), options.clone());
+    let MapSource::Map { cache, .. } = &source else {
+        unreachable!()
+    };
+    let cache = cache.clone();
+    let handle = Server::start(ServerConfig::ephemeral(source)).unwrap();
+    let mut client = Client::connect(handle.tcp_addr().unwrap()).unwrap();
+    client.negotiate().unwrap();
+    let (hits, builds) = (
+        "pathalias_path_tree_hits_total",
+        "pathalias_path_tree_builds_total",
+    );
+
+    // Searched, tree built, read from the tree.
+    for _ in 0..3 {
+        let info = client.path("hub", "y").unwrap().unwrap();
+        assert_eq!((info.route.as_str(), info.cost), ("n2!x!y!%s", 35));
+    }
+    assert_eq!(
+        (scraped(&mut client, builds), scraped(&mut client, hits)),
+        (1, 1)
+    );
+
+    // Nothing changed on disk: same engine, same trees, the hits flow.
+    client.reload().unwrap();
+    client.path("hub", "y").unwrap().unwrap();
+    assert_eq!(
+        (scraped(&mut client, builds), scraped(&mut client, hits)),
+        (1, 2)
+    );
+
+    // Raise a cost on the kept tree's own route. The delta path
+    // absorbs it, and the answer must be the cold pipeline's, not the
+    // old tree's.
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    std::fs::write(&path, world.replace("n2\tx(20)", "n2\tx(35)")).unwrap();
+    let before = cache.delta_reloads();
+    client.reload().unwrap();
+    assert_eq!(
+        cache.delta_reloads(),
+        before + 1,
+        "the edit took the delta path"
+    );
+    let (_, cold_engine) = cold_pipeline(&paths, &options);
+    let cold = cold_engine.route("hub", "y").unwrap();
+    assert_eq!(cold.route, "n1!x!y!%s");
+    // The new engine has seen no source: it searches, then builds its
+    // own tree, and only then do the lifetime counters show a hit.
+    for (want_builds, want_hits) in [(1, 2), (2, 2), (2, 3)] {
+        let info = client.path("hub", "y").unwrap().unwrap();
+        assert_eq!(
+            (info.route.as_str(), info.cost, info.hops),
+            (cold.route.as_str(), cold.cost, cold.hops)
+        );
+        assert_eq!(
+            (scraped(&mut client, builds), scraped(&mut client, hits)),
+            (want_builds, want_hits)
+        );
+    }
+
+    client.quit().unwrap();
+    handle.shutdown();
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 #[test]
 fn patching_a_frozen_stage_drops_its_derived_sections() {
     // A contraction hierarchy is cost-dependent: serving yesterday's

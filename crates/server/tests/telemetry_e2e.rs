@@ -112,6 +112,68 @@ fn metrics_scrape_over_the_socket_matches_the_load() {
     std::fs::remove_file(west).unwrap();
 }
 
+/// A burst of `PATH`s from one source: the first is searched, the
+/// second builds the source's tree, the rest are read from it — and
+/// the scrape, the slow log and the debug log all say so.
+#[test]
+fn same_source_path_burst_shows_one_tree_build_then_hits() {
+    const BURST: u64 = 6;
+    let map = temp("burst.map");
+    std::fs::write(&map, "h a(10), b(20)\na c(5)\nb c(1)\nc d(7)\n").unwrap();
+    let options = pathalias_core::Options {
+        local: Some("h".to_string()),
+        ..Default::default()
+    };
+    let (logger, log) = Logger::capture(Level::Debug);
+    let mut config = ServerConfig::ephemeral(MapSource::map_files(vec![map.clone()], options));
+    config.logger = logger;
+    let handle = Server::start(config).unwrap();
+    let mut client = Client::connect(handle.tcp_addr().unwrap()).unwrap();
+
+    for k in 0..BURST {
+        let dst = if k % 2 == 0 { "d" } else { "c" };
+        assert!(client.path("a", dst).unwrap().is_some());
+    }
+
+    let text = client.metrics().unwrap();
+    let value = |name: &str| -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(&format!("{name}{{map=\"default\"}} ")))
+            .unwrap_or_else(|| panic!("missing series {name}"))
+            .trim()
+            .parse()
+            .unwrap()
+    };
+    assert_eq!(value("pathalias_path_tree_builds_total"), 1);
+    assert_eq!(value("pathalias_path_tree_hits_total"), BURST - 2);
+
+    let slow = client.slowlog().unwrap();
+    let tiers = |tag: &str| {
+        slow.iter()
+            .filter(|e| e.contains("verb=PATH") && e.ends_with(tag))
+            .count() as u64
+    };
+    assert_eq!(tiers("outcome=ok tier=bidir"), 1, "{slow:?}");
+    assert_eq!(tiers("outcome=ok tier=tree"), BURST - 1, "{slow:?}");
+
+    let log = log.lock().unwrap().clone();
+    let built: Vec<&str> = log
+        .lines()
+        .filter(|l| l.contains("event=path_tree_built"))
+        .collect();
+    assert_eq!(built.len(), 1, "{log}");
+    assert!(
+        built[0]
+            .contains("level=debug event=path_tree_built map=default source=a nodes=3 build_us="),
+        "{}",
+        built[0]
+    );
+
+    client.quit().unwrap();
+    handle.shutdown();
+    std::fs::remove_file(map).unwrap();
+}
+
 /// A v1-only server: `PROTO` itself is an unknown verb, like the PR-1
 /// daemon. One connection, then exit.
 fn spawn_v1_only_server() -> SocketAddr {

@@ -12,7 +12,7 @@
 //!   atomic adds; p50/p90/p99 are derived from the bucket bounds at
 //!   read time.
 //! * [`Logger`] — a leveled `key=value` line logger configured by
-//!   `PATHALIAS_LOG=error|warn|info|debug`, replacing the daemon's
+//!   `PATHALIAS_LOG=error|warn|info|debug|off`, replacing the daemon's
 //!   scattered `eprintln!`s. Writes are best-effort (errors ignored) so
 //!   a closed stderr never kills the daemon.
 //! * [`SlowLog`] — a bounded, lock-guarded worst-N record of the

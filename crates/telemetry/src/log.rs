@@ -4,8 +4,9 @@
 //! followed by caller-supplied fields in order. Values containing
 //! spaces, quotes, or `=` are quoted with backslash escapes so lines
 //! stay machine-parseable. The level comes from `PATHALIAS_LOG`
-//! (`error|warn|info|debug`, default `info`); events above the
-//! configured level are dropped before any formatting happens.
+//! (`error|warn|info|debug`, default `info`; `off` or `none` for no
+//! log at all); events above the configured level are dropped before
+//! any formatting happens.
 //!
 //! Writes go to stderr with errors ignored — the daemon must survive a
 //! closed stderr the same way it survives a closed stdout.
@@ -82,11 +83,19 @@ impl Logger {
         }
     }
 
-    /// A stderr logger at the level named by `PATHALIAS_LOG`.
+    /// The logger a `PATHALIAS_LOG` value names: `off` or `none`
+    /// (case-insensitive) is [`Logger::off`], anything else a stderr
+    /// logger at [`Level::parse`]'s reading of it.
+    pub fn parse(spec: &str) -> Logger {
+        match spec.to_ascii_lowercase().as_str() {
+            "off" | "none" => Logger::off(),
+            _ => Logger::new(Level::parse(spec)),
+        }
+    }
+
+    /// The logger named by `PATHALIAS_LOG` (see [`Logger::parse`]).
     pub fn from_env() -> Logger {
-        Logger::new(Level::parse(
-            &std::env::var("PATHALIAS_LOG").unwrap_or_default(),
-        ))
+        Logger::parse(&std::env::var("PATHALIAS_LOG").unwrap_or_default())
     }
 
     /// A logger that drops everything — the right default for servers
@@ -249,6 +258,14 @@ mod tests {
         assert_eq!(Level::parse("debug"), Level::Debug);
         assert_eq!(Level::parse(""), Level::Info);
         assert_eq!(Level::parse("verbose"), Level::Info);
+        // `off` is not a level: it selects the logger that drops
+        // everything, where it used to fall through to `info`.
+        for spec in ["off", "OFF", "none"] {
+            assert!(!Logger::parse(spec).enabled(Level::Error), "{spec}");
+        }
+        assert!(Logger::parse("error").enabled(Level::Error));
+        assert_eq!(Logger::parse("debug").level(), Level::Debug);
+        assert_eq!(Logger::parse("").level(), Level::Info);
     }
 
     #[test]
