@@ -15,7 +15,8 @@
 //!   pointer-linked `node` and `link` structures.
 //! * [`counting`] — a counting wrapper around the system allocator, used
 //!   by the benchmark harness to measure bytes and calls for the
-//!   allocator comparison (experiment E4 in DESIGN.md).
+//!   allocator comparison (experiment E4 in the README's "Tests and
+//!   benches" table).
 //!
 //! # Examples
 //!

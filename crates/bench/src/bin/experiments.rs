@@ -1,6 +1,6 @@
 //! Regenerates every table and figure from the paper next to our
-//! measured values. The output of this binary is the source of
-//! EXPERIMENTS.md.
+//! measured values. The README's "Tests and benches" table lists the
+//! experiment ids.
 //!
 //! Run with: `cargo run --release -p pathalias-bench --bin experiments`
 
@@ -81,8 +81,7 @@ fn main() {
 }
 
 /// E16: ablate each heuristic individually and measure its effect on
-/// the routes a 3,000-host world produces (the design-choice ablation
-/// DESIGN.md §3 calls for).
+/// the routes a 3,000-host world produces.
 fn e16_heuristic_ablation() {
     header("E16", "heuristic ablation: what each penalty buys");
     let (g, home) = sparse_world(3_000, 5);
@@ -596,7 +595,7 @@ fn e17_incremental_reload() {
     e17_world("paper-scale (usenet 1986)", &MapSpec::usenet_1986(1986));
 
     // The million-host world takes minutes end to end, so it only runs
-    // when asked for; its numbers are recorded in BENCH_map.json.
+    // when asked for.
     if std::env::var_os("PATHALIAS_MILLION").is_some() {
         let million = MapSpec {
             seed: 1986,

@@ -8,8 +8,8 @@
 //! reading the mutable graph — moved here, out of the production
 //! crates, so that:
 //!
-//! * `benches/dijkstra.rs` can measure CSR against the genuine seed
-//!   code path on the same maps (recorded in `BENCH_map.json`), and
+//! * experiment E7 can time CSR against the genuine seed code path on
+//!   the same graphs, and
 //! * the freeze-parity property test can assert the new pipeline's
 //!   rendered output is byte-identical to the seed's.
 //!

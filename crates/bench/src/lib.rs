@@ -1,7 +1,8 @@
-//! Shared fixtures for the benchmark and experiment harness.
+//! Fixtures for the experiments binary, and the `legacy` oracle.
 //!
-//! DESIGN.md §3 maps every table and figure in the paper to a bench
-//! target; this crate holds the workload builders they share.
+//! The README's "Tests and benches" table maps the paper's tables,
+//! figures and studies to experiment ids; this crate holds the workload
+//! builders those experiments share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,11 +44,6 @@ pub fn sparse_world(hosts: usize, seed: u64) -> (Graph, NodeId) {
 /// parser benchmarks).
 pub fn map_text(hosts: usize, seed: u64) -> String {
     generate(&MapSpec::small(hosts, seed)).concatenated()
-}
-
-/// Paper-scale text (5,700 + 2,800 hosts).
-pub fn paper_scale_text(seed: u64) -> String {
-    generate(&MapSpec::usenet_1986(seed)).concatenated()
 }
 
 /// A purely random sparse digraph built directly (no parsing), for the
@@ -132,18 +128,16 @@ pub fn host_names(n: usize) -> Vec<String> {
 
 /// A mapgen world written to disk plus one known link-cost edit that
 /// the server's incremental reload path absorbs (verified during
-/// construction). Shared by the `serve/reload-*` benches and
-/// experiment E17: both need an edit that is guaranteed to take the
-/// delta path so they measure repair, not the full-pipeline fallback.
+/// construction). Experiment E17 needs an edit that is guaranteed to
+/// take the delta path so it measures repair, not the full-pipeline
+/// fallback.
 pub struct ReloadWorld {
     /// Temp directory holding the map files.
-    pub dir: std::path::PathBuf,
+    dir: std::path::PathBuf,
     /// The map files, in parse order.
-    pub paths: Vec<std::path::PathBuf>,
+    paths: Vec<std::path::PathBuf>,
     /// Pipeline options (home hub set).
-    pub options: pathalias_core::Options,
-    /// The home hub.
-    pub home: String,
+    options: pathalias_core::Options,
     file: usize,
     original: String,
     edited: String,
@@ -203,7 +197,6 @@ impl ReloadWorld {
             dir,
             paths,
             options,
-            home: map.home.clone(),
             file: 0,
             original: String::new(),
             edited: String::new(),
@@ -268,7 +261,7 @@ impl ReloadWorld {
         std::fs::write(&self.paths[self.file], text).expect("toggle map file");
     }
 
-    /// A map source with validation disabled (so `reload-full`
+    /// A map source with validation disabled (so a full reload
     /// measures the remap itself, not the validation fan-out) plus its
     /// stage cache, for checking the delta counter.
     pub fn delta_source(&self) -> (pathalias_server::MapSource, pathalias_server::StageCache) {

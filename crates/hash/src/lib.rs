@@ -13,7 +13,7 @@
 //!
 //! All of those variants are implemented here so the benchmark harness
 //! can reproduce the paper's comparisons (experiments E5, E6 and E13 in
-//! DESIGN.md).
+//! the README's "Tests and benches" table).
 //!
 //! # Examples
 //!

@@ -4,7 +4,7 @@
 //! over 5,700 nodes and 20,000 links, while ARPANET, CSNET, and BITNET
 //! add another 2,800 nodes and 8,000 links." Those data files are long
 //! gone, so this crate generates a synthetic universe with the same
-//! scale and shape (see DESIGN.md §5):
+//! scale and shape:
 //!
 //! * a sparse host graph (e ∝ v) with a hub backbone and power-law-ish
 //!   leaf attachment, grouped into regional map files;

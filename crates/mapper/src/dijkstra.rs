@@ -180,7 +180,9 @@ impl<'g> Run<'g> {
     }
 
     /// Whether entering gated node `v` over the edge counts as going
-    /// through a gateway. See DESIGN.md §4 for the rule table.
+    /// through a gateway; each clause is one rule. The router must
+    /// agree with them (docs/ARCHITECTURE.md, "Invariants worth
+    /// knowing").
     #[inline]
     fn gateway_exempt(&self, tail: &Tail, eflags: LinkFlags, v_is_domain: bool) -> bool {
         eflags.contains(LinkFlags::GATEWAY)

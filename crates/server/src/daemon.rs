@@ -5,9 +5,9 @@
 //! thousands of mostly-idle mailers, in the C10K shape — over one
 //! epoll/kqueue poller, with `SO_REUSEPORT` listener shards spreading
 //! the accept load across workers and a UDP endpoint answering
-//! single-shot queries. Other platforms keep the original
-//! thread-per-connection path; the wire behaviour is byte-identical
-//! either way.
+//! single-shot queries. There is no daemon on other platforms:
+//! [`Server::start`] reports `Unsupported` there, while the batch
+//! program and the client build everywhere.
 //!
 //! The daemon serves one or more named **maps** (real sites ran many
 //! overlapping worlds: the regional UUCP map, the global map, local
@@ -30,13 +30,7 @@
 //! exit). A v1 session is byte-for-byte the PR-1 protocol.
 
 use crate::index::Cached;
-#[cfg(not(unix))]
-use crate::metrics::drop_one;
 use crate::metrics::{bump, Metrics, ServerMetrics};
-#[cfg(not(unix))]
-use crate::protocol::parse_request;
-#[cfg(any(not(unix), test))]
-use crate::protocol::{ProtoVersion, MAX_LINE};
 use crate::protocol::{Request, Response};
 use crate::reload::MapSource;
 use crate::telemetry::{duration_ns, render_slow_entry, MapTelemetry};
@@ -44,25 +38,12 @@ use pathalias_mailer::{BoxedResolver, ResolveError, Resolver};
 use pathalias_router::{PointToPoint, RouteError, SearchStats};
 use pathalias_telemetry::{Logger, PromText, SlowEntry};
 use std::io;
-#[cfg(any(not(unix), test))]
-use std::io::{BufRead, BufReader};
-#[cfg(not(unix))]
-use std::io::{BufWriter, Read, Write};
-#[cfg(not(unix))]
-use std::net::TcpStream;
-use std::net::{SocketAddr, TcpListener};
-#[cfg(unix)]
-use std::os::unix::net::UnixListener;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often an idle connection thread wakes to check for shutdown.
-/// Bounds how long a drain waits on a completely quiet connection.
-#[cfg(not(unix))]
-const IDLE_POLL: Duration = Duration::from_millis(200);
 
 /// The namespace a single-source config serves under.
 pub const DEFAULT_MAP_NAME: &str = "default";
@@ -89,10 +70,10 @@ pub struct ServerConfig {
     /// Unix socket path. `None` disables the Unix listener.
     pub unix: Option<PathBuf>,
     /// UDP listen address for single-shot datagram queries (port 0 =
-    /// ephemeral). `None` disables the UDP endpoint. Unix only.
+    /// ephemeral). `None` disables the UDP endpoint.
     pub udp: Option<String>,
-    /// Event-loop worker threads (unix only). `None` means one per
-    /// core, capped at 8.
+    /// Event-loop worker threads. `None` means one per core, capped
+    /// at 8.
     pub workers: Option<usize>,
     /// Total entries across one map's lookup-cache shards (each map
     /// gets its own cache of this size).
@@ -188,10 +169,6 @@ pub(crate) struct State {
     /// `Server::start` before the workers spawn).
     #[cfg(unix)]
     workers: Mutex<Vec<Arc<crate::event::WorkerShared>>>,
-    /// Where to poke a throwaway connection to wake the blocking
-    /// accept loop (filled in by `Server::start` once bound).
-    #[cfg(not(unix))]
-    wake_tcp: Mutex<Option<SocketAddr>>,
 }
 
 impl State {
@@ -572,8 +549,8 @@ impl State {
             load(&self.server_metrics.active_connections),
         );
         // Per-worker series from the event-loop core. Absent when no
-        // workers run (unit-test states, non-unix platforms), so the
-        // exposition elsewhere is unchanged.
+        // workers run (unit-test states), so the exposition there is
+        // unchanged.
         #[cfg(unix)]
         {
             let workers = self.workers.lock().expect("workers lock poisoned").clone();
@@ -813,10 +790,6 @@ impl State {
         for worker in self.workers.lock().expect("workers lock poisoned").iter() {
             worker.wake_up();
         }
-        #[cfg(not(unix))]
-        if let Some(addr) = *self.wake_tcp.lock().expect("wake lock poisoned") {
-            let _ = TcpStream::connect(addr);
-        }
     }
 }
 
@@ -844,169 +817,6 @@ fn outcome_of(resp: &Response) -> &'static str {
     }
 }
 
-/// How one attempt to read a line ended.
-#[cfg(any(not(unix), test))]
-#[derive(Debug)]
-enum LineRead {
-    /// A complete line was delivered.
-    Line,
-    /// Clean end of stream.
-    Eof,
-    /// The read timed out with no complete line yet; any partial bytes
-    /// stay in `partial` and the caller may retry after checking for
-    /// shutdown.
-    Idle,
-}
-
-/// Reads one `\n`-terminated line with a hard length cap. Partial
-/// bytes accumulate in `partial` across `Idle` returns (read
-/// timeouts), so a slow sender is never corrupted by the shutdown
-/// poll. `Err` with `InvalidData` means the peer sent an over-long
-/// line.
-#[cfg(any(not(unix), test))]
-fn read_bounded_line(
-    reader: &mut impl BufRead,
-    partial: &mut Vec<u8>,
-    line: &mut String,
-) -> io::Result<LineRead> {
-    line.clear();
-    // Raw bytes, decoded once at the end: a multi-byte UTF-8 character
-    // split across two buffer refills must not be mangled
-    // chunk-by-chunk.
-    let mut terminated = false;
-    loop {
-        let (chunk_len, found_newline) = {
-            let buf = match reader.fill_buf() {
-                Ok(buf) => buf,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(LineRead::Idle);
-                }
-                Err(e) => return Err(e),
-            };
-            if buf.is_empty() {
-                break; // EOF
-            }
-            let (chunk, found_newline) = match buf.iter().position(|&b| b == b'\n') {
-                Some(i) => (&buf[..i], true),
-                None => (buf, false),
-            };
-            if partial.len() + chunk.len() > MAX_LINE {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "request line too long",
-                ));
-            }
-            partial.extend_from_slice(chunk);
-            (chunk.len(), found_newline)
-        };
-        reader.consume(chunk_len + usize::from(found_newline));
-        if found_newline {
-            terminated = true;
-            break;
-        }
-    }
-    if partial.is_empty() && !terminated {
-        return Ok(LineRead::Eof); // clean EOF (a bare newline is a blank line, not EOF)
-    }
-    line.push_str(&String::from_utf8_lossy(partial));
-    partial.clear();
-    Ok(LineRead::Line)
-}
-
-/// Streams that can be split into an independent reader and writer —
-/// the shape blocking connection threads need.
-#[cfg(not(unix))]
-pub(crate) trait SplitStream: Read + Write + Send + Sized + 'static {
-    /// A second handle to the same underlying socket.
-    fn split(&self) -> io::Result<Self>;
-    /// Bounds each blocking read so the thread can poll for shutdown.
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-#[cfg(not(unix))]
-impl SplitStream for TcpStream {
-    fn split(&self) -> io::Result<TcpStream> {
-        self.try_clone()
-    }
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        TcpStream::set_read_timeout(self, timeout)
-    }
-}
-
-/// Serves one connection until QUIT, EOF, error, or shutdown. The
-/// reader is buffered across requests, so pipelined lines are never
-/// dropped; responses for one request line (one for most verbs, N for
-/// `MQUERY`) are written together and flushed once.
-#[cfg(not(unix))]
-fn serve_connection(state: Arc<State>, stream: impl SplitStream, conn_id: u64) -> io::Result<()> {
-    // Bounded reads let an idle connection notice a drain without a
-    // request arriving; partial request bytes survive the poll.
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let mut reader = BufReader::new(stream.split()?);
-    let mut writer = BufWriter::new(stream);
-    let mut partial = Vec::new();
-    let mut line = String::new();
-    let mut proto = ProtoVersion::V1;
-    loop {
-        match read_bounded_line(&mut reader, &mut partial, &mut line) {
-            Ok(LineRead::Line) => {}
-            Ok(LineRead::Eof) => return Ok(()),
-            Ok(LineRead::Idle) => {
-                // Only drop an *idle* connection on drain; one with a
-                // request in flight gets to finish sending it.
-                if state.shutting_down.load(Ordering::SeqCst) && partial.is_empty() {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                state
-                    .logger
-                    .warn("bad_request")
-                    .field("conn", conn_id)
-                    .field("reason", &e)
-                    .emit();
-                writeln!(writer, "{}", Response::BadRequest(e.to_string()))?;
-                writer.flush()?;
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (responses, closing) = match parse_request(line.trim_end_matches(['\r', '\n']), proto) {
-            Ok(req) => {
-                let closing = matches!(req, Request::Quit | Request::Shutdown);
-                if let Request::Proto { version } = req {
-                    proto = version;
-                }
-                (state.respond(req), closing)
-            }
-            Err(why) => {
-                bump(&state.server_metrics.bad_requests);
-                state
-                    .logger
-                    .warn("bad_request")
-                    .field("conn", conn_id)
-                    .field("reason", &why)
-                    .emit();
-                (vec![Response::BadRequest(why)], false)
-            }
-        };
-        for response in &responses {
-            writeln!(writer, "{response}")?;
-        }
-        writer.flush()?;
-        if closing {
-            return Ok(());
-        }
-    }
-}
-
 /// The daemon entry point.
 pub struct Server;
 
@@ -1022,9 +832,20 @@ pub struct ServerHandle {
 }
 
 impl Server {
+    /// The serving core is the epoll/kqueue event loop; where there is
+    /// none there is no daemon, only the batch program and the client.
+    #[cfg(not(unix))]
+    pub fn start(_config: ServerConfig) -> Result<ServerHandle, StartError> {
+        Err(StartError::Bind(io::ErrorKind::Unsupported.into()))
+    }
+
     /// Loads every map's table (failing fast if any source is broken),
     /// binds the listeners, and starts accepting.
+    #[cfg(unix)]
     pub fn start(config: ServerConfig) -> Result<ServerHandle, StartError> {
+        use std::net::TcpListener;
+        use std::os::unix::net::{UnixListener, UnixStream};
+
         if config.maps.is_empty() {
             return Err(StartError::Config("no maps configured".to_string()));
         }
@@ -1109,10 +930,7 @@ impl Server {
             logger,
             next_conn_id: AtomicU64::new(1),
             shutting_down: AtomicBool::new(false),
-            #[cfg(unix)]
             workers: Mutex::new(Vec::new()),
-            #[cfg(not(unix))]
-            wake_tcp: Mutex::new(None),
         });
 
         let mut accept_threads = Vec::new();
@@ -1120,144 +938,103 @@ impl Server {
         let mut unix_path = None;
         let mut udp_addr = None;
 
-        #[cfg(unix)]
-        {
-            use std::os::unix::net::UnixStream;
+        let workers_n = config
+            .workers
+            .unwrap_or_else(crate::event::default_workers)
+            .max(1);
 
-            let workers_n = config
-                .workers
-                .unwrap_or_else(crate::event::default_workers)
-                .max(1);
+        // Serving more connections than the default fd soft limit
+        // allows is the whole point; raise it while we can.
+        let _ = pathalias_poll::raise_nofile_limit(65536);
 
-            // Serving more connections than the default fd soft limit
-            // allows is the whole point; raise it while we can.
-            let _ = pathalias_poll::raise_nofile_limit(65536);
-
-            let mut tcp_listeners: Vec<Option<TcpListener>> = Vec::new();
-            let mut distribute_tcp = false;
-            if let Some(addr) = &config.tcp {
-                let (listeners, bound, sharded) =
-                    crate::event::bind_tcp(addr, workers_n).map_err(StartError::Bind)?;
-                tcp_listeners = listeners;
-                // Without SO_REUSEPORT shards, worker 0 accepts alone
-                // and deals connections round-robin to the pool.
-                distribute_tcp = !sharded;
-                tcp_addr = Some(bound);
-                state
-                    .logger
-                    .info("listening")
-                    .field("transport", "tcp")
-                    .field("addr", bound)
-                    .field("shards", if sharded { workers_n } else { 1 })
-                    .emit();
-            }
-
-            let mut udp_socks: Vec<Option<std::net::UdpSocket>> = Vec::new();
-            if let Some(addr) = &config.udp {
-                let (socks, bound) =
-                    crate::event::bind_udp(addr, workers_n).map_err(StartError::Bind)?;
-                udp_socks = socks;
-                udp_addr = Some(bound);
-                state
-                    .logger
-                    .info("listening")
-                    .field("transport", "udp")
-                    .field("addr", bound)
-                    .emit();
-            }
-
-            let mut unix_listener = None;
-            if let Some(path) = &config.unix {
-                // A previous daemon's socket file would make bind fail.
-                let _ = std::fs::remove_file(path);
-                let listener = UnixListener::bind(path).map_err(StartError::Bind)?;
-                unix_path = Some(path.clone());
-                state
-                    .logger
-                    .info("listening")
-                    .field("transport", "unix")
-                    .field("path", path.display())
-                    .emit();
-                unix_listener = Some(listener);
-            }
-
-            if tcp_addr.is_none() && unix_path.is_none() && udp_addr.is_none() {
-                return Err(StartError::Bind(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "no listener configured (need tcp, udp and/or unix)",
-                )));
-            }
-
-            // One self-pipe per worker: shutdown, reload completions,
-            // and connection handoffs all wake the loop through it.
-            let mut shareds = Vec::with_capacity(workers_n);
-            let mut wake_reads = Vec::with_capacity(workers_n);
-            for _ in 0..workers_n {
-                let (read_end, write_end) = UnixStream::pair().map_err(StartError::Bind)?;
-                write_end.set_nonblocking(true).map_err(StartError::Bind)?;
-                shareds.push(Arc::new(crate::event::WorkerShared::new(write_end)));
-                wake_reads.push(read_end);
-            }
-            // Registered before any worker runs, so SHUTDOWN handled
-            // by the first worker can already wake all of them.
-            *state.workers.lock().expect("workers lock poisoned") = shareds.clone();
-
-            for (index, wake_read) in wake_reads.into_iter().enumerate() {
-                let setup = crate::event::WorkerSetup {
-                    index,
-                    shared: shareds[index].clone(),
-                    all: shareds.clone(),
-                    tcp: tcp_listeners.get_mut(index).and_then(Option::take),
-                    unix: if index == 0 {
-                        unix_listener.take()
-                    } else {
-                        None
-                    },
-                    udp: udp_socks.get_mut(index).and_then(Option::take),
-                    wake_read,
-                    distribute_tcp,
-                };
-                let state = state.clone();
-                accept_threads.push(std::thread::spawn(move || {
-                    crate::event::run_worker(state, setup)
-                }));
-            }
+        let mut tcp_listeners: Vec<Option<TcpListener>> = Vec::new();
+        let mut distribute_tcp = false;
+        if let Some(addr) = &config.tcp {
+            let (listeners, bound, sharded) =
+                crate::event::bind_tcp(addr, workers_n).map_err(StartError::Bind)?;
+            tcp_listeners = listeners;
+            // Without SO_REUSEPORT shards, worker 0 accepts alone
+            // and deals connections round-robin to the pool.
+            distribute_tcp = !sharded;
+            tcp_addr = Some(bound);
+            state
+                .logger
+                .info("listening")
+                .field("transport", "tcp")
+                .field("addr", bound)
+                .field("shards", if sharded { workers_n } else { 1 })
+                .emit();
         }
 
-        #[cfg(not(unix))]
-        {
-            if config.unix.is_some() {
-                return Err(StartError::Bind(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "unix sockets are not available on this platform",
-                )));
-            }
-            if config.udp.is_some() {
-                return Err(StartError::Bind(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "the udp endpoint wants the unix event loop",
-                )));
-            }
-            if let Some(addr) = &config.tcp {
-                let listener = TcpListener::bind(addr.as_str()).map_err(StartError::Bind)?;
-                let bound = listener.local_addr().map_err(StartError::Bind)?;
-                tcp_addr = Some(bound);
-                *state.wake_tcp.lock().expect("wake lock poisoned") = Some(bound);
-                state
-                    .logger
-                    .info("listening")
-                    .field("transport", "tcp")
-                    .field("addr", bound)
-                    .emit();
-                let state = state.clone();
-                accept_threads.push(std::thread::spawn(move || accept_tcp(state, listener)));
-            }
-            if tcp_addr.is_none() {
-                return Err(StartError::Bind(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "no listener configured (need tcp, udp and/or unix)",
-                )));
-            }
+        let mut udp_socks: Vec<Option<std::net::UdpSocket>> = Vec::new();
+        if let Some(addr) = &config.udp {
+            let (socks, bound) =
+                crate::event::bind_udp(addr, workers_n).map_err(StartError::Bind)?;
+            udp_socks = socks;
+            udp_addr = Some(bound);
+            state
+                .logger
+                .info("listening")
+                .field("transport", "udp")
+                .field("addr", bound)
+                .emit();
+        }
+
+        let mut unix_listener = None;
+        if let Some(path) = &config.unix {
+            // A previous daemon's socket file would make bind fail.
+            let _ = std::fs::remove_file(path);
+            let listener = UnixListener::bind(path).map_err(StartError::Bind)?;
+            unix_path = Some(path.clone());
+            state
+                .logger
+                .info("listening")
+                .field("transport", "unix")
+                .field("path", path.display())
+                .emit();
+            unix_listener = Some(listener);
+        }
+
+        if tcp_addr.is_none() && unix_path.is_none() && udp_addr.is_none() {
+            return Err(StartError::Bind(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "no listener configured (need tcp, udp and/or unix)",
+            )));
+        }
+
+        // One self-pipe per worker: shutdown, reload completions,
+        // and connection handoffs all wake the loop through it.
+        let mut shareds = Vec::with_capacity(workers_n);
+        let mut wake_reads = Vec::with_capacity(workers_n);
+        for _ in 0..workers_n {
+            let (read_end, write_end) = UnixStream::pair().map_err(StartError::Bind)?;
+            write_end.set_nonblocking(true).map_err(StartError::Bind)?;
+            shareds.push(Arc::new(crate::event::WorkerShared::new(write_end)));
+            wake_reads.push(read_end);
+        }
+        // Registered before any worker runs, so SHUTDOWN handled
+        // by the first worker can already wake all of them.
+        *state.workers.lock().expect("workers lock poisoned") = shareds.clone();
+
+        for (index, wake_read) in wake_reads.into_iter().enumerate() {
+            let setup = crate::event::WorkerSetup {
+                index,
+                shared: shareds[index].clone(),
+                all: shareds.clone(),
+                tcp: tcp_listeners.get_mut(index).and_then(Option::take),
+                unix: if index == 0 {
+                    unix_listener.take()
+                } else {
+                    None
+                },
+                udp: udp_socks.get_mut(index).and_then(Option::take),
+                wake_read,
+                distribute_tcp,
+            };
+            let state = state.clone();
+            accept_threads.push(std::thread::spawn(move || {
+                crate::event::run_worker(state, setup)
+            }));
         }
 
         if let Some(interval) = config.watch {
@@ -1275,25 +1052,6 @@ impl Server {
             udp_addr,
             accept_threads,
         })
-    }
-}
-
-#[cfg(not(unix))]
-fn accept_tcp(state: Arc<State>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        if state.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream {
-            Ok(stream) => {
-                // One buffered write per request line = one segment;
-                // with nodelay set, neither Nagle nor delayed ACKs can
-                // stall the request/response ping-pong.
-                let _ = stream.set_nodelay(true);
-                spawn_connection(state.clone(), stream);
-            }
-            Err(_) => continue,
-        }
     }
 }
 
@@ -1371,27 +1129,6 @@ fn watch_sources(
             }
         }
     }
-}
-
-#[cfg(not(unix))]
-fn spawn_connection(state: Arc<State>, stream: impl SplitStream) {
-    bump(&state.server_metrics.connections);
-    bump(&state.server_metrics.active_connections);
-    let conn_id = state.next_conn_id.fetch_add(1, Ordering::Relaxed);
-    state
-        .logger
-        .debug("conn_open")
-        .field("conn", conn_id)
-        .emit();
-    std::thread::spawn(move || {
-        let _ = serve_connection(state.clone(), stream, conn_id);
-        drop_one(&state.server_metrics.active_connections);
-        state
-            .logger
-            .debug("conn_close")
-            .field("conn", conn_id)
-            .emit();
-    });
 }
 
 /// Why the daemon failed to start.
@@ -1549,7 +1286,7 @@ impl ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Cursor, Read};
+    use crate::protocol::ProtoVersion;
 
     fn temp_routes(tag: &str, text: &str) -> PathBuf {
         let path = std::env::temp_dir().join(format!(
@@ -1600,8 +1337,6 @@ mod tests {
             shutting_down: AtomicBool::new(false),
             #[cfg(unix)]
             workers: Mutex::new(Vec::new()),
-            #[cfg(not(unix))]
-            wake_tcp: Mutex::new(None),
         })
     }
 
@@ -2043,90 +1778,6 @@ mod tests {
         assert!(!valid_map_name("@a"));
     }
 
-    #[test]
-    fn bounded_line_reader() {
-        let mut partial = Vec::new();
-        let mut ok = BufReader::new(Cursor::new(b"QUERY a\n".to_vec()));
-        let mut line = String::new();
-        assert!(matches!(
-            read_bounded_line(&mut ok, &mut partial, &mut line).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(line, "QUERY a");
-
-        let mut eof = BufReader::new(Cursor::new(Vec::new()));
-        assert!(matches!(
-            read_bounded_line(&mut eof, &mut partial, &mut line).unwrap(),
-            LineRead::Eof
-        ));
-
-        // No trailing newline: still delivered at EOF.
-        let mut tail = BufReader::new(Cursor::new(b"HEALTH".to_vec()));
-        assert!(matches!(
-            read_bounded_line(&mut tail, &mut partial, &mut line).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(line, "HEALTH");
-
-        let mut long = BufReader::new(Cursor::new(vec![b'x'; MAX_LINE + 10]));
-        let err = read_bounded_line(&mut long, &mut partial, &mut line).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        partial.clear();
-
-        // A blank line is a line, not EOF.
-        let mut blank = BufReader::new(Cursor::new(b"\nHEALTH\n".to_vec()));
-        assert!(matches!(
-            read_bounded_line(&mut blank, &mut partial, &mut line).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(line, "");
-        assert!(matches!(
-            read_bounded_line(&mut blank, &mut partial, &mut line).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(line, "HEALTH");
-    }
-
-    #[test]
-    fn partial_bytes_survive_idle_polls() {
-        // A reader that delivers half a request, then times out, then
-        // delivers the rest — the line must come out whole.
-        struct Stutter {
-            chunks: Vec<Result<Vec<u8>, io::ErrorKind>>,
-        }
-        impl Read for Stutter {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                match self.chunks.pop() {
-                    Some(Ok(bytes)) => {
-                        buf[..bytes.len()].copy_from_slice(&bytes);
-                        Ok(bytes.len())
-                    }
-                    Some(Err(kind)) => Err(io::Error::new(kind, "timeout")),
-                    None => Ok(0),
-                }
-            }
-        }
-        let mut reader = BufReader::new(Stutter {
-            chunks: vec![
-                Ok(b" rick\n".to_vec()),
-                Err(io::ErrorKind::WouldBlock),
-                Ok(b"QUERY seismo".to_vec()),
-            ],
-        });
-        let mut partial = Vec::new();
-        let mut line = String::new();
-        assert!(matches!(
-            read_bounded_line(&mut reader, &mut partial, &mut line).unwrap(),
-            LineRead::Idle
-        ));
-        assert!(!partial.is_empty(), "partial request retained");
-        assert!(matches!(
-            read_bounded_line(&mut reader, &mut partial, &mut line).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(line, "QUERY seismo rick");
-    }
-
     /// Joins a multi-line response (header + payload lines) back into
     /// the text document, checking the header's line count on the way.
     fn payload_text(responses: &[Response]) -> String {
@@ -2368,25 +2019,6 @@ mod tests {
             slow.iter()
                 .any(|e| e.verb == "RELOAD" && e.outcome == "error"),
             "{slow:?}"
-        );
-    }
-
-    #[test]
-    fn multibyte_utf8_survives_buffer_refills() {
-        // A 1-byte BufReader forces every UTF-8 character to straddle
-        // a refill boundary; the line must still decode intact.
-        let text = "QUERY zürich.üñî.example häns\n";
-        let mut tiny = BufReader::with_capacity(1, Cursor::new(text.as_bytes().to_vec()));
-        let mut partial = Vec::new();
-        let mut line = String::new();
-        assert!(matches!(
-            read_bounded_line(&mut tiny, &mut partial, &mut line).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(line, text.trim_end());
-        assert!(
-            !line.contains('\u{FFFD}'),
-            "no replacement characters: {line}"
         );
     }
 }

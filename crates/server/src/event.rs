@@ -17,9 +17,9 @@
 //! (`busy`) so pipelined requests behind it keep their order, and the
 //! response is injected back through the owning worker's inbox.
 //!
-//! Wire behaviour is byte-identical to the legacy blocking path (which
-//! still serves non-unix platforms): same responses, same flush
-//! boundaries, same `MAX_LINE` handling, same log events, same
+//! Wire behaviour is byte-identical to the blocking daemon this
+//! replaced (the replay suites did not change): same responses, same
+//! flush boundaries, same `MAX_LINE` handling, same log events, same
 //! drain-an-idle-connection-after-200ms shutdown semantics.
 
 use crate::daemon::State;

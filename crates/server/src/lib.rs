@@ -24,8 +24,9 @@
 //!   validation of rebuilt maps;
 //! * [`daemon`] — TCP, Unix-socket, and UDP endpoints served by a
 //!   fixed pool of epoll/kqueue event-loop workers (`SO_REUSEPORT`
-//!   shards the accept load; non-unix platforms fall back to a thread
-//!   per connection), graceful [`drain`](ServerHandle::drain), and
+//!   shards the accept load; other platforms have no daemon and
+//!   [`Server::start`] says so), graceful
+//!   [`drain`](ServerHandle::drain), and
 //!   **sharded multi-map serving**: one daemon holds N named maps
 //!   (`--map-set`), each with its own snapshot, cache, counters, and
 //!   independent hot reload — unqualified requests go to the default

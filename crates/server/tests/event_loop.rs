@@ -1,12 +1,14 @@
 //! Event-loop behavior that the byte-identical replay suites can't
-//! see: adversarial clients (byte dribblers, slow readers), the UDP
-//! datagram endpoint's parity with TCP, and the per-worker gauges.
+//! see: adversarial clients (byte dribblers, slow readers), an idle
+//! herd beside hot connections, the UDP datagram endpoint's parity
+//! with TCP, and the per-worker gauges.
 #![cfg(unix)]
 
 use pathalias_server::{Client, MapSource, Server, ServerConfig, ServerHandle, UdpClient};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, UdpSocket};
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::Duration;
 
 fn temp(tag: &str) -> PathBuf {
@@ -36,7 +38,8 @@ fn single_worker(tag: &str, udp: bool) -> (ServerHandle, PathBuf) {
 fn dribbled_bytes_frame_correctly() {
     // A client that writes one byte at a time must still get complete,
     // correctly framed responses: the nonblocking read path has to
-    // buffer partial lines across many readiness events.
+    // buffer partial lines across many readiness events, and a
+    // multi-byte character split across reads must decode whole.
     let (handle, path) = single_worker("dribble.routes", false);
     let addr = handle.tcp_addr().unwrap();
 
@@ -44,7 +47,8 @@ fn dribbled_bytes_frame_correctly() {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let script = "PROTO 2\nQUERY seismo rick\nMQUERY x.mit.edu:minsky nowhere\n";
+    let script = "PROTO 2\nQUERY seismo rick\nMQUERY x.mit.edu:minsky nowhere\n\
+                  QUERY zürich.üñî.edu häns\n";
     for byte in script.as_bytes() {
         stream.write_all(std::slice::from_ref(byte)).unwrap();
         stream.flush().unwrap();
@@ -62,6 +66,10 @@ fn dribbled_bytes_frame_correctly() {
     assert_eq!(next(&mut reader, &mut line), "200 seismo!rick");
     assert_eq!(next(&mut reader, &mut line), "200 seismo!x.mit.edu!minsky");
     assert_eq!(next(&mut reader, &mut line), "404 no route to nowhere");
+    assert_eq!(
+        next(&mut reader, &mut line),
+        "200 seismo!zürich.üñî.edu!häns"
+    );
 
     // A final request with no trailing newline, then EOF: the daemon
     // must still serve that last line (legacy parity) and close.
@@ -141,6 +149,77 @@ fn slow_reader_mid_metrics_does_not_stall_the_worker() {
     assert_eq!(reader.read_line(&mut line).unwrap(), 0, "clean EOF");
 
     handle.shutdown();
+    std::fs::remove_file(path).unwrap();
+}
+
+#[test]
+fn idle_herd_does_not_starve_hot_connections() {
+    // The C10K shape in miniature: idle connections spread over two
+    // workers must cost the hot ones nothing but buffers. Every hot
+    // query is answered, every connection is counted, and a drain
+    // releases the herd inside its deadline.
+    const IDLE: usize = 256;
+    const HOT: usize = 8;
+    const QUERIES: usize = 200;
+    let path = temp("herd.routes");
+    std::fs::write(&path, "seismo\tseismo!%s\n.edu\tseismo!%s\n").unwrap();
+    let mut config = ServerConfig::ephemeral(MapSource::Routes(path.clone()));
+    config.workers = Some(2);
+    let handle = Server::start(config).expect("server starts");
+    let addr = handle.tcp_addr().unwrap();
+
+    // One round trip each, so a worker owns the connection (and has
+    // counted it) before it goes idle.
+    let herd: Vec<Client> = (0..IDLE)
+        .map(|_| {
+            let mut client = Client::connect(addr).expect("herd connects");
+            client.health().unwrap();
+            client
+        })
+        .collect();
+
+    // A starved or failed hot connection never sends its client back.
+    let (done, finished) = mpsc::channel();
+    for id in 0..HOT {
+        let done = done.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("hot client connects");
+            for q in 0..QUERIES {
+                let user = format!("u{id}-{q}");
+                assert_eq!(
+                    client.query("x.mit.edu", Some(&user)).unwrap().unwrap(),
+                    format!("seismo!x.mit.edu!{user}")
+                );
+            }
+            done.send(client).unwrap();
+        });
+    }
+    drop(done);
+    let mut hot: Vec<Client> = (0..HOT)
+        .map(|_| {
+            finished
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a hot connection starved behind the idle herd")
+        })
+        .collect();
+
+    let text = hot[0].metrics().unwrap();
+    let open: Vec<u64> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("pathalias_connections_open{worker="))
+        .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+        .collect();
+    assert_eq!(open.len(), 2, "one gauge per worker in:\n{text}");
+    assert_eq!(open.iter().sum::<u64>(), (IDLE + HOT) as u64, "{open:?}");
+
+    for client in hot {
+        client.quit().unwrap();
+    }
+    assert!(
+        handle.drain(Duration::from_secs(5)),
+        "drain released the idle herd"
+    );
+    drop(herd);
     std::fs::remove_file(path).unwrap();
 }
 

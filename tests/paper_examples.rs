@@ -1,6 +1,7 @@
 //! Byte-exact reproductions of every worked example in the paper.
 //!
-//! Experiment ids refer to DESIGN.md §3.
+//! Experiment ids are those of the experiments binary (README, "Tests
+//! and benches").
 
 use pathalias::core::{compute_routes, map, CostModel, MapOptions};
 use pathalias::{parse, symbol_cost, Pathalias};
