@@ -10,6 +10,7 @@ use pathalias_bench::{
 };
 use pathalias_core::{Options, Pathalias};
 use pathalias_graph::boxed::BoxedGraph;
+use pathalias_graph::{Graph, NodeId, RouteOp};
 use pathalias_hash::{GrowthPolicy, HostTable, SecondaryHash, TableConfig, ALPHA_LOW};
 use pathalias_mailer::RouteDb;
 use pathalias_mapgen::{generate, MapSpec};
@@ -34,11 +35,14 @@ fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64() * 1_000.0)
 }
 
-/// Median-of-several wall-clock milliseconds.
-fn time_med<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut samples: Vec<f64> = (0..reps).map(|_| time(&mut f).1).collect();
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// Median-of-several wall-clock milliseconds.
+fn time_med<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    median((0..reps).map(|_| time(&mut f).1).collect())
 }
 
 fn main() {
@@ -387,6 +391,36 @@ fn e8_clique() {
         );
     }
     println!("(2,000 members: the paper's 'millions of edges' avoided)");
+
+    // The star only saves anything if declaring it is linear too:
+    // checking each member against the net's row by walking it is the
+    // n² the representation exists to avoid, one layer down.
+    println!("\n{:<8} {:>14}", "members", "star build ms");
+    // Only the declaration is timed; each sample gets a fresh graph.
+    let build_ms = |n: usize| {
+        let sample = |_| {
+            let mut g = Graph::new();
+            let net = g.node("BIGNET");
+            let members: Vec<(NodeId, u64)> =
+                (0..n).map(|i| (g.node(&format!("m{i}")), 95)).collect();
+            time(|| g.declare_network(net, &members, RouteOp::ARPA)).1
+        };
+        median((0..5).map(sample).collect())
+    };
+    let built: Vec<f64> = [2_000usize, 8_000, 32_000]
+        .into_iter()
+        .map(|n| {
+            let ms = build_ms(n);
+            println!("{n:<8} {ms:>14.3}");
+            ms
+        })
+        .collect();
+    let growth = built[2] / built[1];
+    println!("(build(32,000) / build(8,000) = {growth:.1}: linear is 4, quadratic 16)");
+    assert!(
+        growth <= 10.0,
+        "declaring a network is no longer linear in its members"
+    );
 }
 
 fn e9_paper_scale() {

@@ -9,7 +9,7 @@ use crate::node::Node;
 use pathalias_arena::{Bump, Handle, Pool};
 use pathalias_hash::HostTable;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Identifies a node in the graph.
 pub type NodeId = Handle<Node>;
@@ -26,6 +26,43 @@ impl FileId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+}
+
+/// Which links of a row the [`RowIndex`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RowKind {
+    /// Hand-written links: what `declare_link`'s duplicate rule sees.
+    Explicit,
+    /// Network exit edges: what `declare_network`'s membership rule sees.
+    NetOut,
+}
+
+impl RowKind {
+    fn admits(self, flags: LinkFlags) -> bool {
+        match self {
+            RowKind::Explicit => flags.is_explicit(),
+            RowKind::NetOut => flags.contains(LinkFlags::NET_OUT),
+        }
+    }
+}
+
+/// "Seen target → newest link" for the links of one kind in one row,
+/// so a declaration asks "is there already a link to `to`?" without
+/// walking the row's list. One walk fills it when a declaration moves
+/// to another row or kind; `add_raw_link`, the only code that grows a
+/// row, keeps it current; `node_mut` and `link_mut`, which can rewire
+/// anything, drop it.
+#[derive(Debug, Default)]
+struct RowIndex {
+    /// The indexed row and kind; `None` when nothing is indexed.
+    row: Option<(NodeId, RowKind)>,
+    /// Links of that kind in the row.
+    len: usize,
+    /// Bumped on every fill, so stale entries need no clearing.
+    epoch: u32,
+    /// Per node: the epoch that last saw it as a target, and the link
+    /// the row's list reaches first (the newest).
+    seen: Vec<(u32, LinkId)>,
 }
 
 /// The in-memory connectivity graph built by the parsing phase and
@@ -61,9 +98,11 @@ pub struct Graph {
     table: HostTable<NodeId>,
     /// `private` bindings for the current file only.
     private_scope: HashMap<Box<str>, NodeId>,
-    /// Names mentioned so far in the current file (private-after-use
-    /// diagnostics).
-    file_mentions: HashSet<Box<str>>,
+    /// Per node: the last file whose text resolved a name to it
+    /// (private-after-use diagnostics). File ids only grow, so nothing
+    /// is cleared between files.
+    mentioned_in: Vec<FileId>,
+    row_index: RowIndex,
     files: Vec<String>,
     ignore_case: bool,
     warnings: Vec<Warning>,
@@ -90,7 +129,8 @@ impl Graph {
             links: Pool::new(),
             table: HostTable::new(),
             private_scope: HashMap::new(),
-            file_mentions: HashSet::new(),
+            mentioned_in: Vec::new(),
+            row_index: RowIndex::default(),
             files: vec!["<input>".to_string()],
             ignore_case,
             warnings: Vec::new(),
@@ -106,7 +146,6 @@ impl Graph {
     /// the previous file end here.
     pub fn begin_file(&mut self, name: &str) -> FileId {
         self.private_scope.clear();
-        self.file_mentions.clear();
         self.files.push(name.to_string());
         FileId((self.files.len() - 1) as u32)
     }
@@ -139,6 +178,8 @@ impl Graph {
             flags.insert(NodeFlags::DOMAIN);
         }
         let file = self.current_file();
+        self.mentioned_in.push(file);
+        self.row_index.seen.push((0, LinkId::from_raw(0)));
         self.nodes.alloc(Node {
             name: span,
             flags,
@@ -154,11 +195,11 @@ impl Graph {
     pub fn node(&mut self, name: &str) -> NodeId {
         assert!(!name.is_empty(), "host names cannot be empty");
         let key = self.key_of(name);
-        self.file_mentions.insert(key.as_ref().into());
         if let Some(&id) = self.private_scope.get(key.as_ref()) {
             return id;
         }
         if let Some(&id) = self.table.peek(&key) {
+            self.mentioned_in[id.index()] = self.current_file();
             return id;
         }
         let id = self.new_node(name, NodeFlags::empty());
@@ -183,7 +224,10 @@ impl Graph {
         if let Some(&id) = self.private_scope.get(key.as_ref()) {
             return id;
         }
-        if self.file_mentions.contains(key.as_ref()) {
+        // A private binding would have returned above, so a mention in
+        // this file can only have resolved to the global node.
+        let global = self.table.peek(&key);
+        if global.is_some_and(|g| self.mentioned_in[g.index()] == self.current_file()) {
             self.warnings.push(Warning::PrivateAfterUse {
                 host: name.to_string(),
             });
@@ -205,6 +249,7 @@ impl Graph {
 
     /// Mutable node access.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
+        self.row_index.row = None;
         &mut self.nodes[id]
     }
 
@@ -215,6 +260,7 @@ impl Graph {
 
     /// Mutable link access.
     pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
+        self.row_index.row = None;
         &mut self.links[id]
     }
 
@@ -265,10 +311,53 @@ impl Graph {
             next: head,
         });
         self.nodes[from].first_link = Some(id);
+        // The new link heads the list, so it is what a walk finds first.
+        let index = &mut self.row_index;
+        if index
+            .row
+            .is_some_and(|(row, kind)| row == from && kind.admits(flags))
+        {
+            index.seen[to.index()] = (index.epoch, id);
+            index.len += 1;
+        }
         id
     }
 
-    /// Finds the first explicit (hand-written) link `from -> to`.
+    /// Points the row index at `from`'s links of `kind`: one walk of
+    /// the row unless it is there already.
+    fn index_row(&mut self, from: NodeId, kind: RowKind) {
+        let index = &mut self.row_index;
+        if index.row == Some((from, kind)) {
+            return;
+        }
+        index.row = Some((from, kind));
+        index.len = 0;
+        index.epoch = index.epoch.checked_add(1).unwrap_or_else(|| {
+            index.seen.iter_mut().for_each(|s| s.0 = 0);
+            1
+        });
+        let row = LinkIter {
+            links: &self.links,
+            cur: self.nodes[from].first_link,
+        };
+        for (id, link) in row.filter(|(_, l)| kind.admits(l.flags)) {
+            index.len += 1;
+            let seen = &mut index.seen[link.to.index()];
+            if seen.0 != index.epoch {
+                *seen = (index.epoch, id);
+            }
+        }
+    }
+
+    /// The newest link to `to` among the indexed row's links.
+    fn indexed_link(&self, to: NodeId) -> Option<LinkId> {
+        let (epoch, id) = self.row_index.seen[to.index()];
+        (epoch == self.row_index.epoch).then_some(id)
+    }
+
+    /// Finds the first explicit (hand-written) link `from -> to` by
+    /// walking the row. `declare_link` answers the same question from
+    /// the row index; this walk is the rule it must agree with.
     pub fn find_explicit_link(&self, from: NodeId, to: NodeId) -> Option<LinkId> {
         self.links_from(from)
             .find(|(_, l)| l.to == to && l.flags.is_explicit())
@@ -297,7 +386,8 @@ impl Graph {
             self.warnings.push(Warning::SelfLink { host });
             return None;
         }
-        if let Some(existing) = self.find_explicit_link(from, to) {
+        self.index_row(from, RowKind::Explicit);
+        if let Some(existing) = self.indexed_link(to) {
             let old = self.links[existing].cost;
             let (kept, dropped) = if cost < old {
                 let l = &mut self.links[existing];
@@ -323,7 +413,8 @@ impl Graph {
     /// cost and a free exit edge net→member ("you pay to get onto a
     /// network, but you get off for free").
     pub fn declare_network(&mut self, net: NodeId, members: &[(NodeId, Cost)], op: RouteOp) {
-        if self.nodes[net].is_net() && self.has_members(net) {
+        self.index_row(net, RowKind::NetOut);
+        if self.nodes[net].is_net() && self.row_index.len > 0 {
             self.warnings.push(Warning::RedeclaredNet {
                 net: self.name(net).to_string(),
             });
@@ -351,18 +442,11 @@ impl Graph {
                     self.add_raw_link(m, net, cost, op, LinkFlags::NET_IN);
                 }
             }
-            let has_out = self
-                .links_from(net)
-                .any(|(_, l)| l.to == m && l.flags.contains(LinkFlags::NET_OUT));
-            if !has_out {
+            // `m != net`, so the entry edge above left the net's row alone.
+            if self.indexed_link(m).is_none() {
                 self.add_raw_link(net, m, 0, op, LinkFlags::NET_OUT);
             }
         }
-    }
-
-    fn has_members(&self, net: NodeId) -> bool {
-        self.links_from(net)
-            .any(|(_, l)| l.flags.contains(LinkFlags::NET_OUT))
     }
 
     /// Declares `a` and `b` aliases of one another: a pair of zero-cost
@@ -690,6 +774,137 @@ mod tests {
             .warnings()
             .iter()
             .any(|w| matches!(w, Warning::PrivateAfterUse { .. })));
+    }
+
+    /// Runs `check` case-sensitively and under `-i`; `again` spells a
+    /// repeated mention of a name (upper case when folding, so the
+    /// second spelling differs from the first).
+    fn with_and_without_folding(check: impl Fn(Graph, &dyn Fn(&str) -> String)) {
+        check(Graph::new(), &|s| s.to_string());
+        check(Graph::with_ignore_case(true), &|s| s.to_ascii_uppercase());
+    }
+
+    fn row(g: &Graph, from: NodeId) -> Vec<(NodeId, Cost, LinkFlags)> {
+        g.links_from(from)
+            .map(|(_, l)| (l.to, l.cost, l.flags))
+            .collect()
+    }
+
+    #[test]
+    fn duplicate_link_found_across_other_statements_and_files() {
+        with_and_without_folding(|mut g, again| {
+            g.begin_file("one");
+            let (a, b, c) = (g.node("a"), g.node("b"), g.node("c"));
+            let first = g.declare_link(a, b, 300, RouteOp::UUCP).unwrap();
+            // Another host's statement moves the row index away.
+            g.declare_link(c, b, 10, RouteOp::UUCP);
+            let (a2, b2) = (g.node(&again("a")), g.node(&again("b")));
+            assert_eq!(g.declare_link(a2, b2, 100, RouteOp::ARPA), Some(first));
+            g.begin_file("two");
+            g.declare_link(c, a, 10, RouteOp::UUCP);
+            assert_eq!(g.declare_link(a, b, 200, RouteOp::UUCP), Some(first));
+
+            assert_eq!(row(&g, a), vec![(b, 100, LinkFlags::empty())]);
+            assert_eq!(
+                g.link_ref(first).op,
+                RouteOp::ARPA,
+                "op follows the cheaper"
+            );
+            let dup = |kept, dropped| Warning::DuplicateLink {
+                from: "a".into(),
+                to: "b".into(),
+                kept,
+                dropped,
+            };
+            assert_eq!(g.warnings(), [dup(100, 300), dup(100, 200)]);
+        });
+    }
+
+    #[test]
+    fn duplicate_link_sees_foreign_writers_to_the_row() {
+        let mut g = Graph::new();
+        let (a, b, c, d, e) = (
+            g.node("a"),
+            g.node("b"),
+            g.node("c"),
+            g.node("d"),
+            g.node("e"),
+        );
+        let ab = g.declare_link(a, b, 10, RouteOp::UUCP).unwrap();
+        // Raw links land in the row the index is pointing at.
+        let ac = g.add_raw_link(a, c, 5, RouteOp::UUCP, LinkFlags::empty());
+        assert_eq!(g.declare_link(a, c, 3, RouteOp::UUCP), Some(ac));
+        assert_eq!(g.link_ref(ac).cost, 3);
+        // Two parallel raw links: the newest heads the list and wins.
+        g.add_raw_link(a, d, 30, RouteOp::UUCP, LinkFlags::empty());
+        let newest = g.add_raw_link(a, d, 10, RouteOp::UUCP, LinkFlags::empty());
+        assert_eq!(g.find_explicit_link(a, d), Some(newest));
+        assert_eq!(g.declare_link(a, d, 20, RouteOp::UUCP), Some(newest));
+        // A link of another kind to the same target is no duplicate.
+        g.add_raw_link(a, e, 0, RouteOp::UUCP, LinkFlags::ALIAS);
+        let ae = g.declare_link(a, e, 7, RouteOp::UUCP).unwrap();
+        assert_eq!(g.find_explicit_link(a, e), Some(ae));
+        // Rewiring through `link_mut` is seen too.
+        let f = g.node("f");
+        g.link_mut(ab).to = f;
+        assert_eq!(g.declare_link(a, f, 9, RouteOp::UUCP), Some(ab));
+        assert_ne!(g.declare_link(a, b, 9, RouteOp::UUCP), Some(ab));
+        assert_eq!(g.links_from(a).count(), 7);
+        assert_eq!(g.warnings().len(), 3);
+    }
+
+    #[test]
+    fn network_redeclared_with_overlapping_members() {
+        with_and_without_folding(|mut g, again| {
+            let net = g.node("net");
+            let (m1, m2, m3) = (g.node("m1"), g.node("m2"), g.node("m3"));
+            g.declare_network(net, &[(m1, 100), (m2, 100)], RouteOp::UUCP);
+            g.declare_link(m3, m1, 10, RouteOp::UUCP);
+            let net2 = g.node(&again("net"));
+            g.declare_network(net2, &[(m2, 50), (m3, 70), (m1, 200)], RouteOp::ARPA);
+
+            // One exit edge per member, first declaration's order kept.
+            let out = LinkFlags::NET_OUT;
+            assert_eq!(row(&g, net), vec![(m3, 0, out), (m2, 0, out), (m1, 0, out)]);
+            let entry = |m| {
+                let (_, l) = g.links_from(m).find(|(_, l)| l.to == net).unwrap();
+                (l.cost, l.op)
+            };
+            assert_eq!(entry(m1), (100, RouteOp::UUCP));
+            assert_eq!(entry(m2), (50, RouteOp::ARPA), "cheaper entry kept");
+            assert_eq!(entry(m3), (70, RouteOp::ARPA));
+            assert_eq!(g.links_from(m2).count(), 1);
+            assert_eq!(g.warnings(), [Warning::RedeclaredNet { net: "net".into() }]);
+        });
+    }
+
+    #[test]
+    fn private_after_use_is_per_file_and_per_global_name() {
+        with_and_without_folding(|mut g, again| {
+            let warned = |g: &Graph| g.warnings().len();
+            g.begin_file("one");
+            let global = g.node("x");
+            g.declare_private(&again("x"));
+            assert_eq!(
+                g.warnings(),
+                [Warning::PrivateAfterUse { host: again("x") }]
+            );
+            // Mentioned in file one only: file two may hide it quietly.
+            g.begin_file("two");
+            let hidden = g.declare_private("x");
+            assert_eq!(g.node(&again("x")), hidden);
+            assert_eq!(g.declare_private("x"), hidden);
+            // `y` is only ever resolved through its private binding.
+            let y = g.declare_private("y");
+            assert_eq!(g.node(&again("y")), y);
+            assert_eq!(g.declare_private(&again("y")), y);
+            assert_eq!(warned(&g), 1);
+            g.begin_file("three");
+            assert_eq!(g.try_node("y"), None);
+            assert_eq!(g.node("x"), global);
+            g.declare_private("y");
+            assert_eq!(warned(&g), 1);
+        });
     }
 
     #[test]

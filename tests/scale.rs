@@ -1,7 +1,11 @@
 //! Paper-scale structural checks on the synthetic universe.
 
-use pathalias::core::{map_readonly, parallel, stats, Graph, MapOptions};
+use pathalias::core::{
+    map_readonly, parallel, parse, stats, Graph, LinkFlags, MapOptions, Warning,
+};
 use pathalias::{generate, MapSpec, Pathalias};
+use std::fmt::Write;
+use std::time::{Duration, Instant};
 
 fn paper_world() -> (Pathalias, String) {
     let map = generate(&MapSpec::usenet_1986(1986));
@@ -72,4 +76,64 @@ fn parallel_multi_source_consistent_at_scale() {
             assert_eq!(tree.label(id), seq.label(id));
         }
     }
+}
+
+/// Graph building is linear in the map text, whatever its shape: a
+/// 200,000-member network declared in two halves, a 200,000-link hub
+/// row spread over 200 statements with other hosts' statements in
+/// between, and 200,000 one-link hosts. Walking the row per member or
+/// per link (what `Graph` did before it kept a row index) makes this
+/// tens of billions of list steps, minutes even in a release build;
+/// linear is a second or two in a debug one, so the limit neither flakes
+/// nor passes by accident. It is also the hostile-map case: one such
+/// file must not pin a `--watch` daemon's reload for minutes.
+#[test]
+fn graph_building_is_linear_in_the_text() {
+    const N: usize = 200_000;
+    const PER_STATEMENT: usize = 1_000;
+    let started = Instant::now();
+
+    let mut text = String::new();
+    for half in [0..N / 2, N / 2..N] {
+        text.push_str("BIGNET = {");
+        for m in half {
+            writeln!(text, "m{m},").unwrap();
+        }
+        text.push_str("}(10)\n");
+    }
+    for chunk in 0..N / PER_STATEMENT {
+        let ids = chunk * PER_STATEMENT..(chunk + 1) * PER_STATEMENT;
+        text.push_str("hub ");
+        for t in ids.clone() {
+            write!(text, "t{t}(10), ").unwrap();
+        }
+        text.push_str("m0(10)\n");
+        for h in ids {
+            writeln!(text, "h{h} hub(10)").unwrap();
+        }
+    }
+
+    let g = parse(&text).unwrap();
+    let (net, hub) = (g.try_node("BIGNET").unwrap(), g.try_node("hub").unwrap());
+    // The net, its members, the hub, its targets, the one-link hosts.
+    assert_eq!(g.node_count(), 1 + N + 1 + N + N);
+    let exits = g
+        .links_from(net)
+        .filter(|(_, l)| l.flags.contains(LinkFlags::NET_OUT))
+        .count();
+    assert_eq!((exits, g.links_from(net).count()), (N, N));
+    // `hub m0` is written once per statement and kept once.
+    assert_eq!(g.links_from(hub).count(), N + 1);
+    assert_eq!(g.link_count(), N + N + (N + 1) + N);
+    let duplicates = N / PER_STATEMENT - 1;
+    assert_eq!(g.warnings().len(), 1 + duplicates);
+    assert_eq!(
+        g.warnings()[0],
+        Warning::RedeclaredNet {
+            net: "BIGNET".into()
+        }
+    );
+
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(10), "took {took:?}");
 }
