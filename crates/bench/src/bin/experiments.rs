@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release -p pathalias-bench --bin experiments`
 
 use pathalias_arena::counting::{snapshot, CountingAlloc};
+use pathalias_bench::study::map_frozen_quadratic_readonly;
 use pathalias_bench::{
     clique_world, host_names, random_sparse, sparse_world, MOTOWN_MAP, PAPER_1981_MAP,
 };
@@ -14,10 +15,7 @@ use pathalias_graph::{Graph, NodeId, RouteOp};
 use pathalias_hash::{GrowthPolicy, HostTable, SecondaryHash, TableConfig, ALPHA_LOW};
 use pathalias_mailer::RouteDb;
 use pathalias_mapgen::{generate, MapSpec};
-use pathalias_mapper::{
-    map, map_dual, map_frozen_quadratic_readonly, map_frozen_readonly, map_readonly, CostModel,
-    MapOptions,
-};
+use pathalias_mapper::{map, map_dual, map_frozen_readonly, map_readonly, CostModel, MapOptions};
 use pathalias_printer::{compute_routes, render, PrintOptions};
 use std::sync::Arc;
 use std::time::Instant;
@@ -339,6 +337,8 @@ fn e7_dijkstra() {
         "v", "csr ms", "linked ms", "quadratic ms", "v²/csr", "lnk/csr"
     );
     let opts = MapOptions::default();
+    // v²/csr per size, for the direction check below.
+    let mut ratios: Vec<(usize, f64)> = Vec::new();
     for v in [500usize, 1_000, 2_000, 4_000, 8_000] {
         let (g, src) = random_sparse(v, 4.0, 42);
         let frozen = Arc::new(g.freeze());
@@ -360,9 +360,21 @@ fn e7_dijkstra() {
             quad / csr,
             linked / csr
         );
+        ratios.push((v, quad / csr));
     }
     println!("(the v² ratio grows linearly in v: the paper's 'clear winner';");
     println!(" the linked column is the seed implementation before the freeze refactor)");
+    // "Both asymptotically and pragmatically, the priority queue
+    // variant is a clear winner."
+    let at = |v| ratios.iter().find(|r| r.0 == v).expect("size was run").1;
+    assert!(
+        ratios.iter().all(|&(v, r)| v < 2_000 || r > 1.0),
+        "the array scan beat the heap run at some v >= 2000: {ratios:?}"
+    );
+    assert!(
+        at(8_000) > at(2_000),
+        "the heap's lead no longer grows with v: {ratios:?}"
+    );
 }
 
 fn e8_clique() {

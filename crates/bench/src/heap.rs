@@ -21,7 +21,7 @@
 /// # Examples
 ///
 /// ```
-/// use pathalias_mapper::heap::IndexedHeap;
+/// use pathalias_bench::heap::IndexedHeap;
 ///
 /// let mut h: IndexedHeap<u64> = IndexedHeap::new(10);
 /// h.push(3, 50);

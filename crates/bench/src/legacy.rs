@@ -13,10 +13,16 @@
 //! * the freeze-parity property test can assert the new pipeline's
 //!   rendered output is byte-identical to the seed's.
 //!
-//! Nothing in the serving or pipeline path calls this module.
+//! Nothing in the serving or pipeline path calls this module, and this
+//! module calls nothing of theirs: its `relax` is a second, independent
+//! statement of the cost rules on purpose. The shipped mapper and
+//! router share one (`pathalias_mapper::cost_model`); an oracle that
+//! shared it too would agree with any bug in it. A rule that changes
+//! there changes here only by a second, deliberate edit, which is how
+//! `freeze_parity` catches an accidental one.
 
+use crate::heap::IndexedHeap;
 use pathalias_graph::{Cost, Dir, Graph, Link, LinkFlags, LinkId, NodeFlags, NodeId, RouteOp};
-use pathalias_mapper::heap::IndexedHeap;
 use pathalias_mapper::MapOptions;
 use pathalias_printer::{Route, RouteKind, RouteTable};
 use std::collections::HashSet;

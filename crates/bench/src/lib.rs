@@ -1,13 +1,17 @@
-//! Fixtures for the experiments binary, and the `legacy` oracle.
+//! Fixtures for the experiments binary, the `legacy` oracle, and the
+//! study code the paper's comparisons need but nothing ships with.
 //!
 //! The README's "Tests and benches" table maps the paper's tables,
 //! figures and studies to experiment ids; this crate holds the workload
-//! builders those experiments share.
+//! builders those experiments share, the paper's decrease-key [`heap`]
+//! and the O(v²) mapper of [`study`] (experiment E7).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod heap;
 pub mod legacy;
+pub mod study;
 
 use pathalias_graph::{Graph, NodeId, RouteOp};
 use pathalias_mapgen::{generate, MapSpec};

@@ -1,6 +1,6 @@
 //! Property test: the indexed heap against a sorted-model oracle.
 
-use pathalias_mapper::heap::IndexedHeap;
+use pathalias_bench::heap::IndexedHeap;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]

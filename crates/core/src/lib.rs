@@ -45,9 +45,9 @@ pub use pathalias_graph::{
     SnapshotError, Warning, DEFAULT_COST, INF,
 };
 pub use pathalias_mapper::{
-    format_trace, map, map_dual, map_dual_frozen, map_frozen, map_frozen_quadratic_readonly,
-    map_frozen_readonly, map_quadratic_readonly, map_readonly, parallel, repair_frozen, CostModel,
-    DualTree, Label, MapError, MapOptions, MapStats, ShortestPathTree,
+    format_trace, map, map_dual, map_dual_frozen, map_frozen, map_frozen_readonly, map_readonly,
+    parallel, repair_frozen, CostModel, DualTree, Label, MapError, MapOptions, MapStats,
+    ShortestPathTree,
 };
 pub use pathalias_parser::{parse, parse_files, parse_into, ParseError};
 pub use pathalias_printer::diff::{diff as diff_routes, RouteChange};

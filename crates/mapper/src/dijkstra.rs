@@ -1,5 +1,5 @@
 //! The mapping algorithms: heap Dijkstra over the frozen CSR graph,
-//! the quadratic baseline, and the back-link pass.
+//! its incremental repair, and the back-link pass.
 //!
 //! The engine traverses a [`FrozenGraph`]: contiguous edge slices per
 //! node instead of the build-time linked lists, dense visit arrays
@@ -9,11 +9,12 @@
 //! more than once — the staged pipeline, the multi-source fan-out, the
 //! server — freezes once and calls the `*_frozen` entry points.
 
-use crate::cost_model::CostModel;
-use crate::tree::{Label, MapStats, PackedTree, ShortestPathTree, TraceDecision, TraceEvent};
-use pathalias_graph::{
-    Cost, Dir, EdgeId, FrozenEdge, FrozenGraph, Graph, LinkFlags, NodeFlags, NodeId,
+use crate::cost_model::{
+    pack_key, pack_label, settle, source_label, unpack_label, CostModel, Key, Packed, Settled,
+    Tail, LABELLED, MAPPED, NO_PRED,
 };
+use crate::tree::{MapStats, PackedTree, ShortestPathTree, TraceDecision, TraceEvent};
+use pathalias_graph::{Cost, EdgeId, FrozenEdge, FrozenGraph, Graph, LinkFlags, NodeId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
@@ -55,49 +56,7 @@ impl fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
-/// The heap key, packed into one `u128`: cost in the high 64 bits,
-/// then visible hops, then the node id — totally ordered, so
-/// extraction order and therefore output are deterministic, and small
-/// enough that a heap slot is one 16-byte move.
-pub(crate) type Key = u128;
-
-#[inline]
-fn pack_key(cost: Cost, hops: u32, node: u32) -> Key {
-    ((cost as u128) << 64) | ((hops as u128) << 32) | node as u128
-}
-
-/// Per-node path-state bits, packed so the hot loop's visit state is
-/// one byte per node (the full [`Label`] is materialized once, at the
-/// end of the run).
-const LABELLED: u8 = 1 << 0;
-const HAS_LEFT: u8 = 1 << 1;
-const HAS_RIGHT: u8 = 1 << 2;
-const TAINTED: u8 = 1 << 3;
-const VIA_BACK: u8 = 1 << 4;
-const AMBIGUOUS: u8 = 1 << 5;
-const MAPPED: u8 = 1 << 6;
-
-/// The source's predecessor sentinel (only the source has no pred).
-const NO_PRED: (u32, u32) = (u32::MAX, u32::MAX);
-
-/// Everything the relaxation needs about the tail node, loaded once
-/// per heap extraction instead of once per edge.
-struct Tail {
-    u: NodeId,
-    cost: Cost,
-    hops: u32,
-    state: u8,
-    /// The edge that reached `u` (for the network-exit operator rule).
-    pred_edge: Option<EdgeId>,
-    is_domain: bool,
-    /// Edges out of the source use raw costs when the source carries
-    /// an `adjust` bias (the bias was folded in at freeze time).
-    use_raw: bool,
-    /// Dead-host penalty owed by every edge out of `u`.
-    dead_extra: Cost,
-}
-
-/// Shared relaxation state for both algorithm variants: labels kept as
+/// Shared relaxation state for a run and its repair: labels kept as
 /// dense parallel arrays (struct-of-arrays), so the common "candidate
 /// is worse" outcome touches two words, not a whole label.
 struct Run<'g> {
@@ -117,17 +76,6 @@ struct Run<'g> {
     tracing: bool,
     trace_set: HashSet<NodeId>,
     trace: Vec<TraceEvent>,
-}
-
-/// Outcome of relaxing one edge.
-enum Relaxed {
-    /// New label with a strictly smaller key: heap must push or
-    /// decrease.
-    Improved(Key),
-    /// Label rewritten on an exact tie (no key change) or not improved.
-    NoKeyChange,
-    /// Edge skipped entirely.
-    Skipped,
 }
 
 impl<'g> Run<'g> {
@@ -152,207 +100,97 @@ impl<'g> Run<'g> {
             trace_set: opts.trace.iter().copied().collect(),
             trace: Vec::new(),
         };
-        run.state[source.index()] = LABELLED | if f.is_domain(source) { TAINTED } else { 0 };
+        run.set(source, source_label(f, source));
         Ok(run)
     }
 
-    /// Loads the tail-side relaxation context for `u` (which must be
-    /// labelled).
-    fn tail(&self, u: NodeId) -> Tail {
-        let i = u.index();
-        let pred = self.pred[i];
-        let is_source = u == self.source;
-        let uflags = self.f.flags(u);
-        Tail {
-            u,
-            cost: (self.key[i] >> 64) as Cost,
-            hops: (self.key[i] >> 32) as u32,
-            state: self.state[i],
-            pred_edge: (pred != NO_PRED).then(|| EdgeId::from_raw(pred.1)),
-            is_domain: uflags.contains(NodeFlags::DOMAIN),
-            use_raw: is_source && self.f.adjust(u) != 0,
-            dead_extra: if !is_source && uflags.contains(NodeFlags::DEAD) {
-                self.model.dead_penalty
-            } else {
-                0
-            },
-        }
+    fn set(&mut self, node: NodeId, (key, pred, state): Packed) {
+        let i = node.index();
+        (self.key[i], self.pred[i], self.state[i]) = (key, pred, state);
     }
 
-    /// Whether entering gated node `v` over the edge counts as going
-    /// through a gateway; each clause is one rule. The router must
-    /// agree with them (docs/ARCHITECTURE.md, "Invariants worth
-    /// knowing").
+    /// Relaxes the frozen edge `e_raw` (= `edge`) out of `tail`; the
+    /// head's new key if it has to be queued. The caller accounts
+    /// `stats.relaxations` once per adjacency run.
     #[inline]
-    fn gateway_exempt(&self, tail: &Tail, eflags: LinkFlags, v_is_domain: bool) -> bool {
-        eflags.contains(LinkFlags::GATEWAY)
-            || eflags.contains(LinkFlags::ALIAS)
-            // Parent network/domain exiting into a gated member: the
-            // parent is the member's gateway.
-            || eflags.contains(LinkFlags::NET_OUT)
-            // A (non-domain) host member entering its own domain.
-            || (eflags.contains(LinkFlags::NET_IN) && v_is_domain && !tail.is_domain)
-            // An explicitly written link into a gated net declares its
-            // writer a gateway (how `seismo .edu(DEDICATED)` works).
-            || (eflags.is_explicit() && !tail.is_domain)
-    }
-
-    /// The operator side of the *visible hop* this edge appends, if
-    /// any. Alias and network-entry edges append nothing; network-exit
-    /// edges use "the ones encountered when entering the network". The
-    /// relaxation never needs the operator character, only its side.
-    #[inline]
-    fn visible_dir(&self, tail: &Tail, edge: FrozenEdge) -> Option<Dir> {
-        let eflags = edge.flags();
-        if eflags.intersects(LinkFlags::ALIAS | LinkFlags::NET_IN) {
-            return None;
-        }
-        if eflags.contains(LinkFlags::NET_OUT) {
-            let entering = tail
-                .pred_edge
-                .map(|pe| self.f.edge(pe).dir())
-                .unwrap_or_else(|| edge.dir());
-            return Some(entering);
-        }
-        Some(edge.dir())
-    }
-
-    /// Relaxes the frozen edge `e_raw` (= `edge`) out of `tail`. The
-    /// caller accounts `stats.relaxations` once per adjacency run.
-    #[inline]
-    fn relax(&mut self, tail: &Tail, e_raw: u32, edge: FrozenEdge) -> Relaxed {
+    fn relax(&mut self, tail: &Tail, e_raw: u32, edge: FrozenEdge) -> Option<Key> {
         let v = edge.to();
         let vi = v.index();
         let vstate = self.state[vi];
-        if vstate & MAPPED != 0 {
-            return Relaxed::Skipped;
+        if vstate & MAPPED != 0 || (self.exclude_domains && self.f.is_domain(v)) {
+            return None;
         }
-        let vflags = self.f.flags(v);
-        let v_is_domain = vflags.contains(NodeFlags::DOMAIN);
-        if self.exclude_domains && v_is_domain {
-            return Relaxed::Skipped;
-        }
-        let eflags = edge.flags();
+        let step = self.model.step(self.f, tail, e_raw, edge);
+        self.stats.gate_penalties += u64::from(step.gate_fired);
+        self.stats.relay_penalties += u64::from(step.relay_fired);
+        self.stats.ambiguous_hops += u64::from(step.ambiguous_hop);
+        self.stats.mixed_penalties += u64::from(step.mixed > 0);
 
-        // Base weight: the tail's `adjust` bias was folded in at freeze
-        // time; edges leaving the *source* must use the raw cost.
-        let base = if tail.use_raw {
-            self.f.edge_raw_cost(EdgeId::from_raw(e_raw))
-        } else {
-            edge.cost()
-        };
-
-        // Heuristic penalties.
-        let mut gate = 0;
-        let mut relay = 0;
-        let mut mixed = 0;
-        let mut extra = tail.dead_extra;
-        if eflags.contains(LinkFlags::DEAD) {
-            extra += self.model.dead_link_penalty;
-        }
-        if vflags.intersects(NodeFlags::DOMAIN | NodeFlags::GATED)
-            && !self.gateway_exempt(tail, eflags, v_is_domain)
-        {
-            gate = self.model.gate_penalty;
-            self.stats.gate_penalties += 1;
-        }
-        if tail.state & TAINTED != 0 && !eflags.intersects(LinkFlags::ALIAS | LinkFlags::NET_OUT) {
-            relay = self.model.relay_penalty;
-            self.stats.relay_penalties += 1;
-        }
-
-        let vis = self.visible_dir(tail, edge);
-        let mut cand_state = (tail.state & !MAPPED) | LABELLED;
-        if let Some(dir) = vis {
-            match dir {
-                Dir::Left => {
-                    // `!` applied after `@` builds an address UUCP
-                    // mailers misparse: always penalized, and recorded
-                    // even when the penalty is configured to zero.
-                    if tail.state & HAS_RIGHT != 0 {
-                        mixed = self.model.mixed_penalty;
-                        cand_state |= AMBIGUOUS;
-                        self.stats.ambiguous_hops += 1;
-                    }
-                    cand_state |= HAS_LEFT;
-                }
-                Dir::Right => {
-                    // The classic `bang!path!%s@host` form is tolerated
-                    // unless strict mode penalizes all mixing.
-                    if self.model.strict_mixed && tail.state & HAS_LEFT != 0 {
-                        mixed = self.model.mixed_penalty;
-                    }
-                    cand_state |= HAS_RIGHT;
-                }
-            }
-            if mixed > 0 {
-                self.stats.mixed_penalties += 1;
-            }
-        }
-        if v_is_domain {
-            cand_state |= TAINTED;
-        }
-        if eflags.contains(LinkFlags::BACK) {
-            cand_state |= VIA_BACK;
-        }
-
-        let cand_cost = tail
-            .cost
-            .saturating_add(base)
-            .saturating_add(gate)
-            .saturating_add(relay)
-            .saturating_add(mixed)
-            .saturating_add(extra);
-        let cand_hops = tail.hops + u32::from(vis.is_some());
-        let cand_key = pack_key(cand_cost, cand_hops, v.raw());
-        let cand_pred = (tail.u.raw(), e_raw);
-
-        let (outcome, decision) = if vstate & LABELLED == 0 {
-            self.key[vi] = cand_key;
-            self.pred[vi] = cand_pred;
-            self.state[vi] = cand_state;
-            (Relaxed::Improved(cand_key), TraceDecision::Accepted)
-        } else {
-            let old = self.key[vi];
-            if cand_key < old {
-                self.key[vi] = cand_key;
-                self.pred[vi] = cand_pred;
-                self.state[vi] = cand_state;
-                (Relaxed::Improved(cand_key), TraceDecision::Accepted)
-            } else if cand_key == old {
-                // Deterministic tie break independent of visit order:
-                // smaller (pred id, edge id) wins.
-                if cand_pred < self.pred[vi] {
-                    self.pred[vi] = cand_pred;
-                    self.state[vi] = cand_state;
-                    (Relaxed::NoKeyChange, TraceDecision::Accepted)
-                } else {
-                    (Relaxed::NoKeyChange, TraceDecision::TieKept)
-                }
-            } else {
-                (Relaxed::NoKeyChange, TraceDecision::Worse)
-            }
-        };
-        if self.tracing && (self.trace_set.contains(&v) || self.trace_set.contains(&tail.u)) {
+        let cand = step.label(tail, e_raw, v);
+        let outcome = settle(
+            vstate & LABELLED != 0,
+            &mut self.key[vi],
+            &mut self.pred[vi],
+            &mut self.state[vi],
+            cand,
+        );
+        if self.tracing && (self.trace_set.contains(&v) || self.trace_set.contains(&tail.node)) {
             self.trace.push(TraceEvent {
-                from: tail.u,
+                from: tail.node,
                 to: v,
                 link: EdgeId::from_raw(e_raw),
-                base,
-                gate,
-                relay,
-                mixed,
-                candidate: cand_cost,
-                decision,
+                base: step.base,
+                gate: step.gate,
+                relay: step.relay,
+                mixed: step.mixed,
+                candidate: step.cost,
+                decision: match outcome {
+                    Settled::Improved | Settled::TieWon => TraceDecision::Accepted,
+                    Settled::TieKept => TraceDecision::TieKept,
+                    Settled::Worse => TraceDecision::Worse,
+                },
             });
         }
-        outcome
+        (outcome == Settled::Improved).then_some(cand.0)
+    }
+
+    /// Queues `key` (a labelled node's stored key).
+    fn push(&mut self, heap: &mut BinaryHeap<Reverse<Key>>, key: Key) {
+        heap.push(Reverse(key));
+        self.stats.pushes += 1;
+    }
+
+    /// The lazy-deletion loop: extracts nodes in key order until the
+    /// queue is empty, relaxing each one's row. An improved label is
+    /// pushed again and the superseded entry is skipped when popped
+    /// (one state-byte test).
+    fn drain(&mut self, heap: &mut BinaryHeap<Reverse<Key>>) {
+        while let Some(Reverse(key)) = heap.pop() {
+            let u = NodeId::from_raw(key as u32);
+            let ui = u.index();
+            if self.state[ui] & MAPPED != 0 {
+                self.stats.stale_pops += 1; // Superseded by a later improvement.
+                continue;
+            }
+            self.stats.pops += 1;
+            self.state[ui] |= MAPPED;
+            self.stats.mapped += 1;
+            let label = (self.key[ui], self.pred[ui], self.state[ui]);
+            let tail = Tail::load(self.f, self.source, u, label);
+            let (base_edge, row) = self.f.edge_slice(u);
+            self.stats.relaxations += row.len() as u64;
+            for (i, &edge) in row.iter().enumerate() {
+                if let Some(key) = self.relax(&tail, base_edge + i as u32, edge) {
+                    self.push(heap, key);
+                }
+            }
+        }
     }
 
     /// Materializes the packed run state into the public tree labels.
     fn finish(self, frozen: Arc<FrozenGraph>) -> ShortestPathTree {
         let labels = (self.key.iter().zip(&self.pred).zip(&self.state))
-            .map(|((&key, &pred), &st)| unpack_label(key, pred, st))
+            .map(|((&key, &pred), &st)| unpack_label((key, pred, st)))
             .collect();
         ShortestPathTree {
             source: self.source,
@@ -374,36 +212,16 @@ impl<'g> Run<'g> {
     }
 }
 
-/// One node's packed run state as the public label, `None` if the run
-/// never reached it.
-pub(crate) fn unpack_label(key: Key, pred: (u32, u32), st: u8) -> Option<Label> {
-    if st & LABELLED == 0 {
-        return None;
-    }
-    Some(Label {
-        cost: (key >> 64) as Cost,
-        hops: (key >> 32) as u32,
-        pred: (pred != NO_PRED).then(|| (NodeId::from_raw(pred.0), EdgeId::from_raw(pred.1))),
-        has_left: st & HAS_LEFT != 0,
-        has_right: st & HAS_RIGHT != 0,
-        tainted: st & TAINTED != 0,
-        via_backlink: st & VIA_BACK != 0,
-        ambiguous: st & AMBIGUOUS != 0,
-    })
-}
-
 /// Maps the frozen graph from `source` with the priority-queue variant
 /// of Dijkstra's algorithm (O(e log v) on the sparse maps pathalias
 /// sees). No back links are invented.
 ///
 /// The queue is a lazy-deletion binary heap over the packed 128-bit
-/// keys: an improved label is pushed again and the superseded entry is
-/// skipped when popped (one state-byte test). On sparse maps this
-/// benches about twice as fast as the paper's decrease-key heap — the
-/// position index costs two extra stores per sift level, and pathalias
-/// graphs see few decreases — so the engine takes the modern shape;
-/// the 1986 structure survives faithfully in [`crate::heap`] and in
-/// the `pathalias_bench::legacy` baseline.
+/// keys. On sparse maps this benches about twice as fast as the
+/// paper's decrease-key heap — the position index costs two extra
+/// stores per sift level, and pathalias graphs see few decreases — so
+/// the engine takes the modern shape; the 1986 structure survives
+/// faithfully in `pathalias_bench::{heap, legacy}`.
 pub fn map_frozen_readonly(
     f: &Arc<FrozenGraph>,
     source: NodeId,
@@ -434,66 +252,9 @@ fn heap_run<'g>(
 ) -> Result<Run<'g>, MapError> {
     let mut run = Run::new(f, source, opts)?;
     let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(256);
-    heap.push(Reverse(pack_key(0, 0, source.raw())));
-    run.stats.pushes += 1;
-
-    while let Some(Reverse(key)) = heap.pop() {
-        let u_raw = key as u32;
-        if run.state[u_raw as usize] & MAPPED != 0 {
-            run.stats.stale_pops += 1; // Superseded by a later improvement.
-            continue;
-        }
-        run.stats.pops += 1;
-        let u = NodeId::from_raw(u_raw);
-        run.state[u.index()] |= MAPPED;
-        run.stats.mapped += 1;
-        let tail = run.tail(u);
-        let (base_edge, row) = f.edge_slice(u);
-        run.stats.relaxations += row.len() as u64;
-        for (i, &edge) in row.iter().enumerate() {
-            if let Relaxed::Improved(key) = run.relax(&tail, base_edge + i as u32, edge) {
-                heap.push(Reverse(key));
-                run.stats.pushes += 1;
-            }
-        }
-    }
+    run.push(&mut heap, pack_key(0, 0, source.raw()));
+    run.drain(&mut heap);
     Ok(run)
-}
-
-/// Maps with the standard O(v²) array-scan Dijkstra the paper compares
-/// against. Produces labels identical to [`map_frozen_readonly`].
-pub fn map_frozen_quadratic_readonly(
-    f: &Arc<FrozenGraph>,
-    source: NodeId,
-    opts: &MapOptions,
-) -> Result<ShortestPathTree, MapError> {
-    let mut run = Run::new(f, source, opts)?;
-    loop {
-        // Select the unmapped labelled node with the smallest key by
-        // scanning the whole array — the v² part.
-        let mut best: Option<(Key, NodeId)> = None;
-        for i in 0..run.state.len() {
-            run.stats.scan_steps += 1;
-            if run.state[i] & (LABELLED | MAPPED) != LABELLED {
-                continue;
-            }
-            let id = NodeId::from_raw(i as u32);
-            let k = run.key[i];
-            if best.map_or(true, |(bk, _)| k < bk) {
-                best = Some((k, id));
-            }
-        }
-        let Some((_, u)) = best else { break };
-        run.state[u.index()] |= MAPPED;
-        run.stats.mapped += 1;
-        let tail = run.tail(u);
-        let (base_edge, row) = f.edge_slice(u);
-        run.stats.relaxations += row.len() as u64;
-        for (i, &edge) in row.iter().enumerate() {
-            let _ = run.relax(&tail, base_edge + i as u32, edge);
-        }
-    }
-    Ok(run.finish(f.clone()))
 }
 
 /// Maps from `source`, then runs the back-link pass to fixpoint: "we
@@ -602,26 +363,10 @@ pub fn repair_frozen(
 
     // Re-load the packed run state from the old tree's labels (pred
     // edge ids still in old-snapshot terms; remapped below).
-    for i in 0..n {
-        match &old.labels[i] {
-            Some(l) => {
-                run.key[i] = pack_key(l.cost, l.hops, i as u32);
-                run.pred[i] = match l.pred {
-                    Some((p, e)) => (p.raw(), e.raw()),
-                    None => NO_PRED,
-                };
-                run.state[i] = LABELLED
-                    | if l.has_left { HAS_LEFT } else { 0 }
-                    | if l.has_right { HAS_RIGHT } else { 0 }
-                    | if l.tainted { TAINTED } else { 0 }
-                    | if l.via_backlink { VIA_BACK } else { 0 }
-                    | if l.ambiguous { AMBIGUOUS } else { 0 };
-            }
-            None => {
-                run.key[i] = pack_key(0, 0, i as u32);
-                run.pred[i] = NO_PRED;
-                run.state[i] = 0;
-            }
+    for (i, label) in old.labels.iter().enumerate() {
+        if let Some(l) = label {
+            let node = NodeId::from_raw(i as u32);
+            run.set(node, pack_label(node, l));
         }
     }
 
@@ -645,9 +390,7 @@ pub fn repair_frozen(
         if run.state[vi] & LABELLED == 0 {
             continue; // Already cleared via another dirty ancestor.
         }
-        run.state[vi] = 0;
-        run.pred[vi] = NO_PRED;
-        run.key[vi] = pack_key(0, 0, vi as u32);
+        run.set(v, (pack_key(0, 0, v.raw()), NO_PRED, 0));
         invalid += 1;
         stack.extend(children[vi].iter().copied());
     }
@@ -684,32 +427,10 @@ pub fn repair_frozen(
                 .any(|e| run.state[e.to().index()] & LABELLED == 0)
         };
         if seed {
-            heap.push(Reverse(run.key[i]));
-            run.stats.pushes += 1;
+            run.push(&mut heap, run.key[i]);
         }
     }
-
-    // The ordinary lazy-deletion loop over the seeded frontier.
-    while let Some(Reverse(key)) = heap.pop() {
-        let u_raw = key as u32;
-        if run.state[u_raw as usize] & MAPPED != 0 {
-            run.stats.stale_pops += 1;
-            continue;
-        }
-        run.stats.pops += 1;
-        let u = NodeId::from_raw(u_raw);
-        run.state[u.index()] |= MAPPED;
-        run.stats.mapped += 1;
-        let tail = run.tail(u);
-        let (base_edge, row) = graph.edge_slice(u);
-        run.stats.relaxations += row.len() as u64;
-        for (i, &edge) in row.iter().enumerate() {
-            if let Relaxed::Improved(key) = run.relax(&tail, base_edge + i as u32, edge) {
-                heap.push(Reverse(key));
-                run.stats.pushes += 1;
-            }
-        }
-    }
+    run.drain(&mut heap);
 
     // The reached set must be exactly the old one: anything else means
     // the back-link pass would run differently on a cold start.
@@ -757,16 +478,6 @@ pub fn map_readonly(
     map_frozen_readonly(&Arc::new(g.freeze()), source, opts)
 }
 
-/// Freezes `g` and maps it with the O(v²) array-scan variant (see
-/// [`map_frozen_quadratic_readonly`]).
-pub fn map_quadratic_readonly(
-    g: &Graph,
-    source: NodeId,
-    opts: &MapOptions,
-) -> Result<ShortestPathTree, MapError> {
-    map_frozen_quadratic_readonly(&Arc::new(g.freeze()), source, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,40 +509,6 @@ mod tests {
         let t = map(&g, v[0], &MapOptions::default()).unwrap();
         assert_eq!(t.cost(v[2]), Some(800));
         assert_eq!(t.path_to(v[2]).unwrap(), v);
-    }
-
-    #[test]
-    fn quadratic_matches_heap_exactly() {
-        let text = "\
-a b(10), c(200), @d(40)
-b c(20), e(100)
-c d(5)
-d e(1)
-e a(1)
-N = {b, d, f}(30)
-g h(10)
-";
-        let g = parse(text).unwrap();
-        let a = g.try_node("a").unwrap();
-        let opts = MapOptions::default();
-        let frozen = Arc::new(g.freeze());
-        let t1 = map_frozen_readonly(&frozen, a, &opts).unwrap();
-        let t2 = map_frozen_quadratic_readonly(&frozen, a, &opts).unwrap();
-        for id in g.node_ids() {
-            assert_eq!(t1.label(id), t2.label(id), "node {}", g.name(id));
-        }
-        assert!(t1.stats.pushes > 0);
-        assert_eq!(t2.stats.pushes, 0);
-        assert!(t2.stats.scan_steps > 0);
-
-        // The packed form is the same run with the labels left packed:
-        // unreached `g`/`h` and out-of-range ids included.
-        let packed = map_frozen_readonly_packed(&frozen, a, &opts).unwrap();
-        for id in g.node_ids() {
-            assert_eq!(packed.label(id), t1.label(id).copied(), "{}", g.name(id));
-        }
-        assert_eq!(packed.stats, t1.stats);
-        assert_eq!(packed.label(NodeId::from_raw(u32::MAX)), None);
     }
 
     #[test]
@@ -1100,14 +777,13 @@ x y(1)
         let opts = MapOptions::default();
         let t1 = map_readonly(&g, hub, &opts).unwrap();
         let t2 = map_readonly(&g, hub, &opts).unwrap();
-        let t3 = map_quadratic_readonly(&g, hub, &opts).unwrap();
         let x = g.try_node("x").unwrap();
         // Three equal-cost preds for x: the smallest node id (a) wins
-        // in every variant.
+        // in every variant (the array scan's turn is in
+        // `pathalias_bench::study`).
         let a = g.try_node("a").unwrap();
         assert_eq!(t1.label(x).unwrap().pred.unwrap().0, a);
         assert_eq!(t1.label(x), t2.label(x));
-        assert_eq!(t1.label(x), t3.label(x));
     }
 
     /// Asserts every label of `a` equals the matching label of `b`.

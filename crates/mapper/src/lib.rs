@@ -4,23 +4,20 @@
 //! the source ... we use a priority queue and extract vertices in
 //! increasing order of path cost." This crate implements:
 //!
-//! * [`heap`] — the implicit binary heap with decrease-key the paper
-//!   describes ("if some neighbor of v is already queued, but the path
-//!   through v is shorter, we reduce the cost to this neighbor ... and
-//!   restore the heap property");
 //! * [`map_frozen`] / [`map_frozen_readonly`] — the sparse-graph
 //!   Dijkstra variant over the frozen CSR snapshot
 //!   ([`pathalias_graph::FrozenGraph`]), running in O(e log v) with
-//!   contiguous edge slices and dense visit arrays;
+//!   contiguous edge slices and dense visit arrays (the paper's
+//!   decrease-key heap and the O(v²) scan it is compared against live
+//!   in `pathalias_bench::{heap, study}`, for experiment E7);
 //! * [`map`] / [`map_readonly`] — one-shot wrappers that freeze a
 //!   built [`pathalias_graph::Graph`] and map it;
-//! * [`map_frozen_quadratic_readonly`] — the textbook O(v²) Dijkstra
-//!   the paper compares against ("both asymptotically and
-//!   pragmatically, the priority queue variant is a clear winner"),
-//!   kept for experiment E7;
 //! * [`CostModel`] — the routing heuristics layered on edge weights:
 //!   the mixed-syntax penalty, gatewayed networks and domains, and the
-//!   domain relay restriction;
+//!   domain relay restriction — and, in [`cost_model`], the relaxation
+//!   kernel (`step`, `settle`, `lower_bound`) that is the only place
+//!   they are applied, for this crate's runs and for
+//!   `pathalias-router`'s searches alike;
 //! * back links: "we examine the connections out of each unreachable
 //!   host, invent links from its neighbors back to the host, and
 //!   continue" — realized as augmented frozen snapshots, so mapping
@@ -46,18 +43,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cost_model;
+pub mod cost_model;
 mod dijkstra;
 mod dual;
-pub mod heap;
 pub mod parallel;
 mod tree;
 
 pub use cost_model::CostModel;
 pub use dijkstra::{
-    map, map_frozen, map_frozen_quadratic_readonly, map_frozen_readonly,
-    map_frozen_readonly_packed, map_quadratic_readonly, map_readonly, repair_frozen, MapError,
-    MapOptions,
+    map, map_frozen, map_frozen_readonly, map_frozen_readonly_packed, map_readonly, repair_frozen,
+    MapError, MapOptions,
 };
 pub use dual::{map_dual, map_dual_frozen, DualTree};
 pub use tree::{format_trace, Label, MapStats, PackedTree, ShortestPathTree, TraceEvent};

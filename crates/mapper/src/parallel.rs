@@ -12,7 +12,7 @@
 
 use crate::dijkstra::{map_frozen_readonly, MapError, MapOptions};
 use crate::tree::ShortestPathTree;
-use pathalias_graph::{FrozenGraph, Graph, NodeId};
+use pathalias_graph::{FrozenGraph, NodeId};
 use std::sync::Arc;
 
 /// Maps from every source in `sources` over one shared frozen graph,
@@ -74,20 +74,11 @@ pub fn map_many_frozen(
         .collect()
 }
 
-/// Freezes `g` once, then fans out like [`map_many_frozen`].
-pub fn map_many(
-    g: &Graph,
-    sources: &[NodeId],
-    opts: &MapOptions,
-    threads: usize,
-) -> Vec<Result<ShortestPathTree, MapError>> {
-    map_many_frozen(&Arc::new(g.freeze()), sources, opts, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dijkstra::map_readonly;
+    use pathalias_graph::Graph;
     use pathalias_parser::parse;
 
     fn ring(n: usize) -> Graph {
@@ -103,7 +94,7 @@ mod tests {
         let g = ring(40);
         let sources: Vec<NodeId> = g.node_ids().collect();
         let opts = MapOptions::default();
-        let par = map_many(&g, &sources, &opts, 4);
+        let par = map_many_frozen(&Arc::new(g.freeze()), &sources, &opts, 4);
         for (i, &s) in sources.iter().enumerate() {
             let seq = map_readonly(&g, s, &opts).unwrap();
             let p = par[i].as_ref().unwrap();
@@ -128,7 +119,7 @@ mod tests {
     fn single_thread_fallback() {
         let g = ring(5);
         let sources: Vec<NodeId> = g.node_ids().collect();
-        let trees = map_many(&g, &sources, &MapOptions::default(), 1);
+        let trees = map_many_frozen(&Arc::new(g.freeze()), &sources, &MapOptions::default(), 1);
         assert_eq!(trees.len(), 5);
         assert!(trees.iter().all(|t| t.is_ok()));
     }
@@ -136,7 +127,7 @@ mod tests {
     #[test]
     fn empty_sources() {
         let g = ring(3);
-        assert!(map_many(&g, &[], &MapOptions::default(), 4).is_empty());
+        assert!(map_many_frozen(&Arc::new(g.freeze()), &[], &MapOptions::default(), 4).is_empty());
     }
 
     #[test]
@@ -145,7 +136,7 @@ mod tests {
         let dead = g.try_node("h1").unwrap();
         g.delete_node(dead);
         let sources: Vec<NodeId> = g.node_ids().collect();
-        let trees = map_many(&g, &sources, &MapOptions::default(), 2);
+        let trees = map_many_frozen(&Arc::new(g.freeze()), &sources, &MapOptions::default(), 2);
         assert!(trees[0].is_ok());
         assert_eq!(trees[1].as_ref().unwrap_err(), &MapError::DeletedSource);
     }

@@ -128,7 +128,7 @@ pub struct ShortestPathTree {
 /// them refer to the graph the run was given.
 #[derive(Debug)]
 pub struct PackedTree {
-    pub(crate) key: Vec<crate::dijkstra::Key>,
+    pub(crate) key: Vec<crate::cost_model::Key>,
     pub(crate) pred: Vec<(u32, u32)>,
     pub(crate) state: Vec<u8>,
     /// Counters from the run.
@@ -140,7 +140,7 @@ impl PackedTree {
     /// [`ShortestPathTree::label`] gives for the same run.
     pub fn label(&self, node: NodeId) -> Option<Label> {
         let i = node.index();
-        crate::dijkstra::unpack_label(*self.key.get(i)?, self.pred[i], self.state[i])
+        crate::cost_model::unpack_label((*self.key.get(i)?, self.pred[i], self.state[i]))
     }
 }
 

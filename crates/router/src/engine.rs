@@ -4,11 +4,9 @@
 //! `src → dst` queries.
 
 use crate::route::PathAnswer;
-use crate::search::{
-    ch_weights, search, search_ch, Scratch, SearchStats, AMBIGUOUS, NO_PRED, TAINTED, VIA_BACK,
-};
+use crate::search::{ch_weights, search, search_ch, Query, Scratch, SearchStats};
 use pathalias_graph::{ChIndex, Cost, EdgeId, FrozenGraph, NodeId, ReverseGraph};
-use pathalias_mapper::{map_frozen_readonly_packed, CostModel, MapOptions, PackedTree};
+use pathalias_mapper::{map_frozen_readonly_packed, CostModel, Label, MapOptions, PackedTree};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -417,31 +415,31 @@ impl PointToPoint {
                 (tree, stats)
             }
         };
-        self.read_tree(&tree, dst)
+        self.answer(dst, |node| tree.label(node))
             .map(|answer| (answer, stats))
             .ok_or(RouteError::NoRoute)
     }
 
-    /// Reads `dst`'s answer out of a kept tree: its label, then the
-    /// predecessor walk back to the source.
-    fn read_tree(&self, tree: &PackedTree, dst: NodeId) -> Option<PathAnswer> {
-        let label = tree.label(dst)?;
+    /// `dst`'s answer from wherever a finished run left its labels (a
+    /// kept tree, a search's scratch): the label, then the predecessor
+    /// walk back to the source.
+    fn answer(&self, dst: NodeId, label: impl Fn(NodeId) -> Option<Label>) -> Option<PathAnswer> {
+        let dst_label = label(dst)?;
         let mut nodes: Vec<NodeId> = vec![dst];
         let mut edges: Vec<EdgeId> = Vec::new();
-        let mut pred = label.pred;
+        let mut pred = dst_label.pred;
         while let Some((p, e)) = pred {
             edges.push(e);
             nodes.push(p);
-            pred = tree
-                .label(p)
+            pred = label(p)
                 .expect("a labelled node's predecessor is labelled")
                 .pred;
         }
         Some(PathAnswer {
-            via_domain: label.tainted,
-            via_backlink: label.via_backlink,
-            ambiguous: label.ambiguous,
-            ..PathAnswer::from_walk(&self.graph, nodes, edges, label.cost, label.hops)
+            via_domain: dst_label.tainted,
+            via_backlink: dst_label.via_backlink,
+            ambiguous: dst_label.ambiguous,
+            ..PathAnswer::from_walk(&self.graph, nodes, edges, dst_label.cost, dst_label.hops)
         })
     }
 
@@ -458,6 +456,12 @@ impl PointToPoint {
             let mut pool = self.scratch.lock().expect("scratch pool poisoned");
             pool.pop().unwrap_or_else(Scratch::new)
         };
+        let q = Query {
+            f: &self.graph,
+            model: &self.model,
+            src,
+            dst,
+        };
         let reverse = bidirectional.then_some(&*self.reverse);
         // Tier order: contraction hierarchy, bidirectional, oracle —
         // each certified tier answers outright; an uncertified run
@@ -465,19 +469,19 @@ impl PointToPoint {
         // correct by construction) tier.
         let mut outcome = match &self.ch {
             Some(ch) if bidirectional => {
-                let mut o = search_ch(&self.graph, ch, &self.model, src, dst, &mut scratch);
+                let mut o = search_ch(&q, ch, &mut scratch);
                 o.stats.tried_ch = true;
                 o.stats.ch_certified = o.certified;
                 if !o.certified {
                     let ch_stats = o.stats;
-                    o = search(&self.graph, reverse, &self.model, src, dst, &mut scratch);
+                    o = search(&q, reverse, &mut scratch);
                     o.stats.tried_ch = true;
                     o.stats.pruned += ch_stats.pruned;
                     o.stats.backward_settled += ch_stats.backward_settled;
                 }
                 o
             }
-            _ => search(&self.graph, reverse, &self.model, src, dst, &mut scratch),
+            _ => search(&q, reverse, &mut scratch),
         };
         if !outcome.certified {
             // The pruned run could not prove it matches the oracle
@@ -485,35 +489,15 @@ impl PointToPoint {
             // search module docs). Re-run the plain forward oracle,
             // which is exact by construction.
             let stats = outcome.stats;
-            outcome = search(&self.graph, None, &self.model, src, dst, &mut scratch);
+            outcome = search(&q, None, &mut scratch);
             outcome.stats.pruned = stats.pruned;
             outcome.stats.backward_settled = stats.backward_settled;
             outcome.stats.tried_ch = stats.tried_ch;
             outcome.stats.fell_back = true;
         }
-        let stats = outcome.stats;
-        let answer = outcome.hit.map(|hit| {
-            // Walk the predecessor chain back to the source.
-            let mut nodes: Vec<NodeId> = vec![dst];
-            let mut edges: Vec<EdgeId> = Vec::new();
-            let mut cur = dst.raw();
-            while cur != src.raw() {
-                let (p, e) = scratch.pred_of(cur as usize);
-                debug_assert_ne!((p, e), NO_PRED, "settled non-source node has a pred");
-                edges.push(EdgeId::from_raw(e));
-                nodes.push(NodeId::from_raw(p));
-                cur = p;
-            }
-            (
-                PathAnswer {
-                    via_domain: hit.state & TAINTED != 0,
-                    via_backlink: hit.state & VIA_BACK != 0,
-                    ambiguous: hit.state & AMBIGUOUS != 0,
-                    ..PathAnswer::from_walk(&self.graph, nodes, edges, hit.cost, hit.hops)
-                },
-                stats,
-            )
-        });
+        let answer = self
+            .answer(dst, |node| scratch.label(node))
+            .map(|answer| (answer, outcome.stats));
         self.scratch
             .lock()
             .expect("scratch pool poisoned")

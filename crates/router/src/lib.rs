@@ -15,8 +15,10 @@
 //! `PATH src dst` answer are identical to what the daemon would serve
 //! from the shortest-path tree rooted at `src`. That makes the engine
 //! safe to serve next to tree-backed resolvers — two code paths, one
-//! answer. The parity is enforced three ways: the forward side reuses
-//! the mapper's relaxation arithmetic and tie-breaking verbatim; each
+//! answer. The parity is enforced three ways: the forward side has no
+//! relaxation arithmetic or tie-breaking of its own — it calls the
+//! mapper's (`pathalias_mapper::cost_model`: `step`, `settle`, and
+//! `lower_bound` for everything the pruners assume); each
 //! pruned run *certifies* that no dropped candidate could have touched
 //! the answer's chain, falling back to the plain forward oracle on the
 //! rare queries where it cannot (the mapper's state-dependent
@@ -68,9 +70,9 @@
 //! every route is a table read", applied per source: a source's first
 //! request is searched; a second one soon after has the mapper build
 //! that source's whole tree (`map_frozen_readonly_packed` — the run
-//! the parity tests compare every search against, so a cached answer
-//! is the oracle's by construction, and no relaxation rule is written
-//! down a fourth time); every later request is the destination's
+//! the parity tests compare every search against, on the kernel the
+//! searches call, so a cached answer is the oracle's by
+//! construction); every later request is the destination's
 //! label plus a predecessor walk. An engine keeps at most four trees,
 //! least recently used out first, and remembers the last eight
 //! sources that asked once. There is nothing to configure and nothing

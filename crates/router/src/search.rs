@@ -1,16 +1,17 @@
-//! The point-to-point searches: the exact-forward oracle and the
-//! pruned bidirectional variant.
+//! The point-to-point searches: the exact-forward oracle and its
+//! pruned variants (bidirectional, contraction hierarchy).
 //!
-//! Both produce labels **byte-identical** to the mapper's
+//! All produce labels **byte-identical** to the mapper's
 //! (`pathalias_mapper::map_frozen_readonly`) on the destination's
 //! predecessor chain — same cost, same visible-hop count, same path
 //! state bits, same tie-broken predecessors. That is the whole game:
 //! a `PATH src dst` answer must agree with the tree the daemon would
-//! print from `src`, so this module replicates the mapper's relaxation
-//! arithmetic exactly (adjust folding with the raw-cost source
-//! exemption, gateway exemptions, the domain relay restriction, dead
-//! host/link penalties, mixed-syntax state, and the
-//! `(cost, hops, node)` key order with the `(pred, edge)` tie break).
+//! print from `src`, so this module holds no cost rule of its own: a
+//! candidate is costed by the mapper's `CostModel::step`, kept or
+//! dropped by its `settle` (the `(cost, hops, node)` key order with
+//! the `(pred, edge)` tie break), and bounded by its `lower_bound`
+//! (`pathalias_mapper::cost_model`). What lives here is one forward
+//! label-setting loop, [`forward`], generic over what may prune it.
 //!
 //! # How the bidirectional variant stays exact
 //!
@@ -23,11 +24,9 @@
 //!
 //! * A backward Dijkstra from `dst` over the reverse CSR computes
 //!   `B(v)`, a **lower bound** on the remaining forward cost from `v`
-//!   to `dst` (each penalty is included only when it provably applies
-//!   to every forward path over that edge — gate and dead penalties
-//!   are node/edge properties, the relay penalty applies whenever the
-//!   tail is a domain since every forward label at a domain is
-//!   tainted; the mixed penalty is state-dependent so it bounds to 0).
+//!   to `dst`, under `CostModel::lower_bound` edge weights (each
+//!   penalty counted only where it provably applies to every forward
+//!   path over the edge).
 //! * `mu` is the cost of the best *concrete* path seen so far:
 //!   whenever a forward-labelled node is backward-settled (or vice
 //!   versa), the backward chain is re-costed under full forward
@@ -70,35 +69,17 @@
 //! the backward search can improve nothing and freezes, leaving its
 //! last top as the floor bound for every node it never settled.
 
-use pathalias_graph::{
-    ChIndex, Cost, Dir, EdgeId, FrozenEdge, FrozenGraph, LinkFlags, NodeFlags, NodeId, ReverseGraph,
+use pathalias_graph::{ChIndex, Cost, EdgeId, FrozenGraph, NodeId, ReverseGraph};
+use pathalias_mapper::cost_model::{
+    key_cost, settle, source_label, unpack_label, Key, Settled, Tail, LABELLED, MAPPED, NO_PRED,
 };
-use pathalias_mapper::CostModel;
+use pathalias_mapper::{CostModel, Label};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Path-state bits, identical to the mapper's packed run state.
-pub(crate) const LABELLED: u8 = 1 << 0;
-pub(crate) const HAS_LEFT: u8 = 1 << 1;
-pub(crate) const HAS_RIGHT: u8 = 1 << 2;
-pub(crate) const TAINTED: u8 = 1 << 3;
-pub(crate) const VIA_BACK: u8 = 1 << 4;
-pub(crate) const AMBIGUOUS: u8 = 1 << 5;
-pub(crate) const MAPPED: u8 = 1 << 6;
 
 /// Backward-side state bits.
 const B_LABELLED: u8 = 1 << 0;
 const B_SETTLED: u8 = 1 << 1;
-
-/// The source's predecessor sentinel.
-pub(crate) const NO_PRED: (u32, u32) = (u32::MAX, u32::MAX);
-
-type Key = u128;
-
-#[inline]
-fn pack_key(cost: Cost, hops: u32, node: u32) -> Key {
-    ((cost as u128) << 64) | ((hops as u128) << 32) | node as u128
-}
 
 /// Backward heap key: cost then node id, so extraction (and therefore
 /// the backward tree) is deterministic.
@@ -259,217 +240,27 @@ impl Scratch {
         }
     }
 
-    /// The forward predecessor `(node, edge)` of slot `i` — only
-    /// meaningful for nodes on the settled chain after a hit.
+    /// Node `i`'s forward label from the search just run, as the
+    /// mapper would have it.
+    pub(crate) fn label(&self, node: NodeId) -> Option<Label> {
+        let i = node.index();
+        unpack_label((self.f_key[i], self.f_pred[i], self.f_state_of(i)))
+    }
+
+    /// The relaxation tail for forward-labelled node `u`.
     #[inline]
-    pub(crate) fn pred_of(&self, i: usize) -> (u32, u32) {
-        self.f_pred[i]
-    }
-}
-
-/// Everything the relaxation needs about the tail, mirroring the
-/// mapper's `Tail`.
-struct TailView {
-    u: u32,
-    cost: Cost,
-    hops: u32,
-    state: u8,
-    pred_edge: Option<EdgeId>,
-    is_domain: bool,
-    use_raw: bool,
-    dead_extra: Cost,
-}
-
-impl TailView {
-    fn load(f: &FrozenGraph, model: &CostModel, src: NodeId, s: &Scratch, u: u32) -> TailView {
+    fn tail(&self, q: &Query, u: u32) -> Tail {
         let i = u as usize;
-        let pred = s.f_pred[i];
-        let id = NodeId::from_raw(u);
-        let is_source = id == src;
-        let uflags = f.flags(id);
-        TailView {
-            u,
-            cost: (s.f_key[i] >> 64) as Cost,
-            hops: (s.f_key[i] >> 32) as u32,
-            state: s.f_state[i],
-            pred_edge: (pred != NO_PRED).then(|| EdgeId::from_raw(pred.1)),
-            is_domain: uflags.contains(NodeFlags::DOMAIN),
-            use_raw: is_source && f.adjust(id) != 0,
-            dead_extra: if !is_source && uflags.contains(NodeFlags::DEAD) {
-                model.dead_penalty
-            } else {
-                0
-            },
-        }
+        let label = (self.f_key[i], self.f_pred[i], self.f_state[i]);
+        Tail::load(q.f, q.src, NodeId::from_raw(u), label)
     }
 }
 
-/// The mapper's gateway-exemption rule, verbatim.
-#[inline]
-fn gateway_exempt(tail_is_domain: bool, eflags: LinkFlags, v_is_domain: bool) -> bool {
-    eflags.contains(LinkFlags::GATEWAY)
-        || eflags.contains(LinkFlags::ALIAS)
-        || eflags.contains(LinkFlags::NET_OUT)
-        || (eflags.contains(LinkFlags::NET_IN) && v_is_domain && !tail_is_domain)
-        || (eflags.is_explicit() && !tail_is_domain)
-}
-
-/// The operator side of the visible hop this edge appends, if any
-/// (mapper's `visible_dir`).
-#[inline]
-fn visible_dir(f: &FrozenGraph, tail: &TailView, edge: FrozenEdge) -> Option<Dir> {
-    let eflags = edge.flags();
-    if eflags.intersects(LinkFlags::ALIAS | LinkFlags::NET_IN) {
-        return None;
-    }
-    if eflags.contains(LinkFlags::NET_OUT) {
-        let entering = tail
-            .pred_edge
-            .map(|pe| f.edge(pe).dir())
-            .unwrap_or_else(|| edge.dir());
-        return Some(entering);
-    }
-    Some(edge.dir())
-}
-
-/// One forward relaxation's arithmetic — the mapper's `relax` with the
-/// label bookkeeping factored out, so the search loop and the
-/// stitched-path evaluator cost a candidate identically.
-#[inline]
-fn eval_step(
-    f: &FrozenGraph,
-    model: &CostModel,
-    tail: &TailView,
-    e_raw: u32,
-    edge: FrozenEdge,
-) -> (Cost, u32, u8) {
-    let v = edge.to();
-    let vflags = f.flags(v);
-    let v_is_domain = vflags.contains(NodeFlags::DOMAIN);
-    let eflags = edge.flags();
-
-    let base = if tail.use_raw {
-        f.edge_raw_cost(EdgeId::from_raw(e_raw))
-    } else {
-        edge.cost()
-    };
-
-    let mut gate = 0;
-    let mut relay = 0;
-    let mut mixed = 0;
-    let mut extra = tail.dead_extra;
-    if eflags.contains(LinkFlags::DEAD) {
-        extra += model.dead_link_penalty;
-    }
-    if vflags.intersects(NodeFlags::DOMAIN | NodeFlags::GATED)
-        && !gateway_exempt(tail.is_domain, eflags, v_is_domain)
-    {
-        gate = model.gate_penalty;
-    }
-    if tail.state & TAINTED != 0 && !eflags.intersects(LinkFlags::ALIAS | LinkFlags::NET_OUT) {
-        relay = model.relay_penalty;
-    }
-
-    let vis = visible_dir(f, tail, edge);
-    let mut cand_state = (tail.state & !MAPPED) | LABELLED;
-    if let Some(dir) = vis {
-        match dir {
-            Dir::Left => {
-                if tail.state & HAS_RIGHT != 0 {
-                    mixed = model.mixed_penalty;
-                    cand_state |= AMBIGUOUS;
-                }
-                cand_state |= HAS_LEFT;
-            }
-            Dir::Right => {
-                if model.strict_mixed && tail.state & HAS_LEFT != 0 {
-                    mixed = model.mixed_penalty;
-                }
-                cand_state |= HAS_RIGHT;
-            }
-        }
-    }
-    if v_is_domain {
-        cand_state |= TAINTED;
-    }
-    if eflags.contains(LinkFlags::BACK) {
-        cand_state |= VIA_BACK;
-    }
-
-    let cand_cost = tail
-        .cost
-        .saturating_add(base)
-        .saturating_add(gate)
-        .saturating_add(relay)
-        .saturating_add(mixed)
-        .saturating_add(extra);
-    let cand_hops = tail.hops + u32::from(vis.is_some());
-    (cand_cost, cand_hops, cand_state)
-}
-
-/// The backward side's lower-bound weight for the forward edge
-/// `u --e--> v`. Every component is included only when it applies to
-/// *all* forward paths crossing the edge, so summing these along any
-/// `u ⤳ dst` backward path under-approximates the true remaining
-/// forward cost from any label at `u`.
-#[inline]
-fn lower_bound_weight(
-    f: &FrozenGraph,
-    model: &CostModel,
-    src: NodeId,
-    u: NodeId,
-    e_raw: u32,
-    edge: FrozenEdge,
-) -> Cost {
-    let uflags = f.flags(u);
-    let u_is_domain = uflags.contains(NodeFlags::DOMAIN);
-    let v = edge.to();
-    let vflags = f.flags(v);
-    let v_is_domain = vflags.contains(NodeFlags::DOMAIN);
-    let eflags = edge.flags();
-
-    // Exact: the raw-cost source exemption is a property of `u`.
-    let base = if u == src && f.adjust(u) != 0 {
-        f.edge_raw_cost(EdgeId::from_raw(e_raw))
-    } else {
-        edge.cost()
-    };
-    let mut w = base;
-    // Exact: dead host/link penalties are node/edge properties.
-    if u != src && uflags.contains(NodeFlags::DEAD) {
-        w = w.saturating_add(model.dead_penalty);
-    }
-    if eflags.contains(LinkFlags::DEAD) {
-        w = w.saturating_add(model.dead_link_penalty);
-    }
-    // Exact: the exemption rule only reads node/edge properties.
-    if vflags.intersects(NodeFlags::DOMAIN | NodeFlags::GATED)
-        && !gateway_exempt(u_is_domain, eflags, v_is_domain)
-    {
-        w = w.saturating_add(model.gate_penalty);
-    }
-    // Every forward label at a domain node is tainted (the source
-    // starts tainted if it is a domain; reaching a domain taints), so
-    // the relay penalty is exact when `u` is a domain — and only a
-    // lower bound (0) otherwise. The mixed penalty is path-state
-    // dependent, so it bounds to 0.
-    if u_is_domain && !eflags.intersects(LinkFlags::ALIAS | LinkFlags::NET_OUT) {
-        w = w.saturating_add(model.relay_penalty);
-    }
-    w
-}
-
-/// The destination's settled label.
-pub(crate) struct SearchHit {
-    pub cost: Cost,
-    pub hops: u32,
-    pub state: u8,
-}
-
-/// Outcome of a point-to-point search.
+/// Outcome of a point-to-point search. The destination's label and
+/// predecessor chain are in the scratch ([`Scratch::label`]; `None`
+/// when it was not reached — a search never returns with `dst`
+/// labelled but unsettled).
 pub(crate) struct SearchOutcome {
-    /// The destination's label, if reachable.
-    pub hit: Option<SearchHit>,
     /// Whether the result is provably identical to the forward
     /// oracle's (always true for the oracle itself). An uncertified
     /// outcome must be discarded and the oracle re-run.
@@ -477,74 +268,110 @@ pub(crate) struct SearchOutcome {
     pub stats: SearchStats,
 }
 
-/// Runs the search from `src` until `dst` is settled (or proven
-/// unreachable). With `reverse` the backward pruner runs; without it
-/// this is the plain forward oracle. On a hit the destination's
-/// predecessor chain is left in `scratch` for the caller to walk.
-pub(crate) fn search(
-    f: &FrozenGraph,
-    reverse: Option<&ReverseGraph>,
-    model: &CostModel,
-    src: NodeId,
-    dst: NodeId,
-    scratch: &mut Scratch,
-) -> SearchOutcome {
-    let n = f.node_count();
-    scratch.begin(n);
-    let gen = scratch.generation;
-    let mut stats = SearchStats::default();
+/// One query's fixed inputs.
+#[derive(Clone, Copy)]
+pub(crate) struct Query<'a> {
+    pub f: &'a FrozenGraph,
+    pub model: &'a CostModel,
+    pub src: NodeId,
+    pub dst: NodeId,
+}
 
-    // Forward init: the mapper's source label.
-    let si = src.index();
-    scratch.f_stamp[si] = gen;
-    scratch.f_key[si] = pack_key(0, 0, src.raw());
-    scratch.f_pred[si] = NO_PRED;
-    scratch.f_state[si] = LABELLED | if f.is_domain(src) { TAINTED } else { 0 };
-    scratch.f_heap.push(Reverse(pack_key(0, 0, src.raw())));
-    stats.pushes += 1;
+/// What may prune the exact forward search: a source of lower bounds
+/// `B(v)` on the remaining forward cost from `v` to `dst`. [`forward`]
+/// is monomorphised per pruner, so [`NoPrune`] compiles the pruning
+/// out and is the oracle by construction.
+trait Pruner {
+    /// `false` removes every pruning branch from the loop.
+    const PRUNES: bool = true;
 
-    // Backward init.
-    let bidi = reverse.is_some();
-    if bidi {
-        let di = dst.index();
-        scratch.b_stamp[di] = gen;
-        scratch.b_dist[di] = 0;
-        scratch.b_pred[di] = NO_PRED;
-        scratch.b_state[di] = B_LABELLED;
-        scratch.b_heap.push(Reverse(pack_bkey(0, dst.raw())));
+    /// Called before each forward extraction, with the forward heap's
+    /// top cost: the pruner's turn to advance. Returns `mu`, tightened
+    /// if it met a cheaper concrete path.
+    fn advance(
+        &mut self,
+        _: &Query,
+        _: &mut Scratch,
+        _: &mut SearchStats,
+        _: Cost,
+        mu: Cost,
+    ) -> Cost {
+        mu
     }
-    // The best concrete path cost seen so far (stitched chains and the
-    // destination's own tentative label). Pruning against it is
-    // optimistic — the certification below is what makes it safe.
-    let mut mu = Cost::MAX;
-    // The smallest `cand_cost + B(v)` ever pruned; the run is
-    // certified exact iff the answer beats it strictly (module docs).
-    let mut worst_prune = Cost::MAX;
-    // Backward stopping state: once the backward top exceeds `mu` the
-    // search freezes and its last top bounds every unsettled node;
-    // once its heap drains, unsettled nodes cannot reach `dst` at all.
-    let mut b_active = bidi;
-    let mut b_floor: Cost = 0;
-    let mut b_exhausted = false;
 
-    loop {
-        let Some(&Reverse(fkey)) = scratch.f_heap.peek() else {
-            // Forward frontier drained: dst unreached. Only certain if
-            // no pruned candidate could have led anywhere (every prune
-            // was of a provably dst-unreachable head).
-            return SearchOutcome {
-                hit: None,
-                certified: worst_prune == Cost::MAX,
-                stats,
-            };
-        };
-        let f_top_cost = (fkey >> 64) as Cost;
+    /// Called when the forward side settles `u` (not `dst`): returns
+    /// `mu`, tightened if a concrete path through `u` is cheaper.
+    fn forward_settled(&mut self, _: &Query, _: &Scratch, _u: u32, mu: Cost) -> Cost {
+        mu
+    }
 
-        // Advance the backward pruner while it is the cheaper side.
-        while b_active {
-            let Some(&Reverse(bkey)) = scratch.b_heap.peek() else {
-                b_active = false;
-                b_exhausted = true;
+    /// `B(v)`; `Cost::MAX` means `v` cannot reach `dst`.
+    fn bound(&mut self, s: &mut Scratch, stats: &mut SearchStats, v: u32) -> Cost;
+
+    /// Whether an infinite bound is proof (prune even before any
+    /// concrete path has set `mu`).
+    fn exhausted(&self) -> bool {
+        false
+    }
+}
+
+/// The oracle's pruner: none.
+struct NoPrune;
+
+impl Pruner for NoPrune {
+    const PRUNES: bool = false;
+
+    fn bound(&mut self, _: &mut Scratch, _: &mut SearchStats, _: u32) -> Cost {
+        0
+    }
+}
+
+/// The bidirectional tier's pruner: a backward Dijkstra from `dst`
+/// over the reverse CSR under [`CostModel::lower_bound`] weights,
+/// advanced in step with the forward side (module docs).
+struct Backward<'a> {
+    rev: &'a ReverseGraph,
+    /// Still settling. Once the backward top exceeds `mu` the search
+    /// freezes and its last top (`floor`) bounds every unsettled node;
+    /// once its heap drains, unsettled nodes cannot reach `dst` at all.
+    active: bool,
+    floor: Cost,
+    exhausted: bool,
+}
+
+impl<'a> Backward<'a> {
+    /// Starts the backward side at `dst` (after [`Scratch::begin`]).
+    fn new(rev: &'a ReverseGraph, dst: NodeId, s: &mut Scratch) -> Self {
+        let di = dst.index();
+        s.b_stamp[di] = s.generation;
+        s.b_dist[di] = 0;
+        s.b_pred[di] = NO_PRED;
+        s.b_state[di] = B_LABELLED;
+        s.b_heap.push(Reverse(pack_bkey(0, dst.raw())));
+        Backward {
+            rev,
+            active: true,
+            floor: 0,
+            exhausted: false,
+        }
+    }
+}
+
+impl Pruner for Backward<'_> {
+    fn advance(
+        &mut self,
+        q: &Query,
+        s: &mut Scratch,
+        stats: &mut SearchStats,
+        f_top_cost: Cost,
+        mut mu: Cost,
+    ) -> Cost {
+        let gen = s.generation;
+        // Advance while the backward side is the cheaper one.
+        while self.active {
+            let Some(&Reverse(bkey)) = s.b_heap.peek() else {
+                self.active = false;
+                self.exhausted = true;
                 break;
             };
             let b_cost = (bkey >> 32) as Cost;
@@ -558,318 +385,260 @@ pub(crate) fn search(
                 // `top_b > mu`) is what keeps the backward side from
                 // exploring `dst`'s whole `mu`-ball under its
                 // underestimated weights.
-                b_active = false;
-                b_floor = b_cost;
+                self.active = false;
+                self.floor = b_cost;
                 break;
             }
             if b_cost > f_top_cost {
                 break; // forward's turn
             }
-            scratch.b_heap.pop();
+            s.b_heap.pop();
             let v = bkey as u32 as usize;
-            if scratch.b_state[v] & B_SETTLED != 0 {
+            if s.b_state[v] & B_SETTLED != 0 {
                 continue; // stale lazy-deletion entry
             }
-            scratch.b_state[v] |= B_SETTLED;
+            s.b_state[v] |= B_SETTLED;
             stats.backward_settled += 1;
-            // A forward-labelled, backward-settled node stitches a
-            // concrete path: re-cost the backward chain under full
-            // forward semantics to tighten `mu`.
-            if scratch.f_state_of(v) & LABELLED != 0 {
-                let lb = ((scratch.f_key[v] >> 64) as Cost).saturating_add(scratch.b_dist[v]);
-                if lb < mu {
-                    mu = mu.min(stitch(f, model, src, dst, scratch, v as u32));
-                }
-            }
-            let rev = reverse.expect("backward side requires the reverse CSR");
-            for (u, e) in rev.in_edges(NodeId::from_raw(v as u32)) {
-                let edge = f.edge(e);
-                let w = lower_bound_weight(f, model, src, u, e.raw(), edge);
-                let cand = scratch.b_dist[v].saturating_add(w);
+            mu = stitch(q, s, v as u32, mu);
+            for (u, e) in self.rev.in_edges(NodeId::from_raw(v as u32)) {
+                let w = q
+                    .model
+                    .lower_bound(q.f, Some(q.src), u, e.raw(), q.f.edge(e));
+                let cand = s.b_dist[v].saturating_add(w);
                 let ui = u.index();
-                let known = scratch.b_stamp[ui] == gen && scratch.b_state[ui] & B_LABELLED != 0;
-                if known && scratch.b_state[ui] & B_SETTLED != 0 {
+                let known = s.b_stamp[ui] == gen && s.b_state[ui] & B_LABELLED != 0;
+                if known && s.b_state[ui] & B_SETTLED != 0 {
                     continue;
                 }
-                if !known || cand < scratch.b_dist[ui] {
-                    scratch.b_stamp[ui] = gen;
-                    scratch.b_dist[ui] = cand;
-                    scratch.b_pred[ui] = (v as u32, e.raw());
-                    scratch.b_state[ui] = B_LABELLED;
-                    scratch.b_heap.push(Reverse(pack_bkey(cand, u.raw())));
+                if !known || cand < s.b_dist[ui] {
+                    s.b_stamp[ui] = gen;
+                    s.b_dist[ui] = cand;
+                    s.b_pred[ui] = (v as u32, e.raw());
+                    s.b_state[ui] = B_LABELLED;
+                    s.b_heap.push(Reverse(pack_bkey(cand, u.raw())));
                 }
             }
         }
+        mu
+    }
 
-        // Forward extraction (the oracle's loop, verbatim).
-        let Some(Reverse(key)) = scratch.f_heap.pop() else {
+    fn forward_settled(&mut self, q: &Query, s: &Scratch, u: u32, mu: Cost) -> Cost {
+        stitch(q, s, u, mu)
+    }
+
+    /// Exact once backward-settled; otherwise the backward top
+    /// (everything unsettled costs at least that), the frozen floor,
+    /// or — backward heap drained — unreachable from `dst`.
+    fn bound(&mut self, s: &mut Scratch, _: &mut SearchStats, v: u32) -> Cost {
+        if s.b_state_of(v as usize) & B_SETTLED != 0 {
+            s.b_dist[v as usize]
+        } else if self.exhausted {
+            Cost::MAX
+        } else if self.active {
+            s.b_heap
+                .peek()
+                .map_or(Cost::MAX, |&Reverse(k)| (k >> 32) as Cost)
+        } else {
+            self.floor
+        }
+    }
+
+    fn exhausted(&self) -> bool {
+        self.exhausted
+    }
+}
+
+/// A forward-labelled, backward-settled node `x` stitches a concrete
+/// path: re-cost the backward chain from `x` to `dst` under full
+/// forward semantics, starting from `x`'s forward label. The result is
+/// the cost of a real `src ⤳ x ⤳ dst` path — a valid upper bound for
+/// `mu` by construction.
+fn stitch(q: &Query, s: &Scratch, x: u32, mu: Cost) -> Cost {
+    let xi = x as usize;
+    if s.f_state_of(xi) & LABELLED == 0
+        || s.b_state_of(xi) & B_SETTLED == 0
+        || key_cost(s.f_key[xi]).saturating_add(s.b_dist[xi]) >= mu
+    {
+        return mu;
+    }
+    let mut budget = q.f.node_count();
+    let end = follow(q, s.tail(q, x), |tail| {
+        (tail.node != q.dst && budget > 0).then(|| {
+            budget -= 1;
+            EdgeId::from_raw(s.b_pred[tail.node.index()].1)
+        })
+    });
+    debug_assert_eq!(end.node, q.dst, "backward chain cycled");
+    match end.node == q.dst {
+        true => mu.min(end.cost),
+        false => mu,
+    }
+}
+
+/// Walks the concrete path that leaves `tail` along the edges `next`
+/// yields, under full forward semantics; the tail at its end.
+fn follow(q: &Query, mut tail: Tail, mut next: impl FnMut(&Tail) -> Option<EdgeId>) -> Tail {
+    while let Some(e) = next(&tail) {
+        let edge = q.f.edge(e);
+        let step = q.model.step(q.f, &tail, e.raw(), edge);
+        tail = tail.advance(q.f, q.src, e.raw(), edge, &step);
+    }
+    tail
+}
+
+/// Runs the exact forward label-setting search from `q.src` until
+/// `q.dst` is settled (or proven unreachable), dropping what `pruner`
+/// proves irrelevant against `mu`, the cost of the best concrete path
+/// known. On a hit the destination's predecessor chain is left in
+/// `scratch` for the caller to walk. The caller has called
+/// [`Scratch::begin`]; `stats` carries what its own phases counted.
+fn forward<P: Pruner>(
+    q: &Query,
+    mut pruner: P,
+    mut mu: Cost,
+    mut stats: SearchStats,
+    s: &mut Scratch,
+) -> SearchOutcome {
+    let gen = s.generation;
+    let si = q.src.index();
+    s.f_stamp[si] = gen;
+    (s.f_key[si], s.f_pred[si], s.f_state[si]) = source_label(q.f, q.src);
+    s.f_heap.push(Reverse(s.f_key[si]));
+    stats.pushes += 1;
+    // The smallest `cand_cost + B(v)` ever pruned; the run is
+    // certified exact iff the answer beats it strictly (module docs).
+    let mut worst_prune = Cost::MAX;
+    // Pruning against `mu` is optimistic — the certification is what
+    // makes it safe. With no concrete path yet, only a proven dead end
+    // prunes.
+    let prunes = |pruner: &P, b: Cost, through: Cost, mu: Cost| {
+        through > mu || (b == Cost::MAX && mu == Cost::MAX && pruner.exhausted())
+    };
+
+    loop {
+        if P::PRUNES {
+            if let Some(&Reverse(top)) = s.f_heap.peek() {
+                mu = pruner.advance(q, s, &mut stats, key_cost(top), mu);
+            }
+        }
+        let Some(Reverse(key)) = s.f_heap.pop() else {
+            // Forward frontier drained: dst unreached. Only certain if
+            // no pruned candidate could have led anywhere.
             return SearchOutcome {
-                hit: None,
                 certified: worst_prune == Cost::MAX,
                 stats,
             };
         };
         let u_raw = key as u32;
         let ui = u_raw as usize;
-        if scratch.f_state[ui] & MAPPED != 0 {
+        if s.f_state[ui] & MAPPED != 0 {
             continue; // superseded by a later improvement
         }
-        scratch.f_state[ui] |= MAPPED;
+        s.f_state[ui] |= MAPPED;
         stats.settled += 1;
-        if u_raw == dst.raw() {
+        let u_cost = key_cost(s.f_key[ui]);
+        if u_raw == q.dst.raw() {
             // Settled. Certified iff no pruned candidate could have
             // produced, improved, or tie-rewritten any label on the
             // answer's causal chain.
-            let cost = (scratch.f_key[ui] >> 64) as Cost;
             return SearchOutcome {
-                hit: Some(SearchHit {
-                    cost,
-                    hops: (scratch.f_key[ui] >> 32) as u32,
-                    state: scratch.f_state[ui],
-                }),
-                certified: worst_prune > cost,
+                certified: worst_prune > u_cost,
                 stats,
             };
         }
-        if bidi && scratch.b_state_of(ui) & B_SETTLED != 0 {
-            let lb = ((scratch.f_key[ui] >> 64) as Cost).saturating_add(scratch.b_dist[ui]);
-            if lb < mu {
-                mu = mu.min(stitch(f, model, src, dst, scratch, u_raw));
-            }
-        }
-
-        // Node-level prune: every candidate out of `u` costs at least
-        // `u`'s cost plus a lower-bound edge weight, and `B(u)` is at
-        // most that weight plus the head's own bound — so when
-        // `cost(u) + B(u)` already exceeds `mu`, each outgoing
-        // candidate would be pruned individually below; skip the whole
-        // expansion. The recorded `worst_prune` value under-approximates
-        // every skipped candidate's `cand + B(v)`, so certification
-        // stays conservative (it can only fall back more, never
-        // mis-certify).
-        if bidi {
-            let b_of_u = if scratch.b_state_of(ui) & B_SETTLED != 0 {
-                scratch.b_dist[ui]
-            } else if b_exhausted {
-                Cost::MAX
-            } else if b_active {
-                scratch
-                    .b_heap
-                    .peek()
-                    .map_or(Cost::MAX, |&Reverse(k)| (k >> 32) as Cost)
-            } else {
-                b_floor
-            };
-            let through = ((scratch.f_key[ui] >> 64) as Cost).saturating_add(b_of_u);
-            if through > mu || (b_of_u == Cost::MAX && mu == Cost::MAX && b_exhausted) {
+        if P::PRUNES {
+            mu = pruner.forward_settled(q, s, u_raw, mu);
+            // Node-level prune: every candidate out of `u` costs at
+            // least `u`'s cost plus a lower-bound edge weight, and
+            // `B(u)` is at most that weight plus the head's own bound
+            // — so when `cost(u) + B(u)` already exceeds `mu`, each
+            // outgoing candidate would be pruned individually below;
+            // skip the whole expansion. The recorded `worst_prune`
+            // value under-approximates every skipped candidate's
+            // `cand + B(v)`, so certification stays conservative (it
+            // can only fall back more, never mis-certify).
+            let b = pruner.bound(s, &mut stats, u_raw);
+            let through = u_cost.saturating_add(b);
+            if prunes(&pruner, b, through, mu) {
                 worst_prune = worst_prune.min(through);
                 stats.pruned += 1;
                 continue;
             }
         }
 
-        let tail = TailView::load(f, model, src, scratch, u_raw);
-        let (base_edge, row) = f.edge_slice(NodeId::from_raw(u_raw));
+        let tail = s.tail(q, u_raw);
+        let (base_edge, row) = q.f.edge_slice(tail.node);
         for (i, &edge) in row.iter().enumerate() {
             let e_raw = base_edge + i as u32;
             let v = edge.to();
             let vi = v.index();
-            let vstate = scratch.f_state_of(vi);
+            let vstate = s.f_state_of(vi);
             if vstate & MAPPED != 0 {
                 continue;
             }
-            let (cand_cost, cand_hops, cand_state) = eval_step(f, model, &tail, e_raw, edge);
-
-            // The pruning rule. `B(v)`: exact once backward-settled;
-            // otherwise the backward top (everything unsettled costs
-            // at least that), the frozen floor, or — backward heap
-            // drained — unreachable-from-dst, prune unconditionally.
-            if bidi {
-                let b_of_v = if scratch.b_state_of(vi) & B_SETTLED != 0 {
-                    scratch.b_dist[vi]
-                } else if b_exhausted {
-                    Cost::MAX
-                } else if b_active {
-                    scratch
-                        .b_heap
-                        .peek()
-                        .map_or(Cost::MAX, |&Reverse(k)| (k >> 32) as Cost)
-                } else {
-                    b_floor
-                };
-                let through = cand_cost.saturating_add(b_of_v);
-                if through > mu || (b_of_v == Cost::MAX && mu == Cost::MAX && b_exhausted) {
+            let step = q.model.step(q.f, &tail, e_raw, edge);
+            if P::PRUNES {
+                let b = pruner.bound(s, &mut stats, v.raw());
+                let through = step.cost.saturating_add(b);
+                if prunes(&pruner, b, through, mu) {
                     worst_prune = worst_prune.min(through);
                     stats.pruned += 1;
                     continue;
                 }
-                if v == dst {
+                if v == q.dst {
                     // The destination's own tentative label is a
                     // concrete path cost — a sound `mu` contribution.
-                    mu = mu.min(cand_cost);
+                    mu = mu.min(step.cost);
                 }
             }
-
-            let cand_key = pack_key(cand_cost, cand_hops, v.raw());
-            let cand_pred = (u_raw, e_raw);
-            if vstate & LABELLED == 0 {
-                scratch.f_stamp[vi] = gen;
-                scratch.f_key[vi] = cand_key;
-                scratch.f_pred[vi] = cand_pred;
-                scratch.f_state[vi] = cand_state;
-                scratch.f_heap.push(Reverse(cand_key));
+            let cand = step.label(&tail, e_raw, v);
+            s.f_stamp[vi] = gen;
+            let outcome = settle(
+                vstate & LABELLED != 0,
+                &mut s.f_key[vi],
+                &mut s.f_pred[vi],
+                &mut s.f_state[vi],
+                cand,
+            );
+            if outcome == Settled::Improved {
+                s.f_heap.push(Reverse(cand.0));
                 stats.pushes += 1;
-            } else {
-                let old = scratch.f_key[vi];
-                if cand_key < old {
-                    scratch.f_key[vi] = cand_key;
-                    scratch.f_pred[vi] = cand_pred;
-                    scratch.f_state[vi] = cand_state;
-                    scratch.f_heap.push(Reverse(cand_key));
-                    stats.pushes += 1;
-                } else if cand_key == old && cand_pred < scratch.f_pred[vi] {
-                    // The mapper's deterministic tie break.
-                    scratch.f_pred[vi] = cand_pred;
-                    scratch.f_state[vi] = cand_state;
-                }
             }
         }
     }
 }
 
-/// Re-costs the backward predecessor chain from `x` to `dst` under
-/// full forward semantics, starting from `x`'s forward label. The
-/// result is the cost of a concrete `src ⤳ x ⤳ dst` path — a valid
-/// upper bound by construction.
-fn stitch(
-    f: &FrozenGraph,
-    model: &CostModel,
-    src: NodeId,
-    dst: NodeId,
-    scratch: &Scratch,
-    x: u32,
-) -> Cost {
-    let mut tail = TailView::load(f, model, src, scratch, x);
-    let mut guard = 0usize;
-    while tail.u != dst.raw() {
-        let (_, e_raw) = scratch.b_pred[tail.u as usize];
-        debug_assert_ne!(e_raw, u32::MAX, "backward chain must reach dst");
-        let edge = f.edge(EdgeId::from_raw(e_raw));
-        let (cost, hops, state) = eval_step(f, model, &tail, e_raw, edge);
-        let v = edge.to();
-        let vflags = f.flags(v);
-        let is_source = v == src;
-        tail = TailView {
-            u: v.raw(),
-            cost,
-            hops,
-            state,
-            pred_edge: Some(EdgeId::from_raw(e_raw)),
-            is_domain: vflags.contains(NodeFlags::DOMAIN),
-            use_raw: is_source && f.adjust(v) != 0,
-            dead_extra: if !is_source && vflags.contains(NodeFlags::DEAD) {
-                model.dead_penalty
-            } else {
-                0
-            },
-        };
-        guard += 1;
-        debug_assert!(guard <= f.node_count(), "backward chain cycled");
-        if guard > f.node_count() {
-            return Cost::MAX;
-        }
+/// The forward oracle (`reverse` absent) or the bidirectional tier:
+/// [`forward`] unpruned, or pruned by the reverse-CSR backward side.
+pub(crate) fn search(q: &Query, reverse: Option<&ReverseGraph>, s: &mut Scratch) -> SearchOutcome {
+    s.begin(q.f.node_count());
+    let stats = SearchStats::default();
+    match reverse {
+        Some(rev) => forward(q, Backward::new(rev, q.dst, s), Cost::MAX, stats, s),
+        None => forward(q, NoPrune, Cost::MAX, stats, s),
     }
-    tail.cost
 }
 
 /// The universal lower-bound weight vector the contraction hierarchy
-/// is built over: one entry per frozen edge, independent of the query
-/// source (unlike the private `lower_bound_weight`, which may charge the exact
-/// raw-cost and dead-host terms because it knows `src`). Every
-/// component is included only when it applies to *every* forward
-/// relaxation over the edge, from any label at any source:
-///
-/// * the base cost is the folded cost capped by the raw sidecar cost —
-///   whichever of the two the mapper charges (folded normally, raw at
-///   an adjusted source), the minimum under-approximates it;
-/// * the dead-*link* penalty (an edge property) is exact, but the
-///   dead-*host* penalty is omitted: its source-tail exemption makes
-///   it query-dependent;
-/// * the gate penalty is exact — the exemption rule reads only
-///   node/edge properties;
-/// * the relay penalty applies when the tail is a domain (every
-///   forward label at a domain is tainted); the mixed penalty is
-///   path-state dependent and bounds to zero.
-///
-/// Summing these along any path under-approximates what the mapper
-/// charges for it, so hierarchy distances over this metric are sound
-/// pruning bounds for the certified search.
+/// is built over: [`CostModel::lower_bound`] with no source, one entry
+/// per frozen edge. Summing these along any path under-approximates
+/// what the mapper charges for it from any label at any source, so
+/// hierarchy distances over this metric are sound pruning bounds for
+/// the certified search.
 pub fn ch_weights(f: &FrozenGraph, model: &CostModel) -> Vec<Cost> {
-    let mut w = vec![0; f.edge_count()];
+    let mut w = Vec::with_capacity(f.edge_count());
     for u in f.node_ids() {
-        let u_is_domain = f.is_domain(u);
         let (base_edge, row) = f.edge_slice(u);
-        for (i, &edge) in row.iter().enumerate() {
-            let e_raw = base_edge + i as u32;
-            let vflags = f.flags(edge.to());
-            let eflags = edge.flags();
-            let mut c = edge.cost().min(f.edge_raw_cost(EdgeId::from_raw(e_raw)));
-            if eflags.contains(LinkFlags::DEAD) {
-                c = c.saturating_add(model.dead_link_penalty);
-            }
-            if vflags.intersects(NodeFlags::DOMAIN | NodeFlags::GATED)
-                && !gateway_exempt(u_is_domain, eflags, vflags.contains(NodeFlags::DOMAIN))
-            {
-                c = c.saturating_add(model.gate_penalty);
-            }
-            if u_is_domain && !eflags.intersects(LinkFlags::ALIAS | LinkFlags::NET_OUT) {
-                c = c.saturating_add(model.relay_penalty);
-            }
-            w[e_raw as usize] = c;
-        }
+        w.extend(
+            row.iter()
+                .enumerate()
+                .map(|(i, &edge)| model.lower_bound(f, None, u, base_edge + i as u32, edge)),
+        );
     }
     w
 }
 
-/// Re-costs an explicit forward edge chain starting at `src` under
-/// full forward semantics — the unpacked CH meeting path becomes a
-/// concrete upper bound this way.
-fn cost_path(f: &FrozenGraph, model: &CostModel, src: NodeId, edges: &[EdgeId]) -> Cost {
-    let mut tail = TailView {
-        u: src.raw(),
-        cost: 0,
-        hops: 0,
-        state: LABELLED | if f.is_domain(src) { TAINTED } else { 0 },
-        pred_edge: None,
-        is_domain: f.is_domain(src),
-        use_raw: f.adjust(src) != 0,
-        dead_extra: 0,
-    };
-    for &e in edges {
-        let edge = f.edge(e);
-        let (cost, hops, state) = eval_step(f, model, &tail, e.raw(), edge);
-        let v = edge.to();
-        let vflags = f.flags(v);
-        let is_source = v == src;
-        tail = TailView {
-            u: v.raw(),
-            cost,
-            hops,
-            state,
-            pred_edge: Some(e),
-            is_domain: vflags.contains(NodeFlags::DOMAIN),
-            use_raw: is_source && f.adjust(v) != 0,
-            dead_extra: if !is_source && vflags.contains(NodeFlags::DEAD) {
-                model.dead_penalty
-            } else {
-                0
-            },
-        };
-    }
-    tail.cost
-}
-
-/// The CH pruning oracle: `B*(v)`, the *exact* hierarchy distance
+/// The CH tier's pruner: `B*(v)`, the *exact* hierarchy distance
 /// `v → dst` over the CH weights — a lower bound on the remaining
 /// forward cost from any label at `v`. `Cost::MAX` means the hierarchy
 /// sees no `v → dst` path at all.
@@ -881,51 +650,57 @@ fn cost_path(f: &FrozenGraph, model: &CostModel, src: NodeId, edges: &[EdgeId]) 
 /// B*(v) = min( D(v),  min over up edges v → w:  weight + B*(w) )
 /// ```
 ///
-/// `D` is phase 1's exhaustive downward cone (every way of descending
-/// into `dst`), and the up-edge minimization covers every way of first
-/// climbing — together every up-then-down path, which by the builder's
-/// witness guarantee realizes the true hierarchy distance. Memoized
-/// per query and evaluated lazily (post-order DFS over the DAG), each
-/// node costs amortized `O(up-degree)` across the whole forward
-/// search — the entire point of the hierarchy tier's speed.
-fn bound_to_dst(ch: &ChIndex, scratch: &mut Scratch, stats: &mut SearchStats, v: u32) -> Cost {
-    let gen = scratch.generation;
-    if scratch.bb_stamp[v as usize] == gen {
-        return scratch.bb_val[v as usize];
-    }
-    let mut stack = std::mem::take(&mut scratch.bb_stack);
-    stack.clear();
-    stack.push((v, false));
-    while let Some((x, children_done)) = stack.pop() {
-        let xi = x as usize;
-        if scratch.bb_stamp[xi] == gen {
-            continue; // memoized by an earlier probe or a DAG diamond
+/// `D` is [`search_ch`] phase 1's exhaustive downward cone (every way
+/// of descending into `dst`), and the up-edge minimization covers
+/// every way of first climbing — together every up-then-down path,
+/// which by the builder's witness guarantee realizes the true
+/// hierarchy distance. Memoized per query and evaluated lazily
+/// (post-order DFS over the DAG), each node costs amortized
+/// `O(up-degree)` across the whole forward search — the entire point
+/// of the hierarchy tier's speed.
+struct Hierarchy<'a>(&'a ChIndex);
+
+impl Pruner for Hierarchy<'_> {
+    fn bound(&mut self, scratch: &mut Scratch, stats: &mut SearchStats, v: u32) -> Cost {
+        let ch = self.0;
+        let gen = scratch.generation;
+        if scratch.bb_stamp[v as usize] == gen {
+            return scratch.bb_val[v as usize];
         }
-        if children_done {
-            // Every up-successor is memoized now; fold the recurrence.
-            let mut best = if scratch.d_stamp[xi] == gen {
-                scratch.d_dist[xi]
-            } else {
-                Cost::MAX
-            };
-            for e in ch.up_edges(NodeId::from_raw(x)) {
-                debug_assert_eq!(scratch.bb_stamp[e.node.index()], gen);
-                best = best.min(e.weight.saturating_add(scratch.bb_val[e.node.index()]));
+        let mut stack = std::mem::take(&mut scratch.bb_stack);
+        stack.clear();
+        stack.push((v, false));
+        while let Some((x, children_done)) = stack.pop() {
+            let xi = x as usize;
+            if scratch.bb_stamp[xi] == gen {
+                continue; // memoized by an earlier probe or a DAG diamond
             }
-            scratch.bb_stamp[xi] = gen;
-            scratch.bb_val[xi] = best;
-            stats.backward_settled += 1;
-        } else {
-            stack.push((x, true));
-            for e in ch.up_edges(NodeId::from_raw(x)) {
-                if scratch.bb_stamp[e.node.index()] != gen {
-                    stack.push((e.node.raw(), false));
+            if children_done {
+                // Every up-successor is memoized now; fold the recurrence.
+                let mut best = if scratch.d_stamp[xi] == gen {
+                    scratch.d_dist[xi]
+                } else {
+                    Cost::MAX
+                };
+                for e in ch.up_edges(NodeId::from_raw(x)) {
+                    debug_assert_eq!(scratch.bb_stamp[e.node.index()], gen);
+                    best = best.min(e.weight.saturating_add(scratch.bb_val[e.node.index()]));
+                }
+                scratch.bb_stamp[xi] = gen;
+                scratch.bb_val[xi] = best;
+                stats.backward_settled += 1;
+            } else {
+                stack.push((x, true));
+                for e in ch.up_edges(NodeId::from_raw(x)) {
+                    if scratch.bb_stamp[e.node.index()] != gen {
+                        stack.push((e.node.raw(), false));
+                    }
                 }
             }
         }
+        scratch.bb_stack = stack;
+        scratch.bb_val[v as usize]
     }
-    scratch.bb_stack = stack;
-    scratch.bb_val[v as usize]
 }
 
 /// The CH-assisted point-to-point search: same contract as [`search`],
@@ -940,23 +715,16 @@ fn bound_to_dst(ch: &ChIndex, scratch: &mut Scratch, stats: &mut SearchStats, v:
 ///    full forward semantics — a real path whose true cost seeds `mu`.
 ///    No meeting ⇒ return uncertified (never conclude `NoRoute` from
 ///    the hierarchy alone — the engine falls back);
-/// 3. the exact forward label-setting loop (the oracle's, verbatim)
-///    runs pruned by the memoized per-node bound `B*(v)` and certifies
-///    against `worst_prune` exactly as the bidirectional search does.
+/// 3. [`forward`] runs pruned by the memoized per-node bound `B*(v)`
+///    and certifies against `worst_prune` exactly as the bidirectional
+///    search does.
 ///
 /// The answer labels come from phase 3's mapper-identical relaxation,
 /// so a certified outcome is byte-identical to the oracle's — the
 /// hierarchy only decides what *not* to explore.
-pub(crate) fn search_ch(
-    f: &FrozenGraph,
-    ch: &ChIndex,
-    model: &CostModel,
-    src: NodeId,
-    dst: NodeId,
-    scratch: &mut Scratch,
-) -> SearchOutcome {
-    let n = f.node_count();
-    scratch.begin(n);
+pub(crate) fn search_ch(q: &Query, ch: &ChIndex, scratch: &mut Scratch) -> SearchOutcome {
+    let (src, dst) = (q.src, q.dst);
+    scratch.begin(q.f.node_count());
     let gen = scratch.generation;
     let mut stats = SearchStats::default();
 
@@ -1022,12 +790,12 @@ pub(crate) fn search_ch(
             }
         }
     }
+    let uncertified = |stats| SearchOutcome {
+        certified: false,
+        stats,
+    };
     let Some(meet) = meet else {
-        return SearchOutcome {
-            hit: None,
-            certified: false,
-            stats,
-        };
+        return uncertified(stats);
     };
 
     // Unpack the meeting path (both pred chains strictly descend rank,
@@ -1051,109 +819,73 @@ pub(crate) fn search_ch(
     let mut edges: Vec<EdgeId> = Vec::new();
     for &r in &refs {
         if !ch.unpack_into(r, &mut edges) {
-            return SearchOutcome {
-                hit: None,
-                certified: false,
-                stats,
-            };
+            return uncertified(stats);
         }
     }
-    let mut mu = cost_path(f, model, src, &edges);
+    let mut path = edges.iter().copied();
+    let mu = follow(q, Tail::source(q.f, src), |_| path.next()).cost;
 
-    // Phase 3: the exact forward search (the oracle's loop, verbatim),
-    // pruned by B* and certified exactly as the bidirectional variant.
-    let si = src.index();
-    scratch.f_stamp[si] = gen;
-    scratch.f_key[si] = pack_key(0, 0, src.raw());
-    scratch.f_pred[si] = NO_PRED;
-    scratch.f_state[si] = LABELLED | if f.is_domain(src) { TAINTED } else { 0 };
-    scratch.f_heap.push(Reverse(pack_key(0, 0, src.raw())));
-    stats.pushes += 1;
-    let mut worst_prune = Cost::MAX;
+    // Phase 3: the exact forward search, pruned by B* and certified
+    // exactly as the bidirectional variant.
+    forward(q, Hierarchy(ch), mu, stats, scratch)
+}
 
-    loop {
-        let Some(Reverse(key)) = scratch.f_heap.pop() else {
-            return SearchOutcome {
-                hit: None,
-                certified: worst_prune == Cost::MAX,
-                stats,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pathalias_mapgen::{generate, MapSpec};
+
+    /// `Scratch::begin`'s "one real clear every 2^32 queries": a
+    /// scratch full of earlier queries' labels, every slot of it
+    /// stamped 1, 2 or 3, is wound forward to the wrap, and the four
+    /// searches across it (generations `MAX`, then 1–3 again) must see
+    /// none of them.
+    #[test]
+    fn generation_wrap_clears_stale_stamps() {
+        let map = generate(&MapSpec::small(150, 7));
+        let f = map.parse().expect("generated maps parse").freeze();
+        let model = CostModel::default();
+        let rev = f.reverse();
+        let ch = ChIndex::build(&f, &ch_weights(&f, &model));
+        let hosts: Vec<NodeId> = f.node_ids().filter(|&v| f.is_mappable(v)).collect();
+        // Query `k` of either round: its own pair, and a tier.
+        let run = |k: usize, s: &mut Scratch| {
+            let q = Query {
+                f: &f,
+                model: &model,
+                src: hosts[k * 53 % hosts.len()],
+                dst: hosts[(k * 37 + 5) % hosts.len()],
             };
+            let outcome = match k % 3 {
+                0 => search(&q, None, s),
+                1 => search(&q, Some(&rev), s),
+                _ => search_ch(&q, &ch, s),
+            };
+            let labels: Vec<Option<Label>> = f.node_ids().map(|v| s.label(v)).collect();
+            (outcome.certified, outcome.stats, labels)
         };
-        let u_raw = key as u32;
-        let ui = u_raw as usize;
-        if scratch.f_state[ui] & MAPPED != 0 {
-            continue; // superseded by a later improvement
+        let mut wrapped = Scratch::new();
+        for k in 0..12 {
+            run(k, &mut wrapped);
         }
-        scratch.f_state[ui] |= MAPPED;
-        stats.settled += 1;
-        if u_raw == dst.raw() {
-            let cost = (scratch.f_key[ui] >> 64) as Cost;
-            return SearchOutcome {
-                hit: Some(SearchHit {
-                    cost,
-                    hops: (scratch.f_key[ui] >> 32) as u32,
-                    state: scratch.f_state[ui],
-                }),
-                certified: worst_prune > cost,
-                stats,
-            };
-        }
-        // Node-level prune, same rule as the bidirectional search.
-        let b_of_u = bound_to_dst(ch, scratch, &mut stats, u_raw);
-        let through = ((scratch.f_key[ui] >> 64) as Cost).saturating_add(b_of_u);
-        if through > mu {
-            worst_prune = worst_prune.min(through);
-            stats.pruned += 1;
-            continue;
-        }
-
-        let tail = TailView::load(f, model, src, scratch, u_raw);
-        let (base_edge, row) = f.edge_slice(NodeId::from_raw(u_raw));
-        for (i, &edge) in row.iter().enumerate() {
-            let e_raw = base_edge + i as u32;
-            let v = edge.to();
-            let vi = v.index();
-            let vstate = scratch.f_state_of(vi);
-            if vstate & MAPPED != 0 {
-                continue;
-            }
-            let (cand_cost, cand_hops, cand_state) = eval_step(f, model, &tail, e_raw, edge);
-            let b_of_v = bound_to_dst(ch, scratch, &mut stats, v.raw());
-            let through = cand_cost.saturating_add(b_of_v);
-            if through > mu {
-                worst_prune = worst_prune.min(through);
-                stats.pruned += 1;
-                continue;
-            }
-            if v == dst {
-                // The destination's tentative label is a concrete
-                // path cost — a sound `mu` contribution.
-                mu = mu.min(cand_cost);
-            }
-
-            let cand_key = pack_key(cand_cost, cand_hops, v.raw());
-            let cand_pred = (u_raw, e_raw);
-            if vstate & LABELLED == 0 {
-                scratch.f_stamp[vi] = gen;
-                scratch.f_key[vi] = cand_key;
-                scratch.f_pred[vi] = cand_pred;
-                scratch.f_state[vi] = cand_state;
-                scratch.f_heap.push(Reverse(cand_key));
-                stats.pushes += 1;
-            } else {
-                let old = scratch.f_key[vi];
-                if cand_key < old {
-                    scratch.f_key[vi] = cand_key;
-                    scratch.f_pred[vi] = cand_pred;
-                    scratch.f_state[vi] = cand_state;
-                    scratch.f_heap.push(Reverse(cand_key));
-                    stats.pushes += 1;
-                } else if cand_key == old && cand_pred < scratch.f_pred[vi] {
-                    // The mapper's deterministic tie break.
-                    scratch.f_pred[vi] = cand_pred;
-                    scratch.f_state[vi] = cand_state;
-                }
+        let s = &mut wrapped;
+        for stamps in [
+            &mut s.f_stamp,
+            &mut s.b_stamp,
+            &mut s.d_stamp,
+            &mut s.u_stamp,
+            &mut s.bb_stamp,
+        ] {
+            for (i, stamp) in stamps.iter_mut().enumerate() {
+                *stamp = 1 + i as u32 % 3;
             }
         }
+        wrapped.generation = u32::MAX - 1;
+        // The hierarchy tier goes first: it labels few nodes, so the
+        // stale stamps are still there for the three after it.
+        for k in 14..18 {
+            assert_eq!(run(k, &mut wrapped), run(k, &mut Scratch::new()), "{k}");
+        }
+        assert_eq!(wrapped.generation, 3);
     }
 }

@@ -10,7 +10,7 @@ use pathalias_graph::{FrozenGraph, NodeId};
 use pathalias_mapgen::{generate, MapSpec};
 use pathalias_mapper::{map_frozen, map_frozen_readonly, CostModel, MapOptions};
 use pathalias_printer::compute_routes;
-use pathalias_router::{PathAnswer, PointToPoint, RouteError};
+use pathalias_router::{PathAnswer, PointToPoint, RouteError, SearchStats};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier, OnceLock};
@@ -567,4 +567,60 @@ fn paper_scale_parity_and_pruning() {
         tried > 0 && certified > 0,
         "CH tier certified {certified}/{tried} sampled queries — it must win sometimes"
     );
+}
+
+/// The searches' work on 200 fixed pairs, one line per pair: the plain
+/// engine's and the hierarchy engine's [`SearchStats`] through
+/// `route_ids_uncached`, and the forward oracle's answer.
+fn seam_lines() -> String {
+    let (aug, engine, ch_engine, _) = paper_world();
+    let n = aug.node_count() as u32;
+    let stats = |r: Result<(PathAnswer, SearchStats), RouteError>| match r {
+        Ok((_, s)) => format!(
+            "{} {} {} {} {}{}{}",
+            s.settled,
+            s.pushes,
+            s.pruned,
+            s.backward_settled,
+            u8::from(s.fell_back),
+            u8::from(s.tried_ch),
+            u8::from(s.ch_certified),
+        ),
+        Err(e) => format!("{e:?}"),
+    };
+    let mut out = String::new();
+    for k in 0..200u32 {
+        let src = NodeId::from_raw((k * 3_701 + 11) % n);
+        let dst = NodeId::from_raw((k * 1_009 + 7) % n);
+        let uni = match engine.route_ids_unidirectional(src, dst) {
+            Ok(a) => format!("{} {}", a.cost, a.hops),
+            Err(e) => format!("{e:?}"),
+        };
+        out.push_str(&format!(
+            "{} {} | {} | {} | {uni}\n",
+            src.raw(),
+            dst.raw(),
+            stats(engine.route_ids_uncached(src, dst)),
+            stats(ch_engine.route_ids_uncached(src, dst)),
+        ));
+    }
+    out
+}
+
+/// The seam between the router and the mapper's kernel: the merged
+/// forward loop does the work the three hand-written loops did,
+/// relaxation for relaxation, not merely the same answers.
+/// `seam_stats.txt` was recorded at the commit before the merge
+/// (`src dst | settled pushes pruned backward_settled
+/// fell_back,tried_ch,ch_certified | the same with a hierarchy |
+/// oracle cost hops`). A deliberate change to the search order
+/// re-records it from this test's failure output.
+#[test]
+fn search_work_is_unchanged_pair_for_pair() {
+    let got = seam_lines();
+    let want = include_str!("seam_stats.txt");
+    for (k, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "pair {k}");
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "\n{got}");
 }

@@ -1,8 +1,6 @@
 //! Property-based tests over the whole pipeline.
 
-use pathalias::core::{
-    map_quadratic_readonly, map_readonly, unparse, CostModel, Graph, MapOptions, RouteOp,
-};
+use pathalias::core::{map_readonly, unparse, CostModel, Graph, MapOptions, RouteOp};
 use pathalias::{Address, Pathalias, SyntaxStyle};
 use proptest::prelude::*;
 
@@ -70,20 +68,6 @@ proptest! {
         for (i, expected) in oracle.iter().enumerate() {
             let id = g.try_node(&format!("n{i}")).unwrap();
             prop_assert_eq!(tree.cost(id), *expected, "node n{}", i);
-        }
-    }
-
-    /// The heap variant and the quadratic variant are label-identical,
-    /// heuristics and all.
-    #[test]
-    fn heap_and_quadratic_agree((n, edges) in edges_strategy()) {
-        let g = build_graph(n, &edges);
-        let src = g.try_node("n0").unwrap();
-        let opts = MapOptions::default();
-        let a = map_readonly(&g, src, &opts).unwrap();
-        let b = map_quadratic_readonly(&g, src, &opts).unwrap();
-        for id in g.node_ids() {
-            prop_assert_eq!(a.label(id), b.label(id));
         }
     }
 

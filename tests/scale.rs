@@ -5,6 +5,7 @@ use pathalias::core::{
 };
 use pathalias::{generate, MapSpec, Pathalias};
 use std::fmt::Write;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn paper_world() -> (Pathalias, String) {
@@ -68,7 +69,7 @@ fn parallel_multi_source_consistent_at_scale() {
     let g: Graph = map.parse().unwrap();
     let sources: Vec<_> = g.node_ids().take(12).collect();
     let opts = MapOptions::default();
-    let trees = parallel::map_many(&g, &sources, &opts, 4);
+    let trees = parallel::map_many_frozen(&Arc::new(g.freeze()), &sources, &opts, 4);
     for (i, tree) in trees.iter().enumerate() {
         let seq = map_readonly(&g, sources[i], &opts).unwrap();
         let tree = tree.as_ref().unwrap();
