@@ -5,12 +5,12 @@
 //! Run with: `cargo run --release -p pathalias-bench --bin experiments`
 
 use pathalias_arena::counting::{snapshot, CountingAlloc};
+use pathalias_bench::boxed::BoxedGraph;
 use pathalias_bench::study::map_frozen_quadratic_readonly;
 use pathalias_bench::{
     clique_world, host_names, random_sparse, sparse_world, MOTOWN_MAP, PAPER_1981_MAP,
 };
 use pathalias_core::{Options, Pathalias};
-use pathalias_graph::boxed::BoxedGraph;
 use pathalias_graph::{Graph, NodeId, RouteOp};
 use pathalias_hash::{GrowthPolicy, HostTable, SecondaryHash, TableConfig, ALPHA_LOW};
 use pathalias_mailer::RouteDb;
@@ -33,14 +33,55 @@ fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64() * 1_000.0)
 }
 
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+fn median(samples: Vec<f64>) -> f64 {
+    Spread::of(samples).med
+}
+
+/// Repeated measurements of one quantity, shown as `median [min–max]`
+/// at the precision the format string asks for.
+struct Spread {
+    med: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Spread {
+        samples.sort_by(f64::total_cmp);
+        Spread {
+            med: samples[samples.len() / 2],
+            min: samples[0],
+            max: samples[samples.len() - 1],
+        }
+    }
+}
+
+impl std::fmt::Display for Spread {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let p = f.precision().unwrap_or(3);
+        let (med, min, max) = (self.med, self.min, self.max);
+        write!(f, "{med:.p$} [{min:.p$}–{max:.p$}]")
+    }
+}
+
+/// Wall-clock milliseconds over `reps` runs.
+fn time_spread<T>(reps: usize, mut f: impl FnMut() -> T) -> Spread {
+    Spread::of((0..reps).map(|_| time(&mut f).1).collect())
 }
 
 /// Median-of-several wall-clock milliseconds.
-fn time_med<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    median((0..reps).map(|_| time(&mut f).1).collect())
+fn time_med<T>(reps: usize, f: impl FnMut() -> T) -> f64 {
+    time_spread(reps, f).med
+}
+
+/// Prints whether a study's measured direction is the paper's. A
+/// `required` one that fails ends the run (exit 101); the others only
+/// report, because this implementation has never reproduced them
+/// (README, "Tests and benches").
+fn verdict(reproduced: bool, required: bool, claim: &str) {
+    let mark = if reproduced { "" } else { "NOT " };
+    println!("paper: {claim} — {mark}reproduced here");
+    assert!(reproduced || !required, "stopped reproducing: {claim}");
 }
 
 fn main() {
@@ -131,10 +172,10 @@ fn e16_heuristic_ablation() {
         };
         let tree = map_readonly(&g, home, &opts).unwrap();
         let table = compute_routes(&tree);
-        let changes = pathalias_printer::diff::diff(&baseline, &table);
+        let changes = pathalias_bench::diff::diff(&baseline, &table);
         let rerouted = changes
             .iter()
-            .filter(|c| matches!(c, pathalias_printer::diff::RouteChange::Rerouted { .. }))
+            .filter(|c| matches!(c, pathalias_bench::diff::RouteChange::Rerouted { .. }))
             .count();
         let via_domain = table
             .visible()
@@ -191,27 +232,44 @@ fn e2_cost_table() {
 fn e3_scanner() {
     header("E3", "hand-built scanner vs lex-style baseline");
     let text = pathalias_bench::map_text(3_000, 7);
-    let fast = time_med(9, || {
+    let fast = time_spread(9, || {
         pathalias_parser::scan::tokenize("m", &text).unwrap().len()
     });
-    let slow = time_med(9, || {
-        pathalias_parser::slow::tokenize("m", &text).unwrap().len()
+    let slow = time_spread(9, || {
+        pathalias_bench::slow::tokenize("m", &text).unwrap().len()
     });
     let parse = time_med(9, || pathalias_parser::parse(&text).unwrap().node_count());
-    println!("input: {} bytes of generated map", text.len());
-    println!("lex-style scan        {slow:>9.3} ms");
     println!(
-        "hand-built scan       {fast:>9.3} ms   ({:.1}x faster)",
-        slow / fast
+        "input: {} bytes of generated map; median [min–max] of 9 runs",
+        text.len()
+    );
+    println!("lex-style scan        {slow:.3} ms");
+    println!(
+        "hand-built scan       {fast:.3} ms   ({:.1}x faster)",
+        slow.med / fast.med
     );
     println!("full parse (fast)     {parse:>9.3} ms");
     // The paper: lex took half the total run time; replacing it cut
     // total time 40 %. Reconstruct the equivalent total-time saving.
-    let lex_total = slow + (parse - fast);
+    let lex_total = slow.med + (parse - fast.med);
     println!(
         "implied total-run-time cut: {:.0}%   (paper: 40%)",
         (1.0 - parse / lex_total) * 100.0
     );
+    let claim = "the hand-built scanner beats the generated one";
+    verdict(fast.med < slow.med, true, claim);
+}
+
+/// One build under the counting allocator: wall-clock ms, allocator
+/// calls, bytes requested, bytes still live when the build returns.
+fn counted<T>(build: impl FnOnce() -> T) -> [f64; 4] {
+    let before = snapshot();
+    let (built, ms) = time(build);
+    let after = snapshot();
+    let churn = after.since(&before);
+    let live = after.live() - before.live();
+    drop(built);
+    [ms, churn.calls as f64, churn.allocated as f64, live as f64]
 }
 
 fn e4_alloc() {
@@ -219,75 +277,92 @@ fn e4_alloc() {
         "E4",
         "pooled (buffered-sbrk) vs boxed (malloc-per-object) graph",
     );
-    let text = pathalias_bench::map_text(3_000, 11);
-    let parsed = pathalias_parser::parse(&text).unwrap();
+    let (mut pooled, mut boxed) = (Vec::new(), Vec::new());
+    for seed in 11..16 {
+        let parsed = pathalias_parser::parse(&pathalias_bench::map_text(3_000, seed)).unwrap();
+        pooled.push(counted(|| pathalias_bench::rebuild_pooled(&parsed)));
+        boxed.push(counted(|| BoxedGraph::from_graph(&parsed)));
+    }
+    let column = |rows: &[[f64; 4]], c: usize| Spread::of(rows.iter().map(|r| r[c]).collect());
     println!(
-        "building the same graph ({} nodes, {} links) in both layouts:",
-        parsed.node_count(),
-        parsed.link_count()
-    );
-
-    let before = snapshot();
-    let (pooled_g, pooled_ms) = time(|| pathalias_bench::rebuild_pooled(&parsed));
-    let after = snapshot();
-    let pooled = after.since(&before);
-    let pooled_live = after.live() - before.live();
-
-    let before = snapshot();
-    let (boxed, boxed_ms) = time(|| BoxedGraph::from_graph(&parsed));
-    let after = snapshot();
-    let boxed_stats = after.since(&before);
-    let boxed_live = after.live() - before.live();
-
-    println!(
-        "{:<22} {:>10} {:>14} {:>14} {:>12}",
-        "layout", "time ms", "alloc calls", "bytes churned", "bytes live"
+        "the same graph in both layouts, median [min–max] over 5 generated 3,000-host worlds:"
     );
     println!(
-        "{:<22} {:>10.2} {:>14} {:>14} {:>12}",
-        "pooled (arena)", pooled_ms, pooled.calls, pooled.allocated, pooled_live
+        "{:<20} {:<24} {:<24} {:<32} bytes live",
+        "layout", "time ms", "alloc calls", "bytes requested"
     );
-    println!(
-        "{:<22} {:>10.2} {:>14} {:>14} {:>12}",
-        "boxed (per-object)", boxed_ms, boxed_stats.calls, boxed_stats.allocated, boxed_live
-    );
-    println!(
-        "boxed layout makes {:.1}x the allocator calls for the same graph",
-        boxed_stats.calls as f64 / pooled.calls.max(1) as f64
-    );
-    drop(boxed);
-    drop(pooled_g);
+    for (label, rows) in [("pooled (arena)", &pooled), ("boxed (per-object)", &boxed)] {
+        println!(
+            "{label:<20} {:<24} {:<24} {:<32} {:.0}",
+            format!("{:.2}", column(rows, 0)),
+            format!("{:.0}", column(rows, 1)),
+            format!("{:.0}", column(rows, 2)),
+            column(rows, 3)
+        );
+    }
+    let ratio = |c| {
+        Spread::of(
+            boxed
+                .iter()
+                .zip(&pooled)
+                .map(|(b, p)| b[c] / p[c])
+                .collect(),
+        )
+    };
+    let (calls, live): (Spread, Spread) = (ratio(1), ratio(3));
+    println!("boxed / pooled allocator calls: {calls:.1}");
+    println!("boxed / pooled live bytes:      {live:.2}");
+    let claim = "per-object allocation makes more allocator calls";
+    verdict(calls.min > 1.0, true, claim);
+    // The counting allocator sees the bytes a layout asks for, not the
+    // per-object headers a 1986 malloc added to them, and the pooled
+    // graph carries the name table the replica does without.
+    verdict(live.min > 1.0, false, "and holds more bytes");
 }
 
 fn e5_secondary_hash() {
     header("E5", "secondary hash: inverse vs textbook plus-one");
-    let names = host_names(8_500);
+    const SETS: usize = 7;
+    println!("median [min–max] over {SETS} disjoint sets of 8,500 host names:");
     println!(
-        "{:<12} {:>14} {:>14} {:>10}",
-        "secondary", "insert probes", "lookup probes", "rehashes"
+        "{:<12} {:<24} {:<24} rehashes",
+        "secondary", "insert probes", "lookup probes"
     );
+    let mut lookups: Vec<Spread> = Vec::new();
     for (label, secondary) in [
         ("inverse", SecondaryHash::Inverse),
         ("plus-one", SecondaryHash::PlusOne),
     ] {
-        let mut t = HostTable::with_config(TableConfig {
-            secondary,
-            ..TableConfig::default()
-        });
-        for (i, n) in names.iter().enumerate() {
-            t.insert(n, i);
+        let (mut inserts, mut gets, mut rehashes) = (Vec::new(), Vec::new(), 0);
+        for k in 0..SETS {
+            let names = host_names(k, 8_500);
+            let mut t = HostTable::with_config(TableConfig {
+                secondary,
+                ..TableConfig::default()
+            });
+            for (i, n) in names.iter().enumerate() {
+                t.insert(n, i);
+            }
+            inserts.push(t.stats().mean_insert_probes());
+            rehashes = t.stats().rehashes;
+            t.reset_stats();
+            for n in &names {
+                t.get(n);
+            }
+            gets.push(t.stats().mean_lookup_probes());
         }
-        let inserts = t.stats().mean_insert_probes();
-        let rehashes = t.stats().rehashes;
-        t.reset_stats();
-        for n in &names {
-            t.get(n);
-        }
+        let gets = Spread::of(gets);
         println!(
-            "{label:<12} {inserts:>14.3} {:>14.3} {rehashes:>10}",
-            t.stats().mean_lookup_probes()
+            "{label:<12} {:<24} {:<24} {rehashes}",
+            format!("{:.3}", Spread::of(inserts)),
+            format!("{gets:.3}")
         );
+        lookups.push(gets);
     }
+    // With the shift-xor fold and these names the textbook form
+    // probes less on every set.
+    let claim = "the inverse form needs no more lookup probes than plus-one";
+    verdict(lookups[0].med <= lookups[1].med, false, claim);
 }
 
 fn e6_growth_policies() {
@@ -297,7 +372,7 @@ fn e6_growth_policies() {
         "policy", "n", "final T", "load", "rehashes", "waste%"
     );
     for n in [3_000usize, 5_700, 8_500] {
-        let names = host_names(n);
+        let names = host_names(0, n);
         for (label, growth) in [
             ("fibonacci", GrowthPolicy::FibonacciPrimes),
             ("geometric-2", GrowthPolicy::Geometric(2.0)),
@@ -558,31 +633,43 @@ fn e12_second_best() {
 
 fn e13_probes_at_high_water() {
     header("E13", "probes per access at α_H = 0.79");
-    let mut t: HostTable<usize> = HostTable::new();
-    let names = host_names(12_000);
-    for (i, n) in names.iter().enumerate() {
-        t.insert(n, i);
-    }
-    // Top up to just below the high-water mark.
-    let mut extra = names.len();
-    while (t.len() as f64 + 1.0) / t.capacity() as f64 <= 0.79 {
-        t.insert(&format!("extra-host-{extra}"), extra);
-        extra += 1;
-    }
-    let all: Vec<String> = t.iter().map(|(k, _)| k.to_string()).collect();
-    t.reset_stats();
-    for n in &all {
-        t.get(n);
-    }
-    let alpha = t.load_factor();
-    let theory = (1.0 / alpha) * (1.0 / (1.0 - alpha)).ln();
-    println!("load factor α:           {alpha:.3}");
     println!(
-        "measured probes/access:  {:.3}",
-        t.stats().mean_lookup_probes()
+        "{:<10} {:>8} {:>8} {:>16}",
+        "hosts", "T", "α", "probes/access"
     );
+    let mut measured = Vec::new();
+    let mut alpha = 0.0;
+    for hosts in [1_000usize, 3_000, 5_700, 8_500, 12_000, 20_000, 40_000] {
+        let mut t: HostTable<usize> = HostTable::new();
+        // Past `hosts`, keep adding names until the next one would
+        // push the table over the high-water mark.
+        let mut i = 0;
+        while i < hosts || (t.len() as f64 + 1.0) / t.capacity() as f64 <= 0.79 {
+            t.insert(&pathalias_mapgen::HostNamer::name_at(i), i);
+            i += 1;
+        }
+        let all: Vec<String> = t.iter().map(|(k, _)| k.to_string()).collect();
+        t.reset_stats();
+        for n in &all {
+            t.get(n);
+        }
+        alpha = t.load_factor();
+        let probes = t.stats().mean_lookup_probes();
+        println!(
+            "{:<10} {:>8} {alpha:>8.3} {probes:>16.3}",
+            t.len(),
+            t.capacity()
+        );
+        measured.push(probes);
+    }
+    let measured = Spread::of(measured);
+    let theory = (1.0 / alpha) * (1.0 / (1.0 - alpha)).ln();
+    println!("measured probes/access:  {measured:.3}   (median [min–max] over the tables above)");
     println!("theory (1/α)ln(1/(1-α)): {theory:.3}");
-    println!("paper's design target:   2 probes per access when full");
+    // The shift-xor fold spreads these names less evenly than the
+    // uniform hashing the prediction assumes.
+    let claim = "2 probes per access when the table is full";
+    verdict(measured.med <= 2.0, false, claim);
 }
 
 fn e14_domains() {

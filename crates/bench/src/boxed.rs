@@ -8,11 +8,10 @@
 //! name) so the benchmark can compare both builds under a counting
 //! allocator.
 //!
-//! It is *not* used by the pipeline; [`crate::Graph`]'s pooled layout is
+//! It is *not* used by the pipeline; [`pathalias_graph::Graph`]'s pooled layout is
 //! the real representation.
 
-use crate::graph::Graph;
-use crate::Cost;
+use pathalias_graph::{Cost, Graph};
 
 /// A link cell in the boxed representation: one heap allocation each,
 /// like the original's `link` struct.
@@ -57,7 +56,7 @@ impl BoxedGraph {
             .collect();
         for (pos, &id) in ids.iter().enumerate() {
             for (_, l) in g.links_from(id) {
-                if l.flags.contains(crate::LinkFlags::DELETED) {
+                if l.flags.contains(pathalias_graph::LinkFlags::DELETED) {
                     continue;
                 }
                 let cell = Box::new(BoxedLink {
@@ -124,7 +123,7 @@ impl Drop for BoxedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Graph, RouteOp};
+    use pathalias_graph::{Graph, RouteOp};
 
     fn sample() -> Graph {
         let mut g = Graph::new();
@@ -178,7 +177,13 @@ mod tests {
         let hub = g.node("hub");
         for i in 0..200_000 {
             let to = g.node(&format!("n{i}"));
-            g.add_raw_link(hub, to, 1, RouteOp::UUCP, crate::LinkFlags::empty());
+            g.add_raw_link(
+                hub,
+                to,
+                1,
+                RouteOp::UUCP,
+                pathalias_graph::LinkFlags::empty(),
+            );
         }
         let bg = BoxedGraph::from_graph(&g);
         assert_eq!(bg.link_count(), 200_000);

@@ -5,7 +5,7 @@
 //! works badly when costs jitter; this module compares route tables
 //! structurally and classifies every change.
 
-use crate::route::RouteTable;
+use pathalias_printer::RouteTable;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -121,9 +121,9 @@ fn key_of(c: &RouteChange) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute_routes;
     use pathalias_mapper::{map, MapOptions};
     use pathalias_parser::parse;
+    use pathalias_printer::compute_routes;
 
     fn table(text: &str, source: &str) -> RouteTable {
         let g = parse(text).unwrap();

@@ -4,14 +4,23 @@
 //! The README's "Tests and benches" table maps the paper's tables,
 //! figures and studies to experiment ids; this crate holds the workload
 //! builders those experiments share, the paper's decrease-key [`heap`]
-//! and the O(v²) mapper of [`study`] (experiment E7).
+//! and the O(v²) mapper of [`study`] (experiment E7), the lex stand-in
+//! scanner [`slow`] (E3), the 1986 pointer-per-object layout [`boxed`]
+//! (E4), the route-table [`diff`] (E16), and the two checks on the map
+//! generator and the parser: [`stats`] (shape) and [`unparse`] (round
+//! trip).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod boxed;
+pub mod diff;
 pub mod heap;
 pub mod legacy;
+pub mod slow;
+pub mod stats;
 pub mod study;
+pub mod unparse;
 
 use pathalias_graph::{Graph, NodeId, RouteOp};
 use pathalias_mapgen::{generate, MapSpec};
@@ -109,7 +118,7 @@ pub fn clique_world(n: usize, star: bool) -> (Graph, NodeId) {
 }
 
 /// Rebuilds a graph's structure into a fresh pooled [`Graph`] — the
-/// arena-discipline counterpart of [`pathalias_graph::boxed::BoxedGraph`]
+/// arena-discipline counterpart of [`boxed::BoxedGraph`]
 /// for the allocator experiment (same nodes, names and live links).
 pub fn rebuild_pooled(src: &Graph) -> Graph {
     let mut g = Graph::new();
@@ -125,9 +134,12 @@ pub fn rebuild_pooled(src: &Graph) -> Graph {
 }
 
 /// Deterministic host names for the hashing experiments (a mix of
-/// real-ish and sequential names, like the UUCP map).
-pub fn host_names(n: usize) -> Vec<String> {
-    (0..n).map(pathalias_mapgen::HostNamer::name_at).collect()
+/// real-ish and sequential names, like the UUCP map): the `k`-th
+/// disjoint set of `n`.
+pub fn host_names(k: usize, n: usize) -> Vec<String> {
+    (k * n..(k + 1) * n)
+        .map(pathalias_mapgen::HostNamer::name_at)
+        .collect()
 }
 
 /// A mapgen world written to disk plus one known link-cost edit that
@@ -305,7 +317,7 @@ mod tests {
         assert!(star.link_count() < 120);
         assert_eq!(full.link_count(), 50 * 49 + 1);
 
-        assert_eq!(host_names(3).len(), 3);
+        assert_eq!(host_names(0, 3).len(), 3);
         assert!(map_text(100, 3).contains("file {"));
     }
 

@@ -5,7 +5,7 @@
 //! era paid for generality: a table-driven automaton stepping one
 //! character at a time, per-token buffer copies, and action dispatch.
 //! This module reproduces that cost profile honestly — it is a correct
-//! scanner producing the same token stream as [`crate::scan`], but it:
+//! scanner producing the same token stream as [`pathalias_parser::scan`], but it:
 //!
 //! * decodes the input into a `Vec<char>` up front (lex worked on a
 //!   buffered character stream, not on in-place bytes),
@@ -17,9 +17,9 @@
 //! The scanner benchmark (experiment E3) runs both over the same maps
 //! and reports the ratio next to the paper's 40 % figure.
 
-use crate::error::ParseError;
+use pathalias_parser::ParseError;
 
-/// An owned token, mirroring [`crate::Tok`] with owned text.
+/// An owned token, mirroring [`pathalias_parser::Tok`] with owned text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OwnedTok {
     /// A name, with its text copied out.
@@ -190,8 +190,7 @@ pub fn tokenize(file: &str, text: &str) -> Result<Vec<OwnedTok>, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan;
-    use crate::token::Tok;
+    use pathalias_parser::{scan, Tok};
 
     /// Converts a fast token to the owned shape for comparison.
     fn convert(t: Tok<'_>) -> OwnedTok {

@@ -6,8 +6,7 @@
 //! that the synthetic universe has the same shape. This module computes
 //! those facts.
 
-use crate::flags::{LinkFlags, NodeFlags};
-use crate::graph::{Graph, NodeId};
+use pathalias_graph::{Graph, LinkFlags, NodeFlags, NodeId};
 
 /// Structural summary of a graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,7 +183,7 @@ pub fn isolated_hosts(g: &Graph) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Graph, RouteOp};
+    use pathalias_graph::{Graph, RouteOp};
 
     fn sample() -> Graph {
         let mut g = Graph::new();

@@ -3,9 +3,7 @@
 //! Used for normalizing maps, for generating test fixtures, and to
 //! property-test the parser (parse → unparse → parse must converge).
 
-use crate::flags::{LinkFlags, NodeFlags};
-use crate::graph::{Graph, NodeId};
-use crate::link::{Dir, RouteOp};
+use pathalias_graph::{Dir, Graph, LinkFlags, NodeFlags, NodeId, RouteOp};
 use std::fmt::Write as _;
 
 fn op_prefix(op: RouteOp) -> String {
@@ -47,7 +45,7 @@ fn render_target(g: &Graph, to: NodeId, cost: u64, op: RouteOp) -> String {
 /// let a = g.node("unc");
 /// let b = g.node("duke");
 /// g.declare_link(a, b, 500, RouteOp::UUCP);
-/// let text = pathalias_graph::unparse::unparse(&g);
+/// let text = pathalias_bench::unparse::unparse(&g);
 /// assert!(text.contains("unc\tduke(500)"));
 /// ```
 pub fn unparse(g: &Graph) -> String {
@@ -256,7 +254,7 @@ pub fn unparse(g: &Graph) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Graph;
+    use pathalias_graph::Graph;
 
     #[test]
     fn simple_links() {

@@ -1,7 +1,8 @@
 //! Robustness properties: the two scanners agree everywhere, and the
 //! parser never panics on arbitrary input.
 
-use pathalias_parser::{scan, slow, Tok};
+use pathalias_bench::slow;
+use pathalias_parser::{scan, Tok};
 use proptest::prelude::*;
 
 /// Converts a fast token to the slow scanner's owned shape.

@@ -40,9 +40,9 @@ pub use stages::{Built, Frozen, Mapped, Parsed, Printed};
 // Re-export the component crates' vocabulary so downstream users need
 // only this crate.
 pub use pathalias_graph::{
-    dot, snapshot, stats, symbol_cost, symbol_table, unparse, ChIndex, Cost, Dir, EdgeId,
-    EdgeShift, FrozenGraph, Graph, LinkFlags, NodeFlags, NodeId, ReverseGraph, RouteOp, RowPatch,
-    SnapshotError, Warning, DEFAULT_COST, INF,
+    snapshot, symbol_cost, symbol_table, ChIndex, Cost, Dir, EdgeId, EdgeShift, FrozenGraph, Graph,
+    LinkFlags, NodeFlags, NodeId, ReverseGraph, RouteOp, RowPatch, SnapshotError, Warning,
+    DEFAULT_COST, INF,
 };
 pub use pathalias_mapper::{
     format_trace, map, map_dual, map_dual_frozen, map_frozen, map_frozen_readonly, map_readonly,
@@ -50,7 +50,6 @@ pub use pathalias_mapper::{
     ShortestPathTree,
 };
 pub use pathalias_parser::{parse, parse_files, parse_into, ParseError};
-pub use pathalias_printer::diff::{diff as diff_routes, RouteChange};
 pub use pathalias_printer::{
     compute_routes, render, update_routes, write_routes, PrintOptions, Route, RouteKind,
     RouteTable, Sort,

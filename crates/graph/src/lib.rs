@@ -28,10 +28,7 @@
 //!   of edges, not vertices");
 //! * domains (names beginning with `.`), which are always gatewayed;
 //! * [`Warning`] diagnostics for duplicate links, self links, collisions
-//!   and the rest;
-//! * [`dot`] (Graphviz export), [`unparse`] (write a graph back out as
-//!   pathalias input) and [`boxed`] (a pointer-per-object replica of the
-//!   1986 memory layout for the allocator experiment).
+//!   and the rest.
 //!
 //! # Examples
 //!
@@ -49,11 +46,9 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod boxed;
 pub mod ch;
 mod cost;
 mod diag;
-pub mod dot;
 mod flags;
 pub mod frozen;
 #[allow(clippy::module_inception)]
@@ -62,8 +57,6 @@ mod link;
 mod node;
 pub mod reverse;
 pub mod snapshot;
-pub mod stats;
-pub mod unparse;
 
 pub use ch::{ChEdge, ChIndex};
 pub use cost::{symbol_cost, symbol_table, Cost, DEFAULT_COST, INF};

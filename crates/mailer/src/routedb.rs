@@ -10,8 +10,10 @@
 //!
 //! [`RouteTable`]: pathalias_core::RouteTable
 
+use crate::resolver::{walk, ResolvedVia};
 use pathalias_core::{Cost, RouteTable};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 
 /// A database entry: one visible pathalias output line.
@@ -186,32 +188,23 @@ impl RouteDb {
     /// `.rutgers.edu`, then `.edu`); finally the `.` default-route
     /// entry, if the table has one.
     pub fn lookup(&self, dest: &str) -> Option<Lookup<'_>> {
-        if let Some(entry) = self.entries.get(dest) {
-            return Some(Lookup {
-                entry,
-                kind: MatchKind::Exact,
-            });
+        let (entry, via) = self.find(dest)?;
+        let kind = match via {
+            ResolvedVia::Exact => MatchKind::Exact,
+            ResolvedVia::DomainSuffix { suffix } => MatchKind::DomainSuffix(suffix),
+            ResolvedVia::DefaultRoute => MatchKind::Default,
+        };
+        Some(Lookup { entry, kind })
+    }
+
+    /// [`RouteDb::lookup`] in the [`Resolver`](crate::Resolver)'s
+    /// vocabulary: the shared walk over this table.
+    #[inline]
+    pub(crate) fn find(&self, dest: &str) -> Option<(&DbEntry, ResolvedVia)> {
+        match walk(dest, |name| Ok::<_, Infallible>(self.entries.get(name))) {
+            Ok(hit) => hit,
+            Err(never) => match never {},
         }
-        // Successive suffixes: strip one label at a time. A suffix is
-        // always at least `.x`, so the bare-dot default entry can never
-        // shadow a real domain match.
-        let mut rest = dest;
-        while let Some(dot) = rest.find('.') {
-            let suffix = &rest[dot..];
-            if suffix.len() > 1 {
-                if let Some(entry) = self.entries.get(suffix) {
-                    return Some(Lookup {
-                        entry,
-                        kind: MatchKind::DomainSuffix(suffix.to_string()),
-                    });
-                }
-            }
-            rest = &rest[dot + 1..];
-        }
-        self.entries.get(".").map(|entry| Lookup {
-            entry,
-            kind: MatchKind::Default,
-        })
     }
 
     /// Produces the complete route for mail to `user` at `dest`,

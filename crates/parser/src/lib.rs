@@ -1,12 +1,11 @@
 //! Scanner and parser for the pathalias input language.
 //!
 //! The original used yacc for parsing and replaced a lex-generated
-//! scanner with a hand-built one, cutting total run time by 40 %. We
-//! reproduce both halves: a fast, zero-copy, hand-built scanner
-//! ([`scan`]) used by the recursive-descent parser ([`parse`] /
-//! [`parse_into`] / [`parse_files`]), and a deliberately
-//! allocation-heavy baseline scanner ([`slow`]) standing in for lex so
-//! the benchmark harness can reproduce the comparison (experiment E3).
+//! scanner with a hand-built one, cutting total run time by 40 %. This
+//! crate is the fast half: a zero-copy, hand-built scanner ([`scan`])
+//! used by the recursive-descent parser ([`parse`] / [`parse_into`] /
+//! [`parse_files`]). The lex stand-in it is compared against
+//! (experiment E3) lives in `pathalias_bench::slow`.
 //!
 //! # The input language
 //!
@@ -47,7 +46,6 @@ mod expr;
 #[allow(clippy::module_inception)]
 mod parse;
 pub mod scan;
-pub mod slow;
 mod token;
 
 pub use error::ParseError;

@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod diff;
 mod output;
 mod route;
 mod traverse;

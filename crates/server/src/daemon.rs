@@ -18,11 +18,12 @@
 //! to the configured default map, so a single-map daemon — and any v1
 //! session — behaves byte-for-byte as it always has.
 //!
-//! `RELOAD [@name]` runs on the requesting connection's thread under
-//! that map's lock (one rebuild per map at a time; different maps may
-//! rebuild concurrently); every other connection keeps answering
-//! queries from the old snapshot until the atomic swap, so a reload
-//! never drops or delays in-flight traffic — on any map.
+//! `RELOAD [@name]` runs on a throwaway thread under that map's lock
+//! (one rebuild per map at a time; different maps may rebuild
+//! concurrently) while the event loop parks the requesting connection;
+//! every other connection keeps answering queries from the old
+//! snapshot until the atomic swap, so a reload never drops or delays
+//! in-flight traffic — on any map.
 //!
 //! Each connection starts in protocol v1 and may negotiate v2 with
 //! `PROTO 2`, unlocking `MQUERY` (batched queries, one flush per
@@ -390,9 +391,9 @@ impl State {
                 }]
             }
             Request::Reload { map } => {
-                // A draining daemon refuses rebuilds: a long rebuild on
-                // this connection thread would only hold the drain open
-                // for a table the process will never serve.
+                // A draining daemon refuses rebuilds: a long rebuild
+                // would only hold the drain open for a table the
+                // process will never serve.
                 if self.shutting_down.load(Ordering::SeqCst) {
                     return vec![Response::Failure(
                         "reload refused: daemon is shutting down".to_string(),
@@ -457,10 +458,11 @@ impl State {
     }
 
     /// Rebuilds one map from its source and swaps its table in. Runs
-    /// on the requesting connection's thread; every connection keeps
-    /// serving the old snapshot throughout, and other maps are
-    /// untouched. `wire_name` is echoed in the response for qualified
-    /// requests.
+    /// on the caller's thread (the event loop hands `RELOAD` to a
+    /// throwaway one; `--watch` calls it from its poller); every
+    /// connection keeps serving the old snapshot throughout, and other
+    /// maps are untouched. `wire_name` is echoed in the response for
+    /// qualified requests.
     pub(crate) fn reload(self: &Arc<Self>, map: &MapState, wire_name: Option<String>) -> Response {
         let _guard = map.reload_lock.lock().expect("reload lock poisoned");
         let start = Instant::now();

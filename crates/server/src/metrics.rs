@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Per-map counters: one instance per served namespace, shared by
-/// every connection thread querying that map.
+/// every event-loop worker answering queries on that map.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// `QUERY` requests served against this map.

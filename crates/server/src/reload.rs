@@ -1,22 +1,26 @@
 //! Table sources and hot reload.
 //!
 //! The daemon can be pointed at any of the four shapes route data
-//! takes in this project: a PADB1 disk database, a linear route file
-//! (pathalias output), a PAGF1 frozen-graph snapshot (`pathalias
-//! freeze` output, re-entering the staged pipeline at the frozen
-//! stage), or raw map files that get run through the staged
-//! parse → build → freeze → map → print pipeline. `RELOAD`
-//! re-runs the same source and swaps the result in atomically; while
-//! the rebuild runs, every query keeps being served from the old
-//! snapshot, and a failed rebuild leaves the old table serving
-//! untouched.
+//! takes in this project: a PADB1 disk database (loaded, or served in
+//! place), a linear route file (pathalias output), a PAGF1
+//! frozen-graph snapshot (`pathalias freeze` output, re-entering the
+//! staged pipeline at the frozen stage), or raw map files that get run
+//! through the staged parse → build → freeze → map → print pipeline.
+//! There is one loader, [`MapSource::load_serving_timed`]: start-up,
+//! `RELOAD` and `--watch` all call it, and it returns everything a map
+//! serves — resolver, `PATH` engine, phase timings. `RELOAD` re-runs
+//! it on the same source and swaps the result in atomically; while the
+//! rebuild runs, every query keeps being served from the old snapshot,
+//! and a failed rebuild leaves the old table serving untouched.
 //!
 //! Map-file sources go through the staged API and keep the expensive
 //! stages cached: the parsed/built/frozen snapshot is fingerprinted
 //! against the input files (path, mtime, size), so a `RELOAD` whose
 //! map files have not changed — because only mapping options changed,
 //! or because an operator hits reload twice — skips straight to the
-//! map stage instead of re-parsing the world.
+//! map stage instead of re-parsing the world, and an edit that is
+//! provably local repairs the cached artifacts instead of rebuilding
+//! them.
 
 use pathalias_core::{
     parallel, plan_delta, render, repair_frozen, update_routes, DeltaPlan, EdgeShift, Frozen,
@@ -24,7 +28,7 @@ use pathalias_core::{
     RowPatch, SnapshotError,
 };
 use pathalias_mailer::{
-    disk::DiskDb, disk::DiskError, disk::MappedDb, BoxedResolver, DbError, RouteDb, SharedRouteDb,
+    disk::DiskError, disk::MappedDb, BoxedResolver, DbError, RouteDb, SharedRouteDb,
 };
 use pathalias_router::PointToPoint;
 use std::fmt;
@@ -301,63 +305,48 @@ impl MapSource {
         }
     }
 
-    /// Builds the serving backend from the source, as a boxed
-    /// [`Resolver`](pathalias_mailer::Resolver). Pure with respect to
-    /// serving state: the caller decides when (and whether) to swap.
+    /// Builds everything the daemon serves from the source: the
+    /// resolver (a boxed [`Resolver`](pathalias_mailer::Resolver)), the
+    /// point-to-point engine for sources that hold a frozen graph, and
+    /// the per-phase timings of the load. Pure with respect to serving
+    /// state: the caller decides when (and whether) to swap.
     ///
-    /// Every source except [`MapSource::PadbMmap`] materializes an
-    /// in-memory table; `PadbMmap` opens the file for in-place serving
-    /// without loading the blob at all.
-    pub fn load_resolver(&self) -> Result<BoxedResolver, LoadError> {
-        self.load_resolver_timed().map(|(resolver, _)| resolver)
-    }
-
-    /// [`MapSource::load_resolver`] plus the pipeline's per-phase
-    /// timings for the load, so a reload can export where its time
-    /// went. Stages skipped by the fingerprint cache (an unchanged
+    /// Pipeline sources (`map`, `pagf`) build a [`PointToPoint`] over
+    /// the mapped tree's *augmented* graph — the same snapshot (back
+    /// links included) the printed table came from, so `PATH <home>
+    /// <x>` and `QUERY <x>` answer byte-identically. When a `.pagf`
+    /// snapshot stored its reverse-index section and mapping invented
+    /// no back links, the stored transpose is reused instead of
+    /// rebuilt. Stages skipped by the fingerprint cache (an unchanged
     /// `.pagf`, a `RELOAD` whose map files did not move) report zero —
     /// the zeros *are* the cache working.
-    pub fn load_resolver_timed(&self) -> Result<(BoxedResolver, PhaseTimings), LoadError> {
-        match self {
-            MapSource::PadbMmap(path) => {
-                let t0 = Instant::now();
-                let resolver: BoxedResolver = Box::new(MappedDb::open(path)?);
-                let timings = PhaseTimings {
-                    parse: t0.elapsed(),
-                    ..PhaseTimings::default()
-                };
-                Ok((resolver, timings))
-            }
-            other => {
-                let (db, timings) = other.load_timed()?;
-                Ok((Box::new(SharedRouteDb::new(db)), timings))
-            }
-        }
-    }
-
-    /// [`MapSource::load_resolver_timed`] plus the point-to-point
-    /// engine, for sources that hold a frozen graph. Pipeline sources
-    /// (`map`, `pagf`) build a [`PointToPoint`] over the mapped tree's
-    /// *augmented* graph — the same snapshot (back links included) the
-    /// printed table came from, so `PATH <home> <x>` and `QUERY <x>`
-    /// answer byte-identically. Table-only sources (`routes`, `padb`,
-    /// `padb-mmap`) have no graph and return `None`: the daemon
-    /// refuses `PATH` on them.
     ///
-    /// When a `.pagf` snapshot stored its reverse-index section and
-    /// mapping invented no back links, the stored transpose is reused
-    /// instead of rebuilt.
+    /// Table-only sources (`routes`, `padb`, `padb-mmap`) have no graph
+    /// and return `None` for the engine (the daemon refuses `PATH` on
+    /// them) and their whole ingest as the `parse` phase. Every one but
+    /// `padb-mmap` materializes an in-memory table; `padb-mmap` opens
+    /// the file for in-place serving without loading the blob at all.
     pub fn load_serving_timed(&self) -> Result<ServingParts, LoadError> {
         match self {
-            MapSource::Padb(_) | MapSource::PadbMmap(_) | MapSource::Routes(_) => {
-                let (resolver, timings) = self.load_resolver_timed()?;
-                Ok((resolver, None, timings))
-            }
+            MapSource::Padb(path) => table_only(|| {
+                let entries = MappedDb::open(path)?.read_all()?;
+                Ok(Box::new(SharedRouteDb::new(RouteDb::from_entries(entries))))
+            }),
+            MapSource::PadbMmap(path) => table_only(|| Ok(Box::new(MappedDb::open(path)?))),
+            MapSource::Routes(path) => table_only(|| {
+                let text = std::fs::read_to_string(path)?;
+                let db = RouteDb::from_output(&text).map_err(LoadError::Db)?;
+                Ok(Box::new(SharedRouteDb::new(db)))
+            }),
             MapSource::FrozenSnapshot {
                 path,
                 options,
                 cache,
             } => {
+                // The snapshot was validated (checksum + structure)
+                // when it was frozen and is re-validated on load, so
+                // no multi-source mapping fan-out here — cold-start
+                // latency is the whole point of this source.
                 let (frozen, mut timings) = snapshot_stage(path, cache)?;
                 let (db, engine, _, _) = map_print_engine(&frozen, options, &mut timings)?;
                 Ok((
@@ -402,79 +391,20 @@ impl MapSource {
             }
         }
     }
+}
 
-    /// Builds a fresh [`RouteDb`] from the source. For
-    /// [`MapSource::PadbMmap`] this reads the whole table into memory
-    /// (use [`MapSource::load_resolver`] to serve in place).
-    pub fn load(&self) -> Result<RouteDb, LoadError> {
-        self.load_timed().map(|(db, _)| db)
-    }
-
-    /// [`MapSource::load`] plus per-phase timings. Non-pipeline
-    /// sources (PADB1, linear route files) report their whole ingest
-    /// as the `parse` phase; pipeline sources report each stage they
-    /// actually ran.
-    pub fn load_timed(&self) -> Result<(RouteDb, PhaseTimings), LoadError> {
-        match self {
-            MapSource::Padb(path) | MapSource::PadbMmap(path) => {
-                let t0 = Instant::now();
-                let mut disk = DiskDb::open(path)?;
-                let db = RouteDb::from_entries(disk.read_all()?);
-                let timings = PhaseTimings {
-                    parse: t0.elapsed(),
-                    ..PhaseTimings::default()
-                };
-                Ok((db, timings))
-            }
-            MapSource::Routes(path) => {
-                let t0 = Instant::now();
-                let text = std::fs::read_to_string(path)?;
-                let db = RouteDb::from_output(&text).map_err(LoadError::Db)?;
-                let timings = PhaseTimings {
-                    parse: t0.elapsed(),
-                    ..PhaseTimings::default()
-                };
-                Ok((db, timings))
-            }
-            MapSource::FrozenSnapshot {
-                path,
-                options,
-                cache,
-            } => {
-                // The snapshot was validated (checksum + structure)
-                // when it was frozen and is re-validated on load, so
-                // no multi-source mapping fan-out here — cold-start
-                // latency is the whole point of this source.
-                let (frozen, mut timings) = snapshot_stage(path, cache)?;
-                let t0 = Instant::now();
-                let mapped = frozen.map(options).map_err(LoadError::Pipeline)?;
-                timings.map = t0.elapsed();
-                let t0 = Instant::now();
-                let printed = mapped.print(options);
-                timings.print = t0.elapsed();
-                Ok((RouteDb::from_table(&printed.routes), timings))
-            }
-            MapSource::Map {
-                files,
-                options,
-                validate_sources,
-                validate_threads,
-                cache,
-            } => {
-                let (frozen, mut timings) = frozen_stage(files, options, cache)?;
-                let t0 = Instant::now();
-                let mapped = frozen.map(options).map_err(LoadError::Pipeline)?;
-                timings.map = t0.elapsed();
-                let t0 = Instant::now();
-                let printed = mapped.print(options);
-                timings.print = t0.elapsed();
-                if *validate_sources > 0 {
-                    validate(frozen.graph(), *validate_sources, *validate_threads)?;
-                }
-                Ok((RouteDb::from_table(&printed.routes), timings))
-            }
-        }
-    }
+/// A table-only load: no graph, hence no engine, and the whole ingest
+/// timed as the `parse` phase.
+fn table_only(
+    load: impl FnOnce() -> Result<BoxedResolver, LoadError>,
+) -> Result<ServingParts, LoadError> {
+    let t0 = Instant::now();
+    let resolver = load()?;
+    let timings = PhaseTimings {
+        parse: t0.elapsed(),
+        ..PhaseTimings::default()
+    };
+    Ok((resolver, None, timings))
 }
 
 /// The map and print stages plus the point-to-point engine over the
@@ -957,6 +887,26 @@ mod tests {
     const MAP: &str = "unc\tduke(100), phs(400)\nduke\tunc(100), research(200)\n\
                        phs\tunc(400)\nresearch\tduke(200)\n";
 
+    /// Loads the way the daemon does and hands back what it would
+    /// serve queries from.
+    fn serve(source: &MapSource) -> BoxedResolver {
+        source.load_serving_timed().unwrap().0
+    }
+
+    fn route(resolver: &BoxedResolver, host: &str) -> String {
+        resolver.resolve(host, "u").unwrap().route
+    }
+
+    /// The rendered route text the cache is currently serving (delta
+    /// tests compare it byte-for-byte against a cold pipeline).
+    fn cached_rendered(cache: &StageCache) -> String {
+        let slot = cache.slot.lock().unwrap();
+        slot.as_ref()
+            .and_then(|c| c.serving.as_ref())
+            .map(|s| s.printed.rendered.clone())
+            .expect("serving state cached")
+    }
+
     #[test]
     fn loads_all_three_source_shapes() {
         // Map pipeline.
@@ -967,27 +917,24 @@ mod tests {
             ..Default::default()
         };
         let source = MapSource::map_files(vec![map_path.clone()], options);
-        let db = source.load().unwrap();
-        assert_eq!(db.route_to("research", "u").unwrap(), "duke!research!u");
+        let MapSource::Map { cache, .. } = &source else {
+            unreachable!()
+        };
+        let db = serve(&source);
+        assert_eq!(route(&db, "research"), "duke!research!u");
 
         // Linear route file (the rendered output of the same map).
         let routes_path = temp("map.routes");
-        let rendered: String = {
-            let mut out = String::new();
-            for e in db.iter() {
-                out.push_str(&format!("{}\t{}\n", e.name, e.route));
-            }
-            out
-        };
+        let rendered = cached_rendered(cache);
         std::fs::write(&routes_path, &rendered).unwrap();
-        let db2 = MapSource::Routes(routes_path.clone()).load().unwrap();
-        assert_eq!(db2.route_to("research", "u").unwrap(), "duke!research!u");
+        let db2 = serve(&MapSource::Routes(routes_path.clone()));
+        assert_eq!(route(&db2, "research"), "duke!research!u");
 
         // PADB1.
         let padb_path = temp("map.padb");
-        write_db(&db, &padb_path).unwrap();
-        let db3 = MapSource::Padb(padb_path.clone()).load().unwrap();
-        assert_eq!(db3.route_to("research", "u").unwrap(), "duke!research!u");
+        write_db(&RouteDb::from_output(&rendered).unwrap(), &padb_path).unwrap();
+        let db3 = serve(&MapSource::Padb(padb_path.clone()));
+        assert_eq!(route(&db3, "research"), "duke!research!u");
 
         for p in [map_path, routes_path, padb_path] {
             std::fs::remove_file(p).unwrap();
@@ -1008,23 +955,23 @@ mod tests {
         };
         assert!(cache.snapshot().is_none(), "cache starts cold");
 
-        let db1 = source.load().unwrap();
+        let db1 = serve(&source);
         let snap1 = cache.snapshot().expect("cache warm after first load");
-        let db2 = source.load().unwrap();
+        let db2 = serve(&source);
         let snap2 = cache.snapshot().unwrap();
         assert!(
             Arc::ptr_eq(&snap1, &snap2),
             "second load skipped parse/build/freeze"
         );
-        assert_eq!(db1.len(), db2.len());
+        assert_eq!(db1.entries(), db2.entries());
 
         // Touching the file (newer mtime) invalidates the stages.
         std::thread::sleep(std::time::Duration::from_millis(20));
         std::fs::write(&path, format!("{MAP}extra\tunc(50)\n")).unwrap();
-        let db3 = source.load().unwrap();
+        let db3 = serve(&source);
         let snap3 = cache.snapshot().unwrap();
         assert!(!Arc::ptr_eq(&snap1, &snap3), "changed file re-parses");
-        assert!(db3.get("extra").is_some());
+        assert!(db3.resolve("extra", "u").is_ok());
         std::fs::remove_file(path).unwrap();
     }
 
@@ -1037,8 +984,8 @@ mod tests {
             ..Default::default()
         };
         let source = MapSource::map_files(vec![path.clone()], options);
-        let db_unc = source.load().unwrap();
-        assert_eq!(db_unc.route_to("research", "u").unwrap(), "duke!research!u");
+        let db_unc = serve(&source);
+        assert_eq!(route(&db_unc, "research"), "duke!research!u");
 
         // Same files, different local host: the frozen stage is
         // reused, only map/print re-run.
@@ -1051,8 +998,8 @@ mod tests {
             unreachable!()
         };
         options.local = Some("phs".into());
-        let db_phs = source2.load().unwrap();
-        assert_eq!(db_phs.route_to("phs", "u").unwrap(), "u");
+        let db_phs = serve(&source2);
+        assert_eq!(route(&db_phs, "phs"), "u");
         let snap_after = cache.snapshot().unwrap();
         assert!(
             Arc::ptr_eq(&snap_before, &snap_after),
@@ -1063,13 +1010,10 @@ mod tests {
 
     #[test]
     fn mmap_resolver_serves_without_full_load() {
-        use pathalias_mailer::Resolver;
         let db = RouteDb::from_output("seismo\tseismo!%s\n.edu\tseismo!%s\n").unwrap();
         let padb_path = temp("mmap.padb");
         write_db(&db, &padb_path).unwrap();
-        let resolver = MapSource::PadbMmap(padb_path.clone())
-            .load_resolver()
-            .unwrap();
+        let resolver = serve(&MapSource::PadbMmap(padb_path.clone()));
         assert_eq!(resolver.entries(), 2);
         assert_eq!(
             resolver
@@ -1078,8 +1022,8 @@ mod tests {
                 .route,
             "seismo!caip.rutgers.edu!pleasant"
         );
-        // Every source shape loads through load_resolver too.
-        let in_memory = MapSource::Padb(padb_path.clone()).load_resolver().unwrap();
+        // The same file, loaded whole.
+        let in_memory = serve(&MapSource::Padb(padb_path.clone()));
         assert_eq!(in_memory.entries(), 2);
         assert_eq!(
             in_memory.resolve("seismo", "rick").unwrap().route,
@@ -1104,20 +1048,26 @@ mod tests {
         let pagf_path = temp("snap-src.pagf");
         frozen.write_snapshot(&pagf_path).unwrap();
 
-        let from_map = MapSource::map_files(vec![map_path.clone()], options.clone())
-            .load()
-            .unwrap();
-        let from_snapshot = MapSource::frozen_snapshot(pagf_path.clone(), options)
-            .load()
-            .unwrap();
-        assert_eq!(from_map.len(), from_snapshot.len());
-        for e in from_map.iter() {
-            assert_eq!(
-                from_snapshot.get(&e.name).map(|s| s.route.clone()),
-                Some(e.route.clone()),
-                "route to {} differs",
-                e.name
-            );
+        let map_source = MapSource::map_files(vec![map_path.clone()], options.clone());
+        let MapSource::Map { cache, .. } = &map_source else {
+            unreachable!()
+        };
+        let from_map = serve(&map_source);
+        let from_snapshot = serve(&MapSource::frozen_snapshot(pagf_path.clone(), options));
+        assert_eq!(from_map.entries(), from_snapshot.entries());
+        // Every line the map pipeline printed, asked of both resolvers
+        // with `%s` as the user, comes back as printed.
+        let rendered = cached_rendered(cache);
+        assert_eq!(rendered.lines().count(), from_map.entries());
+        for line in rendered.lines() {
+            let (name, printed) = line.split_once('\t').unwrap();
+            for (kind, resolver) in [("map", &from_map), ("pagf", &from_snapshot)] {
+                assert_eq!(
+                    resolver.resolve(name, "%s").unwrap().route,
+                    printed,
+                    "{kind}: route to {name} differs"
+                );
+            }
         }
 
         std::fs::remove_file(map_path).unwrap();
@@ -1143,9 +1093,9 @@ mod tests {
             unreachable!()
         };
         assert!(cache.snapshot().is_none(), "cache starts cold");
-        source.load().unwrap();
+        serve(&source);
         let snap1 = cache.snapshot().expect("cache warm after first load");
-        source.load().unwrap();
+        serve(&source);
         let snap2 = cache.snapshot().unwrap();
         assert!(
             Arc::ptr_eq(&snap1, &snap2),
@@ -1155,7 +1105,7 @@ mod tests {
         // Rewriting the snapshot (newer mtime) invalidates the cache.
         std::thread::sleep(std::time::Duration::from_millis(20));
         frozen.write_snapshot(&pagf_path).unwrap();
-        source.load().unwrap();
+        serve(&source);
         let snap3 = cache.snapshot().unwrap();
         assert!(!Arc::ptr_eq(&snap1, &snap3), "changed file re-loads");
 
@@ -1168,25 +1118,48 @@ mod tests {
         let bad = temp("bad.pagf");
         std::fs::write(&bad, "PAGF1\nnot really").unwrap();
         assert!(matches!(
-            MapSource::frozen_snapshot(bad.clone(), Options::default()).load(),
+            MapSource::frozen_snapshot(bad.clone(), Options::default()).load_serving_timed(),
             Err(LoadError::Snapshot(_))
         ));
         let missing = MapSource::frozen_snapshot(temp("missing.pagf"), Options::default());
-        assert!(matches!(missing.load(), Err(LoadError::Io(_))));
+        assert!(matches!(
+            missing.load_serving_timed(),
+            Err(LoadError::Io(_))
+        ));
         std::fs::remove_file(bad).unwrap();
     }
 
     #[test]
     fn load_failure_reports_not_panics() {
         let missing = MapSource::Routes(temp("definitely-missing"));
-        assert!(matches!(missing.load(), Err(LoadError::Io(_))));
+        assert!(matches!(
+            missing.load_serving_timed(),
+            Err(LoadError::Io(_))
+        ));
 
         let bad = temp("bad.routes");
         std::fs::write(&bad, "one-field-only\n").unwrap();
         assert!(matches!(
-            MapSource::Routes(bad.clone()).load(),
+            MapSource::Routes(bad.clone()).load_serving_timed(),
             Err(LoadError::Db(_))
         ));
+
+        // A PADB1 file cut short: the loader opens and reads in one
+        // breath, so the open-time span check catches it (`MappedDb`'s
+        // own test covers the cut landing between open and read).
+        write_db(&RouteDb::from_output("a\ta!%s\nb\tb!%s\n").unwrap(), &bad).unwrap();
+        let len = std::fs::metadata(&bad).unwrap().len();
+        let file = std::fs::File::options().write(true).open(&bad).unwrap();
+        file.set_len(len - 3).unwrap();
+        for source in [
+            MapSource::Padb(bad.clone()),
+            MapSource::PadbMmap(bad.clone()),
+        ] {
+            assert!(matches!(
+                source.load_serving_timed(),
+                Err(LoadError::Disk(DiskError::Corrupt(_)))
+            ));
+        }
         std::fs::remove_file(bad).unwrap();
     }
 
@@ -1206,10 +1179,10 @@ mod tests {
             local: Some("hub".into()),
             ..Default::default()
         };
-        let db = MapSource::map_files(vec![path.clone()], options)
-            .load()
+        let (db, _, _) = MapSource::map_files(vec![path.clone()], options)
+            .load_serving_timed()
             .expect("maps with delete statements are valid");
-        assert_eq!(db.route_to("leaf", "u").unwrap(), "leaf!u");
+        assert_eq!(route(&db, "leaf"), "leaf!u");
         std::fs::remove_file(path).unwrap();
     }
 
@@ -1218,7 +1191,7 @@ mod tests {
         let path = temp("empty.map");
         std::fs::write(&path, "# nothing but a comment\n").unwrap();
         let source = MapSource::map_files(vec![path.clone()], Options::default());
-        assert!(source.load().is_err());
+        assert!(source.load_serving_timed().is_err());
         std::fs::remove_file(path).unwrap();
     }
 
@@ -1258,16 +1231,6 @@ mod tests {
         // failures look like "unchanged".
         let missing = temp("fp-missing.map");
         assert!(fingerprint(std::iter::once(&missing)).is_err());
-    }
-
-    /// The rendered route text the cache is currently serving (delta
-    /// tests compare it byte-for-byte against a cold pipeline).
-    fn cached_rendered(cache: &StageCache) -> String {
-        let slot = cache.slot.lock().unwrap();
-        slot.as_ref()
-            .and_then(|c| c.serving.as_ref())
-            .map(|s| s.printed.rendered.clone())
-            .expect("serving state cached")
     }
 
     const DELTA_MAP: &str = "hub\ta(10), b(20)\na\tx(30)\nb\tx(5)\nx\ty(5)\n";

@@ -7,7 +7,7 @@
 
 use pathalias_core::{Options, Parsed};
 use pathalias_mailer::disk::write_db;
-use pathalias_mailer::{ResolveError, Resolver};
+use pathalias_mailer::{ResolveError, Resolver, RouteDb};
 use pathalias_server::{Client, MapSource, Server, ServerConfig};
 use std::path::{Path, PathBuf};
 
@@ -88,14 +88,13 @@ fn every_backend_answers_the_corpus_byte_identically() {
 
         // Ground truth: the in-memory table from the full pipeline.
         let pipeline_source = MapSource::map_files(vec![map_path.clone()], options());
-        let db = pipeline_source.load().unwrap();
-        let reference = pipeline_source.load_resolver().unwrap();
+        let (reference, _, _) = pipeline_source.load_serving_timed().unwrap();
 
         // The same world in every other backend shape.
         let routes_path = temp(&format!("{name}.routes"));
         std::fs::write(&routes_path, &golden).unwrap();
         let padb_path = temp(&format!("{name}.padb"));
-        write_db(&db, &padb_path).unwrap();
+        write_db(&RouteDb::from_output(&golden).unwrap(), &padb_path).unwrap();
         let pagf_path = temp(&format!("{name}.pagf"));
         let mut parsed = Parsed::new();
         parsed.push_file(&map_path).unwrap();
@@ -116,7 +115,7 @@ fn every_backend_answers_the_corpus_byte_identically() {
             ),
         ];
         for (kind, source) in backends {
-            let resolver = source.load_resolver().unwrap();
+            let (resolver, _, _) = source.load_serving_timed().unwrap();
             assert_eq!(
                 resolver.entries(),
                 reference.entries(),
@@ -249,11 +248,8 @@ fn multi_map_daemon_answers_the_corpus_like_single_map_daemons() {
                     MapSource::Routes(p)
                 }
                 2 | 3 => {
-                    let db = MapSource::map_files(vec![map_path], options())
-                        .load()
-                        .unwrap();
                     let p = temp(&format!("mm-{name}.padb"));
-                    write_db(&db, &p).unwrap();
+                    write_db(&RouteDb::from_output(&golden).unwrap(), &p).unwrap();
                     scratch.push(p.clone());
                     if i % 5 == 2 {
                         MapSource::Padb(p)

@@ -1,27 +1,17 @@
-//! The route database life cycle: generate, index on disk, query, diff.
+//! The route database life cycle: generate, index on disk, query.
 //!
 //! "Output from pathalias is a simple linear file, in the UNIX
 //! tradition. If desired, a separate program may be used to convert
 //! this file into a format appropriate for rapid database retrieval."
-//! This example plays the role of that separate program and of the map
-//! administrator watching routes drift between map updates.
+//! This example plays the role of that separate program.
 //!
 //! Run with: `cargo run --release --example route_database`
 
-use pathalias::core::{compute_routes, diff_routes, map, MapOptions};
-use pathalias::mailer::disk::{write_db, DiskDb};
-use pathalias::{parse, Pathalias, RouteDb};
+use pathalias::mailer::disk::{write_db, MappedDb};
+use pathalias::{Pathalias, Resolver, RouteDb};
 
 fn main() {
-    // Monday's map.
-    let monday = "\
-home hub(DEMAND), backup(DAILY)
-hub seismo(DEDICATED), decvax(HOURLY)
-backup decvax(EVENING)
-seismo mcvax(DAILY)
-";
-    // Tuesday: the hub's seismo line degrades; a new host appears.
-    let tuesday = "\
+    let map = "\
 home hub(DEMAND), backup(DAILY)
 hub seismo(WEEKLY), decvax(HOURLY)
 backup decvax(EVENING), seismo(DAILY)
@@ -29,67 +19,29 @@ seismo mcvax(DAILY)
 decvax newsite(HOURLY)
 ";
 
-    let run = |text: &str| {
-        let mut pa = Pathalias::new();
-        pa.options_mut().local = Some("home".into());
-        pa.options_mut().with_costs = true;
-        pa.parse_str("map", text).unwrap();
-        pa.run().unwrap()
-    };
+    let mut pa = Pathalias::new();
+    pa.options_mut().local = Some("home".into());
+    pa.options_mut().with_costs = true;
+    pa.parse_str("map", map).unwrap();
+    let out = pa.run().unwrap();
 
-    let out_mon = run(monday);
-    let out_tue = run(tuesday);
-
-    // 1. Build the fast-retrieval database from Tuesday's output.
-    let db = RouteDb::from_output(&out_tue.rendered).unwrap();
+    // 1. Build the fast-retrieval database from the output.
+    let db = RouteDb::from_output(&out.rendered).unwrap();
     let path = std::env::temp_dir().join(format!("routes-{}.padb", std::process::id()));
     write_db(&db, &path).unwrap();
-    let mut disk = DiskDb::open(&path).unwrap();
+    let disk = MappedDb::open(&path).unwrap();
     println!(
         "# wrote {} routes to {} ({} bytes)",
-        disk.len(),
+        disk.entries(),
         path.display(),
         std::fs::metadata(&path).unwrap().len()
     );
 
     // 2. Mailer-side lookups straight off the disk index.
     for dest in ["mcvax", "newsite", "seismo"] {
-        let route = disk.route_to(dest, "user").unwrap().unwrap();
+        let route = disk.resolve(dest, "user").unwrap().route;
         println!("route to {dest:<8} {route}");
     }
 
-    // 3. What changed since Monday?
-    println!("\n# route drift, Monday -> Tuesday:");
-    for change in diff_routes(&out_mon.routes, &out_tue.routes) {
-        println!("{change}");
-    }
-
     std::fs::remove_file(path).unwrap();
-
-    // 4. The same diff machinery catches heuristic effects: compare a
-    // run with and without the domain relay restriction.
-    let world = "\
-home caip(DIRECT), topaz(DEMAND)
-caip .rutgers.edu(DIRECT)
-.rutgers.edu motown(LOCAL)
-topaz motown(DIRECT)
-";
-    let g = parse(world).unwrap();
-    let home = g.try_node("home").unwrap();
-    let with = map(&g, home, &MapOptions::default()).unwrap();
-    let with_routes = compute_routes(&with);
-
-    let g2 = parse(world).unwrap();
-    let home2 = g2.try_node("home").unwrap();
-    let plain = MapOptions {
-        model: pathalias::CostModel::plain(),
-        ..MapOptions::default()
-    };
-    let without = map(&g2, home2, &plain).unwrap();
-    let without_routes = compute_routes(&without);
-
-    println!("\n# effect of the domain heuristics on this world:");
-    for change in diff_routes(&without_routes, &with_routes) {
-        println!("{change}");
-    }
 }

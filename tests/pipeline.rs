@@ -2,7 +2,7 @@
 //! printer: multi-file semantics, collisions, commands, and round
 //! trips.
 
-use pathalias::core::{dot, unparse, Options};
+use pathalias::core::Options;
 use pathalias::{parse_files, Pathalias, RouteDb};
 
 /// The paper's bilbo collision: two hosts, same name, different files,
@@ -100,39 +100,6 @@ fn ignore_case_pipeline() {
     // One relay node; far reachable through it.
     let far = out.routes.find("far").unwrap();
     assert_eq!(far.cost, 20);
-}
-
-/// parse → unparse → parse must converge: the second and third
-/// unparsings are identical.
-#[test]
-fn unparse_fixpoint() {
-    let input = "\
-unc duke(500), @phs(2000)
-duke research(2500)
-ARPA = @{mit-ai, ucbvax}(95)
-princeton = fun
-dead {duke!research}
-gated {ARPA}
-seismo ARPA(300)
-adjust {unc(50)}
-";
-    let g1 = pathalias::parse(input).unwrap();
-    let text1 = unparse::unparse(&g1);
-    let g2 = pathalias::parse(&text1).unwrap();
-    let text2 = unparse::unparse(&g2);
-    assert_eq!(text1, text2, "unparse must reach a fixpoint");
-    // And the graphs agree on scale.
-    assert_eq!(g1.node_count(), g2.node_count());
-}
-
-#[test]
-fn dot_export_contains_pipeline_graph() {
-    let g = pathalias::parse("a b(10)\nN = {a}(5)\n.edu = {x}(0)\n").unwrap();
-    let dot = dot::to_dot(&g);
-    assert!(dot.contains("digraph"));
-    assert!(dot.contains("\"a\" -> \"b\""));
-    assert!(dot.contains("shape=box"));
-    assert!(dot.contains("shape=octagon"));
 }
 
 /// The route database round-trips through the rendered text.
