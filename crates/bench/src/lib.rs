@@ -24,6 +24,7 @@ pub mod unparse;
 
 use pathalias_graph::{Graph, NodeId, RouteOp};
 use pathalias_mapgen::{generate, MapSpec};
+use pathalias_parser::{Kind, Statements, Tok};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -159,28 +160,13 @@ pub struct ReloadWorld {
     edited: String,
 }
 
-fn is_plain_cost_line(line: &str) -> bool {
-    let t = line.trim();
-    !t.is_empty()
-        && !t.starts_with('#')
-        && !t.contains(['{', '}', '='])
-        && t.contains('(')
-        && t.ends_with(')')
-        && t.as_bytes()[0].is_ascii_alphanumeric()
-}
-
-fn bump_first_cost(line: &str, delta: u64) -> Option<String> {
-    let open = line.find('(')?;
-    let close = line[open..].find(')')? + open;
-    let expr = line[open + 1..close].trim();
-    if expr.is_empty() {
-        return None;
-    }
-    let bumped = match expr.parse::<u64>() {
-        Ok(n) => format!("{}", n + delta),
-        Err(_) => format!("{expr}+{delta}"),
-    };
-    Some(format!("{}({bumped}){}", &line[..open], &line[close + 1..]))
+/// The link lists with a parenthesised cost, as the parser cuts them.
+fn plain_cost_statements(text: &str) -> Vec<&str> {
+    let view = Statements::scan("map", text).expect("generated maps scan");
+    view.iter()
+        .filter(|st| st.kind == Kind::Links && st.toks.contains(&Tok::LParen))
+        .map(|st| &text[st.span])
+        .collect()
 }
 
 impl ReloadWorld {
@@ -223,10 +209,7 @@ impl ReloadWorld {
         let mut tried = 0usize;
         for (i, path) in world.paths.iter().enumerate() {
             let text = std::fs::read_to_string(path).expect("read map file");
-            for line in text.lines() {
-                if !is_plain_cost_line(line) {
-                    continue;
-                }
+            for line in plain_cost_statements(&text) {
                 // The home hub's row invalidates most of the tree, so
                 // editing it always falls back to the full pipeline —
                 // at 1M hosts each such probe costs a full remap.
@@ -240,9 +223,8 @@ impl ReloadWorld {
                 if line.matches(',').count() >= 8 {
                     continue;
                 }
-                let Some(edited_line) = bump_first_cost(line, 3) else {
-                    continue;
-                };
+                // Raise the first cost by 3.
+                let edited_line = line.replacen(')', "+3)", 1);
                 let before = cache.delta_reloads();
                 let edited = text.replacen(line, &edited_line, 1);
                 std::fs::write(path, &edited).expect("write edit");

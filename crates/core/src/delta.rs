@@ -9,6 +9,11 @@
 //! into a patched snapshot — skipping the build and freeze stages
 //! entirely.
 //!
+//! Statements are read through the parser's own statement view
+//! ([`Statements`]) and compare by their tokens, so an edit the parser
+//! cannot see — a comment, a reflowed row, a `\` continuation, `(010)`
+//! for `(10)` — leaves the file *unchanged* and costs nothing.
+//!
 //! "Provably safe" is the whole game. Pathalias input has non-local
 //! semantics — `private` rescopes names per file, `dead`/`delete`/
 //! `adjust` rewrite flags declared elsewhere, networks and aliases
@@ -18,10 +23,10 @@
 //! edit when:
 //!
 //! * exactly one input file changed;
-//! * every removed and added statement is *plain* — a `host target,
-//!   target...` link list with no `{`, `}` or `=`;
+//! * every removed and added statement is *plain*: of kind
+//!   [`Kind::Links`], a `host target, target...` link list;
 //! * the file's first-mention sequence of names is unchanged, so every
-//!   node keeps its id (cost expressions are skipped during this walk:
+//!   node keeps its id (mentions are the names outside parentheses:
 //!   `(HOURLY*4)` mentions no host);
 //! * no name touched by the edit — and no target of any surviving
 //!   statement whose row is being rebuilt — appears anywhere in a
@@ -33,14 +38,16 @@
 //! rebuild before trusting it further.
 
 use pathalias_graph::{FrozenGraph, NodeId, RowPatch};
-use pathalias_parser::parse_into;
+use pathalias_parser::{parse_into, Kind, Statement, Statements, Tok};
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// The planner's verdict on one re-read of the input files.
 #[derive(Debug)]
 pub enum DeltaPlan {
-    /// The inputs are byte-identical (or differ only in comments and
-    /// whitespace): nothing to do.
+    /// The inputs scan to the same statements (they are byte-identical,
+    /// or differ only in comments, spacing, continuations or how a
+    /// number is written): nothing to do.
     Unchanged,
     /// The edit is safe to absorb as row replacements.
     Patch {
@@ -92,153 +99,116 @@ pub fn plan_delta(
     let Some(ci) = changed else {
         return DeltaPlan::Unchanged;
     };
-
-    let Some(old_stmts) = split_statements(&old[ci].1) else {
-        return DeltaPlan::Fallback("unbalanced braces");
+    let ((of, ot), (nf, nt)) = (&old[ci], &new[ci]);
+    let (Ok(old_view), Ok(new_view)) = (Statements::scan(of, ot), Statements::scan(nf, nt)) else {
+        return DeltaPlan::Fallback("text does not scan");
     };
-    let Some(new_stmts) = split_statements(&new[ci].1) else {
-        return DeltaPlan::Fallback("unbalanced braces");
-    };
+    let fold = frozen.ignore_case();
 
     // Longest common prefix and suffix of the statement lists; the
     // window between them is the edit.
+    let (before, after): (Vec<Statement>, Vec<Statement>) =
+        (old_view.iter().collect(), new_view.iter().collect());
+    let same = |i: usize, j: usize| before[i].toks == after[j].toks;
+    let (o, n) = (before.len(), after.len());
     let mut p = 0;
-    while p < old_stmts.len() && p < new_stmts.len() && old_stmts[p] == new_stmts[p] {
+    while p < o.min(n) && same(p, p) {
         p += 1;
     }
     let mut s = 0;
-    while s < old_stmts.len() - p
-        && s < new_stmts.len() - p
-        && old_stmts[old_stmts.len() - 1 - s] == new_stmts[new_stmts.len() - 1 - s]
-    {
+    while s < o.min(n) - p && same(o - 1 - s, n - 1 - s) {
         s += 1;
     }
-    let removed = &old_stmts[p..old_stmts.len() - s];
-    let added = &new_stmts[p..new_stmts.len() - s];
-    if removed.is_empty() && added.is_empty() {
+    let edited = || before[p..o - s].iter().chain(&after[p..n - s]);
+    if edited().next().is_none() {
         return DeltaPlan::Unchanged;
     }
-    if removed.iter().chain(added).any(|st| !is_plain(st)) {
+    if edited().any(|st| st.kind != Kind::Links) {
         return DeltaPlan::Fallback("edit touches a non-plain statement");
     }
 
     // Node ids are assigned in first-mention order across the file
     // set; the edited file's mention sequence must be unchanged.
-    let fold = frozen.ignore_case();
-    if mention_sequence(&old_stmts, fold) != mention_sequence(&new_stmts, fold) {
+    let [was, is] = [&before, &after].map(|stmts| {
+        let mut seen = HashSet::new();
+        let names = stmts.iter().flat_map(|st| mentions(st.toks));
+        let keys = names.map(|name| key(name, fold));
+        keys.filter(|k| seen.insert(k.clone())).collect::<Vec<_>>()
+    });
+    if was != is {
         return DeltaPlan::Fallback("first-mention sequence changed");
     }
 
-    // Names with non-plain semantics anywhere in the file set: private
-    // scoping, network membership, aliases, dead/delete/adjust marks,
-    // gateways. The edit must stay clear of all of them.
-    let mut complex: HashSet<String> = HashSet::new();
-    for (_, text) in new {
-        let Some(stmts) = split_statements(text) else {
-            return DeltaPlan::Fallback("unbalanced braces");
+    // The dirty heads, and every name the edit touches.
+    let mut dirty: Vec<NodeId> = Vec::new();
+    let mut heads = HashSet::new();
+    let mut touched = Vec::new();
+    for st in edited() {
+        for (k, name) in mentions(st.toks).enumerate() {
+            let Some(id) = frozen.id_of(name) else {
+                return DeltaPlan::Fallback("edited name is not in the snapshot");
+            };
+            if k == 0 {
+                dirty.push(id);
+                heads.insert(key(name, fold));
+            }
+            touched.push(key(name, fold));
+        }
+    }
+    dirty.sort_unstable();
+    dirty.dedup();
+    drop(before);
+    drop(old_view);
+
+    // One pass over the new file set. It collects the names with
+    // non-plain semantics anywhere (private scoping, network
+    // membership, aliases, dead/delete/adjust marks, gateways), which
+    // the edit must stay clear of, and every plain statement whose
+    // head is dirty, in file order — link order and duplicate handling
+    // must match a cold parse.
+    let mut complex = HashSet::new();
+    let mut rows = String::new();
+    let mut targets = Vec::new();
+    for (i, (file, text)) in new.iter().enumerate() {
+        let rescan = (i != ci).then(|| Statements::scan(file, text));
+        let view = match &rescan {
+            None => &new_view,
+            Some(Ok(view)) => view,
+            Some(Err(_)) => return DeltaPlan::Fallback("text does not scan"),
         };
-        for st in &stmts {
-            if !is_plain(st) {
-                collect_names(st, fold, true, &mut |n| {
-                    complex.insert(n.to_string());
-                });
+        for st in view.iter() {
+            let mut names = mentions(st.toks).map(|name| key(name, fold));
+            if st.kind != Kind::Links {
+                complex.extend(names);
+            } else if names.next().is_some_and(|head| heads.contains(&head)) {
+                rows.push_str(&text[st.span.clone()]);
+                rows.push('\n');
+                targets.extend(names);
             }
         }
     }
-
-    // The dirty heads, and the gate on every edited name.
-    let mut dirty: Vec<NodeId> = Vec::new();
-    let mut gate_failed = None;
-    for st in removed.iter().chain(added) {
-        let mut first = true;
-        collect_names(st, fold, false, &mut |n| {
-            if complex.contains(n) {
-                gate_failed = Some("edited name has non-plain semantics");
-            }
-            let Some(id) = frozen.id_of(n) else {
-                gate_failed = Some("edited name is not in the snapshot");
-                return;
-            };
-            if first {
-                first = false;
-                if !dirty.contains(&id) {
-                    dirty.push(id);
-                }
-            }
-        });
+    if touched.iter().any(|name| complex.contains(name)) {
+        return DeltaPlan::Fallback("edited name has non-plain semantics");
     }
-    if let Some(why) = gate_failed {
-        return DeltaPlan::Fallback(why);
+    if targets.iter().any(|name| complex.contains(name)) {
+        // The statement resolves this target through file scoping the
+        // scratch parse cannot reproduce.
+        return DeltaPlan::Fallback("surviving target has non-plain semantics");
     }
-
-    build_patches(new, frozen, &complex, &mut dirty)
+    build_patches(&rows, frozen, &dirty)
 }
 
 /// Re-derives the full replacement row for every dirty head by running
-/// its surviving plain statements (from every file) through the real
-/// parser, then mapping the scratch graph's links back by name.
-fn build_patches(
-    new: &[(String, String)],
-    frozen: &FrozenGraph,
-    complex: &HashSet<String>,
-    dirty: &mut [NodeId],
-) -> DeltaPlan {
-    let fold = frozen.ignore_case();
-    // Stored names keep their declared case; the mention walk folds.
-    let dirty_names: HashSet<String> = dirty
-        .iter()
-        .map(|&id| {
-            let n = frozen.name(id);
-            if fold {
-                n.to_ascii_lowercase()
-            } else {
-                n.to_string()
-            }
-        })
-        .collect();
-
-    // Every plain statement whose head is dirty, in file order — link
-    // order and duplicate handling must match a cold parse.
-    let mut scratch_text = String::new();
-    for (_, text) in new {
-        let Some(stmts) = split_statements(text) else {
-            return DeltaPlan::Fallback("unbalanced braces");
-        };
-        for st in &stmts {
-            if !is_plain(st) {
-                continue;
-            }
-            let mut head_is_dirty = false;
-            let mut bad_target = false;
-            let mut first = true;
-            collect_names(st, fold, false, &mut |n| {
-                if first {
-                    first = false;
-                    head_is_dirty = dirty_names.contains(n);
-                } else if head_is_dirty && complex.contains(n) {
-                    // The statement resolves this target through file
-                    // scoping the scratch parse cannot reproduce.
-                    bad_target = true;
-                }
-            });
-            if bad_target {
-                return DeltaPlan::Fallback("surviving target has non-plain semantics");
-            }
-            if head_is_dirty {
-                scratch_text.push_str(st);
-                scratch_text.push('\n');
-            }
-        }
-    }
-
-    let mut scratch = pathalias_graph::Graph::with_ignore_case(fold);
-    if parse_into(&mut scratch, "<delta>", &scratch_text).is_err() {
+/// its surviving plain statements (`rows`, from every file) through the
+/// real parser, then mapping the scratch graph's links back by name.
+fn build_patches(rows: &str, frozen: &FrozenGraph, dirty: &[NodeId]) -> DeltaPlan {
+    let mut scratch = pathalias_graph::Graph::with_ignore_case(frozen.ignore_case());
+    if parse_into(&mut scratch, "<delta>", rows).is_err() {
         return DeltaPlan::Fallback("edited statements do not parse");
     }
 
-    dirty.sort();
     let mut patches = Vec::with_capacity(dirty.len());
-    for &node in dirty.iter() {
+    for &node in dirty {
         let mut edges = Vec::new();
         if let Some(sh) = scratch.try_node(frozen.name(node)) {
             for (_, l) in scratch.links_from(sh) {
@@ -256,128 +226,30 @@ fn build_patches(
     DeltaPlan::Patch { patches }
 }
 
-/// Splits input text into statements: comment-stripped, continuation
-/// lines joined, newlines inside brace lists absorbed (the scanner
-/// skips them there), surrounding whitespace trimmed, empties dropped.
-/// Returns `None` on unbalanced braces.
-fn split_statements(text: &str) -> Option<Vec<String>> {
-    let bytes = text.as_bytes();
-    let mut stmts = Vec::new();
-    let mut cur = String::new();
+/// The host names a statement mentions: its names outside parentheses
+/// (inside them are cost symbols).
+fn mentions<'s, 'a>(toks: &'s [Tok<'a>]) -> impl Iterator<Item = &'a str> + 's {
     let mut depth = 0usize;
-    let mut i = 0;
-    let flush = |cur: &mut String, stmts: &mut Vec<String>| {
-        let trimmed = cur.trim();
-        if !trimmed.is_empty() {
-            stmts.push(trimmed.to_string());
+    toks.iter().filter_map(move |t| {
+        depth = match t {
+            Tok::LParen => depth + 1,
+            Tok::RParen => depth.saturating_sub(1),
+            _ => depth,
+        };
+        match t {
+            Tok::Name(name) if depth == 0 => Some(*name),
+            _ => None,
         }
-        cur.clear();
-    };
-    while i < bytes.len() {
-        match bytes[i] {
-            b'#' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b'\\' if bytes.get(i + 1) == Some(&b'\n') => {
-                cur.push(' ');
-                i += 2;
-            }
-            b'\n' => {
-                if depth > 0 {
-                    cur.push(' ');
-                } else {
-                    flush(&mut cur, &mut stmts);
-                }
-                i += 1;
-            }
-            b => {
-                if b == b'{' {
-                    depth += 1;
-                } else if b == b'}' {
-                    depth = depth.checked_sub(1)?;
-                }
-                cur.push(b as char);
-                i += 1;
-            }
-        }
+    })
+}
+
+/// A name as the graph keys it: folded under `-i`.
+fn key(name: &str, fold: bool) -> Cow<'_, str> {
+    if fold && name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
     }
-    if depth != 0 {
-        return None;
-    }
-    flush(&mut cur, &mut stmts);
-    Some(stmts)
-}
-
-/// Whether a (comment-stripped) statement is a plain link list: no
-/// network or alias declaration, no brace-list command.
-fn is_plain(stmt: &str) -> bool {
-    !stmt.bytes().any(|b| matches!(b, b'{' | b'}' | b'='))
-}
-
-/// Calls `f` with every name token in `stmt`, skipping parenthesized
-/// cost expressions unless `in_parens` (symbolic costs like `HOURLY`
-/// are not host mentions, but for the complex-name set, over-collecting
-/// is the conservative direction). Folds case when `fold`.
-fn collect_names(stmt: &str, fold: bool, in_parens: bool, f: &mut dyn FnMut(&str)) {
-    let bytes = stmt.as_bytes();
-    let mut depth = 0usize;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b == b'(' {
-            depth += 1;
-            i += 1;
-        } else if b == b')' {
-            depth = depth.saturating_sub(1);
-            i += 1;
-        } else if is_name_start(b) {
-            let start = i;
-            while i < bytes.len() && is_name_byte(bytes[i]) {
-                i += 1;
-            }
-            if depth == 0 || in_parens {
-                let name = &stmt[start..i];
-                if name.bytes().all(|b| b.is_ascii_digit()) {
-                    continue; // a number, never a host
-                }
-                if fold {
-                    f(&name.to_ascii_lowercase());
-                } else {
-                    f(name);
-                }
-            }
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// The ordered sequence of distinct names across all statements — the
-/// order `Graph::node` first sees them in, which is the order node ids
-/// are assigned in.
-fn mention_sequence(stmts: &[String], fold: bool) -> Vec<String> {
-    let mut seen = HashSet::new();
-    let mut seq = Vec::new();
-    for st in stmts {
-        collect_names(st, fold, false, &mut |n| {
-            if seen.insert(n.to_string()) {
-                seq.push(n.to_string());
-            }
-        });
-    }
-    seq
-}
-
-// The scanner's name alphabet (`pathalias_parser::token` keeps its
-// classifiers crate-private).
-fn is_name_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-'
-}
-
-fn is_name_start(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'.' || b == b'_'
 }
 
 #[cfg(test)]
@@ -577,15 +449,6 @@ mod tests {
         let patches = expect_patch(plan_delta(&old, &new, &frozen));
         let (patched, _) = frozen.with_rows_replaced(&patches);
         assert_eq!(patched, frozen_of(&new));
-    }
-
-    #[test]
-    fn continuation_and_multiline_statements_split() {
-        let stmts = split_statements("a b(5), \\\n  c(6)\nN = {x,\n y}(5)\n# note\n").unwrap();
-        assert_eq!(stmts.len(), 2);
-        assert!(stmts[0].starts_with("a b(5),"));
-        assert!(stmts[1].contains('{') && stmts[1].contains('}'));
-        assert!(split_statements("N = {a, b\n").is_none());
     }
 
     #[test]

@@ -7,10 +7,15 @@
 //! [`parse_files`]). The lex stand-in it is compared against
 //! (experiment E3) lives in `pathalias_bench::slow`.
 //!
+//! The same scanner also cuts a file into [`Statements`]: per statement
+//! its tokens, byte span and [`Kind`], the rule the parser dispatches
+//! on. Incremental reload (`pathalias_core::plan_delta`) diffs and
+//! classifies map edits through it.
+//!
 //! # The input language
 //!
 //! Line-oriented; `#` starts a comment; a trailing `\` continues the
-//! line; newlines inside `{ ... }` lists are ignored.
+//! line; newlines between the items of a `{ ... }` list are ignored.
 //!
 //! ```text
 //! unc     duke(HOURLY), phs(HOURLY*4)     # links with cost expressions
@@ -46,8 +51,10 @@ mod expr;
 #[allow(clippy::module_inception)]
 mod parse;
 pub mod scan;
+mod stmt;
 mod token;
 
 pub use error::ParseError;
 pub use parse::{parse, parse_files, parse_into};
+pub use stmt::{Kind, Statement, Statements};
 pub use token::{Tok, Token};

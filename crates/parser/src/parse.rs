@@ -9,6 +9,7 @@
 use crate::error::ParseError;
 use crate::expr;
 use crate::scan::Lexer;
+use crate::stmt::Kind;
 use crate::token::{Tok, Token};
 use pathalias_graph::{Cost, Dir, Graph, NodeId, RouteOp, DEFAULT_COST};
 
@@ -71,25 +72,20 @@ impl<'a> Parser<'_, 'a> {
         }
     }
 
-    /// Dispatches on the token after the leading name: `{` means a
-    /// command keyword, `=` a network or alias, anything else a link
-    /// list. Keywords are contextual — a host may be called `dead`.
+    /// Dispatches on the [`Kind`] the leading name and the token after
+    /// it make — the same rule the statement view classifies by.
     fn statement(&mut self, first: &'a str) -> Result<(), ParseError> {
         let next = self.lx.peek()?;
-        match next.tok {
-            Tok::LBrace => match first {
-                "private" | "dead" | "delete" | "adjust" | "file" | "gated" | "gateway" => {
-                    self.command(first)
-                }
-                _ => Err(self
-                    .lx
-                    .error_at_token(&next, format!("unexpected `{{` after host `{first}`"))),
-            },
-            Tok::Equals => {
+        match Kind::of(&[Tok::Name(first), next.tok]) {
+            Kind::Command => self.command(first),
+            Kind::NetOrAlias => {
                 self.lx.next_token()?;
                 self.net_or_alias(first)
             }
-            _ => self.links(first),
+            Kind::Links => self.links(first),
+            Kind::Malformed => Err(self
+                .lx
+                .error_at_token(&next, format!("unexpected `{{` after host `{first}`"))),
         }
     }
 

@@ -10,6 +10,7 @@
 
 use crate::error::ParseError;
 use crate::token::{is_name_byte, is_name_start, Tok, Token};
+use std::ops::Range;
 
 /// Streaming scanner over one input file.
 ///
@@ -65,6 +66,11 @@ impl<'a> Lexer<'a> {
     /// Builds a [`ParseError`] at a previously returned token.
     pub fn error_at_token(&self, t: &Token<'a>, msg: impl Into<String>) -> ParseError {
         ParseError::new(self.file, t.line, t.col, msg)
+    }
+
+    /// The bytes of `t`, the token just scanned (not an `Eol`).
+    pub(crate) fn span_of(&self, t: &Token<'a>) -> Range<usize> {
+        self.line_start + t.col as usize - 1..self.pos
     }
 
     /// Pushes one token back; the next [`next_token`] returns it.

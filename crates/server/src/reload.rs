@@ -498,35 +498,22 @@ fn try_delta_reload(
     if serving.options != *options {
         return Ok(None);
     }
+    let mut timings = PhaseTimings::default();
     if cached.fingerprint == fp {
         // Nothing moved at all: serve the cached artifacts as-is.
-        let out = (
-            Box::new(serving.db.clone()) as BoxedResolver,
-            serving.engine.clone(),
-        );
-        drop(slot);
-        cache.delta_reloads.fetch_add(1, Ordering::Relaxed);
-        return Ok(Some((out.0, Some(out.1), PhaseTimings::default())));
+        return Ok(commit(cached, cache, fp, None, None, timings));
     }
 
-    let mut timings = PhaseTimings::default();
     let t0 = Instant::now();
     let new_parsed = reread_changed(files, parsed, &cached.fingerprint, &fp)?;
     let plan = plan_delta(parsed.inputs(), new_parsed.inputs(), cached.frozen.graph());
     timings.parse = t0.elapsed();
     let patches = match plan {
         DeltaPlan::Unchanged => {
-            // Comment/whitespace-only edit: adopt the new bytes, keep
-            // serving the unchanged world.
-            let out = (
-                Box::new(serving.db.clone()) as BoxedResolver,
-                serving.engine.clone(),
-            );
-            cached.fingerprint = fp;
-            cached.parsed = Some(new_parsed);
-            drop(slot);
-            cache.delta_reloads.fetch_add(1, Ordering::Relaxed);
-            return Ok(Some((out.0, Some(out.1), timings)));
+            // An edit the parser cannot see (comments, spacing,
+            // continuations): adopt the new bytes, keep serving the
+            // unchanged world.
+            return Ok(commit(cached, cache, fp, Some(new_parsed), None, timings));
         }
         DeltaPlan::Fallback(_why) => return Ok(None),
         DeltaPlan::Patch { patches } => patches,
@@ -552,38 +539,26 @@ fn try_delta_reload(
     // with the same care.
     let old_tree = &serving.mapped.tree;
     let t0 = Instant::now();
-    let (repaired, shift) = if Arc::ptr_eq(old_tree.frozen(), cached.frozen.graph()) {
-        let repaired = repair_frozen(
-            old_tree,
-            new_frozen.graph(),
-            &dirty,
-            &base_shift,
-            &map_opts,
-            DELTA_MAX_DIRTY_FRACTION,
-        )
-        .unwrap_or(None);
-        (repaired, base_shift)
+    let (graph, shift) = if Arc::ptr_eq(old_tree.frozen(), cached.frozen.graph()) {
+        (new_frozen.graph().clone(), base_shift)
     } else {
-        match patch_augmented(old_tree.frozen(), cached.frozen.graph(), &patches) {
-            Some((aug, aug_shift)) => {
-                let repaired = repair_frozen(
-                    old_tree,
-                    &aug,
-                    &dirty,
-                    &aug_shift,
-                    &map_opts,
-                    DELTA_MAX_DIRTY_FRACTION,
-                )
-                .unwrap_or(None);
-                (repaired, aug_shift)
-            }
-            None => return Ok(None),
-        }
+        let Some(augmented) = patch_augmented(old_tree.frozen(), cached.frozen.graph(), &patches)
+        else {
+            return Ok(None);
+        };
+        augmented
     };
-    timings.map = t0.elapsed();
-    let Some(new_tree) = repaired else {
+    let Ok(Some(new_tree)) = repair_frozen(
+        old_tree,
+        &graph,
+        &dirty,
+        &shift,
+        &map_opts,
+        DELTA_MAX_DIRTY_FRACTION,
+    ) else {
         return Ok(None);
     };
+    timings.map = t0.elapsed();
 
     // Recompute routes only for nodes whose label moved. A label is
     // unmoved when every route-relevant field matches and its
@@ -614,83 +589,82 @@ fn try_delta_reload(
             changed.push(id);
         }
     }
-    if changed.is_empty() {
+    let (printed, db) = if changed.is_empty() {
         // The edit moved no label — a cost change on a link the tree
         // does not use, the common retuning case. Routes, rendered
         // output and the resolver are bit-for-bit yesterday's; only
         // the point-to-point engine is rebuilt, because `PATH`
         // answers read edge costs the tree never looked at.
         timings.print = t0.elapsed();
-        let db = serving.db.clone();
-        let printed = serving.printed.clone();
-        let engine = Arc::new(PointToPoint::new(
-            new_tree.frozen().clone(),
-            options.cost_model,
-        ));
-        let mapped = Mapped {
+        (serving.printed.clone(), serving.db.clone())
+    } else {
+        let Some(routes) = update_routes(&new_tree, &serving.printed.routes, &changed) else {
+            return Ok(None);
+        };
+        let rendered = render(
+            &routes,
+            &PrintOptions {
+                with_costs: options.with_costs,
+                sort: options.sort,
+                include_hidden: options.include_hidden,
+            },
+        );
+        // The repair proved the labelled set unchanged, so the hosts
+        // that stayed unreachable are exactly the previous run's.
+        let unreachable = serving.printed.unreachable.clone();
+        timings.print = t0.elapsed();
+        let printed = Arc::new(Printed {
+            routes,
+            rendered,
+            unreachable,
+            print_time: timings.print,
+        });
+        let db = SharedRouteDb::new(RouteDb::from_table(&printed.routes));
+        (printed, db)
+    };
+    let engine = Arc::new(PointToPoint::new(
+        new_tree.frozen().clone(),
+        options.cost_model,
+    ));
+    let serving = ServingState {
+        options: options.clone(),
+        mapped: Mapped {
             tree: new_tree,
             dual: None,
             map_time: timings.map,
-        };
-        cached.fingerprint = fp;
-        cached.frozen = new_frozen;
-        cached.parsed = Some(new_parsed);
-        cached.serving = Some(ServingState {
-            options: options.clone(),
-            mapped,
-            printed,
-            db: db.clone(),
-            engine: engine.clone(),
-        });
-        drop(slot);
-        cache.delta_reloads.fetch_add(1, Ordering::Relaxed);
-        return Ok(Some((Box::new(db), Some(engine), timings)));
-    }
-    let Some(routes) = update_routes(&new_tree, &serving.printed.routes, &changed) else {
-        return Ok(None);
-    };
-    let rendered = render(
-        &routes,
-        &PrintOptions {
-            with_costs: options.with_costs,
-            sort: options.sort,
-            include_hidden: options.include_hidden,
         },
-    );
-    // The repair proved the labelled set unchanged, so the hosts that
-    // stayed unreachable are exactly the previous run's.
-    let unreachable = serving.printed.unreachable.clone();
-    timings.print = t0.elapsed();
-
-    let mapped = Mapped {
-        tree: new_tree,
-        dual: None,
-        map_time: timings.map,
-    };
-    let printed = Arc::new(Printed {
-        routes,
-        rendered,
-        unreachable,
-        print_time: timings.print,
-    });
-    let db = SharedRouteDb::new(RouteDb::from_table(&printed.routes));
-    let engine = Arc::new(PointToPoint::new(
-        mapped.tree.frozen().clone(),
-        options.cost_model,
-    ));
-    cached.fingerprint = fp;
-    cached.frozen = new_frozen;
-    cached.parsed = Some(new_parsed);
-    cached.serving = Some(ServingState {
-        options: options.clone(),
-        mapped,
         printed,
-        db: db.clone(),
-        engine: engine.clone(),
-    });
-    drop(slot);
+        db,
+        engine,
+    };
+    let world = Some((new_frozen, serving));
+    Ok(commit(cached, cache, fp, Some(new_parsed), world, timings))
+}
+
+/// The delta path's one commit step: adopt what the reload read and
+/// built — the new stamps, the re-read texts if any, the patched world
+/// if the edit changed it — count the reload, and serve what the cache
+/// now holds.
+fn commit(
+    cached: &mut CachedStages,
+    cache: &StageCache,
+    fingerprint: Fingerprint,
+    parsed: Option<Parsed>,
+    world: Option<(Frozen, ServingState)>,
+    timings: PhaseTimings,
+) -> Option<ServingParts> {
+    cached.fingerprint = fingerprint;
+    if parsed.is_some() {
+        cached.parsed = parsed;
+    }
+    if let Some((frozen, serving)) = world {
+        cached.frozen = frozen;
+        cached.serving = Some(serving);
+    }
+    let serving = cached.serving.as_ref()?;
     cache.delta_reloads.fetch_add(1, Ordering::Relaxed);
-    Ok(Some((Box::new(db), Some(engine), timings)))
+    let resolver: BoxedResolver = Box::new(serving.db.clone());
+    Some((resolver, Some(serving.engine.clone()), timings))
 }
 
 /// Re-reads only the files whose stamp moved, cloning the cached text

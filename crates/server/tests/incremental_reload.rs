@@ -6,6 +6,7 @@
 
 use pathalias_core::{ChIndex, Cost, Options, Parsed, RouteKind};
 use pathalias_mapgen::{generate, MapSpec};
+use pathalias_parser::{Kind, Statements, Tok};
 use pathalias_router::PointToPoint;
 use pathalias_server::{Client, MapSource, Server, ServerConfig};
 use proptest::prelude::*;
@@ -35,17 +36,15 @@ fn write_world(dir: &Path, files: &[(String, String)]) -> Vec<PathBuf> {
         .collect()
 }
 
-/// Whether a map line is a plain host-to-links statement with at least
-/// one explicit cost — the only statements the delta planner will ever
-/// absorb, and the kind an operator edits when retuning a link.
-fn is_plain_cost_line(line: &str) -> bool {
-    let t = line.trim();
-    !t.is_empty()
-        && !t.starts_with('#')
-        && !t.contains(['{', '}', '='])
-        && t.contains('(')
-        && t.ends_with(')')
-        && t.as_bytes()[0].is_ascii_alphanumeric()
+/// The link lists with at least one explicit cost — the only
+/// statements the delta planner will ever absorb, and the kind an
+/// operator edits when retuning a link — as the parser cuts them.
+fn plain_cost_statements(text: &str) -> Vec<&str> {
+    let view = Statements::scan("map", text).unwrap();
+    view.iter()
+        .filter(|st| st.kind == Kind::Links && st.toks.contains(&Tok::LParen))
+        .map(|st| &text[st.span])
+        .collect()
 }
 
 /// Bumps the first `(cost)` group on the line by `delta`. Numeric
@@ -160,10 +159,7 @@ fn daemon_delta_reload_is_byte_identical_end_to_end() {
     let mut tried = 0;
     'hunt: for path in &paths {
         let text = std::fs::read_to_string(path).unwrap();
-        for line in text.lines() {
-            if !is_plain_cost_line(line) {
-                continue;
-            }
+        for line in plain_cost_statements(&text) {
             let Some(edited_line) = bump_first_cost(line, 3) else {
                 continue;
             };
@@ -371,8 +367,8 @@ proptest! {
         let mut candidates = Vec::new();
         for (i, p) in paths.iter().enumerate() {
             let text = std::fs::read_to_string(p).unwrap();
-            for line in text.lines() {
-                if is_plain_cost_line(line) && bump_first_cost(line, delta).is_some() {
+            for line in plain_cost_statements(&text) {
+                if bump_first_cost(line, delta).is_some() {
                     candidates.push((i, line.to_string()));
                 }
             }

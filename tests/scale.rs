@@ -1,6 +1,8 @@
 //! Paper-scale structural checks on the synthetic universe.
 
-use pathalias::core::{map_readonly, parallel, parse, Graph, LinkFlags, MapOptions, Warning};
+use pathalias::core::{
+    map_readonly, parallel, parse, plan_delta, DeltaPlan, Graph, LinkFlags, MapOptions, Warning,
+};
 use pathalias::{generate, MapSpec, Pathalias};
 use std::fmt::Write;
 use std::sync::Arc;
@@ -113,5 +115,24 @@ fn graph_building_is_linear_in_the_text() {
     );
 
     let took = started.elapsed();
+    assert!(took < Duration::from_secs(10), "took {took:?}");
+}
+
+/// Planning a one-file edit is linear in the edit: bumping every cost
+/// of 200,000 one-link rows dirties 200,000 heads, and a planner that
+/// checks each against a list of the heads so far takes minutes.
+#[test]
+fn delta_planning_is_linear_in_the_edit() {
+    const N: usize = 200_000;
+    let rows = |cost: u32| {
+        let text: String = (0..N).map(|i| format!("h{i} hub({cost})\n")).collect();
+        vec![("map".to_string(), text)]
+    };
+    let (old, new) = (rows(10), rows(11));
+    let frozen = parse(&old[0].1).unwrap().freeze();
+    let started = Instant::now();
+    let plan = plan_delta(&old, &new, &frozen);
+    let took = started.elapsed();
+    assert!(matches!(plan, DeltaPlan::Patch { patches } if patches.len() == N));
     assert!(took < Duration::from_secs(10), "took {took:?}");
 }
