@@ -128,15 +128,27 @@ pub fn plan_delta(
     }
 
     // Node ids are assigned in first-mention order across the file
-    // set; the edited file's mention sequence must be unchanged.
+    // set; the edited file's mention sequence must be unchanged. Under
+    // `-i` the graph also keeps each name as first spelled, so a first
+    // mention must keep its spelling too.
     let [was, is] = [&before, &after].map(|stmts| {
         let mut seen = HashSet::new();
         let names = stmts.iter().flat_map(|st| mentions(st.toks));
-        let keys = names.map(|name| key(name, fold));
-        keys.filter(|k| seen.insert(k.clone())).collect::<Vec<_>>()
+        names
+            .filter(|&name| seen.insert(key(name, fold)))
+            .collect::<Vec<_>>()
     });
     if was != is {
-        return DeltaPlan::Fallback("first-mention sequence changed");
+        let same_keys = was.len() == is.len()
+            && was
+                .iter()
+                .zip(&is)
+                .all(|(a, b)| key(a, fold) == key(b, fold));
+        return DeltaPlan::Fallback(if same_keys {
+            "first mention respelled"
+        } else {
+            "first-mention sequence changed"
+        });
     }
 
     // The dirty heads, and every name the edit touches.
@@ -453,18 +465,21 @@ mod tests {
 
     #[test]
     fn ignore_case_folds_mentions() {
+        // A folding graph keeps a name as first spelled, so respelling
+        // a first mention changes what a cold run prints: fall back.
+        // Respelling a later mention changes nothing and patches.
         let old = inputs(&[("m", "A b(10)\nb c(5)\n")]);
-        let new = inputs(&[("m", "a B(10)\nb c(5)\n")]);
-        let pairs: Vec<(&str, &str)> = old.iter().map(|(f, t)| (f.as_str(), t.as_str())).collect();
         let mut g = pathalias_graph::Graph::with_ignore_case(true);
-        for (f, t) in &pairs {
-            pathalias_parser::parse_into(&mut g, f, t).unwrap();
-        }
+        pathalias_parser::parse_into(&mut g, "m", &old[0].1).unwrap();
         g.validate();
         let frozen = g.freeze();
-        // Case-only respelling is a no-op statement change for a
-        // folding graph: the patch rebuilds a's row identically.
-        let patches = expect_patch(plan_delta(&old, &new, &frozen));
+        let respelled = inputs(&[("m", "a B(10)\nb c(5)\n")]);
+        assert!(matches!(
+            plan_delta(&old, &respelled, &frozen),
+            DeltaPlan::Fallback("first mention respelled")
+        ));
+        let later = inputs(&[("m", "A b(10)\nB c(5)\n")]);
+        let patches = expect_patch(plan_delta(&old, &later, &frozen));
         let (patched, _) = frozen.with_rows_replaced(&patches);
         assert_eq!(patched, frozen);
     }

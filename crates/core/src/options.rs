@@ -1,7 +1,7 @@
 //! Pipeline options.
 
 use pathalias_mapper::CostModel;
-use pathalias_printer::Sort;
+use pathalias_printer::{PrintOptions, Sort};
 
 /// Options controlling the whole pipeline, mirroring the original
 /// command line where one exists.
@@ -29,6 +29,18 @@ pub struct Options {
     /// Include hidden entries (networks, subdomains, private hosts) in
     /// the rendered output, `#`-marked.
     pub include_hidden: bool,
+}
+
+impl Options {
+    /// The printer's share of the options: how the route table is
+    /// rendered.
+    pub fn print_options(&self) -> PrintOptions {
+        PrintOptions {
+            with_costs: self.with_costs,
+            sort: self.sort,
+            include_hidden: self.include_hidden,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ use pathalias_graph::snapshot::{self, SnapshotError};
 use pathalias_graph::{ChIndex, FrozenGraph, Graph, NodeId, ReverseGraph, Warning};
 use pathalias_mapper::{map_dual_frozen, map_frozen, DualTree, MapOptions, ShortestPathTree};
 use pathalias_parser::parse_into;
-use pathalias_printer::{compute_routes, render, PrintOptions, RouteTable};
+use pathalias_printer::{compute_routes, render, RouteTable};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -361,18 +361,17 @@ pub struct Mapped {
 }
 
 impl Mapped {
-    /// Stage 5: computes and renders the routes.
+    /// Stage 5, route step: every labelled node's route, not rendered
+    /// — all a server that answers lookups needs.
+    pub fn routes(&self) -> RouteTable {
+        compute_routes(&self.tree)
+    }
+
+    /// Stage 5: computes the routes, then renders them.
     pub fn print(&self, options: &Options) -> Printed {
         let t0 = Instant::now();
-        let routes = compute_routes(&self.tree);
-        let rendered = render(
-            &routes,
-            &PrintOptions {
-                with_costs: options.with_costs,
-                sort: options.sort,
-                include_hidden: options.include_hidden,
-            },
-        );
+        let routes = self.routes();
+        let rendered = render(&routes, &options.print_options());
         let unreachable = self
             .tree
             .unreachable()

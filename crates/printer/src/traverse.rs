@@ -38,28 +38,31 @@ pub fn compute_routes(tree: &ShortestPathTree) -> RouteTable {
     }
 }
 
-/// Recomputes routes after an incremental remap, reusing every entry
-/// whose route cannot have moved.
+/// Recomputes, in place, the routes an incremental remap moved.
 ///
-/// `changed` lists the nodes whose tree labels differ from the run the
-/// old table was printed from. A node's route depends on its own label
+/// `changed` lists the nodes whose tree labels differ from the run
+/// `table` was printed from. A node's route depends on its own label
 /// and on its ancestors' routes, so only the subtree closure of
-/// `changed` (in the *new* tree) needs re-traversal; everything else is
-/// carried over from `old` verbatim. Requires that the labelled set is
-/// unchanged (the incremental-remap contract) and that `old` was
-/// printed from the same source; returns `None` when the inputs don't
-/// line up and the caller should fall back to [`compute_routes`].
+/// `changed` (in the *new* tree) is re-traversed; every other entry is
+/// left where it is. Returns the entries it replaced, each with its
+/// index into `table.entries`, ascending.
+///
+/// Requires that the labelled set is unchanged (the incremental-remap
+/// contract) and that `table` was printed from the same source. When
+/// the inputs don't line up it returns `None` *without writing
+/// anything*, so the caller can fall back to [`compute_routes`] from a
+/// table that is still the old one.
 pub fn update_routes(
     tree: &ShortestPathTree,
-    old: &RouteTable,
+    table: &mut RouteTable,
     changed: &[NodeId],
-) -> Option<RouteTable> {
+) -> Option<Vec<(usize, Route)>> {
     let f: &FrozenGraph = tree.frozen();
-    if old.source != tree.source || old.entries.len() != tree.mapped_count() {
+    if table.source != tree.source || table.entries.len() != tree.mapped_count() {
         return None;
     }
     if changed.is_empty() {
-        return Some(old.clone());
+        return Some(Vec::new());
     }
     let children = tree.children();
 
@@ -67,6 +70,7 @@ pub fn update_routes(
     // the new tree (their routes splice through it).
     let n = f.node_count();
     let mut needs = vec![false; n];
+    let mut marked = 0;
     let mut dfs: Vec<NodeId> = changed
         .iter()
         .copied()
@@ -76,15 +80,13 @@ pub fn update_routes(
         if std::mem::replace(&mut needs[v.index()], true) {
             continue;
         }
+        marked += 1;
         dfs.extend(children[v.index()].iter().copied());
     }
 
     // Entries are sorted by node id, so parents resolve by binary
     // search.
-    let entry_of = |node: NodeId| -> Option<&Route> {
-        let i = old.entries.binary_search_by_key(&node, |r| r.node).ok()?;
-        Some(&old.entries[i])
-    };
+    let index_of = |node: NodeId| table.entries.binary_search_by_key(&node, |r| r.node).ok();
 
     // Re-traverse each maximal dirty subtree, seeding its root's
     // (route, name) from the still-valid parent entry.
@@ -102,7 +104,7 @@ pub fn update_routes(
         if needs[parent.index()] {
             continue; // an inner node; its subtree root seeds it
         }
-        let pe = entry_of(parent)?;
+        let pe = &table.entries[index_of(parent)?];
         let (route, name) = child_step(f, tree, parent, &pe.route, &pe.name, node)?;
         stack.push((node, route, name));
     }
@@ -110,27 +112,19 @@ pub fn update_routes(
     traverse(f, tree, &children, stack, &mut fresh);
     fresh.sort_by_key(|r| r.node);
 
-    // Merge: dirty entries replaced, everything else carried over.
-    let mut entries = Vec::with_capacity(old.entries.len());
-    let mut fi = 0;
-    for r in &old.entries {
-        if needs[r.node.index()] {
-            if fresh.get(fi).map(|nr| nr.node) != Some(r.node) {
-                return None;
-            }
-            entries.push(fresh[fi].clone());
-            fi += 1;
-        } else {
-            entries.push(r.clone());
-        }
-    }
-    if fi != fresh.len() {
+    // Every re-traversed node must already have its slot, and every
+    // node the closure marked must have been re-traversed; only then
+    // is anything written.
+    let slots: Vec<usize> = fresh
+        .iter()
+        .map(|r| index_of(r.node))
+        .collect::<Option<_>>()?;
+    if slots.len() != marked {
         return None;
     }
-    Some(RouteTable {
-        source: tree.source,
-        entries,
-    })
+    let replaced = slots.into_iter().zip(fresh);
+    let replaced = replaced.map(|(i, r)| (i, std::mem::replace(&mut table.entries[i], r)));
+    Some(replaced.collect())
 }
 
 /// Runs the preorder traversal from a pre-seeded stack, appending one
@@ -423,15 +417,25 @@ y .edu(5)
 .rutgers = {caip}(0)
 x z(1)
 ";
-        let (old_table, new_tree, changed) = patched_world(text, "hub", "b", |f, _| {
+        let (mut updated, new_tree, changed) = patched_world(text, "hub", "b", |f, _| {
             let x = f.id_of("x").unwrap();
             vec![(x, 1, RouteOp::UUCP, LinkFlags::empty())]
         });
         assert!(!changed.is_empty());
-        let updated = update_routes(&new_tree, &old_table, &changed).expect("inputs line up");
+        let old = updated.clone();
+        let replaced = update_routes(&new_tree, &mut updated, &changed).expect("inputs line up");
         let full = compute_routes(&new_tree);
         assert_eq!(updated.entries, full.entries);
         assert_eq!(updated.source, full.source);
+        // Exactly the rewritten slots differ from the old table.
+        let moved: Vec<usize> = (0..old.entries.len())
+            .filter(|&i| old.entries[i] != updated.entries[i])
+            .collect();
+        assert!(moved
+            .iter()
+            .all(|&i| replaced.iter().any(|(at, _)| *at == i)));
+        assert!(replaced.iter().all(|(at, was)| old.entries[*at] == *was));
+        assert!(replaced.len() < old.entries.len(), "only the moved subtree");
         // The moved subtree really re-routed.
         assert_eq!(updated.find("x").unwrap().route, "b!x!%s");
         assert_eq!(
@@ -445,9 +449,10 @@ x z(1)
         let g = parse("a b(10)\nb c(20)\n").unwrap();
         let a = g.try_node("a").unwrap();
         let tree = map(&g, a, &MapOptions::default()).unwrap();
-        let table = compute_routes(&tree);
-        let same = update_routes(&tree, &table, &[]).unwrap();
-        assert_eq!(same.entries, table.entries);
+        let mut table = compute_routes(&tree);
+        let before = table.entries.clone();
+        assert!(update_routes(&tree, &mut table, &[]).unwrap().is_empty());
+        assert_eq!(table.entries, before);
     }
 
     #[test]
@@ -457,8 +462,10 @@ x z(1)
         let b = g.try_node("b").unwrap();
         let tree_a = map(&g, a, &MapOptions::default()).unwrap();
         let tree_b = map(&g, b, &MapOptions::default()).unwrap();
-        let table_b = compute_routes(&tree_b);
-        assert!(update_routes(&tree_a, &table_b, &[a]).is_none());
+        let mut table_b = compute_routes(&tree_b);
+        let before = table_b.entries.clone();
+        assert!(update_routes(&tree_a, &mut table_b, &[a]).is_none());
+        assert_eq!(table_b.entries, before, "a refusal writes nothing");
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! batch), `MAPS`/`@name` (namespaces), and `SHUTDOWN` (drain and
 //! exit). A v1 session is byte-for-byte the PR-1 protocol.
 
-use crate::index::Cached;
+use crate::index::{Cached, RouteIndex};
 use crate::metrics::{bump, Metrics, ServerMetrics};
 use crate::protocol::{Request, Response};
 use crate::reload::MapSource;
@@ -152,6 +152,11 @@ impl MapState {
         self.engine.lock().expect("engine lock poisoned").clone()
     }
 }
+
+/// What a reload's swap displaced: the previous table generation and
+/// engine. Freeing a large table takes tens of milliseconds, so the
+/// caller drops this outside every lock and after the reply is built.
+pub(crate) type Displaced = Option<(Arc<RouteIndex<BoxedResolver>>, Option<Arc<PointToPoint>>)>;
 
 /// Shared daemon state.
 pub(crate) struct State {
@@ -403,7 +408,7 @@ impl State {
                     Ok(m) => m.clone(),
                     Err(resp) => return vec![resp],
                 };
-                vec![self.reload(&state, map)]
+                vec![self.reload(&state, map).0]
             }
             Request::Maps => vec![Response::Maps {
                 names: self.maps.iter().map(|m| m.name.clone()).collect(),
@@ -463,21 +468,31 @@ impl State {
     /// connection keeps serving the old snapshot throughout, and other
     /// maps are untouched. `wire_name` is echoed in the response for
     /// qualified requests.
-    pub(crate) fn reload(self: &Arc<Self>, map: &MapState, wire_name: Option<String>) -> Response {
+    ///
+    /// Also returns what the swap displaced, for the caller to drop
+    /// once the response is on its way.
+    pub(crate) fn reload(
+        self: &Arc<Self>,
+        map: &MapState,
+        wire_name: Option<String>,
+    ) -> (Response, Displaced) {
         let _guard = map.reload_lock.lock().expect("reload lock poisoned");
         let start = Instant::now();
         match map.source.load_serving_timed() {
-            Ok((resolver, engine, phases)) => {
+            Ok((resolver, engine, report)) => {
                 let entries = resolver.entries();
-                let generation = map.cached.replace(resolver);
+                let (generation, old_index) = map.cached.replace(resolver);
                 // The engine follows the table: swapped only on
                 // success, so a failed rebuild keeps PATH and QUERY
                 // answering from the same old mapping run.
-                *map.engine.lock().expect("engine lock poisoned") = engine;
+                let old_engine = std::mem::replace(
+                    &mut *map.engine.lock().expect("engine lock poisoned"),
+                    engine,
+                );
                 bump(&map.metrics.reloads);
                 let ns = duration_ns(start.elapsed());
                 map.telemetry.reload.record(ns);
-                map.telemetry.set_reload_phases(phases);
+                map.telemetry.record_reload(&report);
                 map.telemetry
                     .observe_slow("RELOAD", &map.name, "", ns, "ok");
                 self.logger
@@ -487,11 +502,12 @@ impl State {
                     .field("entries", entries)
                     .field("duration_ms", ns / 1_000_000)
                     .emit();
-                Response::Reloaded {
+                let response = Response::Reloaded {
                     map: wire_name,
                     generation,
                     entries,
-                }
+                };
+                (response, Some((old_index, old_engine)))
             }
             Err(e) => {
                 bump(&map.metrics.reload_failures);
@@ -504,7 +520,7 @@ impl State {
                     .field("map", &map.name)
                     .field("error", &e)
                     .emit();
-                Response::Failure(format!("reload failed: {e}"))
+                (Response::Failure(format!("reload failed: {e}")), None)
             }
         }
     }
@@ -612,7 +628,7 @@ impl State {
         // Per-map counter families, samples grouped under one
         // HELP/TYPE header per family as the exposition format wants.
         type Get = fn(&Metrics) -> u64;
-        let counters: [(&str, &str, Get); 12] = [
+        let counters: [(&str, &str, Get); 11] = [
             (
                 "pathalias_queries_total",
                 "Queries resolved against this map (QUERY and MQUERY items).",
@@ -638,11 +654,6 @@ impl State {
                 "pathalias_resolve_errors_total",
                 "Queries that failed with a backend error.",
                 |m| m.resolve_errors.load(Ordering::Relaxed),
-            ),
-            (
-                "pathalias_reloads_total",
-                "Successful reloads of this map.",
-                |m| m.reloads.load(Ordering::Relaxed),
             ),
             (
                 "pathalias_reload_failures_total",
@@ -674,6 +685,36 @@ impl State {
             out.family(name, "counter", help);
             for m in &maps {
                 out.sample(name, &[("map", &m.name)], get(&m.metrics));
+            }
+        }
+
+        out.family(
+            "pathalias_reloads_total",
+            "counter",
+            "Successful reloads of this map, by how they were served (unchanged: \
+             nothing moved; delta: repaired in place; full: the source reloaded).",
+        );
+        for m in &maps {
+            for (path, n) in m.telemetry.reload_paths() {
+                out.sample(
+                    "pathalias_reloads_total",
+                    &[("map", &m.name), ("path", path.label())],
+                    n,
+                );
+            }
+        }
+        out.family(
+            "pathalias_reload_delta_bailouts_total",
+            "counter",
+            "Full-path reloads of a map-file source, by the delta-path gate that refused them.",
+        );
+        for m in &maps {
+            for (reason, n) in m.telemetry.bailouts() {
+                out.sample(
+                    "pathalias_reload_delta_bailouts_total",
+                    &[("map", &m.name), ("reason", reason)],
+                    n,
+                );
             }
         }
 
@@ -756,17 +797,21 @@ impl State {
         out.family(
             "pathalias_reload_phase_seconds",
             "gauge",
-            "Pipeline phase durations of the latest reload (zero = stage-cache hit; \
-             absent until the first reload).",
+            "Step durations of the latest reload: the pipeline phases, then plan_delta, \
+             routedb and engine (zero = skipped; absent until the first reload).",
         );
         for m in &maps {
-            if let Some(t) = m.telemetry.reload_phases() {
+            if let Some(r) = m.telemetry.last_reload() {
+                let t = r.phases;
                 let phases = [
                     ("parse", t.parse),
                     ("build", t.build),
                     ("freeze", t.freeze),
                     ("map", t.map),
                     ("print", t.print),
+                    ("plan_delta", r.plan_delta),
+                    ("routedb", r.routedb),
+                    ("engine", r.engine),
                 ];
                 for (phase, duration) in phases {
                     out.sample_f64(
@@ -2004,11 +2049,11 @@ mod tests {
     #[test]
     fn reload_records_duration_and_phases() {
         let state = state_for("a\ta!%s\n");
-        assert!(state.maps[0].telemetry.reload_phases().is_none());
+        assert!(state.maps[0].telemetry.last_reload().is_none());
         let _ = one(&state, Request::Reload { map: None });
         let m = &state.maps[0];
         assert_eq!(m.telemetry.reload.count(), 1);
-        assert!(m.telemetry.reload_phases().is_some());
+        assert!(m.telemetry.last_reload().is_some());
         // A failed reload still records its duration.
         if let MapSource::Routes(path) = &m.source {
             std::fs::write(path, "garbage-without-a-route\n").unwrap();

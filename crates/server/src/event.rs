@@ -911,11 +911,12 @@ fn reload_offloaded(
     let state = state.clone();
     let shared = shared.clone();
     std::thread::spawn(move || {
-        let response = state.reload(&target, map);
+        let (response, displaced) = state.reload(&target, map);
         shared.deliver(Delivery::Inject {
             token,
             responses: vec![response],
         });
+        drop(displaced);
     });
 }
 

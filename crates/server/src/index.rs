@@ -10,7 +10,9 @@
 //! that snapshot: a reload mid-query can never produce a response that
 //! mixes the old and new tables. In-flight queries on the old
 //! generation finish against the old `Arc`, which frees itself when the
-//! last of them drops.
+//! last of them drops. A swap hands the displaced `Arc` back to the
+//! reloader rather than dropping it under the write lock: freeing a
+//! large table takes long enough that every reader would wait on it.
 
 use crate::cache::{CachedHit, ShardedCache};
 use crate::metrics::{bump, Metrics};
@@ -87,10 +89,14 @@ impl<R: Resolver> SwapCell<R> {
         self.current.read().expect("swap cell poisoned").clone()
     }
 
-    /// Atomically replaces the snapshot; in-flight readers keep the old
-    /// one alive until they finish.
-    pub fn store(&self, index: RouteIndex<R>) {
-        *self.current.write().expect("swap cell poisoned") = Arc::new(index);
+    /// Atomically replaces the snapshot and returns the one it
+    /// displaced; in-flight readers keep that alive until they finish.
+    /// Nothing is freed under the lock.
+    #[must_use = "dropping the displaced snapshot here may free a whole table"]
+    pub fn store(&self, index: RouteIndex<R>) -> Arc<RouteIndex<R>> {
+        let new = Arc::new(index);
+        let mut current = self.current.write().expect("swap cell poisoned");
+        std::mem::replace(&mut *current, new)
     }
 }
 
@@ -158,15 +164,16 @@ impl<R: Resolver> Cached<R> {
     }
 
     /// Swaps in a freshly-loaded backend. Returns the generation now
-    /// serving. In-flight queries pinned to the old snapshot finish
-    /// against it; the cache floor moves first, so a cache entry can
-    /// never outlive its table.
-    pub fn replace(&self, resolver: R) -> u64 {
+    /// serving and the snapshot it displaced, for the caller to drop
+    /// when convenient. In-flight queries pinned to the old snapshot
+    /// finish against it; the cache floor moves first, so a cache entry
+    /// can never outlive its table.
+    #[must_use = "dropping the displaced snapshot here may free a whole table"]
+    pub fn replace(&self, resolver: R) -> (u64, Arc<RouteIndex<R>>) {
         let generation = self.next_generation.fetch_add(1, Ordering::SeqCst);
         let index = RouteIndex::with_resolver(resolver, generation);
         self.cache.invalidate_to(generation);
-        self.swap.store(index);
-        generation
+        (generation, self.swap.store(index))
     }
 
     /// Resolves against a pinned snapshot, consulting (and feeding) the
@@ -319,7 +326,8 @@ mod tests {
     fn swap_is_atomic_for_readers() {
         let cell = SwapCell::new(index("a\ta!%s\n", 0));
         let old = cell.load();
-        cell.store(index("a\tb!a!%s\n", 1));
+        let displaced = cell.store(index("a\tb!a!%s\n", 1));
+        assert!(Arc::ptr_eq(&old, &displaced));
         // The old snapshot stays valid for readers that grabbed it.
         assert_eq!(old.generation(), 0);
         assert_eq!(old.db().route_to("a", "u").unwrap(), "a!u");
@@ -334,7 +342,7 @@ mod tests {
         assert_eq!(c.resolve("h.edu", "u").unwrap().route, "old-gw!h.edu!u");
 
         let new_db = RouteDb::from_output(".edu\tnew-gw!%s\n").unwrap();
-        let generation = c.replace(SharedRouteDb::new(new_db));
+        let (generation, _) = c.replace(SharedRouteDb::new(new_db));
         assert_eq!(generation, 1);
         assert_eq!(
             c.resolve("h.edu", "u").unwrap().route,
@@ -378,5 +386,66 @@ mod tests {
         assert_eq!(c.metrics().cache_hits.load(Ordering::Relaxed), 1);
         assert_eq!(Resolver::entries(&c), 2);
         std::fs::remove_file(path).unwrap();
+    }
+
+    /// A table whose drop blocks until told to finish — a stand-in for
+    /// a generation large enough that freeing it takes a while.
+    struct SlowToFree(
+        std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+        std::sync::mpsc::Sender<()>,
+    );
+
+    impl Resolver for SlowToFree {
+        fn resolve(&self, _: &str, _: &str) -> Result<Resolution, ResolveError> {
+            Err(ResolveError::NoRoute)
+        }
+        fn entries(&self) -> usize {
+            0
+        }
+    }
+
+    impl Drop for SlowToFree {
+        fn drop(&mut self) {
+            let _ = self.1.send(());
+            let _ = self.0.lock().unwrap().recv();
+        }
+    }
+
+    #[test]
+    fn freeing_the_old_generation_does_not_block_readers() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let (release, wait) = channel();
+        let (entered, dropping) = channel();
+        let c = Arc::new(Cached::new(
+            SlowToFree(wait.into(), entered),
+            16,
+            2,
+            Arc::new(Metrics::default()),
+        ));
+        let (idle_release, idle_wait) = channel();
+        let (idle_entered, _) = channel();
+        let reloader = {
+            let c = c.clone();
+            std::thread::spawn(move || {
+                let (_, old) = c.replace(SlowToFree(idle_wait.into(), idle_entered));
+                drop(old);
+            })
+        };
+        dropping
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the old generation is being freed");
+        // The reloader is stuck freeing generation 0; a reader must
+        // still get the current snapshot.
+        let (got, snapshot) = channel();
+        let reader = c.clone();
+        std::thread::spawn(move || {
+            let _ = got.send(reader.snapshot().generation());
+        });
+        let seen = snapshot.recv_timeout(Duration::from_secs(10));
+        release.send(()).unwrap();
+        reloader.join().unwrap();
+        assert_eq!(seen, Ok(1), "a reader waited on the old table's drop");
+        drop(idle_release);
     }
 }

@@ -23,9 +23,8 @@
 //! them.
 
 use pathalias_core::{
-    parallel, plan_delta, render, repair_frozen, update_routes, DeltaPlan, EdgeShift, Frozen,
-    FrozenGraph, MapOptions, Mapped, NodeId, Options, Parsed, PhaseTimings, PrintOptions, Printed,
-    RowPatch, SnapshotError,
+    parallel, plan_delta, repair_frozen, update_routes, DeltaPlan, EdgeShift, Frozen, FrozenGraph,
+    MapOptions, Mapped, NodeId, Options, Parsed, PhaseTimings, RouteTable, RowPatch, SnapshotError,
 };
 use pathalias_mailer::{
     disk::DiskError, disk::MappedDb, BoxedResolver, DbError, RouteDb, SharedRouteDb,
@@ -35,11 +34,61 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Instant, SystemTime};
+use std::time::{Duration, Instant, SystemTime};
 
 /// A loaded serving bundle: the resolver, the optional point-to-point
-/// engine, and how long each pipeline phase took.
-type ServingParts = (BoxedResolver, Option<Arc<PointToPoint>>, PhaseTimings);
+/// engine, and what the load did.
+type ServingParts = (BoxedResolver, Option<Arc<PointToPoint>>, LoadReport);
+
+/// How a load produced what it serves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum LoadPath {
+    /// Nothing the parser can see moved: the cached artifacts serve
+    /// on.
+    Unchanged,
+    /// The delta path repaired the cached artifacts in place.
+    Delta,
+    /// The source was loaded (map files: the whole pipeline ran).
+    #[default]
+    Full,
+}
+
+impl LoadPath {
+    /// Every path, in the order `METRICS` lists them (and of their
+    /// discriminants).
+    pub const ALL: [LoadPath; 3] = [LoadPath::Unchanged, LoadPath::Delta, LoadPath::Full];
+
+    /// The `path` label value.
+    pub fn label(self) -> &'static str {
+        match self {
+            LoadPath::Unchanged => "unchanged",
+            LoadPath::Delta => "delta",
+            LoadPath::Full => "full",
+        }
+    }
+}
+
+/// What one load did: which path served it, why the delta path
+/// declined, and how long each step took. Steps that did not run
+/// report zero.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LoadReport {
+    /// Which path served the load.
+    pub path: LoadPath,
+    /// For a map-file source on the full path: the gate of the delta
+    /// path that refused it.
+    pub bailout: Option<&'static str>,
+    /// The pipeline phases. On the delta path `parse` is the re-read
+    /// of the changed files, `freeze` the row splice, `map` the tree
+    /// repair and `print` the route update; nothing is ever rendered.
+    pub phases: PhaseTimings,
+    /// Diffing the re-read files against the cached ones.
+    pub plan_delta: Duration,
+    /// Building (or patching) the in-memory route database.
+    pub routedb: Duration,
+    /// Building the point-to-point engine.
+    pub engine: Duration,
+}
 
 /// When an edit dirties more than this fraction of the world, the
 /// incremental remap would approach a full run anyway — fall back.
@@ -127,13 +176,13 @@ struct CachedStages {
 struct ServingState {
     options: Options,
     mapped: Mapped,
-    /// `Arc`, so a repair that proves the printed table unchanged can
-    /// carry it into the next generation without cloning a
-    /// million-entry route table.
-    printed: Arc<Printed>,
-    /// The resolver handle served from `printed.routes` (an `Arc`
-    /// wrapper — cloning is a refcount bump, so a reload whose inputs
-    /// did not change at all serves the cached table directly).
+    /// The route table `db` was built from. Only the reload path reads
+    /// it, under the stage-cache lock, so a delta reload rewrites the
+    /// entries that moved in place; nothing renders it.
+    routes: RouteTable,
+    /// The resolver handle served from `routes` (an `Arc` wrapper —
+    /// cloning is a refcount bump, so a reload whose inputs did not
+    /// change at all serves the cached table directly).
     db: SharedRouteDb,
     /// The point-to-point engine over `mapped.tree`'s graph.
     engine: Arc<PointToPoint>,
@@ -148,6 +197,13 @@ impl StageCache {
             .expect("stage cache poisoned")
             .as_ref()
             .map(|c| c.frozen.graph().clone())
+    }
+
+    /// A copy of the route table the cached serving state answers
+    /// from (used by tests to compare it with a cold run's).
+    pub fn routes(&self) -> Option<RouteTable> {
+        let slot = self.slot.lock().expect("stage cache poisoned");
+        Some(slot.as_ref()?.serving.as_ref()?.routes.clone())
     }
 
     /// How many reloads were absorbed by the incremental (delta) path
@@ -347,13 +403,13 @@ impl MapSource {
                 // when it was frozen and is re-validated on load, so
                 // no multi-source mapping fan-out here — cold-start
                 // latency is the whole point of this source.
-                let (frozen, mut timings) = snapshot_stage(path, cache)?;
-                let (db, engine, _, _) = map_print_engine(&frozen, options, &mut timings)?;
-                Ok((
-                    Box::new(SharedRouteDb::new(db)),
-                    Some(Arc::new(engine)),
-                    timings,
-                ))
+                let (frozen, phases) = snapshot_stage(path, cache)?;
+                let mut report = LoadReport {
+                    phases,
+                    ..LoadReport::default()
+                };
+                let (db, engine, _, _) = map_print_engine(&frozen, options, &mut report)?;
+                Ok((Box::new(db), Some(engine), report))
             }
             MapSource::Map {
                 files,
@@ -365,29 +421,32 @@ impl MapSource {
                 // The incremental path: diff the re-read inputs against
                 // the cached ones and repair the serving artifacts in
                 // place when the edit is provably safe.
-                if let Some(out) = try_delta_reload(files, options, cache)? {
-                    return Ok(out);
-                }
-                let (frozen, mut timings) = frozen_stage(files, options, cache)?;
-                let (db, engine, mapped, printed) =
-                    map_print_engine(&frozen, options, &mut timings)?;
+                let bailout = match try_delta_reload(files, options, cache)? {
+                    Ok(out) => return Ok(out),
+                    Err(why) => why,
+                };
+                let (frozen, phases) = frozen_stage(files, options, cache)?;
+                let mut report = LoadReport {
+                    bailout: Some(bailout),
+                    phases,
+                    ..LoadReport::default()
+                };
+                let (db, engine, mapped, routes) = map_print_engine(&frozen, options, &mut report)?;
                 if *validate_sources > 0 {
                     validate(frozen.graph(), *validate_sources, *validate_threads)?;
                 }
-                let db = SharedRouteDb::new(db);
-                let engine = Arc::new(engine);
                 // Remember the serving artifacts so the next reload can
                 // repair them incrementally.
                 if let Some(cached) = cache.slot.lock().expect("stage cache poisoned").as_mut() {
                     cached.serving = Some(ServingState {
                         options: options.clone(),
                         mapped,
-                        printed: Arc::new(printed),
+                        routes,
                         db: db.clone(),
                         engine: engine.clone(),
                     });
                 }
-                Ok((Box::new(db), Some(engine), timings))
+                Ok((Box::new(db), Some(engine), report))
             }
         }
     }
@@ -400,28 +459,28 @@ fn table_only(
 ) -> Result<ServingParts, LoadError> {
     let t0 = Instant::now();
     let resolver = load()?;
-    let timings = PhaseTimings {
-        parse: t0.elapsed(),
-        ..PhaseTimings::default()
-    };
-    Ok((resolver, None, timings))
+    let mut report = LoadReport::default();
+    report.phases.parse = t0.elapsed();
+    Ok((resolver, None, report))
 }
 
-/// The map and print stages plus the point-to-point engine over the
+/// The map stage, the route table (computed, not rendered), the
+/// database served from it and the point-to-point engine over the
 /// mapped tree's augmented graph. The engine and the table come from
 /// the *same* mapping run, so they can never disagree about what the
 /// world looks like.
 fn map_print_engine(
     frozen: &Frozen,
     options: &Options,
-    timings: &mut PhaseTimings,
-) -> Result<(RouteDb, PointToPoint, Mapped, Printed), LoadError> {
+    report: &mut LoadReport,
+) -> Result<(SharedRouteDb, Arc<PointToPoint>, Mapped, RouteTable), LoadError> {
     let t0 = Instant::now();
     let mapped = frozen.map(options).map_err(LoadError::Pipeline)?;
-    timings.map = t0.elapsed();
+    report.phases.map = t0.elapsed();
     let t0 = Instant::now();
-    let printed = mapped.print(options);
-    timings.print = t0.elapsed();
+    let routes = mapped.routes();
+    report.phases.print = t0.elapsed();
+    let t0 = Instant::now();
     let aug = mapped.tree.frozen().clone();
     // Back-link invention replaces the snapshot graph; only when the
     // tree still points at the very same graph are the stored sections
@@ -444,23 +503,25 @@ fn map_print_engine(
     } else {
         PointToPoint::new(aug, options.cost_model)
     };
-    Ok((
-        RouteDb::from_table(&printed.routes),
-        engine,
-        mapped,
-        printed,
-    ))
+    report.engine = t0.elapsed();
+    // The database last: the engine's build scratch is freed by now.
+    let t0 = Instant::now();
+    let db = SharedRouteDb::new(RouteDb::from_table(&routes));
+    report.routedb = t0.elapsed();
+    Ok((db, Arc::new(engine), mapped, routes))
 }
 
 /// The O(delta) reload path: diff the re-read map files against the
 /// cached inputs, patch the frozen CSR rows the edit touched
 /// ([`pathalias_core::delta`] proves which edits are safe), repair the
 /// shortest-path tree from the patched rows outward
-/// ([`repair_frozen`]), and recompute only the route-table entries
-/// whose labels moved ([`update_routes`]). Every gate failure returns
-/// `Ok(None)` and the caller falls back to the full pipeline — the
-/// full run stays the oracle, the delta path only ever reproduces it
-/// faster.
+/// ([`repair_frozen`]), rewrite in place only the route-table entries
+/// whose labels moved ([`update_routes`]), and patch the database's
+/// shards that hold them ([`RouteDb::patched`]). Nothing is rendered
+/// and nothing table-sized is copied. Every gate failure returns
+/// `Ok(Err(gate))` and the caller falls back to the full pipeline —
+/// the full run stays the oracle, the delta path only ever reproduces
+/// it faster.
 ///
 /// Two conservative drops on this path, both because "stale index
 /// answers queries wrongly" beats "reload is slower":
@@ -477,53 +538,66 @@ fn try_delta_reload(
     files: &[PathBuf],
     options: &Options,
     cache: &StageCache,
-) -> Result<Option<ServingParts>, LoadError> {
+) -> Result<Result<ServingParts, &'static str>, LoadError> {
     // Only the plain serve configuration repairs: traces print
     // per-relaxation output a repair would truncate, and the
     // second-best dual has no incremental form.
     if !options.trace.is_empty() || options.second_best {
-        return Ok(None);
+        return Ok(Err("trace or second-best requested"));
     }
     let fp = fingerprint(files)?;
     let mut slot = cache.slot.lock().expect("stage cache poisoned");
     let Some(cached) = slot.as_mut() else {
-        return Ok(None);
+        return Ok(Err("stage cache empty"));
     };
     if cached.ignore_case != options.ignore_case {
-        return Ok(None);
+        return Ok(Err("ignore-case changed"));
     }
     let (Some(parsed), Some(serving)) = (&cached.parsed, &cached.serving) else {
-        return Ok(None);
+        return Ok(Err("no cached serving state"));
     };
     if serving.options != *options {
-        return Ok(None);
+        return Ok(Err("options changed"));
     }
-    let mut timings = PhaseTimings::default();
+    let mut report = LoadReport {
+        path: LoadPath::Unchanged,
+        ..LoadReport::default()
+    };
     if cached.fingerprint == fp {
         // Nothing moved at all: serve the cached artifacts as-is.
-        return Ok(commit(cached, cache, fp, None, None, timings));
+        return Ok(Ok(commit(cached, cache, fp, None, None, report)));
     }
 
     let t0 = Instant::now();
     let new_parsed = reread_changed(files, parsed, &cached.fingerprint, &fp)?;
+    report.phases.parse = t0.elapsed();
+    let t0 = Instant::now();
     let plan = plan_delta(parsed.inputs(), new_parsed.inputs(), cached.frozen.graph());
-    timings.parse = t0.elapsed();
+    report.plan_delta = t0.elapsed();
     let patches = match plan {
         DeltaPlan::Unchanged => {
             // An edit the parser cannot see (comments, spacing,
             // continuations): adopt the new bytes, keep serving the
             // unchanged world.
-            return Ok(commit(cached, cache, fp, Some(new_parsed), None, timings));
+            return Ok(Ok(commit(
+                cached,
+                cache,
+                fp,
+                Some(new_parsed),
+                None,
+                report,
+            )));
         }
-        DeltaPlan::Fallback(_why) => return Ok(None),
+        DeltaPlan::Fallback(why) => return Ok(Err(why)),
         DeltaPlan::Patch { patches } => patches,
     };
+    report.path = LoadPath::Delta;
 
     // Patch the base snapshot. No build phase on this path: the
     // patches splice straight into the CSR.
     let t0 = Instant::now();
     let (new_frozen, base_shift) = cached.frozen.with_rows_replaced(&patches);
-    timings.freeze = t0.elapsed();
+    report.phases.freeze = t0.elapsed();
     let dirty: Vec<NodeId> = patches.iter().map(|p| p.node).collect();
     let map_opts = MapOptions {
         model: options.cost_model,
@@ -544,7 +618,7 @@ fn try_delta_reload(
     } else {
         let Some(augmented) = patch_augmented(old_tree.frozen(), cached.frozen.graph(), &patches)
         else {
-            return Ok(None);
+            return Ok(Err("invented back links depend on the edit"));
         };
         augmented
     };
@@ -556,9 +630,9 @@ fn try_delta_reload(
         &map_opts,
         DELTA_MAX_DIRTY_FRACTION,
     ) else {
-        return Ok(None);
+        return Ok(Err("tree repair declined"));
     };
-    timings.map = t0.elapsed();
+    report.phases.map = t0.elapsed();
 
     // Recompute routes only for nodes whose label moved. A label is
     // unmoved when every route-relevant field matches and its
@@ -589,82 +663,71 @@ fn try_delta_reload(
             changed.push(id);
         }
     }
-    let (printed, db) = if changed.is_empty() {
-        // The edit moved no label — a cost change on a link the tree
-        // does not use, the common retuning case. Routes, rendered
-        // output and the resolver are bit-for-bit yesterday's; only
-        // the point-to-point engine is rebuilt, because `PATH`
-        // answers read edge costs the tree never looked at.
-        timings.print = t0.elapsed();
-        (serving.printed.clone(), serving.db.clone())
-    } else {
-        let Some(routes) = update_routes(&new_tree, &serving.printed.routes, &changed) else {
-            return Ok(None);
-        };
-        let rendered = render(
-            &routes,
-            &PrintOptions {
-                with_costs: options.with_costs,
-                sort: options.sort,
-                include_hidden: options.include_hidden,
-            },
-        );
-        // The repair proved the labelled set unchanged, so the hosts
-        // that stayed unreachable are exactly the previous run's.
-        let unreachable = serving.printed.unreachable.clone();
-        timings.print = t0.elapsed();
-        let printed = Arc::new(Printed {
-            routes,
-            rendered,
-            unreachable,
-            print_time: timings.print,
-        });
-        let db = SharedRouteDb::new(RouteDb::from_table(&printed.routes));
-        (printed, db)
+    // `update_routes` checks before it writes, so a refusal leaves the
+    // cached table as it was for the full pipeline to replace.
+    let serving = cached.serving.as_mut().expect("checked above");
+    let Some(replaced) = update_routes(&new_tree, &mut serving.routes, &changed) else {
+        return Ok(Err("route table does not line up"));
     };
-    let engine = Arc::new(PointToPoint::new(
+    report.phases.print = t0.elapsed();
+
+    // The edit moved `replaced.len()` routes (none, when it retuned a
+    // link the tree does not use): the next database shares every
+    // shard but theirs. Only a route that changed its name or its
+    // visibility forces a fresh build.
+    let t0 = Instant::now();
+    let db = serving
+        .db
+        .patched(&serving.routes, &replaced)
+        .unwrap_or_else(|| RouteDb::from_table(&serving.routes));
+    serving.db = SharedRouteDb::new(db);
+    report.routedb = t0.elapsed();
+    // `PATH` answers read edge costs the tree never looked at, so the
+    // engine is rebuilt whatever the edit moved.
+    let t0 = Instant::now();
+    serving.engine = Arc::new(PointToPoint::new(
         new_tree.frozen().clone(),
         options.cost_model,
     ));
-    let serving = ServingState {
-        options: options.clone(),
-        mapped: Mapped {
-            tree: new_tree,
-            dual: None,
-            map_time: timings.map,
-        },
-        printed,
-        db,
-        engine,
+    report.engine = t0.elapsed();
+    serving.mapped = Mapped {
+        tree: new_tree,
+        dual: None,
+        map_time: report.phases.map,
     };
-    let world = Some((new_frozen, serving));
-    Ok(commit(cached, cache, fp, Some(new_parsed), world, timings))
+    Ok(Ok(commit(
+        cached,
+        cache,
+        fp,
+        Some(new_parsed),
+        Some(new_frozen),
+        report,
+    )))
 }
 
 /// The delta path's one commit step: adopt what the reload read and
-/// built — the new stamps, the re-read texts if any, the patched world
-/// if the edit changed it — count the reload, and serve what the cache
-/// now holds.
+/// built — the new stamps, the re-read texts if any, the patched
+/// snapshot if the edit changed the world — count the reload, and
+/// serve what the cache now holds.
 fn commit(
     cached: &mut CachedStages,
     cache: &StageCache,
     fingerprint: Fingerprint,
     parsed: Option<Parsed>,
-    world: Option<(Frozen, ServingState)>,
-    timings: PhaseTimings,
-) -> Option<ServingParts> {
+    frozen: Option<Frozen>,
+    report: LoadReport,
+) -> ServingParts {
     cached.fingerprint = fingerprint;
     if parsed.is_some() {
         cached.parsed = parsed;
     }
-    if let Some((frozen, serving)) = world {
+    if let Some(frozen) = frozen {
         cached.frozen = frozen;
-        cached.serving = Some(serving);
     }
-    let serving = cached.serving.as_ref()?;
+    let serving = cached.serving.as_ref().expect("the delta path checked");
     cache.delta_reloads.fetch_add(1, Ordering::Relaxed);
     let resolver: BoxedResolver = Box::new(serving.db.clone());
-    Some((resolver, Some(serving.engine.clone()), timings))
+    (resolver, Some(serving.engine.clone()), report)
 }
 
 /// Re-reads only the files whose stamp moved, cloning the cached text
@@ -875,10 +938,9 @@ mod tests {
     /// tests compare it byte-for-byte against a cold pipeline).
     fn cached_rendered(cache: &StageCache) -> String {
         let slot = cache.slot.lock().unwrap();
-        slot.as_ref()
-            .and_then(|c| c.serving.as_ref())
-            .map(|s| s.printed.rendered.clone())
-            .expect("serving state cached")
+        let serving = slot.as_ref().and_then(|c| c.serving.as_ref());
+        let serving = serving.expect("serving state cached");
+        pathalias_core::render(&serving.routes, &serving.options.print_options())
     }
 
     #[test]
@@ -1357,9 +1419,9 @@ mod tests {
         };
         let (r1, _, _) = source.load_serving_timed().unwrap();
         // Nothing changed: the reload is absorbed entirely by the cache.
-        let (r2, engine, timings) = source.load_serving_timed().unwrap();
+        let (r2, engine, report) = source.load_serving_timed().unwrap();
         assert_eq!(cache.delta_reloads(), 1);
-        assert_eq!(timings.map, std::time::Duration::ZERO, "no remap ran");
+        assert_eq!(report.phases.map, std::time::Duration::ZERO, "no remap ran");
         assert!(engine.is_some(), "PATH keeps working across a no-op reload");
         assert_eq!(
             r1.resolve("y", "u").unwrap().route,
@@ -1383,9 +1445,9 @@ mod tests {
         source.load_serving_timed().unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
         std::fs::write(&path, format!("# a comment\n{DELTA_MAP}")).unwrap();
-        let (resolver, _, timings) = source.load_serving_timed().unwrap();
+        let (resolver, _, report) = source.load_serving_timed().unwrap();
         assert_eq!(cache.delta_reloads(), 1, "comment edit absorbed as a delta");
-        assert_eq!(timings.map, std::time::Duration::ZERO, "no remap ran");
+        assert_eq!(report.phases.map, std::time::Duration::ZERO, "no remap ran");
         assert_eq!(resolver.resolve("x", "u").unwrap().route, "b!x!u");
         std::fs::remove_file(path).unwrap();
     }

@@ -5,15 +5,16 @@
 //! through request dispatch: one log2 histogram per verb shape
 //! (`QUERY`, `MQUERY` per batch and per item, `PATH`, `RELOAD`), a
 //! worst-N
-//! slow-query log, and the latest reload's pipeline
-//! [`PhaseTimings`]. Everything here is exposed over the protocol-v2
+//! slow-query log, the latest reload's [`LoadReport`] (phase timings)
+//! and per-path reload counters. Everything here is exposed over the protocol-v2
 //! `METRICS` (Prometheus text exposition) and `SLOWLOG` verbs —
 //! `STATS` keeps its PR-1 byte format and knows nothing of this
 //! module.
 
-use pathalias_core::PhaseTimings;
+use crate::reload::{LoadPath, LoadReport};
 use pathalias_telemetry::{unix_ms, Histogram, SlowEntry, SlowLog};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -43,9 +44,14 @@ pub struct MapTelemetry {
     pub reload: Histogram,
     /// The worst-[`SLOWLOG_CAPACITY`] requests against this map.
     pub slowlog: SlowLog,
-    /// Pipeline phase timings of the latest reload (`None` until the
-    /// first one). Stages skipped by the stage cache report zero.
-    reload_phases: Mutex<Option<PhaseTimings>>,
+    /// The latest successful reload's report (`None` until the first
+    /// one). Stages skipped by the stage cache report zero.
+    last_reload: Mutex<Option<LoadReport>>,
+    /// Successful reloads per [`LoadPath`], in [`LoadPath::ALL`] order.
+    reload_paths: [AtomicU64; 3],
+    /// Full-path reloads of a map-file source per delta-path gate that
+    /// refused them, in first-seen order (a handful of fixed labels).
+    bailouts: Mutex<Vec<(&'static str, u64)>>,
 }
 
 impl Default for MapTelemetry {
@@ -64,20 +70,40 @@ impl MapTelemetry {
             path: Histogram::new(),
             reload: Histogram::new(),
             slowlog: SlowLog::new(SLOWLOG_CAPACITY),
-            reload_phases: Mutex::new(None),
+            last_reload: Mutex::new(None),
+            reload_paths: Default::default(),
+            bailouts: Mutex::new(Vec::new()),
         }
     }
 
-    /// Records the latest reload's per-phase timings.
-    pub fn set_reload_phases(&self, timings: PhaseTimings) {
-        if let Ok(mut slot) = self.reload_phases.lock() {
-            *slot = Some(timings);
+    /// Records a successful reload: its report, its path, and the gate
+    /// that sent it down the full path, if one did.
+    pub fn record_reload(&self, report: &LoadReport) {
+        if let Ok(mut slot) = self.last_reload.lock() {
+            *slot = Some(*report);
+        }
+        self.reload_paths[report.path as usize].fetch_add(1, Ordering::Relaxed);
+        if let (Some(reason), Ok(mut bailouts)) = (report.bailout, self.bailouts.lock()) {
+            match bailouts.iter_mut().find(|(r, _)| *r == reason) {
+                Some((_, n)) => *n += 1,
+                None => bailouts.push((reason, 1)),
+            }
         }
     }
 
-    /// The latest reload's per-phase timings, if any reload ran.
-    pub fn reload_phases(&self) -> Option<PhaseTimings> {
-        self.reload_phases.lock().ok().and_then(|slot| *slot)
+    /// The latest successful reload's report, if any reload ran.
+    pub fn last_reload(&self) -> Option<LoadReport> {
+        self.last_reload.lock().ok().and_then(|slot| *slot)
+    }
+
+    /// Successful reloads per path, in [`LoadPath::ALL`] order.
+    pub fn reload_paths(&self) -> [(LoadPath, u64); 3] {
+        LoadPath::ALL.map(|p| (p, self.reload_paths[p as usize].load(Ordering::Relaxed)))
+    }
+
+    /// Full-path reloads per refusing delta-path gate.
+    pub fn bailouts(&self) -> Vec<(&'static str, u64)> {
+        self.bailouts.lock().map(|b| b.clone()).unwrap_or_default()
     }
 
     /// Offers a finished request to the slow log. The lock-free floor
@@ -159,11 +185,19 @@ mod tests {
     #[test]
     fn reload_phases_round_trip() {
         let t = MapTelemetry::new();
-        assert!(t.reload_phases().is_none());
-        t.set_reload_phases(PhaseTimings {
-            parse: Duration::from_millis(3),
-            ..PhaseTimings::default()
-        });
-        assert_eq!(t.reload_phases().unwrap().parse, Duration::from_millis(3));
+        assert!(t.last_reload().is_none());
+        let mut report = LoadReport {
+            bailout: Some("options changed"),
+            ..LoadReport::default()
+        };
+        report.phases.parse = Duration::from_millis(3);
+        t.record_reload(&report);
+        t.record_reload(&report);
+        assert_eq!(
+            t.last_reload().unwrap().phases.parse,
+            Duration::from_millis(3)
+        );
+        assert_eq!(t.reload_paths()[2], (LoadPath::Full, 2));
+        assert_eq!(t.bailouts(), vec![("options changed", 2)]);
     }
 }

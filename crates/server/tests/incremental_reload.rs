@@ -4,11 +4,11 @@
 //! over the same bytes. The delta path is an optimization with *no*
 //! observable surface beyond speed and the `delta_reloads` counter.
 
-use pathalias_core::{ChIndex, Cost, Options, Parsed, RouteKind};
+use pathalias_core::{plan_delta, render, ChIndex, Cost, DeltaPlan, Options, Parsed, RouteKind};
 use pathalias_mapgen::{generate, MapSpec};
 use pathalias_parser::{Kind, Statements, Tok};
 use pathalias_router::PointToPoint;
-use pathalias_server::{Client, MapSource, Server, ServerConfig};
+use pathalias_server::{Client, MapSource, Server, ServerConfig, ServerHandle};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -45,24 +45,6 @@ fn plain_cost_statements(text: &str) -> Vec<&str> {
         .filter(|st| st.kind == Kind::Links && st.toks.contains(&Tok::LParen))
         .map(|st| &text[st.span])
         .collect()
-}
-
-/// Bumps the first `(cost)` group on the line by `delta`. Numeric
-/// costs are bumped in place; symbolic expressions (`DEMAND`,
-/// `HOURLY*4`) get `+delta` appended — the grammar is
-/// `expr := term (('+'|'-') term)*`.
-fn bump_first_cost(line: &str, delta: u64) -> Option<String> {
-    let open = line.find('(')?;
-    let close = line[open..].find(')')? + open;
-    let expr = line[open + 1..close].trim();
-    if expr.is_empty() {
-        return None;
-    }
-    let bumped = match expr.parse::<u64>() {
-        Ok(n) => format!("{}", n + delta),
-        Err(_) => format!("{expr}+{delta}"),
-    };
-    Some(format!("{}({bumped}){}", &line[..open], &line[close + 1..]))
 }
 
 /// The cold oracle: the full pipeline over the bytes currently on
@@ -160,7 +142,7 @@ fn daemon_delta_reload_is_byte_identical_end_to_end() {
     'hunt: for path in &paths {
         let text = std::fs::read_to_string(path).unwrap();
         for line in plain_cost_statements(&text) {
-            let Some(edited_line) = bump_first_cost(line, 3) else {
+            let Some(edited_line) = edit_first_cost(line, 3, true) else {
                 continue;
             };
             let before_deltas = cache.delta_reloads();
@@ -193,16 +175,119 @@ fn daemon_delta_reload_is_byte_identical_end_to_end() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
-/// One of the default map's counters out of a `METRICS` scrape.
-fn scraped(client: &mut Client, name: &str) -> u64 {
+/// One of the default map's counters out of a `METRICS` scrape;
+/// `labels` are the series' labels after `map`.
+fn scraped_with(client: &mut Client, name: &str, labels: &str) -> u64 {
     let text = client.metrics().unwrap();
-    let series = format!("{name}{{map=\"default\"}} ");
+    let series = format!("{name}{{map=\"default\"{labels}}} ");
     text.lines()
         .find_map(|l| l.strip_prefix(series.as_str()))
-        .unwrap_or_else(|| panic!("missing series {name}"))
+        .unwrap_or_else(|| panic!("missing series {series}"))
         .trim()
         .parse()
         .unwrap()
+}
+
+fn scraped(client: &mut Client, name: &str) -> u64 {
+    scraped_with(client, name, "")
+}
+
+/// A world wide enough that one edit's dirty cone stays under the
+/// delta planner's budget: sixteen spokes off `hub`, two of which (n1
+/// and n2) compete for `x`.
+fn spoke_world() -> String {
+    let spokes: Vec<String> = (1..=16).map(|i| format!("n{i}(10)")).collect();
+    format!(
+        "hub\t{}\nn1\tx(30)\nn2\tx(20)\nx\ty(5)\n",
+        spokes.join(", ")
+    )
+}
+
+/// Starts a daemon over `world` written to a fresh directory.
+fn serve_world(tag: &str, world: &str, options: &Options) -> (PathBuf, Client, ServerHandle) {
+    let dir = temp_dir(tag);
+    let path = dir.join("world.map");
+    std::fs::write(&path, world).unwrap();
+    let source = MapSource::map_files(vec![path.clone()], options.clone());
+    let handle = Server::start(ServerConfig::ephemeral(source)).unwrap();
+    let mut client = Client::connect(handle.tcp_addr().unwrap()).unwrap();
+    client.negotiate().unwrap();
+    (path, client, handle)
+}
+
+/// Every reload is counted under the path that served it, and a
+/// full-path reload of a map source under the delta gate that refused
+/// it.
+#[test]
+fn reload_paths_and_bailouts_are_counted() {
+    let world = spoke_world();
+    let options = Options {
+        local: Some("hub".into()),
+        ..Default::default()
+    };
+    let (path, mut client, handle) = serve_world("paths", &world, &options);
+    let paths = |c: &mut Client| {
+        ["unchanged", "delta", "full"]
+            .map(|p| scraped_with(c, "pathalias_reloads_total", &format!(",path=\"{p}\"")))
+    };
+    client.reload().unwrap();
+    assert_eq!(paths(&mut client), [1, 0, 0]);
+
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    std::fs::write(&path, world.replace("n2\tx(20)", "n2\tx(35)")).unwrap();
+    client.reload().unwrap();
+    assert_eq!(paths(&mut client), [1, 1, 0], "a cost edit is a delta");
+
+    // A new host shifts node ids: the planner refuses it.
+    std::fs::write(&path, format!("{world}z\thub(1)\n")).unwrap();
+    client.reload().unwrap();
+    assert_eq!(paths(&mut client), [1, 1, 1], "a structural edit is full");
+    let reason = ",reason=\"first-mention sequence changed\"";
+    assert_eq!(
+        scraped_with(&mut client, "pathalias_reload_delta_bailouts_total", reason),
+        1
+    );
+    let text = client.metrics().unwrap();
+    for phase in ["plan_delta", "routedb", "engine"] {
+        let series = format!("pathalias_reload_phase_seconds{{map=\"default\",phase=\"{phase}\"}}");
+        assert!(text.contains(&series), "missing {series}");
+    }
+
+    client.quit().unwrap();
+    handle.shutdown();
+    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+}
+
+/// Under `-i` the graph keeps each name as first spelled. Respelling a
+/// first mention (`Q` to `q`, in a row whose repair is small) changes
+/// what a cold run prints, so the daemon must serve the new spelling
+/// too, not patch the old world.
+#[test]
+fn ignore_case_respelled_first_mention_serves_the_cold_name() {
+    let world = format!("{}x\tQ(7)\n", spoke_world());
+    let options = Options {
+        local: Some("hub".into()),
+        ignore_case: true,
+        ..Default::default()
+    };
+    let (path, mut client, handle) = serve_world("respell", &world, &options);
+    assert_eq!(
+        client.query("Q", Some("u")).unwrap().as_deref(),
+        Some("n2!x!Q!u")
+    );
+
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    std::fs::write(&path, world.replace("x\tQ(7)", "x\tq(7)")).unwrap();
+    client.reload().unwrap();
+    assert_eq!(
+        client.query("q", Some("u")).unwrap().as_deref(),
+        Some("n2!x!q!u")
+    );
+    assert_daemon_matches_cold(&mut client, std::slice::from_ref(&path), &options, "hub");
+
+    client.quit().unwrap();
+    handle.shutdown();
+    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
 }
 
 /// The engine keeps whole source trees, and nothing invalidates them:
@@ -211,13 +296,7 @@ fn scraped(client: &mut Client, name: &str) -> u64 {
 /// and its trees.
 #[test]
 fn reload_replaces_kept_source_trees_only_when_the_world_changes() {
-    // Sixteen spokes keep one edit's dirty cone under the delta
-    // planner's budget; n1 and n2 compete for `x`.
-    let spokes: Vec<String> = (1..=16).map(|i| format!("n{i}(10)")).collect();
-    let world = format!(
-        "hub\t{}\nn1\tx(30)\nn2\tx(20)\nx\ty(5)\n",
-        spokes.join(", ")
-    );
+    let world = spoke_world();
     let dir = temp_dir("trees");
     let path = dir.join("world.map");
     std::fs::write(&path, &world).unwrap();
@@ -340,73 +419,184 @@ fn patching_a_frozen_stage_drops_its_derived_sections() {
     assert_eq!(a1.route, "a!x!%s", "the cheapened link must win");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12 })]
+/// One step of an edit chain.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Raise the cost of a link the shortest-path tree uses: its
+    /// target's label moves, and may re-parent.
+    CostUp,
+    /// Make nearly free a link the tree does not use, whose head is
+    /// closer to home than its target: the target (and the subtree
+    /// behind it) re-parents.
+    CostDown,
+    /// Raise the cost of a link the tree does not use, which moves no
+    /// label.
+    OffTree,
+    /// Add a comment, which the parser does not see.
+    Comment,
+}
 
-    /// Random single-cost edits to a mapgen world: whatever path the
-    /// reload takes, the served table must be byte-identical to the
-    /// cold pipeline over the same bytes.
+/// Rewrites the first `(cost)` group of a statement: raised by `delta`
+/// (a symbolic expression like `HOURLY*4` gets `+delta` appended — the
+/// grammar is `expr := term (('+'|'-') term)*`), or, for `up == false`,
+/// replaced by a cost under 8.
+fn edit_first_cost(stmt: &str, delta: u64, up: bool) -> Option<String> {
+    let open = stmt.find('(')?;
+    let close = stmt[open..].find(')')? + open;
+    let expr = stmt[open + 1..close].trim();
+    let edited = match (expr.parse::<u64>(), up) {
+        _ if expr.is_empty() => return None,
+        (Ok(n), true) => (n + delta).to_string(),
+        (Err(_), true) => format!("{expr}+{delta}"),
+        (_, false) => (delta % 8).to_string(),
+    };
+    Some(format!("{}({edited}){}", &stmt[..open], &stmt[close + 1..]))
+}
+
+/// The head of a link list and the target its first `(cost)` belongs
+/// to: the last name before the first parenthesis.
+fn first_costed_link(stmt: &str) -> Option<(String, String)> {
+    let view = Statements::scan("stmt", stmt).ok()?;
+    let st = view.iter().next()?;
+    let open = st.toks.iter().position(|t| *t == Tok::LParen)?;
+    let mut names = st.toks[..open].iter().filter_map(|t| match t {
+        Tok::Name(n) => Some(n.to_string()),
+        _ => None,
+    });
+    let head = names.next()?;
+    Some((head, names.next_back()?))
+}
+
+/// Applies `step` to the `pick`-th statement it can edit and returns
+/// whether anything was written. Edits the delta planner absorbs are
+/// preferred — most link lists in a generated world name a network
+/// member, and those edits all take the full path.
+fn apply(step: Step, pick: usize, delta: u64, paths: &[PathBuf], options: &Options) -> bool {
+    if let Step::Comment = step {
+        let path = &paths[pick % paths.len()];
+        let text = std::fs::read_to_string(path).unwrap();
+        std::fs::write(path, format!("{text}# retuned, edit {pick}\n")).unwrap();
+        return true;
+    }
+    let mut parsed = Parsed::new();
+    parsed.push_files(paths).unwrap();
+    let frozen = parsed.build(options).unwrap().freeze();
+    let tree = frozen.map(options).unwrap().tree;
+    let old = parsed.inputs();
+    let mut candidates = Vec::new();
+    for (i, (_, text)) in old.iter().enumerate() {
+        for stmt in plain_cost_statements(text) {
+            let Some(edited) = edit_first_cost(stmt, delta, !matches!(step, Step::CostDown)) else {
+                continue;
+            };
+            let Some((head, target)) = first_costed_link(stmt) else {
+                continue;
+            };
+            let g = tree.frozen();
+            let label = |name: &str| g.id_of(name).and_then(|id| tree.label(id));
+            let (Some(h), Some(t)) = (label(&head), label(&target)) else {
+                continue;
+            };
+            let on_tree = t.pred.map(|(p, _)| p) == g.id_of(&head);
+            let fits = match step {
+                Step::CostUp => on_tree,
+                Step::CostDown => !on_tree && h.cost + 8 < t.cost,
+                _ => !on_tree,
+            };
+            if !fits {
+                continue;
+            }
+            let mut new = old.to_vec();
+            new[i].1 = text.replacen(stmt, &edited, 1);
+            let absorbed = matches!(
+                plan_delta(old, &new, frozen.graph()),
+                DeltaPlan::Patch { .. }
+            );
+            candidates.push((absorbed, i, new.swap_remove(i).1));
+        }
+    }
+    let absorbed: Vec<_> = candidates.iter().filter(|c| c.0).collect();
+    let pool: Vec<_> = if absorbed.is_empty() {
+        candidates.iter().collect()
+    } else {
+        absorbed
+    };
+    let Some((_, i, text)) = pool.get(pick % pool.len().max(1)) else {
+        return false;
+    };
+    std::fs::write(&paths[*i], text).unwrap();
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_env(12))]
+
+    /// Random chains of three to six edits to a mapgen world — costs
+    /// up and down, a retuned link the tree does not use, a comment —
+    /// reloaded after each one. Whatever path each reload takes, the
+    /// served answers and the cached route table (rendered) must be
+    /// byte-identical to the cold pipeline over the same bytes: the
+    /// in-place patches must not drift from it as they accumulate.
     #[test]
     fn random_cost_edits_keep_serving_byte_identical(
-        pick in 0usize..10_000,
-        delta in 1u64..60,
+        edits in proptest::collection::vec((0u8..4, 0usize..10_000, 1u64..3000), 3..7),
         seed in 0u64..4,
     ) {
         let gen = generate(&MapSpec::small(120, 11 + seed));
-        let dir = temp_dir(&format!("prop-{pick}-{delta}-{seed}"));
+        let dir = temp_dir(&format!("prop-{seed}-{}-{}", edits[0].1, edits.len()));
         let paths = write_world(&dir, &gen.files);
         let options = Options {
             local: Some(gen.home.clone()),
+            with_costs: true,
             ..Default::default()
         };
         let source = MapSource::map_files(paths.clone(), options.clone());
-        let (resolver, _, _) = source.load_serving_timed().unwrap();
-        drop(resolver);
+        let MapSource::Map { cache, .. } = &source else {
+            unreachable!()
+        };
+        source.load_serving_timed().unwrap();
 
-        // Pick the `pick`-th editable line, modulo how many there are.
-        let mut candidates = Vec::new();
-        for (i, p) in paths.iter().enumerate() {
-            let text = std::fs::read_to_string(p).unwrap();
-            for line in plain_cost_statements(&text) {
-                if bump_first_cost(line, delta).is_some() {
-                    candidates.push((i, line.to_string()));
-                }
-            }
-        }
-        prop_assert!(!candidates.is_empty());
-        let (file_idx, line) = &candidates[pick % candidates.len()];
-        let edited_line = bump_first_cost(line, delta).unwrap();
-        let path = &paths[*file_idx];
-        let text = std::fs::read_to_string(path).unwrap();
-        std::fs::write(path, text.replacen(line.as_str(), &edited_line, 1)).unwrap();
-
-        // Reload (delta or fallback — the property holds either way)
-        // and compare the whole served table against the cold oracle.
-        let (resolver, engine, _) = source.load_serving_timed().unwrap();
-        let (printed, cold_engine) = cold_pipeline(&paths, &options);
-        let cold_db = pathalias_mailer::RouteDb::from_table(&printed.routes);
-        prop_assert_eq!(resolver.entries(), cold_db.len());
-        for entry in cold_db.iter() {
-            let served = resolver.resolve(&entry.name, "u").unwrap();
-            prop_assert_eq!(
-                &served.route,
-                &entry.route.replacen("%s", "u", 1),
-                "route to {} diverged", entry.name
-            );
-        }
-        let engine = engine.unwrap();
-        let mut compared = 0;
-        for entry in printed.routes.visible() {
-            if entry.name.starts_with('.') || entry.name == gen.home {
+        for &(kind, pick, delta) in &edits {
+            let step = [Step::CostUp, Step::CostDown, Step::OffTree, Step::Comment][kind as usize];
+            if !apply(step, pick, delta, &paths, &options) {
                 continue;
             }
-            if let Ok(answer) = cold_engine.route(&gen.home, &entry.name) {
-                let served = engine.route(&gen.home, &entry.name).unwrap();
-                prop_assert_eq!(&served.route, &answer.route, "PATH to {}", entry.name);
-                prop_assert_eq!(served.cost, answer.cost);
-                compared += 1;
-                if compared >= 8 {
-                    break;
+            let (resolver, engine, _) = source.load_serving_timed().unwrap();
+            let (printed, cold_engine) = cold_pipeline(&paths, &options);
+            let routes = cache.routes().expect("the map source caches its table");
+            let rendered = render(&routes, &options.print_options());
+            let drift = rendered
+                .lines()
+                .zip(printed.rendered.lines())
+                .find(|(served, cold)| served != cold);
+            prop_assert!(
+                rendered == printed.rendered,
+                "the cached table drifted after {:?}: {:?}", step, drift
+            );
+            let cold_db = pathalias_mailer::RouteDb::from_table(&printed.routes);
+            prop_assert_eq!(resolver.entries(), cold_db.len());
+            for entry in cold_db.iter() {
+                let served = resolver.resolve(&entry.name, "u").unwrap();
+                prop_assert_eq!(
+                    &served.route,
+                    &entry.route.replacen("%s", "u", 1),
+                    "route to {} diverged after {:?}", entry.name, step
+                );
+            }
+            let engine = engine.unwrap();
+            let mut compared = 0;
+            for entry in printed.routes.visible() {
+                if entry.name.starts_with('.') || entry.name == gen.home {
+                    continue;
+                }
+                if let Ok(answer) = cold_engine.route(&gen.home, &entry.name) {
+                    let served = engine.route(&gen.home, &entry.name).unwrap();
+                    prop_assert_eq!(&served.route, &answer.route, "PATH to {}", entry.name);
+                    prop_assert_eq!(served.cost, answer.cost);
+                    compared += 1;
+                    if compared >= 8 {
+                        break;
+                    }
                 }
             }
         }
