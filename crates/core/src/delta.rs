@@ -36,11 +36,35 @@
 //! Everything else falls back to the full pipeline, which stays the
 //! oracle: the reload path proves the patched snapshot equal to a cold
 //! rebuild before trusting it further.
+//!
+//! # Outlines
+//!
+//! The last gate, and the rows a patch rebuilds, need every file, not
+//! just the edited one: a name's non-plain uses and a head's other rows
+//! can sit anywhere. Only the changed file is scanned, old and new. Every
+//! other file is read from its *outline*, cut from one scan of its text:
+//! the names its non-plain statements mention, and the head and byte
+//! span of each plain row. Names are kept as 64-bit key hashes, so an
+//! outline is a fraction of its text. A [`Parsed`] caches each input's
+//! outline beside its text, in the same allocation, and a reload that
+//! re-reads one file shares the others, outlines included. So once every
+//! file has been outlined, a plan scans the one file that changed.
+//!
+//! A hash can collide, so no hash is trusted as proof. A row whose head
+//! hashes like a dirty head is re-scanned from its span, and it joins
+//! the patch only if its head really is that name; a collision costs
+//! one re-scan. A name that hashes like a non-plain name makes the plan
+//! fall back, so a collision there costs a full reload, never a wrong
+//! answer. A map crafted to collide can therefore make planning as
+//! slow as re-scanning every row, or every reload full, and no worse.
 
+use crate::stages::{Input, Parsed};
 use pathalias_graph::{FrozenGraph, NodeId, RowPatch};
-use pathalias_parser::{parse_into, Kind, Statement, Statements, Tok};
+use pathalias_parser::{parse_into, Kind, ParseError, Statement, Statements, Tok};
 use std::borrow::Cow;
 use std::collections::HashSet;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// The planner's verdict on one re-read of the input files.
 #[derive(Debug)]
@@ -61,7 +85,9 @@ pub enum DeltaPlan {
 
 /// Diffs `old` against `new` (parallel `(file, text)` lists) and plans
 /// the cheapest safe reload against `frozen`, the snapshot built from
-/// `old`.
+/// `old`. The files that did not change are outlined on the spot; a
+/// caller that plans again and again keeps its inputs in a [`Parsed`]
+/// and calls [`Parsed::plan_delta`], which cuts each outline once.
 ///
 /// # Examples
 ///
@@ -81,15 +107,97 @@ pub fn plan_delta(
     new: &[(String, String)],
     frozen: &FrozenGraph,
 ) -> DeltaPlan {
+    let old: Vec<Doc> = old.iter().map(Doc::from).collect();
+    let new: Vec<Doc> = new.iter().map(Doc::from).collect();
+    plan(&old, &new, frozen, &mut 0)
+}
+
+impl Parsed {
+    /// [`plan_delta`] from `self`, the inputs `frozen` was built from,
+    /// to `new`, their re-read, reading the files that did not change
+    /// from their cached outlines. Returns the plan and how many file
+    /// texts it scanned.
+    ///
+    /// An input's outline is cut the first time a plan needs it, or
+    /// again when it was cut under the other `-i` fold. When `new` is
+    /// `self` with the changed files re-read ([`Parsed::replace_file`]
+    /// on a clone), it shares every other input, so after the first
+    /// plan a one-file edit scans two texts: that file, old and new.
+    pub fn plan_delta(&self, new: &Parsed, frozen: &FrozenGraph) -> (DeltaPlan, usize) {
+        let old: Vec<Doc> = self.inputs().iter().map(Doc::from).collect();
+        let new: Vec<Doc> = new.inputs().iter().map(Doc::from).collect();
+        let mut scanned = 0;
+        let plan = plan(&old, &new, frozen, &mut scanned);
+        (plan, scanned)
+    }
+}
+
+/// One input as the planner reads it: its name, its text and, for an
+/// input of a [`Parsed`], the slot its outline is cached in.
+struct Doc<'p> {
+    file: &'p str,
+    text: &'p str,
+    slot: Option<&'p OnceLock<Outline>>,
+}
+
+impl<'p> From<&'p (String, String)> for Doc<'p> {
+    fn from((file, text): &'p (String, String)) -> Self {
+        Doc {
+            file,
+            text,
+            slot: None,
+        }
+    }
+}
+
+impl<'p> From<&'p Arc<Input>> for Doc<'p> {
+    fn from(input: &'p Arc<Input>) -> Self {
+        Doc {
+            file: &input.file,
+            text: &input.text,
+            slot: Some(&input.outline),
+        }
+    }
+}
+
+impl<'p> Doc<'p> {
+    /// The outline under `fold`: the cached one when it was cut under
+    /// that fold, else one cut from the text now (counted in
+    /// `scanned`).
+    fn outline(&self, fold: bool, scanned: &mut usize) -> Result<Cow<'p, Outline>, ParseError> {
+        if let Some(outline) = self.slot.and_then(OnceLock::get) {
+            if outline.fold == fold {
+                return Ok(Cow::Borrowed(outline));
+            }
+        }
+        *scanned += 1;
+        Ok(self.keep(Outline::cut(self.file, self.text, fold)?))
+    }
+
+    /// Caches `outline` when the slot is still empty.
+    fn keep(&self, outline: Outline) -> Cow<'p, Outline> {
+        let Some(slot) = self.slot else {
+            return Cow::Owned(outline);
+        };
+        match slot.set(outline) {
+            Ok(()) => Cow::Borrowed(slot.get().expect("just set")),
+            Err(outline) => Cow::Owned(outline),
+        }
+    }
+}
+
+/// The one planner body, over inputs from either entry point.
+fn plan(old: &[Doc<'_>], new: &[Doc<'_>], frozen: &FrozenGraph, scanned: &mut usize) -> DeltaPlan {
     if old.len() != new.len() {
         return DeltaPlan::Fallback("file set changed");
     }
     let mut changed: Option<usize> = None;
-    for (i, ((of, ot), (nf, nt))) in old.iter().zip(new).enumerate() {
-        if of != nf {
+    for (i, (o, n)) in old.iter().zip(new).enumerate() {
+        if o.file != n.file {
             return DeltaPlan::Fallback("file set changed");
         }
-        if ot != nt {
+        // A re-read shares the inputs that did not move: same address.
+        if !std::ptr::eq(o.text, n.text) && o.text != n.text {
             if changed.is_some() {
                 return DeltaPlan::Fallback("multiple files changed");
             }
@@ -99,11 +207,18 @@ pub fn plan_delta(
     let Some(ci) = changed else {
         return DeltaPlan::Unchanged;
     };
-    let ((of, ot), (nf, nt)) = (&old[ci], &new[ci]);
-    let (Ok(old_view), Ok(new_view)) = (Statements::scan(of, ot), Statements::scan(nf, nt)) else {
+    let (od, nd) = (&old[ci], &new[ci]);
+    *scanned += 2;
+    let (Ok(old_view), Ok(new_view)) = (
+        Statements::scan(od.file, od.text),
+        Statements::scan(nd.file, nd.text),
+    ) else {
         return DeltaPlan::Fallback("text does not scan");
     };
     let fold = frozen.ignore_case();
+    // Outlined now, so that the new text keeps its outline whatever a
+    // gate below decides, and no later plan scans it again.
+    let new_outline = nd.keep(Outline::of(&new_view, fold));
 
     // Longest common prefix and suffix of the statement lists; the
     // window between them is the edit.
@@ -154,6 +269,7 @@ pub fn plan_delta(
     // The dirty heads, and every name the edit touches.
     let mut dirty: Vec<NodeId> = Vec::new();
     let mut heads = HashSet::new();
+    let mut head_keys = Vec::new();
     let mut touched = Vec::new();
     for st in edited() {
         for (k, name) in mentions(st.toks).enumerate() {
@@ -163,51 +279,136 @@ pub fn plan_delta(
             if k == 0 {
                 dirty.push(id);
                 heads.insert(key(name, fold));
+                head_keys.push(key_hash(name, fold));
             }
-            touched.push(key(name, fold));
+            touched.push(key_hash(name, fold));
         }
     }
     dirty.sort_unstable();
     dirty.dedup();
+    head_keys.sort_unstable();
+    head_keys.dedup();
     drop(before);
     drop(old_view);
 
-    // One pass over the new file set. It collects the names with
-    // non-plain semantics anywhere (private scoping, network
-    // membership, aliases, dead/delete/adjust marks, gateways), which
-    // the edit must stay clear of, and every plain statement whose
-    // head is dirty, in file order — link order and duplicate handling
-    // must match a cold parse.
-    let mut complex = HashSet::new();
-    let mut rows = String::new();
-    let mut targets = Vec::new();
-    for (i, (file, text)) in new.iter().enumerate() {
-        let rescan = (i != ci).then(|| Statements::scan(file, text));
-        let view = match &rescan {
-            None => &new_view,
-            Some(Ok(view)) => view,
-            Some(Err(_)) => return DeltaPlan::Fallback("text does not scan"),
-        };
-        for st in view.iter() {
-            let mut names = mentions(st.toks).map(|name| key(name, fold));
-            if st.kind != Kind::Links {
-                complex.extend(names);
-            } else if names.next().is_some_and(|head| heads.contains(&head)) {
-                rows.push_str(&text[st.span.clone()]);
-                rows.push('\n');
-                targets.extend(names);
-            }
+    // Every file's outline: the changed file's was cut above, the
+    // others come from their cache or are cut here.
+    let mut outlines = Vec::with_capacity(new.len());
+    for doc in new[..ci].iter().chain(&new[ci + 1..]) {
+        match doc.outline(fold, scanned) {
+            Ok(outline) => outlines.push(outline),
+            Err(_) => return DeltaPlan::Fallback("text does not scan"),
         }
     }
-    if touched.iter().any(|name| complex.contains(name)) {
+    outlines.insert(ci, new_outline);
+
+    // Every plain statement whose head is dirty, in file order — link
+    // order and duplicate handling must match a cold parse. The changed
+    // file's come off its view; every other file's are re-scanned from
+    // the spans its outline lists under a dirty head's hash.
+    let mut rows = String::new();
+    let mut targets = Vec::new();
+    let mut take = |text: &str, st: &Statement<'_, '_>| {
+        let mut names = mentions(st.toks);
+        let dirty_head = st.kind == Kind::Links
+            && names
+                .next()
+                .is_some_and(|head| heads.contains(&key(head, fold)));
+        if dirty_head {
+            rows.push_str(&text[st.span.clone()]);
+            rows.push('\n');
+            targets.extend(names.map(|name| key_hash(name, fold)));
+        }
+    };
+    for (i, (doc, outline)) in new.iter().zip(&outlines).enumerate() {
+        if i == ci {
+            new_view.iter().for_each(|st| take(doc.text, &st));
+            continue;
+        }
+        let mut spans: Vec<&Range<usize>> = head_keys
+            .iter()
+            .flat_map(|&head| outline.rows_headed(head))
+            .collect();
+        spans.sort_unstable_by_key(|span| span.start);
+        for span in spans {
+            let text = &doc.text[span.clone()];
+            let Ok(view) = Statements::scan(doc.file, text) else {
+                return DeltaPlan::Fallback("text does not scan");
+            };
+            let mut stmts = view.iter();
+            let (Some(st), None) = (stmts.next(), stmts.next()) else {
+                return DeltaPlan::Fallback("text does not scan");
+            };
+            take(text, &st);
+        }
+    }
+
+    // The names with non-plain semantics anywhere (private scoping,
+    // network membership, aliases, dead/delete/adjust marks, gateways)
+    // the edit must stay clear of.
+    let complex = |name: &u64| outlines.iter().any(|o| o.mentions_complex(*name));
+    if touched.iter().any(complex) {
         return DeltaPlan::Fallback("edited name has non-plain semantics");
     }
-    if targets.iter().any(|name| complex.contains(name)) {
+    if targets.iter().any(complex) {
         // The statement resolves this target through file scoping the
         // scratch parse cannot reproduce.
         return DeltaPlan::Fallback("surviving target has non-plain semantics");
     }
     build_patches(&rows, frozen, &dirty)
+}
+
+/// What the planner needs of a file it did not change, cut from one
+/// scan of its text: the names its non-plain statements mention, and
+/// each plain row's head and byte span. Names are [`key_hash`]es.
+#[derive(Debug, Clone)]
+pub(crate) struct Outline {
+    /// Whether names were folded (`-i`) when the outline was cut.
+    fold: bool,
+    /// Every name a non-plain statement mentions, sorted, once each.
+    complex: Vec<u64>,
+    /// Per [`Kind::Links`] statement: its head and its span, sorted by
+    /// head, then by position.
+    rows: Vec<(u64, Range<usize>)>,
+}
+
+impl Outline {
+    fn cut(file: &str, text: &str, fold: bool) -> Result<Outline, ParseError> {
+        Ok(Outline::of(&Statements::scan(file, text)?, fold))
+    }
+
+    fn of(view: &Statements<'_>, fold: bool) -> Outline {
+        let (mut complex, mut rows) = (Vec::new(), Vec::new());
+        for st in view.iter() {
+            let mut names = mentions(st.toks).map(|name| key_hash(name, fold));
+            if st.kind != Kind::Links {
+                complex.extend(names);
+            } else if let Some(head) = names.next() {
+                rows.push((head, st.span));
+            }
+        }
+        complex.sort_unstable();
+        complex.dedup();
+        complex.shrink_to_fit();
+        rows.sort_unstable_by_key(|(head, span)| (*head, span.start));
+        rows.shrink_to_fit();
+        Outline {
+            fold,
+            complex,
+            rows,
+        }
+    }
+
+    fn mentions_complex(&self, name: u64) -> bool {
+        self.complex.binary_search(&name).is_ok()
+    }
+
+    /// The rows whose head hashes to `head`, in file order.
+    fn rows_headed(&self, head: u64) -> impl Iterator<Item = &Range<usize>> {
+        let from = self.rows.partition_point(|(h, _)| *h < head);
+        let to = from + self.rows[from..].partition_point(|(h, _)| *h == head);
+        self.rows[from..to].iter().map(|(_, span)| span)
+    }
 }
 
 /// Re-derives the full replacement row for every dirty head by running
@@ -262,6 +463,24 @@ fn key(name: &str, fold: bool) -> Cow<'_, str> {
     } else {
         Cow::Borrowed(name)
     }
+}
+
+/// [`key`] as 64 bits, for outlines: a multiply-rotate hash over the
+/// folded name, eight bytes at a time.
+fn key_hash(name: &str, fold: bool) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = (name.len() as u64).wrapping_mul(K);
+    for chunk in name.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        if fold {
+            word.make_ascii_lowercase();
+        }
+        h = (h ^ u64::from_le_bytes(word))
+            .wrapping_mul(K)
+            .rotate_left(29);
+    }
+    (h ^ (h >> 32)).wrapping_mul(K)
 }
 
 #[cfg(test)]
@@ -461,6 +680,89 @@ mod tests {
         let patches = expect_patch(plan_delta(&old, &new, &frozen));
         let (patched, _) = frozen.with_rows_replaced(&patches);
         assert_eq!(patched, frozen_of(&new));
+    }
+
+    fn parsed(inputs: &[(String, String)]) -> Parsed {
+        let mut parsed = Parsed::new();
+        inputs.iter().for_each(|(f, t)| parsed.push_str(f, t));
+        parsed
+    }
+
+    /// `parsed` with input `index` re-read as `text`, sharing the rest.
+    fn reread(parsed: &Parsed, index: usize, text: &str) -> Parsed {
+        let mut new = parsed.clone();
+        new.replace_text(index, text);
+        new
+    }
+
+    #[test]
+    fn parsed_plans_scan_only_the_changed_file_once_outlined() {
+        let old = inputs(&[
+            ("one", "a b(10)\nb c(10)\n"),
+            ("two", "b d(10)\nd a(1)\n"),
+            ("three", "c e(3)\nprivate {z}\nz a(1)\n"),
+        ]);
+        let frozen = frozen_of(&old);
+        let cached = parsed(&old);
+        let mut new = old.clone();
+        new[0].1 = "a b(10)\nb c(7)\n".to_string();
+        let first = reread(&cached, 0, &new[0].1);
+        let (plan, scanned) = cached.plan_delta(&first, &frozen);
+        assert_eq!(
+            format!("{plan:?}"),
+            format!("{:?}", plan_delta(&old, &new, &frozen))
+        );
+        assert!(matches!(plan, DeltaPlan::Patch { .. }));
+        assert_eq!(scanned, 4, "the edited file twice, then two outlines");
+
+        // The next edit, to another file, finds every other file
+        // outlined, the first edit's new text included.
+        let frozen = frozen_of(&new);
+        let mut newer = new.clone();
+        newer[1].1 = "b d(12)\nd a(1)\n".to_string();
+        let second = reread(&first, 1, &newer[1].1);
+        let (plan, scanned) = first.plan_delta(&second, &frozen);
+        assert_eq!(
+            format!("{plan:?}"),
+            format!("{:?}", plan_delta(&new, &newer, &frozen))
+        );
+        assert_eq!(scanned, 2);
+        let patches = expect_patch(plan);
+        assert_eq!(frozen.with_rows_replaced(&patches).0, frozen_of(&newer));
+    }
+
+    #[test]
+    fn outlines_cut_without_fold_are_cut_again_under_it() {
+        // Under `-i`, `B` in the second file is `b`, so b's rebuilt row
+        // takes a link from there: an outline cut without folding
+        // would miss it.
+        let old = inputs(&[
+            ("one", "A b(10)\nb c(5)\n"),
+            ("two", "C a(3)\nB e(2)\nN = {q}(1)\n"),
+        ]);
+        let mut new = old.clone();
+        new[0].1 = "A b(10)\nb c(6)\n".to_string();
+        let cached = parsed(&old);
+        let edited = reread(&cached, 0, &new[0].1);
+        let (_, scanned) = cached.plan_delta(&edited, &frozen_of(&old));
+        assert_eq!(scanned, 3, "outlined without -i");
+
+        let mut g = pathalias_graph::Graph::with_ignore_case(true);
+        for (f, t) in &old {
+            parse_into(&mut g, f, t).unwrap();
+        }
+        g.validate();
+        let folding = g.freeze();
+        let (plan, scanned) = cached.plan_delta(&edited, &folding);
+        assert_eq!(scanned, 3, "the unfolded outline is cut again");
+        let cold = plan_delta(&old, &new, &folding);
+        assert_eq!(format!("{plan:?}"), format!("{cold:?}"));
+        let patches = expect_patch(plan);
+        assert_eq!(
+            patches[0].edges.len(),
+            2,
+            "c from one file, e from the other"
+        );
     }
 
     #[test]

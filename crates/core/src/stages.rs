@@ -36,6 +36,7 @@
 //! assert!(out1.rendered.contains("phs\tduke!phs!%s"));
 //! ```
 
+use crate::delta::Outline;
 use crate::options::Options;
 use crate::pipeline::Error;
 use pathalias_graph::snapshot::{self, SnapshotError};
@@ -44,13 +45,49 @@ use pathalias_mapper::{map_dual_frozen, map_frozen, DualTree, MapOptions, Shorte
 use pathalias_parser::parse_into;
 use pathalias_printer::{compute_routes, render, RouteTable};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Stage 1: named input texts, not yet parsed.
+///
+/// Cloning shares the inputs: each is one [`Input`] behind an `Arc`,
+/// so a reload that re-reads one file of thirty shares the other
+/// twenty-nine, and the delta planner's outline of each with them.
 #[derive(Debug, Clone, Default)]
 pub struct Parsed {
-    inputs: Vec<(String, String)>,
+    inputs: Vec<Arc<Input>>,
+}
+
+/// One named input text, and the delta planner's outline of it.
+///
+/// The outline is cut on the first delta plan that needs it and
+/// cached beside the text, in the same `Arc`, so it is never served
+/// for any other text.
+#[derive(Debug)]
+pub struct Input {
+    pub(crate) file: String,
+    pub(crate) text: String,
+    pub(crate) outline: OnceLock<Outline>,
+}
+
+impl Input {
+    fn new(file: String, text: String) -> Arc<Input> {
+        Arc::new(Input {
+            file,
+            text,
+            outline: OnceLock::new(),
+        })
+    }
+
+    /// The name the input was added under.
+    pub fn file(&self) -> &str {
+        &self.file
+    }
+
+    /// The input's text.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
 }
 
 impl Parsed {
@@ -61,15 +98,14 @@ impl Parsed {
 
     /// Adds one named input.
     pub fn push_str(&mut self, file: &str, text: &str) {
-        self.inputs.push((file.to_string(), text.to_string()));
+        self.inputs
+            .push(Input::new(file.to_string(), text.to_string()));
     }
 
     /// Reads and adds an input file from disk.
     pub fn push_file(&mut self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)?;
-        self.inputs
-            .push((path.to_string_lossy().into_owned(), text));
+        let input = read(path.as_ref())?;
+        self.inputs.push(input);
         Ok(())
     }
 
@@ -86,8 +122,28 @@ impl Parsed {
         Ok(())
     }
 
+    /// Re-reads input `index` from `path`, in place. The input is no
+    /// longer shared with clones of `self`, and has no outline yet.
+    ///
+    /// # Panics
+    ///
+    /// When there is no input `index`.
+    pub fn replace_file(&mut self, index: usize, path: impl AsRef<Path>) -> std::io::Result<()> {
+        self.inputs[index] = read(path.as_ref())?;
+        Ok(())
+    }
+
+    /// Replaces input `index`'s text, as [`replace_file`] does.
+    ///
+    /// [`replace_file`]: Parsed::replace_file
+    #[cfg(test)]
+    pub(crate) fn replace_text(&mut self, index: usize, text: &str) {
+        let file = self.inputs[index].file.clone();
+        self.inputs[index] = Input::new(file, text.to_string());
+    }
+
     /// The inputs accumulated so far.
-    pub fn inputs(&self) -> &[(String, String)] {
+    pub fn inputs(&self) -> &[Arc<Input>] {
         &self.inputs
     }
 
@@ -102,9 +158,9 @@ impl Parsed {
         let t0 = Instant::now();
         let mut graph = Graph::with_ignore_case(options.ignore_case);
         let mut first_host = None;
-        for (file, text) in &self.inputs {
+        for input in &self.inputs {
             let before = graph.node_count();
-            parse_into(&mut graph, file, text)?;
+            parse_into(&mut graph, &input.file, &input.text)?;
             if first_host.is_none() && graph.node_count() > before {
                 first_host = Some(
                     graph
@@ -121,6 +177,12 @@ impl Parsed {
             build_time: t0.elapsed(),
         })
     }
+}
+
+/// Reads one input file, named by its path.
+fn read(path: &Path) -> std::io::Result<Arc<Input>> {
+    let text = std::fs::read_to_string(path)?;
+    Ok(Input::new(path.to_string_lossy().into_owned(), text))
 }
 
 /// Stage 2: the mutable graph built by parsing.

@@ -247,6 +247,7 @@ impl FrozenGraph {
 
         // Scratch reused per node: adjacency in declaration order.
         let mut row: Vec<(NodeId, Cost, RouteOp, LinkFlags)> = Vec::new();
+        let mut settle = RowSettler::new(n);
 
         for (id, node) in g.iter_nodes() {
             name_off.push(name_data.len() as u32);
@@ -277,35 +278,7 @@ impl FrozenGraph {
                 row.push((l.to, l.cost, l.op, l.flags));
             }
             row.reverse();
-            // Collapse exact-duplicate parallel links (same target,
-            // operator and flags) to the cheapest declaration. Links
-            // that differ in role (alias vs explicit vs net edge) have
-            // different mapping semantics and are all kept.
-            let base = edges.len();
-            'edges: for &(to, cost, op, lflags) in &row {
-                let cand = FrozenEdge::new(to, cost, op, lflags);
-                for e in &mut edges[base..] {
-                    if e.to == cand.to
-                        && e.op_ch == cand.op_ch
-                        && e.op_dir == cand.op_dir
-                        && e.flags == cand.flags
-                    {
-                        if cand.cost < e.cost {
-                            e.cost = cand.cost;
-                        }
-                        continue 'edges;
-                    }
-                }
-                edges.push(cand);
-            }
-            // Fold the tail's `adjust` bias into the stored cost,
-            // remembering the raw value for source-edge exemption.
-            if node.adjust != 0 {
-                for (e, edge) in edges.iter_mut().enumerate().skip(base) {
-                    raw_cost.insert(e as u32, edge.cost);
-                    edge.cost = apply_adjust(edge.cost, node.adjust);
-                }
-            }
+            settle.row(&mut edges, &mut raw_cost, node.adjust, row.iter().copied());
         }
         name_off.push(name_data.len() as u32);
         row_start.push(edges.len() as u32);
@@ -437,6 +410,7 @@ impl FrozenGraph {
         let mut edges: Vec<FrozenEdge> = self.edges[..cut].to_vec();
         let mut raw_cost: HashMap<u32, Cost> = HashMap::new();
         let mut spans: Vec<(u32, u32, i64)> = Vec::with_capacity(patches.len());
+        let mut settle = RowSettler::new(n);
 
         let mut next_patch = 0usize;
         for u in first..n {
@@ -444,34 +418,11 @@ impl FrozenGraph {
             if next_patch < patches.len() && patches[next_patch].node.index() == u {
                 let patch = &patches[next_patch];
                 next_patch += 1;
-                let base = edges.len();
                 if self.is_mappable(NodeId::from_raw(u as u32)) {
-                    'edges: for &(to, cost, op, lflags) in &patch.edges {
-                        if lflags.contains(LinkFlags::DELETED) || !self.is_mappable(to) {
-                            continue;
-                        }
-                        let cand = FrozenEdge::new(to, cost, op, lflags);
-                        for e in &mut edges[base..] {
-                            if e.to == cand.to
-                                && e.op_ch == cand.op_ch
-                                && e.op_dir == cand.op_dir
-                                && e.flags == cand.flags
-                            {
-                                if cand.cost < e.cost {
-                                    e.cost = cand.cost;
-                                }
-                                continue 'edges;
-                            }
-                        }
-                        edges.push(cand);
-                    }
-                    let bias = self.adjust[u];
-                    if bias != 0 {
-                        for (e, edge) in edges.iter_mut().enumerate().skip(base) {
-                            raw_cost.insert(e as u32, edge.cost);
-                            edge.cost = apply_adjust(edge.cost, bias);
-                        }
-                    }
+                    let live = patch.edges.iter().copied().filter(|&(to, _, _, lflags)| {
+                        !lflags.contains(LinkFlags::DELETED) && self.is_mappable(to)
+                    });
+                    settle.row(&mut edges, &mut raw_cost, self.adjust[u], live);
                 }
                 // Cumulative shift for every old edge after this row.
                 let delta = edges.len() as i64 - old.end as i64;
@@ -673,6 +624,87 @@ impl Graph {
 #[inline]
 fn apply_adjust(cost: Cost, bias: i64) -> Cost {
     ((cost as i128) + (bias as i128)).clamp(0, Cost::MAX as i128) as Cost
+}
+
+/// Settles adjacency rows the way a freeze does, for
+/// [`FrozenGraph::freeze`] and [`FrozenGraph::with_rows_replaced`]:
+/// exact-duplicate parallel links (same target, operator and flags)
+/// collapse to the cheapest declaration, and the tail's `adjust` bias
+/// is folded into the stored costs. Links that differ in role (alias
+/// vs explicit vs net edge) have different mapping semantics and are
+/// all kept.
+///
+/// A duplicate is found without walking the row: each target's first
+/// edge in the row sits in an epoch-stamped per-node slot, and the
+/// row's edges to one target are chained from it, so a 200,000-link
+/// hub row settles in linear time.
+struct RowSettler {
+    /// Bumped per row, so stale slots need no clearing.
+    epoch: u32,
+    /// Per node: the epoch that last saw it as a target, and the
+    /// index in `edges` of the row's first edge to it.
+    first: Vec<(u32, u32)>,
+    /// Per edge of the row being settled, by offset from the row's
+    /// start: the next edge of the row to the same target.
+    next: Vec<Option<u32>>,
+}
+
+impl RowSettler {
+    fn new(nodes: usize) -> RowSettler {
+        RowSettler {
+            epoch: 0,
+            first: vec![(0, 0); nodes],
+            next: Vec::new(),
+        }
+    }
+
+    /// Appends one settled row to `edges`, from `row`'s raw links in
+    /// declaration order, noting raw costs in `raw_cost` when `bias`
+    /// applies.
+    fn row(
+        &mut self,
+        edges: &mut Vec<FrozenEdge>,
+        raw_cost: &mut HashMap<u32, Cost>,
+        bias: i64,
+        row: impl Iterator<Item = (NodeId, Cost, RouteOp, LinkFlags)>,
+    ) {
+        self.epoch = self.epoch.checked_add(1).unwrap_or_else(|| {
+            self.first.iter_mut().for_each(|s| s.0 = 0);
+            1
+        });
+        self.next.clear();
+        let base = edges.len();
+        'edges: for (to, cost, op, lflags) in row {
+            let cand = FrozenEdge::new(to, cost, op, lflags);
+            let slot = &mut self.first[to.index()];
+            if slot.0 == self.epoch {
+                let mut at = slot.1 as usize;
+                loop {
+                    let e = &mut edges[at];
+                    if e.op_ch == cand.op_ch && e.op_dir == cand.op_dir && e.flags == cand.flags {
+                        e.cost = e.cost.min(cand.cost);
+                        continue 'edges;
+                    }
+                    match self.next[at - base] {
+                        Some(next) => at = next as usize,
+                        None => break,
+                    }
+                }
+                self.next[at - base] = Some(edges.len() as u32);
+            } else {
+                *slot = (self.epoch, edges.len() as u32);
+            }
+            self.next.push(None);
+            edges.push(cand);
+        }
+        // Remember the raw value for source-edge exemption.
+        if bias != 0 {
+            for (e, edge) in edges.iter_mut().enumerate().skip(base) {
+                raw_cost.insert(e as u32, edge.cost);
+                edge.cost = apply_adjust(edge.cost, bias);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

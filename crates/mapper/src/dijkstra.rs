@@ -13,7 +13,7 @@ use crate::cost_model::{
     pack_key, pack_label, settle, source_label, unpack_label, CostModel, Key, Packed, Settled,
     Tail, LABELLED, MAPPED, NO_PRED,
 };
-use crate::tree::{MapStats, PackedTree, ShortestPathTree, TraceDecision, TraceEvent};
+use crate::tree::{Children, MapStats, PackedTree, ShortestPathTree, TraceDecision, TraceEvent};
 use pathalias_graph::{Cost, EdgeId, FrozenEdge, FrozenGraph, Graph, LinkFlags, NodeId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -329,7 +329,8 @@ pub fn map_frozen(
 /// whole world (Ramalingam–Reps-style dynamic SSSP over the packed
 /// run state).
 ///
-/// The caller must pass the `graph`/`shift` pair returned by
+/// The caller must pass `old`'s [`children`](ShortestPathTree::children),
+/// the `graph`/`shift` pair returned by
 /// [`FrozenGraph::with_rows_replaced`] applied to `old.frozen()`, and
 /// the same `opts` the old tree was mapped with. The repair seeds the
 /// priority queue with the dirty tails and the intact frontier around
@@ -348,6 +349,7 @@ pub fn map_frozen(
 /// edge to a mapped host (a full run would invent a new back link).
 pub fn repair_frozen(
     old: &ShortestPathTree,
+    children: &Children,
     graph: &Arc<FrozenGraph>,
     dirty: &[NodeId],
     shift: &pathalias_graph::EdgeShift,
@@ -379,7 +381,6 @@ pub fn repair_frozen(
     // was derived (directly or transitively) through a replaced row.
     // The dirty nodes themselves keep their labels — the path *into*
     // them is intact.
-    let children = old.children();
     let mut invalid = 0usize;
     let mut stack: Vec<NodeId> = Vec::new();
     for &d in dirty {
@@ -817,7 +818,7 @@ y hub(1)
             edges: vec![(x, 1, pathalias_graph::RouteOp::UUCP, LinkFlags::empty())],
         }]);
         let patched = Arc::new(patched);
-        let repaired = repair_frozen(&old, &patched, &[a], &shift, &opts, 1.0)
+        let repaired = repair_frozen(&old, &old.children(), &patched, &[a], &shift, &opts, 1.0)
             .unwrap()
             .expect("repair applies");
         let cold = map_frozen_readonly(&patched, hub, &opts).unwrap();
@@ -850,7 +851,7 @@ b a(70)
             edges: vec![],
         }]);
         let patched = Arc::new(patched);
-        let repaired = repair_frozen(&old, &patched, &[a], &shift, &opts, 1.0)
+        let repaired = repair_frozen(&old, &old.children(), &patched, &[a], &shift, &opts, 1.0)
             .unwrap()
             .expect("repair applies");
         let cold = map_frozen_readonly(&patched, hub, &opts).unwrap();
@@ -880,7 +881,7 @@ c x(10)
             edges: vec![(x, 10, pathalias_graph::RouteOp::UUCP, LinkFlags::empty())],
         }]);
         let patched = Arc::new(patched);
-        let repaired = repair_frozen(&old, &patched, &[c], &shift, &opts, 1.0)
+        let repaired = repair_frozen(&old, &old.children(), &patched, &[c], &shift, &opts, 1.0)
             .unwrap()
             .expect("repair applies");
         let cold = map_frozen_readonly(&patched, hub, &opts).unwrap();
@@ -908,9 +909,11 @@ c x(10)
             edges: vec![],
         }]);
         let patched = Arc::new(patched);
-        assert!(repair_frozen(&old, &patched, &[a], &shift, &opts, 1.0)
-            .unwrap()
-            .is_none());
+        assert!(
+            repair_frozen(&old, &old.children(), &patched, &[a], &shift, &opts, 1.0)
+                .unwrap()
+                .is_none()
+        );
         // And a too-small dirty budget bails before doing any work.
         let (same, shift2) = frozen.with_rows_replaced(&[pathalias_graph::RowPatch {
             node: a,
@@ -918,7 +921,7 @@ c x(10)
         }]);
         let same = Arc::new(same);
         assert!(
-            repair_frozen(&old, &same, &[a], &shift2, &opts, 0.0)
+            repair_frozen(&old, &old.children(), &same, &[a], &shift2, &opts, 0.0)
                 .unwrap()
                 .is_none(),
             "zero budget always falls back"
@@ -950,13 +953,21 @@ c x(10)
         // With back links enabled a cold run would invent differently.
         let with_backlinks = MapOptions::default();
         assert!(
-            repair_frozen(&old, &patched, &[leaf], &shift, &with_backlinks, 1.0)
-                .unwrap()
-                .is_none(),
+            repair_frozen(
+                &old,
+                &old.children(),
+                &patched,
+                &[leaf],
+                &shift,
+                &with_backlinks,
+                1.0
+            )
+            .unwrap()
+            .is_none(),
             "invention-changing delta must fall back"
         );
         // With back links disabled the repair can stand.
-        let repaired = repair_frozen(&old, &patched, &[leaf], &shift, &opts, 1.0)
+        let repaired = repair_frozen(&old, &old.children(), &patched, &[leaf], &shift, &opts, 1.0)
             .unwrap()
             .expect("no inventions to differ on");
         let cold = map_frozen_readonly(&patched, hub, &opts).unwrap();
@@ -994,7 +1005,7 @@ c x(10)
             aug.with_rows_replaced(&[pathalias_graph::RowPatch { node: a, edges }]);
         assert!(shift.is_identity_outside_rows());
         let patched = Arc::new(patched);
-        let repaired = repair_frozen(&old, &patched, &[a], &shift, &opts, 1.0)
+        let repaired = repair_frozen(&old, &old.children(), &patched, &[a], &shift, &opts, 1.0)
             .unwrap()
             .expect("repair applies over the augmented snapshot");
         let cold = map_frozen_readonly(&patched, hub, &opts).unwrap();

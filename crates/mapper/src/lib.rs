@@ -55,4 +55,4 @@ pub use dijkstra::{
     MapError, MapOptions,
 };
 pub use dual::{map_dual, map_dual_frozen, DualTree};
-pub use tree::{format_trace, Label, MapStats, PackedTree, ShortestPathTree, TraceEvent};
+pub use tree::{format_trace, Children, Label, MapStats, PackedTree, ShortestPathTree, TraceEvent};

@@ -1,6 +1,7 @@
 //! The shortest-path tree produced by mapping.
 
 use pathalias_graph::{Cost, EdgeId, FrozenGraph, NodeId};
+use std::ops::Index;
 use std::sync::Arc;
 
 /// The best path found to one node.
@@ -194,22 +195,29 @@ impl ShortestPathTree {
         Some(path)
     }
 
-    /// Builds dense children lists (indexed by node), each sorted by
-    /// node id for deterministic traversal.
-    pub fn children(&self) -> Vec<Vec<NodeId>> {
-        let mut kids: Vec<Vec<NodeId>> = vec![Vec::new(); self.labels.len()];
+    /// Builds every node's children list (indexed by node), each
+    /// sorted by node id for deterministic traversal.
+    pub fn children(&self) -> Children {
+        let parent = |l: &Option<Label>| l.as_ref()?.pred.map(|(p, _)| p.index());
+        // Count each node's children, turn the counts into row starts,
+        // then fill the rows visiting nodes in ascending id order.
+        let n = self.labels.len();
+        let mut offsets = vec![0u32; n + 1];
+        for p in self.labels.iter().filter_map(parent) {
+            offsets[p + 1] += 1;
+        }
+        for i in 1..=n {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut ids = vec![NodeId::from_raw(0); offsets[n] as usize];
+        let mut next = offsets[..n].to_vec();
         for (i, l) in self.labels.iter().enumerate() {
-            if let Some(Label {
-                pred: Some((p, _)), ..
-            }) = l
-            {
-                kids[p.index()].push(NodeId::from_raw(i as u32));
+            if let Some(p) = parent(l) {
+                ids[next[p] as usize] = NodeId::from_raw(i as u32);
+                next[p] += 1;
             }
         }
-        for k in &mut kids {
-            k.sort();
-        }
-        kids
+        Children { offsets, ids }
     }
 
     /// Hosts that remain unreachable: mappable nodes without labels.
@@ -218,6 +226,23 @@ impl ShortestPathTree {
             .node_ids()
             .filter(|&id| self.frozen.is_mappable(id) && self.label(id).is_none())
             .collect()
+    }
+}
+
+/// Every node's children in a [`ShortestPathTree`], as one flat
+/// array: `children[i]` is node `i`'s, sorted by id.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Children {
+    /// `offsets[i]..offsets[i + 1]` indexes node `i`'s run of `ids`.
+    offsets: Vec<u32>,
+    ids: Vec<NodeId>,
+}
+
+impl Index<usize> for Children {
+    type Output = [NodeId];
+
+    fn index(&self, node: usize) -> &[NodeId] {
+        &self.ids[self.offsets[node] as usize..self.offsets[node + 1] as usize]
     }
 }
 

@@ -14,7 +14,7 @@
 
 use crate::route::{Route, RouteKind, RouteTable};
 use pathalias_graph::{FrozenGraph, LinkFlags, NodeFlags, NodeId, RouteOp};
-use pathalias_mapper::ShortestPathTree;
+use pathalias_mapper::{Children, ShortestPathTree};
 
 /// Computes the route for every node the tree reached.
 pub fn compute_routes(tree: &ShortestPathTree) -> RouteTable {
@@ -132,7 +132,7 @@ pub fn update_routes(
 fn traverse(
     f: &FrozenGraph,
     tree: &ShortestPathTree,
-    children: &[Vec<NodeId>],
+    children: &Children,
     mut stack: Vec<(NodeId, String, String)>,
     entries: &mut Vec<Route>,
 ) {

@@ -501,6 +501,7 @@ impl State {
                     .field("generation", generation)
                     .field("entries", entries)
                     .field("duration_ms", ns / 1_000_000)
+                    .field("files_scanned", report.files_scanned)
                     .emit();
                 let response = Response::Reloaded {
                     map: wire_name,
@@ -702,6 +703,19 @@ impl State {
                     n,
                 );
             }
+        }
+        out.family(
+            "pathalias_reload_files_scanned_total",
+            "counter",
+            "Map file texts the delta planner scanned: a one-file edit scans that file, \
+             old and new, plus each file it had not outlined yet.",
+        );
+        for m in &maps {
+            out.sample(
+                "pathalias_reload_files_scanned_total",
+                &[("map", &m.name)],
+                m.telemetry.files_scanned(),
+            );
         }
         out.family(
             "pathalias_reload_delta_bailouts_total",

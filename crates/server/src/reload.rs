@@ -23,8 +23,8 @@
 //! them.
 
 use pathalias_core::{
-    parallel, plan_delta, repair_frozen, update_routes, DeltaPlan, EdgeShift, Frozen, FrozenGraph,
-    MapOptions, Mapped, NodeId, Options, Parsed, PhaseTimings, RouteTable, RowPatch, SnapshotError,
+    parallel, repair_frozen, update_routes, DeltaPlan, EdgeShift, Frozen, FrozenGraph, MapOptions,
+    Mapped, NodeId, Options, Parsed, PhaseTimings, RouteTable, RowPatch, SnapshotError,
 };
 use pathalias_mailer::{
     disk::DiskError, disk::MappedDb, BoxedResolver, DbError, RouteDb, SharedRouteDb,
@@ -84,6 +84,9 @@ pub struct LoadReport {
     pub phases: PhaseTimings,
     /// Diffing the re-read files against the cached ones.
     pub plan_delta: Duration,
+    /// How many file texts the delta planner scanned: the changed
+    /// file, old and new, plus any file it had no outline of yet.
+    pub files_scanned: usize,
     /// Building (or patching) the in-memory route database.
     pub routedb: Duration,
     /// Building the point-to-point engine.
@@ -421,14 +424,16 @@ impl MapSource {
                 // The incremental path: diff the re-read inputs against
                 // the cached ones and repair the serving artifacts in
                 // place when the edit is provably safe.
-                let bailout = match try_delta_reload(files, options, cache)? {
-                    Ok(out) => return Ok(out),
-                    Err(why) => why,
-                };
-                let (frozen, phases) = frozen_stage(files, options, cache)?;
+                let (bailout, reread, files_scanned) =
+                    match try_delta_reload(files, options, cache)? {
+                        Ok(out) => return Ok(out),
+                        Err(declined) => declined,
+                    };
+                let (frozen, phases) = frozen_stage(files, options, cache, reread)?;
                 let mut report = LoadReport {
                     bailout: Some(bailout),
                     phases,
+                    files_scanned,
                     ..LoadReport::default()
                 };
                 let (db, engine, mapped, routes) = map_print_engine(&frozen, options, &mut report)?;
@@ -511,6 +516,58 @@ fn map_print_engine(
     Ok((db, Arc::new(engine), mapped, routes))
 }
 
+/// The map files as one reload read them: their stamps, and their
+/// inputs, with only the files whose stamp moved read from disk.
+struct Reread {
+    fingerprint: Fingerprint,
+    parsed: Parsed,
+    took: Duration,
+}
+
+impl Reread {
+    /// Reads `files`, stamped `fingerprint`. Every file whose stamp
+    /// matches `cached`'s is shared with the cached inputs, outline
+    /// included, and not read at all. With nothing cached, or when the
+    /// file list changed shape, every file is read.
+    fn of(
+        files: &[PathBuf],
+        fingerprint: Fingerprint,
+        cached: Option<&CachedStages>,
+    ) -> std::io::Result<Reread> {
+        let t0 = Instant::now();
+        let parsed = match cached {
+            Some(CachedStages {
+                parsed: Some(parsed),
+                fingerprint: old,
+                ..
+            }) if old.len() == files.len() && parsed.inputs().len() == files.len() => {
+                let mut fresh = parsed.clone();
+                for (i, path) in files.iter().enumerate() {
+                    if old[i] != fingerprint[i] {
+                        fresh.replace_file(i, path)?;
+                    }
+                }
+                fresh
+            }
+            _ => {
+                let mut fresh = Parsed::new();
+                fresh.push_files(files)?;
+                fresh
+            }
+        };
+        Ok(Reread {
+            fingerprint,
+            parsed,
+            took: t0.elapsed(),
+        })
+    }
+}
+
+/// Why the delta path declined a reload: the gate that refused, the
+/// inputs it had already re-read (the full pipeline builds from them
+/// rather than reading the files again), and the texts it scanned.
+type Declined = (&'static str, Option<Reread>, usize);
+
 /// The O(delta) reload path: diff the re-read map files against the
 /// cached inputs, patch the frozen CSR rows the edit touched
 /// ([`pathalias_core::delta`] proves which edits are safe), repair the
@@ -519,7 +576,7 @@ fn map_print_engine(
 /// whose labels moved ([`update_routes`]), and patch the database's
 /// shards that hold them ([`RouteDb::patched`]). Nothing is rendered
 /// and nothing table-sized is copied. Every gate failure returns
-/// `Ok(Err(gate))` and the caller falls back to the full pipeline —
+/// `Ok(Err(declined))` and the caller falls back to the full pipeline —
 /// the full run stays the oracle, the delta path only ever reproduces
 /// it faster.
 ///
@@ -538,26 +595,26 @@ fn try_delta_reload(
     files: &[PathBuf],
     options: &Options,
     cache: &StageCache,
-) -> Result<Result<ServingParts, &'static str>, LoadError> {
+) -> Result<Result<ServingParts, Declined>, LoadError> {
     // Only the plain serve configuration repairs: traces print
     // per-relaxation output a repair would truncate, and the
     // second-best dual has no incremental form.
     if !options.trace.is_empty() || options.second_best {
-        return Ok(Err("trace or second-best requested"));
+        return Ok(Err(("trace or second-best requested", None, 0)));
     }
     let fp = fingerprint(files)?;
     let mut slot = cache.slot.lock().expect("stage cache poisoned");
     let Some(cached) = slot.as_mut() else {
-        return Ok(Err("stage cache empty"));
+        return Ok(Err(("stage cache empty", None, 0)));
     };
     if cached.ignore_case != options.ignore_case {
-        return Ok(Err("ignore-case changed"));
+        return Ok(Err(("ignore-case changed", None, 0)));
     }
     let (Some(parsed), Some(serving)) = (&cached.parsed, &cached.serving) else {
-        return Ok(Err("no cached serving state"));
+        return Ok(Err(("no cached serving state", None, 0)));
     };
     if serving.options != *options {
-        return Ok(Err("options changed"));
+        return Ok(Err(("options changed", None, 0)));
     }
     let mut report = LoadReport {
         path: LoadPath::Unchanged,
@@ -565,30 +622,23 @@ fn try_delta_reload(
     };
     if cached.fingerprint == fp {
         // Nothing moved at all: serve the cached artifacts as-is.
-        return Ok(Ok(commit(cached, cache, fp, None, None, report)));
+        return Ok(Ok(commit(cached, cache, None, None, report)));
     }
 
+    let reread = Reread::of(files, fp, Some(cached))?;
+    report.phases.parse = reread.took;
     let t0 = Instant::now();
-    let new_parsed = reread_changed(files, parsed, &cached.fingerprint, &fp)?;
-    report.phases.parse = t0.elapsed();
-    let t0 = Instant::now();
-    let plan = plan_delta(parsed.inputs(), new_parsed.inputs(), cached.frozen.graph());
+    let (plan, scanned) = parsed.plan_delta(&reread.parsed, cached.frozen.graph());
     report.plan_delta = t0.elapsed();
+    report.files_scanned = scanned;
     let patches = match plan {
         DeltaPlan::Unchanged => {
             // An edit the parser cannot see (comments, spacing,
             // continuations): adopt the new bytes, keep serving the
             // unchanged world.
-            return Ok(Ok(commit(
-                cached,
-                cache,
-                fp,
-                Some(new_parsed),
-                None,
-                report,
-            )));
+            return Ok(Ok(commit(cached, cache, Some(reread), None, report)));
         }
-        DeltaPlan::Fallback(why) => return Ok(Err(why)),
+        DeltaPlan::Fallback(why) => return Ok(Err((why, Some(reread), scanned))),
         DeltaPlan::Patch { patches } => patches,
     };
     report.path = LoadPath::Delta;
@@ -618,19 +668,24 @@ fn try_delta_reload(
     } else {
         let Some(augmented) = patch_augmented(old_tree.frozen(), cached.frozen.graph(), &patches)
         else {
-            return Ok(Err("invented back links depend on the edit"));
+            return Ok(Err((
+                "invented back links depend on the edit",
+                Some(reread),
+                scanned,
+            )));
         };
         augmented
     };
     let Ok(Some(new_tree)) = repair_frozen(
         old_tree,
+        &old_tree.children(),
         &graph,
         &dirty,
         &shift,
         &map_opts,
         DELTA_MAX_DIRTY_FRACTION,
     ) else {
-        return Ok(Err("tree repair declined"));
+        return Ok(Err(("tree repair declined", Some(reread), scanned)));
     };
     report.phases.map = t0.elapsed();
 
@@ -667,7 +722,7 @@ fn try_delta_reload(
     // cached table as it was for the full pipeline to replace.
     let serving = cached.serving.as_mut().expect("checked above");
     let Some(replaced) = update_routes(&new_tree, &mut serving.routes, &changed) else {
-        return Ok(Err("route table does not line up"));
+        return Ok(Err(("route table does not line up", Some(reread), scanned)));
     };
     report.phases.print = t0.elapsed();
 
@@ -698,28 +753,26 @@ fn try_delta_reload(
     Ok(Ok(commit(
         cached,
         cache,
-        fp,
-        Some(new_parsed),
+        Some(reread),
         Some(new_frozen),
         report,
     )))
 }
 
 /// The delta path's one commit step: adopt what the reload read and
-/// built — the new stamps, the re-read texts if any, the patched
+/// built — the new stamps and texts if any file moved, the patched
 /// snapshot if the edit changed the world — count the reload, and
 /// serve what the cache now holds.
 fn commit(
     cached: &mut CachedStages,
     cache: &StageCache,
-    fingerprint: Fingerprint,
-    parsed: Option<Parsed>,
+    reread: Option<Reread>,
     frozen: Option<Frozen>,
     report: LoadReport,
 ) -> ServingParts {
-    cached.fingerprint = fingerprint;
-    if parsed.is_some() {
-        cached.parsed = parsed;
+    if let Some(reread) = reread {
+        cached.fingerprint = reread.fingerprint;
+        cached.parsed = Some(reread.parsed);
     }
     if let Some(frozen) = frozen {
         cached.frozen = frozen;
@@ -728,33 +781,6 @@ fn commit(
     cache.delta_reloads.fetch_add(1, Ordering::Relaxed);
     let resolver: BoxedResolver = Box::new(serving.db.clone());
     (resolver, Some(serving.engine.clone()), report)
-}
-
-/// Re-reads only the files whose stamp moved, cloning the cached text
-/// for the rest. At a million hosts re-reading two hundred region
-/// files to pick up a one-line edit in one of them costs more than the
-/// repair itself; the stamps already tell us which files moved.
-fn reread_changed(
-    files: &[PathBuf],
-    parsed: &Parsed,
-    old_fp: &Fingerprint,
-    new_fp: &Fingerprint,
-) -> std::io::Result<Parsed> {
-    let mut fresh = Parsed::new();
-    if old_fp.len() != new_fp.len() || parsed.inputs().len() != files.len() {
-        // The file list itself changed shape: read everything.
-        fresh.push_files(files)?;
-        return Ok(fresh);
-    }
-    for (i, path) in files.iter().enumerate() {
-        if old_fp[i] == new_fp[i] {
-            let (name, text) = &parsed.inputs()[i];
-            fresh.push_str(name, text);
-        } else {
-            fresh.push_file(path)?;
-        }
-    }
-    Ok(fresh)
 }
 
 /// Applies `patches` (planned against the *base* snapshot) to the
@@ -817,27 +843,41 @@ fn patch_augmented(
 
 /// The parse/build/freeze stages for a map-file source, reusing the
 /// cached snapshot when the files' fingerprint is unchanged (the
-/// "reload with only mapping options changed" fast path). The
-/// returned timings cover the stages that actually ran — all zero on
-/// a cache hit.
+/// "reload with only mapping options changed" fast path). The build
+/// reads the inputs the delta path already re-read, when it got that
+/// far, and otherwise only the files whose stamp moved. The returned
+/// timings cover the stages that actually ran — all zero on a cache
+/// hit.
 fn frozen_stage(
     files: &[PathBuf],
     options: &Options,
     cache: &StageCache,
+    reread: Option<Reread>,
 ) -> Result<(Frozen, PhaseTimings), LoadError> {
-    let fp = fingerprint(files)?;
     let mut slot = cache.slot.lock().expect("stage cache poisoned");
-    if let Some(cached) = slot.as_ref() {
-        // `ignore_case` is the one option the build stage depends on.
-        if cached.fingerprint == fp && cached.ignore_case == options.ignore_case {
-            return Ok((cached.frozen.clone(), PhaseTimings::default()));
+    let reread = match reread {
+        Some(reread) => reread,
+        None => {
+            let fp = fingerprint(files)?;
+            if let Some(cached) = slot.as_ref() {
+                // `ignore_case` is the one option the build stage
+                // depends on.
+                if cached.fingerprint == fp && cached.ignore_case == options.ignore_case {
+                    return Ok((cached.frozen.clone(), PhaseTimings::default()));
+                }
+            }
+            Reread::of(files, fp, slot.as_ref())?
         }
-    }
-    let mut timings = PhaseTimings::default();
-    let t0 = Instant::now();
-    let mut parsed = Parsed::new();
-    parsed.push_files(files)?;
-    timings.parse = t0.elapsed();
+    };
+    let Reread {
+        fingerprint: fp,
+        parsed,
+        took,
+    } = reread;
+    let mut timings = PhaseTimings {
+        parse: took,
+        ..PhaseTimings::default()
+    };
     let built = parsed.build(options).map_err(LoadError::Pipeline)?;
     timings.build = built.build_time;
     let frozen = built.freeze();
@@ -1379,6 +1419,52 @@ mod tests {
             assert_eq!((a.route, a.cost), (b.route, b.cost), "PATH {s} {d} differs");
         }
         std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn reloads_read_only_the_files_whose_stamp_moved() {
+        let (one, two) = (temp("read-one.map"), temp("read-two.map"));
+        std::fs::write(&one, DELTA_MAP).unwrap();
+        std::fs::write(&two, "y\tz(5)\n").unwrap();
+        let mut options = Options {
+            local: Some("hub".into()),
+            ..Default::default()
+        };
+        let source = MapSource::map_files(vec![one.clone(), two.clone()], options.clone());
+        let MapSource::Map { cache, .. } = &source else {
+            unreachable!()
+        };
+        let second = || {
+            let slot = cache.slot.lock().unwrap();
+            let parsed = slot.as_ref().unwrap().parsed.as_ref().unwrap();
+            parsed.inputs()[1].clone()
+        };
+        source.load_serving_timed().unwrap();
+        let untouched = second();
+
+        // A new host: the delta path declines, and the full pipeline
+        // builds from its re-read, which shares the unmoved file.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::fs::write(&one, format!("{DELTA_MAP}q\thub(1)\n")).unwrap();
+        let (_, _, report) = source.load_serving_timed().unwrap();
+        assert_eq!(report.bailout, Some("first-mention sequence changed"));
+        assert!(Arc::ptr_eq(&untouched, &second()));
+
+        // A gate that declines before reading: the build still reads
+        // nothing that did not move.
+        options.ignore_case = true;
+        let folded = MapSource::Map {
+            files: vec![one.clone(), two.clone()],
+            options,
+            validate_sources: 0,
+            validate_threads: 1,
+            cache: cache.clone(),
+        };
+        let (_, _, report) = folded.load_serving_timed().unwrap();
+        assert_eq!(report.bailout, Some("ignore-case changed"));
+        assert!(Arc::ptr_eq(&untouched, &second()));
+        std::fs::remove_file(one).unwrap();
+        std::fs::remove_file(two).unwrap();
     }
 
     #[test]

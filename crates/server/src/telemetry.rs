@@ -52,6 +52,8 @@ pub struct MapTelemetry {
     /// Full-path reloads of a map-file source per delta-path gate that
     /// refused them, in first-seen order (a handful of fixed labels).
     bailouts: Mutex<Vec<(&'static str, u64)>>,
+    /// File texts the delta planner scanned, over every reload.
+    files_scanned: AtomicU64,
 }
 
 impl Default for MapTelemetry {
@@ -73,16 +75,20 @@ impl MapTelemetry {
             last_reload: Mutex::new(None),
             reload_paths: Default::default(),
             bailouts: Mutex::new(Vec::new()),
+            files_scanned: AtomicU64::new(0),
         }
     }
 
-    /// Records a successful reload: its report, its path, and the gate
-    /// that sent it down the full path, if one did.
+    /// Records a successful reload: its report, its path, the gate
+    /// that sent it down the full path, if one did, and the texts its
+    /// plan scanned.
     pub fn record_reload(&self, report: &LoadReport) {
         if let Ok(mut slot) = self.last_reload.lock() {
             *slot = Some(*report);
         }
         self.reload_paths[report.path as usize].fetch_add(1, Ordering::Relaxed);
+        self.files_scanned
+            .fetch_add(report.files_scanned as u64, Ordering::Relaxed);
         if let (Some(reason), Ok(mut bailouts)) = (report.bailout, self.bailouts.lock()) {
             match bailouts.iter_mut().find(|(r, _)| *r == reason) {
                 Some((_, n)) => *n += 1,
@@ -99,6 +105,11 @@ impl MapTelemetry {
     /// Successful reloads per path, in [`LoadPath::ALL`] order.
     pub fn reload_paths(&self) -> [(LoadPath, u64); 3] {
         LoadPath::ALL.map(|p| (p, self.reload_paths[p as usize].load(Ordering::Relaxed)))
+    }
+
+    /// File texts the delta planner scanned, over every reload.
+    pub fn files_scanned(&self) -> u64 {
+        self.files_scanned.load(Ordering::Relaxed)
     }
 
     /// Full-path reloads per refusing delta-path gate.
@@ -188,6 +199,7 @@ mod tests {
         assert!(t.last_reload().is_none());
         let mut report = LoadReport {
             bailout: Some("options changed"),
+            files_scanned: 2,
             ..LoadReport::default()
         };
         report.phases.parse = Duration::from_millis(3);
@@ -199,5 +211,6 @@ mod tests {
         );
         assert_eq!(t.reload_paths()[2], (LoadPath::Full, 2));
         assert_eq!(t.bailouts(), vec![("options changed", 2)]);
+        assert_eq!(t.files_scanned(), 4);
     }
 }

@@ -258,6 +258,53 @@ fn reload_paths_and_bailouts_are_counted() {
     std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
 }
 
+/// A plan costs what changed: the first plan outlines the files that
+/// did not change, and from then on a cost edit to one file of a
+/// three-file map scans two texts, that file old and new.
+#[test]
+fn a_warm_cost_edit_scans_only_the_changed_file() {
+    let dir = temp_dir("scanned");
+    let world = spoke_world();
+    let files = [
+        ("a.map".to_string(), world.clone()),
+        ("b.map".to_string(), "n3\tq(10)\nq\tr(5)\n".to_string()),
+        ("c.map".to_string(), "n4\tw(10)\n".to_string()),
+    ];
+    let paths = write_world(&dir, &files);
+    let options = Options {
+        local: Some("hub".into()),
+        ..Default::default()
+    };
+    let source = MapSource::map_files(paths.clone(), options.clone());
+    let handle = Server::start(ServerConfig::ephemeral(source)).unwrap();
+    let mut client = Client::connect(handle.tcp_addr().unwrap()).unwrap();
+    client.negotiate().unwrap();
+    let counts = |c: &mut Client| {
+        (
+            scraped(c, "pathalias_reload_files_scanned_total"),
+            scraped_with(c, "pathalias_reloads_total", ",path=\"delta\""),
+        )
+    };
+
+    let edits = [
+        (0, world.replace("n2\tx(20)", "n2\tx(35)"), (4, 1)),
+        (1, "n3\tq(10)\nq\tr(6)\n".to_string(), (6, 2)),
+        (0, world.replace("n2\tx(20)", "n2\tx(36)"), (8, 3)),
+        (2, "n4\tw(11)\n".to_string(), (10, 4)),
+    ];
+    for (file, text, want) in edits {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::fs::write(&paths[file], text).unwrap();
+        client.reload().unwrap();
+        assert_eq!(counts(&mut client), want, "after editing {}", files[file].0);
+    }
+    assert_daemon_matches_cold(&mut client, &paths, &options, "hub");
+
+    client.quit().unwrap();
+    handle.shutdown();
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 /// Under `-i` the graph keeps each name as first spelled. Respelling a
 /// first mention (`Q` to `q`, in a row whose repair is small) changes
 /// what a cold run prints, so the daemon must serve the new spelling
@@ -467,13 +514,21 @@ fn first_costed_link(stmt: &str) -> Option<(String, String)> {
     Some((head, names.next_back()?))
 }
 
-/// Applies `step` to the `pick`-th statement it can edit and returns
-/// whether anything was written. Edits the delta planner absorbs are
-/// preferred — most link lists in a generated world name a network
-/// member, and those edits all take the full path.
-fn apply(step: Step, pick: usize, delta: u64, paths: &[PathBuf], options: &Options) -> bool {
+/// Applies `step` to the `pick`-th statement it can edit — in file
+/// `only`, when given — and returns whether anything was written.
+/// Edits the delta planner absorbs are preferred — most link lists in
+/// a generated world name a network member, and those edits all take
+/// the full path.
+fn apply(
+    step: Step,
+    pick: usize,
+    delta: u64,
+    only: Option<usize>,
+    paths: &[PathBuf],
+    options: &Options,
+) -> bool {
     if let Step::Comment = step {
-        let path = &paths[pick % paths.len()];
+        let path = &paths[only.unwrap_or(pick % paths.len())];
         let text = std::fs::read_to_string(path).unwrap();
         std::fs::write(path, format!("{text}# retuned, edit {pick}\n")).unwrap();
         return true;
@@ -482,9 +537,16 @@ fn apply(step: Step, pick: usize, delta: u64, paths: &[PathBuf], options: &Optio
     parsed.push_files(paths).unwrap();
     let frozen = parsed.build(options).unwrap().freeze();
     let tree = frozen.map(options).unwrap().tree;
-    let old = parsed.inputs();
+    let old: Vec<(String, String)> = parsed
+        .inputs()
+        .iter()
+        .map(|input| (input.file().to_string(), input.text().to_string()))
+        .collect();
     let mut candidates = Vec::new();
     for (i, (_, text)) in old.iter().enumerate() {
+        if only.is_some_and(|only| only != i) {
+            continue;
+        }
         for stmt in plain_cost_statements(text) {
             let Some(edited) = edit_first_cost(stmt, delta, !matches!(step, Step::CostDown)) else {
                 continue;
@@ -506,10 +568,10 @@ fn apply(step: Step, pick: usize, delta: u64, paths: &[PathBuf], options: &Optio
             if !fits {
                 continue;
             }
-            let mut new = old.to_vec();
+            let mut new = old.clone();
             new[i].1 = text.replacen(stmt, &edited, 1);
             let absorbed = matches!(
-                plan_delta(old, &new, frozen.graph()),
+                plan_delta(&old, &new, frozen.graph()),
                 DeltaPlan::Patch { .. }
             );
             candidates.push((absorbed, i, new.swap_remove(i).1));
@@ -526,6 +588,85 @@ fn apply(step: Step, pick: usize, delta: u64, paths: &[PathBuf], options: &Optio
     };
     std::fs::write(&paths[*i], text).unwrap();
     true
+}
+
+/// What a map source serves after a reload — its cached table
+/// (rendered), its resolver and its `PATH` engine — against a cold run
+/// over the bytes on disk, byte for byte.
+fn serves_like_a_cold_run(
+    source: &MapSource,
+    resolver: pathalias_mailer::BoxedResolver,
+    engine: Option<Arc<PointToPoint>>,
+    paths: &[PathBuf],
+    options: &Options,
+    home: &str,
+    step: impl std::fmt::Debug,
+) {
+    let MapSource::Map { cache, .. } = source else {
+        unreachable!()
+    };
+    let (printed, cold_engine) = cold_pipeline(paths, options);
+    let routes = cache.routes().expect("the map source caches its table");
+    let rendered = render(&routes, &options.print_options());
+    let drift = rendered
+        .lines()
+        .zip(printed.rendered.lines())
+        .find(|(served, cold)| served != cold);
+    prop_assert!(
+        rendered == printed.rendered,
+        "the cached table drifted after {:?}: {:?}",
+        step,
+        drift
+    );
+    let cold_db = pathalias_mailer::RouteDb::from_table(&printed.routes);
+    prop_assert_eq!(resolver.entries(), cold_db.len());
+    for entry in cold_db.iter() {
+        let served = resolver.resolve(&entry.name, "u").unwrap();
+        prop_assert_eq!(
+            &served.route,
+            &entry.route.replacen("%s", "u", 1),
+            "route to {} diverged after {:?}",
+            entry.name,
+            step
+        );
+    }
+    let engine = engine.unwrap();
+    let mut compared = 0;
+    for entry in printed.routes.visible() {
+        if entry.name.starts_with('.') || entry.name == home {
+            continue;
+        }
+        if let Ok(answer) = cold_engine.route(home, &entry.name) {
+            let served = engine.route(home, &entry.name).unwrap();
+            prop_assert_eq!(&served.route, &answer.route, "PATH to {}", entry.name);
+            prop_assert_eq!(served.cost, answer.cost);
+            compared += 1;
+            if compared >= 8 {
+                break;
+            }
+        }
+    }
+}
+
+/// Appends a host the map has never mentioned, linked both ways to
+/// the first host of `path`: a first mention, which only the full
+/// pipeline can absorb.
+fn add_host(path: &Path, tag: usize) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let view = Statements::scan("map", &text).unwrap();
+    let anchor = view
+        .iter()
+        .find_map(|st| match st.toks[0] {
+            Tok::Name(name) if st.kind == Kind::Links => Some(name.to_string()),
+            _ => None,
+        })
+        .expect("a file with a host row");
+    let host = format!("zz-added-{tag}");
+    std::fs::write(
+        path,
+        format!("{text}{host}\t{anchor}(25)\n{anchor}\t{host}(25)\n"),
+    )
+    .unwrap();
 }
 
 proptest! {
@@ -551,54 +692,65 @@ proptest! {
             ..Default::default()
         };
         let source = MapSource::map_files(paths.clone(), options.clone());
-        let MapSource::Map { cache, .. } = &source else {
-            unreachable!()
-        };
         source.load_serving_timed().unwrap();
 
         for &(kind, pick, delta) in &edits {
             let step = [Step::CostUp, Step::CostDown, Step::OffTree, Step::Comment][kind as usize];
-            if !apply(step, pick, delta, &paths, &options) {
+            if !apply(step, pick, delta, None, &paths, &options) {
                 continue;
             }
             let (resolver, engine, _) = source.load_serving_timed().unwrap();
-            let (printed, cold_engine) = cold_pipeline(&paths, &options);
-            let routes = cache.routes().expect("the map source caches its table");
-            let rendered = render(&routes, &options.print_options());
-            let drift = rendered
-                .lines()
-                .zip(printed.rendered.lines())
-                .find(|(served, cold)| served != cold);
-            prop_assert!(
-                rendered == printed.rendered,
-                "the cached table drifted after {:?}: {:?}", step, drift
-            );
-            let cold_db = pathalias_mailer::RouteDb::from_table(&printed.routes);
-            prop_assert_eq!(resolver.entries(), cold_db.len());
-            for entry in cold_db.iter() {
-                let served = resolver.resolve(&entry.name, "u").unwrap();
-                prop_assert_eq!(
-                    &served.route,
-                    &entry.route.replacen("%s", "u", 1),
-                    "route to {} diverged after {:?}", entry.name, step
-                );
-            }
-            let engine = engine.unwrap();
-            let mut compared = 0;
-            for entry in printed.routes.visible() {
-                if entry.name.starts_with('.') || entry.name == gen.home {
+            serves_like_a_cold_run(&source, resolver, engine, &paths, &options, &gen.home, step);
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// Chains of four to seven edits that alternate between two files
+    /// of a mapgen world, with a new host added halfway (a structural
+    /// edit, served by the full pipeline). After every reload the
+    /// daemon's answers are a cold run's, byte for byte, and once a
+    /// plan has outlined the unchanged files, no later plan scans more
+    /// than the changed file, old and new — the full reload in the
+    /// middle keeps the outlines, and the added host's file is outlined
+    /// as it is re-read.
+    #[test]
+    fn multi_file_chains_keep_serving_byte_identical(
+        edits in proptest::collection::vec((0u8..4, 0usize..10_000, 1u64..3000), 4..8),
+        first in 0usize..2,
+        seed in 0u64..4,
+    ) {
+        let gen = generate(&MapSpec::small(120, 21 + seed));
+        prop_assert!(gen.files.len() >= 2, "the world has two files to alternate between");
+        let dir = temp_dir(&format!("chain-{seed}-{}-{}", edits[0].1, edits.len()));
+        let paths = write_world(&dir, &gen.files);
+        let options = Options {
+            local: Some(gen.home.clone()),
+            with_costs: true,
+            ..Default::default()
+        };
+        let source = MapSource::map_files(paths.clone(), options.clone());
+        source.load_serving_timed().unwrap();
+
+        let mut outlined = false;
+        for (at, &(kind, pick, delta)) in edits.iter().enumerate() {
+            let file = (first + at) % 2;
+            let step = if at == edits.len() / 2 {
+                add_host(&paths[file], at);
+                "structural"
+            } else {
+                let step = [Step::CostUp, Step::CostDown, Step::OffTree, Step::Comment][kind as usize];
+                if !apply(step, pick, delta, Some(file), &paths, &options) {
                     continue;
                 }
-                if let Ok(answer) = cold_engine.route(&gen.home, &entry.name) {
-                    let served = engine.route(&gen.home, &entry.name).unwrap();
-                    prop_assert_eq!(&served.route, &answer.route, "PATH to {}", entry.name);
-                    prop_assert_eq!(served.cost, answer.cost);
-                    compared += 1;
-                    if compared >= 8 {
-                        break;
-                    }
-                }
-            }
+                "edit"
+            };
+            let (resolver, engine, report) = source.load_serving_timed().unwrap();
+            prop_assert!(
+                !outlined || report.files_scanned <= 2,
+                "{} in file {} scanned {} texts", step, file, report.files_scanned
+            );
+            outlined |= report.files_scanned > 2;
+            serves_like_a_cold_run(&source, resolver, engine, &paths, &options, &gen.home, (step, file));
         }
         std::fs::remove_dir_all(dir).unwrap();
     }

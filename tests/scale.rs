@@ -1,7 +1,8 @@
 //! Paper-scale structural checks on the synthetic universe.
 
 use pathalias::core::{
-    map_readonly, parallel, parse, plan_delta, DeltaPlan, Graph, LinkFlags, MapOptions, Warning,
+    map_readonly, parallel, parse, plan_delta, DeltaPlan, Graph, LinkFlags, MapOptions, RowPatch,
+    Warning,
 };
 use pathalias::{generate, MapSpec, Pathalias};
 use std::fmt::Write;
@@ -67,6 +68,10 @@ fn parallel_multi_source_consistent_at_scale() {
 /// linear is a second or two in a debug one, so the limit neither flakes
 /// nor passes by accident. It is also the hostile-map case: one such
 /// file must not pin a `--watch` daemon's reload for minutes.
+///
+/// Freezing the result, and splicing a 200,000-link row into the
+/// frozen graph, are linear too: each collapses duplicate links
+/// without comparing every link with the row so far.
 #[test]
 fn graph_building_is_linear_in_the_text() {
     const N: usize = 200_000;
@@ -116,6 +121,37 @@ fn graph_building_is_linear_in_the_text() {
 
     let took = started.elapsed();
     assert!(took < Duration::from_secs(10), "took {took:?}");
+
+    let started = Instant::now();
+    let frozen = g.freeze();
+    let took = started.elapsed();
+    assert_eq!((frozen.degree(net), frozen.degree(hub)), (N, N + 1));
+    assert!(took < Duration::from_secs(10), "freeze took {took:?}");
+
+    // The hub's row again, every link written twice, the second time
+    // dearer: the patch collapses to the row it replaces.
+    let row: Vec<_> = frozen
+        .out_edges(hub)
+        .map(|e| {
+            let (to, cost) = (frozen.edge_target(e), frozen.edge_raw_cost(e));
+            (to, cost, frozen.edge_op(e), frozen.edge_flags(e))
+        })
+        .collect();
+    let doubled = row.iter().chain(&row).enumerate();
+    let edges =
+        doubled.map(|(i, &(to, cost, op, flags))| (to, cost + (i / row.len()) as u64, op, flags));
+    let patch = RowPatch {
+        node: hub,
+        edges: edges.collect(),
+    };
+    let started = Instant::now();
+    let (patched, _) = frozen.with_rows_replaced(&[patch]);
+    let took = started.elapsed();
+    assert!(
+        patched == frozen,
+        "the doubled row collapses to the old one"
+    );
+    assert!(took < Duration::from_secs(10), "row patch took {took:?}");
 }
 
 /// Planning a one-file edit is linear in the edit: bumping every cost
