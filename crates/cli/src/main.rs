@@ -193,10 +193,17 @@ fn cmd_freeze(fz: FreezeArgs) -> ExitCode {
     // `--ch` additionally stores the contraction hierarchy over the
     // default cost model's lower-bound weights, so the daemon's PATH
     // fast tier needs no freeze-time work either.
+    let mut hierarchy = String::new();
     if fz.ch {
         let graph = frozen.graph().clone();
         let weights = pathalias_router::ch_weights(&graph, &pathalias_core::CostModel::default());
+        let t0 = std::time::Instant::now();
         let ch = pathalias_core::ChIndex::build(&graph, &weights);
+        hierarchy = format!(
+            ", hierarchy {:?}, {} shortcuts",
+            t0.elapsed(),
+            ch.shortcut_count()
+        );
         frozen = frozen.with_hierarchy(std::sync::Arc::new(ch));
     }
     if let Err(e) = frozen.write_snapshot_all(&fz.out) {
@@ -206,7 +213,7 @@ fn cmd_freeze(fz: FreezeArgs) -> ExitCode {
     let bytes = std::fs::metadata(&fz.out).map(|m| m.len()).unwrap_or(0);
     let g = frozen.graph();
     eprintln!(
-        "pathalias: froze {} nodes, {} edges into {} ({} bytes; parse {:?}, freeze {:?})",
+        "pathalias: froze {} nodes, {} edges into {} ({} bytes; parse {:?}, freeze {:?}{hierarchy})",
         g.node_count(),
         g.edge_count(),
         fz.out,

@@ -25,6 +25,19 @@
 //! point-to-point search needs: the hierarchy *accelerates* the exact
 //! search by bounding it, it never replaces the mapper's arithmetic.
 //!
+//! # Building it
+//!
+//! Construction follows Geisberger et al., "Contraction Hierarchies:
+//! Faster and Simpler Hierarchical Routing in Road Networks" (WEA 2008).
+//! A witness search exists only to prove a shortcut redundant, so a
+//! target counts as witnessed the moment an edge reaches it within its
+//! limit. Pathalias networks need that: each is a star whose hub
+//! reaches every member at weight 0, and a target the hub reaches at
+//! exactly its limit would otherwise wait in the heap behind hundreds
+//! of equal-cost members. With the budgets below re-sized after it, the
+//! paper world builds in ~0.6 s instead of ~4 s (see ARCHITECTURE.md,
+//! "Building the hierarchy").
+//!
 //! # Trust model
 //!
 //! A [`ChIndex`] loaded from a snapshot section is structurally
@@ -43,28 +56,29 @@ use crate::cost::Cost;
 use crate::frozen::{EdgeId, FrozenGraph};
 use crate::graph::NodeId;
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Sentinel in the second child slot marking an original (non-shortcut)
 /// edge: its first slot is then a forward [`EdgeId`], not a CH ref.
 pub const CH_ORIGINAL: u32 = u32::MAX;
 
 /// Settle budget for the witness search run while actually contracting:
-/// an inconclusive search just adds the (always-safe) shortcut. Sized
-/// generously on purpose — a budget that gives up early on hub-heavy
-/// worlds floods the hierarchy with unwitnessed shortcuts, and the
-/// densified core then makes every later contraction (and every query
-/// over the fat CSR) slower; paying for decisive searches shrinks the
-/// final index *and* the total build time.
-const WITNESS_SETTLE_BUDGET: usize = 2048;
+/// an inconclusive search just adds the (always-safe) shortcut. A
+/// search that can witness mostly does so early, since targets are
+/// decided on relaxation; what reaches the budget is mostly searches
+/// that cannot. On the paper world 512 leaves 6.5k shortcuts where
+/// 2048 left 7.3k before that rule; 256 leaves 7.1k, and 1024 builds
+/// 6.2k more slowly.
+const WITNESS_SETTLE_BUDGET: usize = 512;
 /// Smaller settle budget for the priority simulation, which only needs
-/// an estimate of how many shortcuts a contraction would add.
-const SIM_SETTLE_BUDGET: usize = 256;
+/// an estimate of how many shortcuts a contraction would add. Giving
+/// up early overestimates, which only delays a node: on the paper
+/// world 8 builds faster than 16 or 32 and leaves fewer shortcuts.
+const SIM_SETTLE_BUDGET: usize = 8;
 /// Above this many `in × out` pairs the simulation skips witness
 /// searches entirely and pessimistically assumes every pair needs a
 /// shortcut — dense hubs float to the top of the hierarchy either way.
-const SIM_PAIR_CAP: usize = 512;
+const SIM_PAIR_CAP: usize = 64;
 
 /// A contraction hierarchy over a [`FrozenGraph`] and a caller-supplied
 /// per-edge weight vector.
@@ -392,12 +406,17 @@ struct Temp {
     b: u32,
 }
 
+/// One live core edge as its endpoint's list holds it: the node on the
+/// other side, the weight, and the temp id for [`Builder::assemble`].
+type CoreEdge = (u32, Cost, u32);
+
 struct Builder {
     temps: Vec<Temp>,
-    /// Live adjacency (temp ids by tail / by head); entries pointing at
-    /// contracted endpoints are skipped lazily rather than removed.
-    out: Vec<Vec<u32>>,
-    inn: Vec<Vec<u32>>,
+    /// Live adjacency by tail (`out`, far end = head) and by head
+    /// (`inn`, far end = tail). Contracting a node removes its entries
+    /// from its neighbours' lists, so every entry is live.
+    out: Vec<Vec<CoreEdge>>,
+    inn: Vec<Vec<CoreEdge>>,
     contracted: Vec<bool>,
     rank: Vec<u32>,
     /// Contracted-neighbors depth term of the priority heuristic.
@@ -436,111 +455,63 @@ impl Builder {
     }
 
     /// Seeds the core graph: the cheapest forward edge per distinct
-    /// `(tail, head)` pair, self-loops dropped. The two-pass shape (pick
-    /// in a map, emit in row order) keeps temp ids deterministic.
+    /// `(tail, head)` pair (the first in row order among equals),
+    /// self-loops dropped, emitted in row order so temp ids are
+    /// deterministic.
     fn seed(&mut self, f: &FrozenGraph, weights: &[Cost]) {
-        let n = f.node_count();
-        let mut best: HashMap<u32, usize> = HashMap::new();
-        for u in 0..n {
+        let mut best: Vec<(u32, Cost, usize)> = Vec::new();
+        for u in 0..f.node_count() {
             best.clear();
-            for e in f.row(u) {
-                let v = f.edges[e].to;
-                if v as usize == u {
-                    continue;
-                }
-                match best.entry(v) {
-                    Entry::Occupied(mut o) => {
-                        if weights[e] < weights[*o.get()] {
-                            o.insert(e);
-                        }
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert(e);
-                    }
-                }
-            }
-            for e in f.row(u) {
-                if best.get(&f.edges[e].to) == Some(&e) {
-                    let t = self.temps.len() as u32;
-                    self.temps.push(Temp {
-                        from: u as u32,
-                        to: f.edges[e].to,
-                        w: weights[e],
-                        a: e as u32,
-                        b: CH_ORIGINAL,
-                    });
-                    self.out[u].push(t);
-                    self.inn[f.edges[e].to as usize].push(t);
-                }
+            best.extend(f.row(u).map(|e| (f.edges[e].to, weights[e], e)));
+            best.retain(|&(v, _, _)| v as usize != u);
+            best.sort_unstable();
+            best.dedup_by_key(|&mut (v, _, _)| v);
+            best.sort_unstable_by_key(|&(_, _, e)| e);
+            for &(v, w, e) in &best {
+                let t = self.temps.len() as u32;
+                self.temps.push(Temp {
+                    from: u as u32,
+                    to: v,
+                    w,
+                    a: e as u32,
+                    b: CH_ORIGINAL,
+                });
+                self.out[u].push((v, w, t));
+                self.inn[v as usize].push((u as u32, w, t));
             }
         }
     }
 
-    /// Live in-neighbors of `v` as `(tail, weight, temp)` with parallel
-    /// edges collapsed to the cheapest, sorted by tail for determinism.
-    fn live_in(&self, v: usize) -> Vec<(u32, Cost, u32)> {
-        let mut best: HashMap<u32, (Cost, u32)> = HashMap::new();
-        for &t in &self.inn[v] {
-            let e = &self.temps[t as usize];
-            if self.contracted[e.from as usize] {
-                continue;
-            }
-            match best.entry(e.from) {
-                Entry::Occupied(mut o) => {
-                    if (e.w, t) < *o.get() {
-                        o.insert((e.w, t));
-                    }
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert((e.w, t));
-                }
-            }
-        }
-        let mut live: Vec<_> = best.into_iter().map(|(u, (w, t))| (u, w, t)).collect();
-        live.sort_unstable_by_key(|&(u, _, _)| u);
-        live
-    }
-
-    /// Live out-neighbors of `v`, mirror of [`Builder::live_in`].
-    fn live_out(&self, v: usize) -> Vec<(u32, Cost, u32)> {
-        let mut best: HashMap<u32, (Cost, u32)> = HashMap::new();
-        for &t in &self.out[v] {
-            let e = &self.temps[t as usize];
-            if self.contracted[e.to as usize] {
-                continue;
-            }
-            match best.entry(e.to) {
-                Entry::Occupied(mut o) => {
-                    if (e.w, t) < *o.get() {
-                        o.insert((e.w, t));
-                    }
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert((e.w, t));
-                }
-            }
-        }
-        let mut live: Vec<_> = best.into_iter().map(|(u, (w, t))| (u, w, t)).collect();
-        live.sort_unstable_by_key(|&(u, _, _)| u);
+    /// The distinct neighbours in one of `v`'s lists as `(node, weight,
+    /// temp)`, parallel edges collapsed to the cheapest (lowest temp
+    /// among equals), sorted by node for determinism.
+    fn live(list: &[CoreEdge]) -> Vec<CoreEdge> {
+        let mut live = list.to_vec();
+        live.sort_unstable();
+        live.dedup_by_key(|&mut (x, _, _)| x);
         live
     }
 
     /// One bounded local Dijkstra from `u` through the live core
     /// (skipping `excluded`) that decides *every* `(u, out)` pair of a
     /// contraction at once: `witnessed[i]` is set when a path to
-    /// `outs[i]` of cost at most `wi + outs[i].weight` is proven. Each
-    /// target is decided at settle time (exact within the searched
-    /// core), and the search stops once all targets are settled, the
-    /// frontier passes the largest limit, or the settle budget runs
-    /// out. Targets left undecided stay `false` — inconclusive searches
-    /// just cost an extra shortcut, never correctness. Running one
-    /// search per in-neighbor instead of one per pair is what keeps
-    /// contraction of high-degree hubs (network stars) tractable.
+    /// `outs[i]` of cost at most `wi + outs[i].weight` is proven. A
+    /// target is witnessed the moment an edge reaches it within its
+    /// limit — any path avoiding `excluded` that cheap makes the
+    /// shortcut redundant, so nothing waits for the target to settle
+    /// behind a star's equal-cost members — and refuted when it
+    /// settles above its limit. The search stops once every target is
+    /// decided, the frontier passes the largest limit, or the settle
+    /// budget runs out. Targets left undecided stay `false` —
+    /// inconclusive searches just cost an extra shortcut, never
+    /// correctness. Running one search per in-neighbor instead of one
+    /// per pair is what keeps contraction of high-degree hubs (network
+    /// stars) tractable.
     fn witness_many(
         &mut self,
         u: usize,
         wi: Cost,
-        outs: &[(u32, Cost, u32)],
+        outs: &[CoreEdge],
         excluded: usize,
         base_budget: usize,
         witnessed: &mut [bool],
@@ -598,15 +569,22 @@ impl Builder {
             if settles > budget {
                 return;
             }
-            for &t in &self.out[xi] {
-                let e = &self.temps[t as usize];
-                let y = e.to as usize;
-                if y == excluded || self.contracted[y] {
+            for &(y, w, _) in &self.out[xi] {
+                let y = y as usize;
+                if y == excluded {
                     continue;
                 }
-                let nd = d.saturating_add(e.w);
+                let nd = d.saturating_add(w);
                 if nd > horizon {
                     continue;
+                }
+                if self.tgt_stamp[y] == gen && nd <= self.tgt_limit[y] {
+                    self.tgt_stamp[y] = 0; // consume: witnessed on relaxation
+                    witnessed[self.tgt_idx[y] as usize] = true;
+                    remaining -= 1;
+                    if remaining == 0 {
+                        return;
+                    }
                 }
                 if self.wit_stamp[y] != gen || nd < self.wit_dist[y] {
                     self.wit_stamp[y] = gen;
@@ -621,8 +599,8 @@ impl Builder {
     /// contraction would add, minus the live edges it removes, plus the
     /// depth term. Lower contracts earlier.
     fn priority(&mut self, v: usize) -> i64 {
-        let ins = self.live_in(v);
-        let outs = self.live_out(v);
+        let ins = Builder::live(&self.inn[v]);
+        let outs = Builder::live(&self.out[v]);
         let removed = ins.len() + outs.len();
         let pairs = ins
             .iter()
@@ -650,8 +628,8 @@ impl Builder {
     }
 
     fn contract(&mut self, v: usize, next_rank: &mut u32) {
-        let ins = self.live_in(v);
-        let outs = self.live_out(v);
+        let ins = Builder::live(&self.inn[v]);
+        let outs = Builder::live(&self.out[v]);
         let mut mark = std::mem::take(&mut self.wit_mark);
         for &(u, wi, ti) in &ins {
             mark.clear();
@@ -661,19 +639,30 @@ impl Builder {
                 if x == u || mark[i] {
                     continue;
                 }
-                let t = self.temps.len() as u32;
+                let (t, w) = (self.temps.len() as u32, wi.saturating_add(wo));
                 self.temps.push(Temp {
                     from: u,
                     to: x,
-                    w: wi.saturating_add(wo),
+                    w,
                     a: ti,
                     b: to,
                 });
-                self.out[u as usize].push(t);
-                self.inn[x as usize].push(t);
+                self.out[u as usize].push((x, w, t));
+                self.inn[x as usize].push((u, w, t));
             }
         }
         self.wit_mark = mark;
+        // Unlink `v`, so searches never scan an edge into the contracted
+        // part of the graph.
+        let v32 = v as u32;
+        for &(u, _, _) in &ins {
+            self.out[u as usize].retain(|&(y, _, _)| y != v32);
+        }
+        for &(x, _, _) in &outs {
+            self.inn[x as usize].retain(|&(y, _, _)| y != v32);
+        }
+        self.out[v] = Vec::new();
+        self.inn[v] = Vec::new();
         self.contracted[v] = true;
         self.rank[v] = *next_rank;
         *next_rank += 1;

@@ -175,8 +175,10 @@ impl PointToPoint {
     /// first. The hierarchy is accepted only if it is structurally a
     /// hierarchy over `graph` *and* its edge weights match what
     /// [`ch_weights`] derives from `model` — on any mismatch (say, a
-    /// snapshot frozen under different penalties) it is silently
-    /// dropped and queries run bidirectional, merely slower.
+    /// snapshot frozen under different penalties) it is dropped and
+    /// queries run bidirectional, merely slower.
+    /// [`hierarchy`](Self::hierarchy) then returns `None`, which is how
+    /// the daemon tells a `rejected` hierarchy from a `stored` one.
     pub fn with_sections(
         graph: Arc<FrozenGraph>,
         reverse: Arc<ReverseGraph>,

@@ -502,6 +502,7 @@ impl State {
                     .field("entries", entries)
                     .field("duration_ms", ns / 1_000_000)
                     .field("files_scanned", report.files_scanned)
+                    .field("hierarchy", report.hierarchy.label())
                     .emit();
                 let response = Response::Reloaded {
                     map: wire_name,
@@ -731,6 +732,22 @@ impl State {
                 );
             }
         }
+        out.family(
+            "pathalias_hierarchy_loads_total",
+            "counter",
+            "Loads of this map, start-up included, by what became of the contraction \
+             hierarchy (stored: validated and served; rebuilt: over back links; rejected: \
+             did not fit; dropped: lost to a delta reload; none).",
+        );
+        for m in &maps {
+            for (outcome, n) in m.telemetry.hierarchy_loads() {
+                out.sample(
+                    "pathalias_hierarchy_loads_total",
+                    &[("map", &m.name), ("outcome", outcome.label())],
+                    n,
+                );
+            }
+        }
 
         out.family(
             "pathalias_generation",
@@ -812,7 +829,8 @@ impl State {
             "pathalias_reload_phase_seconds",
             "gauge",
             "Step durations of the latest reload: the pipeline phases, then plan_delta, \
-             routedb and engine (zero = skipped; absent until the first reload).",
+             routedb, engine and the hierarchy build (zero = skipped; absent until the \
+             first reload).",
         );
         for m in &maps {
             if let Some(r) = m.telemetry.last_reload() {
@@ -826,6 +844,7 @@ impl State {
                     ("plan_delta", r.plan_delta),
                     ("routedb", r.routedb),
                     ("engine", r.engine),
+                    ("hierarchy", r.hierarchy_build),
                 ];
                 for (phase, duration) in phases {
                     out.sample_f64(
@@ -954,7 +973,7 @@ impl Server {
         let server_metrics = Arc::new(ServerMetrics::default());
         let mut maps = Vec::with_capacity(config.maps.len());
         for (name, source) in config.maps {
-            let (resolver, engine, _) =
+            let (resolver, engine, report) =
                 source
                     .load_serving_timed()
                     .map_err(|error| StartError::Load {
@@ -966,7 +985,10 @@ impl Server {
                 .field("map", &name)
                 .field("source", source.kind())
                 .field("entries", resolver.entries())
+                .field("hierarchy", report.hierarchy.label())
                 .emit();
+            let telemetry = MapTelemetry::new();
+            telemetry.record_hierarchy(report.hierarchy);
             let metrics = Arc::new(Metrics::default());
             let capacity = config
                 .cache_capacities
@@ -978,7 +1000,7 @@ impl Server {
                 source,
                 cached: Cached::new(resolver, capacity, config.cache_shards, metrics.clone()),
                 metrics,
-                telemetry: MapTelemetry::new(),
+                telemetry,
                 engine: Mutex::new(engine),
                 reload_lock: Mutex::new(()),
             }));

@@ -68,9 +68,54 @@ impl LoadPath {
     }
 }
 
+/// What a load did with the contraction hierarchy the `PATH` fast tier
+/// prunes with. Without one, `PATH` runs the bidirectional search:
+/// the same answers, more work per query.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum HierarchyOutcome {
+    /// The snapshot's stored hierarchy passed validation and serves.
+    Stored,
+    /// The snapshot carried one, but mapping invented back links, so
+    /// it was rebuilt over the augmented graph.
+    Rebuilt,
+    /// The snapshot carried one that does not fit the graph or the
+    /// cost model; none serves.
+    Rejected,
+    /// The engine this load replaced carried one and the new engine
+    /// has none: the delta path never keeps a hierarchy across an
+    /// edit, since its weights are the edited costs.
+    Dropped,
+    /// No hierarchy was involved.
+    #[default]
+    None,
+}
+
+impl HierarchyOutcome {
+    /// Every outcome, in the order `METRICS` lists them (and of their
+    /// discriminants).
+    pub const ALL: [HierarchyOutcome; 5] = [
+        HierarchyOutcome::Stored,
+        HierarchyOutcome::Rebuilt,
+        HierarchyOutcome::Rejected,
+        HierarchyOutcome::Dropped,
+        HierarchyOutcome::None,
+    ];
+
+    /// The `outcome` label value, and the log lines' `hierarchy=`.
+    pub fn label(self) -> &'static str {
+        match self {
+            HierarchyOutcome::Stored => "stored",
+            HierarchyOutcome::Rebuilt => "rebuilt",
+            HierarchyOutcome::Rejected => "rejected",
+            HierarchyOutcome::Dropped => "dropped",
+            HierarchyOutcome::None => "none",
+        }
+    }
+}
+
 /// What one load did: which path served it, why the delta path
-/// declined, and how long each step took. Steps that did not run
-/// report zero.
+/// declined, what became of the hierarchy, and how long each step
+/// took. Steps that did not run report zero.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LoadReport {
     /// Which path served the load.
@@ -89,8 +134,14 @@ pub struct LoadReport {
     pub files_scanned: usize,
     /// Building (or patching) the in-memory route database.
     pub routedb: Duration,
-    /// Building the point-to-point engine.
+    /// Building the point-to-point engine, unless `hierarchy_build`
+    /// covers it.
     pub engine: Duration,
+    /// What became of the contraction hierarchy.
+    pub hierarchy: HierarchyOutcome,
+    /// Rebuilding the hierarchy, with the engine around it (zero
+    /// unless it was rebuilt).
+    pub hierarchy_build: Duration,
 }
 
 /// When an edit dirties more than this fraction of the world, the
@@ -487,28 +538,35 @@ fn map_print_engine(
     report.phases.print = t0.elapsed();
     let t0 = Instant::now();
     let aug = mapped.tree.frozen().clone();
+    let model = options.cost_model;
     // Back-link invention replaces the snapshot graph; only when the
     // tree still points at the very same graph are the stored sections
     // (transpose, hierarchy) valid. A stage that carried a hierarchy is
     // an operator opt-in (`freeze --ch`), so when back links changed
     // the graph the hierarchy is rebuilt over the augmented snapshot
     // rather than silently lost.
+    let stored = frozen.hierarchy();
     let engine = if Arc::ptr_eq(&aug, frozen.graph()) {
-        match frozen.reverse_index() {
-            Some(rev) => PointToPoint::with_sections(
-                aug,
-                rev.clone(),
-                frozen.hierarchy().cloned(),
-                options.cost_model,
-            ),
-            None => PointToPoint::new(aug, options.cost_model),
-        }
-    } else if frozen.hierarchy().is_some() {
-        PointToPoint::with_fresh_hierarchy(aug, options.cost_model)
+        let engine = match frozen.reverse_index() {
+            Some(rev) => PointToPoint::with_sections(aug, rev.clone(), stored.cloned(), model),
+            None => PointToPoint::new(aug, model),
+        };
+        report.hierarchy = match (stored, engine.hierarchy()) {
+            (None, _) => HierarchyOutcome::None,
+            (Some(_), Some(_)) => HierarchyOutcome::Stored,
+            (Some(_), None) => HierarchyOutcome::Rejected,
+        };
+        engine
+    } else if stored.is_some() {
+        let t1 = Instant::now();
+        let engine = PointToPoint::with_fresh_hierarchy(aug, model);
+        report.hierarchy_build = t1.elapsed();
+        report.hierarchy = HierarchyOutcome::Rebuilt;
+        engine
     } else {
-        PointToPoint::new(aug, options.cost_model)
+        PointToPoint::new(aug, model)
     };
-    report.engine = t0.elapsed();
+    report.engine = t0.elapsed() - report.hierarchy_build;
     // The database last: the engine's build scratch is freed by now.
     let t0 = Instant::now();
     let db = SharedRouteDb::new(RouteDb::from_table(&routes));
@@ -586,7 +644,8 @@ type Declined = (&'static str, Option<Reread>, usize);
 /// * the point-to-point engine is rebuilt over the repaired tree's
 ///   graph without a contraction hierarchy — a CH is cost-dependent
 ///   and serving yesterday's hierarchy across a cost change would
-///   return wrong `PATH` answers;
+///   return wrong `PATH` answers (the report says `dropped` when the
+///   replaced engine carried one);
 /// * the multi-source validation fan-out is skipped — it costs more
 ///   than the repair itself, and the repair's own post-conditions
 ///   (labelled set identical to the previous run's) already prove the
@@ -739,6 +798,9 @@ fn try_delta_reload(
     report.routedb = t0.elapsed();
     // `PATH` answers read edge costs the tree never looked at, so the
     // engine is rebuilt whatever the edit moved.
+    if serving.engine.hierarchy().is_some() {
+        report.hierarchy = HierarchyOutcome::Dropped;
+    }
     let t0 = Instant::now();
     serving.engine = Arc::new(PointToPoint::new(
         new_tree.frozen().clone(),
@@ -953,7 +1015,9 @@ fn validate(frozen: &Arc<FrozenGraph>, sources: usize, threads: usize) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathalias_core::ChIndex;
     use pathalias_mailer::disk::write_db;
+    use pathalias_router::ch_weights;
 
     fn temp(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -1535,6 +1599,97 @@ mod tests {
         assert_eq!(cache.delta_reloads(), 1, "comment edit absorbed as a delta");
         assert_eq!(report.phases.map, std::time::Duration::ZERO, "no remap ran");
         assert_eq!(resolver.resolve("x", "u").unwrap().route, "b!x!u");
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// Freezes `map` to a `.pagf`, with a hierarchy over the cost
+    /// model's lower bounds plus `skew` on every edge when `skew` is
+    /// given, as `freeze --ch` would (at a skew of 0).
+    fn snapshot_with(tag: &str, map: &str, options: &Options, skew: Option<u64>) -> PathBuf {
+        let mut parsed = Parsed::new();
+        parsed.push_str("map", map);
+        let mut frozen = parsed.build(options).unwrap().freeze();
+        if let Some(skew) = skew {
+            let g = frozen.graph().clone();
+            let weights: Vec<_> = ch_weights(&g, &options.cost_model)
+                .into_iter()
+                .map(|w| w + skew)
+                .collect();
+            frozen = frozen.with_hierarchy(Arc::new(ChIndex::build(&g, &weights)));
+        }
+        let path = temp(tag);
+        frozen.write_snapshot_all(&path).unwrap();
+        path
+    }
+
+    #[test]
+    fn loads_say_what_became_of_the_hierarchy() {
+        let options = Options {
+            local: Some("unc".into()),
+            ..Default::default()
+        };
+        // `stray` reaches unc but nothing reaches `stray`: mapping from
+        // unc invents a back link, and the graph is no longer the one
+        // the hierarchy was built over.
+        let stray = format!("{MAP}stray\tunc(10)\n");
+        let cases = [
+            ("ch-none.pagf", MAP, None, HierarchyOutcome::None),
+            ("ch-stored.pagf", MAP, Some(0), HierarchyOutcome::Stored),
+            ("ch-rejected.pagf", MAP, Some(1), HierarchyOutcome::Rejected),
+            (
+                "ch-rebuilt.pagf",
+                &stray,
+                Some(0),
+                HierarchyOutcome::Rebuilt,
+            ),
+        ];
+        for (tag, map, skew, want) in cases {
+            let path = snapshot_with(tag, map, &options, skew);
+            let source = MapSource::frozen_snapshot(path.clone(), options.clone());
+            let (_, engine, report) = source.load_serving_timed().unwrap();
+            assert_eq!(report.hierarchy, want, "{tag}");
+            let serves = matches!(want, HierarchyOutcome::Stored | HierarchyOutcome::Rebuilt);
+            assert_eq!(engine.unwrap().hierarchy().is_some(), serves, "{tag}");
+            assert_eq!(
+                report.hierarchy_build.is_zero(),
+                want != HierarchyOutcome::Rebuilt,
+                "{tag}"
+            );
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_delta_reload_reports_the_hierarchy_it_drops() {
+        let path = temp("delta-dropped.map");
+        std::fs::write(&path, WIDE_MAP).unwrap();
+        let options = Options {
+            local: Some("hub".into()),
+            ..Default::default()
+        };
+        let source = MapSource::map_files(vec![path.clone()], options.clone());
+        let MapSource::Map { cache, .. } = &source else {
+            unreachable!()
+        };
+        let (_, _, report) = source.load_serving_timed().unwrap();
+        assert_eq!(report.hierarchy, HierarchyOutcome::None);
+        // Map files never carry a hierarchy; hand the cached serving
+        // state one, as a source that did would have.
+        {
+            let mut slot = cache.slot.lock().unwrap();
+            let serving = slot.as_mut().unwrap().serving.as_mut().unwrap();
+            let graph = serving.engine.graph().clone();
+            serving.engine = Arc::new(PointToPoint::with_fresh_hierarchy(
+                graph,
+                options.cost_model,
+            ));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::fs::write(&path, WIDE_MAP.replace("n2\tx(20)", "n2\tx(35)")).unwrap();
+        let (_, engine, report) = source.load_serving_timed().unwrap();
+        assert_eq!(report.path, LoadPath::Delta);
+        assert_eq!(report.hierarchy, HierarchyOutcome::Dropped);
+        assert!(engine.unwrap().hierarchy().is_none());
         std::fs::remove_file(path).unwrap();
     }
 

@@ -11,7 +11,7 @@
 //! `STATS` keeps its PR-1 byte format and knows nothing of this
 //! module.
 
-use crate::reload::{LoadPath, LoadReport};
+use crate::reload::{HierarchyOutcome, LoadPath, LoadReport};
 use pathalias_telemetry::{unix_ms, Histogram, SlowEntry, SlowLog};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,6 +54,9 @@ pub struct MapTelemetry {
     bailouts: Mutex<Vec<(&'static str, u64)>>,
     /// File texts the delta planner scanned, over every reload.
     files_scanned: AtomicU64,
+    /// Loads (start-up included) per [`HierarchyOutcome`], in
+    /// [`HierarchyOutcome::ALL`] order.
+    hierarchy_loads: [AtomicU64; 5],
 }
 
 impl Default for MapTelemetry {
@@ -76,16 +79,29 @@ impl MapTelemetry {
             reload_paths: Default::default(),
             bailouts: Mutex::new(Vec::new()),
             files_scanned: AtomicU64::new(0),
+            hierarchy_loads: Default::default(),
         }
     }
 
+    /// Counts what one load did with the hierarchy. The start-up load
+    /// records only this; [`MapTelemetry::record_reload`] calls it too.
+    pub fn record_hierarchy(&self, outcome: HierarchyOutcome) {
+        self.hierarchy_loads[outcome as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Loads per hierarchy outcome, in [`HierarchyOutcome::ALL`] order.
+    pub fn hierarchy_loads(&self) -> [(HierarchyOutcome, u64); 5] {
+        HierarchyOutcome::ALL.map(|o| (o, self.hierarchy_loads[o as usize].load(Ordering::Relaxed)))
+    }
+
     /// Records a successful reload: its report, its path, the gate
-    /// that sent it down the full path, if one did, and the texts its
-    /// plan scanned.
+    /// that sent it down the full path, if one did, the texts its plan
+    /// scanned, and what it did with the hierarchy.
     pub fn record_reload(&self, report: &LoadReport) {
         if let Ok(mut slot) = self.last_reload.lock() {
             *slot = Some(*report);
         }
+        self.record_hierarchy(report.hierarchy);
         self.reload_paths[report.path as usize].fetch_add(1, Ordering::Relaxed);
         self.files_scanned
             .fetch_add(report.files_scanned as u64, Ordering::Relaxed);
@@ -212,5 +228,9 @@ mod tests {
         assert_eq!(t.reload_paths()[2], (LoadPath::Full, 2));
         assert_eq!(t.bailouts(), vec![("options changed", 2)]);
         assert_eq!(t.files_scanned(), 4);
+        t.record_hierarchy(HierarchyOutcome::Rebuilt);
+        let loads = t.hierarchy_loads();
+        assert_eq!(loads[1], (HierarchyOutcome::Rebuilt, 1));
+        assert_eq!(loads[4], (HierarchyOutcome::None, 2));
     }
 }

@@ -466,6 +466,56 @@ fn patching_a_frozen_stage_drops_its_derived_sections() {
     assert_eq!(a1.route, "a!x!%s", "the cheapened link must win");
 }
 
+/// A `--pagf` daemon over a snapshot frozen with a hierarchy, whose
+/// mapping invents a back link, rebuilds the hierarchy at start-up and
+/// on every reload, and says so: in `METRICS` and with the build's own
+/// reload phase.
+#[test]
+fn a_rebuilt_hierarchy_is_counted_and_timed() {
+    let dir = temp_dir("ch-rebuilt");
+    let options = Options {
+        local: Some("hub".into()),
+        ..Default::default()
+    };
+    // Nothing reaches `stray`, so mapping from hub invents hub -> stray.
+    let mut parsed = Parsed::new();
+    parsed.push_str("map", &format!("{}stray\thub(10)\n", spoke_world()));
+    let frozen = parsed.build(&options).unwrap().freeze();
+    let g = frozen.graph().clone();
+    let weights = pathalias_router::ch_weights(&g, &options.cost_model);
+    let frozen = frozen.with_hierarchy(Arc::new(ChIndex::build(&g, &weights)));
+    let pagf = dir.join("world.pagf");
+    frozen.write_snapshot_all(&pagf).unwrap();
+
+    let source = MapSource::frozen_snapshot(pagf, options);
+    let handle = Server::start(ServerConfig::ephemeral(source)).unwrap();
+    let mut client = Client::connect(handle.tcp_addr().unwrap()).unwrap();
+    client.negotiate().unwrap();
+    let loads = |c: &mut Client, outcome: &str| {
+        let labels = format!(",outcome=\"{outcome}\"");
+        scraped_with(c, "pathalias_hierarchy_loads_total", &labels)
+    };
+    assert_eq!(loads(&mut client, "rebuilt"), 1, "the start-up load");
+    client.reload().unwrap();
+    assert_eq!(loads(&mut client, "rebuilt"), 2);
+    assert_eq!(loads(&mut client, "stored"), 0);
+    let text = client.metrics().unwrap();
+    let phase = "pathalias_reload_phase_seconds{map=\"default\",phase=\"hierarchy\"} ";
+    let secs: f64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix(phase))
+        .expect("hierarchy phase exported")
+        .parse()
+        .unwrap();
+    assert!(secs > 0.0, "the rebuild was timed");
+    let info = client.path("hub", "y").unwrap().unwrap();
+    assert_eq!(info.route, "n2!x!y!%s");
+
+    client.quit().unwrap();
+    handle.shutdown();
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 /// One step of an edit chain.
 #[derive(Debug, Clone, Copy)]
 enum Step {
