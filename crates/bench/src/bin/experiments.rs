@@ -544,8 +544,8 @@ fn e9_paper_scale() {
     println!("{:<10} {print_ms:>10.2}", "print");
     let s = tree.stats;
     println!(
-        "mapped {} nodes; heap {} pushes / {} pops; {} back links in {} rounds",
-        s.mapped, s.pushes, s.pops, s.invented_links, s.backlink_rounds
+        "mapped {} nodes; heap {} pushes / {} pops; back links: {} in {} rounds ({} restarted)",
+        s.mapped, s.pushes, s.pops, s.invented_links, s.backlink_rounds, s.restarted_rounds
     );
 }
 

@@ -6,9 +6,9 @@
 //! builders those experiments share, the paper's decrease-key [`heap`]
 //! and the O(v²) mapper of [`study`] (experiment E7), the lex stand-in
 //! scanner [`slow`] (E3), the 1986 pointer-per-object layout [`boxed`]
-//! (E4), the route-table [`diff`] (E16), and the two checks on the map
-//! generator and the parser: [`stats`] (shape) and [`unparse`] (round
-//! trip).
+//! (E4), the route-table [`diff`] (E16), the multi-source fan-out
+//! [`parallel`], and the two checks on the map generator and the
+//! parser: [`stats`] (shape) and [`unparse`] (round trip).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,6 +17,7 @@ pub mod boxed;
 pub mod diff;
 pub mod heap;
 pub mod legacy;
+pub mod parallel;
 pub mod slow;
 pub mod stats;
 pub mod study;
@@ -259,16 +260,13 @@ impl ReloadWorld {
         std::fs::write(&self.paths[self.file], text).expect("toggle map file");
     }
 
-    /// A map source with validation disabled (so a full reload
-    /// measures the remap itself, not the validation fan-out) plus its
-    /// stage cache, for checking the delta counter.
+    /// A map source over the world's files plus its stage cache, for
+    /// checking the delta counter.
     pub fn delta_source(&self) -> (pathalias_server::MapSource, pathalias_server::StageCache) {
         let cache = pathalias_server::StageCache::default();
         let source = pathalias_server::MapSource::Map {
             files: self.paths.clone(),
             options: self.options.clone(),
-            validate_sources: 0,
-            validate_threads: 1,
             cache: cache.clone(),
         };
         (source, cache)

@@ -1,18 +1,16 @@
 //! Multi-source mapping on scoped threads.
 //!
 //! Pathalias maps from one source — the local host. Site administrators
-//! of the era ran it once per machine they administered; the benchmark
-//! harness, the `mapgen` validation suite and the server's reload
-//! validation map from many sources, so this module fans the read-only
-//! mapper out over `std::thread::scope`. Every worker traverses the
+//! of the era ran it once per machine they administered; studies that
+//! map from many sources fan the read-only mapper out with this module,
+//! over `std::thread::scope`. Every worker traverses the
 //! same shared [`FrozenGraph`] — freezing happens exactly once, and the
 //! snapshot is immutable, so no synchronization is needed beyond the
-//! scope itself. Back links are not invented (use [`crate::map_frozen`]
-//! once beforehand if they matter).
+//! scope itself. Back links are not invented (use
+//! [`pathalias_mapper::map_frozen`] once beforehand if they matter).
 
-use crate::dijkstra::{map_frozen_readonly, MapError, MapOptions};
-use crate::tree::ShortestPathTree;
 use pathalias_graph::{FrozenGraph, NodeId};
+use pathalias_mapper::{map_frozen_readonly, MapError, MapOptions, ShortestPathTree};
 use std::sync::Arc;
 
 /// Maps from every source in `sources` over one shared frozen graph,
@@ -22,7 +20,8 @@ use std::sync::Arc;
 /// # Examples
 ///
 /// ```
-/// use pathalias_mapper::{parallel::map_many_frozen, MapOptions};
+/// use pathalias_bench::parallel::map_many_frozen;
+/// use pathalias_mapper::MapOptions;
 /// use std::sync::Arc;
 ///
 /// let g = pathalias_parser::parse("a b(10)\nb a(10)\nb c(5)\n").unwrap();
@@ -77,8 +76,8 @@ pub fn map_many_frozen(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::map_readonly;
     use pathalias_graph::Graph;
+    use pathalias_mapper::map_readonly;
     use pathalias_parser::parse;
 
     fn ring(n: usize) -> Graph {

@@ -1,9 +1,11 @@
-//! The generator's shape check against the paper's figures (moved here
-//! from the root `tests/scale.rs` with `stats`).
+//! The generator's shape check against the paper's figures, and the
+//! multi-source fan-out at scale (both moved here from the root
+//! `tests/scale.rs`, with `stats` and `parallel`).
 
-use pathalias_bench::stats;
-use pathalias_core::Pathalias;
+use pathalias_bench::{parallel, stats};
+use pathalias_core::{map_readonly, Graph, MapOptions, Pathalias};
 use pathalias_mapgen::{generate, MapSpec};
+use std::sync::Arc;
 
 fn paper_world() -> (Pathalias, String) {
     let map = generate(&MapSpec::usenet_1986(1986));
@@ -33,4 +35,20 @@ fn structure_matches_the_paper() {
         s.largest_component,
         s.nodes
     );
+}
+
+#[test]
+fn parallel_multi_source_consistent_at_scale() {
+    let map = generate(&MapSpec::small(800, 1986));
+    let g: Graph = map.parse().unwrap();
+    let sources: Vec<_> = g.node_ids().take(12).collect();
+    let opts = MapOptions::default();
+    let trees = parallel::map_many_frozen(&Arc::new(g.freeze()), &sources, &opts, 4);
+    for (i, tree) in trees.iter().enumerate() {
+        let seq = map_readonly(&g, sources[i], &opts).unwrap();
+        let tree = tree.as_ref().unwrap();
+        for id in g.node_ids() {
+            assert_eq!(tree.label(id), seq.label(id));
+        }
+    }
 }

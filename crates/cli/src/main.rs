@@ -118,12 +118,13 @@ fn cmd_run(run: RunArgs) -> ExitCode {
                     s.pushes, s.pops, s.stale_pops, s.relaxations
                 );
                 eprintln!(
-                    "pathalias: penalties: {} gate, {} relay, {} mixed; back links: {} in {} rounds",
+                    "pathalias: penalties: {} gate, {} relay, {} mixed; back links: {} in {} rounds ({} restarted)",
                     s.gate_penalties,
                     s.relay_penalties,
                     s.mixed_penalties,
                     s.invented_links,
-                    s.backlink_rounds
+                    s.backlink_rounds,
+                    s.restarted_rounds
                 );
                 eprintln!(
                     "pathalias: timings: parse {:?}, freeze {:?}, map {:?}, print {:?}",

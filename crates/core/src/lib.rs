@@ -46,8 +46,7 @@ pub use pathalias_graph::{
 };
 pub use pathalias_mapper::{
     format_trace, map, map_dual, map_dual_frozen, map_frozen, map_frozen_readonly, map_readonly,
-    parallel, repair_frozen, CostModel, DualTree, Label, MapError, MapOptions, MapStats,
-    ShortestPathTree,
+    repair_frozen, CostModel, DualTree, Label, MapError, MapOptions, MapStats, ShortestPathTree,
 };
 pub use pathalias_parser::{parse, parse_files, parse_into, ParseError};
 pub use pathalias_printer::{

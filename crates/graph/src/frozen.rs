@@ -48,6 +48,7 @@ use crate::link::{Dir, RouteOp};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Identifies an edge in a [`FrozenGraph`]: an index into the CSR edge
 /// arrays. Edge ids are only meaningful for the frozen graph that
@@ -213,9 +214,11 @@ impl EdgeShift {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrozenGraph {
     pub(crate) ignore_case: bool,
-    /// All node names, concatenated; `name_off` has n+1 offsets.
-    pub(crate) name_data: String,
-    pub(crate) name_off: Vec<u32>,
+    /// Shared with every graph derived from this one
+    /// ([`with_edges_appended`](FrozenGraph::with_edges_appended),
+    /// [`with_rows_replaced`](FrozenGraph::with_rows_replaced)): a
+    /// derivation never changes a name.
+    pub(crate) names: Arc<Names>,
     pub(crate) flags: Vec<NodeFlags>,
     pub(crate) adjust: Vec<i64>,
     /// CSR row starts; `row_start[n]..row_start[n+1]` indexes `edges`.
@@ -227,6 +230,14 @@ pub struct FrozenGraph {
     /// bias (rare): the bias must not apply when the tail is the
     /// mapping source.
     pub(crate) raw_cost: HashMap<u32, Cost>,
+}
+
+/// A snapshot's node names and their lookup index.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Names {
+    /// All node names, concatenated; `off` has n+1 offsets.
+    pub(crate) data: String,
+    pub(crate) off: Vec<u32>,
     /// Global (non-`private`) name lookup, folded when `ignore_case`.
     pub(crate) index: HashMap<Box<str>, u32>,
 }
@@ -299,14 +310,16 @@ impl FrozenGraph {
 
         FrozenGraph {
             ignore_case: g.ignore_case(),
-            name_data,
-            name_off,
+            names: Arc::new(Names {
+                data: name_data,
+                off: name_off,
+                index,
+            }),
             flags,
             adjust,
             row_start,
             edges,
             raw_cost,
-            index,
         }
     }
 
@@ -360,14 +373,12 @@ impl FrozenGraph {
 
         FrozenGraph {
             ignore_case: self.ignore_case,
-            name_data: self.name_data.clone(),
-            name_off: self.name_off.clone(),
+            names: self.names.clone(),
             flags: self.flags.clone(),
             adjust: self.adjust.clone(),
             row_start,
             edges,
             raw_cost,
-            index: self.index.clone(),
         }
     }
 
@@ -445,14 +456,12 @@ impl FrozenGraph {
         (
             FrozenGraph {
                 ignore_case: self.ignore_case,
-                name_data: self.name_data.clone(),
-                name_off: self.name_off.clone(),
+                names: self.names.clone(),
                 flags: self.flags.clone(),
                 adjust: self.adjust.clone(),
                 row_start,
                 edges,
                 raw_cost,
-                index: self.index.clone(),
             },
             shift,
         )
@@ -479,7 +488,8 @@ impl FrozenGraph {
     #[inline]
     pub fn name(&self, id: NodeId) -> &str {
         let i = id.index();
-        &self.name_data[self.name_off[i] as usize..self.name_off[i + 1] as usize]
+        let names = &*self.names;
+        &names.data[names.off[i] as usize..names.off[i + 1] as usize]
     }
 
     /// Looks up a host by name. Global names win; a name claimed only
@@ -488,9 +498,9 @@ impl FrozenGraph {
     /// frozen, but `-l`/`-t` naming a private-only host still works).
     pub fn id_of(&self, name: &str) -> Option<NodeId> {
         let id = if self.ignore_case {
-            self.index.get(name.to_ascii_lowercase().as_str())
+            self.names.index.get(name.to_ascii_lowercase().as_str())
         } else {
-            self.index.get(name)
+            self.names.index.get(name)
         };
         id.map(|&raw| NodeId::from_raw(raw))
     }

@@ -127,12 +127,13 @@
 use crate::ch::ChIndex;
 use crate::cost::Cost;
 use crate::flags::{LinkFlags, NodeFlags};
-use crate::frozen::{FrozenEdge, FrozenGraph};
+use crate::frozen::{FrozenEdge, FrozenGraph, Names};
 use crate::reverse::ReverseGraph;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// The 6-byte file magic (version is part of the magic, PADB1-style).
 pub const MAGIC: &[u8; 6] = b"PAGF1\n";
@@ -231,7 +232,7 @@ pub fn to_bytes_all(
 
     let total = HEADER_LEN
         + (n + 1) * 4
-        + g.name_data.len()
+        + g.names.data.len()
         + n * 2
         + n * 8
         + (n + 1) * 4
@@ -252,7 +253,7 @@ pub fn to_bytes_all(
     out.push(0);
     out.extend_from_slice(&(n as u32).to_le_bytes());
     out.extend_from_slice(&(m as u32).to_le_bytes());
-    out.extend_from_slice(&(g.name_data.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(g.names.data.len() as u64).to_le_bytes());
     out.extend_from_slice(&(raw_cost.len() as u32).to_le_bytes());
     let mut sections = 0;
     if reverse.is_some() {
@@ -264,10 +265,10 @@ pub fn to_bytes_all(
     out.extend_from_slice(&sections.to_le_bytes());
     out.extend_from_slice(&0u64.to_le_bytes()); // checksum, patched below
 
-    for &off in &g.name_off {
+    for &off in &g.names.off {
         out.extend_from_slice(&off.to_le_bytes());
     }
-    out.extend_from_slice(g.name_data.as_bytes());
+    out.extend_from_slice(g.names.data.as_bytes());
     for &f in &g.flags {
         out.extend_from_slice(&f.bits().to_le_bytes());
     }
@@ -753,14 +754,16 @@ pub fn from_bytes_all(
 
     let graph = FrozenGraph {
         ignore_case,
-        name_data,
-        name_off,
+        names: Arc::new(Names {
+            data: name_data,
+            off: name_off,
+            index,
+        }),
         flags,
         adjust,
         row_start,
         edges,
         raw_cost,
-        index,
     };
 
     // The reverse section is pure derived data, so its validation is

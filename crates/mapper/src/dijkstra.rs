@@ -6,8 +6,9 @@
 //! indexed by node id, and `adjust` biases already folded into the
 //! stored costs. Callers that hold only a mutable [`Graph`] can use the
 //! freezing wrappers ([`map`], [`map_readonly`]); anything that maps
-//! more than once — the staged pipeline, the multi-source fan-out, the
-//! server — freezes once and calls the `*_frozen` entry points.
+//! more than once — the staged pipeline, the server, the
+//! point-to-point engine's tree cache — freezes once and calls the
+//! `*_frozen` entry points.
 
 use crate::cost_model::{
     pack_key, pack_label, settle, source_label, unpack_label, CostModel, Key, Packed, Settled,
@@ -18,6 +19,7 @@ use pathalias_graph::{Cost, EdgeId, FrozenEdge, FrozenGraph, Graph, LinkFlags, N
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Options for a mapping run.
@@ -76,6 +78,24 @@ struct Run<'g> {
     tracing: bool,
     trace_set: HashSet<NodeId>,
     trace: Vec<TraceEvent>,
+    /// In a resumed back-link round, the nodes earlier rounds settled;
+    /// empty otherwise.
+    earlier: Vec<bool>,
+    /// A relaxation out of a newly reached host tied or beat the label
+    /// of a node in `earlier` (see [`map_frozen`]).
+    interfered: bool,
+}
+
+/// A drained run's per-node state, detached from the graph it was
+/// computed over: what one back-link round hands the next.
+struct Carry {
+    key: Vec<Key>,
+    pred: Vec<(u32, u32)>,
+    state: Vec<u8>,
+    stats: MapStats,
+    /// Each invented link's tail, with the ids its invented edges have
+    /// in the next round's graph (the end of its row).
+    appended: Vec<(NodeId, Range<u32>)>,
 }
 
 impl<'g> Run<'g> {
@@ -87,21 +107,116 @@ impl<'g> Run<'g> {
             return Err(MapError::ExcludedSource);
         }
         let n = f.node_count();
-        let mut run = Run {
+        let mut run = Run::with_labels(
+            f,
+            source,
+            opts,
+            (0..n as u32).map(|i| pack_key(0, 0, i)).collect(),
+            vec![NO_PRED; n],
+            vec![0; n],
+            MapStats::default(),
+        );
+        run.set(source, source_label(f, source));
+        Ok(run)
+    }
+
+    /// A run over `f` holding the given per-node state.
+    fn with_labels(
+        f: &'g FrozenGraph,
+        source: NodeId,
+        opts: &MapOptions,
+        key: Vec<Key>,
+        pred: Vec<(u32, u32)>,
+        state: Vec<u8>,
+        stats: MapStats,
+    ) -> Self {
+        Run {
             f,
             model: opts.model,
             exclude_domains: opts.exclude_domains,
             source,
-            key: (0..n as u32).map(|i| pack_key(0, 0, i)).collect(),
-            pred: vec![NO_PRED; n],
-            state: vec![0; n],
-            stats: MapStats::default(),
+            key,
+            pred,
+            state,
+            stats,
             tracing: !opts.trace.is_empty(),
             trace_set: opts.trace.iter().copied().collect(),
             trace: Vec::new(),
-        };
-        run.set(source, source_label(f, source));
-        Ok(run)
+            earlier: Vec::new(),
+            interfered: false,
+        }
+    }
+
+    /// Hands this drained run's state on to `next`, the graph
+    /// `with_edges_appended(inventions)` built from this run's one.
+    /// Appending keeps each row's old edges in order and puts the
+    /// extras at its end, so an old edge moves by exactly the number
+    /// of edges appended to earlier rows: every stored predecessor
+    /// edge is shifted by how far its tail's row start moved.
+    fn carry(self, next: &FrozenGraph, inventions: &[Invention]) -> Carry {
+        let Run {
+            f,
+            key,
+            mut pred,
+            state,
+            stats,
+            ..
+        } = self;
+        let moved = |u: usize| (next.row(u).start - f.row(u).start) as u32;
+        for p in pred.iter_mut().filter(|p| **p != NO_PRED) {
+            p.1 += moved(p.0 as usize);
+        }
+        let mut tails: Vec<NodeId> = inventions.iter().map(|inv| inv.0).collect();
+        tails.sort_unstable();
+        tails.dedup();
+        let appended = tails
+            .into_iter()
+            .map(|t| {
+                let row = next.row(t.index());
+                let kept = f.row(t.index()).len();
+                (t, (row.start + kept) as u32..row.end as u32)
+            })
+            .collect();
+        Carry {
+            key,
+            pred,
+            state,
+            stats,
+            appended,
+        }
+    }
+
+    /// Continues a carried run over the augmented graph `f`: offers
+    /// every invented link from its already-mapped tail, then drains
+    /// the hosts those offers reach. Sets `interfered` when a
+    /// relaxation out of one of them would have tied or beaten an
+    /// earlier round's label.
+    fn resume(f: &'g FrozenGraph, source: NodeId, opts: &MapOptions, carry: Carry) -> Self {
+        let earlier = carry.state.iter().map(|&s| s & MAPPED != 0).collect();
+        let mut run = Run::with_labels(
+            f,
+            source,
+            opts,
+            carry.key,
+            carry.pred,
+            carry.state,
+            carry.stats,
+        );
+        run.earlier = earlier;
+        let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(256);
+        for (t, extras) in carry.appended {
+            let ti = t.index();
+            let tail = Tail::load(f, source, t, (run.key[ti], run.pred[ti], run.state[ti]));
+            run.stats.relaxations += extras.len() as u64;
+            for e_raw in extras {
+                let edge = f.edge(EdgeId::from_raw(e_raw));
+                if let Some(key) = run.relax::<true>(&tail, e_raw, edge) {
+                    run.push(&mut heap, key);
+                }
+            }
+        }
+        run.drain::<true>(&mut heap);
+        run
     }
 
     fn set(&mut self, node: NodeId, (key, pred, state): Packed) {
@@ -111,13 +226,30 @@ impl<'g> Run<'g> {
 
     /// Relaxes the frozen edge `e_raw` (= `edge`) out of `tail`; the
     /// head's new key if it has to be queued. The caller accounts
-    /// `stats.relaxations` once per adjacency run.
-    #[inline]
-    fn relax(&mut self, tail: &Tail, e_raw: u32, edge: FrozenEdge) -> Option<Key> {
+    /// `stats.relaxations` once per adjacency run. `RESUMED` runs are
+    /// resumed back-link rounds, which also check what they offer the
+    /// nodes earlier rounds settled; every other run compiles without
+    /// that check.
+    // `always`: with a plain hint and the resumed round's seeding as a
+    // second caller, LLVM leaves this a call inside the drain loop,
+    // which costs a search on `big` 15–25%.
+    #[inline(always)]
+    fn relax<const RESUMED: bool>(
+        &mut self,
+        tail: &Tail,
+        e_raw: u32,
+        edge: FrozenEdge,
+    ) -> Option<Key> {
         let v = edge.to();
         let vi = v.index();
         let vstate = self.state[vi];
-        if vstate & MAPPED != 0 || (self.exclude_domains && self.f.is_domain(v)) {
+        if vstate & MAPPED != 0 {
+            if RESUMED && self.earlier[vi] {
+                self.check_earlier(tail, e_raw, edge);
+            }
+            return None;
+        }
+        if self.exclude_domains && self.f.is_domain(v) {
             return None;
         }
         let step = self.model.step(self.f, tail, e_raw, edge);
@@ -154,6 +286,19 @@ impl<'g> Run<'g> {
         (outcome == Settled::Improved).then_some(cand.0)
     }
 
+    /// A resumed round's relaxation into `edge.to()`, which an earlier
+    /// round settled: its candidate, judged as if the head were not
+    /// yet mapped, must lose on the key. A tie the stored predecessor
+    /// keeps counts against it as well: in a run from scratch the tie
+    /// may arrive before the stored label's own offer and be extracted
+    /// with, so only a strictly larger key is safe.
+    #[cold]
+    fn check_earlier(&mut self, tail: &Tail, e_raw: u32, edge: FrozenEdge) {
+        let v = edge.to();
+        let step = self.model.step(self.f, tail, e_raw, edge);
+        self.interfered |= step.label(tail, e_raw, v).0 <= self.key[v.index()];
+    }
+
     /// Queues `key` (a labelled node's stored key).
     fn push(&mut self, heap: &mut BinaryHeap<Reverse<Key>>, key: Key) {
         heap.push(Reverse(key));
@@ -163,9 +308,13 @@ impl<'g> Run<'g> {
     /// The lazy-deletion loop: extracts nodes in key order until the
     /// queue is empty, relaxing each one's row. An improved label is
     /// pushed again and the superseded entry is skipped when popped
-    /// (one state-byte test).
-    fn drain(&mut self, heap: &mut BinaryHeap<Reverse<Key>>) {
+    /// (one state-byte test). A resumed round stops as soon as it has
+    /// interfered with an earlier one: it is about to be discarded.
+    fn drain<const RESUMED: bool>(&mut self, heap: &mut BinaryHeap<Reverse<Key>>) {
         while let Some(Reverse(key)) = heap.pop() {
+            if RESUMED && self.interfered {
+                return;
+            }
             let u = NodeId::from_raw(key as u32);
             let ui = u.index();
             if self.state[ui] & MAPPED != 0 {
@@ -180,7 +329,7 @@ impl<'g> Run<'g> {
             let (base_edge, row) = self.f.edge_slice(u);
             self.stats.relaxations += row.len() as u64;
             for (i, &edge) in row.iter().enumerate() {
-                if let Some(key) = self.relax(&tail, base_edge + i as u32, edge) {
+                if let Some(key) = self.relax::<RESUMED>(&tail, base_edge + i as u32, edge) {
                     self.push(heap, key);
                 }
             }
@@ -253,9 +402,13 @@ fn heap_run<'g>(
     let mut run = Run::new(f, source, opts)?;
     let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(256);
     run.push(&mut heap, pack_key(0, 0, source.raw()));
-    run.drain(&mut heap);
+    run.drain::<false>(&mut heap);
     Ok(run)
 }
+
+/// One invented link, `(from, to, raw cost, operator, flags)`: the
+/// shape [`FrozenGraph::with_edges_appended`] takes.
+type Invention = (NodeId, NodeId, Cost, pathalias_graph::RouteOp, LinkFlags);
 
 /// Maps from `source`, then runs the back-link pass to fixpoint: "we
 /// examine the connections out of each unreachable host, invent links
@@ -265,61 +418,136 @@ fn heap_run<'g>(
 /// (the original is never touched), and the returned tree's
 /// [`frozen`](ShortestPathTree::frozen) handle is the final snapshot
 /// including every invented edge.
+///
+/// Each round continues the run before it rather than mapping its
+/// augmented graph again: the invented links are offered from their
+/// already-mapped tails, and only the hosts they reach are drained.
+/// The labels are still exactly those of a run from scratch over the
+/// augmented graph. Call the nodes earlier rounds settled *old* and
+/// the rest *new*. No old edge leads from an old node to a new one
+/// (the earlier run would have labelled it), so new nodes are reached
+/// only over invented links. An invented link always adds a visible
+/// hop, so its offer is strictly greater in (cost, hops) than its
+/// tail's label, and a run extracts in nondecreasing (cost, hops).
+/// Hence a run from scratch extracts every old node with the label the
+/// earlier round gave it, unless some new node offers that node a key
+/// that is not strictly greater than its label: an offer strictly
+/// greater is extracted only after the label it loses to. The resumed
+/// round checks exactly that on every edge from a new node into an old
+/// one. And each new node sees the offers a restart's would: those of
+/// the new nodes extracted before it, and every invented offer, where
+/// one a restart would deliver only after the head's extraction is
+/// strictly greater than the head's label, and so changes nothing.
+///
+/// A round runs from scratch, as every round once did, when that check
+/// fires, or when tracing is on: a trace logs the last run's
+/// relaxations, and only a run from scratch makes them all.
+/// [`MapStats::restarted_rounds`] counts those rounds. The heap and
+/// penalty counters count the work done across every round, a
+/// discarded resumption included.
 pub fn map_frozen(
     f: &Arc<FrozenGraph>,
     source: NodeId,
     opts: &MapOptions,
 ) -> Result<ShortestPathTree, MapError> {
     let mut frozen = f.clone();
-    let mut rounds = 0u32;
-    let mut invented_total = 0u64;
+    let mut carried: Option<Carry> = None;
+    let (mut rounds, mut restarted, mut invented_total) = (0u32, 0u32, 0u64);
     loop {
-        let mut tree = map_frozen_readonly(&frozen, source, opts)?;
-        tree.stats.backlink_rounds = rounds;
-        tree.stats.invented_links = invented_total;
-        if opts.no_backlinks {
-            return Ok(tree);
-        }
-        // Invent reverse links for unreachable hosts that declare a
-        // connection out to a mapped host.
-        let mut inventions: Vec<(NodeId, NodeId, Cost, pathalias_graph::RouteOp, LinkFlags)> =
-            Vec::new();
-        let mut seen: HashSet<(u32, u32)> = HashSet::new();
-        for u in tree.unreachable() {
-            if opts.exclude_domains && frozen.is_domain(u) {
-                continue;
-            }
-            for e in frozen.out_edges(u) {
-                if frozen.edge_flags(e).contains(LinkFlags::BACK) {
-                    continue;
-                }
-                let to = frozen.edge_target(e);
-                if tree.is_mapped(to) {
-                    // The invented edge starts from the declared raw
-                    // weight; the *neighbor's* own bias is applied when
-                    // the augmented graph is rebuilt.
-                    let cost = frozen
-                        .edge_raw_cost(e)
-                        .saturating_add(opts.model.backlink_penalty);
-                    // Only invent a given reverse link once, across
-                    // rounds and within this round.
-                    if !frozen.has_back_edge(to, u) && seen.insert((to.raw(), u.raw())) {
-                        inventions.push((to, u, cost, frozen.edge_op(e), LinkFlags::BACK));
-                    }
+        let run = match carried.take() {
+            None => heap_run(&frozen, source, opts)?,
+            Some(carry) if opts.trace.is_empty() => {
+                let resumed = Run::resume(&frozen, source, opts, carry);
+                if !resumed.interfered {
+                    resumed
+                } else {
+                    restarted += 1;
+                    restart(&frozen, source, opts, &resumed.stats)?
                 }
             }
-        }
+            Some(carry) => {
+                restarted += 1;
+                restart(&frozen, source, opts, &carry.stats)?
+            }
+        };
+        let inventions = if opts.no_backlinks {
+            Vec::new()
+        } else {
+            invent(&run, opts)
+        };
         if inventions.is_empty() {
+            let mut tree = run.finish(frozen.clone());
+            tree.stats.backlink_rounds = rounds;
+            tree.stats.restarted_rounds = restarted;
+            tree.stats.invented_links = invented_total;
             return Ok(tree);
         }
         invented_total += inventions.len() as u64;
-        frozen = Arc::new(frozen.with_edges_appended(&inventions));
+        let next = frozen.with_edges_appended(&inventions);
+        carried = Some(run.carry(&next, &inventions));
+        frozen = Arc::new(next);
         rounds += 1;
         assert!(
             (rounds as usize) <= frozen.node_count() + 1,
             "back-link pass failed to converge"
         );
     }
+}
+
+/// A back-link round run from scratch over `f`, after `done`: the work
+/// counters carry on, the mapped count starts over.
+fn restart<'g>(
+    f: &'g FrozenGraph,
+    source: NodeId,
+    opts: &MapOptions,
+    done: &MapStats,
+) -> Result<Run<'g>, MapError> {
+    let mut run = heap_run(f, source, opts)?;
+    let s = &mut run.stats;
+    s.pushes += done.pushes;
+    s.pops += done.pops;
+    s.stale_pops += done.stale_pops;
+    s.relaxations += done.relaxations;
+    s.gate_penalties += done.gate_penalties;
+    s.relay_penalties += done.relay_penalties;
+    s.mixed_penalties += done.mixed_penalties;
+    s.ambiguous_hops += done.ambiguous_hops;
+    Ok(run)
+}
+
+/// The reverse links a drained run's round invents: for each host the
+/// run left unlabelled, one per declared link out of it to a labelled
+/// host, from that host back.
+fn invent(run: &Run<'_>, opts: &MapOptions) -> Vec<Invention> {
+    let f = run.f;
+    let labelled = |v: NodeId| run.state[v.index()] & LABELLED != 0;
+    let mut inventions = Vec::new();
+    let mut seen: HashSet<(u32, u32)> = HashSet::new();
+    for u in f.node_ids() {
+        if !f.is_mappable(u) || labelled(u) || (opts.exclude_domains && f.is_domain(u)) {
+            continue;
+        }
+        for e in f.out_edges(u) {
+            if f.edge_flags(e).contains(LinkFlags::BACK) {
+                continue;
+            }
+            let to = f.edge_target(e);
+            if labelled(to) {
+                // The invented edge starts from the declared raw
+                // weight; the *neighbor's* own bias is applied when
+                // the augmented graph is rebuilt.
+                let cost = f
+                    .edge_raw_cost(e)
+                    .saturating_add(opts.model.backlink_penalty);
+                // Only invent a given reverse link once, across
+                // rounds and within this round.
+                if !f.has_back_edge(to, u) && seen.insert((to.raw(), u.raw())) {
+                    inventions.push((to, u, cost, f.edge_op(e), LinkFlags::BACK));
+                }
+            }
+        }
+    }
+    inventions
 }
 
 /// Repairs `old` — a tree mapped over a snapshot that differs from
@@ -431,7 +659,7 @@ pub fn repair_frozen(
             run.push(&mut heap, run.key[i]);
         }
     }
-    run.drain(&mut heap);
+    run.drain::<false>(&mut heap);
 
     // The reached set must be exactly the old one: anything else means
     // the back-link pass would run differently on a cold start.
@@ -722,6 +950,28 @@ gateway {GNET!g}
         assert!(t.is_mapped(v[1]));
         assert!(t.is_mapped(v[2]), "second round reaches leaf2");
         assert_eq!(t.stats.backlink_rounds, 2);
+    }
+
+    #[test]
+    fn backlink_that_relabels_an_earlier_host_reruns_the_round() {
+        // Plain weights charge a back link nothing extra: b invents
+        // b -> leaf (1), and leaf's own link to c (1) undercuts the
+        // direct a -> c (100) that round 0 settled.
+        let g = parse("a b(10), c(100)\nleaf b(1), c(1)\n").unwrap();
+        let v = ids(&g, &["a", "b", "c", "leaf"]);
+        let opts = MapOptions {
+            model: CostModel::plain(),
+            ..MapOptions::default()
+        };
+        let t = map(&g, v[0], &opts).unwrap();
+        assert_eq!(t.cost(v[2]), Some(12), "c via b, leaf");
+        assert_eq!(t.path_to(v[2]).unwrap(), vec![v[0], v[1], v[3], v[2]]);
+        assert_eq!((t.stats.backlink_rounds, t.stats.restarted_rounds), (1, 1));
+        // Under the paper's model the back link is last-resort, so the
+        // round continues.
+        let t = map(&g, v[0], &MapOptions::default()).unwrap();
+        assert_eq!(t.cost(v[2]), Some(100));
+        assert_eq!(t.stats.restarted_rounds, 0);
     }
 
     #[test]

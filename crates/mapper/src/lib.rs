@@ -24,9 +24,7 @@
 //!   never mutates the caller's graph;
 //! * [`map_dual`] — the PROBLEMS-section experiment: "a modified
 //!   algorithm that maintains the 'second-best' path when the shortest
-//!   path to a host goes by way of a domain";
-//! * [`parallel`] — multi-source mapping on scoped threads over one
-//!   shared frozen snapshot.
+//!   path to a host goes by way of a domain".
 //!
 //! # Examples
 //!
@@ -46,7 +44,6 @@
 pub mod cost_model;
 mod dijkstra;
 mod dual;
-pub mod parallel;
 mod tree;
 
 pub use cost_model::CostModel;

@@ -35,6 +35,12 @@ pub struct Label {
 }
 
 /// Counters from a mapping run.
+///
+/// After a back-link pass the heap and penalty counters count the work
+/// done across every round, not only the last one's: a resumed round
+/// adds what it relaxed and extracted, and a round run from scratch
+/// adds its whole run (see [`map_frozen`](crate::map_frozen)).
+/// `mapped` is always the final tree's count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MapStats {
     /// Nodes mapped (extracted with final labels).
@@ -63,6 +69,10 @@ pub struct MapStats {
     pub ambiguous_hops: u64,
     /// Back-link rounds run (the "continue with Dijkstra" passes).
     pub backlink_rounds: u32,
+    /// Back-link rounds that re-ran the search from scratch instead of
+    /// continuing it (tracing was on, or continuing could not be shown
+    /// to match a fresh run).
+    pub restarted_rounds: u32,
     /// Back links invented.
     pub invented_links: u64,
 }

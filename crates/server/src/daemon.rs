@@ -503,6 +503,7 @@ impl State {
                     .field("duration_ms", ns / 1_000_000)
                     .field("files_scanned", report.files_scanned)
                     .field("hierarchy", report.hierarchy.label())
+                    .field("backlink_restarts", report.backlink_restarts)
                     .emit();
                 let response = Response::Reloaded {
                     map: wire_name,
@@ -986,6 +987,7 @@ impl Server {
                 .field("source", source.kind())
                 .field("entries", resolver.entries())
                 .field("hierarchy", report.hierarchy.label())
+                .field("backlink_restarts", report.backlink_restarts)
                 .emit();
             let telemetry = MapTelemetry::new();
             telemetry.record_hierarchy(report.hierarchy);

@@ -20,8 +20,9 @@
 //! * [`cache`] — a sharded, bounded, generation-stamped LRU with
 //!   per-shard hit/miss/eviction counters;
 //! * [`reload`] — the table sources (PADB1 in-memory or in-place,
-//!   linear route file, full map pipeline) and multi-source
-//!   validation of rebuilt maps;
+//!   linear route file, PAGF1 snapshot, full map pipeline), the
+//!   incremental reload that repairs a map in place, and the one
+//!   refusal of a rebuilt map: it has no live host;
 //! * [`daemon`] — TCP, Unix-socket, and UDP endpoints served by a
 //!   fixed pool of epoll/kqueue event-loop workers (`SO_REUSEPORT`
 //!   shards the accept load; other platforms have no daemon and

@@ -23,8 +23,8 @@
 //! them.
 
 use pathalias_core::{
-    parallel, repair_frozen, update_routes, DeltaPlan, EdgeShift, Frozen, FrozenGraph, MapOptions,
-    Mapped, NodeId, Options, Parsed, PhaseTimings, RouteTable, RowPatch, SnapshotError,
+    repair_frozen, update_routes, DeltaPlan, EdgeShift, Frozen, FrozenGraph, MapOptions, Mapped,
+    NodeId, Options, Parsed, PhaseTimings, RouteTable, RowPatch, SnapshotError,
 };
 use pathalias_mailer::{
     disk::DiskError, disk::MappedDb, BoxedResolver, DbError, RouteDb, SharedRouteDb,
@@ -123,6 +123,10 @@ pub struct LoadReport {
     /// For a map-file source on the full path: the gate of the delta
     /// path that refused it.
     pub bailout: Option<&'static str>,
+    /// Back-link rounds the map stage re-ran from scratch instead of
+    /// continuing ([`MapStats::restarted_rounds`](pathalias_core::MapStats));
+    /// zero when nothing was mapped.
+    pub backlink_restarts: u32,
     /// The pipeline phases. On the delta path `parse` is the re-read
     /// of the changed files, `freeze` the row splice, `map` the tree
     /// repair and `print` the route update; nothing is ever rendered.
@@ -309,11 +313,6 @@ pub enum MapSource {
         files: Vec<PathBuf>,
         /// Pipeline options (`-l`, `-i`, ...).
         options: Options,
-        /// Validate the rebuilt graph by mapping from this many extra
-        /// sources (0 disables validation).
-        validate_sources: usize,
-        /// Worker threads for the validation fan-out.
-        validate_threads: usize,
         /// Cached stages, keyed by the files' fingerprint.
         cache: StageCache,
     },
@@ -332,7 +331,7 @@ pub enum LoadError {
     Db(DbError),
     /// The map pipeline failed (parse or map error).
     Pipeline(pathalias_core::Error),
-    /// Multi-source validation found an unmappable source.
+    /// The rebuilt map has nothing to serve.
     Validation(String),
 }
 
@@ -370,16 +369,11 @@ impl From<SnapshotError> for LoadError {
 }
 
 impl MapSource {
-    /// A map-file source with validation defaults: a handful of extra
-    /// mapping sources checked on the machine's cores.
+    /// A map-file source with the default stage cache.
     pub fn map_files(files: Vec<PathBuf>, options: Options) -> MapSource {
         MapSource::Map {
             files,
             options,
-            validate_sources: 4,
-            validate_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2),
             cache: StageCache::default(),
         }
     }
@@ -454,9 +448,7 @@ impl MapSource {
                 cache,
             } => {
                 // The snapshot was validated (checksum + structure)
-                // when it was frozen and is re-validated on load, so
-                // no multi-source mapping fan-out here — cold-start
-                // latency is the whole point of this source.
+                // when it was frozen and is re-validated on load.
                 let (frozen, phases) = snapshot_stage(path, cache)?;
                 let mut report = LoadReport {
                     phases,
@@ -468,8 +460,6 @@ impl MapSource {
             MapSource::Map {
                 files,
                 options,
-                validate_sources,
-                validate_threads,
                 cache,
             } => {
                 // The incremental path: diff the re-read inputs against
@@ -488,9 +478,7 @@ impl MapSource {
                     ..LoadReport::default()
                 };
                 let (db, engine, mapped, routes) = map_print_engine(&frozen, options, &mut report)?;
-                if *validate_sources > 0 {
-                    validate(frozen.graph(), *validate_sources, *validate_threads)?;
-                }
+                has_hosts(frozen.graph())?;
                 // Remember the serving artifacts so the next reload can
                 // repair them incrementally.
                 if let Some(cached) = cache.slot.lock().expect("stage cache poisoned").as_mut() {
@@ -533,6 +521,7 @@ fn map_print_engine(
     let t0 = Instant::now();
     let mapped = frozen.map(options).map_err(LoadError::Pipeline)?;
     report.phases.map = t0.elapsed();
+    report.backlink_restarts = mapped.tree.stats.restarted_rounds;
     let t0 = Instant::now();
     let routes = mapped.routes();
     report.phases.print = t0.elapsed();
@@ -638,18 +627,13 @@ type Declined = (&'static str, Option<Reread>, usize);
 /// the full run stays the oracle, the delta path only ever reproduces
 /// it faster.
 ///
-/// Two conservative drops on this path, both because "stale index
-/// answers queries wrongly" beats "reload is slower":
-///
-/// * the point-to-point engine is rebuilt over the repaired tree's
-///   graph without a contraction hierarchy — a CH is cost-dependent
-///   and serving yesterday's hierarchy across a cost change would
-///   return wrong `PATH` answers (the report says `dropped` when the
-///   replaced engine carried one);
-/// * the multi-source validation fan-out is skipped — it costs more
-///   than the repair itself, and the repair's own post-conditions
-///   (labelled set identical to the previous run's) already prove the
-///   patched world maps.
+/// One conservative drop on this path, because "stale index answers
+/// queries wrongly" beats "reload is slower": the point-to-point
+/// engine is rebuilt over the repaired tree's graph without a
+/// contraction hierarchy — a CH is cost-dependent and serving
+/// yesterday's hierarchy across a cost change would return wrong
+/// `PATH` answers (the report says `dropped` when the replaced engine
+/// carried one).
 fn try_delta_reload(
     files: &[PathBuf],
     options: &Options,
@@ -984,32 +968,17 @@ fn snapshot_stage(path: &PathBuf, cache: &StageCache) -> Result<(Frozen, PhaseTi
     Ok((frozen, timings))
 }
 
-/// The rebuilt graph must be mappable from more vantage points than
-/// just the local host: fan the read-only mapper out over a sample of
-/// sources — all sharing the one frozen snapshot — and refuse the swap
-/// if any of them fails outright.
-fn validate(frozen: &Arc<FrozenGraph>, sources: usize, threads: usize) -> Result<(), LoadError> {
-    // Only plain, live hosts make sense as mapping sources: `delete`d
-    // nodes are defined to fail, and nets/domains are not places mail
-    // originates.
-    let sample: Vec<_> = frozen
+/// Refuses a rebuilt map without a single live host (one whose every
+/// node is a network or `delete`d): mail originates nowhere in it.
+fn has_hosts(frozen: &FrozenGraph) -> Result<(), LoadError> {
+    if frozen
         .node_ids()
-        .filter(|&id| frozen.is_mappable(id) && !frozen.is_net(id))
-        .take(sources)
-        .collect();
-    if sample.is_empty() {
-        return Err(LoadError::Validation("rebuilt map has no hosts".into()));
+        .any(|id| frozen.is_mappable(id) && !frozen.is_net(id))
+    {
+        Ok(())
+    } else {
+        Err(LoadError::Validation("rebuilt map has no hosts".into()))
     }
-    let results = parallel::map_many_frozen(frozen, &sample, &MapOptions::default(), threads);
-    for (id, result) in sample.iter().zip(&results) {
-        if let Err(e) = result {
-            return Err(LoadError::Validation(format!(
-                "mapping from sample source {} failed: {e}",
-                frozen.name(*id),
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1306,8 +1275,8 @@ mod tests {
     #[test]
     fn validation_skips_deleted_and_network_nodes() {
         // `delete`d hosts and network pseudo-nodes sit in the node
-        // pool but must not be picked as validation sources — this map
-        // is perfectly valid and has to load.
+        // pool, and the scan for a live host must look past them: this
+        // map is perfectly valid and has to load.
         let path = temp("deleted.map");
         std::fs::write(
             &path,
@@ -1327,11 +1296,26 @@ mod tests {
     }
 
     #[test]
-    fn empty_map_fails_validation() {
+    fn map_without_hosts_is_refused() {
+        // Nothing to map from at all: the pipeline refuses.
         let path = temp("empty.map");
         std::fs::write(&path, "# nothing but a comment\n").unwrap();
         let source = MapSource::map_files(vec![path.clone()], Options::default());
-        assert!(source.load_serving_timed().is_err());
+        assert!(matches!(
+            source.load_serving_timed(),
+            Err(LoadError::Pipeline(_))
+        ));
+        // A network maps, but every host in it was deleted.
+        std::fs::write(&path, "NET = {a, b}(5)\ndelete {a, b}\n").unwrap();
+        let options = Options {
+            local: Some("NET".into()),
+            ..Default::default()
+        };
+        let source = MapSource::map_files(vec![path.clone()], options);
+        assert!(matches!(
+            source.load_serving_timed(),
+            Err(LoadError::Validation(why)) if why == "rebuilt map has no hosts"
+        ));
         std::fs::remove_file(path).unwrap();
     }
 
@@ -1520,8 +1504,6 @@ mod tests {
         let folded = MapSource::Map {
             files: vec![one.clone(), two.clone()],
             options,
-            validate_sources: 0,
-            validate_threads: 1,
             cache: cache.clone(),
         };
         let (_, _, report) = folded.load_serving_timed().unwrap();

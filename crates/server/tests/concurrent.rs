@@ -322,7 +322,7 @@ fn mmap_backend_matches_in_memory_backend() {
 #[test]
 fn reload_from_full_map_pipeline() {
     // The daemon pointed at *map input*, not pre-rendered routes: every
-    // reload re-runs parse → map → print and multi-source validation.
+    // reload that cannot repair in place re-runs parse → map → print.
     let map_path = temp("pipeline.map");
     std::fs::write(
         &map_path,

@@ -1,12 +1,8 @@
 //! Paper-scale structural checks on the synthetic universe.
 
-use pathalias::core::{
-    map_readonly, parallel, parse, plan_delta, DeltaPlan, Graph, LinkFlags, MapOptions, RowPatch,
-    Warning,
-};
+use pathalias::core::{parse, plan_delta, DeltaPlan, LinkFlags, RowPatch, Warning};
 use pathalias::{generate, MapSpec, Pathalias};
 use std::fmt::Write;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn paper_world() -> (Pathalias, String) {
@@ -41,22 +37,6 @@ fn byte_identical_across_runs() {
         pa.run().unwrap().rendered
     };
     assert_eq!(run(), run(), "the pipeline is deterministic");
-}
-
-#[test]
-fn parallel_multi_source_consistent_at_scale() {
-    let map = generate(&MapSpec::small(800, 1986));
-    let g: Graph = map.parse().unwrap();
-    let sources: Vec<_> = g.node_ids().take(12).collect();
-    let opts = MapOptions::default();
-    let trees = parallel::map_many_frozen(&Arc::new(g.freeze()), &sources, &opts, 4);
-    for (i, tree) in trees.iter().enumerate() {
-        let seq = map_readonly(&g, sources[i], &opts).unwrap();
-        let tree = tree.as_ref().unwrap();
-        for id in g.node_ids() {
-            assert_eq!(tree.label(id), seq.label(id));
-        }
-    }
 }
 
 /// Graph building is linear in the map text, whatever its shape: a
