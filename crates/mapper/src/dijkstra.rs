@@ -148,12 +148,12 @@ impl<'g> Run<'g> {
     }
 
     /// Hands this drained run's state on to `next`, the graph
-    /// `with_edges_appended(inventions)` built from this run's one.
-    /// Appending keeps each row's old edges in order and puts the
-    /// extras at its end, so an old edge moves by exactly the number
-    /// of edges appended to earlier rows: every stored predecessor
-    /// edge is shifted by how far its tail's row start moved.
-    fn carry(self, next: &FrozenGraph, inventions: &[Invention]) -> Carry {
+    /// `with_edges_appended` built from this run's one. Appending keeps
+    /// each row's old edges in order and puts the extras at its end,
+    /// so an old edge moves by exactly the number of edges appended to
+    /// earlier rows: every stored predecessor edge is shifted by how
+    /// far its tail's row start moved.
+    fn carry(self, next: &FrozenGraph) -> Carry {
         let Run {
             f,
             key,
@@ -166,15 +166,15 @@ impl<'g> Run<'g> {
         for p in pred.iter_mut().filter(|p| **p != NO_PRED) {
             p.1 += moved(p.0 as usize);
         }
-        let mut tails: Vec<NodeId> = inventions.iter().map(|inv| inv.0).collect();
-        tails.sort_unstable();
-        tails.dedup();
-        let appended = tails
-            .into_iter()
-            .map(|t| {
-                let row = next.row(t.index());
-                let kept = f.row(t.index()).len();
-                (t, (row.start + kept) as u32..row.end as u32)
+        let appended = (0..f.node_count())
+            .filter_map(|u| {
+                let (old, new) = (f.row(u), next.row(u));
+                (new.len() > old.len()).then(|| {
+                    (
+                        NodeId::from_raw(u as u32),
+                        (new.start + old.len()) as u32..new.end as u32,
+                    )
+                })
             })
             .collect();
         Carry {
@@ -484,7 +484,7 @@ pub fn map_frozen(
         }
         invented_total += inventions.len() as u64;
         let next = frozen.with_edges_appended(&inventions);
-        carried = Some(run.carry(&next, &inventions));
+        carried = Some(run.carry(&next));
         frozen = Arc::new(next);
         rounds += 1;
         assert!(
