@@ -422,8 +422,9 @@ pub struct Mapped {
 }
 
 impl Mapped {
-    /// Stage 5, route step: every labelled node's route, not rendered
-    /// — all a server that answers lookups needs.
+    /// Stage 5, route step: every labelled node's route, not rendered.
+    /// (A server that answers lookups keeps none of them: it streams
+    /// the same traversal into its database.)
     pub fn routes(&self) -> RouteTable {
         compute_routes(&self.tree)
     }

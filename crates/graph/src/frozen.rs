@@ -238,8 +238,78 @@ pub(crate) struct Names {
     /// All node names, concatenated; `off` has n+1 offsets.
     pub(crate) data: String,
     pub(crate) off: Vec<u32>,
-    /// Global (non-`private`) name lookup, folded when `ignore_case`.
-    pub(crate) index: HashMap<Box<str>, u32>,
+    /// Whether lookups fold ASCII case.
+    fold: bool,
+    /// Open addressing with linear probing: node ids keyed by their
+    /// names in `data`, [`VACANT`] where none sits. About two thirds
+    /// full, so a name costs six bytes here and a lookup about two
+    /// probes.
+    index: Box<[u32]>,
+}
+
+/// An empty slot of the name index.
+const VACANT: u32 = u32::MAX;
+
+impl Names {
+    /// Indexes `data`/`off` for `id_of`: every global name, claimed by
+    /// its first node, then each name only `private` nodes carry, by
+    /// the first of them (a file-scoped host `-l`/`-t` may still
+    /// name). The one builder behind [`FrozenGraph::freeze`] and the
+    /// PAGF1 loader, which stores no index.
+    pub(crate) fn new(data: String, off: Vec<u32>, flags: &[NodeFlags], fold: bool) -> Names {
+        let n = off.len().saturating_sub(1);
+        let mut names = Names {
+            data,
+            off,
+            fold,
+            index: vec![VACANT; n + n / 2 + 1].into_boxed_slice(),
+        };
+        for private_pass in [false, true] {
+            for (id, f) in flags.iter().enumerate() {
+                if f.contains(NodeFlags::PRIVATE) == private_pass {
+                    let name = names.get(id);
+                    if let Err(slot) = names.probe(name) {
+                        names.index[slot] = id as u32;
+                    }
+                }
+            }
+        }
+        names
+    }
+
+    /// Node `id`'s name.
+    #[inline]
+    pub(crate) fn get(&self, id: usize) -> &str {
+        &self.data[self.off[id] as usize..self.off[id + 1] as usize]
+    }
+
+    /// The node `name` finds, or the vacant slot where it would go.
+    fn probe(&self, name: &str) -> Result<u32, usize> {
+        let len = self.index.len();
+        let mut h: u64 = 0;
+        for &b in name.as_bytes() {
+            let b = if self.fold { b.to_ascii_lowercase() } else { b };
+            h = (h.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        let h = (h ^ (h >> 29)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut slot = ((u128::from(h) * len as u128) >> 64) as usize;
+        loop {
+            let id = self.index[slot];
+            if id == VACANT {
+                return Err(slot);
+            }
+            let have = self.get(id as usize);
+            if have == name || (self.fold && have.eq_ignore_ascii_case(name)) {
+                return Ok(id);
+            }
+            slot = if slot + 1 == len { 0 } else { slot + 1 };
+        }
+    }
+
+    /// Heap bytes of the index, names not counted.
+    fn index_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.index)
+    }
 }
 
 impl FrozenGraph {
@@ -250,7 +320,6 @@ impl FrozenGraph {
         let mut name_off = Vec::with_capacity(n + 1);
         let mut flags = Vec::with_capacity(n);
         let mut adjust = Vec::with_capacity(n);
-        let mut index: HashMap<Box<str>, u32> = HashMap::with_capacity(n);
 
         let mut row_start: Vec<u32> = Vec::with_capacity(n + 1);
         let mut edges: Vec<FrozenEdge> = Vec::new();
@@ -265,14 +334,6 @@ impl FrozenGraph {
             name_data.push_str(g.name(id));
             flags.push(node.flags);
             adjust.push(node.adjust);
-            if !node.flags.contains(NodeFlags::PRIVATE) {
-                let key = if g.ignore_case() {
-                    g.name(id).to_ascii_lowercase()
-                } else {
-                    g.name(id).to_string()
-                };
-                index.entry(key.into()).or_insert(id.raw());
-            }
 
             row_start.push(edges.len() as u32);
             if !node.is_mappable() {
@@ -294,27 +355,9 @@ impl FrozenGraph {
         name_off.push(name_data.len() as u32);
         row_start.push(edges.len() as u32);
 
-        // Private hosts are file-scoped, but `-l`/`-t` may still name
-        // one when no global host claims the name; fall back to the
-        // first private declaration then.
-        for (id, node) in g.iter_nodes() {
-            if node.flags.contains(NodeFlags::PRIVATE) {
-                let key = if g.ignore_case() {
-                    g.name(id).to_ascii_lowercase()
-                } else {
-                    g.name(id).to_string()
-                };
-                index.entry(key.into()).or_insert(id.raw());
-            }
-        }
-
         FrozenGraph {
             ignore_case: g.ignore_case(),
-            names: Arc::new(Names {
-                data: name_data,
-                off: name_off,
-                index,
-            }),
+            names: Arc::new(Names::new(name_data, name_off, &flags, g.ignore_case())),
             flags,
             adjust,
             row_start,
@@ -487,22 +530,22 @@ impl FrozenGraph {
     /// The node's display name.
     #[inline]
     pub fn name(&self, id: NodeId) -> &str {
-        let i = id.index();
-        let names = &*self.names;
-        &names.data[names.off[i] as usize..names.off[i + 1] as usize]
+        self.names.get(id.index())
     }
 
     /// Looks up a host by name. Global names win; a name claimed only
     /// by `private` declarations resolves to the first of them (the
     /// file-scoped shadowing that existed during parsing is gone once
     /// frozen, but `-l`/`-t` naming a private-only host still works).
+    /// Under `-i` the comparison folds ASCII case.
     pub fn id_of(&self, name: &str) -> Option<NodeId> {
-        let id = if self.ignore_case {
-            self.names.index.get(name.to_ascii_lowercase().as_str())
-        } else {
-            self.names.index.get(name)
-        };
-        id.map(|&raw| NodeId::from_raw(raw))
+        self.names.probe(name).ok().map(NodeId::from_raw)
+    }
+
+    /// Heap bytes of the index [`id_of`](FrozenGraph::id_of) probes:
+    /// node ids only, keyed by the names the snapshot stores anyway.
+    pub fn name_index_bytes(&self) -> usize {
+        self.names.index_bytes()
     }
 
     /// The node's flags.

@@ -732,33 +732,11 @@ pub fn from_bytes_all(
     }
 
     // The name index is not stored: it is a pure function of the
-    // names and flags, rebuilt with exactly the passes
-    // `FrozenGraph::freeze` makes — globals first (first declaration
-    // claims the name), then `private` hosts as a fallback for
-    // `-l`/`-t` lookups nothing global answers.
-    let mut index: HashMap<Box<str>, u32> = HashMap::with_capacity(n);
-    for private_pass in [false, true] {
-        for (i, f) in flags.iter().enumerate() {
-            if f.contains(NodeFlags::PRIVATE) != private_pass {
-                continue;
-            }
-            let name = &name_data[name_off[i] as usize..name_off[i + 1] as usize];
-            let key = if ignore_case {
-                name.to_ascii_lowercase()
-            } else {
-                name.to_string()
-            };
-            index.entry(key.into()).or_insert(i as u32);
-        }
-    }
-
+    // names and flags, rebuilt by the builder `FrozenGraph::freeze`
+    // uses.
     let graph = FrozenGraph {
         ignore_case,
-        names: Arc::new(Names {
-            data: name_data,
-            off: name_off,
-            index,
-        }),
+        names: Arc::new(Names::new(name_data, name_off, &flags, ignore_case)),
         flags,
         adjust,
         row_start,

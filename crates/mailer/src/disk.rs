@@ -18,7 +18,7 @@
 //! inspectable with a pager, and immune to endianness.
 
 use crate::resolver::{walk, Resolution, ResolveError, Resolver};
-use crate::routedb::{DbEntry, RouteDb};
+use crate::routedb::{DbEntry, EntryRef, RouteDb};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Seek, Write};
 use std::path::Path;
@@ -53,7 +53,7 @@ impl From<io::Error> for DiskError {
 
 /// Writes a [`RouteDb`] to `path` in the PADB1 format.
 pub fn write_db(db: &RouteDb, path: impl AsRef<Path>) -> Result<(), DiskError> {
-    let mut entries: Vec<&DbEntry> = db.iter().collect();
+    let mut entries: Vec<EntryRef<'_>> = db.iter().collect();
     entries.sort_by(|a, b| a.name.cmp(&b.name));
 
     let mut index_lines = Vec::with_capacity(entries.len());
@@ -277,8 +277,7 @@ impl MappedDb {
     /// The read asks for the blob length [`open`](MappedDb::open)
     /// checked every span against, so a file that shrank since is
     /// reported as truncated, and a span that then fails to slice can
-    /// only have split a character. Costs are not stored in PADB1, so
-    /// entries come back costless.
+    /// only have split a character.
     pub fn read_all(&self) -> Result<Vec<DbEntry>, DiskError> {
         let blob = String::from_utf8(self.read_blob(0, self.blob_len as usize)?)
             .map_err(|_| DiskError::Corrupt("non-UTF-8 blob".to_string()))?;
@@ -293,7 +292,6 @@ impl MappedDb {
                 Ok(DbEntry {
                     name: span(name_off, name_len, "name")?,
                     route: span(route_off, route_len, "route")?,
-                    cost: None,
                 })
             })
             .collect()

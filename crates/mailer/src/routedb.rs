@@ -4,53 +4,123 @@
 //! tradition. If desired, a separate program may be used to convert
 //! this file into a format appropriate for rapid database retrieval."
 //! [`RouteDb`] is that separate program as a library: it ingests the
-//! linear file (or a [`RouteTable`] directly) and serves the lookup
-//! algorithm the paper specifies for mailers, including the
-//! domain-suffix search.
+//! linear file, a [`RouteTable`], or the printer's traversal of a
+//! shortest-path tree directly, and serves the lookup algorithm the
+//! paper specifies for mailers, including the domain-suffix search.
 //!
 //! # Layout
 //!
-//! A database is a vector of hash sets, *shards*, each behind an
-//! `Arc`. A name's shard is a cheap fold of its bytes, and there are
+//! A database keeps what a lookup serves — each entry's name and
+//! route — and nothing else: no cost, no kind, no per-entry
+//! allocation. It is a vector of *shards*, each behind an `Arc`; a
+//! name's shard is picked by the top half of its hash, and there are
 //! enough shards that each holds at most `SHARD` (256) entries on
-//! average.
-//! A shard finds an entry by the entry's own name, so each name is
-//! stored once, beside its route. An exact lookup reads what a single
-//! table would, plus one shard header that stays in cache.
+//! average. A shard is three allocations:
 //!
-//! The point is the next generation. A daemon's reload after a cost
-//! edit moves a few dozen routes of a hundred thousand;
-//! [`RouteDb::patched`] builds the database for the updated table by
-//! cloning the shard pointers and copying only the shards that hold a
-//! moved route. Both generations then share every untouched shard, and
-//! freeing the old one frees only what the edit replaced. (Slots in
-//! fixed-size chunks behind a name index share as well, but put a
+//! * an arena, one string holding every entry's name and route side
+//!   by side, so each name is stored once, beside its route;
+//! * a slot per table position, holding the entry's offsets into the
+//!   arena and its key (the node id, for a database built from a
+//!   tree);
+//! * a control byte per slot: a seven-bit fingerprint of the name's
+//!   hash, or empty.
+//!
+//! The table is open addressing with linear probing, two-thirds full,
+//! probed eight control bytes at a time: one word compare finds the
+//! fingerprints that match, and only those read their slot and the
+//! arena, where the route follows the name. A run of held slots ends
+//! at an empty byte, so a miss usually reads one group and nothing
+//! else. Every table is built once, at its final size.
+//!
+//! The point of the shards is the next generation. A daemon's reload
+//! after a cost edit moves a few dozen routes of a hundred thousand;
+//! [`RouteDb::patched`] builds the database for the repaired tree by
+//! cloning the shard pointers and rewriting only the shards that hold
+//! a moved route. Both generations then share every untouched shard,
+//! and freeing the old one frees only what the edit replaced. (Slots
+//! in fixed-size chunks behind a name index share as well, but put a
 //! second dependent load on every lookup: `MQUERY` got 5% slower.)
-//!
-//! [`RouteTable`]: pathalias_core::RouteTable
 
 use crate::resolver::{walk, ResolvedVia};
-use pathalias_core::{Cost, Route, RouteTable};
-use std::borrow::Borrow;
-use std::collections::HashSet;
+use pathalias_core::{
+    for_each_route, route_kind, route_name, Cost, Route, RouteKind, RouteTable, ShortestPathTree,
+};
 use std::convert::Infallible;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Entries per shard, at most on average: what one moved route costs a
 /// patch to copy.
 const SHARD: usize = 256;
 
-/// A database entry: one visible pathalias output line.
+/// A database entry: one visible pathalias output line, owned (what
+/// [`RouteDb::from_entries`] takes and the PADB1 reader returns).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DbEntry {
     /// Host or domain name (domains begin with `.`).
     pub name: String,
     /// The `printf`-style route; `%s` marks the argument position.
     pub route: String,
-    /// The path cost, when the output included costs.
-    pub cost: Option<Cost>,
+}
+
+/// A name or a route, borrowed from a [`RouteDb`]. Derefs to `str`;
+/// [`Text::as_str`] keeps the database's lifetime, which a deref
+/// cannot.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Text<'a>(&'a str);
+
+impl<'a> Text<'a> {
+    /// The text, borrowed from the database rather than from `self`.
+    pub fn as_str(self) -> &'a str {
+        self.0
+    }
+}
+
+impl Deref for Text<'_> {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.0
+    }
+}
+
+impl fmt::Debug for Text<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0, f)
+    }
+}
+
+impl fmt::Display for Text<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl PartialEq<str> for Text<'_> {
+    fn eq(&self, other: &str) -> bool {
+        self.0 == other
+    }
+}
+
+impl PartialEq<&str> for Text<'_> {
+    fn eq(&self, other: &&str) -> bool {
+        self.0 == *other
+    }
+}
+
+impl PartialEq<String> for Text<'_> {
+    fn eq(&self, other: &String) -> bool {
+        self.0 == other
+    }
+}
+
+/// A database entry, borrowed from the shard that holds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryRef<'a> {
+    /// Host or domain name (domains begin with `.`).
+    pub name: Text<'a>,
+    /// The `printf`-style route; `%s` marks the argument position.
+    pub route: Text<'a>,
 }
 
 /// How a lookup matched.
@@ -71,7 +141,7 @@ pub enum MatchKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lookup<'a> {
     /// The matching entry.
-    pub entry: &'a DbEntry,
+    pub entry: EntryRef<'a>,
     /// How it matched.
     pub kind: MatchKind,
 }
@@ -109,87 +179,60 @@ impl fmt::Display for DbError {
 impl std::error::Error for DbError {}
 
 /// An in-memory route database with the paper's lookup semantics.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct RouteDb {
-    /// The entries, split by name into a power-of-two number of shards
-    /// by [`shard_of`].
+    /// The entries, split by name hash into a power-of-two number of
+    /// shards by [`shard_of`].
     shards: Vec<Arc<Shard>>,
     /// Distinct names across all shards.
     len: usize,
 }
 
-/// An entry and its position in the input it was built from (for a
-/// duplicate name, the last position wins, as a map insert would).
-/// Hashed and compared by name alone, so that a shard is a set a name
-/// looks up: the name is stored once, beside its route.
-#[derive(Debug, Clone)]
-struct Slot {
-    entry: DbEntry,
-    at: usize,
-}
-
-impl PartialEq for Slot {
-    fn eq(&self, other: &Slot) -> bool {
-        self.entry.name == other.entry.name
-    }
-}
-
-impl Eq for Slot {}
-
-impl Hash for Slot {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.entry.name.hash(state);
-    }
-}
-
-impl Borrow<str> for Slot {
-    fn borrow(&self) -> &str {
-        &self.entry.name
+impl fmt::Debug for RouteDb {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RouteDb")
+            .field("len", &self.len)
+            .field("shards", &self.shards.len())
+            .field("heap_bytes", &self.heap_bytes())
+            .finish()
     }
 }
 
 impl RouteDb {
     /// Loads a database from pathalias output text. Lines may be
-    /// `name\troute` or `cost\tname\troute`; `#`-prefixed lines (the
-    /// printer's hidden-entry debug format) are skipped.
+    /// `name\troute` or `cost\tname\troute` (the cost is checked, not
+    /// kept); `#`-prefixed lines (the printer's hidden-entry debug
+    /// format) are skipped.
     pub fn from_output(text: &str) -> Result<RouteDb, DbError> {
-        let mut entries = Vec::new();
+        let mut entries: Vec<(&str, &str)> = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let line = i + 1;
             let trimmed = raw.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
-            let fields: Vec<&str> = trimmed.split('\t').collect();
-            let (cost, name, route) = match fields.as_slice() {
-                [name, route] => (None, *name, *route),
-                [cost, name, route] => {
-                    let c = cost.parse::<Cost>().map_err(|_| DbError::BadLine {
-                        line,
-                        text: raw.to_string(),
-                    })?;
-                    (Some(c), *name, *route)
-                }
-                _ => {
-                    return Err(DbError::BadLine {
-                        line,
-                        text: raw.to_string(),
-                    })
-                }
+            let bad = || DbError::BadLine {
+                line,
+                text: raw.to_string(),
             };
-            if !route.contains("%s") {
+            let fields: Vec<&str> = trimmed.split('\t').collect();
+            let entry = match fields.as_slice() {
+                [name, route] => (*name, *route),
+                [cost, name, route] => {
+                    cost.parse::<Cost>().map_err(|_| bad())?;
+                    (*name, *route)
+                }
+                _ => return Err(bad()),
+            };
+            if !entry.1.contains("%s") {
                 return Err(DbError::NoMarker {
                     line,
                     text: raw.to_string(),
                 });
             }
-            entries.push(DbEntry {
-                name: name.to_string(),
-                route: route.to_string(),
-                cost,
-            });
+            entries.push(entry);
         }
-        Ok(RouteDb::from_entries(entries))
+        Ok(RouteDb::pack(&entries, |i| i as u32))
     }
 
     /// Builds a database from already-parsed entries (used by the disk
@@ -197,64 +240,108 @@ impl RouteDb {
     /// [`RouteDb::from_output`].
     pub fn from_entries(entries: impl IntoIterator<Item = DbEntry>) -> RouteDb {
         let entries: Vec<DbEntry> = entries.into_iter().collect();
-        let shards = sized_shards(entries.iter().map(|e| e.name.as_str()));
-        RouteDb::fill(shards, entries.into_iter().enumerate())
+        let fields: Vec<(&str, &str)> = entries
+            .iter()
+            .map(|e| (e.name.as_str(), e.route.as_str()))
+            .collect();
+        RouteDb::pack(&fields, |i| i as u32)
     }
 
-    /// Builds a database straight from the printer's route table
-    /// (visible entries only, as in the output file). Each entry
-    /// remembers its table position for [`RouteDb::patched`].
+    /// Builds a database from the printer's route table (visible
+    /// entries only, as in the output file), each keyed by its node
+    /// for [`RouteDb::patched`].
     pub fn from_table(table: &RouteTable) -> RouteDb {
-        let visible = || {
-            let entries = table.entries.iter().enumerate();
-            entries.filter(|(_, r)| r.kind.is_visible())
-        };
-        let shards = sized_shards(visible().map(|(_, r)| r.name.as_str()));
-        RouteDb::fill(shards, visible().map(|(at, r)| (at, db_entry(r))))
+        let visible: Vec<&Route> = table.visible().collect();
+        let fields: Vec<(&str, &str)> = visible
+            .iter()
+            .map(|r| (r.name.as_str(), r.route.as_str()))
+            .collect();
+        RouteDb::pack(&fields, |i| visible[i].node.raw())
     }
 
-    /// Files each `(position, entry)` in its shard.
-    fn fill(mut shards: Vec<Shard>, slots: impl Iterator<Item = (usize, DbEntry)>) -> RouteDb {
-        let n = shards.len();
-        for (at, entry) in slots {
-            shards[shard_of(&entry.name, n)].replace(Slot { entry, at });
-        }
-        RouteDb {
-            len: shards.iter().map(Shard::len).sum(),
-            shards: shards.into_iter().map(Arc::new).collect(),
-        }
+    /// Builds the database [`RouteDb::from_table`] builds from
+    /// `compute_routes(tree)`, streaming the printer's traversal into
+    /// the shards instead: no route table is ever held.
+    pub fn from_tree(tree: &ShortestPathTree) -> RouteDb {
+        let visible = tree
+            .frozen()
+            .node_ids()
+            .filter(|&id| route_kind(tree, id).is_some_and(RouteKind::is_visible))
+            .count();
+        let mut builder = Builder::new(visible);
+        for_each_route(tree, |r| {
+            if r.kind.is_visible() {
+                builder.push(&r.name, &r.route, r.node.raw());
+            }
+        });
+        builder.finish()
     }
 
-    /// The database for `table` after [`update_routes`] replaced the
-    /// entries in `replaced` (each with its position in
-    /// `table.entries`), given that `self` was built from the table
-    /// before the update by [`RouteDb::from_table`] or an earlier
-    /// patch. Every shard without a replaced entry is shared with
-    /// `self`; only the shards holding one are copied.
+    /// Packs `entries`, each keyed by `key(position)`: a larger key
+    /// wins a duplicate name. Every shard's arena is sized before it is
+    /// filled, so each is allocated once.
+    fn pack(entries: &[(&str, &str)], key: impl Fn(usize) -> u32) -> RouteDb {
+        let mut builder = Builder::new(entries.len());
+        let n = builder.staged.len();
+        let mut sizes = vec![(0usize, 0usize); n];
+        for &(name, route) in entries {
+            let size = &mut sizes[shard_of(hash(name.as_bytes()), n)];
+            size.0 += 1;
+            size.1 += name.len() + route.len();
+        }
+        for (staged, (count, bytes)) in builder.staged.iter_mut().zip(sizes) {
+            staged.slots.reserve_exact(count);
+            staged.text.reserve_exact(bytes);
+        }
+        for (i, &(name, route)) in entries.iter().enumerate() {
+            builder.push(name, route, key(i));
+        }
+        builder.finish()
+    }
+
+    /// The database for `tree`'s routes after [`update_routes`]
+    /// returned `moved` for the repair of `old`, given that `self`
+    /// serves `old`'s routes (built by [`RouteDb::from_tree`],
+    /// [`RouteDb::from_table`] or an earlier patch). Moved entries are
+    /// found by name and matched by node id; every shard without one is
+    /// shared with `self`, and only the shards holding one are
+    /// rewritten.
     ///
-    /// Returns `None` when a replaced entry changed its name or became
-    /// visible or hidden (a re-parented domain member, say). Build
-    /// afresh with [`RouteDb::from_table`] then.
+    /// Returns `None` when a moved entry changed its name or became
+    /// visible or hidden (a re-parented domain member, say): the name
+    /// and visibility it had are read off `old`. Build afresh with
+    /// [`RouteDb::from_tree`] then.
     ///
     /// [`update_routes`]: pathalias_core::update_routes
-    pub fn patched(&self, table: &RouteTable, replaced: &[(usize, Route)]) -> Option<RouteDb> {
-        let mut shards = self.shards.clone();
-        for (at, old) in replaced {
-            let new = table.entries.get(*at)?;
-            if new.name != old.name || new.kind.is_visible() != old.kind.is_visible() {
+    pub fn patched(&self, old: &ShortestPathTree, moved: &[Route]) -> Option<RouteDb> {
+        let n = self.shards.len();
+        // (shard, slot, route) for each moved entry this database
+        // serves, in shard and slot order.
+        let mut writes: Vec<(usize, usize, &Route)> = Vec::new();
+        for r in moved {
+            let was_visible = route_kind(old, r.node)?.is_visible();
+            if was_visible != r.kind.is_visible() || route_name(old, r.node)? != r.name {
                 return None;
             }
-            if !new.kind.is_visible() {
+            if !was_visible {
                 continue;
             }
-            let n = shards.len();
-            let shard = Arc::make_mut(&mut shards[shard_of(&new.name, n)]);
-            // Otherwise a later entry of the same name shadows this
-            // one, before the update and after it.
-            if shard.get(new.name.as_str())?.at == *at {
-                let entry = db_entry(new);
-                shard.replace(Slot { entry, at: *at });
+            let h = hash(r.name.as_bytes());
+            let s = shard_of(h, n);
+            let at = self.shards.get(s)?.find(r.name.as_bytes(), h)?;
+            // Otherwise a larger node of the same name shadows this
+            // one, before the move and after it.
+            if self.shards[s].slots[at].key == r.node.raw() {
+                writes.push((s, at, r));
             }
+        }
+        writes.sort_unstable_by_key(|&(s, at, _)| (s, at));
+        let mut shards = self.shards.clone();
+        let mut rest = &writes[..];
+        while let Some(&(s, _, _)) = rest.first() {
+            let k = rest.iter().take_while(|w| w.0 == s).count();
+            shards[s] = Arc::new(shards[s].rewritten(&rest[..k]));
+            rest = &rest[k..];
         }
         Some(RouteDb {
             shards,
@@ -272,18 +359,28 @@ impl RouteDb {
         self.len == 0
     }
 
+    /// Heap bytes of the shards: their arenas, slots and control bytes
+    /// (what the daemon reports as `db_bytes`).
+    pub fn heap_bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.heap_bytes()).sum()
+    }
+
     /// Exact-name fetch.
     #[inline]
-    pub fn get(&self, name: &str) -> Option<&DbEntry> {
-        let shard = self.shards.get(shard_of(name, self.shards.len()))?;
-        shard.get(name).map(|slot| &slot.entry)
+    pub fn get(&self, name: &str) -> Option<EntryRef<'_>> {
+        let h = hash(name.as_bytes());
+        let shard = self.shards.get(shard_of(h, self.shards.len()))?;
+        let at = shard.find(name.as_bytes(), h)?;
+        Some(shard.entry(&shard.slots[at]))
     }
 
     /// Iterates over entries in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = &DbEntry> {
-        self.shards
-            .iter()
-            .flat_map(|shard| shard.iter().map(|slot| &slot.entry))
+    pub fn iter(&self) -> impl Iterator<Item = EntryRef<'_>> {
+        self.shards.iter().flat_map(|shard| {
+            let shard = &**shard;
+            let held = shard.slots.iter().filter(|s| s.key != VACANT.key);
+            held.map(move |slot| shard.entry(slot))
+        })
     }
 
     /// The paper's mailer lookup: exact name first; for dotted names,
@@ -303,7 +400,7 @@ impl RouteDb {
     /// [`RouteDb::lookup`] in the [`Resolver`](crate::Resolver)'s
     /// vocabulary: the shared walk over this table.
     #[inline]
-    pub(crate) fn find(&self, dest: &str) -> Option<(&DbEntry, ResolvedVia)> {
+    pub(crate) fn find(&self, dest: &str) -> Option<(EntryRef<'_>, ResolvedVia)> {
         match walk(dest, |name| Ok::<_, Infallible>(self.get(name))) {
             Ok(hit) => hit,
             Err(never) => match never {},
@@ -324,94 +421,306 @@ impl RouteDb {
     }
 }
 
-/// Which of `n` shards (a power of two) holds `name`: its length and
-/// its first and last eight bytes, multiplied together. Independent of
-/// [`NameHasher`], so that the names in one shard still spread over
-/// that shard's buckets.
+/// A name's hash: a multiply-rotate over eight bytes at a time, folded
+/// so that both halves depend on every byte — the top half picks the
+/// shard, the bottom half the slot and the fingerprint. Several times
+/// cheaper than std's SipHash on host names. Its keys come from the
+/// map files the operator serves, and lookups never insert, so nothing
+/// an outsider sends can crowd a shard.
 #[inline]
-fn shard_of(name: &str, n: usize) -> usize {
-    let b = name.as_bytes();
-    let (head, tail) = match b.len() {
-        0..=7 => (word(b), 0),
-        len => (word(&b[..8]), word(&b[len - 8..])),
+fn hash(name: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let len = name.len();
+    let word = |at: usize| u64::from_le_bytes(name[at..at + 8].try_into().expect("8 bytes"));
+    let half = |at: usize| u32::from_le_bytes(name[at..at + 4].try_into().expect("4 bytes"));
+    let mut h = (len as u64).wrapping_mul(K);
+    // The last word overlaps the one before it rather than being
+    // padded: fixed-size reads, no copy.
+    let last = match len {
+        0 => 0,
+        1..=3 => {
+            let b = |at: usize| u64::from(name[at]);
+            b(0) | (b(len / 2) << 8) | (b(len - 1) << 16)
+        }
+        4..=8 => u64::from(half(0)) | (u64::from(half(len - 4)) << 32),
+        _ => {
+            for at in (0..len - 8).step_by(8) {
+                h = (h.rotate_left(5) ^ word(at)).wrapping_mul(K);
+            }
+            word(len - 8)
+        }
     };
-    let h = (head ^ tail.rotate_left(29) ^ b.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    h = (h.rotate_left(5) ^ last).wrapping_mul(K);
+    let m = u128::from(h) * 0x9e37_79b9_7f4a_7c15;
+    (m >> 64) as u64 ^ m as u64
+}
+
+/// Which of `n` shards (a power of two) holds the name hashing to `h`.
+#[inline]
+fn shard_of(h: u64, n: usize) -> usize {
     (h >> 32) as usize & (n.max(1) - 1)
 }
 
-/// Up to eight bytes as one word.
+/// How many shards hold `count` entries: about [`SHARD`] to a shard.
+fn shards_for(count: usize) -> usize {
+    count.div_ceil(SHARD).next_power_of_two()
+}
+
+/// Control bytes a probe reads at once.
+const GROUP: usize = 8;
+/// The control byte of an empty slot; a held slot's is its name's
+/// seven-bit fingerprint.
+const EMPTY: u8 = 0x80;
+/// One in every byte of a group word.
+const LSB: u64 = 0x0101_0101_0101_0101;
+/// The high bit of every byte of a group word.
+const MSB: u64 = 0x8080_8080_8080_8080;
+
+/// A name's fingerprint: seven hash bits the slot position does not
+/// use.
 #[inline]
-fn word(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0, |w, &x| w << 8 | u64::from(x))
+fn fingerprint(h: u64) -> u8 {
+    (h & 0x7f) as u8
 }
 
-/// The shard maps' hasher: a multiply-rotate over eight bytes at a
-/// time, several times cheaper than std's SipHash on host names. Its
-/// keys come from the map files the operator serves, and lookups never
-/// insert, so nothing an outsider sends can crowd a shard.
+/// A name's home among `homes` positions: the hash's low half scaled.
+#[inline]
+fn home(h: u64, homes: usize) -> usize {
+    (((h & 0xffff_ffff) * homes as u64) >> 32) as usize
+}
+
+/// One shard slot: where its entry sits in the arena, and its key.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// The entry's key (its node, or its position in the input);
+    /// [`VACANT`]'s marks an empty slot.
+    key: u32,
+    /// Where the entry starts in the arena: its name, then its route.
+    off: u32,
+    name_len: u32,
+    route_len: u32,
+}
+
+/// An empty slot.
+const VACANT: Slot = Slot {
+    key: u32::MAX,
+    off: 0,
+    name_len: 0,
+    route_len: 0,
+};
+
+/// One shard: an arena of entries and the table that finds them.
+#[derive(Debug, Clone)]
+struct Shard {
+    /// Every entry's name and route, back to back.
+    text: Box<str>,
+    /// One control byte per slot, then a group of [`EMPTY`] ones, so
+    /// every probe's group read stays in bounds and ends.
+    ctrl: Box<[u8]>,
+    /// `homes` home positions, then whatever the last run spilled past
+    /// them.
+    slots: Box<[Slot]>,
+    homes: usize,
+    /// Held slots.
+    len: usize,
+}
+
+impl Shard {
+    /// The slot holding `name`, whose hash is `h`.
+    #[inline]
+    fn find(&self, name: &[u8], h: u64) -> Option<usize> {
+        let mut at = home(h, self.homes);
+        let wanted = LSB * u64::from(fingerprint(h));
+        loop {
+            let group = &self.ctrl[at..at + GROUP];
+            let group = u64::from_le_bytes(group.try_into().expect("a group"));
+            // Bytes equal to the fingerprint, and perhaps a few false
+            // ones above them (never an empty byte); the names decide.
+            let x = group ^ wanted;
+            let mut hits = x.wrapping_sub(LSB) & !x & MSB & !group;
+            while hits != 0 {
+                let i = at + hits.trailing_zeros() as usize / 8;
+                let slot = &self.slots[i];
+                let off = slot.off as usize;
+                if self.text.as_bytes().get(off..off + slot.name_len as usize) == Some(name) {
+                    return Some(i);
+                }
+                hits &= hits - 1;
+            }
+            if group & MSB != 0 {
+                return None;
+            }
+            at += GROUP;
+        }
+    }
+
+    /// The whole entry `slot` points at: its name, then its route.
+    fn span(&self, slot: &Slot) -> &str {
+        let off = slot.off as usize;
+        &self.text[off..off + slot.name_len as usize + slot.route_len as usize]
+    }
+
+    #[inline]
+    fn entry(&self, slot: &Slot) -> EntryRef<'_> {
+        let (name, route) = self.span(slot).split_at(slot.name_len as usize);
+        EntryRef {
+            name: Text(name),
+            route: Text(route),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.text.len() + self.ctrl.len() + std::mem::size_of_val(&*self.slots)
+    }
+
+    /// This shard with the routes in `writes` (sorted by slot) written
+    /// over their slots' entries, in one new arena.
+    fn rewritten(&self, writes: &[(usize, usize, &Route)]) -> Shard {
+        let size = writes.iter().fold(self.text.len(), |size, &(_, at, r)| {
+            size + r.route.len() - self.slots[at].route_len as usize
+        });
+        let mut text = String::with_capacity(size);
+        let mut slots = self.slots.clone();
+        let mut writes = writes.iter().peekable();
+        for (at, slot) in slots.iter_mut().enumerate() {
+            if slot.key == VACANT.key {
+                continue;
+            }
+            let span = self.span(slot);
+            slot.off = arena_offset(text.len());
+            match writes.next_if(|w| w.1 == at) {
+                Some(&(_, _, r)) => {
+                    text.push_str(&r.name);
+                    text.push_str(&r.route);
+                    slot.route_len = arena_offset(r.route.len());
+                }
+                None => text.push_str(span),
+            }
+        }
+        Shard {
+            text: text.into_boxed_str(),
+            ctrl: self.ctrl.clone(),
+            slots,
+            homes: self.homes,
+            len: self.len,
+        }
+    }
+}
+
+/// `len` as an arena offset or length.
+fn arena_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a shard's arena stays under 4 GiB")
+}
+
+/// Entries on their way into shards: each shard's arena, and its slots
+/// with their names' hashes, before they are placed.
+struct Builder {
+    staged: Vec<Staged>,
+}
+
 #[derive(Default)]
-struct NameHasher(u64);
-
-impl NameHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
+struct Staged {
+    text: String,
+    slots: Vec<(u64, Slot)>,
 }
 
-impl Hasher for NameHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.add(u64::from_le_bytes(w.try_into().expect("eight bytes")));
+impl Builder {
+    /// A builder for `count` entries.
+    fn new(count: usize) -> Builder {
+        let mut staged = Vec::new();
+        staged.resize_with(shards_for(count), Staged::default);
+        Builder { staged }
+    }
+
+    fn push(&mut self, name: &str, route: &str, key: u32) {
+        let h = hash(name.as_bytes());
+        let n = self.staged.len();
+        let shard = &mut self.staged[shard_of(h, n)];
+        let slot = Slot {
+            key,
+            off: arena_offset(shard.text.len()),
+            name_len: arena_offset(name.len()),
+            route_len: arena_offset(route.len()),
+        };
+        shard.slots.push((h, slot));
+        shard.text.push_str(name);
+        shard.text.push_str(route);
+    }
+
+    fn finish(self) -> RouteDb {
+        let shards: Vec<Shard> = self.staged.into_iter().map(Staged::place).collect();
+        RouteDb {
+            len: shards.iter().map(|s| s.len).sum(),
+            shards: shards.into_iter().map(Arc::new).collect(),
         }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            self.add(word(rest));
+    }
+}
+
+impl Staged {
+    /// Keeps the largest key of each name, then places every slot at
+    /// or after its home.
+    fn place(mut self) -> Shard {
+        let text = &self.text;
+        let name = |s: &Slot| &text[s.off as usize..s.off as usize + s.name_len as usize];
+        self.slots.sort_unstable_by(|(ha, a), (hb, b)| {
+            (ha.cmp(hb))
+                .then_with(|| name(a).cmp(name(b)))
+                .then(a.key.cmp(&b.key))
+        });
+        let mut kept: Vec<(u64, Slot)> = Vec::with_capacity(self.slots.len());
+        for (h, slot) in self.slots {
+            match kept.last_mut() {
+                Some((last_h, last)) if *last_h == h && name(last) == name(&slot) => *last = slot,
+                _ => kept.push((h, slot)),
+            }
         }
-    }
+        let span = |s: &Slot| s.name_len as usize + s.route_len as usize;
+        let mut text = self.text;
+        let live: usize = kept.iter().map(|(_, s)| span(s)).sum();
+        if live != text.len() {
+            // A duplicate name lost: leave its bytes behind.
+            let mut packed = String::with_capacity(live);
+            for (_, slot) in &mut kept {
+                let start = slot.off as usize;
+                slot.off = arena_offset(packed.len());
+                packed.push_str(&text[start..start + span(slot)]);
+            }
+            text = packed;
+        }
 
-    #[inline]
-    fn write_u8(&mut self, x: u8) {
-        self.add(u64::from(x));
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-/// One shard: slots, found by name.
-type Shard = HashSet<Slot, BuildHasherDefault<NameHasher>>;
-
-/// Empty shards for `names`, about [`SHARD`] to a shard, each sized for
-/// exactly the names it will hold: shards that grew by doubling would
-/// leave the heap full of the tables they outgrew.
-fn sized_shards<'a>(names: impl Iterator<Item = &'a str> + Clone) -> Vec<Shard> {
-    let n = names.clone().count().div_ceil(SHARD).next_power_of_two();
-    let mut sizes = vec![0; n];
-    for name in names {
-        sizes[shard_of(name, n)] += 1;
-    }
-    let sized = |k| Shard::with_capacity_and_hasher(k, Default::default());
-    sizes.into_iter().map(sized).collect()
-}
-
-/// A route as the database keeps it.
-fn db_entry(r: &Route) -> DbEntry {
-    DbEntry {
-        name: r.name.clone(),
-        route: r.route.clone(),
-        cost: Some(r.cost),
+        // Two-thirds full: at four-fifths a miss more often reads a
+        // second group, and a domain-suffix walk makes two misses
+        // before its hit.
+        let homes = kept.len() + kept.len() / 2 + 1;
+        let mut ctrl = Vec::with_capacity(homes + GROUP);
+        ctrl.resize(homes, EMPTY);
+        let mut slots = vec![VACANT; homes];
+        for &(h, slot) in &kept {
+            let mut at = home(h, homes);
+            while ctrl.get(at).is_some_and(|&c| c != EMPTY) {
+                at += 1;
+            }
+            if at == ctrl.len() {
+                ctrl.push(EMPTY);
+                slots.push(VACANT);
+            }
+            ctrl[at] = fingerprint(h);
+            slots[at] = slot;
+        }
+        ctrl.extend_from_slice(&[EMPTY; GROUP]);
+        Shard {
+            text: text.into_boxed_str(),
+            ctrl: ctrl.into_boxed_slice(),
+            slots: slots.into_boxed_slice(),
+            homes,
+            len: kept.len(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathalias_core::RouteKind;
 
     /// The paper's mailer example: routes as seen from a host whose
     /// route to seismo is `seismo!%s`, with `.edu` gatewayed there.
@@ -487,7 +796,7 @@ mod tests {
     #[test]
     fn parses_costed_output() {
         let db = RouteDb::from_output("0\tunc\t%s\n500\tduke\tduke!%s\n").unwrap();
-        assert_eq!(db.get("duke").unwrap().cost, Some(500));
+        assert_eq!(db.get("duke").unwrap().route, "duke!%s");
         assert_eq!(db.route_to("duke", "fred").unwrap(), "duke!fred");
     }
 
@@ -521,62 +830,94 @@ mod tests {
         assert_eq!(db1.route_to("phs", "u").unwrap(), "duke!phs!u");
     }
 
-    /// A star of `n` spokes from `hub`, mapped and printed.
-    fn star_table(n: usize) -> RouteTable {
-        use pathalias_core::Pathalias;
-        let spokes: Vec<String> = (0..n).map(|i| format!("s{i}({})", 10 + i % 7)).collect();
-        let mut pa = Pathalias::new();
-        pa.options_mut().local = Some("hub".into());
-        pa.parse_str("m", &format!("hub {}\n", spokes.join(", ")))
-            .unwrap();
-        pa.run().unwrap().routes
+    /// Maps `text` from `hub`, replaces `node`'s row with UUCP links
+    /// to `row`'s (host, cost) pairs and maps again: the old tree, the
+    /// new one, and the routes that moved.
+    fn edited(
+        text: &str,
+        node: &str,
+        row: &[(&str, Cost)],
+    ) -> (ShortestPathTree, ShortestPathTree, Vec<Route>) {
+        use pathalias_core::{
+            map_frozen_readonly, parse, update_routes, LinkFlags, MapOptions, NodeId, RouteOp,
+            RowPatch,
+        };
+        let frozen = Arc::new(parse(text).unwrap().freeze());
+        let id = |name: &str| frozen.id_of(name).unwrap();
+        let hub = id("hub");
+        let old = map_frozen_readonly(&frozen, hub, &MapOptions::default()).unwrap();
+        let edges = row
+            .iter()
+            .map(|&(to, c)| (id(to), c, RouteOp::UUCP, LinkFlags::empty()));
+        let patch = RowPatch {
+            node: id(node),
+            edges: edges.collect(),
+        };
+        let (patched, _) = frozen.with_rows_replaced(&[patch]);
+        let new = map_frozen_readonly(&Arc::new(patched), hub, &MapOptions::default()).unwrap();
+        let changed: Vec<NodeId> = frozen
+            .node_ids()
+            .filter(|&n| old.label(n) != new.label(n))
+            .collect();
+        let moved = update_routes(&old, &new, &changed).expect("trees line up");
+        (old, new, moved)
     }
 
-    /// Rewrites the route of each entry in `at` as `update_routes`
-    /// would, returning what it replaced.
-    fn reroute(table: &mut RouteTable, at: &[usize]) -> Vec<(usize, Route)> {
-        let moved = |r: &Route| Route {
-            route: format!("relay!{}", r.route),
-            cost: r.cost + 1,
-            ..r.clone()
-        };
-        let new: Vec<Route> = at.iter().map(|&i| moved(&table.entries[i])).collect();
-        at.iter()
-            .zip(new)
-            .map(|(&i, r)| (i, std::mem::replace(&mut table.entries[i], r)))
-            .collect()
+    /// Every name either database holds, answered alike by both.
+    fn assert_same(a: &RouteDb, b: &RouteDb) {
+        assert_eq!(a.len(), b.len());
+        let mut x: Vec<EntryRef> = a.iter().collect();
+        let mut y: Vec<EntryRef> = b.iter().collect();
+        x.sort_by_key(|e| e.name);
+        y.sort_by_key(|e| e.name);
+        assert_eq!(x, y);
+        for e in x {
+            assert_eq!(a.get(&e.name), b.get(&e.name));
+        }
+    }
+
+    #[test]
+    fn from_tree_matches_from_table() {
+        let (old, new, _) = edited(
+            "hub .edu(10), caip.edu(20), x(5), relay(1)\n.edu = {caip}(0)\nx y(1)\n",
+            "relay",
+            &[("x", 1)],
+        );
+        for tree in [&old, &new] {
+            let table = pathalias_core::compute_routes(tree);
+            assert_same(&RouteDb::from_tree(tree), &RouteDb::from_table(&table));
+        }
     }
 
     #[test]
     fn patch_shares_every_untouched_shard() {
-        let mut table = star_table(5 * SHARD);
-        let old = RouteDb::from_table(&table);
+        let spokes: Vec<String> = (0..5 * SHARD)
+            .map(|i| format!("s{i}({})", 10 + i % 7))
+            .collect();
+        let text = format!("hub relay(1), {}\n", spokes.join(", "));
+        let names: Vec<String> = [3, SHARD + 1, SHARD + 2, 4 * SHARD + 9]
+            .iter()
+            .map(|i| format!("s{i}"))
+            .collect();
+        let row: Vec<(&str, Cost)> = names.iter().map(|n| (n.as_str(), 1)).collect();
+        let (old_tree, new_tree, moved) = edited(&text, "relay", &row);
+        assert_eq!(moved.len(), names.len());
+
+        let old = RouteDb::from_tree(&old_tree);
         assert_eq!(old.shards.len(), 8);
-        let at = [3, SHARD + 1, SHARD + 2, 4 * SHARD + 9];
-        let replaced = reroute(&mut table, &at);
-        let new = old.patched(&table, &replaced).expect("names unchanged");
+        let new = old.patched(&old_tree, &moved).expect("names unchanged");
         let copied = (0..old.shards.len())
             .filter(|&s| !Arc::ptr_eq(&old.shards[s], &new.shards[s]))
             .count();
-        let touched: std::collections::HashSet<usize> = at
+        let touched: std::collections::HashSet<usize> = names
             .iter()
-            .map(|&i| shard_of(&table.entries[i].name, old.shards.len()))
+            .map(|n| shard_of(hash(n.as_bytes()), old.shards.len()))
             .collect();
         assert_eq!(copied, touched.len());
-        assert!(copied <= at.len());
 
         // Indistinguishable from a database built afresh.
-        let fresh = RouteDb::from_table(&table);
-        assert_eq!(new.len(), fresh.len());
-        let mut a: Vec<&DbEntry> = new.iter().collect();
-        let mut b: Vec<&DbEntry> = fresh.iter().collect();
-        a.sort_by(|x, y| x.name.cmp(&y.name));
-        b.sort_by(|x, y| x.name.cmp(&y.name));
-        assert_eq!(a, b);
-        for r in table.visible() {
-            assert_eq!(new.get(&r.name), fresh.get(&r.name));
-        }
-        let name = &table.entries[3].name;
+        assert_same(&new, &RouteDb::from_tree(&new_tree));
+        let name = &names[0];
         assert_eq!(new.route_to(name, "u").unwrap(), format!("relay!{name}!u"));
         // The old generation still answers as it did.
         assert_eq!(old.route_to(name, "u").unwrap(), format!("{name}!u"));
@@ -584,37 +925,38 @@ mod tests {
 
     #[test]
     fn patch_refuses_a_renamed_or_hidden_entry() {
-        let mut table = star_table(10);
-        let old = RouteDb::from_table(&table);
-        let renamed = Route {
-            name: "renamed".into(),
-            ..table.entries[4].clone()
-        };
-        let was = std::mem::replace(&mut table.entries[4], renamed);
-        assert!(old.patched(&table, &[(4, was.clone())]).is_none());
-        table.entries[4] = Route {
-            kind: RouteKind::Private,
-            ..was.clone()
-        };
-        assert!(old.patched(&table, &[(4, was)]).is_none());
+        // `caip` leaves `.edu` for a direct link: `caip.edu` becomes
+        // `caip`.
+        let text = "hub .edu(10), caip(100)\n.edu = {caip}(0)\n";
+        let (old, new, moved) = edited(text, "hub", &[(".edu", 10), ("caip", 1)]);
+        let db = RouteDb::from_tree(&old);
+        assert!(db.get("caip.edu").is_some() && RouteDb::from_tree(&new).get("caip").is_some());
+        assert!(db.patched(&old, &moved).is_none());
+
+        // `.rutgers` leaves `.edu` for the hub: a hidden subdomain
+        // becomes a printed top-level domain.
+        let text = "hub .edu(10), .rutgers(100)\n.edu = {.rutgers}(0)\n";
+        let (old, new, moved) = edited(text, "hub", &[(".edu", 10), (".rutgers", 1)]);
+        let db = RouteDb::from_tree(&old);
+        assert!(db.get(".rutgers").is_none() && RouteDb::from_tree(&new).get(".rutgers").is_some());
+        assert!(db.patched(&old, &moved).is_none());
     }
 
     #[test]
     fn a_shadowed_duplicate_stays_shadowed() {
-        // Two visible entries named `dup`: the later one is served, and
-        // still is after the earlier one moves.
-        let mut table = star_table(10);
-        for i in [2, 6] {
-            table.entries[i].name = "dup".into();
+        // Two visible entries named `caip.edu`, the host of that name
+        // and `.edu`'s member `caip`: the member, the larger node, is
+        // served, and still is after either of them moves.
+        let text = "hub .edu(10), caip.edu(20), x(5)\n.edu = {caip}(0)\n";
+        for moving in ["caip.edu", ".edu"] {
+            let (old, new, moved) = edited(text, "x", &[(moving, 1)]);
+            assert!(moved.iter().any(|r| r.name == "caip.edu"));
+            let db = RouteDb::from_tree(&old);
+            let patched = db.patched(&old, &moved).expect("names unchanged");
+            assert_same(&patched, &RouteDb::from_tree(&new));
+            let served = patched.get("caip.edu").unwrap().route;
+            let member_moved = moving == ".edu";
+            assert_eq!(served.starts_with("x!"), member_moved, "{served}");
         }
-        let old = RouteDb::from_table(&table);
-        let served = old.get("dup").cloned();
-        let replaced = reroute(&mut table, &[2]);
-        let new = old.patched(&table, &replaced).expect("names unchanged");
-        assert_eq!(new.get("dup").cloned(), served);
-        assert_eq!(new.get("dup"), RouteDb::from_table(&table).get("dup"));
-        let replaced = reroute(&mut table, &[6]);
-        let new = new.patched(&table, &replaced).expect("names unchanged");
-        assert_eq!(new.get("dup"), RouteDb::from_table(&table).get("dup"));
     }
 }

@@ -57,7 +57,6 @@ proptest! {
         let db = RouteDb::from_entries(names.iter().enumerate().map(|(i, name)| DbEntry {
             name: name.clone(),
             route: format!("r{i}!%s"),
-            cost: None,
         }));
         let shared = SharedRouteDb::new(db.clone());
         static CASE: AtomicUsize = AtomicUsize::new(0);

@@ -53,4 +53,4 @@ mod traverse;
 
 pub use output::{render, write_routes, PrintOptions, Sort};
 pub use route::{Route, RouteKind, RouteTable};
-pub use traverse::{compute_routes, update_routes};
+pub use traverse::{compute_routes, for_each_route, route_kind, route_name, update_routes};

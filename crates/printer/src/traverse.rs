@@ -18,19 +18,8 @@ use pathalias_mapper::{Children, ShortestPathTree};
 
 /// Computes the route for every node the tree reached.
 pub fn compute_routes(tree: &ShortestPathTree) -> RouteTable {
-    let f: &FrozenGraph = tree.frozen();
-    let children = tree.children();
     let mut entries: Vec<Route> = Vec::with_capacity(tree.mapped_count());
-
-    // Iterative preorder: (node, route, name) — the route/name strings
-    // are exactly what the original passed as recursion parameters.
-    let stack: Vec<(NodeId, String, String)> = vec![(
-        tree.source,
-        "%s".to_string(),
-        f.name(tree.source).to_string(),
-    )];
-    traverse(f, tree, &children, stack, &mut entries);
-
+    for_each_route(tree, |r| entries.push(r));
     entries.sort_by_key(|r| r.node);
     RouteTable {
         source: tree.source,
@@ -38,27 +27,90 @@ pub fn compute_routes(tree: &ShortestPathTree) -> RouteTable {
     }
 }
 
-/// Recomputes, in place, the routes an incremental remap moved.
+/// The preorder traversal: hands each labelled node's route to `emit`
+/// as soon as it is computed, in traversal order, and keeps none of
+/// them. [`compute_routes`] collects them into a table; a consumer
+/// that keeps only part of each route (a lookup database keeps name
+/// and route bytes) builds straight from the stream instead.
+pub fn for_each_route(tree: &ShortestPathTree, emit: impl FnMut(Route)) {
+    let f: &FrozenGraph = tree.frozen();
+    // Iterative preorder: (node, route, name) — the route/name strings
+    // are exactly what the original passed as recursion parameters.
+    let stack: Vec<(NodeId, String, String)> = vec![(
+        tree.source,
+        "%s".to_string(),
+        f.name(tree.source).to_string(),
+    )];
+    traverse(f, tree, &tree.children(), stack, emit);
+}
+
+/// What the traversal gives `node`'s entry as its [`RouteKind`], read
+/// off the tree's labels without computing a route; `None` when the
+/// tree did not reach the node.
+pub fn route_kind(tree: &ShortestPathTree, node: NodeId) -> Option<RouteKind> {
+    let f: &FrozenGraph = tree.frozen();
+    let pred = tree.label(node)?.pred;
+    Some(if f.flags(node).contains(NodeFlags::PRIVATE) {
+        RouteKind::Private
+    } else if f.is_domain(node) {
+        if pred.is_some_and(|(p, _)| f.is_domain(p)) {
+            RouteKind::SubDomain
+        } else {
+            RouteKind::TopDomain
+        }
+    } else if f.is_net(node) {
+        RouteKind::Network
+    } else if pred.is_some_and(|(_, e)| f.edge_flags(e).contains(LinkFlags::ALIAS)) {
+        RouteKind::Alias
+    } else {
+        RouteKind::Host
+    })
+}
+
+/// The output name the traversal gives `node`, derived up the tree
+/// through the domains above it (`caip` + `.rutgers` + `.edu`) without
+/// computing a route; `None` when the tree did not reach the node.
+pub fn route_name(tree: &ShortestPathTree, node: NodeId) -> Option<String> {
+    let f: &FrozenGraph = tree.frozen();
+    let mut name = f.name(node).to_string();
+    let mut pred = tree.label(node)?.pred;
+    while let Some((parent, _)) = pred.filter(|&(p, _)| f.is_domain(p)) {
+        name.push_str(f.name(parent));
+        pred = tree.label(parent)?.pred;
+    }
+    Some(name)
+}
+
+/// The routes an incremental remap moved.
 ///
-/// `changed` lists the nodes whose tree labels differ from the run
-/// `table` was printed from. A node's route depends on its own label
-/// and on its ancestors' routes, so only the subtree closure of
-/// `changed` (in the *new* tree) is re-traversed; every other entry is
-/// left where it is. Returns the entries it replaced, each with its
-/// index into `table.entries`, ascending.
+/// `old` is the tree the served routes were computed from and `tree`
+/// its repair; `changed` lists the nodes whose labels differ between
+/// the two. A node's route depends on its own label and on its
+/// ancestors' routes, so only the subtree closure of `changed` (in the
+/// *new* tree) is re-traversed. Each maximal dirty subtree is seeded
+/// from its parent's route, re-derived along the new tree's
+/// predecessor chain: the parent is clean, so that route is the one it
+/// had. Returns the closure's routes as the new tree prints them,
+/// sorted by node.
 ///
 /// Requires that the labelled set is unchanged (the incremental-remap
-/// contract) and that `table` was printed from the same source. When
-/// the inputs don't line up it returns `None` *without writing
-/// anything*, so the caller can fall back to [`compute_routes`] from a
-/// table that is still the old one.
+/// contract) and that both trees map from the same source; returns
+/// `None` when they don't, so the caller can fall back to a full
+/// traversal.
 pub fn update_routes(
+    old: &ShortestPathTree,
     tree: &ShortestPathTree,
-    table: &mut RouteTable,
     changed: &[NodeId],
-) -> Option<Vec<(usize, Route)>> {
+) -> Option<Vec<Route>> {
     let f: &FrozenGraph = tree.frozen();
-    if table.source != tree.source || table.entries.len() != tree.mapped_count() {
+    let n = f.node_count();
+    if old.source != tree.source
+        || old.frozen().node_count() != n
+        || old.mapped_count() != tree.mapped_count()
+        || changed
+            .iter()
+            .any(|&c| old.label(c).is_some() != tree.label(c).is_some())
+    {
         return None;
     }
     if changed.is_empty() {
@@ -68,7 +120,6 @@ pub fn update_routes(
 
     // The closure: every changed node plus all of its descendants in
     // the new tree (their routes splice through it).
-    let n = f.node_count();
     let mut needs = vec![false; n];
     let mut marked = 0;
     let mut dfs: Vec<NodeId> = changed
@@ -84,81 +135,61 @@ pub fn update_routes(
         dfs.extend(children[v.index()].iter().copied());
     }
 
-    // Entries are sorted by node id, so parents resolve by binary
-    // search.
-    let index_of = |node: NodeId| table.entries.binary_search_by_key(&node, |r| r.node).ok();
-
-    // Re-traverse each maximal dirty subtree, seeding its root's
-    // (route, name) from the still-valid parent entry.
+    // Re-traverse each maximal dirty subtree, seeded with its root's
+    // (route, name).
     let mut stack: Vec<(NodeId, String, String)> = Vec::new();
     for i in 0..n {
         if !needs[i] {
             continue;
         }
         let node = NodeId::from_raw(i as u32);
-        if node == tree.source {
-            stack.push((node, "%s".to_string(), f.name(node).to_string()));
-            continue;
+        if let Some((parent, _)) = tree.label(node)?.pred {
+            if needs[parent.index()] {
+                continue; // an inner node; its subtree root seeds it
+            }
         }
-        let (parent, _) = tree.label(node)?.pred?;
-        if needs[parent.index()] {
-            continue; // an inner node; its subtree root seeds it
-        }
-        let pe = &table.entries[index_of(parent)?];
-        let (route, name) = child_step(f, tree, parent, &pe.route, &pe.name, node)?;
+        let (route, name) = route_along_chain(f, tree, node)?;
         stack.push((node, route, name));
     }
-    let mut fresh: Vec<Route> = Vec::new();
-    traverse(f, tree, &children, stack, &mut fresh);
+    let mut fresh: Vec<Route> = Vec::with_capacity(marked);
+    traverse(f, tree, &children, stack, |r| fresh.push(r));
     fresh.sort_by_key(|r| r.node);
-
-    // Every re-traversed node must already have its slot, and every
-    // node the closure marked must have been re-traversed; only then
-    // is anything written.
-    let slots: Vec<usize> = fresh
-        .iter()
-        .map(|r| index_of(r.node))
-        .collect::<Option<_>>()?;
-    if slots.len() != marked {
-        return None;
-    }
-    let replaced = slots.into_iter().zip(fresh);
-    let replaced = replaced.map(|(i, r)| (i, std::mem::replace(&mut table.entries[i], r)));
-    Some(replaced.collect())
+    (fresh.len() == marked).then_some(fresh)
 }
 
-/// Runs the preorder traversal from a pre-seeded stack, appending one
-/// [`Route`] per visited node.
+/// The (route, name) the traversal gives `node`: the recursion step
+/// applied down its predecessor chain from the source.
+fn route_along_chain(
+    f: &FrozenGraph,
+    tree: &ShortestPathTree,
+    node: NodeId,
+) -> Option<(String, String)> {
+    let mut chain = vec![node];
+    let mut at = node;
+    while at != tree.source {
+        (at, _) = tree.label(at)?.pred?;
+        chain.push(at);
+    }
+    let mut route = "%s".to_string();
+    let mut name = f.name(tree.source).to_string();
+    for pair in chain.windows(2).rev() {
+        (route, name) = child_step(f, tree, pair[1], &route, &name, pair[0])?;
+    }
+    Some((route, name))
+}
+
+/// Runs the preorder traversal from a pre-seeded stack, handing one
+/// [`Route`] per visited node to `emit`.
 fn traverse(
     f: &FrozenGraph,
     tree: &ShortestPathTree,
     children: &Children,
     mut stack: Vec<(NodeId, String, String)>,
-    entries: &mut Vec<Route>,
+    mut emit: impl FnMut(Route),
 ) {
     while let Some((node, route, name)) = stack.pop() {
         let label = tree.label(node).expect("traversal follows labels");
-
-        let kind = if f.flags(node).contains(NodeFlags::PRIVATE) {
-            RouteKind::Private
-        } else if f.is_domain(node) {
-            let parent_is_domain = label.pred.map(|(p, _)| f.is_domain(p)).unwrap_or(false);
-            if parent_is_domain {
-                RouteKind::SubDomain
-            } else {
-                RouteKind::TopDomain
-            }
-        } else if f.is_net(node) {
-            RouteKind::Network
-        } else if label
-            .pred
-            .map(|(_, e)| f.edge_flags(e).contains(LinkFlags::ALIAS))
-            .unwrap_or(false)
-        {
-            RouteKind::Alias
-        } else {
-            RouteKind::Host
-        };
+        let kind = route_kind(tree, node).expect("traversal follows labels");
 
         // Children in reverse so the stack pops them in sorted order.
         for &child in children[node.index()].iter().rev() {
@@ -167,7 +198,7 @@ fn traverse(
             stack.push((child, child_route, child_name));
         }
 
-        entries.push(Route {
+        emit(Route {
             node,
             name,
             cost: label.cost,
@@ -370,7 +401,7 @@ host caip(200)
     }
 
     /// Maps `text`, patches one node's row, cold-maps the patched
-    /// graph, and returns (old table, new tree, changed node list).
+    /// graph, and returns (old tree, new tree, changed node list).
     fn patched_world(
         text: &str,
         source: &str,
@@ -379,7 +410,7 @@ host caip(200)
             &pathalias_graph::FrozenGraph,
             NodeId,
         ) -> Vec<(NodeId, pathalias_graph::Cost, RouteOp, LinkFlags)>,
-    ) -> (RouteTable, ShortestPathTree, Vec<NodeId>) {
+    ) -> (ShortestPathTree, ShortestPathTree, Vec<NodeId>) {
         use pathalias_mapper::map_frozen_readonly;
         use std::sync::Arc;
 
@@ -388,7 +419,6 @@ host caip(200)
         let p = g.try_node(patch_node).unwrap();
         let frozen = Arc::new(g.freeze());
         let old_tree = map_frozen_readonly(&frozen, s, &MapOptions::default()).unwrap();
-        let old_table = compute_routes(&old_tree);
 
         let (patched, _) = frozen.with_rows_replaced(&[pathalias_graph::RowPatch {
             node: p,
@@ -400,7 +430,7 @@ host caip(200)
             .node_ids()
             .filter(|&id| old_tree.label(id) != new_tree.label(id))
             .collect();
-        (old_table, new_tree, changed)
+        (old_tree, new_tree, changed)
     }
 
     #[test]
@@ -417,25 +447,32 @@ y .edu(5)
 .rutgers = {caip}(0)
 x z(1)
 ";
-        let (mut updated, new_tree, changed) = patched_world(text, "hub", "b", |f, _| {
+        let (old_tree, new_tree, changed) = patched_world(text, "hub", "b", |f, _| {
             let x = f.id_of("x").unwrap();
             vec![(x, 1, RouteOp::UUCP, LinkFlags::empty())]
         });
         assert!(!changed.is_empty());
-        let old = updated.clone();
-        let replaced = update_routes(&new_tree, &mut updated, &changed).expect("inputs line up");
+        let old = compute_routes(&old_tree);
+        let moved = update_routes(&old_tree, &new_tree, &changed).expect("trees line up");
+        assert!(moved.windows(2).all(|w| w[0].node < w[1].node));
+        // The old table with the moved routes written over their nodes'
+        // entries is the new tree's table.
+        let mut updated = old.clone();
+        for r in &moved {
+            let at = updated
+                .entries
+                .iter()
+                .position(|e| e.node == r.node)
+                .unwrap();
+            updated.entries[at] = r.clone();
+        }
         let full = compute_routes(&new_tree);
         assert_eq!(updated.entries, full.entries);
-        assert_eq!(updated.source, full.source);
-        // Exactly the rewritten slots differ from the old table.
-        let moved: Vec<usize> = (0..old.entries.len())
-            .filter(|&i| old.entries[i] != updated.entries[i])
-            .collect();
-        assert!(moved
-            .iter()
-            .all(|&i| replaced.iter().any(|(at, _)| *at == i)));
-        assert!(replaced.iter().all(|(at, was)| old.entries[*at] == *was));
-        assert!(replaced.len() < old.entries.len(), "only the moved subtree");
+        // Every entry that differs moved, and only the subtree moved.
+        for (was, now) in old.entries.iter().zip(&full.entries) {
+            assert!(was == now || moved.iter().any(|r| r.node == now.node));
+        }
+        assert!(moved.len() < old.entries.len(), "only the moved subtree");
         // The moved subtree really re-routed.
         assert_eq!(updated.find("x").unwrap().route, "b!x!%s");
         assert_eq!(
@@ -445,27 +482,42 @@ x z(1)
     }
 
     #[test]
+    fn kind_and_name_match_the_traversal() {
+        let text = "\
+u seismo(100), ARPA(95)
+ARPA = @{mit-ai}(95)
+seismo .edu(95)
+.edu = {.rutgers}(0)
+.rutgers = {caip}(0)
+seismo princeton(10)
+princeton = fun
+";
+        let g = parse(text).unwrap();
+        let tree = map(&g, g.try_node("u").unwrap(), &MapOptions::default()).unwrap();
+        let table = compute_routes(&tree);
+        for r in &table.entries {
+            assert_eq!(route_kind(&tree, r.node), Some(r.kind), "{}", r.name);
+            assert_eq!(route_name(&tree, r.node).as_deref(), Some(&*r.name));
+        }
+        assert!(table.find("caip.rutgers.edu").is_some());
+    }
+
+    #[test]
     fn update_routes_no_changes_is_identity() {
         let g = parse("a b(10)\nb c(20)\n").unwrap();
         let a = g.try_node("a").unwrap();
         let tree = map(&g, a, &MapOptions::default()).unwrap();
-        let mut table = compute_routes(&tree);
-        let before = table.entries.clone();
-        assert!(update_routes(&tree, &mut table, &[]).unwrap().is_empty());
-        assert_eq!(table.entries, before);
+        assert!(update_routes(&tree, &tree, &[]).unwrap().is_empty());
     }
 
     #[test]
-    fn update_routes_rejects_mismatched_table() {
+    fn update_routes_rejects_mismatched_trees() {
         let g = parse("a b(10)\n").unwrap();
         let a = g.try_node("a").unwrap();
         let b = g.try_node("b").unwrap();
         let tree_a = map(&g, a, &MapOptions::default()).unwrap();
         let tree_b = map(&g, b, &MapOptions::default()).unwrap();
-        let mut table_b = compute_routes(&tree_b);
-        let before = table_b.entries.clone();
-        assert!(update_routes(&tree_a, &mut table_b, &[a]).is_none());
-        assert_eq!(table_b.entries, before, "a refusal writes nothing");
+        assert!(update_routes(&tree_b, &tree_a, &[a]).is_none());
     }
 
     #[test]

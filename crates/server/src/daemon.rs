@@ -504,6 +504,7 @@ impl State {
                     .field("files_scanned", report.files_scanned)
                     .field("hierarchy", report.hierarchy.label())
                     .field("backlink_restarts", report.backlink_restarts)
+                    .field("db_bytes", report.db_bytes)
                     .emit();
                 let response = Response::Reloaded {
                     map: wire_name,
@@ -774,6 +775,19 @@ impl State {
                 m.cached.snapshot().entries() as u64,
             );
         }
+        out.family(
+            "pathalias_table_bytes",
+            "gauge",
+            "Heap bytes of the serving route database: its shards' arenas, slots and control \
+             bytes (zero for padb-mmap, which serves from the page cache).",
+        );
+        for m in &maps {
+            out.sample(
+                "pathalias_table_bytes",
+                &[("map", &m.name)],
+                m.telemetry.table_bytes(),
+            );
+        }
 
         type ShardGet = fn(&crate::cache::ShardStats) -> u64;
         let shard_families: [(&str, &str, ShardGet); 3] = [
@@ -988,9 +1002,10 @@ impl Server {
                 .field("entries", resolver.entries())
                 .field("hierarchy", report.hierarchy.label())
                 .field("backlink_restarts", report.backlink_restarts)
+                .field("db_bytes", report.db_bytes)
                 .emit();
             let telemetry = MapTelemetry::new();
-            telemetry.record_hierarchy(report.hierarchy);
+            telemetry.record_load(&report);
             let metrics = Arc::new(Metrics::default());
             let capacity = config
                 .cache_capacities

@@ -23,8 +23,8 @@
 //! them.
 
 use pathalias_core::{
-    repair_frozen, update_routes, DeltaPlan, EdgeShift, Frozen, FrozenGraph, MapOptions, Mapped,
-    NodeId, Options, Parsed, PhaseTimings, RouteTable, RowPatch, SnapshotError,
+    compute_routes, repair_frozen, update_routes, DeltaPlan, EdgeShift, Frozen, FrozenGraph,
+    MapOptions, Mapped, NodeId, Options, Parsed, PhaseTimings, RouteTable, RowPatch, SnapshotError,
 };
 use pathalias_mailer::{
     disk::DiskError, disk::MappedDb, BoxedResolver, DbError, RouteDb, SharedRouteDb,
@@ -136,8 +136,13 @@ pub struct LoadReport {
     /// How many file texts the delta planner scanned: the changed
     /// file, old and new, plus any file it had no outline of yet.
     pub files_scanned: usize,
-    /// Building (or patching) the in-memory route database.
+    /// Building (or patching) the in-memory route database. A full
+    /// load streams the printer's traversal into the database, so its
+    /// route computation is timed here and `phases.print` stays zero.
     pub routedb: Duration,
+    /// Heap bytes of the database served ([`RouteDb::heap_bytes`]);
+    /// zero for a `padb-mmap` source, which holds no table.
+    pub db_bytes: usize,
     /// Building the point-to-point engine, unless `hierarchy_build`
     /// covers it.
     pub engine: Duration,
@@ -233,14 +238,12 @@ struct CachedStages {
 /// Everything the incremental reload path repairs in place.
 struct ServingState {
     options: Options,
+    /// The mapping `db` serves the routes of. No route table is kept:
+    /// a delta reload re-derives the routes it needs from the trees.
     mapped: Mapped,
-    /// The route table `db` was built from. Only the reload path reads
-    /// it, under the stage-cache lock, so a delta reload rewrites the
-    /// entries that moved in place; nothing renders it.
-    routes: RouteTable,
-    /// The resolver handle served from `routes` (an `Arc` wrapper —
-    /// cloning is a refcount bump, so a reload whose inputs did not
-    /// change at all serves the cached table directly).
+    /// The resolver handle (an `Arc` wrapper — cloning is a refcount
+    /// bump, so a reload whose inputs did not change at all serves the
+    /// cached table directly).
     db: SharedRouteDb,
     /// The point-to-point engine over `mapped.tree`'s graph.
     engine: Arc<PointToPoint>,
@@ -257,11 +260,14 @@ impl StageCache {
             .map(|c| c.frozen.graph().clone())
     }
 
-    /// A copy of the route table the cached serving state answers
-    /// from (used by tests to compare it with a cold run's).
+    /// The route table of the mapping the cached serving state
+    /// answers from, computed afresh from its tree (used by tests to
+    /// compare it with a cold run's).
     pub fn routes(&self) -> Option<RouteTable> {
         let slot = self.slot.lock().expect("stage cache poisoned");
-        Some(slot.as_ref()?.serving.as_ref()?.routes.clone())
+        Some(compute_routes(
+            &slot.as_ref()?.serving.as_ref()?.mapped.tree,
+        ))
     }
 
     /// How many reloads were absorbed by the incremental (delta) path
@@ -434,13 +440,14 @@ impl MapSource {
         match self {
             MapSource::Padb(path) => table_only(|| {
                 let entries = MappedDb::open(path)?.read_all()?;
-                Ok(Box::new(SharedRouteDb::new(RouteDb::from_entries(entries))))
+                Ok(in_memory(RouteDb::from_entries(entries)))
             }),
-            MapSource::PadbMmap(path) => table_only(|| Ok(Box::new(MappedDb::open(path)?))),
+            MapSource::PadbMmap(path) => table_only(|| Ok((Box::new(MappedDb::open(path)?), 0))),
             MapSource::Routes(path) => table_only(|| {
                 let text = std::fs::read_to_string(path)?;
-                let db = RouteDb::from_output(&text).map_err(LoadError::Db)?;
-                Ok(Box::new(SharedRouteDb::new(db)))
+                Ok(in_memory(
+                    RouteDb::from_output(&text).map_err(LoadError::Db)?,
+                ))
             }),
             MapSource::FrozenSnapshot {
                 path,
@@ -454,7 +461,7 @@ impl MapSource {
                     phases,
                     ..LoadReport::default()
                 };
-                let (db, engine, _, _) = map_print_engine(&frozen, options, &mut report)?;
+                let (db, engine, _) = map_print_engine(&frozen, options, &mut report)?;
                 Ok((Box::new(db), Some(engine), report))
             }
             MapSource::Map {
@@ -477,7 +484,7 @@ impl MapSource {
                     files_scanned,
                     ..LoadReport::default()
                 };
-                let (db, engine, mapped, routes) = map_print_engine(&frozen, options, &mut report)?;
+                let (db, engine, mapped) = map_print_engine(&frozen, options, &mut report)?;
                 has_hosts(frozen.graph())?;
                 // Remember the serving artifacts so the next reload can
                 // repair them incrementally.
@@ -485,7 +492,6 @@ impl MapSource {
                     cached.serving = Some(ServingState {
                         options: options.clone(),
                         mapped,
-                        routes,
                         db: db.clone(),
                         engine: engine.clone(),
                     });
@@ -497,34 +503,40 @@ impl MapSource {
 }
 
 /// A table-only load: no graph, hence no engine, and the whole ingest
-/// timed as the `parse` phase.
+/// timed as the `parse` phase. `load` returns the resolver and the
+/// bytes its table holds.
 fn table_only(
-    load: impl FnOnce() -> Result<BoxedResolver, LoadError>,
+    load: impl FnOnce() -> Result<(BoxedResolver, usize), LoadError>,
 ) -> Result<ServingParts, LoadError> {
     let t0 = Instant::now();
-    let resolver = load()?;
-    let mut report = LoadReport::default();
+    let (resolver, db_bytes) = load()?;
+    let mut report = LoadReport {
+        db_bytes,
+        ..LoadReport::default()
+    };
     report.phases.parse = t0.elapsed();
     Ok((resolver, None, report))
 }
 
-/// The map stage, the route table (computed, not rendered), the
-/// database served from it and the point-to-point engine over the
-/// mapped tree's augmented graph. The engine and the table come from
-/// the *same* mapping run, so they can never disagree about what the
-/// world looks like.
+/// An in-memory table as [`table_only`] serves it.
+fn in_memory(db: RouteDb) -> (BoxedResolver, usize) {
+    let bytes = db.heap_bytes();
+    (Box::new(SharedRouteDb::new(db)), bytes)
+}
+
+/// The map stage, the database served from the mapped tree and the
+/// point-to-point engine over its augmented graph. The engine and the
+/// database come from the *same* mapping run, so they can never
+/// disagree about what the world looks like.
 fn map_print_engine(
     frozen: &Frozen,
     options: &Options,
     report: &mut LoadReport,
-) -> Result<(SharedRouteDb, Arc<PointToPoint>, Mapped, RouteTable), LoadError> {
+) -> Result<(SharedRouteDb, Arc<PointToPoint>, Mapped), LoadError> {
     let t0 = Instant::now();
     let mapped = frozen.map(options).map_err(LoadError::Pipeline)?;
     report.phases.map = t0.elapsed();
     report.backlink_restarts = mapped.tree.stats.restarted_rounds;
-    let t0 = Instant::now();
-    let routes = mapped.routes();
-    report.phases.print = t0.elapsed();
     let t0 = Instant::now();
     let aug = mapped.tree.frozen().clone();
     let model = options.cost_model;
@@ -557,10 +569,12 @@ fn map_print_engine(
     };
     report.engine = t0.elapsed() - report.hierarchy_build;
     // The database last: the engine's build scratch is freed by now.
+    // It is built straight from the tree; no route table is held.
     let t0 = Instant::now();
-    let db = SharedRouteDb::new(RouteDb::from_table(&routes));
+    let db = RouteDb::from_tree(&mapped.tree);
     report.routedb = t0.elapsed();
-    Ok((db, Arc::new(engine), mapped, routes))
+    report.db_bytes = db.heap_bytes();
+    Ok((SharedRouteDb::new(db), Arc::new(engine), mapped))
 }
 
 /// The map files as one reload read them: their stamps, and their
@@ -619,10 +633,10 @@ type Declined = (&'static str, Option<Reread>, usize);
 /// cached inputs, patch the frozen CSR rows the edit touched
 /// ([`pathalias_core::delta`] proves which edits are safe), repair the
 /// shortest-path tree from the patched rows outward
-/// ([`repair_frozen`]), rewrite in place only the route-table entries
-/// whose labels moved ([`update_routes`]), and patch the database's
-/// shards that hold them ([`RouteDb::patched`]). Nothing is rendered
-/// and nothing table-sized is copied. Every gate failure returns
+/// ([`repair_frozen`]), recompute only the routes whose labels moved
+/// ([`update_routes`]), and rewrite the database's shards that hold
+/// them ([`RouteDb::patched`]). Nothing is rendered and nothing
+/// table-sized is copied. Every gate failure returns
 /// `Ok(Err(declined))` and the caller falls back to the full pipeline —
 /// the full run stays the oracle, the delta path only ever reproduces
 /// it faster.
@@ -761,25 +775,23 @@ fn try_delta_reload(
             changed.push(id);
         }
     }
-    // `update_routes` checks before it writes, so a refusal leaves the
-    // cached table as it was for the full pipeline to replace.
-    let serving = cached.serving.as_mut().expect("checked above");
-    let Some(replaced) = update_routes(&new_tree, &mut serving.routes, &changed) else {
-        return Ok(Err(("route table does not line up", Some(reread), scanned)));
+    let Some(moved) = update_routes(old_tree, &new_tree, &changed) else {
+        return Ok(Err(("labelled set changed", Some(reread), scanned)));
     };
     report.phases.print = t0.elapsed();
 
-    // The edit moved `replaced.len()` routes (none, when it retuned a
+    // The edit moved `moved.len()` routes (none, when it retuned a
     // link the tree does not use): the next database shares every
     // shard but theirs. Only a route that changed its name or its
     // visibility forces a fresh build.
     let t0 = Instant::now();
     let db = serving
         .db
-        .patched(&serving.routes, &replaced)
-        .unwrap_or_else(|| RouteDb::from_table(&serving.routes));
-    serving.db = SharedRouteDb::new(db);
+        .patched(old_tree, &moved)
+        .unwrap_or_else(|| RouteDb::from_tree(&new_tree));
     report.routedb = t0.elapsed();
+    let serving = cached.serving.as_mut().expect("checked above");
+    serving.db = SharedRouteDb::new(db);
     // `PATH` answers read edge costs the tree never looked at, so the
     // engine is rebuilt whatever the edit moved.
     if serving.engine.hierarchy().is_some() {
@@ -826,6 +838,10 @@ fn commit(
     let serving = cached.serving.as_ref().expect("the delta path checked");
     cache.delta_reloads.fetch_add(1, Ordering::Relaxed);
     let resolver: BoxedResolver = Box::new(serving.db.clone());
+    let report = LoadReport {
+        db_bytes: serving.db.heap_bytes(),
+        ..report
+    };
     (resolver, Some(serving.engine.clone()), report)
 }
 
@@ -1007,13 +1023,15 @@ mod tests {
         resolver.resolve(host, "u").unwrap().route
     }
 
-    /// The rendered route text the cache is currently serving (delta
-    /// tests compare it byte-for-byte against a cold pipeline).
+    /// The rendered routes of the mapping the cache is currently
+    /// serving (delta tests compare them byte-for-byte against a cold
+    /// pipeline).
     fn cached_rendered(cache: &StageCache) -> String {
         let slot = cache.slot.lock().unwrap();
         let serving = slot.as_ref().and_then(|c| c.serving.as_ref());
         let serving = serving.expect("serving state cached");
-        pathalias_core::render(&serving.routes, &serving.options.print_options())
+        let routes = compute_routes(&serving.mapped.tree);
+        pathalias_core::render(&routes, &serving.options.print_options())
     }
 
     #[test]
@@ -1045,6 +1063,44 @@ mod tests {
         let db3 = serve(&MapSource::Padb(padb_path.clone()));
         assert_eq!(route(&db3, "research"), "duke!research!u");
 
+        for p in [map_path, routes_path, padb_path] {
+            std::fs::remove_file(p).unwrap();
+        }
+    }
+
+    #[test]
+    fn loads_report_the_bytes_their_database_holds() {
+        let map_path = temp("bytes.map");
+        std::fs::write(&map_path, MAP).unwrap();
+        let options = Options {
+            local: Some("unc".into()),
+            ..Default::default()
+        };
+        let source = MapSource::map_files(vec![map_path.clone()], options);
+        let MapSource::Map { cache, .. } = &source else {
+            unreachable!()
+        };
+        let (_, _, report) = source.load_serving_timed().unwrap();
+        let rendered = cached_rendered(cache);
+        let db = RouteDb::from_output(&rendered).unwrap();
+        assert_eq!(report.db_bytes, db.heap_bytes());
+        // The unchanged path serves the cached database, and says so.
+        let (_, _, again) = source.load_serving_timed().unwrap();
+        assert_eq!(again.path, LoadPath::Unchanged);
+        assert_eq!(again.db_bytes, report.db_bytes);
+
+        let routes_path = temp("bytes.routes");
+        std::fs::write(&routes_path, &rendered).unwrap();
+        let (_, _, report) = MapSource::Routes(routes_path.clone())
+            .load_serving_timed()
+            .unwrap();
+        assert_eq!(report.db_bytes, db.heap_bytes());
+        let padb_path = temp("bytes.padb");
+        write_db(&db, &padb_path).unwrap();
+        let (_, _, report) = MapSource::PadbMmap(padb_path.clone())
+            .load_serving_timed()
+            .unwrap();
+        assert_eq!(report.db_bytes, 0, "served from the page cache");
         for p in [map_path, routes_path, padb_path] {
             std::fs::remove_file(p).unwrap();
         }
@@ -1428,8 +1484,9 @@ mod tests {
     fn non_tree_edge_edit_reuses_the_printed_table() {
         // Raising the cost of the link the tree already rejected
         // (n1->x at 30 loses to n2->x at 20) moves no label: the
-        // repair proves it, the printed table is carried over without
-        // being recomputed, and only the PATH engine sees new costs.
+        // repair proves it, the served database is carried over
+        // without a route being recomputed, and only the PATH engine
+        // sees new costs.
         let path = temp("delta-notree.map");
         std::fs::write(&path, WIDE_MAP).unwrap();
         let options = Options {
@@ -1451,7 +1508,7 @@ mod tests {
         assert_eq!(
             cached_rendered(cache),
             before,
-            "no label moved, so the printed table is yesterday's"
+            "no label moved, so the served routes are yesterday's"
         );
         assert_eq!(resolver.resolve("x", "u").unwrap().route, "n2!x!u");
 

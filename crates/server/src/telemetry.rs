@@ -57,6 +57,8 @@ pub struct MapTelemetry {
     /// Loads (start-up included) per [`HierarchyOutcome`], in
     /// [`HierarchyOutcome::ALL`] order.
     hierarchy_loads: [AtomicU64; 5],
+    /// Heap bytes of the database now serving ([`LoadReport::db_bytes`]).
+    table_bytes: AtomicU64,
 }
 
 impl Default for MapTelemetry {
@@ -80,13 +82,17 @@ impl MapTelemetry {
             bailouts: Mutex::new(Vec::new()),
             files_scanned: AtomicU64::new(0),
             hierarchy_loads: Default::default(),
+            table_bytes: AtomicU64::new(0),
         }
     }
 
-    /// Counts what one load did with the hierarchy. The start-up load
-    /// records only this; [`MapTelemetry::record_reload`] calls it too.
-    pub fn record_hierarchy(&self, outcome: HierarchyOutcome) {
-        self.hierarchy_loads[outcome as usize].fetch_add(1, Ordering::Relaxed);
+    /// Records what any load, start-up included, leaves serving: what
+    /// it did with the hierarchy and how many bytes its database holds.
+    /// [`MapTelemetry::record_reload`] calls it too.
+    pub fn record_load(&self, report: &LoadReport) {
+        self.hierarchy_loads[report.hierarchy as usize].fetch_add(1, Ordering::Relaxed);
+        self.table_bytes
+            .store(report.db_bytes as u64, Ordering::Relaxed);
     }
 
     /// Loads per hierarchy outcome, in [`HierarchyOutcome::ALL`] order.
@@ -96,12 +102,12 @@ impl MapTelemetry {
 
     /// Records a successful reload: its report, its path, the gate
     /// that sent it down the full path, if one did, the texts its plan
-    /// scanned, and what it did with the hierarchy.
+    /// scanned, and what it left serving.
     pub fn record_reload(&self, report: &LoadReport) {
         if let Ok(mut slot) = self.last_reload.lock() {
             *slot = Some(*report);
         }
-        self.record_hierarchy(report.hierarchy);
+        self.record_load(report);
         self.reload_paths[report.path as usize].fetch_add(1, Ordering::Relaxed);
         self.files_scanned
             .fetch_add(report.files_scanned as u64, Ordering::Relaxed);
@@ -121,6 +127,11 @@ impl MapTelemetry {
     /// Successful reloads per path, in [`LoadPath::ALL`] order.
     pub fn reload_paths(&self) -> [(LoadPath, u64); 3] {
         LoadPath::ALL.map(|p| (p, self.reload_paths[p as usize].load(Ordering::Relaxed)))
+    }
+
+    /// Heap bytes of the database now serving.
+    pub fn table_bytes(&self) -> u64 {
+        self.table_bytes.load(Ordering::Relaxed)
     }
 
     /// File texts the delta planner scanned, over every reload.
@@ -216,6 +227,7 @@ mod tests {
         let mut report = LoadReport {
             bailout: Some("options changed"),
             files_scanned: 2,
+            db_bytes: 4096,
             ..LoadReport::default()
         };
         report.phases.parse = Duration::from_millis(3);
@@ -228,7 +240,12 @@ mod tests {
         assert_eq!(t.reload_paths()[2], (LoadPath::Full, 2));
         assert_eq!(t.bailouts(), vec![("options changed", 2)]);
         assert_eq!(t.files_scanned(), 4);
-        t.record_hierarchy(HierarchyOutcome::Rebuilt);
+        assert_eq!(t.table_bytes(), 4096);
+        t.record_load(&LoadReport {
+            hierarchy: HierarchyOutcome::Rebuilt,
+            ..LoadReport::default()
+        });
+        assert_eq!(t.table_bytes(), 0);
         let loads = t.hierarchy_loads();
         assert_eq!(loads[1], (HierarchyOutcome::Rebuilt, 1));
         assert_eq!(loads[4], (HierarchyOutcome::None, 2));

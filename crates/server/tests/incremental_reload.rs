@@ -258,6 +258,34 @@ fn reload_paths_and_bailouts_are_counted() {
     std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
 }
 
+/// `pathalias_table_bytes` follows the database each load leaves
+/// serving: the start-up load's, a delta reload's patch of it, and a
+/// full reload's rebuild over a world one host larger.
+#[test]
+fn the_served_database_footprint_is_scraped() {
+    let world = spoke_world();
+    let options = Options {
+        local: Some("hub".into()),
+        ..Default::default()
+    };
+    let (path, mut client, handle) = serve_world("bytes", &world, &options);
+    let loaded = scraped(&mut client, "pathalias_table_bytes");
+    assert!(loaded > 0);
+
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    std::fs::write(&path, world.replace("n2\tx(20)", "n2\tx(35)")).unwrap();
+    client.reload().unwrap();
+    assert!(scraped(&mut client, "pathalias_table_bytes") > 0);
+
+    std::fs::write(&path, format!("{world}z\thub(1)\n")).unwrap();
+    client.reload().unwrap();
+    assert!(scraped(&mut client, "pathalias_table_bytes") > loaded);
+
+    client.quit().unwrap();
+    handle.shutdown();
+    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+}
+
 /// A plan costs what changed: the first plan outlines the files that
 /// did not change, and from then on a cost edit to one file of a
 /// three-file map scans two texts, that file old and new.
@@ -640,9 +668,9 @@ fn apply(
     true
 }
 
-/// What a map source serves after a reload — its cached table
-/// (rendered), its resolver and its `PATH` engine — against a cold run
-/// over the bytes on disk, byte for byte.
+/// What a map source serves after a reload — the routes of its cached
+/// mapping (rendered), its resolver and its `PATH` engine — against a
+/// cold run over the bytes on disk, byte for byte.
 fn serves_like_a_cold_run(
     source: &MapSource,
     resolver: pathalias_mailer::BoxedResolver,
@@ -656,7 +684,7 @@ fn serves_like_a_cold_run(
         unreachable!()
     };
     let (printed, cold_engine) = cold_pipeline(paths, options);
-    let routes = cache.routes().expect("the map source caches its table");
+    let routes = cache.routes().expect("the map source caches its mapping");
     let rendered = render(&routes, &options.print_options());
     let drift = rendered
         .lines()
@@ -725,7 +753,7 @@ proptest! {
     /// Random chains of three to six edits to a mapgen world — costs
     /// up and down, a retuned link the tree does not use, a comment —
     /// reloaded after each one. Whatever path each reload takes, the
-    /// served answers and the cached route table (rendered) must be
+    /// served answers and the cached mapping's routes (rendered) must be
     /// byte-identical to the cold pipeline over the same bytes: the
     /// in-place patches must not drift from it as they accumulate.
     #[test]
