@@ -7,7 +7,7 @@
 //! test.
 
 use pathalias_arena::counting::{snapshot, CountingAlloc};
-use pathalias_core::{Options, Parsed};
+use pathalias_core::{render_tree, Options, Parsed};
 use pathalias_mailer::RouteDb;
 use pathalias_mapgen::{generate, MapSpec};
 
@@ -19,6 +19,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const DB_OVERHEAD_PER_ENTRY: usize = 40;
 /// Heap bytes per node the name index may take.
 const INDEX_BYTES_PER_NAME: usize = 8;
+/// Routes per allocation call, at least, that rendering a tree and
+/// building a database from one must reach: the walk allocates only
+/// when a buffer grows, never per route.
+const ROUTES_PER_ALLOCATION: usize = 100;
 
 #[test]
 fn the_database_and_name_index_stay_within_their_budgets() {
@@ -34,9 +38,24 @@ fn the_database_and_name_index_stay_within_their_budgets() {
     let frozen = parsed.build(&options).unwrap().freeze();
     let tree = frozen.map(&options).unwrap().tree;
 
-    let before = snapshot().live();
+    let routes = tree.mapped_count();
+    let before = snapshot();
+    let rendered = render_tree(&tree, &options.print_options());
+    let render_calls = snapshot().since(&before).calls;
+    drop(rendered);
+
+    let before = snapshot();
     let db = RouteDb::from_tree(&tree);
-    let held = snapshot().live() - before;
+    let after = snapshot();
+    let db_calls = after.since(&before).calls;
+    let held = after.live() - before.live();
+    eprintln!("{routes} routes: render {render_calls} calls, database {db_calls} calls");
+    for (what, calls) in [("rendering", render_calls), ("the database", db_calls)] {
+        assert!(
+            calls * ROUTES_PER_ALLOCATION < routes,
+            "{what} made {calls} allocation calls for {routes} routes"
+        );
+    }
     let text: usize = db.iter().map(|e| e.name.len() + e.route.len()).sum();
     assert!(db.len() > 20_000, "{} entries", db.len());
     assert!(

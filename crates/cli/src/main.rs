@@ -88,7 +88,9 @@ fn cmd_run(run: RunArgs) -> ExitCode {
 
     match pa.run() {
         Ok(out) => {
-            print!("{}", out.rendered);
+            if let Err(code) = write_stdout(&out.rendered) {
+                return code;
+            }
             for w in &out.warnings {
                 eprintln!("pathalias: warning: {w}");
             }
@@ -147,12 +149,29 @@ fn cmd_mapgen(mg: MapgenArgs) -> ExitCode {
         MapSpec::small(mg.hosts, mg.seed)
     };
     let map = generate(&spec);
-    print!("{}", map.concatenated());
+    if let Err(code) = write_stdout(&map.concatenated()) {
+        return code;
+    }
     eprintln!(
         "mapgen: {} hosts, {} links, {} networks, {} domains; home hub: {}",
         map.stats.hosts, map.stats.links, map.stats.networks, map.stats.domains, map.home
     );
     ExitCode::SUCCESS
+}
+
+/// Writes `text` to standard output in one call. A reader that went
+/// away (`pathalias ... | head -1`) ends the run with a failure status
+/// and nothing on standard error; any other write error is reported.
+fn write_stdout(text: &str) -> Result<(), ExitCode> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Err(ExitCode::FAILURE),
+        Err(e) => {
+            eprintln!("pathalias: writing standard output: {e}");
+            Err(ExitCode::FAILURE)
+        }
+    }
 }
 
 /// `pathalias freeze`: run parse → build → freeze and write the

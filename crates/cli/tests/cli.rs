@@ -37,6 +37,44 @@ fn run_with_stdin(args: &[&str], stdin: &str) -> (String, String, bool) {
 }
 
 #[test]
+fn a_reader_that_closes_early_ends_the_run_quietly() {
+    // `pathalias ... | head -1`: the routes run to well over a pipe
+    // buffer, and the reader leaves after the first line.
+    let dir = std::env::temp_dir();
+    let map = dir.join(format!("pa-cli-epipe-{}.map", std::process::id()));
+    let gen = Command::new(BIN)
+        .args(["mapgen", "--hosts", "3000", "--seed", "1"])
+        .output()
+        .expect("mapgen runs");
+    std::fs::write(&map, &gen.stdout).unwrap();
+    let home = String::from_utf8_lossy(&gen.stderr);
+    let home = home.split("home hub: ").nth(1).expect("home hub").trim();
+    for args in [
+        vec!["-l", home, map.to_str().unwrap()],
+        vec!["mapgen", "--hosts", "3000", "--seed", "1"],
+    ] {
+        let mut child = Command::new(BIN)
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut stdout = child.stdout.take().expect("stdout piped");
+        let mut first = [0u8; 64];
+        let read = std::io::Read::read(&mut stdout, &mut first).expect("some output");
+        assert!(read > 0, "{args:?}");
+        drop(stdout);
+        let out = child.wait_with_output().expect("wait");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("Broken pipe"), "{args:?}: {stderr}");
+        assert!(!out.status.success(), "{args:?}: the output was cut short");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: a panic's status");
+    }
+    std::fs::remove_file(&map).ok();
+}
+
+#[test]
 fn paper_example_from_stdin() {
     let (stdout, _, ok) = run_with_stdin(&["-l", "unc", "-c"], PAPER_MAP);
     assert!(ok);

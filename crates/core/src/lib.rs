@@ -50,6 +50,6 @@ pub use pathalias_mapper::{
 };
 pub use pathalias_parser::{parse, parse_files, parse_into, ParseError};
 pub use pathalias_printer::{
-    compute_routes, for_each_route, render, route_kind, route_name, update_routes, write_routes,
-    PrintOptions, Route, RouteKind, RouteTable, Sort,
+    compute_routes, for_each_route, render, render_tree, route_kind, route_name, update_routes,
+    PrintOptions, Route, RouteKind, RouteRef, RouteTable, RouteWalk, Sort,
 };

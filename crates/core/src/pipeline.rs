@@ -10,11 +10,11 @@
 //! [`run`]: Pathalias::run
 
 use crate::options::Options;
-use crate::stages::{Frozen, Mapped, Printed};
+use crate::stages::{Frozen, Mapped};
 use pathalias_graph::{Graph, NodeId, Warning};
 use pathalias_mapper::{DualTree, MapError, ShortestPathTree};
 use pathalias_parser::{parse_into, ParseError};
-use pathalias_printer::RouteTable;
+use pathalias_printer::{compute_routes, render_tree, RouteTable};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -83,15 +83,16 @@ pub struct PhaseTimings {
     pub freeze: Duration,
     /// Time spent building the shortest-path tree.
     pub map: Duration,
-    /// Time spent computing and rendering routes.
+    /// Time spent printing: the traversal that computes the routes
+    /// and the rendering of the route file, together. [`Pathalias`]
+    /// renders straight from the tree and builds no route table; the
+    /// staged [`Mapped::print`] also keeps the table.
     pub print: Duration,
 }
 
 /// Everything a pipeline run produces.
 #[derive(Debug)]
 pub struct Output {
-    /// Every computed route (hidden entries included).
-    pub routes: RouteTable,
     /// The rendered route list.
     pub rendered: String,
     /// The shortest-path tree.
@@ -105,6 +106,15 @@ pub struct Output {
     pub unreachable: Vec<String>,
     /// Phase timings.
     pub timings: PhaseTimings,
+}
+
+impl Output {
+    /// Every computed route (hidden entries included), computed afresh
+    /// from the tree: a run renders without keeping a table, so only a
+    /// caller that wants one pays for it.
+    pub fn routes(&self) -> RouteTable {
+        compute_routes(&self.tree)
+    }
 }
 
 /// The pipeline driver. Parse one or more inputs, then [`run`].
@@ -229,20 +239,22 @@ impl Pathalias {
         let parse_time = self.parse_time;
         let frozen = self.frozen()?;
         let mapped: Mapped = frozen.map(&options)?;
-        let printed: Printed = mapped.print(&options);
+        let t0 = Instant::now();
+        let rendered = render_tree(&mapped.tree, &options.print_options());
+        let unreachable = mapped.unreachable_names();
+        let print = t0.elapsed();
         Ok(Output {
-            routes: printed.routes,
-            rendered: printed.rendered,
+            rendered,
             tree: mapped.tree,
             dual: mapped.dual,
             warnings: frozen.warnings().to_vec(),
-            unreachable: printed.unreachable,
+            unreachable,
             timings: PhaseTimings {
                 parse: parse_time,
                 build: Duration::ZERO,
                 freeze: frozen.freeze_time,
                 map: mapped.map_time,
-                print: printed.print_time,
+                print,
             },
         })
     }
@@ -286,8 +298,7 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
         let mut pa = Pathalias::new();
         pa.parse_str("m", "alpha beta(10)\n").unwrap();
         let out = pa.run().unwrap();
-        let root = out.routes.find("alpha").unwrap();
-        assert_eq!(root.route, "%s");
+        assert_eq!(out.routes().find("alpha").unwrap().route, "%s");
     }
 
     #[test]
@@ -313,7 +324,7 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
         pa.parse_str("m", "Alpha beta(10)\nALPHA gamma(20)\n")
             .unwrap();
         let out = pa.run().unwrap();
-        assert!(out.routes.find("gamma").is_some());
+        assert!(out.routes().find("gamma").is_some());
         assert_eq!(pa.graph().node_count(), 3);
     }
 
@@ -370,10 +381,10 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
         pa.options_mut().local = Some("a".into());
         pa.parse_str("one", "a b(10)\n").unwrap();
         let first = pa.run().unwrap();
-        assert!(first.routes.find("c").is_none());
+        assert!(first.routes().find("c").is_none());
         pa.parse_str("two", "b c(10)\n").unwrap();
         let second = pa.run().unwrap();
-        assert_eq!(second.routes.find("c").unwrap().route, "b!c!%s");
+        assert_eq!(second.routes().find("c").unwrap().route, "b!c!%s");
         assert!(!Arc::ptr_eq(first.tree.frozen(), second.tree.frozen()));
     }
 
@@ -405,7 +416,7 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
         pa.parse_str("site", "private {bilbo}\nbilbo wiretap(25)\n")
             .unwrap();
         let out = pa.run().unwrap();
-        assert_eq!(out.routes.find("wiretap").unwrap().route, "wiretap!%s");
+        assert_eq!(out.routes().find("wiretap").unwrap().route, "wiretap!%s");
     }
 
     #[test]
@@ -415,7 +426,7 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
         pa.parse_str("two", "b c(10)\n").unwrap();
         pa.options_mut().local = Some("a".into());
         let out = pa.run().unwrap();
-        assert_eq!(out.routes.find("c").unwrap().route, "b!c!%s");
+        assert_eq!(out.routes().find("c").unwrap().route, "b!c!%s");
     }
 
     #[test]

@@ -423,23 +423,27 @@ pub struct Mapped {
 
 impl Mapped {
     /// Stage 5, route step: every labelled node's route, not rendered.
-    /// (A server that answers lookups keeps none of them: it streams
-    /// the same traversal into its database.)
+    /// (A server that answers lookups keeps none of them: it copies
+    /// the same traversal's borrowed routes into its database.)
     pub fn routes(&self) -> RouteTable {
         compute_routes(&self.tree)
     }
 
-    /// Stage 5: computes the routes, then renders them.
+    /// The names of the hosts that stayed unreachable.
+    pub(crate) fn unreachable_names(&self) -> Vec<String> {
+        let f = self.tree.frozen();
+        let ids = self.tree.unreachable().into_iter();
+        ids.map(|id| f.name(id).to_string()).collect()
+    }
+
+    /// Stage 5: computes the routes, then renders them (from the
+    /// table, which it keeps; [`Pathalias::run`](crate::Pathalias::run)
+    /// renders straight from the tree).
     pub fn print(&self, options: &Options) -> Printed {
         let t0 = Instant::now();
         let routes = self.routes();
         let rendered = render(&routes, &options.print_options());
-        let unreachable = self
-            .tree
-            .unreachable()
-            .into_iter()
-            .map(|id| self.tree.frozen().name(id).to_string())
-            .collect();
+        let unreachable = self.unreachable_names();
         Printed {
             routes,
             rendered,

@@ -63,11 +63,47 @@ impl RouteOp {
     /// assert_eq!(RouteOp::ARPA.splice("a!%s", "mit-ai"), "a!%s@mit-ai");
     /// ```
     pub fn splice(&self, route: &str, host: &str) -> String {
-        let insert = match self.dir {
-            Dir::Left => format!("{host}{}%s", self.ch),
-            Dir::Right => format!("%s{}{host}", self.ch),
+        let mut out = String::new();
+        self.splice_into(route, host, &mut out);
+        out
+    }
+
+    /// [`RouteOp::splice`] into a caller's buffer, which is cleared
+    /// first: the printer's traversal keeps one buffer per tree depth
+    /// and writes each child's route from its parent's without
+    /// allocating. The first `%s` in `route` takes the insert; a route
+    /// without one is copied unchanged.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pathalias_graph::RouteOp;
+    ///
+    /// let mut out = String::new();
+    /// RouteOp::UUCP.splice_into("duke!%s", "phs", &mut out);
+    /// assert_eq!(out, "duke!phs!%s");
+    /// ```
+    pub fn splice_into(&self, route: &str, host: &str, out: &mut String) {
+        out.clear();
+        let Some(at) = route.find("%s") else {
+            out.push_str(route);
+            return;
         };
-        route.replacen("%s", &insert, 1)
+        out.reserve(route.len() + host.len() + 1);
+        out.push_str(&route[..at]);
+        match self.dir {
+            Dir::Left => {
+                out.push_str(host);
+                out.push(self.ch);
+                out.push_str("%s");
+            }
+            Dir::Right => {
+                out.push_str("%s");
+                out.push(self.ch);
+                out.push_str(host);
+            }
+        }
+        out.push_str(&route[at + 2..]);
     }
 }
 
@@ -130,6 +166,22 @@ mod tests {
         // Routes contain exactly one %s, but be defensive about it.
         let op = RouteOp::UUCP;
         assert_eq!(op.splice("%s and %s", "x"), "x!%s and %s");
+    }
+
+    #[test]
+    fn splice_into_reuses_the_buffer() {
+        let mut out = String::from("stale text that is longer than any route here");
+        RouteOp::ARPA.splice_into("a!%s", "b", &mut out);
+        assert_eq!(out, "a!%s@b");
+        // No marker: the route is copied as it is, as `replacen` would.
+        RouteOp::UUCP.splice_into("no marker", "x", &mut out);
+        assert_eq!(out, "no marker");
+        // A `%%s` is a marker too: the first `%s` takes the insert.
+        let percent = RouteOp {
+            ch: '%',
+            dir: Dir::Left,
+        };
+        assert_eq!(percent.splice("b!%%s", "sun"), "b!%sun%%s");
     }
 
     #[test]

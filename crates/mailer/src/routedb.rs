@@ -14,8 +14,8 @@
 //! route — and nothing else: no cost, no kind, no per-entry
 //! allocation. It is a vector of *shards*, each behind an `Arc`; a
 //! name's shard is picked by the top half of its hash, and there are
-//! enough shards that each holds at most `SHARD` (256) entries on
-//! average. A shard is three allocations:
+//! enough shards that each holds at most `SHARD` (1,024) entries on
+//! average. A shard is three allocations, plus its `Arc`:
 //!
 //! * an arena, one string holding every entry's name and route side
 //!   by side, so each name is stored once, beside its route;
@@ -30,7 +30,10 @@
 //! fingerprints that match, and only those read their slot and the
 //! arena, where the route follows the name. A run of held slots ends
 //! at an empty byte, so a miss usually reads one group and nothing
-//! else. Every table is built once, at its final size.
+//! else. Every table is built once, at its final size: a build hands
+//! over its entries twice, once to size each shard's arena and once to
+//! fill it, so a shard costs its four allocations whatever it holds,
+//! and no entry allocates.
 //!
 //! The point of the shards is the next generation. A daemon's reload
 //! after a cost edit moves a few dozen routes of a hundred thousand;
@@ -43,7 +46,7 @@
 
 use crate::resolver::{walk, ResolvedVia};
 use pathalias_core::{
-    for_each_route, route_kind, route_name, Cost, Route, RouteKind, RouteTable, ShortestPathTree,
+    route_kind, route_name, Cost, Route, RouteKind, RouteTable, RouteWalk, ShortestPathTree,
 };
 use std::convert::Infallible;
 use std::fmt;
@@ -51,8 +54,9 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 /// Entries per shard, at most on average: what one moved route costs a
-/// patch to copy.
-const SHARD: usize = 256;
+/// patch to copy (about 100 KB on `big`, a fraction of a millisecond),
+/// against four allocations per shard for a build.
+const SHARD: usize = 1024;
 
 /// A database entry: one visible pathalias output line, owned (what
 /// [`RouteDb::from_entries`] takes and the PADB1 reader returns).
@@ -232,7 +236,11 @@ impl RouteDb {
             }
             entries.push(entry);
         }
-        Ok(RouteDb::pack(&entries, |i| i as u32))
+        Ok(RouteDb::pack(entries.len(), |each| {
+            for (i, &(name, route)) in entries.iter().enumerate() {
+                each(name, route, i as u32);
+            }
+        }))
     }
 
     /// Builds a database from already-parsed entries (used by the disk
@@ -240,63 +248,110 @@ impl RouteDb {
     /// [`RouteDb::from_output`].
     pub fn from_entries(entries: impl IntoIterator<Item = DbEntry>) -> RouteDb {
         let entries: Vec<DbEntry> = entries.into_iter().collect();
-        let fields: Vec<(&str, &str)> = entries
-            .iter()
-            .map(|e| (e.name.as_str(), e.route.as_str()))
-            .collect();
-        RouteDb::pack(&fields, |i| i as u32)
+        RouteDb::pack(entries.len(), |each| {
+            for (i, e) in entries.iter().enumerate() {
+                each(&e.name, &e.route, i as u32);
+            }
+        })
     }
 
     /// Builds a database from the printer's route table (visible
     /// entries only, as in the output file), each keyed by its node
     /// for [`RouteDb::patched`].
     pub fn from_table(table: &RouteTable) -> RouteDb {
-        let visible: Vec<&Route> = table.visible().collect();
-        let fields: Vec<(&str, &str)> = visible
-            .iter()
-            .map(|r| (r.name.as_str(), r.route.as_str()))
-            .collect();
-        RouteDb::pack(&fields, |i| visible[i].node.raw())
+        RouteDb::pack(table.visible().count(), |each| {
+            for r in table.visible() {
+                each(&r.name, &r.route, r.node.raw());
+            }
+        })
     }
 
     /// Builds the database [`RouteDb::from_table`] builds from
-    /// `compute_routes(tree)`, streaming the printer's traversal into
-    /// the shards instead: no route table is ever held.
+    /// `compute_routes(tree)` straight from the printer's traversal: no
+    /// route table is held, and no route allocates. The tree is walked
+    /// twice, once to size each shard's arena and once to copy each
+    /// visible route's borrowed name and route into it; holding every
+    /// route's bytes between the walks would cost more memory than
+    /// the second walk costs time.
     pub fn from_tree(tree: &ShortestPathTree) -> RouteDb {
         let visible = tree
             .frozen()
             .node_ids()
             .filter(|&id| route_kind(tree, id).is_some_and(RouteKind::is_visible))
             .count();
-        let mut builder = Builder::new(visible);
-        for_each_route(tree, |r| {
-            if r.kind.is_visible() {
-                builder.push(&r.name, &r.route, r.node.raw());
-            }
-        });
-        builder.finish()
+        let mut walk = RouteWalk::new(tree);
+        RouteDb::pack(visible, |each| {
+            walk.for_each(|r| {
+                if r.kind.is_visible() {
+                    each(r.name, r.route, r.node.raw());
+                }
+            });
+        })
     }
 
-    /// Packs `entries`, each keyed by `key(position)`: a larger key
-    /// wins a duplicate name. Every shard's arena is sized before it is
-    /// filled, so each is allocated once.
-    fn pack(entries: &[(&str, &str)], key: impl Fn(usize) -> u32) -> RouteDb {
-        let mut builder = Builder::new(entries.len());
-        let n = builder.staged.len();
+    /// Packs the `count` entries that `entries` hands to its argument
+    /// as (name, route, key); a larger key wins a duplicate name.
+    /// `entries` is called twice and must hand over the same entries
+    /// in the same order: the first pass sizes each shard, the second
+    /// copies every entry into its shard's arena at its final size. A
+    /// shard's arena, control bytes, slots and `Arc` are four
+    /// allocations, whatever it holds.
+    fn pack(count: usize, mut entries: impl FnMut(&mut dyn FnMut(&str, &str, u32))) -> RouteDb {
+        let n = shards_for(count);
+        let mut hashes: Vec<u64> = Vec::with_capacity(count);
+        // Each shard's entries and bytes.
         let mut sizes = vec![(0usize, 0usize); n];
-        for &(name, route) in entries {
-            let size = &mut sizes[shard_of(hash(name.as_bytes()), n)];
+        entries(&mut |name, route, _| {
+            let h = hash(name.as_bytes());
+            let size = &mut sizes[shard_of(h, n)];
             size.0 += 1;
             size.1 += name.len() + route.len();
+            hashes.push(h);
+        });
+        let mut texts: Vec<String> = sizes
+            .iter()
+            .map(|&(_, bytes)| String::with_capacity(bytes))
+            .collect();
+        // Each shard's run of staged slots, in shard order.
+        let mut starts = vec![0usize; n + 1];
+        for (s, &(entries, _)) in sizes.iter().enumerate() {
+            starts[s + 1] = starts[s] + entries;
         }
-        for (staged, (count, bytes)) in builder.staged.iter_mut().zip(sizes) {
-            staged.slots.reserve_exact(count);
-            staged.text.reserve_exact(bytes);
+
+        let mut staged = vec![(0u64, VACANT); hashes.len()];
+        let mut next = starts[..n].to_vec();
+        let mut hashes = hashes.into_iter();
+        entries(&mut |name, route, key| {
+            let h = hashes
+                .next()
+                .expect("the second pass hands over what the first did");
+            let s = shard_of(h, n);
+            let text = &mut texts[s];
+            staged[next[s]] = (
+                h,
+                Slot {
+                    key,
+                    off: arena_offset(text.len()),
+                    name_len: arena_offset(name.len()),
+                    route_len: arena_offset(route.len()),
+                },
+            );
+            next[s] += 1;
+            text.push_str(name);
+            text.push_str(route);
+        });
+
+        let largest = starts.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        let mut scratch = Scratch::with_capacity(largest);
+        let shards: Vec<Arc<Shard>> = texts
+            .into_iter()
+            .zip(starts.windows(2))
+            .map(|(text, w)| Arc::new(scratch.shard(text, &mut staged[w[0]..w[1]])))
+            .collect();
+        RouteDb {
+            len: shards.iter().map(|s| s.len).sum(),
+            shards,
         }
-        for (i, &(name, route)) in entries.iter().enumerate() {
-            builder.push(name, route, key(i));
-        }
-        builder.finish()
     }
 
     /// The database for `tree`'s routes after [`update_routes`]
@@ -612,75 +667,51 @@ fn arena_offset(len: usize) -> u32 {
     u32::try_from(len).expect("a shard's arena stays under 4 GiB")
 }
 
-/// Entries on their way into shards: each shard's arena, and its slots
-/// with their names' hashes, before they are placed.
-struct Builder {
-    staged: Vec<Staged>,
+/// The buffers a shard is placed in before it is copied out at its
+/// final size, reused from one shard to the next.
+struct Scratch {
+    ctrl: Vec<u8>,
+    slots: Vec<Slot>,
 }
 
-#[derive(Default)]
-struct Staged {
-    text: String,
-    slots: Vec<(u64, Slot)>,
-}
-
-impl Builder {
-    /// A builder for `count` entries.
-    fn new(count: usize) -> Builder {
-        let mut staged = Vec::new();
-        staged.resize_with(shards_for(count), Staged::default);
-        Builder { staged }
-    }
-
-    fn push(&mut self, name: &str, route: &str, key: u32) {
-        let h = hash(name.as_bytes());
-        let n = self.staged.len();
-        let shard = &mut self.staged[shard_of(h, n)];
-        let slot = Slot {
-            key,
-            off: arena_offset(shard.text.len()),
-            name_len: arena_offset(name.len()),
-            route_len: arena_offset(route.len()),
-        };
-        shard.slots.push((h, slot));
-        shard.text.push_str(name);
-        shard.text.push_str(route);
-    }
-
-    fn finish(self) -> RouteDb {
-        let shards: Vec<Shard> = self.staged.into_iter().map(Staged::place).collect();
-        RouteDb {
-            len: shards.iter().map(|s| s.len).sum(),
-            shards: shards.into_iter().map(Arc::new).collect(),
+impl Scratch {
+    /// Scratch for shards of up to `entries` entries.
+    fn with_capacity(entries: usize) -> Scratch {
+        let homes = entries + entries / 2 + 1;
+        Scratch {
+            ctrl: Vec::with_capacity(homes + GROUP + entries),
+            slots: Vec::with_capacity(homes + entries),
         }
     }
-}
 
-impl Staged {
-    /// Keeps the largest key of each name, then places every slot at
-    /// or after its home.
-    fn place(mut self) -> Shard {
-        let text = &self.text;
-        let name = |s: &Slot| &text[s.off as usize..s.off as usize + s.name_len as usize];
-        self.slots.sort_unstable_by(|(ha, a), (hb, b)| {
+    /// The shard holding `staged`'s entries, whose names and routes
+    /// are in `text`: keeps the largest key of each name, then places
+    /// every slot at or after its home.
+    fn shard(&mut self, mut text: String, staged: &mut [(u64, Slot)]) -> Shard {
+        let name = |s: &Slot| s.off as usize..s.off as usize + s.name_len as usize;
+        staged.sort_unstable_by(|(ha, a), (hb, b)| {
             (ha.cmp(hb))
-                .then_with(|| name(a).cmp(name(b)))
+                .then_with(|| text[name(a)].cmp(&text[name(b)]))
                 .then(a.key.cmp(&b.key))
         });
-        let mut kept: Vec<(u64, Slot)> = Vec::with_capacity(self.slots.len());
-        for (h, slot) in self.slots {
-            match kept.last_mut() {
-                Some((last_h, last)) if *last_h == h && name(last) == name(&slot) => *last = slot,
-                _ => kept.push((h, slot)),
+        // Of each run of one name, the last (the largest key) is kept.
+        let mut kept = 0;
+        for i in 0..staged.len() {
+            let (h, slot) = staged[i];
+            let same =
+                |&(h2, next): &(u64, Slot)| h2 == h && text[name(&next)] == text[name(&slot)];
+            if !staged.get(i + 1).is_some_and(same) {
+                staged[kept] = staged[i];
+                kept += 1;
             }
         }
+        let kept = &mut staged[..kept];
         let span = |s: &Slot| s.name_len as usize + s.route_len as usize;
-        let mut text = self.text;
         let live: usize = kept.iter().map(|(_, s)| span(s)).sum();
         if live != text.len() {
             // A duplicate name lost: leave its bytes behind.
             let mut packed = String::with_capacity(live);
-            for (_, slot) in &mut kept {
+            for (_, slot) in kept.iter_mut() {
                 let start = slot.off as usize;
                 slot.off = arena_offset(packed.len());
                 packed.push_str(&text[start..start + span(slot)]);
@@ -692,26 +723,27 @@ impl Staged {
         // second group, and a domain-suffix walk makes two misses
         // before its hit.
         let homes = kept.len() + kept.len() / 2 + 1;
-        let mut ctrl = Vec::with_capacity(homes + GROUP);
-        ctrl.resize(homes, EMPTY);
-        let mut slots = vec![VACANT; homes];
-        for &(h, slot) in &kept {
+        self.ctrl.clear();
+        self.ctrl.resize(homes, EMPTY);
+        self.slots.clear();
+        self.slots.resize(homes, VACANT);
+        for &(h, slot) in kept.iter() {
             let mut at = home(h, homes);
-            while ctrl.get(at).is_some_and(|&c| c != EMPTY) {
+            while self.ctrl.get(at).is_some_and(|&c| c != EMPTY) {
                 at += 1;
             }
-            if at == ctrl.len() {
-                ctrl.push(EMPTY);
-                slots.push(VACANT);
+            if at == self.ctrl.len() {
+                self.ctrl.push(EMPTY);
+                self.slots.push(VACANT);
             }
-            ctrl[at] = fingerprint(h);
-            slots[at] = slot;
+            self.ctrl[at] = fingerprint(h);
+            self.slots[at] = slot;
         }
-        ctrl.extend_from_slice(&[EMPTY; GROUP]);
+        self.ctrl.extend_from_slice(&[EMPTY; GROUP]);
         Shard {
             text: text.into_boxed_str(),
-            ctrl: ctrl.into_boxed_slice(),
-            slots: slots.into_boxed_slice(),
+            ctrl: self.ctrl.as_slice().into(),
+            slots: self.slots.as_slice().into(),
             homes,
             len: kept.len(),
         }
@@ -823,7 +855,7 @@ mod tests {
         pa.options_mut().local = Some("unc".into());
         pa.parse_str("m", "unc duke(500)\nduke phs(300)\n").unwrap();
         let out = pa.run().unwrap();
-        let db1 = RouteDb::from_table(&out.routes);
+        let db1 = RouteDb::from_table(&out.routes());
         let db2 = RouteDb::from_output(&out.rendered).unwrap();
         assert_eq!(db1.len(), db2.len());
         assert_eq!(db1.route_to("phs", "u"), db2.route_to("phs", "u"));

@@ -51,6 +51,8 @@ mod output;
 mod route;
 mod traverse;
 
-pub use output::{render, write_routes, PrintOptions, Sort};
-pub use route::{Route, RouteKind, RouteTable};
-pub use traverse::{compute_routes, for_each_route, route_kind, route_name, update_routes};
+pub use output::{render, render_tree, PrintOptions, Sort};
+pub use route::{Route, RouteKind, RouteRef, RouteTable};
+pub use traverse::{
+    compute_routes, for_each_route, route_kind, route_name, update_routes, RouteWalk,
+};

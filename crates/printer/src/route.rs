@@ -81,6 +81,61 @@ impl Route {
     }
 }
 
+/// One computed route, borrowed from the traversal that made it: what
+/// [`for_each_route`](crate::for_each_route) hands out, field for field
+/// a [`Route`] whose name and route live in the traversal's buffers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RouteRef<'a> {
+    /// The node this route reaches.
+    pub node: NodeId,
+    /// Output name (see [`Route::name`]).
+    pub name: &'a str,
+    /// Path cost (including heuristic penalties).
+    pub cost: Cost,
+    /// The printf-style format string (see [`Route::route`]).
+    pub route: &'a str,
+    /// Entry kind.
+    pub kind: RouteKind,
+    /// The path traverses a domain.
+    pub via_domain: bool,
+    /// The path uses an invented back link.
+    pub via_backlink: bool,
+    /// The path splices `!` after `@`.
+    pub ambiguous: bool,
+}
+
+impl RouteRef<'_> {
+    /// The owned copy, for a caller that keeps the route.
+    pub fn to_route(&self) -> Route {
+        Route {
+            node: self.node,
+            name: self.name.to_string(),
+            cost: self.cost,
+            route: self.route.to_string(),
+            kind: self.kind,
+            via_domain: self.via_domain,
+            via_backlink: self.via_backlink,
+            ambiguous: self.ambiguous,
+        }
+    }
+}
+
+impl Route {
+    /// The route, borrowed.
+    pub fn view(&self) -> RouteRef<'_> {
+        RouteRef {
+            node: self.node,
+            name: &self.name,
+            cost: self.cost,
+            route: &self.route,
+            kind: self.kind,
+            via_domain: self.via_domain,
+            via_backlink: self.via_backlink,
+            ambiguous: self.ambiguous,
+        }
+    }
+}
+
 /// All routes computed from one shortest-path tree.
 #[derive(Debug, Clone)]
 pub struct RouteTable {

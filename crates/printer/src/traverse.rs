@@ -12,14 +12,14 @@
 //! all it takes to print (and the snapshot is guaranteed to be the one
 //! the labels' edge ids refer to, back-link augmentations included).
 
-use crate::route::{Route, RouteKind, RouteTable};
+use crate::route::{Route, RouteKind, RouteRef, RouteTable};
 use pathalias_graph::{FrozenGraph, LinkFlags, NodeFlags, NodeId, RouteOp};
 use pathalias_mapper::{Children, ShortestPathTree};
 
 /// Computes the route for every node the tree reached.
 pub fn compute_routes(tree: &ShortestPathTree) -> RouteTable {
     let mut entries: Vec<Route> = Vec::with_capacity(tree.mapped_count());
-    for_each_route(tree, |r| entries.push(r));
+    for_each_route(tree, |r| entries.push(r.to_route()));
     entries.sort_by_key(|r| r.node);
     RouteTable {
         source: tree.source,
@@ -29,19 +29,19 @@ pub fn compute_routes(tree: &ShortestPathTree) -> RouteTable {
 
 /// The preorder traversal: hands each labelled node's route to `emit`
 /// as soon as it is computed, in traversal order, and keeps none of
-/// them. [`compute_routes`] collects them into a table; a consumer
-/// that keeps only part of each route (a lookup database keeps name
-/// and route bytes) builds straight from the stream instead.
-pub fn for_each_route(tree: &ShortestPathTree, emit: impl FnMut(Route)) {
-    let f: &FrozenGraph = tree.frozen();
-    // Iterative preorder: (node, route, name) — the route/name strings
-    // are exactly what the original passed as recursion parameters.
-    let stack: Vec<(NodeId, String, String)> = vec![(
-        tree.source,
-        "%s".to_string(),
-        f.name(tree.source).to_string(),
-    )];
-    traverse(f, tree, &tree.children(), stack, emit);
+/// them. [`compute_routes`] copies them into a table; a consumer that
+/// keeps only part of each route (the renderer, a lookup database)
+/// copies the bytes it wants straight from the [`RouteRef`].
+///
+/// The borrowed name and route live in one pair of buffers per tree
+/// depth: a child's are written from its parent's, one depth up,
+/// which still holds the parent's when the child is visited. So the
+/// walk's working memory is bounded by the routes on the current path
+/// (each depth's buffers are about as long as the longest route and
+/// name written there) and never exceeds the output being produced,
+/// and it allocates only when a buffer grows.
+pub fn for_each_route(tree: &ShortestPathTree, emit: impl FnMut(RouteRef<'_>)) {
+    RouteWalk::new(tree).for_each(emit);
 }
 
 /// What the traversal gives `node`'s entry as its [`RouteKind`], read
@@ -87,11 +87,11 @@ pub fn route_name(tree: &ShortestPathTree, node: NodeId) -> Option<String> {
 /// its repair; `changed` lists the nodes whose labels differ between
 /// the two. A node's route depends on its own label and on its
 /// ancestors' routes, so only the subtree closure of `changed` (in the
-/// *new* tree) is re-traversed. Each maximal dirty subtree is seeded
-/// from its parent's route, re-derived along the new tree's
-/// predecessor chain: the parent is clean, so that route is the one it
-/// had. Returns the closure's routes as the new tree prints them,
-/// sorted by node.
+/// *new* tree) is re-traversed. Each maximal dirty subtree is walked
+/// once, seeded from its parent's route, re-derived along the new
+/// tree's predecessor chain: the parent is clean, so that route is the
+/// one it had. Returns the closure's routes as the new tree prints
+/// them, sorted by node.
 ///
 /// Requires that the labelled set is unchanged (the incremental-remap
 /// contract) and that both trees map from the same source; returns
@@ -102,8 +102,7 @@ pub fn update_routes(
     tree: &ShortestPathTree,
     changed: &[NodeId],
 ) -> Option<Vec<Route>> {
-    let f: &FrozenGraph = tree.frozen();
-    let n = f.node_count();
+    let n = tree.frozen().node_count();
     if old.source != tree.source
         || old.frozen().node_count() != n
         || old.mapped_count() != tree.mapped_count()
@@ -116,7 +115,7 @@ pub fn update_routes(
     if changed.is_empty() {
         return Some(Vec::new());
     }
-    let children = tree.children();
+    let mut walk = RouteWalk::new(tree);
 
     // The closure: every changed node plus all of its descendants in
     // the new tree (their routes splice through it).
@@ -132,12 +131,12 @@ pub fn update_routes(
             continue;
         }
         marked += 1;
-        dfs.extend(children[v.index()].iter().copied());
+        dfs.extend(walk.children[v.index()].iter().copied());
     }
 
-    // Re-traverse each maximal dirty subtree, seeded with its root's
-    // (route, name).
-    let mut stack: Vec<(NodeId, String, String)> = Vec::new();
+    // Walk each maximal dirty subtree from its root, seeded with the
+    // root's (route, name).
+    let mut fresh: Vec<Route> = Vec::with_capacity(marked);
     for i in 0..n {
         if !needs[i] {
             continue;
@@ -148,109 +147,152 @@ pub fn update_routes(
                 continue; // an inner node; its subtree root seeds it
             }
         }
-        let (route, name) = route_along_chain(f, tree, node)?;
-        stack.push((node, route, name));
+        let depth = walk.seed(node)?;
+        walk.subtree(node, depth, &mut |r| fresh.push(r.to_route()));
     }
-    let mut fresh: Vec<Route> = Vec::with_capacity(marked);
-    traverse(f, tree, &children, stack, |r| fresh.push(r));
     fresh.sort_by_key(|r| r.node);
     (fresh.len() == marked).then_some(fresh)
 }
 
-/// The (route, name) the traversal gives `node`: the recursion step
-/// applied down its predecessor chain from the source.
-fn route_along_chain(
-    f: &FrozenGraph,
-    tree: &ShortestPathTree,
-    node: NodeId,
-) -> Option<(String, String)> {
-    let mut chain = vec![node];
-    let mut at = node;
-    while at != tree.source {
-        (at, _) = tree.label(at)?.pred?;
-        chain.push(at);
-    }
-    let mut route = "%s".to_string();
-    let mut name = f.name(tree.source).to_string();
-    for pair in chain.windows(2).rev() {
-        (route, name) = child_step(f, tree, pair[1], &route, &name, pair[0])?;
-    }
-    Some((route, name))
+/// The traversal of [`for_each_route`] as a value, for a consumer
+/// that walks one tree more than once (a database sizes its shards on
+/// a first walk and fills them on a second): the tree's child lists
+/// and the walk's buffers are made once.
+pub struct RouteWalk<'t> {
+    f: &'t FrozenGraph,
+    tree: &'t ShortestPathTree,
+    children: Children,
+    /// `paths[d]`: the route and name of the node last visited at
+    /// depth `d` — on the current path, the ancestor at that depth.
+    paths: Vec<(String, String)>,
+    /// Nodes to visit, with their depths.
+    stack: Vec<(NodeId, usize)>,
+    /// A predecessor chain, while seeding.
+    chain: Vec<NodeId>,
 }
 
-/// Runs the preorder traversal from a pre-seeded stack, handing one
-/// [`Route`] per visited node to `emit`.
-fn traverse(
-    f: &FrozenGraph,
-    tree: &ShortestPathTree,
-    children: &Children,
-    mut stack: Vec<(NodeId, String, String)>,
-    mut emit: impl FnMut(Route),
-) {
-    while let Some((node, route, name)) = stack.pop() {
-        let label = tree.label(node).expect("traversal follows labels");
-        let kind = route_kind(tree, node).expect("traversal follows labels");
+impl<'t> RouteWalk<'t> {
+    /// A walk over `tree`.
+    pub fn new(tree: &'t ShortestPathTree) -> RouteWalk<'t> {
+        RouteWalk {
+            f: tree.frozen(),
+            tree,
+            children: tree.children(),
+            paths: Vec::new(),
+            stack: Vec::new(),
+            chain: Vec::new(),
+        }
+    }
 
-        // Children in reverse so the stack pops them in sorted order.
-        for &child in children[node.index()].iter().rev() {
-            let (child_route, child_name) = child_step(f, tree, node, &route, &name, child)
-                .expect("children of labelled nodes are labelled");
-            stack.push((child, child_route, child_name));
+    /// Walks the whole tree, as [`for_each_route`] does.
+    pub fn for_each(&mut self, mut emit: impl FnMut(RouteRef<'_>)) {
+        let source = self.tree.source;
+        self.seed(source)
+            .expect("the source is labelled and roots its own chain");
+        self.subtree(source, 0, &mut emit);
+    }
+
+    /// Writes the (route, name) of every node on `node`'s predecessor
+    /// chain into the depth buffers, the source's at depth 0, and
+    /// returns `node`'s depth; `None` when the chain is broken.
+    fn seed(&mut self, node: NodeId) -> Option<usize> {
+        self.chain.clear();
+        let mut at = node;
+        while at != self.tree.source {
+            self.chain.push(at);
+            (at, _) = self.tree.label(at)?.pred?;
+        }
+        if self.paths.is_empty() {
+            self.paths.push(Default::default());
+        }
+        let (route, name) = &mut self.paths[0];
+        route.clear();
+        route.push_str("%s");
+        name.clear();
+        name.push_str(self.f.name(self.tree.source));
+        for depth in 1..=self.chain.len() {
+            let child = self.chain[self.chain.len() - depth];
+            self.step(child, depth)?;
+        }
+        Some(self.chain.len())
+    }
+
+    /// Visits `root`, whose (route, name) is already in the buffers at
+    /// `depth`, and then its subtree in preorder, handing each route to
+    /// `emit`.
+    fn subtree(&mut self, root: NodeId, depth: usize, emit: &mut impl FnMut(RouteRef<'_>)) {
+        self.stack.push((root, depth));
+        while let Some((node, depth)) = self.stack.pop() {
+            if node != root {
+                self.step(node, depth)
+                    .expect("children of labelled nodes are labelled");
+            }
+            let label = self.tree.label(node).expect("traversal follows labels");
+            let (route, name) = &self.paths[depth];
+            emit(RouteRef {
+                node,
+                name,
+                cost: label.cost,
+                route,
+                kind: route_kind(self.tree, node).expect("traversal follows labels"),
+                via_domain: label.tainted,
+                via_backlink: label.via_backlink,
+                ambiguous: label.ambiguous,
+            });
+            // Children in reverse so the stack pops them in sorted
+            // order.
+            let below = self.children[node.index()].iter().rev();
+            self.stack.extend(below.map(|&child| (child, depth + 1)));
+        }
+    }
+
+    /// The recursion step: writes the (route, name) `child` inherits
+    /// from its tree parent's, at `depth - 1`, into the buffers at
+    /// `depth`.
+    fn step(&mut self, child: NodeId, depth: usize) -> Option<()> {
+        let f = self.f;
+        let (node, edge) = self.tree.label(child)?.pred?;
+        let eflags = f.edge_flags(edge);
+        if self.paths.len() == depth {
+            // A new depth: its routes are about one hop longer than
+            // the longest the depth above has held, and its names as
+            // long, so its buffers seldom grow again.
+            let (route, name) = &self.paths[depth - 1];
+            let hop = name.capacity() + 1;
+            let grown = String::with_capacity(route.capacity() + hop);
+            self.paths
+                .push((grown, String::with_capacity(name.capacity())));
+        }
+        let (above, here) = self.paths.split_at_mut(depth);
+        let (route, name) = &above[depth - 1];
+        let (child_route, child_name) = &mut here[0];
+
+        // Domain-name synthesis: "the name of the domain is appended to
+        // the name of its successor".
+        child_name.clear();
+        child_name.push_str(f.name(child));
+        if f.is_domain(node) {
+            child_name.push_str(name);
         }
 
-        emit(Route {
-            node,
-            name,
-            cost: label.cost,
-            route,
-            kind,
-            via_domain: label.tainted,
-            via_backlink: label.via_backlink,
-            ambiguous: label.ambiguous,
-        });
+        if eflags.contains(LinkFlags::ALIAS) || f.is_net(child) {
+            // Aliases splice nothing: the predecessor's name is the one
+            // on the wire. And "the route to a network is identical to
+            // the route to its parent."
+            child_route.clear();
+            child_route.push_str(route);
+        } else {
+            let op = effective_op(
+                f,
+                self.tree,
+                node,
+                f.edge_op(edge),
+                eflags.contains(LinkFlags::NET_OUT),
+            );
+            op.splice_into(route, child_name, child_route);
+        }
+        Some(())
     }
-}
-
-/// The recursion step: the (route, name) a child inherits from its tree
-/// parent's (route, name).
-fn child_step(
-    f: &FrozenGraph,
-    tree: &ShortestPathTree,
-    node: NodeId,
-    route: &str,
-    name: &str,
-    child: NodeId,
-) -> Option<(String, String)> {
-    let (_, edge) = tree.label(child)?.pred?;
-    let eflags = f.edge_flags(edge);
-
-    // Domain-name synthesis: "the name of the domain is appended to the
-    // name of its successor".
-    let child_name = if f.is_domain(node) {
-        format!("{}{}", f.name(child), name)
-    } else {
-        f.name(child).to_string()
-    };
-
-    let child_route = if eflags.contains(LinkFlags::ALIAS) {
-        // Aliases splice nothing: the predecessor's name is the one on
-        // the wire.
-        route.to_string()
-    } else if f.is_net(child) {
-        // "The route to a network is identical to the route to its
-        // parent."
-        route.to_string()
-    } else {
-        let op = effective_op(
-            f,
-            tree,
-            node,
-            f.edge_op(edge),
-            eflags.contains(LinkFlags::NET_OUT),
-        );
-        op.splice(route, &child_name)
-    };
-    Some((child_route, child_name))
 }
 
 /// "When traversing a network-to-member edge, the routing character and

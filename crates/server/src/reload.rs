@@ -137,7 +137,7 @@ pub struct LoadReport {
     /// file, old and new, plus any file it had no outline of yet.
     pub files_scanned: usize,
     /// Building (or patching) the in-memory route database. A full
-    /// load streams the printer's traversal into the database, so its
+    /// load builds the database from the printer's traversal, so its
     /// route computation is timed here and `phases.print` stays zero.
     pub routedb: Duration,
     /// Heap bytes of the database served ([`RouteDb::heap_bytes`]);
@@ -1030,8 +1030,7 @@ mod tests {
         let slot = cache.slot.lock().unwrap();
         let serving = slot.as_ref().and_then(|c| c.serving.as_ref());
         let serving = serving.expect("serving state cached");
-        let routes = compute_routes(&serving.mapped.tree);
-        pathalias_core::render(&routes, &serving.options.print_options())
+        pathalias_core::render_tree(&serving.mapped.tree, &serving.options.print_options())
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn main() {
     println!(
         "mapped: {} ({} visible routes)",
         s.mapped,
-        out.routes.visible().count()
+        out.routes().visible().count()
     );
     println!(
         "heap: {} pushes, {} pops ({} stale) over {} relaxations",
@@ -71,7 +71,8 @@ fn main() {
 
     // Show the near end of the route list: the expensive tail is where
     // back links and penalties live.
-    let mut routes: Vec<_> = out.routes.visible().collect();
+    let table = out.routes();
+    let mut routes: Vec<_> = table.visible().collect();
     routes.sort_by_key(|r| r.cost);
     println!("\n# five cheapest routes:");
     for r in routes.iter().take(5) {

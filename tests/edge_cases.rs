@@ -110,7 +110,7 @@ fn delete_then_redeclare_keeps_deletion() {
     pa.parse_str("m", "a b(10)\ndelete {b}\na b(5)\n").unwrap();
     pa.options_mut().local = Some("a".into());
     let out = pa.run().unwrap();
-    assert!(out.routes.find("b").is_none());
+    assert!(out.routes().find("b").is_none());
 }
 
 #[test]
@@ -169,7 +169,7 @@ fn duplicate_network_merge_is_stable() {
     pa.options_mut().local = Some("start".into());
     let out = pa.run().unwrap();
     for host in ["a", "b", "c"] {
-        assert!(out.routes.find(host).is_some(), "{host} routed");
+        assert!(out.routes().find(host).is_some(), "{host} routed");
     }
     assert!(out
         .warnings

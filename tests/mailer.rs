@@ -125,8 +125,8 @@ fn route_db_at_scale() {
     pa.options_mut().local = Some(map.home.clone());
     let out = pa.run().unwrap();
     let db = RouteDb::from_output(&out.rendered).unwrap();
-    assert_eq!(db.len(), out.routes.visible().count());
-    for r in out.routes.visible() {
+    assert_eq!(db.len(), out.routes().visible().count());
+    for r in out.routes().visible() {
         let expanded = db.route_to(&r.name, "user").unwrap();
         assert!(expanded.contains("user"), "{expanded}");
         assert!(!expanded.contains("%s"));

@@ -29,16 +29,17 @@ fn private_collision_end_to_end() {
     let out = pa.run().unwrap();
 
     // The visible bilbo is the public one, one LOCAL hop away.
-    let bilbo = out.routes.find("bilbo").unwrap();
+    let routes = out.routes();
+    let bilbo = routes.find("bilbo").unwrap();
     assert_eq!(bilbo.route, "bilbo!%s");
     assert_eq!(bilbo.cost, 25);
 
     // The private bilbo never appears in output under its own line...
-    let bilbo_count = out.routes.visible().filter(|r| r.name == "bilbo").count();
+    let bilbo_count = routes.visible().filter(|r| r.name == "bilbo").count();
     assert_eq!(bilbo_count, 1);
 
     // ...but it may relay: wiretap is reached through it.
-    let wiretap = out.routes.find("wiretap").unwrap();
+    let wiretap = routes.find("wiretap").unwrap();
     assert!(
         wiretap.route.contains("bilbo!wiretap"),
         "route: {}",
@@ -66,7 +67,7 @@ adjust {relay(500)}
     pa.options_mut().local = Some("home".into());
     pa.parse_str("m", input).unwrap();
     let out = pa.run().unwrap();
-    assert_eq!(out.routes.find("target").unwrap().route, "slow!target!%s");
+    assert_eq!(out.routes().find("target").unwrap().route, "slow!target!%s");
 
     // Deleting slow forces the adjusted relay.
     let mut pa = Pathalias::new();
@@ -74,8 +75,11 @@ adjust {relay(500)}
     pa.parse_str("m", &format!("{input}delete {{slow}}\n"))
         .unwrap();
     let out = pa.run().unwrap();
-    assert_eq!(out.routes.find("target").unwrap().route, "relay!target!%s");
-    assert!(out.routes.find("slow").is_none());
+    assert_eq!(
+        out.routes().find("target").unwrap().route,
+        "relay!target!%s"
+    );
+    assert!(out.routes().find("slow").is_none());
 
     // A dead host still gets a route but stops relaying.
     let mut pa = Pathalias::new();
@@ -83,8 +87,11 @@ adjust {relay(500)}
     pa.parse_str("m", &format!("{input}dead {{slow}}\n"))
         .unwrap();
     let out = pa.run().unwrap();
-    assert!(out.routes.find("slow").is_some());
-    assert_eq!(out.routes.find("target").unwrap().route, "relay!target!%s");
+    assert!(out.routes().find("slow").is_some());
+    assert_eq!(
+        out.routes().find("target").unwrap().route,
+        "relay!target!%s"
+    );
 }
 
 #[test]
@@ -98,7 +105,8 @@ fn ignore_case_pipeline() {
         .unwrap();
     let out = pa.run().unwrap();
     // One relay node; far reachable through it.
-    let far = out.routes.find("far").unwrap();
+    let routes = out.routes();
+    let far = routes.find("far").unwrap();
     assert_eq!(far.cost, 20);
 }
 
@@ -115,8 +123,8 @@ fn output_roundtrips_into_route_db() {
     .unwrap();
     let out = pa.run().unwrap();
     let db = RouteDb::from_output(&out.rendered).unwrap();
-    assert_eq!(db.len(), out.routes.visible().count());
-    for r in out.routes.visible() {
+    assert_eq!(db.len(), out.routes().visible().count());
+    for r in out.routes().visible() {
         let entry = db.get(&r.name).expect("every visible route loads");
         assert_eq!(entry.route, r.route);
         // The database keeps no cost; the line it loaded carried one.

@@ -126,7 +126,7 @@ proptest! {
         pa.parse_str("m", &text).unwrap();
         let out = pa.run().unwrap();
         let mut saw_root = false;
-        for r in out.routes.visible() {
+        for r in out.routes().visible() {
             prop_assert_eq!(r.route.matches("%s").count(), 1, "{}", r.route);
             let formatted = r.format("user");
             prop_assert!(formatted.contains("user"));
@@ -184,8 +184,8 @@ fn mapgen_invariants_across_seeds() {
         }
         pa.options_mut().local = Some(map.home.clone());
         let out = pa.run().unwrap();
-        assert!(out.routes.visible().count() > 100, "seed {seed}");
-        for r in out.routes.visible() {
+        assert!(out.routes().visible().count() > 100, "seed {seed}");
+        for r in out.routes().visible() {
             assert_eq!(r.route.matches("%s").count(), 1, "seed {seed}: {}", r.route);
         }
     }

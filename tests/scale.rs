@@ -20,10 +20,10 @@ fn full_pipeline_reaches_everything() {
     pa.options_mut().local = Some(home);
     let out = pa.run().unwrap();
     assert!(out.unreachable.is_empty(), "{:?}", out.unreachable);
-    let visible = out.routes.visible().count();
+    let visible = out.routes().visible().count();
     assert!(visible > 8_000, "visible routes: {visible}");
     // Route strings are well-formed at scale.
-    for r in out.routes.visible() {
+    for r in out.routes().visible() {
         assert_eq!(r.route.matches("%s").count(), 1, "{}", r.route);
     }
 }
