@@ -11,7 +11,6 @@ usage: pathalias [-l host] [-c] [-i] [-v] [-n] [-s] [-t host]... [file ...]
                         | --map-set NAME=KIND:PATHS... [--default-map NAME])
                  [--backend B]
                  [--listen addr] [--unix path] [--udp addr] [--workers N]
-                 [--cache N] [--shards N]
                  [--watch [--watch-interval-ms N]] [-l host] [-i]
        pathalias serve (--connect addr | --unix path | --udp-connect addr)
                  [--map-name NAME]
@@ -52,19 +51,16 @@ serve (daemon mode; default listen 127.0.0.1:4175):
   --udp A       also (or only) answer single-shot datagram queries on
                 this UDP address (one request line per datagram)
   --workers N   event-loop worker threads (default: one per core, max 8)
-  --cache N     lookup-cache capacity in entries (default 4096)
-  --shards N    lookup-cache shard count (default 8)
   --watch       poll the source file(s) and hot-reload when they change
                 (with --map-set, each map reloads independently)
   --watch-interval-ms N   watch poll interval (default 2000)
-  --map-set NAME=KIND:PATHS[:cache=N][:l=HOST]   serve several named
-                maps at once (repeatable). KIND is map, routes, padb,
-                padb-mmap or pagf; PATHS is one file (comma-separated
-                list for KIND=map); a trailing :cache=N sizes this
-                map's lookup cache (entries; default --cache) and a
-                trailing :l=HOST overrides the local host for this
-                map's pipeline (KIND=map/pagf; default -l). Example:
-                  --map-set global=pagf:world.pagf:cache=65536 \\
+  --map-set NAME=KIND:PATHS[:l=HOST]   serve several named maps at
+                once (repeatable). KIND is map, routes, padb, padb-mmap
+                or pagf; PATHS is one file (comma-separated list for
+                KIND=map); a trailing :l=HOST overrides the local host
+                for this map's pipeline (KIND=map/pagf; default -l).
+                Example:
+                  --map-set global=pagf:world.pagf \\
                   --map-set regional=map:east.map,west.map:l=gateway
   --default-map NAME   the map unqualified queries hit (default: the
                 first --map-set entry)
@@ -219,19 +215,16 @@ pub struct MapSetEntry {
     /// Source files: exactly one, except `KIND=map` which takes a
     /// comma-separated list.
     pub paths: Vec<String>,
-    /// `:cache=N` suffix: this map's lookup-cache capacity in entries;
-    /// `None` falls back to the daemon-wide `--cache`.
-    pub cache: Option<usize>,
     /// `:l=HOST` suffix: this map's local host (the pipeline's `-l`);
     /// `None` falls back to the daemon-wide `-l`.
     pub local: Option<String>,
 }
 
-/// Parses one `NAME=KIND:PATHS[:cache=N][:l=HOST]` map-set spec.
+/// Parses one `NAME=KIND:PATHS[:l=HOST]` map-set spec.
 fn parse_map_set_entry(spec: &str) -> Result<MapSetEntry, String> {
-    let (name, rest) = spec.split_once('=').ok_or_else(|| {
-        format!("--map-set wants NAME=KIND:PATHS[:cache=N][:l=HOST], got `{spec}`")
-    })?;
+    let (name, rest) = spec
+        .split_once('=')
+        .ok_or_else(|| format!("--map-set wants NAME=KIND:PATHS[:l=HOST], got `{spec}`"))?;
     // The server's wire-format rule is the single source of truth for
     // what a namespace may be called.
     if !pathalias_server::valid_map_name(name) {
@@ -239,43 +232,24 @@ fn parse_map_set_entry(spec: &str) -> Result<MapSetEntry, String> {
             "--map-set: map name `{name}` must be non-empty, without whitespace, `,` or `@`"
         ));
     }
-    // The option suffixes come off the tail (in either order) before
-    // the kind split, so a path may still contain `:`
-    // (`routes:some:odd:file` keeps working).
+    // The `:l=HOST` suffix comes off the tail before the kind split,
+    // so a path may still contain `:` (`routes:some:odd:file` keeps
+    // working).
     let mut rest = rest;
-    let mut cache: Option<usize> = None;
     let mut local: Option<String> = None;
     while let Some((head, tail)) = rest.rsplit_once(':') {
-        if let Some(n) = tail.strip_prefix("cache=") {
-            if cache.is_some() {
-                return Err(format!("--map-set `{name}`: duplicate cache= suffix"));
-            }
-            let n: usize = n.parse().map_err(|_| {
-                format!(
-                    "--map-set `{name}`: cache=`{n}` wants a capacity in entries \
-                     (e.g. :cache=1024)"
-                )
-            })?;
-            if n == 0 {
-                return Err(format!(
-                    "--map-set `{name}`: cache=0 would disable lookups; \
-                     omit the suffix to use the daemon-wide --cache"
-                ));
-            }
-            cache = Some(n);
-        } else if let Some(host) = tail.strip_prefix("l=") {
-            if local.is_some() {
-                return Err(format!("--map-set `{name}`: duplicate l= suffix"));
-            }
-            if host.is_empty() {
-                return Err(format!(
-                    "--map-set `{name}`: l= wants a host name (e.g. :l=gateway)"
-                ));
-            }
-            local = Some(host.to_string());
-        } else {
+        let Some(host) = tail.strip_prefix("l=") else {
             break;
+        };
+        if local.is_some() {
+            return Err(format!("--map-set `{name}`: duplicate l= suffix"));
         }
+        if host.is_empty() {
+            return Err(format!(
+                "--map-set `{name}`: l= wants a host name (e.g. :l=gateway)"
+            ));
+        }
+        local = Some(host.to_string());
         rest = head;
     }
     let (kind, arg) = rest
@@ -314,7 +288,6 @@ fn parse_map_set_entry(spec: &str) -> Result<MapSetEntry, String> {
         name: name.to_string(),
         kind,
         paths,
-        cache,
         local,
     })
 }
@@ -347,10 +320,6 @@ pub struct DaemonArgs {
     /// `--workers`: event-loop worker threads; `None` means one per
     /// core, capped at 8.
     pub workers: Option<usize>,
-    /// `--cache`: suffix-cache capacity.
-    pub cache: usize,
-    /// `--shards`: suffix-cache shards.
-    pub shards: usize,
     /// `-l`: local host for the map pipeline.
     pub local: Option<String>,
     /// `-i`: ignore case in the map pipeline.
@@ -542,8 +511,6 @@ fn parse_serve(argv: &[String]) -> Result<Command, String> {
     let mut udp = None;
     let mut workers: Option<usize> = None;
     let mut udp_connect = None;
-    let mut cache: Option<usize> = None;
-    let mut shards: Option<usize> = None;
     let mut local = None;
     let mut ignore_case = false;
     let mut watch = false;
@@ -601,20 +568,6 @@ fn parse_serve(argv: &[String]) -> Result<Command, String> {
                 workers = Some(n);
             }
             "--udp-connect" => udp_connect = Some(take_value("--udp-connect", &mut it)?.clone()),
-            "--cache" => {
-                cache = Some(
-                    take_value("--cache", &mut it)?
-                        .parse()
-                        .map_err(|_| "--cache wants a number".to_string())?,
-                );
-            }
-            "--shards" => {
-                shards = Some(
-                    take_value("--shards", &mut it)?
-                        .parse()
-                        .map_err(|_| "--shards wants a number".to_string())?,
-                );
-            }
             "-l" => local = Some(take_value("-l", &mut it)?.clone()),
             "-i" => ignore_case = true,
             "--watch" => watch = true,
@@ -688,8 +641,6 @@ fn parse_serve(argv: &[String]) -> Result<Command, String> {
         for (given, flag) in [
             (listen.is_some(), "--listen"),
             (backend.is_some(), "--backend"),
-            (cache.is_some(), "--cache"),
-            (shards.is_some(), "--shards"),
             (local.is_some(), "-l"),
             (ignore_case, "-i"),
             (watch, "--watch"),
@@ -859,8 +810,6 @@ fn parse_serve(argv: &[String]) -> Result<Command, String> {
         unix,
         udp,
         workers,
-        cache: cache.unwrap_or(4096),
-        shards: shards.unwrap_or(8),
         local,
         ignore_case,
         watch,
@@ -1038,17 +987,12 @@ mod tests {
             "r.txt",
             "--listen",
             "0.0.0.0:9999",
-            "--cache",
-            "128",
-            "--shards",
-            "4",
         ]))
         .unwrap() else {
             panic!("expected daemon");
         };
         assert_eq!(d.routes.as_deref(), Some("r.txt"));
         assert_eq!(d.listen.as_deref(), Some("0.0.0.0:9999"));
-        assert_eq!((d.cache, d.shards), (128, 4));
 
         // Default listen address when nothing is specified.
         let Command::Serve(ServeArgs::Daemon(d)) =
@@ -1159,44 +1103,15 @@ mod tests {
     }
 
     #[test]
-    fn serve_map_set_cache_suffix() {
-        let Command::Serve(ServeArgs::Daemon(d)) = parse(&v(&[
-            "serve",
-            "--map-set",
-            "global=pagf:world.pagf:cache=65536",
-            "--map-set",
-            "regional=map:east.map,west.map",
-        ]))
-        .unwrap() else {
-            panic!("expected daemon");
-        };
-        assert_eq!(d.map_set[0].cache, Some(65536));
-        assert_eq!(d.map_set[0].paths, vec!["world.pagf"]);
-        assert_eq!(d.map_set[1].cache, None);
-        assert_eq!(d.map_set[1].paths, vec!["east.map", "west.map"]);
-
-        // Malformed or zero capacities get a clear error, not a path
-        // named `...:cache=x`.
-        let err = parse(&v(&["serve", "--map-set", "a=routes:f:cache=x"])).unwrap_err();
-        assert!(err.contains("cache=`x` wants a capacity"), "got: {err}");
-        let err = parse(&v(&["serve", "--map-set", "a=routes:f:cache="])).unwrap_err();
-        assert!(err.contains("wants a capacity"), "got: {err}");
-        let err = parse(&v(&["serve", "--map-set", "a=routes:f:cache=0"])).unwrap_err();
-        assert!(err.contains("cache=0"), "got: {err}");
-    }
-
-    #[test]
     fn serve_map_set_local_suffix() {
-        // :l=HOST names one map's local host; the suffixes stack in
-        // either order and neither leaks into the path list.
+        // :l=HOST names one map's local host and does not leak into
+        // the path list.
         let Command::Serve(ServeArgs::Daemon(d)) = parse(&v(&[
             "serve",
             "--map-set",
             "east=map:east.map:l=gateway",
             "--map-set",
-            "west=map:west.map:l=wgw:cache=512",
-            "--map-set",
-            "south=map:south.map:cache=256:l=sgw",
+            "west=map:west.map:l=wgw",
             "--map-set",
             "north=routes:north.txt",
             "-l",
@@ -1207,14 +1122,9 @@ mod tests {
         };
         assert_eq!(d.map_set[0].local.as_deref(), Some("gateway"));
         assert_eq!(d.map_set[0].paths, vec!["east.map"]);
-        assert_eq!(d.map_set[0].cache, None);
         assert_eq!(d.map_set[1].local.as_deref(), Some("wgw"));
-        assert_eq!(d.map_set[1].cache, Some(512));
         assert_eq!(d.map_set[1].paths, vec!["west.map"]);
-        assert_eq!(d.map_set[2].local.as_deref(), Some("sgw"));
-        assert_eq!(d.map_set[2].cache, Some(256));
-        assert_eq!(d.map_set[2].paths, vec!["south.map"]);
-        assert_eq!(d.map_set[3].local, None, "no suffix, daemon-wide -l");
+        assert_eq!(d.map_set[2].local, None, "no suffix, daemon-wide -l");
         assert_eq!(d.local.as_deref(), Some("home"));
 
         // An empty or duplicated host is an error, not a path.
@@ -1222,8 +1132,6 @@ mod tests {
         assert!(err.contains("l= wants a host"), "got: {err}");
         let err = parse(&v(&["serve", "--map-set", "a=map:f:l=x:l=y"])).unwrap_err();
         assert!(err.contains("duplicate l="), "got: {err}");
-        let err = parse(&v(&["serve", "--map-set", "a=map:f:cache=1:cache=2"])).unwrap_err();
-        assert!(err.contains("duplicate cache="), "got: {err}");
         // Table kinds carry no local host: a dead l= is a typo.
         let err = parse(&v(&["serve", "--map-set", "a=routes:f:l=x"])).unwrap_err();
         assert!(err.contains("only applies to map/pagf"), "got: {err}");
@@ -1740,13 +1648,7 @@ mod tests {
         assert!(parse(&v(&["serve", "--connect", "a:1", "--stats", "--user", "u"])).is_err());
         // Daemon-only flags are rejected, not silently dropped, in
         // client mode.
-        for flag in [
-            &["--listen", "a:2"][..],
-            &["--cache", "9"],
-            &["--shards", "2"],
-            &["-l", "h"],
-            &["-i"],
-        ] {
+        for flag in [&["--listen", "a:2"][..], &["-l", "h"], &["-i"]] {
             let mut argv = vec!["serve", "--connect", "a:1", "--query", "h"];
             argv.extend_from_slice(flag);
             assert!(parse(&v(&argv)).is_err(), "{flag:?} should be rejected");

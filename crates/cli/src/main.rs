@@ -250,13 +250,6 @@ fn cmd_serve_daemon(d: DaemonArgs) -> ExitCode {
         ignore_case: d.ignore_case,
         ..Options::default()
     };
-    // Per-map `:cache=N` suffixes become capacity overrides; maps
-    // without one share the daemon-wide --cache.
-    let cache_capacities: Vec<(String, usize)> = d
-        .map_set
-        .iter()
-        .filter_map(|e| e.cache.map(|c| (e.name.clone(), c)))
-        .collect();
     let maps: Vec<(String, MapSource)> = if !d.map_set.is_empty() {
         // Several named maps, each from its own source shape. The
         // pipeline options (-l, -i) apply to every map/pagf member; a
@@ -309,9 +302,6 @@ fn cmd_serve_daemon(d: DaemonArgs) -> ExitCode {
         unix: d.unix.map(Into::into),
         udp: d.udp,
         workers: d.workers,
-        cache_capacity: d.cache,
-        cache_capacities,
-        cache_shards: d.shards,
         watch: d
             .watch
             .then(|| std::time::Duration::from_millis(d.watch_interval_ms)),

@@ -98,7 +98,7 @@ type IndexEntry = (u64, u32, u64, u32);
 /// delegates to "a separate program", grown to serving scale.
 ///
 /// This type is `Send + Sync` and implements [`Resolver`], so the
-/// serving layer can put it behind the same cache decorator as the
+/// serving layer serves it through the same snapshot handle as the
 /// in-memory backends.
 ///
 /// # Examples

@@ -50,7 +50,7 @@ mod shared;
 
 pub use address::{AddrError, Address, SyntaxStyle};
 pub use header::{HeaderRewriter, Message};
-pub use resolver::{BoxedResolver, ExactOutcome, Resolution, ResolveError, ResolvedVia, Resolver};
+pub use resolver::{BoxedResolver, Resolution, ResolveError, ResolvedVia, Resolver};
 pub use rewrite::{Policy, RewriteError, Rewriter};
 pub use routedb::{DbEntry, DbError, EntryRef, Lookup, MatchKind, RouteDb, Text};
 pub use shared::SharedRouteDb;

@@ -16,7 +16,7 @@
 //! order itself is one function here, `walk`, that the in-memory and
 //! the on-disk table both call with their own exact-name probe. The
 //! serving layer (`pathalias-server`) wraps any of them in a
-//! generation-stamped cache that is itself a `Resolver`.
+//! generation-stamped snapshot that is itself a `Resolver`.
 
 use crate::routedb::RouteDb;
 use crate::shared::SharedRouteDb;
@@ -42,10 +42,6 @@ pub enum ResolvedVia {
 pub struct Resolution {
     /// The complete route with the user argument substituted.
     pub route: String,
-    /// The raw `printf`-style format string from the table (`%s`
-    /// marker intact) — what a cache should keep, since it serves any
-    /// user.
-    pub format: String,
     /// How the match was found.
     pub via: ResolvedVia,
 }
@@ -53,19 +49,25 @@ pub struct Resolution {
 impl Resolution {
     /// Renders a resolution from a table format string: exact hits
     /// substitute the user; suffix and default hits carry the whole
-    /// destination as `host!user`.
+    /// destination as `host!user`. The first `%s` is replaced, as
+    /// `replacen("%s", .., 1)` would, and the route is the one
+    /// allocation.
     pub fn render(format: &str, via: ResolvedVia, host: &str, user: &str) -> Resolution {
-        let route = match via {
-            ResolvedVia::Exact => format.replacen("%s", user, 1),
-            ResolvedVia::DomainSuffix { .. } | ResolvedVia::DefaultRoute => {
-                format.replacen("%s", &format!("{host}!{user}"), 1)
+        let route = match format.split_once("%s") {
+            Some((head, tail)) => {
+                let mut route = String::with_capacity(format.len() + host.len() + 1 + user.len());
+                route.push_str(head);
+                if via != ResolvedVia::Exact {
+                    route.push_str(host);
+                    route.push('!');
+                }
+                route.push_str(user);
+                route.push_str(tail);
+                route
             }
+            None => format.to_string(),
         };
-        Resolution {
-            route,
-            format: format.to_string(),
-            via,
-        }
+        Resolution { route, via }
     }
 }
 
@@ -129,22 +131,6 @@ pub(crate) fn walk<T, E>(
     Ok(get(".")?.map(|hit| (hit, ResolvedVia::DefaultRoute)))
 }
 
-/// Outcome of [`Resolver::resolve_exact`], the optional cheap
-/// exact-name-only probe.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExactOutcome {
-    /// The host matched an exact entry; here is the full resolution.
-    Hit(Resolution),
-    /// The backend cheaply determined there is no *exact* entry (a
-    /// suffix or default route may still apply — the caller continues
-    /// with the full lookup).
-    MissExact,
-    /// The backend has no probe cheaper than a full
-    /// [`resolve`](Resolver::resolve) (e.g. disk-backed tables, where
-    /// even an exact probe is a binary search worth caching).
-    Unsupported,
-}
-
 /// The one lookup API over every backend.
 ///
 /// # Examples
@@ -180,15 +166,6 @@ pub trait Resolver {
 
     /// Number of entries in the backing table (for health lines).
     fn entries(&self) -> usize;
-
-    /// An exact-name-only probe for backends where that is cheaper
-    /// than anything a caching layer could do — one lock-free hash
-    /// probe for the in-memory tables. Decorators use it to keep
-    /// exact-match traffic off their caches entirely. The default is
-    /// [`ExactOutcome::Unsupported`]: "just do the full resolve".
-    fn resolve_exact(&self, _host: &str, _user: &str) -> ExactOutcome {
-        ExactOutcome::Unsupported
-    }
 }
 
 impl<R: Resolver + ?Sized> Resolver for &R {
@@ -197,9 +174,6 @@ impl<R: Resolver + ?Sized> Resolver for &R {
     }
     fn entries(&self) -> usize {
         (**self).entries()
-    }
-    fn resolve_exact(&self, host: &str, user: &str) -> ExactOutcome {
-        (**self).resolve_exact(host, user)
     }
 }
 
@@ -210,9 +184,6 @@ impl<R: Resolver + ?Sized> Resolver for Box<R> {
     fn entries(&self) -> usize {
         (**self).entries()
     }
-    fn resolve_exact(&self, host: &str, user: &str) -> ExactOutcome {
-        (**self).resolve_exact(host, user)
-    }
 }
 
 impl<R: Resolver + ?Sized> Resolver for std::sync::Arc<R> {
@@ -221,9 +192,6 @@ impl<R: Resolver + ?Sized> Resolver for std::sync::Arc<R> {
     }
     fn entries(&self) -> usize {
         (**self).entries()
-    }
-    fn resolve_exact(&self, host: &str, user: &str) -> ExactOutcome {
-        (**self).resolve_exact(host, user)
     }
 }
 
@@ -240,18 +208,6 @@ impl Resolver for RouteDb {
     fn entries(&self) -> usize {
         self.len()
     }
-
-    fn resolve_exact(&self, host: &str, user: &str) -> ExactOutcome {
-        match self.get(host) {
-            Some(entry) => ExactOutcome::Hit(Resolution::render(
-                &entry.route,
-                ResolvedVia::Exact,
-                host,
-                user,
-            )),
-            None => ExactOutcome::MissExact,
-        }
-    }
 }
 
 impl Resolver for SharedRouteDb {
@@ -260,9 +216,6 @@ impl Resolver for SharedRouteDb {
     }
     fn entries(&self) -> usize {
         self.len()
-    }
-    fn resolve_exact(&self, host: &str, user: &str) -> ExactOutcome {
-        (**self).resolve_exact(host, user)
     }
 }
 
@@ -284,7 +237,6 @@ mod tests {
         let exact = db.resolve("caip.rutgers.edu", "pleasant").unwrap();
         assert_eq!(exact.via, ResolvedVia::Exact);
         assert_eq!(exact.route, "seismo!caip.rutgers.edu!pleasant");
-        assert_eq!(exact.format, "seismo!caip.rutgers.edu!%s");
 
         let suffix = db.resolve("princeton.edu", "honey").unwrap();
         assert_eq!(
@@ -336,7 +288,28 @@ mod tests {
     fn percent_s_user_round_trips_format() {
         let db = db();
         let hit = db.resolve("seismo", "%s").unwrap();
-        assert_eq!(hit.route, hit.format);
+        assert_eq!(hit.route, "seismo!%s");
+    }
+
+    #[test]
+    fn render_replaces_the_first_percent_s_only() {
+        let render = |format, via, host| Resolution::render(format, via, host, "u").route;
+        assert_eq!(render("a!%s!%s", ResolvedVia::Exact, "h"), "a!u!%s");
+        assert_eq!(
+            render("b%sun%%s", ResolvedVia::DefaultRoute, "h"),
+            "bh!uun%%s"
+        );
+        assert_eq!(render("no-marker", ResolvedVia::Exact, "h"), "no-marker");
+        for format in ["%s", "x!%s", "%s@y", "p%sq%sr", "", "%", "s%"] {
+            for via in [ResolvedVia::Exact, ResolvedVia::DefaultRoute] {
+                let argument = match via {
+                    ResolvedVia::Exact => "u".to_string(),
+                    _ => "h!u".to_string(),
+                };
+                let want = format.replacen("%s", &argument, 1);
+                assert_eq!(render(format, via, "h"), want, "{format:?}");
+            }
+        }
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! The daemon serves one or more named **maps** (real sites ran many
 //! overlapping worlds: the regional UUCP map, the global map, local
 //! overrides). Each namespace gets its own [`MapSource`], its own
-//! [`Cached<BoxedResolver>`] snapshot + LRU
-//! cache, its own counters, its own reload lock. Requests carry an
-//! optional `@name` qualifier (protocol v2); unqualified requests go
-//! to the configured default map, so a single-map daemon — and any v1
-//! session — behaves byte-for-byte as it always has.
+//! [`Cached<BoxedResolver>`] snapshot, its own counters, its own
+//! reload lock. Requests carry an optional `@name` qualifier
+//! (protocol v2); unqualified requests go to the configured default
+//! map, so a single-map daemon — and any v1 session — behaves
+//! byte-for-byte as it always has.
 //!
 //! `RELOAD [@name]` runs on a throwaway thread under that map's lock
 //! (one rebuild per map at a time; different maps may rebuild
@@ -76,15 +76,6 @@ pub struct ServerConfig {
     /// Event-loop worker threads. `None` means one per core, capped
     /// at 8.
     pub workers: Option<usize>,
-    /// Total entries across one map's lookup-cache shards (each map
-    /// gets its own cache of this size).
-    pub cache_capacity: usize,
-    /// Per-map overrides of [`ServerConfig::cache_capacity`], keyed by
-    /// map name (`--map-set NAME=KIND:PATHS:cache=N`). Every name must
-    /// be in `maps`; unnamed maps use the shared default.
-    pub cache_capacities: Vec<(String, usize)>,
-    /// Number of cache shards per map.
-    pub cache_shards: usize,
     /// Poll every map's source files at this interval and reload a map
     /// when its fingerprint changes (`serve --watch`). `None` disables
     /// the watcher; `RELOAD` over the wire always works.
@@ -98,8 +89,8 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A TCP-only config on an ephemeral loopback port with default
-    /// cache sizing, serving `source` as the single map
+    /// A TCP-only config on an ephemeral loopback port, serving
+    /// `source` as the single map
     /// [`DEFAULT_MAP_NAME`] — what tests and examples want.
     pub fn ephemeral(source: MapSource) -> ServerConfig {
         ServerConfig::ephemeral_set(vec![(DEFAULT_MAP_NAME.to_string(), source)])
@@ -115,17 +106,14 @@ impl ServerConfig {
             unix: None,
             udp: None,
             workers: None,
-            cache_capacity: 4096,
-            cache_capacities: Vec::new(),
-            cache_shards: 8,
             watch: None,
             logger: Logger::off(),
         }
     }
 }
 
-/// One served namespace: a source, its serving snapshot + cache, and
-/// its counters.
+/// One served namespace: a source, its serving snapshot, and its
+/// counters.
 pub(crate) struct MapState {
     name: String,
     source: MapSource,
@@ -144,6 +132,10 @@ pub(crate) struct MapState {
     /// Serializes rebuilds of *this* map; queries never take it, and
     /// other maps reload independently.
     reload_lock: Mutex<()>,
+    /// Makes this map's next rebuild panic (a test's stand-in for a
+    /// bug in the pipeline).
+    #[cfg(test)]
+    panic_next_reload: AtomicBool,
 }
 
 impl MapState {
@@ -371,13 +363,11 @@ impl State {
                     Err(resp) => return vec![resp],
                 };
                 let snapshot = state.cached.snapshot();
-                let mut body = state.metrics.render(
+                let body = state.metrics.render(
                     &self.server_metrics,
                     snapshot.generation(),
                     snapshot.entries(),
                 );
-                body.push(' ');
-                body.push_str(&state.cached.cache().render_shard_stats());
                 // The qualified `map=<name>` echo renders in Display,
                 // shared with Reloaded/Health; unqualified output is
                 // byte-identical to the single-map daemon's.
@@ -478,7 +468,22 @@ impl State {
     ) -> (Response, Displaced) {
         let _guard = map.reload_lock.lock().expect("reload lock poisoned");
         let start = Instant::now();
-        match map.source.load_serving_timed() {
+        // A rebuild that panics is a failed reload, not a lost thread:
+        // caught here, under the guard, so the lock is not poisoned,
+        // the old generation keeps serving, and the connection that
+        // asked (or the watcher) gets its answer.
+        let loaded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            #[cfg(test)]
+            if map.panic_next_reload.swap(false, Ordering::SeqCst) {
+                panic!("injected rebuild panic");
+            }
+            map.source.load_serving_timed()
+        }));
+        let loaded = match loaded {
+            Ok(result) => result.map_err(|e| e.to_string()),
+            Err(_) => Err("rebuild panicked".to_string()),
+        };
+        match loaded {
             Ok((resolver, engine, report)) => {
                 let entries = resolver.entries();
                 let (generation, old_index) = map.cached.replace(resolver);
@@ -632,7 +637,7 @@ impl State {
         // Per-map counter families, samples grouped under one
         // HELP/TYPE header per family as the exposition format wants.
         type Get = fn(&Metrics) -> u64;
-        let counters: [(&str, &str, Get); 11] = [
+        let counters: [(&str, &str, Get); 9] = [
             (
                 "pathalias_queries_total",
                 "Queries resolved against this map (QUERY and MQUERY items).",
@@ -644,16 +649,6 @@ impl State {
             ("pathalias_misses_total", "Queries with no route.", |m| {
                 m.misses.load(Ordering::Relaxed)
             }),
-            (
-                "pathalias_cache_hits_total",
-                "Lookups answered from the LRU cache.",
-                |m| m.cache_hits.load(Ordering::Relaxed),
-            ),
-            (
-                "pathalias_cache_misses_total",
-                "Lookups that went to the backing table.",
-                |m| m.cache_misses.load(Ordering::Relaxed),
-            ),
             (
                 "pathalias_resolve_errors_total",
                 "Queries that failed with a backend error.",
@@ -787,34 +782,6 @@ impl State {
                 &[("map", &m.name)],
                 m.telemetry.table_bytes(),
             );
-        }
-
-        type ShardGet = fn(&crate::cache::ShardStats) -> u64;
-        let shard_families: [(&str, &str, ShardGet); 3] = [
-            (
-                "pathalias_cache_shard_hits_total",
-                "Per-shard LRU cache hits.",
-                |s| s.hits,
-            ),
-            (
-                "pathalias_cache_shard_misses_total",
-                "Per-shard LRU cache misses.",
-                |s| s.misses,
-            ),
-            (
-                "pathalias_cache_shard_evictions_total",
-                "Per-shard LRU cache evictions.",
-                |s| s.evictions,
-            ),
-        ];
-        for (name, help, get) in shard_families {
-            out.family(name, "counter", help);
-            for m in &maps {
-                for (i, stats) in m.cached.cache().shard_stats().iter().enumerate() {
-                    let shard = i.to_string();
-                    out.sample(name, &[("map", &m.name), ("shard", &shard)], get(stats));
-                }
-            }
         }
 
         out.family(
@@ -954,13 +921,6 @@ impl Server {
                 return Err(StartError::Config(format!("duplicate map name `{name}`")));
             }
         }
-        for (name, _) in &config.cache_capacities {
-            if !config.maps.iter().any(|(n, _)| n == name) {
-                return Err(StartError::Config(format!(
-                    "cache capacity names unknown map `{name}`"
-                )));
-            }
-        }
         let default_map = match &config.default_map {
             None => 0,
             Some(name) => config
@@ -1007,19 +967,16 @@ impl Server {
             let telemetry = MapTelemetry::new();
             telemetry.record_load(&report);
             let metrics = Arc::new(Metrics::default());
-            let capacity = config
-                .cache_capacities
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map_or(config.cache_capacity, |(_, c)| *c);
             maps.push(Arc::new(MapState {
                 name,
                 source,
-                cached: Cached::new(resolver, capacity, config.cache_shards, metrics.clone()),
+                cached: Cached::new(resolver, 0, 0, metrics.clone()),
                 metrics,
                 telemetry,
                 engine: Mutex::new(engine),
                 reload_lock: Mutex::new(()),
+                #[cfg(test)]
+                panic_next_reload: AtomicBool::new(false),
             }));
         }
 
@@ -1406,11 +1363,12 @@ mod tests {
         Arc::new(MapState {
             name: name.to_string(),
             source,
-            cached: Cached::new(resolver, 64, 2, metrics.clone()),
+            cached: Cached::new(resolver, 0, 0, metrics.clone()),
             metrics,
             telemetry: MapTelemetry::new(),
             engine: Mutex::new(engine),
             reload_lock: Mutex::new(()),
+            panic_next_reload: AtomicBool::new(false),
         })
     }
 
@@ -1775,25 +1733,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_includes_per_shard_counters() {
-        let state = state_for("a\ta!%s\n");
-        let _ = one(
-            &state,
-            Request::Query {
-                map: None,
-                host: "a".into(),
-                user: None,
-            },
-        );
-        let Response::Stats { body, .. } = one(&state, Request::Stats { map: None }) else {
-            panic!("expected stats");
-        };
-        assert!(body.contains("cache_shard0_hits="), "{body}");
-        assert!(body.contains("cache_shard1_misses="), "{body}");
-        assert!(body.contains("resolve_errors=0"), "{body}");
-    }
-
-    #[test]
     fn shutdown_request_flags_drain() {
         let state = state_for("a\ta!%s\n");
         assert!(!state.shutting_down.load(Ordering::SeqCst));
@@ -1824,6 +1763,54 @@ mod tests {
         );
         let snapshot = state.maps[0].cached.snapshot();
         assert_eq!(snapshot.generation(), 0);
+    }
+
+    /// A rebuild that panics answers `500` and leaves the old table
+    /// serving; the connection that asked, and every request pipelined
+    /// behind its `RELOAD`, still get their answers. Read timeouts turn
+    /// a wedged connection into a failure rather than a hang.
+    #[cfg(unix)]
+    #[test]
+    fn panicking_reload_answers_and_keeps_serving() {
+        use std::io::{BufRead, BufReader, Write};
+        let path = temp_routes("panic", "a\ta!%s\n");
+        let mut config = ServerConfig::ephemeral(MapSource::Routes(path.clone()));
+        let (logger, log) = Logger::capture(pathalias_telemetry::Level::Error);
+        config.logger = logger;
+        let handle = Server::start(config).unwrap();
+        let map = &handle.state.maps[0];
+        map.panic_next_reload.store(true, Ordering::SeqCst);
+        std::fs::write(&path, "a\tnew!a!%s\n").unwrap();
+
+        let stream = std::net::TcpStream::connect(handle.tcp_addr().unwrap()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let mut next_line = || {
+            let mut line = String::new();
+            reader
+                .read_line(&mut line)
+                .expect("an answer before the timeout");
+            line
+        };
+        writer.write_all(b"RELOAD\nQUERY a u\n").unwrap();
+        assert_eq!(next_line(), "500 reload failed: rebuild panicked\n");
+        assert_eq!(next_line(), "200 a!u\n", "the old table keeps serving");
+        assert_eq!(map.metrics.reload_failures.load(Ordering::Relaxed), 1);
+        let logged = log.lock().unwrap().clone();
+        assert!(
+            logged.contains("reload_failed") && logged.contains("rebuild panicked"),
+            "{logged}"
+        );
+
+        // The reload lock survived: the next rebuild runs and swaps.
+        writer.write_all(b"RELOAD\nQUERY a u\n").unwrap();
+        assert!(next_line().starts_with("200 reloaded"));
+        assert_eq!(next_line(), "200 new!a!u\n");
+        handle.shutdown();
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -1953,10 +1940,7 @@ mod tests {
             text.contains("pathalias_generation{map=\"east\"} 0"),
             "{text}"
         );
-        assert!(
-            text.contains("pathalias_cache_shard_hits_total{map=\"east\",shard=\"0\"}"),
-            "{text}"
-        );
+        assert!(!text.contains("pathalias_cache_"), "{text}");
 
         // The cumulative bucket series is monotone and ends in +Inf,
         // which equals _count.

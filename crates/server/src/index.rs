@@ -1,9 +1,11 @@
 //! The read-mostly serving index: an immutable snapshot per table
-//! generation behind an atomic swap, wrapped in a generation-stamped
-//! cache — all generic over [`Resolver`], so the same decorator serves
-//! an in-memory [`SharedRouteDb`], a page-cache-backed
+//! generation behind an atomic swap, plus the per-map query counters —
+//! all generic over [`Resolver`], so the same handle serves an
+//! in-memory [`SharedRouteDb`], a page-cache-backed
 //! [`MappedDb`](pathalias_mailer::disk::MappedDb), or any future
-//! backend.
+//! backend. Every lookup goes straight to the snapshot's table: the
+//! packed in-memory shards answer an exact name in one probe and a
+//! suffix in a few, faster than any cache in front of them could.
 //!
 //! Queries clone an `Arc` out of a [`SwapCell`] (one brief read-lock,
 //! no contention with other readers) and then run entirely against
@@ -14,9 +16,8 @@
 //! reloader rather than dropping it under the write lock: freeing a
 //! large table takes long enough that every reader would wait on it.
 
-use crate::cache::{CachedHit, ShardedCache};
 use crate::metrics::{bump, Metrics};
-use pathalias_mailer::{ExactOutcome, Resolution, ResolveError, Resolver, RouteDb, SharedRouteDb};
+use pathalias_mailer::{Resolution, ResolveError, Resolver, RouteDb, SharedRouteDb};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -100,16 +101,14 @@ impl<R: Resolver> SwapCell<R> {
     }
 }
 
-/// The serving decorator: a generation-stamped snapshot of any
-/// [`Resolver`] plus the sharded LRU cache and query counters — itself
-/// a `Resolver`, so backends and their cached form are interchangeable
-/// everywhere the trait is accepted.
+/// The serving handle: a generation-stamped snapshot of any
+/// [`Resolver`] plus the map's query counters — itself a `Resolver`,
+/// so backends and their served form are interchangeable everywhere
+/// the trait is accepted.
 ///
-/// Every resolution (exact, suffix, default, *and* confirmed miss) is
-/// cached under the generation it was computed against; a
-/// [`replace`](Cached::replace) bumps the generation, so a reload
-/// invalidates lazily and a pinned in-flight query can never see
-/// another generation's cache entries.
+/// A [`replace`](Cached::replace) publishes the next generation; a
+/// caller that pinned a [`snapshot`](Cached::snapshot) keeps answering
+/// from its own table through [`resolve_at`](Cached::resolve_at).
 ///
 /// # Examples
 ///
@@ -120,19 +119,17 @@ impl<R: Resolver> SwapCell<R> {
 /// use std::sync::Arc;
 ///
 /// let db = RouteDb::from_output("seismo\tseismo!%s\n.edu\tseismo!%s\n").unwrap();
-/// let cached = Cached::new(
+/// let served = Cached::new(
 ///     pathalias_mailer::SharedRouteDb::new(db),
-///     1024, // cache capacity
-///     4,    // shards
+///     0, // ignored
+///     0, // ignored
 ///     Arc::new(Metrics::default()),
 /// );
-/// // First lookup walks the table; the repeat is a cache hit.
-/// assert_eq!(cached.resolve("x.mit.edu", "u").unwrap().route, "seismo!x.mit.edu!u");
-/// assert_eq!(cached.resolve("x.mit.edu", "v").unwrap().route, "seismo!x.mit.edu!v");
+/// assert_eq!(served.resolve("x.mit.edu", "u").unwrap().route, "seismo!x.mit.edu!u");
+/// assert_eq!(served.metrics().hits.load(std::sync::atomic::Ordering::Relaxed), 1);
 /// ```
 pub struct Cached<R> {
     swap: SwapCell<R>,
-    cache: ShardedCache,
     metrics: Arc<Metrics>,
     /// The generation the next successful [`Cached::replace`] will
     /// publish.
@@ -140,17 +137,13 @@ pub struct Cached<R> {
 }
 
 impl<R: Resolver> Cached<R> {
-    /// Wraps `resolver` (as generation 0) with a cache of
-    /// `cache_capacity` entries across `cache_shards` shards.
-    pub fn new(
-        resolver: R,
-        cache_capacity: usize,
-        cache_shards: usize,
-        metrics: Arc<Metrics>,
-    ) -> Cached<R> {
+    /// Wraps `resolver` as generation 0, counting into `metrics`.
+    ///
+    /// The two sizes are ignored. They sized a lookup cache that no
+    /// longer exists, and stay only so existing callers keep compiling.
+    pub fn new(resolver: R, _: usize, _: usize, metrics: Arc<Metrics>) -> Cached<R> {
         Cached {
             swap: SwapCell::new(RouteIndex::with_resolver(resolver, 0)),
-            cache: ShardedCache::new(cache_capacity, cache_shards),
             metrics,
             next_generation: AtomicU64::new(1),
         }
@@ -166,18 +159,15 @@ impl<R: Resolver> Cached<R> {
     /// Swaps in a freshly-loaded backend. Returns the generation now
     /// serving and the snapshot it displaced, for the caller to drop
     /// when convenient. In-flight queries pinned to the old snapshot
-    /// finish against it; the cache floor moves first, so a cache entry
-    /// can never outlive its table.
+    /// finish against it.
     #[must_use = "dropping the displaced snapshot here may free a whole table"]
     pub fn replace(&self, resolver: R) -> (u64, Arc<RouteIndex<R>>) {
         let generation = self.next_generation.fetch_add(1, Ordering::SeqCst);
         let index = RouteIndex::with_resolver(resolver, generation);
-        self.cache.invalidate_to(generation);
         (generation, self.swap.store(index))
     }
 
-    /// Resolves against a pinned snapshot, consulting (and feeding) the
-    /// cache under that snapshot's generation.
+    /// Resolves against a pinned snapshot and counts the outcome.
     pub fn resolve_at(
         &self,
         index: &RouteIndex<R>,
@@ -185,66 +175,14 @@ impl<R: Resolver> Cached<R> {
         user: &str,
     ) -> Result<Resolution, ResolveError> {
         bump(&self.metrics.queries);
-        let generation = index.generation();
-
-        // Backends with a cheap exact probe (in-memory: one lock-free
-        // hash probe) answer exact-match traffic without ever touching
-        // the mutex-guarded LRU — the cache exists for the multi-probe
-        // suffix walk and for disk-backed tables, not for lookups the
-        // backend does faster itself.
-        match index.resolver().resolve_exact(host, user) {
-            ExactOutcome::Hit(resolution) => {
-                bump(&self.metrics.hits);
-                return Ok(resolution);
-            }
-            ExactOutcome::MissExact | ExactOutcome::Unsupported => {}
-        }
-
-        if let Some(cached) = self.cache.get(generation, host) {
-            bump(&self.metrics.cache_hits);
-            return match cached {
-                Some(hit) => {
-                    bump(&self.metrics.hits);
-                    Ok(Resolution::render(&hit.format, hit.via, host, user))
-                }
-                None => {
-                    bump(&self.metrics.misses);
-                    Err(ResolveError::NoRoute)
-                }
-            };
-        }
-
-        bump(&self.metrics.cache_misses);
-        match index.resolver().resolve(host, user) {
-            Ok(resolution) => {
-                bump(&self.metrics.hits);
-                self.cache.insert(
-                    generation,
-                    host,
-                    Some(CachedHit {
-                        format: Arc::from(resolution.format.as_str()),
-                        via: resolution.via.clone(),
-                    }),
-                );
-                Ok(resolution)
-            }
-            Err(ResolveError::NoRoute) => {
-                bump(&self.metrics.misses);
-                self.cache.insert(generation, host, None);
-                Err(ResolveError::NoRoute)
-            }
-            // Backend failures (disk I/O, corruption) are transient
-            // from the cache's point of view: never cached.
-            Err(e) => {
-                bump(&self.metrics.resolve_errors);
-                Err(e)
-            }
-        }
-    }
-
-    /// The sharded cache (for `STATS` and tests).
-    pub fn cache(&self) -> &ShardedCache {
-        &self.cache
+        let result = index.resolver().resolve(host, user);
+        bump(match &result {
+            Ok(_) => &self.metrics.hits,
+            Err(ResolveError::NoRoute) => &self.metrics.misses,
+            // Backend failures (disk I/O, corruption).
+            Err(_) => &self.metrics.resolve_errors,
+        });
+        result
     }
 
     /// The shared counters.
@@ -276,7 +214,7 @@ mod tests {
 
     fn cached(text: &str) -> Cached<SharedRouteDb> {
         let db = RouteDb::from_output(text).unwrap();
-        Cached::new(SharedRouteDb::new(db), 16, 2, Arc::new(Metrics::default()))
+        Cached::new(SharedRouteDb::new(db), 0, 0, Arc::new(Metrics::default()))
     }
 
     #[test]
@@ -299,27 +237,6 @@ mod tests {
         assert_eq!(m.queries.load(Ordering::Relaxed), 3);
         assert_eq!(m.hits.load(Ordering::Relaxed), 2);
         assert_eq!(m.misses.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn repeat_lookup_hits_cache() {
-        let c = cached(".edu\tgw!%s\nhub\thub!%s\n");
-        let a = c.resolve("x.rutgers.edu", "u").unwrap();
-        let b = c.resolve("x.rutgers.edu", "v").unwrap();
-        assert_eq!(a.route, "gw!x.rutgers.edu!u");
-        assert_eq!(b.route, "gw!x.rutgers.edu!v");
-        // Exact hits on an in-memory backend take the lock-free fast
-        // path and never touch the cache.
-        let _ = c.resolve("hub", "u").unwrap();
-        let _ = c.resolve("hub", "v").unwrap();
-        let m = c.metrics();
-        assert_eq!(m.cache_hits.load(Ordering::Relaxed), 1);
-        assert_eq!(m.cache_misses.load(Ordering::Relaxed), 1);
-        assert_eq!(m.hits.load(Ordering::Relaxed), 4);
-        // Negative results are cached as well.
-        assert!(c.resolve("a.b.nowhere", "u").is_err());
-        assert!(c.resolve("a.b.nowhere", "u").is_err());
-        assert_eq!(m.cache_hits.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -347,7 +264,7 @@ mod tests {
         assert_eq!(
             c.resolve("h.edu", "u").unwrap().route,
             "new-gw!h.edu!u",
-            "new snapshot must not see the old cached route"
+            "new snapshot must not answer from the old table"
         );
         // And a straggler still holding the old snapshot re-resolves
         // against its own table rather than seeing generation-1 data.
@@ -370,20 +287,19 @@ mod tests {
         write_db(&db, &path).unwrap();
         let c = Cached::new(
             MappedDb::open(&path).unwrap(),
-            16,
-            2,
+            0,
+            0,
             Arc::new(Metrics::default()),
         );
         assert_eq!(
             c.resolve("caip.rutgers.edu", "pleasant").unwrap().route,
             "seismo!caip.rutgers.edu!pleasant"
         );
-        // Second hit comes from the cache, not the disk.
         assert_eq!(
             c.resolve("caip.rutgers.edu", "honey").unwrap().route,
             "seismo!caip.rutgers.edu!honey"
         );
-        assert_eq!(c.metrics().cache_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(c.metrics().hits.load(Ordering::Relaxed), 2);
         assert_eq!(Resolver::entries(&c), 2);
         std::fs::remove_file(path).unwrap();
     }
@@ -419,8 +335,8 @@ mod tests {
         let (entered, dropping) = channel();
         let c = Arc::new(Cached::new(
             SlowToFree(wait.into(), entered),
-            16,
-            2,
+            0,
+            0,
             Arc::new(Metrics::default()),
         ));
         let (idle_release, idle_wait) = channel();

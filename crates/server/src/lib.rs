@@ -13,12 +13,11 @@
 //!   `MAPS` and per-request `@name` map qualifiers); a v1 session is
 //!   byte-for-byte what the PR-1 daemon spoke;
 //! * [`index`] — immutable per-generation snapshots behind an atomic
-//!   swap cell, wrapped by [`Cached`]: a generation-stamped cache
-//!   generic over any [`Resolver`](pathalias_mailer::Resolver)
-//!   backend — in-memory tables and page-cache-backed PADB1 files
-//!   serve through the same decorator;
-//! * [`cache`] — a sharded, bounded, generation-stamped LRU with
-//!   per-shard hit/miss/eviction counters;
+//!   swap cell, wrapped by [`Cached`]: the generation-stamped serving
+//!   handle with the per-map query counters, generic over any
+//!   [`Resolver`](pathalias_mailer::Resolver) backend — in-memory
+//!   tables and page-cache-backed PADB1 files serve through the same
+//!   handle, and every lookup goes straight to the backend's table;
 //! * [`reload`] — the table sources (PADB1 in-memory or in-place,
 //!   linear route file, PAGF1 snapshot, full map pipeline), the
 //!   incremental reload that repairs a map in place, and the one
@@ -29,7 +28,7 @@
 //!   [`Server::start`] says so), graceful
 //!   [`drain`](ServerHandle::drain), and
 //!   **sharded multi-map serving**: one daemon holds N named maps
-//!   (`--map-set`), each with its own snapshot, cache, counters, and
+//!   (`--map-set`), each with its own snapshot, counters, and
 //!   independent hot reload — unqualified requests go to the default
 //!   map, so a single-map daemon behaves exactly as before;
 //! * [`client`] — the synchronous client: one-shot queries, batched
@@ -73,7 +72,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod daemon;
 #[cfg(unix)]
@@ -84,7 +82,6 @@ pub mod protocol;
 pub mod reload;
 pub mod telemetry;
 
-pub use cache::{CachedHit, ShardStats, ShardedCache};
 pub use client::{Client, ClientError, MapsInfo, PathInfo, QueryResult, UdpClient};
 pub use daemon::{
     valid_map_name, Server, ServerConfig, ServerHandle, StartError, DEFAULT_MAP_NAME,

@@ -27,10 +27,6 @@ pub struct Metrics {
     pub hits: AtomicU64,
     /// Queries with no route.
     pub misses: AtomicU64,
-    /// Lookups answered from the LRU cache.
-    pub cache_hits: AtomicU64,
-    /// Lookups that had to go to the backing table.
-    pub cache_misses: AtomicU64,
     /// Queries that failed with a backend error (disk I/O, corrupt
     /// table) rather than a clean hit or miss.
     pub resolve_errors: AtomicU64,
@@ -103,17 +99,19 @@ impl Metrics {
     /// `STATS` payload: `key=value` pairs in the wire order clients
     /// have parsed since PR 1 (the connection-scoped fields come from
     /// `server`, everything else from this map).
+    ///
+    /// `cache_hits` and `cache_misses` always read 0: lookups go
+    /// straight to the table, and the keys stay so that clients parsing
+    /// the first daemon's line keep finding every field where it was.
     pub fn render(&self, server: &ServerMetrics, generation: u64, entries: usize) -> String {
         let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
         format!(
-            "queries={} hits={} misses={} cache_hits={} cache_misses={} resolve_errors={} \
+            "queries={} hits={} misses={} cache_hits=0 cache_misses=0 resolve_errors={} \
              reloads={} reload_failures={} bad_requests={} connections={} \
              active_connections={} generation={generation} entries={entries} uptime_ms={}",
             g(&self.queries),
             g(&self.hits),
             g(&self.misses),
-            g(&self.cache_hits),
-            g(&self.cache_misses),
             g(&self.resolve_errors),
             g(&self.reloads),
             g(&self.reload_failures),
@@ -144,6 +142,36 @@ mod tests {
         assert!(line.contains("generation=7"), "{line}");
         assert!(line.contains("entries=42"), "{line}");
         assert!(line.contains("uptime_ms="), "{line}");
+    }
+
+    #[test]
+    fn stats_keys_keep_their_wire_order() {
+        let line = Metrics::default().render(&ServerMetrics::default(), 3, 9);
+        let keys: Vec<&str> = line
+            .split(' ')
+            .map(|pair| pair.split_once('=').expect("key=value").0)
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "queries",
+                "hits",
+                "misses",
+                "cache_hits",
+                "cache_misses",
+                "resolve_errors",
+                "reloads",
+                "reload_failures",
+                "bad_requests",
+                "connections",
+                "active_connections",
+                "generation",
+                "entries",
+                "uptime_ms",
+            ],
+            "{line}"
+        );
+        assert!(line.contains(" cache_hits=0 cache_misses=0 "), "{line}");
     }
 
     #[test]

@@ -64,7 +64,7 @@ fn hundred_thousand_queries_with_hot_reload() {
                                 .expect("connection must not drop");
                             assert_eq!(got, None, "client {client_id} query {i}");
                         }
-                        // A domain-suffix query (exercises the cache).
+                        // A domain-suffix query (walks the suffixes).
                         7 => {
                             let got = client
                                 .query("caip.rutgers.edu", Some(&user))
@@ -383,8 +383,6 @@ fn unix_socket_transport() {
     let mut config = ServerConfig::ephemeral(MapSource::Routes(routes_path.clone()));
     config.tcp = None;
     config.unix = Some(sock.clone());
-    config.cache_capacity = 64;
-    config.cache_shards = 2;
     let handle = Server::start(config).unwrap();
     assert!(handle.tcp_addr().is_none());
 

@@ -238,8 +238,8 @@ fn mid_batch_server_error_does_not_desync_the_client() {
     let addr = handle.tcp_addr().unwrap();
     let mut client = Client::connect(addr).unwrap();
 
-    // Warm "aa" into the daemon's cache, then cut the blob's tail so
-    // "zz" (last in sort order) can no longer be read from disk.
+    // Cut the blob's tail so "zz" (last in sort order) can no longer
+    // be read from disk, while "aa" (first) still can.
     assert_eq!(
         client.query("aa", Some("u")).unwrap().unwrap(),
         "relay!aa!u"

@@ -24,7 +24,8 @@
 //! every route backend implements — the in-memory [`RouteDb`], the
 //! shared [`SharedRouteDb`] handle, the page-cache-backed
 //! [`mailer::disk::MappedDb`] over a PADB1 file, and the server's
-//! cached snapshot ([`server::index::Cached`]) all answer
+//! generation-stamped snapshot handle ([`server::index::Cached`],
+//! which passes every lookup straight to its backend) all answer
 //! `resolve(host, user)` identically.
 //!
 //! ```
