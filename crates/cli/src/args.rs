@@ -31,9 +31,12 @@ options:
 freeze (write a PAGF1 frozen-graph snapshot):
   -o F      output snapshot file (required)
   -i        ignore case in host names (baked into the snapshot)
-  --ch      also build and store the contraction-hierarchy section, so
+  --ch      also build and store the contraction-hierarchy section,
+            over the graph that mapping from the default local host
+            (the first host declared) serves, back links included, so
             a daemon serving the snapshot gets the PATH fast tier with
-            no startup work
+            no startup work; a serve -l naming another host whose
+            mapping invents other back links rebuilds it at start-up
   file ...  map files (standard input when omitted)
 
 serve (daemon mode; default listen 127.0.0.1:4175):

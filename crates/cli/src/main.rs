@@ -211,20 +211,14 @@ fn cmd_freeze(fz: FreezeArgs) -> ExitCode {
     // The snapshot carries the reverse index too, so a daemon serving
     // it answers `PATH * dst` without an O(n+m) transpose on startup.
     // `--ch` additionally stores the contraction hierarchy over the
-    // default cost model's lower-bound weights, so the daemon's PATH
-    // fast tier needs no freeze-time work either.
+    // graph the default mapping serves, so the daemon's PATH fast tier
+    // needs no freeze-time work either.
     let mut hierarchy = String::new();
     if fz.ch {
-        let graph = frozen.graph().clone();
-        let weights = pathalias_router::ch_weights(&graph, &pathalias_core::CostModel::default());
         let t0 = std::time::Instant::now();
-        let ch = pathalias_core::ChIndex::build(&graph, &weights);
-        hierarchy = format!(
-            ", hierarchy {:?}, {} shortcuts",
-            t0.elapsed(),
-            ch.shortcut_count()
-        );
-        frozen = frozen.with_hierarchy(std::sync::Arc::new(ch));
+        frozen = frozen.with_served_hierarchy(&options);
+        let shortcuts = frozen.hierarchy().map_or(0, |ch| ch.shortcut_count());
+        hierarchy = format!(", hierarchy {:?}, {shortcuts} shortcuts", t0.elapsed());
     }
     if let Err(e) = frozen.write_snapshot_all(&fz.out) {
         eprintln!("pathalias: writing {}: {e}", fz.out);

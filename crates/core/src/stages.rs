@@ -38,8 +38,9 @@
 use crate::delta::Outline;
 use crate::options::Options;
 use crate::pipeline::Error;
-use pathalias_graph::snapshot::{self, SnapshotError};
+use pathalias_graph::snapshot::{self, SnapshotError, StoredHierarchy};
 use pathalias_graph::{ChIndex, FrozenGraph, Graph, NodeId, ReverseGraph, Warning};
+use pathalias_mapper::cost_model::ch_weights;
 use pathalias_mapper::{map_dual_frozen, map_frozen, DualTree, MapOptions, ShortestPathTree};
 use pathalias_parser::parse_into;
 use pathalias_printer::{compute_routes, render, RouteTable};
@@ -212,7 +213,7 @@ impl Built {
         Frozen {
             graph: Arc::new(self.graph.freeze()),
             reverse: None,
-            ch: None,
+            hierarchy: None,
             first_host: self.first_host,
             warnings: self.graph.warnings().to_vec(),
             freeze_time: t0.elapsed(),
@@ -225,7 +226,9 @@ impl Built {
 pub struct Frozen {
     graph: Arc<FrozenGraph>,
     reverse: Option<Arc<ReverseGraph>>,
-    ch: Option<Arc<ChIndex>>,
+    /// The contraction hierarchy and the graph it is over: `graph`
+    /// itself, or `graph` with the back links of one mapping appended.
+    hierarchy: Option<(Arc<ChIndex>, Arc<FrozenGraph>)>,
     first_host: Option<NodeId>,
     warnings: Vec<Warning>,
     /// Wall-clock time spent freezing.
@@ -244,7 +247,7 @@ impl Frozen {
         Frozen {
             graph,
             reverse: None,
-            ch: None,
+            hierarchy: None,
             first_host,
             warnings,
             freeze_time,
@@ -257,7 +260,25 @@ impl Frozen {
     /// built over this stage's graph — loaders and engines re-validate
     /// the pairing and drop a mismatched one rather than trust it.
     pub fn with_hierarchy(mut self, ch: Arc<ChIndex>) -> Self {
-        self.ch = Some(ch);
+        self.hierarchy = Some((ch, self.graph.clone()));
+        self
+    }
+
+    /// Builds the contraction hierarchy a daemon serving this stage
+    /// prunes `PATH` searches with, and attaches it (`pathalias freeze
+    /// --ch`). It is built over the graph that mapping with `options`
+    /// serves: the back links the mapping invents are part of it, so a
+    /// daemon that maps the same way validates the stored hierarchy
+    /// instead of building its own. The weights are `options`' cost
+    /// model's lower bounds ([`ch_weights`]). If the mapping fails,
+    /// the hierarchy is over this stage's graph alone.
+    pub fn with_served_hierarchy(mut self, options: &Options) -> Self {
+        let over = match self.map(options) {
+            Ok(mapped) => mapped.tree.frozen().clone(),
+            Err(_) => self.graph.clone(),
+        };
+        let ch = ChIndex::build(&over, &ch_weights(&over, &options.cost_model));
+        self.hierarchy = Some((Arc::new(ch), over));
         self
     }
 
@@ -268,16 +289,21 @@ impl Frozen {
     /// instead.
     pub fn from_snapshot(path: impl AsRef<Path>) -> Result<Frozen, SnapshotError> {
         let t0 = Instant::now();
-        let (graph, reverse, ch) = snapshot::read_snapshot_all(path)?;
+        let (graph, reverse, hierarchy) = snapshot::read_snapshot_all(path)?;
         // `Parsed::build` pins the default `-l` to the first node
         // parsing ever creates, which is node 0 of a non-empty pool;
         // node ids survive freezing and serialization, so the same
         // node is the default here.
         let first_host = graph.node_ids().next();
+        let graph = Arc::new(graph);
+        let hierarchy = hierarchy.map(|StoredHierarchy { ch, augmented }| {
+            let over = augmented.map_or_else(|| graph.clone(), Arc::new);
+            (Arc::new(ch), over)
+        });
         Ok(Frozen {
-            graph: Arc::new(graph),
+            graph,
             reverse: reverse.map(Arc::new),
-            ch: ch.map(Arc::new),
+            hierarchy,
             first_host,
             warnings: Vec::new(),
             freeze_time: t0.elapsed(),
@@ -304,15 +330,19 @@ impl Frozen {
     /// Writes the snapshot with every optional section the stage
     /// carries: the reverse index (built here when absent) and the
     /// contraction hierarchy when one was attached
-    /// ([`with_hierarchy`](Frozen::with_hierarchy)) or loaded
+    /// ([`with_hierarchy`](Frozen::with_hierarchy),
+    /// [`with_served_hierarchy`](Frozen::with_served_hierarchy)) or
+    /// loaded, with the back links of the graph it is over
     /// (`pathalias freeze --ch` writes this form).
     pub fn write_snapshot_all(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        let ch = self.ch.as_deref();
+        let (ch, backlinks) = match &self.hierarchy {
+            Some((ch, over)) => (Some(&**ch), over.appended_since(&self.graph)),
+            None => (None, Vec::new()),
+        };
+        let g = &self.graph;
         match &self.reverse {
-            Some(rev) => snapshot::write_snapshot_all(&self.graph, Some(rev), ch, path),
-            None => {
-                snapshot::write_snapshot_all(&self.graph, Some(&self.graph.reverse()), ch, path)
-            }
+            Some(rev) => snapshot::write_snapshot_all(g, Some(rev), ch, &backlinks, path),
+            None => snapshot::write_snapshot_all(g, Some(&g.reverse()), ch, &backlinks, path),
         }
     }
 
@@ -334,7 +364,7 @@ impl Frozen {
             Frozen {
                 graph: Arc::new(graph),
                 reverse: None,
-                ch: None,
+                hierarchy: None,
                 first_host: self.first_host,
                 warnings: self.warnings.clone(),
                 freeze_time: t0.elapsed(),
@@ -360,7 +390,17 @@ impl Frozen {
     /// [`with_hierarchy`](Frozen::with_hierarchy). `None` means the
     /// point-to-point tier serves without the hierarchy fast path.
     pub fn hierarchy(&self) -> Option<&Arc<ChIndex>> {
-        self.ch.as_ref()
+        self.hierarchy.as_ref().map(|(ch, _)| ch)
+    }
+
+    /// The graph the [`hierarchy`](Frozen::hierarchy) is over: this
+    /// stage's graph, or it with the back links a mapping invents
+    /// ([`with_served_hierarchy`](Frozen::with_served_hierarchy); in a
+    /// snapshot `pathalias freeze --ch` wrote, the first declared
+    /// host's). A mapping that serves another graph cannot use the
+    /// hierarchy.
+    pub fn hierarchy_graph(&self) -> Option<&Arc<FrozenGraph>> {
+        self.hierarchy.as_ref().map(|(_, over)| over)
     }
 
     /// Warnings recorded while building.

@@ -50,6 +50,11 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
+/// One edge appended to a frozen graph, `(from, to, raw cost, operator,
+/// flags)`: what [`FrozenGraph::with_edges_appended`] takes and
+/// [`FrozenGraph::appended_since`] gives back.
+pub type AppendedEdge = (NodeId, NodeId, Cost, RouteOp, LinkFlags);
+
 /// Identifies an edge in a [`FrozenGraph`]: an index into the CSR edge
 /// arrays. Edge ids are only meaningful for the frozen graph that
 /// produced them (an augmented copy renumbers).
@@ -372,10 +377,7 @@ impl FrozenGraph {
     /// applied exactly as [`freeze`](FrozenGraph::freeze) would.
     /// Appending keeps every existing within-row edge order, so tie
     /// breaks against older edges are unchanged.
-    pub fn with_edges_appended(
-        &self,
-        extra: &[(NodeId, NodeId, Cost, RouteOp, LinkFlags)],
-    ) -> FrozenGraph {
+    pub fn with_edges_appended(&self, extra: &[AppendedEdge]) -> FrozenGraph {
         let n = self.node_count();
         let mut per_node: Vec<Vec<(NodeId, Cost, RouteOp, LinkFlags)>> = vec![Vec::new(); n];
         for &(from, to, cost, op, lflags) in extra {
@@ -423,6 +425,26 @@ impl FrozenGraph {
             edges,
             raw_cost,
         }
+    }
+
+    /// The edges this graph has beyond `base`, in the shape
+    /// [`with_edges_appended`](FrozenGraph::with_edges_appended) takes
+    /// them: each node's row past the length of its row in `base`, in
+    /// row order, costs raw. For a graph built from `base` by appending
+    /// (the back-link pass's augmented graphs are),
+    /// `base.with_edges_appended(&self.appended_since(base))` is `self`.
+    pub fn appended_since(&self, base: &FrozenGraph) -> Vec<AppendedEdge> {
+        debug_assert_eq!(self.node_count(), base.node_count());
+        let mut extra = Vec::with_capacity(self.edge_count().saturating_sub(base.edge_count()));
+        for u in self.node_ids() {
+            let row = self.row(u.index());
+            for e in row.start + base.degree(u)..row.end {
+                let e = EdgeId(e as u32);
+                let edge = self.edge(e);
+                extra.push((u, edge.to(), self.edge_raw_cost(e), edge.op(), edge.flags()));
+            }
+        }
+        extra
     }
 
     /// Rebuilds the snapshot with the adjacency rows of the patched
@@ -921,6 +943,20 @@ mod tests {
         assert!(f2.has_back_edge(b, a));
         assert!(!f.has_back_edge(a, c), "original untouched");
         assert_eq!(f2.edge_count(), f.edge_count() + 2);
+        // Appending again keeps each tail's order; reading the extras
+        // back gives them raw, grouped by tail, and rebuilds the graph.
+        let f3 = f2.with_edges_appended(&[(a, a, 3, RouteOp::UUCP, LinkFlags::BACK)]);
+        let extra = f3.appended_since(&f);
+        assert_eq!(
+            extra,
+            vec![
+                (a, c, 20, RouteOp::UUCP, LinkFlags::BACK),
+                (a, a, 3, RouteOp::UUCP, LinkFlags::BACK),
+                (b, a, 5, RouteOp::ARPA, LinkFlags::BACK),
+            ]
+        );
+        assert_eq!(f.with_edges_appended(&extra), f3);
+        assert!(f.appended_since(&f).is_empty());
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //! 12     4          edge count m (u32)
 //! 16     8          name blob length (u64)
 //! 24     4          raw-cost sidecar count rc (u32)
-//! 28     4          section flags (bit 0: reverse index present;
-//!                   unknown bits reject — see below)
+//! 28     4          section flags (bit 0: reverse index, bit 1:
+//!                   hierarchy, bit 2: back links; unknown bits
+//!                   reject — see below)
 //! 32     8          checksum (see below) of the whole file with this
 //!                   field zeroed
 //! 40     (n+1)*4    name offsets into the blob (monotone, 0-based)
@@ -78,6 +79,22 @@
 //! ...    down*8     downward edge weights
 //! ...    down*4     downward first child slots
 //! ...    down*4     downward second child slots
+//! ```
+//!
+//! With section-flag bit 2 set (only valid beside bit 1), the
+//! **back-link** section follows last: the links that mapping from
+//! the first declared host invents. The hierarchy is then over the
+//! graph with them appended ([`FrozenGraph::with_edges_appended`]),
+//! the graph a daemon mapping from that host serves; without the
+//! section it is over the graph itself. Its count prefix is
+//! bounds-checked the same way:
+//!
+//! ```text
+//! ...    4          back-link count `k` (u32)
+//! ...    k*20       back links: tail u32, then an edge record as
+//!                   above with the raw (pre-adjust) cost; grouped by
+//!                   tail in node order, each tail's in the order
+//!                   they were invented
 //! ```
 //!
 //! The section-flags word was reserved-as-zero in the original PAGF1
@@ -127,7 +144,8 @@
 use crate::ch::ChIndex;
 use crate::cost::Cost;
 use crate::flags::{LinkFlags, NodeFlags};
-use crate::frozen::{FrozenEdge, FrozenGraph, Names};
+use crate::frozen::{AppendedEdge, FrozenEdge, FrozenGraph, Names};
+use crate::graph::NodeId;
 use crate::reverse::ReverseGraph;
 use std::collections::HashMap;
 use std::fmt;
@@ -157,8 +175,28 @@ const SECTION_REVERSE: u32 = 1;
 /// the reverse section when both are present).
 const SECTION_CH: u32 = 2;
 
+/// Section-flag bit: the back links the hierarchy's graph appends
+/// follow the hierarchy section. Only valid beside [`SECTION_CH`].
+const SECTION_BACKLINKS: u32 = 4;
+
 /// Every section flag this reader understands; anything else rejects.
-const SECTION_KNOWN: u32 = SECTION_REVERSE | SECTION_CH;
+const SECTION_KNOWN: u32 = SECTION_REVERSE | SECTION_CH | SECTION_BACKLINKS;
+
+/// Bytes per serialized back link: the tail, then an edge record.
+const BACKLINK_LEN: usize = 4 + EDGE_LEN;
+
+/// A contraction hierarchy as a snapshot stores it, with the graph it
+/// was validated against.
+#[derive(Debug, PartialEq, Eq)]
+pub struct StoredHierarchy {
+    /// The hierarchy.
+    pub ch: ChIndex,
+    /// The graph the hierarchy is over when the file stores back
+    /// links: the snapshot's graph with them appended, the graph that
+    /// mapping from its first declared host serves. `None` when it is
+    /// over the snapshot's graph itself.
+    pub augmented: Option<FrozenGraph>,
+}
 
 /// Errors from reading or writing a PAGF1 snapshot.
 #[derive(Debug)]
@@ -204,26 +242,41 @@ pub fn to_bytes(g: &FrozenGraph) -> Vec<u8> {
 /// transpose of `g` (debug builds assert it); pass the result of
 /// [`FrozenGraph::reverse`].
 pub fn to_bytes_full(g: &FrozenGraph, reverse: Option<&ReverseGraph>) -> Vec<u8> {
-    to_bytes_all(g, reverse, None)
+    to_bytes_all(g, reverse, None, &[])
 }
 
 /// Serializes the snapshot with any combination of optional sections:
-/// the reverse index and/or the contraction hierarchy.
+/// the reverse index and/or the contraction hierarchy, the latter over
+/// `g` with `backlinks` appended ([`FrozenGraph::with_edges_appended`];
+/// pass none for a hierarchy over `g` itself).
 ///
 /// As with [`to_bytes_full`], the caller vouches that the sections
 /// really describe `g` (debug builds assert both).
+///
+/// # Panics
+///
+/// If `backlinks` is not empty but `ch` is `None`: back links are
+/// stored only as part of the hierarchy's graph.
 pub fn to_bytes_all(
     g: &FrozenGraph,
     reverse: Option<&ReverseGraph>,
     ch: Option<&ChIndex>,
+    backlinks: &[AppendedEdge],
 ) -> Vec<u8> {
     let n = g.node_count();
     let m = g.edges.len();
+    assert!(
+        ch.is_some() || backlinks.is_empty(),
+        "back links are stored only beside a hierarchy"
+    );
     if let Some(rev) = reverse {
         debug_assert!(rev.validate_against(g), "reverse index must match graph");
     }
     if let Some(ch) = ch {
-        debug_assert!(ch.validate_against(g), "hierarchy must match graph");
+        debug_assert!(
+            ch.validate_against(&g.with_edges_appended(backlinks)),
+            "hierarchy must match graph"
+        );
     }
     // The sidecar is a hash map in memory; on disk it is sorted by
     // edge id so the reader can verify it with one linear pass.
@@ -242,6 +295,11 @@ pub fn to_bytes_all(
             (n + 1) * 4 + m * 4 + m * 4
         } else {
             0
+        }
+        + if backlinks.is_empty() {
+            0
+        } else {
+            4 + backlinks.len() * BACKLINK_LEN
         }
         + ch.map_or(0, |ch| {
             8 + n * 4 + 2 * (n + 1) * 4 + (ch.up_count() + ch.down_count()) * 20
@@ -262,6 +320,9 @@ pub fn to_bytes_all(
     if ch.is_some() {
         sections |= SECTION_CH;
     }
+    if !backlinks.is_empty() {
+        sections |= SECTION_BACKLINKS;
+    }
     out.extend_from_slice(&sections.to_le_bytes());
     out.extend_from_slice(&0u64.to_le_bytes()); // checksum, patched below
 
@@ -279,11 +340,7 @@ pub fn to_bytes_all(
         out.extend_from_slice(&r.to_le_bytes());
     }
     for e in &g.edges {
-        out.extend_from_slice(&e.to.to_le_bytes());
-        out.push(e.op_ch);
-        out.push(e.op_dir);
-        out.extend_from_slice(&e.flags.bits().to_le_bytes());
-        out.extend_from_slice(&e.cost.to_le_bytes());
+        put_edge(&mut out, e);
     }
     for &(e, c) in &raw_cost {
         out.extend_from_slice(&e.to_le_bytes());
@@ -337,11 +394,27 @@ pub fn to_bytes_all(
             out.extend_from_slice(&b.to_le_bytes());
         }
     }
+    if !backlinks.is_empty() {
+        out.extend_from_slice(&(backlinks.len() as u32).to_le_bytes());
+        for &(from, to, cost, op, flags) in backlinks {
+            out.extend_from_slice(&from.raw().to_le_bytes());
+            put_edge(&mut out, &FrozenEdge::new(to, cost, op, flags));
+        }
+    }
     debug_assert_eq!(out.len(), total);
 
     let sum = checksum(&out);
     out[CHECKSUM_RANGE].copy_from_slice(&sum.to_le_bytes());
     out
+}
+
+/// Appends one 16-byte edge record.
+fn put_edge(out: &mut Vec<u8>, e: &FrozenEdge) {
+    out.extend_from_slice(&e.to.to_le_bytes());
+    out.push(e.op_ch);
+    out.push(e.op_dir);
+    out.extend_from_slice(&e.flags.bits().to_le_bytes());
+    out.extend_from_slice(&e.cost.to_le_bytes());
 }
 
 /// Writes the snapshot to `path` in the PAGF1 format.
@@ -361,22 +434,24 @@ pub fn write_snapshot_full(
     reverse: Option<&ReverseGraph>,
     path: impl AsRef<Path>,
 ) -> Result<(), SnapshotError> {
-    write_snapshot_all(g, reverse, None, path)
+    write_snapshot_all(g, reverse, None, &[], path)
 }
 
-/// Writes the snapshot with any combination of optional sections; same
-/// atomic-rename discipline as [`write_snapshot`].
+/// Writes the snapshot with any combination of optional sections
+/// ([`to_bytes_all`]); same atomic-rename discipline as
+/// [`write_snapshot`].
 pub fn write_snapshot_all(
     g: &FrozenGraph,
     reverse: Option<&ReverseGraph>,
     ch: Option<&ChIndex>,
+    backlinks: &[AppendedEdge],
     path: impl AsRef<Path>,
 ) -> Result<(), SnapshotError> {
     let path = path.as_ref();
     let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
     tmp_name.push(format!(".{}.tmp", std::process::id()));
     let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, to_bytes_all(g, reverse, ch))?;
+    std::fs::write(&tmp, to_bytes_all(g, reverse, ch, backlinks))?;
     if let Err(e) = std::fs::rename(&tmp, path) {
         let _ = std::fs::remove_file(&tmp);
         return Err(e.into());
@@ -405,7 +480,7 @@ pub fn read_snapshot_full(
 /// slot means the file does not carry that section.
 pub fn read_snapshot_all(
     path: impl AsRef<Path>,
-) -> Result<(FrozenGraph, Option<ReverseGraph>, Option<ChIndex>), SnapshotError> {
+) -> Result<(FrozenGraph, Option<ReverseGraph>, Option<StoredHierarchy>), SnapshotError> {
     from_bytes_all(&std::fs::read(path)?)
 }
 
@@ -485,13 +560,14 @@ pub fn from_bytes_full(bytes: &[u8]) -> Result<(FrozenGraph, Option<ReverseGraph
 }
 
 /// Deserializes a PAGF1 byte image with every optional section it
-/// carries. Both sections are validated against the decoded forward
-/// CSR ([`ReverseGraph::validate_against`] /
-/// [`ChIndex::validate_against`]): a section that lies is `Corrupt`,
+/// carries. The reverse section is validated against the decoded
+/// forward CSR ([`ReverseGraph::validate_against`]), the hierarchy
+/// against it with the stored back links appended
+/// ([`ChIndex::validate_against`]): a section that lies is `Corrupt`,
 /// not a wrong answer.
 pub fn from_bytes_all(
     bytes: &[u8],
-) -> Result<(FrozenGraph, Option<ReverseGraph>, Option<ChIndex>), SnapshotError> {
+) -> Result<(FrozenGraph, Option<ReverseGraph>, Option<StoredHierarchy>), SnapshotError> {
     if bytes.len() < HEADER_LEN {
         return corrupt(format!(
             "file is {} bytes, shorter than the {HEADER_LEN}-byte header",
@@ -522,14 +598,19 @@ pub fn from_bytes_all(
     }
     let has_reverse = sections & SECTION_REVERSE != 0;
     let has_ch = sections & SECTION_CH != 0;
+    let has_backlinks = sections & SECTION_BACKLINKS != 0;
+    if has_backlinks && !has_ch {
+        return corrupt("back-link section without a hierarchy");
+    }
     let stored_sum = le_u64(&bytes[CHECKSUM_RANGE]);
 
     // Every section length follows from the four header counts — except
-    // the hierarchy's two edge counts, which live at a computable offset
-    // inside its own section and are bounds-checked before being read.
-    // The file must match the resulting total *exactly* — a mismatch
-    // means truncation, an inflated count (which would otherwise ask
-    // for an absurd allocation below), or trailing garbage.
+    // the back-link count and the hierarchy's two edge counts, which
+    // live at a computable offset inside their own sections and are
+    // bounds-checked before being read. The file must match the
+    // resulting total *exactly* — a mismatch means truncation, an
+    // inflated count (which would otherwise ask for an absurd
+    // allocation below), or trailing garbage.
     let base: Option<u64> = (|| {
         let n = n as u64;
         let m = m as u64;
@@ -559,21 +640,23 @@ pub fn from_bytes_all(
     let Some(base) = base else {
         return corrupt("header counts overflow");
     };
+    // The hierarchy's count prefix sits right after the sections the
+    // header already sized, the back-link count right after the
+    // hierarchy; each must fit before anything reads through it.
     let mut ch_counts: Option<(usize, usize)> = None;
-    let expected: Option<u64> = if has_ch {
-        // The hierarchy's count prefix sits right after the sections
-        // the header already sized; it must fit before anything reads
-        // through it.
-        if (bytes.len() as u64) < base.saturating_add(8) {
+    let mut backlink_count: Option<usize> = None;
+    let mut expected = Some(base);
+    if has_ch {
+        let Some(at) = expected.filter(|&at| at.saturating_add(8) <= bytes.len() as u64) else {
             return corrupt("hierarchy section cut off before its counts");
-        }
-        let at = base as usize;
+        };
+        let at = at as usize;
         let up = le_u32(&bytes[at..at + 4]) as usize;
         let down = le_u32(&bytes[at + 4..at + 8]) as usize;
         ch_counts = Some((up, down));
-        (|| {
+        expected = (|| {
             let n = n as u64;
-            let mut total = base.checked_add(8)?;
+            let mut total = (at as u64).checked_add(8)?;
             for part in [
                 n.checked_mul(4)?,                 // rank
                 n.checked_add(1)?.checked_mul(4)?, // up_row
@@ -584,10 +667,18 @@ pub fn from_bytes_all(
                 total = total.checked_add(part)?;
             }
             Some(total)
-        })()
-    } else {
-        Some(base)
-    };
+        })();
+    }
+    if has_backlinks {
+        let Some(at) = expected.filter(|&at| at.saturating_add(4) <= bytes.len() as u64) else {
+            return corrupt("back-link section cut off before its count");
+        };
+        let k = le_u32(&bytes[at as usize..at as usize + 4]) as usize;
+        backlink_count = Some(k);
+        expected = (k as u64)
+            .checked_mul(BACKLINK_LEN as u64)
+            .and_then(|len| at.checked_add(4 + len));
+    }
     match expected {
         Some(want) if want == bytes.len() as u64 => {}
         Some(want) => {
@@ -637,6 +728,10 @@ pub fn from_bytes_all(
             r.take(down * 4),    // down_a
             r.take(down * 4),    // down_b
         )
+    });
+    let backlink_bytes = backlink_count.map(|k| {
+        r.take(4); // the count prefix, already decoded
+        r.take(k * BACKLINK_LEN)
     });
     debug_assert_eq!(r.pos, bytes.len());
 
@@ -690,30 +785,7 @@ pub fn from_bytes_all(
 
     let mut edges = Vec::with_capacity(m);
     for (i, c) in edge_bytes.chunks_exact(EDGE_LEN).enumerate() {
-        let to = le_u32(&c[0..4]);
-        let op_ch = c[4];
-        let op_dir = c[5];
-        let eflags = u16::from_le_bytes(c[6..8].try_into().expect("2 bytes"));
-        let cost = le_u64(&c[8..16]);
-        if to as usize >= n {
-            return corrupt(format!("edge {i} targets node {to}, past the {n} nodes"));
-        }
-        if !op_ch.is_ascii() {
-            return corrupt(format!("edge {i} has a non-ASCII routing operator"));
-        }
-        if op_dir > 1 {
-            return corrupt(format!("edge {i} has operator side {op_dir}, not 0/1"));
-        }
-        let Some(flags) = LinkFlags::from_bits(eflags) else {
-            return corrupt(format!("edge {i} has unknown flag bits"));
-        };
-        edges.push(FrozenEdge {
-            to,
-            op_ch,
-            op_dir,
-            flags,
-            cost,
-        });
+        edges.push(edge_record(c, n, || format!("edge {i}"))?);
     }
 
     let mut raw_cost = HashMap::with_capacity(rc);
@@ -794,14 +866,78 @@ pub fn from_bytes_all(
                 down_a: down_a.chunks_exact(4).map(le_u32).collect(),
                 down_b: down_b.chunks_exact(4).map(le_u32).collect(),
             };
-            if !ch.validate_against(&graph) {
+            let augmented = match backlink_bytes {
+                None => None,
+                Some(b) => Some(graph.with_edges_appended(&backlinks(&graph, b)?)),
+            };
+            if !ch.validate_against(augmented.as_ref().unwrap_or(&graph)) {
                 return corrupt("hierarchy section is not a hierarchy over the edges");
             }
-            Some(ch)
+            Some(StoredHierarchy { ch, augmented })
         }
     };
 
     Ok((graph, reverse, ch))
+}
+
+/// Decodes one 16-byte edge record of a graph of `n` nodes; `what`
+/// names it in the error.
+fn edge_record(c: &[u8], n: usize, what: impl Fn() -> String) -> Result<FrozenEdge, SnapshotError> {
+    let to = le_u32(&c[0..4]);
+    let op_ch = c[4];
+    let op_dir = c[5];
+    let eflags = u16::from_le_bytes(c[6..8].try_into().expect("2 bytes"));
+    let cost = le_u64(&c[8..16]);
+    if to as usize >= n {
+        return corrupt(format!("{} targets node {to}, past the {n} nodes", what()));
+    }
+    if !op_ch.is_ascii() {
+        return corrupt(format!("{} has a non-ASCII routing operator", what()));
+    }
+    if op_dir > 1 {
+        return corrupt(format!("{} has operator side {op_dir}, not 0/1", what()));
+    }
+    let Some(flags) = LinkFlags::from_bits(eflags) else {
+        return corrupt(format!("{} has unknown flag bits", what()));
+    };
+    Ok(FrozenEdge {
+        to,
+        op_ch,
+        op_dir,
+        flags,
+        cost,
+    })
+}
+
+/// Decodes the back-link section. Each link must be what the back-link
+/// pass invents: a `BACK` edge reversing a declared link of the same
+/// operator, from the declared link's head to its tail. Anything else
+/// is `Corrupt`.
+fn backlinks(graph: &FrozenGraph, bytes: &[u8]) -> Result<Vec<AppendedEdge>, SnapshotError> {
+    let n = graph.node_count();
+    let mut links = Vec::with_capacity(bytes.len() / BACKLINK_LEN);
+    for (i, c) in bytes.chunks_exact(BACKLINK_LEN).enumerate() {
+        let from = le_u32(&c[0..4]);
+        if from as usize >= n {
+            return corrupt(format!(
+                "back link {i} leaves node {from}, past the {n} nodes"
+            ));
+        }
+        let from = NodeId::from_raw(from);
+        let e = edge_record(&c[4..], n, || format!("back link {i}"))?;
+        if e.flags() != LinkFlags::BACK {
+            return corrupt(format!("back link {i} is not flagged BACK alone"));
+        }
+        let reverses_a_link = graph.out_edges(e.to()).any(|d| {
+            let d = graph.edge(d);
+            d.to() == from && d.op() == e.op() && !d.flags().contains(LinkFlags::BACK)
+        });
+        if !reverses_a_link {
+            return corrupt(format!("back link {i} reverses no declared link"));
+        }
+        links.push((from, e.to(), e.cost(), e.op(), e.flags()));
+    }
+    Ok(links)
 }
 
 #[cfg(test)]
@@ -1154,11 +1290,13 @@ mod tests {
             let frozen = rich_graph(with_reverse);
             let rev = frozen.reverse();
             let ch = ch_for(&frozen);
-            let bytes = to_bytes_all(&frozen, with_reverse.then_some(&rev), Some(&ch));
+            let bytes = to_bytes_all(&frozen, with_reverse.then_some(&rev), Some(&ch), &[]);
             let (loaded, loaded_rev, loaded_ch) = from_bytes_all(&bytes).unwrap();
             assert_eq!(loaded, frozen);
             assert_eq!(loaded_rev.is_some(), with_reverse);
-            assert_eq!(loaded_ch.as_ref(), Some(&ch));
+            let stored = loaded_ch.unwrap();
+            assert_eq!(stored.ch, ch);
+            assert!(stored.augmented.is_none(), "over the graph itself");
             // Readers that do not want the hierarchy accept the image
             // and simply drop it.
             assert_eq!(from_bytes(&bytes).unwrap(), frozen);
@@ -1174,11 +1312,11 @@ mod tests {
         let rev = frozen.reverse();
         let ch = ch_for(&frozen);
         let path = std::env::temp_dir().join(format!("pagf-ch-{}.pagf", std::process::id()));
-        write_snapshot_all(&frozen, Some(&rev), Some(&ch), &path).unwrap();
+        write_snapshot_all(&frozen, Some(&rev), Some(&ch), &[], &path).unwrap();
         let (loaded, loaded_rev, loaded_ch) = read_snapshot_all(&path).unwrap();
         assert_eq!(loaded, frozen);
         assert_eq!(loaded_rev, Some(rev));
-        assert_eq!(loaded_ch, Some(ch));
+        assert_eq!(loaded_ch.map(|h| h.ch), Some(ch));
         // The reverse-only and legacy readers open the same file.
         assert!(read_snapshot_full(&path).unwrap().1.is_some());
         assert_eq!(read_snapshot(&path).unwrap(), frozen);
@@ -1187,12 +1325,12 @@ mod tests {
 
     #[test]
     fn rejects_future_section_flags_cleanly() {
-        // Bit 2 is the next unassigned section bit: a file from a
+        // Bit 3 is the next unassigned section bit: a file from a
         // future pathalias using it must reject with the unknown-flag
         // message — the forward-compat contract a reader compiled
         // without a section relies on.
         let mut bytes = to_bytes(&rich_graph(false));
-        bytes[28..32].copy_from_slice(&4u32.to_le_bytes());
+        bytes[28..32].copy_from_slice(&8u32.to_le_bytes());
         match from_bytes_all(&retamp(bytes)) {
             Err(SnapshotError::Corrupt(why)) => {
                 assert!(why.contains("section flags"), "got: {why}")
@@ -1205,7 +1343,7 @@ mod tests {
     fn rejects_ch_section_lies() {
         let frozen = rich_graph(false);
         let ch = ch_for(&frozen);
-        let good = to_bytes_all(&frozen, None, Some(&ch));
+        let good = to_bytes_all(&frozen, None, Some(&ch), &[]);
         let n = frozen.node_count();
         let base = to_bytes(&frozen).len();
 
@@ -1263,9 +1401,110 @@ mod tests {
     fn rejects_truncated_ch_section() {
         let frozen = rich_graph(true);
         let ch = ch_for(&frozen);
-        let bytes = to_bytes_all(&frozen, Some(&frozen.reverse()), Some(&ch));
+        let bytes = to_bytes_all(&frozen, Some(&frozen.reverse()), Some(&ch), &[]);
         let plain = to_bytes_full(&frozen, Some(&frozen.reverse())).len();
         for cut in plain..bytes.len() {
+            assert!(
+                matches!(
+                    from_bytes_all(&bytes[..cut]),
+                    Err(SnapshotError::Corrupt(_))
+                ),
+                "cut to {cut} bytes accepted"
+            );
+        }
+    }
+
+    /// `rich_graph`'s graph with the back link `Duke -> unc` that
+    /// reverses its `unc -> Duke` link, and a hierarchy over the
+    /// graph with it appended.
+    fn with_backlink(f: &FrozenGraph) -> (Vec<AppendedEdge>, FrozenGraph, ChIndex) {
+        let (unc, duke) = (f.id_of("unc").unwrap(), f.id_of("Duke").unwrap());
+        let links = vec![(duke, unc, 700, RouteOp::UUCP, LinkFlags::BACK)];
+        let augmented = f.with_edges_appended(&links);
+        let ch = ch_for(&augmented);
+        (links, augmented, ch)
+    }
+
+    #[test]
+    fn backlink_section_round_trips() {
+        for ignore_case in [false, true] {
+            let frozen = rich_graph(ignore_case);
+            let (links, augmented, ch) = with_backlink(&frozen);
+            let bytes = to_bytes_all(&frozen, Some(&frozen.reverse()), Some(&ch), &links);
+            let (loaded, rev, stored) = from_bytes_all(&bytes).unwrap();
+            assert_eq!(loaded, frozen, "the graph stays the one frozen");
+            assert!(rev.unwrap().validate_against(&frozen));
+            let stored = stored.unwrap();
+            assert_eq!(stored.ch, ch);
+            assert_eq!(stored.augmented.as_ref(), Some(&augmented));
+            assert_eq!(augmented.appended_since(&frozen), links);
+            // Readers that drop the hierarchy drop the back links too.
+            assert_eq!(from_bytes(&bytes).unwrap(), frozen);
+        }
+    }
+
+    #[test]
+    fn rejects_backlink_section_lies() {
+        let frozen = rich_graph(false);
+        let (links, _, ch) = with_backlink(&frozen);
+        let good = to_bytes_all(&frozen, None, Some(&ch), &links);
+        let record = good.len() - BACKLINK_LEN;
+        let at = record - 4;
+        let is_corrupt =
+            |bad: Vec<u8>| matches!(from_bytes_all(&bad), Err(SnapshotError::Corrupt(_)));
+
+        // Any flipped bit in the section, checksum left stale.
+        for pos in at..record + BACKLINK_LEN {
+            for bit in 0..8 {
+                let mut bad = good.clone();
+                bad[pos] ^= 1 << bit;
+                assert!(is_corrupt(bad), "flip at byte {pos} bit {bit} accepted");
+            }
+        }
+
+        // Structural lies behind a valid checksum: the count, the
+        // tail, the head, the flags, and an operator no declared link
+        // has.
+        let n = frozen.node_count() as u32;
+        for (offset, value) in [
+            (at, u32::MAX.to_le_bytes().to_vec()),
+            (at, 0u32.to_le_bytes().to_vec()),
+            (record, n.to_le_bytes().to_vec()),
+            (record + 4, n.to_le_bytes().to_vec()),
+            (
+                record + 10,
+                LinkFlags::empty().bits().to_le_bytes().to_vec(),
+            ),
+            (record + 8, vec![b'@']),
+        ] {
+            let mut bad = good.clone();
+            bad[offset..offset + value.len()].copy_from_slice(&value);
+            assert!(is_corrupt(retamp(bad)), "{value:?} at {offset} accepted");
+        }
+
+        // The same back link named by another declared link's tail: a
+        // BACK edge that reverses nothing.
+        let phs = frozen.id_of("phs").unwrap().raw();
+        let mut bad = good.clone();
+        bad[record..record + 4].copy_from_slice(&phs.to_le_bytes());
+        assert!(is_corrupt(retamp(bad)));
+
+        // The hierarchy over the plain graph does not cover the back
+        // link's graph, nor does the back links' bit stand alone.
+        let mut bad = to_bytes_all(&frozen, None, Some(&ch_for(&frozen)), &[]);
+        bad[28..32].copy_from_slice(&(SECTION_CH | SECTION_BACKLINKS).to_le_bytes());
+        assert!(is_corrupt(retamp(bad)));
+        let mut bad = good;
+        bad[28..32].copy_from_slice(&SECTION_BACKLINKS.to_le_bytes());
+        assert!(is_corrupt(retamp(bad)));
+    }
+
+    #[test]
+    fn rejects_truncated_backlink_section() {
+        let frozen = rich_graph(true);
+        let (links, _, ch) = with_backlink(&frozen);
+        let bytes = to_bytes_all(&frozen, None, Some(&ch), &links);
+        for cut in to_bytes(&frozen).len()..bytes.len() {
             assert!(
                 matches!(
                     from_bytes_all(&bytes[..cut]),

@@ -11,7 +11,7 @@
 use pathalias_graph::snapshot::{
     from_bytes, from_bytes_all, to_bytes, to_bytes_all, SnapshotError,
 };
-use pathalias_graph::{ChIndex, Cost, EdgeId, FrozenGraph, Graph, RouteOp};
+use pathalias_graph::{ChIndex, Cost, EdgeId, FrozenGraph, Graph, LinkFlags, RouteOp};
 use proptest::prelude::*;
 
 /// Builds a deterministic graph from proptest-chosen shape values,
@@ -63,15 +63,23 @@ fn retamp(mut bytes: Vec<u8>) -> Vec<u8> {
 }
 
 /// Serializes the graph with every optional section present — the
-/// reverse CSR and a contraction hierarchy over the folded edge
-/// costs — so the multi-section tests damage the widest layout.
+/// reverse CSR, a back link reversing the first edge (when there is
+/// one) and a contraction hierarchy over the folded edge costs with
+/// it appended — so the multi-section tests damage the widest layout.
 fn all_sections(f: &FrozenGraph) -> Vec<u8> {
-    let weights: Vec<Cost> = (0..f.edge_count())
-        .map(|e| f.edge_cost(EdgeId::from_raw(e as u32)))
+    let backlinks: Vec<_> = f
+        .node_ids()
+        .flat_map(|u| f.out_edges(u).map(move |e| (u, e)))
+        .take(1)
+        .map(|(u, e)| (f.edge_target(e), u, 9, f.edge_op(e), LinkFlags::BACK))
+        .collect();
+    let augmented = f.with_edges_appended(&backlinks);
+    let weights: Vec<Cost> = (0..augmented.edge_count())
+        .map(|e| augmented.edge_cost(EdgeId::from_raw(e as u32)))
         .collect();
     let rev = f.reverse();
-    let ch = ChIndex::build(f, &weights);
-    to_bytes_all(f, Some(&rev), Some(&ch))
+    let ch = ChIndex::build(&augmented, &weights);
+    to_bytes_all(f, Some(&rev), Some(&ch), &backlinks)
 }
 
 proptest! {
@@ -197,7 +205,7 @@ proptest! {
         hosts in 4usize..24,
         links in proptest::collection::vec((0usize..24, 0usize..24, 0u64..50_000), 1..40),
         seed in 0u64..1_000,
-        bit in 2u32..32,
+        bit in 3u32..32,
         with_known in any::<bool>(),
     ) {
         let f = build_graph(hosts, &links, seed).freeze();

@@ -499,6 +499,25 @@ impl CostModel {
     }
 }
 
+/// The universal lower-bound weight vector the contraction hierarchy
+/// is built over: [`CostModel::lower_bound`] with no source, one entry
+/// per frozen edge. Summing these along any path under-approximates
+/// what the mapper charges for it from any label at any source, so
+/// hierarchy distances over this metric are sound pruning bounds for
+/// the certified search.
+pub fn ch_weights(f: &FrozenGraph, model: &CostModel) -> Vec<Cost> {
+    let mut w = Vec::with_capacity(f.edge_count());
+    for u in f.node_ids() {
+        let (base_edge, row) = f.edge_slice(u);
+        w.extend(
+            row.iter()
+                .enumerate()
+                .map(|(i, &edge)| model.lower_bound(f, None, u, base_edge + i as u32, edge)),
+        );
+    }
+    w
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,7 +15,7 @@ use crate::cost_model::{
     Tail, LABELLED, MAPPED, NO_PRED,
 };
 use crate::tree::{Children, MapStats, PackedTree, ShortestPathTree, TraceDecision, TraceEvent};
-use pathalias_graph::{Cost, EdgeId, FrozenEdge, FrozenGraph, Graph, LinkFlags, NodeId};
+use pathalias_graph::{EdgeId, FrozenEdge, FrozenGraph, Graph, LinkFlags, NodeId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
@@ -406,9 +406,9 @@ fn heap_run<'g>(
     Ok(run)
 }
 
-/// One invented link, `(from, to, raw cost, operator, flags)`: the
-/// shape [`FrozenGraph::with_edges_appended`] takes.
-type Invention = (NodeId, NodeId, Cost, pathalias_graph::RouteOp, LinkFlags);
+/// One invented link, in the shape
+/// [`FrozenGraph::with_edges_appended`] takes.
+type Invention = pathalias_graph::frozen::AppendedEdge;
 
 /// Maps from `source`, then runs the back-link pass to fixpoint: "we
 /// examine the connections out of each unreachable host, invent links

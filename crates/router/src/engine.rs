@@ -4,8 +4,9 @@
 //! `src → dst` queries.
 
 use crate::route::PathAnswer;
-use crate::search::{ch_weights, search, search_ch, Query, Scratch, SearchStats};
+use crate::search::{search, search_ch, Query, Scratch, SearchStats};
 use pathalias_graph::{ChIndex, Cost, EdgeId, FrozenGraph, NodeId, ReverseGraph};
+use pathalias_mapper::cost_model::ch_weights;
 use pathalias_mapper::{map_frozen_readonly_packed, CostModel, Label, MapOptions, PackedTree};
 use std::fmt;
 use std::sync::{Arc, Mutex};

@@ -88,5 +88,6 @@ mod route;
 mod search;
 
 pub use engine::{PointToPoint, RouteError, ViaEntry};
+pub use pathalias_mapper::cost_model::ch_weights;
 pub use route::PathAnswer;
-pub use search::{ch_weights, SearchStats};
+pub use search::SearchStats;

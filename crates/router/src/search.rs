@@ -619,25 +619,6 @@ pub(crate) fn search(q: &Query, reverse: Option<&ReverseGraph>, s: &mut Scratch)
     }
 }
 
-/// The universal lower-bound weight vector the contraction hierarchy
-/// is built over: [`CostModel::lower_bound`] with no source, one entry
-/// per frozen edge. Summing these along any path under-approximates
-/// what the mapper charges for it from any label at any source, so
-/// hierarchy distances over this metric are sound pruning bounds for
-/// the certified search.
-pub fn ch_weights(f: &FrozenGraph, model: &CostModel) -> Vec<Cost> {
-    let mut w = Vec::with_capacity(f.edge_count());
-    for u in f.node_ids() {
-        let (base_edge, row) = f.edge_slice(u);
-        w.extend(
-            row.iter()
-                .enumerate()
-                .map(|(i, &edge)| model.lower_bound(f, None, u, base_edge + i as u32, edge)),
-        );
-    }
-    w
-}
-
 /// The CH tier's pruner: `B*(v)`, the *exact* hierarchy distance
 /// `v → dst` over the CH weights — a lower bound on the remaining
 /// forward cost from any label at `v`. `Cost::MAX` means the hierarchy
@@ -834,6 +815,7 @@ pub(crate) fn search_ch(q: &Query, ch: &ChIndex, scratch: &mut Scratch) -> Searc
 mod tests {
     use super::*;
     use pathalias_mapgen::{generate, MapSpec};
+    use pathalias_mapper::cost_model::ch_weights;
 
     /// `Scratch::begin`'s "one real clear every 2^32 queries": a
     /// scratch full of earlier queries' labels, every slot of it

@@ -733,8 +733,8 @@ impl State {
             "pathalias_hierarchy_loads_total",
             "counter",
             "Loads of this map, start-up included, by what became of the contraction \
-             hierarchy (stored: validated and served; rebuilt: over back links; rejected: \
-             did not fit; dropped: lost to a delta reload; none).",
+             hierarchy (stored: validated and served; rebuilt: over other back \
+             links; rejected: did not fit; dropped: lost to a delta reload; none).",
         );
         for m in &maps {
             for (outcome, n) in m.telemetry.hierarchy_loads() {

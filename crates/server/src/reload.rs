@@ -75,8 +75,9 @@ impl LoadPath {
 pub enum HierarchyOutcome {
     /// The snapshot's stored hierarchy passed validation and serves.
     Stored,
-    /// The snapshot carried one, but mapping invented back links, so
-    /// it was rebuilt over the augmented graph.
+    /// The snapshot carried one over another graph than this load's
+    /// mapping serves (its back links differ), so it was rebuilt over
+    /// the graph served.
     Rebuilt,
     /// The snapshot carried one that does not fit the graph or the
     /// cost model; none serves.
@@ -540,32 +541,41 @@ fn map_print_engine(
     let t0 = Instant::now();
     let aug = mapped.tree.frozen().clone();
     let model = options.cost_model;
-    // Back-link invention replaces the snapshot graph; only when the
-    // tree still points at the very same graph are the stored sections
-    // (transpose, hierarchy) valid. A stage that carried a hierarchy is
-    // an operator opt-in (`freeze --ch`), so when back links changed
-    // the graph the hierarchy is rebuilt over the augmented snapshot
-    // rather than silently lost.
-    let stored = frozen.hierarchy();
-    let engine = if Arc::ptr_eq(&aug, frozen.graph()) {
-        let engine = match frozen.reverse_index() {
-            Some(rev) => PointToPoint::with_sections(aug, rev.clone(), stored.cloned(), model),
-            None => PointToPoint::new(aug, model),
-        };
-        report.hierarchy = match (stored, engine.hierarchy()) {
-            (None, _) => HierarchyOutcome::None,
-            (Some(_), Some(_)) => HierarchyOutcome::Stored,
-            (Some(_), None) => HierarchyOutcome::Rejected,
-        };
-        engine
-    } else if stored.is_some() {
-        let t1 = Instant::now();
-        let engine = PointToPoint::with_fresh_hierarchy(aug, model);
-        report.hierarchy_build = t1.elapsed();
-        report.hierarchy = HierarchyOutcome::Rebuilt;
-        engine
-    } else {
-        PointToPoint::new(aug, model)
+    // A stored hierarchy serves only the graph it is over: the
+    // snapshot's, or the snapshot's plus the back links that mapping
+    // from its first host invents (`freeze --ch`). When this mapping
+    // serves an equal graph, the engine keeps the stored copy, which
+    // the frozen stage holds anyway. Otherwise (a `-l` that invents
+    // other back links) the hierarchy, an operator opt-in, is rebuilt
+    // over the graph served rather than silently lost.
+    let engine = match frozen.hierarchy().zip(frozen.hierarchy_graph()) {
+        Some((ch, over)) if Arc::ptr_eq(&aug, over) || *aug == **over => {
+            // The stored transpose is the snapshot graph's.
+            let reverse = match frozen.reverse_index() {
+                Some(rev) if Arc::ptr_eq(over, frozen.graph()) => rev.clone(),
+                _ => Arc::new(over.reverse()),
+            };
+            let engine =
+                PointToPoint::with_sections(over.clone(), reverse, Some(ch.clone()), model);
+            report.hierarchy = match engine.hierarchy() {
+                Some(_) => HierarchyOutcome::Stored,
+                None => HierarchyOutcome::Rejected,
+            };
+            engine
+        }
+        Some(_) => {
+            let t1 = Instant::now();
+            let engine = PointToPoint::with_fresh_hierarchy(aug, model);
+            report.hierarchy_build = t1.elapsed();
+            report.hierarchy = HierarchyOutcome::Rebuilt;
+            engine
+        }
+        None => match frozen.reverse_index() {
+            Some(rev) if Arc::ptr_eq(&aug, frozen.graph()) => {
+                PointToPoint::with_sections(aug, rev.clone(), None, model)
+            }
+            _ => PointToPoint::new(aug, model),
+        },
     };
     report.engine = t0.elapsed() - report.hierarchy_build;
     // The database last: the engine's build scratch is freed by now.
@@ -1695,6 +1705,69 @@ mod tests {
             );
             std::fs::remove_file(path).unwrap();
         }
+    }
+
+    #[test]
+    fn a_hierarchy_over_the_first_hosts_back_links_loads_as_stored() {
+        // Nothing reaches `stray` or `lone`: mapping from unc, the
+        // first host, invents unc -> stray and duke -> lone; from
+        // stray, only the second.
+        let strays = format!("{MAP}stray\tunc(10)\nlone\tduke(5)\n");
+        let mut parsed = Parsed::new();
+        parsed.push_str("map", &strays);
+        let defaults = Options::default();
+        let frozen = parsed.build(&defaults).unwrap().freeze();
+        let frozen = frozen.with_served_hierarchy(&defaults);
+        let over = frozen.hierarchy_graph().unwrap();
+        assert_eq!(over.edge_count(), frozen.graph().edge_count() + 2);
+        let path = temp("ch-served.pagf");
+        frozen.write_snapshot_all(&path).unwrap();
+        let map_path = temp("ch-served.map");
+        std::fs::write(&map_path, &strays).unwrap();
+
+        let hosts = ["unc", "duke", "phs", "research", "stray", "lone"];
+        for (local, want) in [
+            ("unc", HierarchyOutcome::Stored),
+            ("stray", HierarchyOutcome::Rebuilt),
+        ] {
+            let options = Options {
+                local: Some(local.into()),
+                ..Default::default()
+            };
+            let source = MapSource::frozen_snapshot(path.clone(), options.clone());
+            let (_, engine, report) = source.load_serving_timed().unwrap();
+            assert_eq!(report.hierarchy, want, "-l {local}");
+            assert_eq!(
+                report.hierarchy_build.is_zero(),
+                want == HierarchyOutcome::Stored,
+                "-l {local}"
+            );
+            let engine = engine.unwrap();
+            assert!(engine.hierarchy().is_some(), "-l {local}");
+            let plain = MapSource::map_files(vec![map_path.clone()], options);
+            let plain = plain.load_serving_timed().unwrap().1.unwrap();
+            for src in hosts {
+                for dst in hosts {
+                    assert_eq!(
+                        format!("{:?}", engine.route(src, dst)),
+                        format!("{:?}", plain.route(src, dst)),
+                        "-l {local}: PATH {src} {dst}"
+                    );
+                }
+            }
+        }
+
+        // A flipped byte in the back-link section, which ends the file.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 1;
+        std::fs::write(&path, bytes).unwrap();
+        assert!(matches!(
+            MapSource::frozen_snapshot(path.clone(), Options::default()).load_serving_timed(),
+            Err(LoadError::Snapshot(SnapshotError::Corrupt(_)))
+        ));
+        std::fs::remove_file(path).unwrap();
+        std::fs::remove_file(map_path).unwrap();
     }
 
     #[test]

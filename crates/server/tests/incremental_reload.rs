@@ -544,6 +544,74 @@ fn a_rebuilt_hierarchy_is_counted_and_timed() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
+/// `freeze --ch` stores the hierarchy over the graph its default
+/// mapping serves, back links included. A `--pagf` daemon that maps
+/// from the first host serves it as stored, at start-up and on every
+/// reload, with no hierarchy build; one whose `-l` invents other back
+/// links rebuilds it. Both answer `PATH` as a `--map` daemon does.
+#[test]
+fn a_hierarchy_over_the_served_graph_is_stored() {
+    let dir = temp_dir("ch-stored");
+    // Nothing reaches `stray` or `lone`: mapping from hub, the first
+    // host, invents hub -> stray and n1 -> lone; from stray, only the
+    // second.
+    let world = format!("{}stray\thub(10)\nlone\tn1(5)\n", spoke_world());
+    let mut parsed = Parsed::new();
+    parsed.push_str("map", &world);
+    let defaults = Options::default();
+    let frozen = parsed.build(&defaults).unwrap().freeze();
+    let frozen = frozen.with_served_hierarchy(&defaults);
+    let pagf = dir.join("world.pagf");
+    frozen.write_snapshot_all(&pagf).unwrap();
+
+    let hosts = ["hub", "n1", "n2", "x", "y", "stray", "lone"];
+    let phase = "pathalias_reload_phase_seconds{map=\"default\",phase=\"hierarchy\"} ";
+    for (local, stored) in [("hub", true), ("stray", false)] {
+        let options = Options {
+            local: Some(local.into()),
+            ..Default::default()
+        };
+        let source = MapSource::frozen_snapshot(pagf.clone(), options.clone());
+        let handle = Server::start(ServerConfig::ephemeral(source)).unwrap();
+        let mut client = Client::connect(handle.tcp_addr().unwrap()).unwrap();
+        client.negotiate().unwrap();
+        client.reload().unwrap();
+        let loads = |c: &mut Client, outcome: &str| {
+            let labels = format!(",outcome=\"{outcome}\"");
+            scraped_with(c, "pathalias_hierarchy_loads_total", &labels)
+        };
+        let want = |hit: bool| if hit { 2 } else { 0 };
+        assert_eq!(loads(&mut client, "stored"), want(stored), "-l {local}");
+        assert_eq!(loads(&mut client, "rebuilt"), want(!stored), "-l {local}");
+        let text = client.metrics().unwrap();
+        let secs: f64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix(phase))
+            .expect("hierarchy phase exported")
+            .parse()
+            .unwrap();
+        assert_eq!(secs == 0.0, stored, "-l {local}: hierarchy built {secs} s");
+
+        let (map_path, mut map_client, map_handle) =
+            serve_world(&format!("ch-stored-{local}"), &world, &options);
+        for src in hosts {
+            for dst in hosts {
+                assert_eq!(
+                    client.path(src, dst).unwrap(),
+                    map_client.path(src, dst).unwrap(),
+                    "-l {local}: PATH {src} {dst}"
+                );
+            }
+        }
+        map_client.quit().unwrap();
+        map_handle.shutdown();
+        client.quit().unwrap();
+        handle.shutdown();
+        std::fs::remove_dir_all(map_path.parent().unwrap()).unwrap();
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 /// One step of an edit chain.
 #[derive(Debug, Clone, Copy)]
 enum Step {
