@@ -107,6 +107,38 @@ fn trace_prints_decisions() {
 }
 
 #[test]
+fn stderr_of_a_verbose_traced_run_is_pinned() {
+    // A duplicate link (a warning), a host only a back link reaches, a
+    // traced host and three unreachable ones: every stderr line the
+    // run prints, in order, after the routes.
+    let map = "a\tb(10), c(5)\na\tb(20)\nb\tc(1)\nd\tc(4)\nx\ty(3)\nz\tx(2)\n";
+    let (stdout, stderr, ok) = run_with_stdin(&["-v", "-t", "c", "-l", "a"], map);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout, "a\t%s\nc\tc!%s\nb\tb!%s\nd\tc!d!%s\n");
+    let (before, timings) = stderr
+        .split_once("pathalias: timings: ")
+        .expect("a timing line");
+    assert_eq!(
+        before,
+        "pathalias: warning: duplicate link a -> b: keeping cost 10, dropping 20\n\
+         trace: a -> c base 5 => candidate 5 (accepted)\n\
+         trace: c -> d base 30000004 => candidate 30000009 (accepted)\n\
+         pathalias: 3 unreachable host(s): x, y, z\n\
+         pathalias: 7 nodes, 6 links, 4 mapped\n\
+         pathalias: heap: 7 pushes, 7 pops (0 stale); 8 relaxations\n\
+         pathalias: penalties: 0 gate, 0 relay, 0 mixed; back links: 1 in 1 rounds (1 restarted)\n"
+    );
+    // The timing line is last, and names the four phases in order.
+    let phases: Vec<&str> = timings
+        .strip_suffix('\n')
+        .expect("one line")
+        .split(", ")
+        .map(|p| p.split_once(' ').expect("phase and time").0)
+        .collect();
+    assert_eq!(phases, ["parse", "freeze", "map", "print"], "{timings}");
+}
+
+#[test]
 fn unknown_local_fails() {
     let (_, stderr, ok) = run_with_stdin(&["-l", "nowhere"], PAPER_MAP);
     assert!(!ok);
