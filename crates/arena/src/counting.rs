@@ -58,6 +58,15 @@ pub fn snapshot() -> AllocSnapshot {
     }
 }
 
+/// Restarts the high-water mark at the bytes live now, so the next
+/// [`snapshot`]'s `peak` is the highest point reached since this call.
+pub fn reset_peak() {
+    let live = ALLOCATED
+        .load(Ordering::Relaxed)
+        .saturating_sub(FREED.load(Ordering::Relaxed));
+    PEAK.store(live, Ordering::Relaxed);
+}
+
 fn on_alloc(size: usize) {
     let total = ALLOCATED.fetch_add(size, Ordering::Relaxed) + size;
     CALLS.fetch_add(1, Ordering::Relaxed);

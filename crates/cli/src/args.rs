@@ -22,7 +22,8 @@ options:
   -l host   local host (mapping source); default: first host in input
   -c        print costs
   -i        ignore case in host names
-  -v        verbose statistics on stderr
+  -v        verbose statistics on stderr, after the routes; the print
+            timing includes writing them out
   -n        sort output by name instead of cost
   -s        also compute second-best (domain-free) routes
   -t host   trace routing decisions for host (repeatable)
@@ -36,7 +37,9 @@ freeze (write a PAGF1 frozen-graph snapshot):
             (the first host declared) serves, back links included, so
             a daemon serving the snapshot gets the PATH fast tier with
             no startup work; a serve -l naming another host whose
-            mapping invents other back links rebuilds it at start-up
+            mapping invents other back links rebuilds it at start-up.
+            With back links, the reverse index is left out: no daemon
+            serves the bare graph it is the transpose of
   file ...  map files (standard input when omitted)
 
 serve (daemon mode; default listen 127.0.0.1:4175):

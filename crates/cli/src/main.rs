@@ -15,7 +15,7 @@
 //! to standard output; warnings, unreachable hosts and statistics go to
 //! standard error.
 
-use pathalias_core::{Options, Parsed, Pathalias, Sort};
+use pathalias_core::{Error, Options, Parsed, Pathalias, Sort};
 use pathalias_mailer::RouteDb;
 use pathalias_mapgen::{generate, MapSpec};
 use pathalias_server::{Client, Logger, MapSource, Server, ServerConfig, UdpClient};
@@ -86,34 +86,26 @@ fn cmd_run(run: RunArgs) -> ExitCode {
         }
     }
 
-    match pa.run() {
-        Ok(out) => {
-            if let Err(code) = write_stdout(&out.rendered) {
-                return code;
-            }
-            for w in &out.warnings {
+    // The routes stream to stdout as they are rendered; everything on
+    // stderr follows them.
+    match pa.write_routes(&mut std::io::stdout().lock()) {
+        Ok(report) => {
+            for w in &report.warnings {
                 eprintln!("pathalias: warning: {w}");
             }
-            if !out.tree.trace.is_empty() {
-                eprint!(
-                    "{}",
-                    pathalias_core::format_trace(out.tree.frozen(), &out.tree.trace)
-                );
-            }
-            if !out.unreachable.is_empty() {
+            eprint!("{}", report.trace);
+            if !report.unreachable.is_empty() {
                 eprintln!(
                     "pathalias: {} unreachable host(s): {}",
-                    out.unreachable.len(),
-                    out.unreachable.join(", ")
+                    report.unreachable.len(),
+                    report.unreachable.join(", ")
                 );
             }
             if verbose {
-                let s = out.tree.stats;
+                let s = report.stats;
                 eprintln!(
                     "pathalias: {} nodes, {} links, {} mapped",
-                    pa.graph().node_count(),
-                    pa.graph().link_count(),
-                    s.mapped
+                    report.nodes, report.links, s.mapped
                 );
                 eprintln!(
                     "pathalias: heap: {} pushes, {} pops ({} stale); {} relaxations",
@@ -128,13 +120,15 @@ fn cmd_run(run: RunArgs) -> ExitCode {
                     s.backlink_rounds,
                     s.restarted_rounds
                 );
+                let t = report.timings;
                 eprintln!(
                     "pathalias: timings: parse {:?}, freeze {:?}, map {:?}, print {:?}",
-                    out.timings.parse, out.timings.freeze, out.timings.map, out.timings.print
+                    t.parse, t.freeze, t.map, t.print
                 );
             }
             ExitCode::SUCCESS
         }
+        Err(Error::Io(e)) => write_failed(&e),
         Err(e) => {
             eprintln!("pathalias: {e}");
             ExitCode::FAILURE
@@ -159,19 +153,22 @@ fn cmd_mapgen(mg: MapgenArgs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Writes `text` to standard output in one call. A reader that went
-/// away (`pathalias ... | head -1`) ends the run with a failure status
-/// and nothing on standard error; any other write error is reported.
+/// Writes `text` to standard output in one call.
 fn write_stdout(text: &str) -> Result<(), ExitCode> {
     let mut out = std::io::stdout().lock();
-    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Err(ExitCode::FAILURE),
-        Err(e) => {
-            eprintln!("pathalias: writing standard output: {e}");
-            Err(ExitCode::FAILURE)
-        }
+    out.write_all(text.as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(|e| write_failed(&e))
+}
+
+/// Ends a run whose standard output failed. A reader that went away
+/// (`pathalias ... | head -1`) gets a failure status and nothing on
+/// standard error; any other write error is reported.
+fn write_failed(e: &std::io::Error) -> ExitCode {
+    if e.kind() != std::io::ErrorKind::BrokenPipe {
+        eprintln!("pathalias: writing standard output: {e}");
     }
+    ExitCode::FAILURE
 }
 
 /// `pathalias freeze`: run parse → build → freeze and write the
@@ -204,15 +201,24 @@ fn cmd_freeze(fz: FreezeArgs) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Each stage goes as soon as the next exists: the texts once
+    // built, the linked graph once frozen.
+    drop(parsed);
+    let build_time = built.build_time;
     let mut frozen = built.freeze();
+    drop(built);
     for w in frozen.warnings() {
         eprintln!("pathalias: warning: {w}");
     }
-    // The snapshot carries the reverse index too, so a daemon serving
-    // it answers `PATH * dst` without an O(n+m) transpose on startup.
-    // `--ch` additionally stores the contraction hierarchy over the
-    // graph the default mapping serves, so the daemon's PATH fast tier
-    // needs no freeze-time work either.
+    // The snapshot carries the reverse index too. It saves a daemon
+    // the O(n+m) transpose at startup only when the daemon serves the
+    // bare graph, that is when its mapping invents no back links; one
+    // that invents some transposes the graph with them instead. `--ch`
+    // also stores the contraction hierarchy over the graph the default
+    // mapping serves, so the daemon's PATH fast tier needs no
+    // freeze-time work either; when that graph has back links, they
+    // are stored and the reverse index, which no load would read, is
+    // left out.
     let mut hierarchy = String::new();
     if fz.ch {
         let t0 = std::time::Instant::now();
@@ -232,7 +238,7 @@ fn cmd_freeze(fz: FreezeArgs) -> ExitCode {
         g.edge_count(),
         fz.out,
         bytes,
-        built.build_time,
+        build_time,
         frozen.freeze_time,
     );
     ExitCode::SUCCESS

@@ -34,7 +34,7 @@ pub mod stages;
 
 pub use delta::{plan_delta, DeltaPlan};
 pub use options::Options;
-pub use pipeline::{Error, Output, Pathalias, PhaseTimings};
+pub use pipeline::{Error, Output, Pathalias, PhaseTimings, Report};
 pub use stages::{Built, Frozen, Mapped, Parsed, Printed};
 
 // Re-export the component crates' vocabulary so downstream users need
@@ -51,5 +51,5 @@ pub use pathalias_mapper::{
 pub use pathalias_parser::{parse, parse_files, parse_into, ParseError};
 pub use pathalias_printer::{
     compute_routes, for_each_route, render, render_tree, route_kind, route_name, update_routes,
-    PrintOptions, Route, RouteKind, RouteRef, RouteTable, RouteWalk, Sort,
+    write_tree, PrintOptions, Route, RouteKind, RouteRef, RouteTable, RouteWalk, Sort,
 };

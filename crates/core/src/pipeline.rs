@@ -5,17 +5,21 @@
 //! [stages](crate::stages) `Built → Frozen → Mapped → Printed`, and
 //! caches the [`Frozen`] stage between runs — calling [`run`] twice
 //! with different mapping or printing options re-enters the pipeline at
-//! the map stage without re-parsing or re-freezing.
+//! the map stage without re-parsing or re-freezing. The batch run
+//! itself, [`write_routes`], consumes the driver instead, and frees each
+//! stage as soon as the next one exists.
 //!
 //! [`run`]: Pathalias::run
+//! [`write_routes`]: Pathalias::write_routes
 
 use crate::options::Options;
-use crate::stages::{Frozen, Mapped};
+use crate::stages::{unreachable_names, Frozen, Mapped};
 use pathalias_graph::{Graph, NodeId, Warning};
-use pathalias_mapper::{DualTree, MapError, ShortestPathTree};
+use pathalias_mapper::{format_trace, DualTree, MapError, MapStats, ShortestPathTree};
 use pathalias_parser::{parse_into, ParseError};
-use pathalias_printer::{compute_routes, render_tree, RouteTable};
+use pathalias_printer::{compute_routes, render_tree, write_tree, RouteTable};
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,7 +35,8 @@ pub enum Error {
     UnknownLocal(String),
     /// `run` was called with no parsed input.
     NoInput,
-    /// Reading an input file failed.
+    /// Reading an input file, or writing the route file
+    /// ([`Pathalias::write_routes`]), failed.
     Io(std::io::Error),
 }
 
@@ -86,7 +91,8 @@ pub struct PhaseTimings {
     /// Time spent printing: the traversal that computes the routes
     /// and the rendering of the route file, together. [`Pathalias`]
     /// renders straight from the tree and builds no route table; the
-    /// staged [`Mapped::print`] also keeps the table.
+    /// staged [`Mapped::print`] also keeps the table. Under
+    /// [`Pathalias::write_routes`] it includes writing the routes out.
     pub print: Duration,
 }
 
@@ -117,9 +123,32 @@ impl Output {
     }
 }
 
-/// The pipeline driver. Parse one or more inputs, then [`run`].
+/// What a batch run ([`Pathalias::write_routes`]) leaves for standard
+/// error once the routes are written, in the order `pathalias` prints
+/// it.
+#[derive(Debug)]
+pub struct Report {
+    /// Warnings accumulated while building the graph.
+    pub warnings: Vec<Warning>,
+    /// The `-t` trace, formatted; empty when nothing was traced.
+    pub trace: String,
+    /// Hosts that stayed unreachable even after back links.
+    pub unreachable: Vec<String>,
+    /// Nodes in the built graph, counted before the freeze.
+    pub nodes: usize,
+    /// Links in the built graph, counted before the freeze.
+    pub links: usize,
+    /// The mapping run's counters.
+    pub stats: MapStats,
+    /// Phase timings.
+    pub timings: PhaseTimings,
+}
+
+/// The pipeline driver. Parse one or more inputs, then [`run`], or
+/// [`write_routes`] once.
 ///
 /// [`run`]: Pathalias::run
+/// [`write_routes`]: Pathalias::write_routes
 #[derive(Debug)]
 pub struct Pathalias {
     options: Options,
@@ -241,7 +270,7 @@ impl Pathalias {
         let mapped: Mapped = frozen.map(&options)?;
         let t0 = Instant::now();
         let rendered = render_tree(&mapped.tree, &options.print_options());
-        let unreachable = mapped.unreachable_names();
+        let unreachable = unreachable_names(&mapped.tree);
         let print = t0.elapsed();
         Ok(Output {
             rendered,
@@ -258,11 +287,79 @@ impl Pathalias {
             },
         })
     }
+
+    /// The batch run: freezes, maps and writes the route file to `out`
+    /// (byte for byte [`run`](Pathalias::run)'s `rendered`), and returns
+    /// what is left to report. It consumes the driver so that no stage
+    /// outlives the next one: the linked graph is frozen in place
+    /// ([`Graph::into_frozen`]), the snapshot goes once mapped (the tree
+    /// holds the graph it mapped), and the routes are written as they
+    /// are rendered, never held whole. A failed write is
+    /// [`Error::Io`]; nothing else in here does I/O.
+    pub fn write_routes(self, out: &mut impl Write) -> Result<Report, Error> {
+        let Pathalias {
+            options,
+            mut graph,
+            parsed_any,
+            first_host,
+            parse_time,
+            validated,
+            frozen,
+        } = self;
+        if !parsed_any {
+            return Err(Error::NoInput);
+        }
+        let (nodes, links) = (graph.node_count(), graph.link_count());
+        let frozen = match frozen {
+            Some(frozen) => {
+                drop(graph);
+                frozen
+            }
+            None => {
+                if !validated {
+                    graph.validate();
+                }
+                let warnings = graph.take_warnings();
+                let t0 = Instant::now();
+                let snapshot = Arc::new(graph.into_frozen());
+                Frozen::from_parts(snapshot, first_host, warnings, t0.elapsed())
+            }
+        };
+        let Mapped { tree, map_time, .. } = frozen.map(&options)?;
+        let (warnings, freeze) = (frozen.warnings().to_vec(), frozen.freeze_time);
+        drop(frozen);
+
+        let t0 = Instant::now();
+        write_tree(&tree, &options.print_options(), out)?;
+        let unreachable = unreachable_names(&tree);
+        let print = t0.elapsed();
+        let trace = if tree.trace.is_empty() {
+            String::new()
+        } else {
+            format_trace(tree.frozen(), &tree.trace)
+        };
+        Ok(Report {
+            warnings,
+            trace,
+            unreachable,
+            nodes,
+            links,
+            stats: tree.stats,
+            timings: PhaseTimings {
+                parse: parse_time,
+                build: Duration::ZERO,
+                freeze,
+                map: map_time,
+                print,
+            },
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathalias_printer::Sort;
 
     /// The paper's worked example input (OUTPUT section).
     const PAPER_1981: &str = "\
@@ -427,6 +524,78 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
         pa.options_mut().local = Some("a".into());
         let out = pa.run().unwrap();
         assert_eq!(out.routes().find("c").unwrap().route, "b!c!%s");
+    }
+
+    /// A driver over `text` with `options`, parsed and not yet run.
+    fn driver(options: &Options, text: &str) -> Pathalias {
+        let mut pa = Pathalias::with_options(options.clone());
+        pa.parse_str("m", text).unwrap();
+        pa
+    }
+
+    #[test]
+    fn write_routes_writes_what_run_renders_and_reports_the_rest() {
+        // A duplicate link, a back link, unreachable hosts and a net.
+        let text = format!("{PAPER_1981}unc\tduke(9)\nlone\tphs(3)\nx\ty(1)\n");
+        for (with_costs, sort, include_hidden, second_best) in [
+            (false, Sort::ByCost, false, false),
+            (true, Sort::ByCost, false, false),
+            (false, Sort::ByName, true, false),
+            (true, Sort::ByName, false, true),
+        ] {
+            let options = Options {
+                local: Some("unc".into()),
+                with_costs,
+                sort,
+                include_hidden,
+                second_best,
+                trace: vec!["lone".into()],
+                ..Options::default()
+            };
+            let mut pa = driver(&options, &text);
+            let want = pa.run().unwrap();
+            let nodes = pa.graph().node_count();
+            let mut written = Vec::new();
+            let report = driver(&options, &text).write_routes(&mut written).unwrap();
+            assert_eq!(String::from_utf8(written).unwrap(), want.rendered);
+            assert_eq!(report.warnings, want.warnings);
+            assert!(!report.warnings.is_empty());
+            assert_eq!(report.unreachable, ["x", "y"]);
+            assert_eq!(report.unreachable, want.unreachable);
+            assert_eq!(
+                report.trace,
+                format_trace(want.tree.frozen(), &want.tree.trace)
+            );
+            assert!(report.trace.contains("lone"), "{}", report.trace);
+            assert_eq!(
+                (report.nodes, report.links),
+                (nodes, pa.graph().link_count())
+            );
+            assert_eq!(report.stats, want.tree.stats);
+            assert_eq!(report.stats.invented_links, 1);
+
+            // A driver that already froze (and ran) writes the same.
+            let mut written = Vec::new();
+            pa.write_routes(&mut written).unwrap();
+            assert_eq!(String::from_utf8(written).unwrap(), want.rendered);
+        }
+    }
+
+    #[test]
+    fn write_routes_reports_errors() {
+        let mut sink = Vec::new();
+        let err = Pathalias::new().write_routes(&mut sink);
+        assert!(matches!(err, Err(Error::NoInput)));
+        let options = Options {
+            local: Some("nosuch".into()),
+            ..Options::default()
+        };
+        let err = driver(&options, PAPER_1981).write_routes(&mut sink);
+        assert!(matches!(err, Err(Error::UnknownLocal(_))));
+        assert!(sink.is_empty());
+        let mut full: &mut [u8] = &mut [0; 8];
+        let err = driver(&Options::default(), PAPER_1981).write_routes(&mut full);
+        assert!(matches!(err, Err(Error::Io(_))));
     }
 
     #[test]

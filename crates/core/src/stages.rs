@@ -206,8 +206,8 @@ impl Built {
     }
 
     /// Stage 3: freezes the graph into its immutable CSR snapshot.
-    /// The `Built` stage survives, so a caller can re-freeze after
-    /// further mutation.
+    /// The `Built` stage survives the freeze, and a caller that needs
+    /// only the snapshot drops it afterwards (`pathalias freeze` does).
     pub fn freeze(&self) -> Frozen {
         let t0 = Instant::now();
         Frozen {
@@ -328,18 +328,24 @@ impl Frozen {
     }
 
     /// Writes the snapshot with every optional section the stage
-    /// carries: the reverse index (built here when absent) and the
-    /// contraction hierarchy when one was attached
+    /// carries: the contraction hierarchy when one was attached
     /// ([`with_hierarchy`](Frozen::with_hierarchy),
     /// [`with_served_hierarchy`](Frozen::with_served_hierarchy)) or
-    /// loaded, with the back links of the graph it is over
-    /// (`pathalias freeze --ch` writes this form).
+    /// loaded, with the back links of the graph it is over, and the
+    /// reverse index (built here when absent) unless there are back
+    /// links: a daemon that serves the hierarchy serves their graph,
+    /// and one that rebuilds it serves another, so neither reads the
+    /// bare graph's transpose (`pathalias freeze --ch` writes this
+    /// form).
     pub fn write_snapshot_all(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
         let (ch, backlinks) = match &self.hierarchy {
             Some((ch, over)) => (Some(&**ch), over.appended_since(&self.graph)),
             None => (None, Vec::new()),
         };
         let g = &self.graph;
+        if !backlinks.is_empty() {
+            return snapshot::write_snapshot_all(g, None, ch, &backlinks, path);
+        }
         match &self.reverse {
             Some(rev) => snapshot::write_snapshot_all(g, Some(rev), ch, &backlinks, path),
             None => snapshot::write_snapshot_all(g, Some(&g.reverse()), ch, &backlinks, path),
@@ -469,13 +475,6 @@ impl Mapped {
         compute_routes(&self.tree)
     }
 
-    /// The names of the hosts that stayed unreachable.
-    pub(crate) fn unreachable_names(&self) -> Vec<String> {
-        let f = self.tree.frozen();
-        let ids = self.tree.unreachable().into_iter();
-        ids.map(|id| f.name(id).to_string()).collect()
-    }
-
     /// Stage 5: computes the routes, then renders them (from the
     /// table, which it keeps; [`Pathalias::run`](crate::Pathalias::run)
     /// renders straight from the tree).
@@ -483,7 +482,7 @@ impl Mapped {
         let t0 = Instant::now();
         let routes = self.routes();
         let rendered = render(&routes, &options.print_options());
-        let unreachable = self.unreachable_names();
+        let unreachable = unreachable_names(&self.tree);
         Printed {
             routes,
             rendered,
@@ -491,6 +490,13 @@ impl Mapped {
             print_time: t0.elapsed(),
         }
     }
+}
+
+/// The names of the hosts that stayed unreachable in `tree`.
+pub(crate) fn unreachable_names(tree: &ShortestPathTree) -> Vec<String> {
+    let f = tree.frozen();
+    let ids = tree.unreachable().into_iter();
+    ids.map(|id| f.name(id).to_string()).collect()
 }
 
 /// Stage 5: the printable output.

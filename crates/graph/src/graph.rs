@@ -4,6 +4,7 @@
 use crate::cost::Cost;
 use crate::diag::Warning;
 use crate::flags::{LinkFlags, NodeFlags};
+use crate::frozen::FrozenGraph;
 use crate::link::{Link, RouteOp};
 use crate::node::Node;
 use pathalias_arena::{Bump, Handle, Pool};
@@ -588,6 +589,20 @@ impl Graph {
     pub fn push_warning(&mut self, w: Warning) {
         self.warnings.push(w);
     }
+
+    /// [`freeze`](Graph::freeze), consuming the graph: what only
+    /// declarations read (the host table, the private scope, the row
+    /// index and the mention list) is freed before the CSR copy, and
+    /// the rest once it is made, so the linked graph and the snapshot
+    /// never both live whole. Take the warnings first
+    /// ([`take_warnings`](Graph::take_warnings)).
+    pub fn into_frozen(mut self) -> FrozenGraph {
+        self.table = HostTable::new();
+        self.private_scope = HashMap::new();
+        self.row_index = RowIndex::default();
+        self.mentioned_in = Vec::new();
+        FrozenGraph::freeze(&self)
+    }
 }
 
 /// Iterator over a node's adjacency list.
@@ -960,6 +975,21 @@ mod tests {
         g.adjust_node(a, -30);
         assert_eq!(g.node_ref(a).adjust, 70);
         assert!(g.node_ref(a).flags.contains(NodeFlags::ADJUSTED));
+    }
+
+    #[test]
+    fn into_frozen_is_freeze() {
+        let mut g = Graph::new();
+        g.begin_file("one");
+        let a = g.node("a");
+        g.declare_private("p");
+        let p = g.node("p");
+        g.declare_link(a, p, 10, RouteOp::UUCP);
+        g.begin_file("two");
+        let p2 = g.node("p");
+        g.declare_link(p2, a, 5, RouteOp::UUCP);
+        let frozen = g.freeze();
+        assert_eq!(g.into_frozen(), frozen);
     }
 
     #[test]

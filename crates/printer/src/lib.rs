@@ -51,7 +51,7 @@ mod output;
 mod route;
 mod traverse;
 
-pub use output::{render, render_tree, PrintOptions, Sort};
+pub use output::{render, render_tree, write_tree, PrintOptions, Sort};
 pub use route::{Route, RouteKind, RouteRef, RouteTable};
 pub use traverse::{
     compute_routes, for_each_route, route_kind, route_name, update_routes, RouteWalk,

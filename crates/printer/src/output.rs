@@ -10,6 +10,10 @@ use crate::traverse::for_each_route;
 use pathalias_graph::Cost;
 use pathalias_mapper::ShortestPathTree;
 use std::cmp::Ordering;
+use std::io::{self, Write};
+
+/// Bytes of lines [`write_tree`] gathers before each write to its sink.
+const WRITE_CHUNK: usize = 64 * 1024;
 
 /// Output ordering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,18 +45,36 @@ pub fn render(table: &RouteTable, opts: &PrintOptions) -> String {
     for (at, r) in (0u32..).zip(&table.entries) {
         lines.push(&r.view(), at, opts);
     }
-    lines.write(opts)
+    into_string(|out| lines.write(opts, out))
 }
 
-/// Renders the routes of `tree` straight from the traversal, without
-/// building a [`RouteTable`]: each printed route's name and route are
-/// copied into one arena as the walk hands them out, the lines are
-/// sorted as fixed-size rows, and written out with byte copies.
-/// Byte for byte what [`render`] prints for `compute_routes(tree)`.
+/// Renders the routes of `tree` to a string: what [`write_tree`]
+/// writes.
 pub fn render_tree(tree: &ShortestPathTree, opts: &PrintOptions) -> String {
+    into_string(|out| write_tree(tree, opts, out))
+}
+
+/// Writes the route file of `tree` to `out` straight from the
+/// traversal, without building a [`RouteTable`]: each printed route's
+/// name and route are copied into one arena as the walk hands them
+/// out, the lines are sorted as fixed-size rows, and written out with
+/// byte copies, 64 KiB at a time, then `out` is flushed. Byte for byte
+/// what [`render`] prints for `compute_routes(tree)`.
+pub fn write_tree(
+    tree: &ShortestPathTree,
+    opts: &PrintOptions,
+    out: &mut impl Write,
+) -> io::Result<()> {
     let mut lines = Lines::with_capacity(tree.mapped_count());
     for_each_route(tree, |r| lines.push(&r, r.node.raw(), opts));
-    lines.write(opts)
+    lines.write(opts, out)
+}
+
+/// What `write` puts into a byte vector, as a string.
+fn into_string(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut out = Vec::new();
+    write(&mut out).expect("a Vec takes every write");
+    String::from_utf8(out).expect("names and routes are UTF-8")
 }
 
 /// Routes on their way to the page: every printed route's name and
@@ -127,10 +149,11 @@ impl Lines {
     }
 
     /// Sorts the rows — by (cost, name, tie), or (name, tie) under
-    /// [`Sort::ByName`] — and writes one line per row: an optional
-    /// `# ` marker for a hidden entry, the cost when asked for, then
-    /// the name and the route, tab separated.
-    fn write(mut self, opts: &PrintOptions) -> String {
+    /// [`Sort::ByName`] — and writes one line per row to `out`: an
+    /// optional `# ` marker for a hidden entry, the cost when asked
+    /// for, then the name and the route, tab separated. Lines gather
+    /// in a buffer of about [`WRITE_CHUNK`] bytes between writes.
+    fn write(mut self, opts: &PrintOptions, out: &mut impl Write) -> io::Result<()> {
         let mut rows = std::mem::take(&mut self.rows);
         match opts.sort {
             Sort::ByCost => rows.sort_unstable_by(|a, b| {
@@ -142,43 +165,31 @@ impl Lines {
                 rows.sort_unstable_by(|a, b| self.by_name(a, b).then(a.tie.cmp(&b.tie)))
             }
         }
-        let size: usize = rows
-            .iter()
-            .map(|r| {
-                let marker = if r.hidden { 2 } else { 0 };
-                let cost = if opts.with_costs {
-                    digits(r.cost) + 1
-                } else {
-                    0
-                };
-                marker + cost + r.name_len as usize + r.route_len as usize + 2
-            })
-            .sum();
-        let mut out = String::with_capacity(size);
+        let mut buf = Vec::with_capacity(WRITE_CHUNK);
         for row in &rows {
             if row.hidden {
-                out.push_str("# ");
+                buf.extend_from_slice(b"# ");
             }
             if opts.with_costs {
-                push_decimal(&mut out, row.cost);
-                out.push('\t');
+                push_decimal(&mut buf, row.cost);
+                buf.push(b'\t');
             }
-            out.push_str(self.name(row));
-            out.push('\t');
-            out.push_str(self.route(row));
-            out.push('\n');
+            buf.extend_from_slice(self.name(row).as_bytes());
+            buf.push(b'\t');
+            buf.extend_from_slice(self.route(row).as_bytes());
+            buf.push(b'\n');
+            if buf.len() >= WRITE_CHUNK {
+                out.write_all(&buf)?;
+                buf.clear();
+            }
         }
-        out
+        out.write_all(&buf)?;
+        out.flush()
     }
 }
 
-/// Decimal digits in `n`.
-fn digits(n: Cost) -> usize {
-    n.checked_ilog10().map_or(1, |d| d as usize + 1)
-}
-
 /// Appends `n` in decimal.
-fn push_decimal(out: &mut String, mut n: Cost) {
+fn push_decimal(out: &mut Vec<u8>, mut n: Cost) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
     loop {
@@ -189,7 +200,7 @@ fn push_decimal(out: &mut String, mut n: Cost) {
             break;
         }
     }
-    out.extend(buf[at..].iter().map(|&b| char::from(b)));
+    out.extend_from_slice(&buf[at..]);
 }
 
 #[cfg(test)]
@@ -323,12 +334,51 @@ mod tests {
     }
 
     #[test]
+    fn writing_spans_many_chunks_and_stops_at_a_failed_write() {
+        // A star whose route file is several write chunks long.
+        let mut text = String::from("hub ");
+        let arms: Vec<String> = (0..3_000)
+            .map(|i| format!("arm-{i:04}-of-a-star-with-long-names({})", i % 97))
+            .collect();
+        text.push_str(&arms.join(", "));
+        text.push('\n');
+        let g = parse(&text).unwrap();
+        let tree = map(&g, g.try_node("hub").unwrap(), &MapOptions::default()).unwrap();
+        let mut written = Vec::new();
+        write_tree(&tree, &COSTS, &mut written).unwrap();
+        assert!(written.len() > 2 * WRITE_CHUNK, "{} bytes", written.len());
+        assert_eq!(written, render(&compute_routes(&tree), &COSTS).as_bytes());
+
+        /// Takes one chunk, then fails as a closed pipe does.
+        struct Closes(usize);
+        impl Write for Closes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.0 > 0 {
+                    return Err(io::ErrorKind::BrokenPipe.into());
+                }
+                self.0 += buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Closes(0);
+        let err = write_tree(&tree, &COSTS, &mut sink).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        assert!(
+            sink.0 >= WRITE_CHUNK && sink.0 < 2 * WRITE_CHUNK,
+            "{}",
+            sink.0
+        );
+    }
+
+    #[test]
     fn decimal_costs() {
         for n in [0, 7, 10, 99, 100, 12_345, u64::MAX] {
-            let mut out = String::new();
+            let mut out = Vec::new();
             push_decimal(&mut out, n);
-            assert_eq!(out, n.to_string());
-            assert_eq!(digits(n), out.len());
+            assert_eq!(out, n.to_string().as_bytes());
         }
     }
 }

@@ -1722,6 +1722,15 @@ mod tests {
         assert_eq!(over.edge_count(), frozen.graph().edge_count() + 2);
         let path = temp("ch-served.pagf");
         frozen.write_snapshot_all(&path).unwrap();
+        // Bits 1 and 2, and no reverse index (bit 0): no load reads
+        // the bare graph's transpose.
+        let bytes = std::fs::read(&path).unwrap();
+        let sections = u32::from_le_bytes(bytes[28..32].try_into().unwrap());
+        assert_eq!(sections, 0b110);
+        assert!(Frozen::from_snapshot(&path)
+            .unwrap()
+            .reverse_index()
+            .is_none());
         let map_path = temp("ch-served.map");
         std::fs::write(&map_path, &strays).unwrap();
 
