@@ -15,7 +15,7 @@
 //! to standard output; warnings, unreachable hosts and statistics go to
 //! standard error.
 
-use pathalias_core::{Error, Options, Parsed, Pathalias, Sort};
+use pathalias_core::{Error, Options, ParseError, Parsed, Pathalias, Sort};
 use pathalias_mailer::RouteDb;
 use pathalias_mapgen::{generate, MapSpec};
 use pathalias_server::{Client, Logger, MapSource, Server, ServerConfig, UdpClient};
@@ -66,24 +66,8 @@ fn cmd_run(run: RunArgs) -> ExitCode {
     };
     let verbose = run.verbose;
     let mut pa = Pathalias::with_options(options);
-
-    if run.files.is_empty() {
-        let mut text = String::new();
-        if let Err(e) = std::io::stdin().read_to_string(&mut text) {
-            eprintln!("pathalias: reading stdin: {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = pa.parse_str("<stdin>", &text) {
-            eprintln!("pathalias: {e}");
-            return ExitCode::FAILURE;
-        }
-    } else {
-        for f in &run.files {
-            if let Err(e) = pa.parse_file(f) {
-                eprintln!("pathalias: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Err(code) = read_inputs(&run.files, |file, text| pa.parse_str(file, text)) {
+        return code;
     }
 
     // The routes stream to stdout as they are rendered; everything on
@@ -153,6 +137,32 @@ fn cmd_mapgen(mg: MapgenArgs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Reads standard input, or each of `files` in turn, and hands each
+/// text to `parse` under its name before reading the next, so no text
+/// outlives its parse. A read or parse error is reported, naming the
+/// input, and ends the run.
+fn read_inputs(
+    files: &[String],
+    mut parse: impl FnMut(&str, &str) -> Result<(), ParseError>,
+) -> Result<(), ExitCode> {
+    let fail = |msg: String| {
+        eprintln!("pathalias: {msg}");
+        ExitCode::FAILURE
+    };
+    if files.is_empty() {
+        let mut text = String::new();
+        std::io::stdin()
+            .read_to_string(&mut text)
+            .map_err(|e| fail(format!("reading stdin: {e}")))?;
+        return parse("<stdin>", &text).map_err(|e| fail(Error::from(e).to_string()));
+    }
+    for file in files {
+        let text = std::fs::read_to_string(file).map_err(|e| fail(format!("{file}: {e}")))?;
+        parse(file, &text).map_err(|e| fail(Error::from(e).to_string()))?;
+    }
+    Ok(())
+}
+
 /// Writes `text` to standard output in one call.
 fn write_stdout(text: &str) -> Result<(), ExitCode> {
     let mut out = std::io::stdout().lock();
@@ -179,20 +189,12 @@ fn cmd_freeze(fz: FreezeArgs) -> ExitCode {
         ..Options::default()
     };
     let mut parsed = Parsed::new();
-    if fz.files.is_empty() {
-        let mut text = String::new();
-        if let Err(e) = std::io::stdin().read_to_string(&mut text) {
-            eprintln!("pathalias: reading stdin: {e}");
-            return ExitCode::FAILURE;
-        }
-        parsed.push_str("<stdin>", &text);
-    } else {
-        for f in &fz.files {
-            if let Err(e) = parsed.push_file(f) {
-                eprintln!("pathalias: {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let push = |file: &str, text: &str| {
+        parsed.push_str(file, text);
+        Ok(())
+    };
+    if let Err(code) = read_inputs(&fz.files, push) {
+        return code;
     }
     let built = match parsed.build(&options) {
         Ok(b) => b,

@@ -465,6 +465,28 @@ fn freeze_reports_errors() {
 }
 
 #[test]
+fn an_unreadable_input_is_named() {
+    // The batch run and `freeze` read their inputs the same way, and
+    // name the file they could not read.
+    let dir = std::env::temp_dir();
+    let missing = dir.join(format!("pa-cli-nosuch-{}.map", std::process::id()));
+    let snapshot = dir.join(format!("pa-cli-nosuch-{}.pagf", std::process::id()));
+    let (missing, snapshot) = (missing.to_str().unwrap(), snapshot.to_str().unwrap());
+    let why = std::fs::read(missing).unwrap_err();
+    for args in [vec![missing], vec!["freeze", "-o", snapshot, missing]] {
+        let out = Command::new(BIN).args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("pathalias: {missing}: {why}\n"),
+            "{args:?}"
+        );
+        assert!(out.stdout.is_empty());
+    }
+    assert!(!std::path::Path::new(snapshot).exists());
+}
+
+#[test]
 fn serve_map_set_end_to_end() {
     // A daemon serving three namespaces through `--map-set`, driven
     // entirely through the CLI client: `--maps`, `--map-name`
