@@ -6,10 +6,12 @@
 //! heuristics change the chosen route and what the "second-best"
 //! modified algorithm keeps.
 //!
-//! Run with: `cargo run --example domain_routing`
+//! Run with: `cargo run -p pathalias-bench --example domain_routing`
 
-use pathalias::core::{compute_routes, map, map_dual, render, CostModel, MapOptions, Sort};
-use pathalias::parse;
+use pathalias_bench::dual::map_dual;
+use pathalias_mapper::{map, CostModel, MapOptions};
+use pathalias_parser::parse;
+use pathalias_printer::{compute_routes, render, PrintOptions, Sort};
 
 fn main() {
     // Figure 1: the domain tree behind seismo.
@@ -28,7 +30,7 @@ seismo .edu(DEDICATED)
         "{}",
         render(
             &table,
-            &pathalias::core::PrintOptions {
+            &PrintOptions {
                 with_costs: false,
                 sort: Sort::ByName,
                 include_hidden: true,

@@ -6,6 +6,7 @@
 
 use pathalias_arena::counting::{snapshot, CountingAlloc};
 use pathalias_bench::boxed::BoxedGraph;
+use pathalias_bench::dual::map_dual;
 use pathalias_bench::study::map_frozen_quadratic_readonly;
 use pathalias_bench::{
     clique_world, host_names, random_sparse, sparse_world, MOTOWN_MAP, PAPER_1981_MAP,
@@ -15,7 +16,7 @@ use pathalias_graph::{Graph, NodeId, RouteOp};
 use pathalias_hash::{GrowthPolicy, HostTable, SecondaryHash, TableConfig, ALPHA_LOW};
 use pathalias_mailer::RouteDb;
 use pathalias_mapgen::{generate, MapSpec};
-use pathalias_mapper::{map, map_dual, map_frozen_readonly, map_readonly, CostModel, MapOptions};
+use pathalias_mapper::{map, map_frozen_readonly, map_readonly, CostModel, MapOptions};
 use pathalias_printer::{compute_routes, render, PrintOptions};
 use std::sync::Arc;
 use std::time::Instant;

@@ -13,9 +13,10 @@
 //! way of a domain (its label is tainted), the clean label is exactly
 //! the second-best path the paper wants to keep.
 
-use crate::dijkstra::{map_frozen, map_frozen_readonly, MapError, MapOptions};
-use crate::tree::{Label, ShortestPathTree};
 use pathalias_graph::{FrozenGraph, Graph, NodeId};
+use pathalias_mapper::{
+    map_frozen, map_frozen_readonly, Label, MapError, MapOptions, ShortestPathTree,
+};
 use std::sync::Arc;
 
 /// The result of a dual (primary + domain-free) mapping.

@@ -6,7 +6,8 @@
 //! builders those experiments share, the paper's decrease-key [`heap`]
 //! and the O(v²) mapper of [`study`] (experiment E7), the lex stand-in
 //! scanner [`slow`] (E3), the 1986 pointer-per-object layout [`boxed`]
-//! (E4), the route-table [`diff`] (E16), the multi-source fan-out
+//! (E4), the route-table [`diff`] (E16), the PROBLEMS section's
+//! second-best mapping [`dual`] (E12), the multi-source fan-out
 //! [`parallel`], and the two checks on the map generator and the
 //! parser: [`stats`] (shape) and [`unparse`] (round trip).
 
@@ -15,6 +16,7 @@
 
 pub mod boxed;
 pub mod diff;
+pub mod dual;
 pub mod heap;
 pub mod legacy;
 pub mod parallel;

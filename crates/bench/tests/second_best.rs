@@ -1,8 +1,9 @@
 //! E12 in depth: the "second-best path" modified algorithm across
 //! richer topologies than the paper's figure.
 
-use pathalias::core::{map_dual, CostModel, MapOptions};
-use pathalias::parse;
+use pathalias_bench::dual::map_dual;
+use pathalias_mapper::{CostModel, MapOptions};
+use pathalias_parser::parse;
 
 /// A world where several hosts sit beyond a domain, with varying
 /// domain-free alternatives.

@@ -3,7 +3,7 @@
 
 /// Usage text.
 pub const USAGE: &str = "\
-usage: pathalias [-l host] [-c] [-i] [-v] [-n] [-s] [-t host]... [file ...]
+usage: pathalias [-l host] [-c] [-i] [-v] [-n] [-t host]... [file ...]
        pathalias mapgen [--hosts N] [--seed N] [--paper-scale]
        pathalias freeze -o out.pagf [-i] [--ch] [file ...]
        pathalias query -d route-file destination [user]
@@ -25,7 +25,6 @@ options:
   -v        verbose statistics on stderr, after the routes; the print
             timing includes writing them out
   -n        sort output by name instead of cost
-  -s        also compute second-best (domain-free) routes
   -t host   trace routing decisions for host (repeatable)
   -h        this help
 
@@ -120,8 +119,6 @@ pub struct RunArgs {
     pub verbose: bool,
     /// `-n`.
     pub sort_by_name: bool,
-    /// `-s`.
-    pub second_best: bool,
     /// `-t`, repeatable.
     pub trace: Vec<String>,
     /// Input files; empty means stdin.
@@ -417,7 +414,6 @@ fn parse_run(argv: &[String]) -> Result<Command, String> {
             "-i" => run.ignore_case = true,
             "-v" => run.verbose = true,
             "-n" => run.sort_by_name = true,
-            "-s" => run.second_best = true,
             "-t" => run.trace.push(take_value("-t", &mut it)?.clone()),
             "-h" | "--help" => return Ok(Command::Help),
             f if f.starts_with('-') && f.len() > 1 => {
@@ -848,7 +844,6 @@ mod tests {
             "-i",
             "-v",
             "-n",
-            "-s",
             "-t",
             "duke",
             "-t",
@@ -860,7 +855,7 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(r.local.as_deref(), Some("unc"));
-        assert!(r.with_costs && r.ignore_case && r.verbose && r.sort_by_name && r.second_best);
+        assert!(r.with_costs && r.ignore_case && r.verbose && r.sort_by_name);
         assert_eq!(r.trace, vec!["duke", "phs"]);
         assert_eq!(r.files, vec!["usenet.map", "arpa.map"]);
     }
@@ -873,7 +868,14 @@ mod tests {
 
     #[test]
     fn unknown_flag() {
-        assert!(parse(&v(&["-q"])).is_err());
+        // `-s` (second-best routes, which nothing printed) is gone:
+        // like any unknown flag, a usage error, which exits 2.
+        for flag in ["-q", "-s"] {
+            assert_eq!(
+                parse(&v(&[flag])).unwrap_err(),
+                format!("unknown flag {flag}")
+            );
+        }
     }
 
     #[test]

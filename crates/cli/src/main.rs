@@ -4,7 +4,7 @@
 //! behaviour, plus two modern subcommands:
 //!
 //! ```text
-//! pathalias [-l host] [-c] [-i] [-v] [-n] [-s] [-t host]... [file ...]
+//! pathalias [-l host] [-c] [-i] [-v] [-n] [-t host]... [file ...]
 //! pathalias mapgen [--hosts N] [--seed N] [--paper-scale]
 //! pathalias query -d route-file destination [user]
 //! pathalias serve (--padb F | --routes F | --map F...) [--listen addr] [--unix path]
@@ -15,7 +15,7 @@
 //! to standard output; warnings, unreachable hosts and statistics go to
 //! standard error.
 
-use pathalias_core::{Error, Options, ParseError, Parsed, Pathalias, Sort};
+use pathalias_core::{Built, Error, Options, ParseError, Pathalias, Sort};
 use pathalias_mailer::RouteDb;
 use pathalias_mapgen::{generate, MapSpec};
 use pathalias_server::{Client, Logger, MapSource, Server, ServerConfig, UdpClient};
@@ -61,7 +61,6 @@ fn cmd_run(run: RunArgs) -> ExitCode {
             Sort::ByCost
         },
         trace: run.trace,
-        second_best: run.second_best,
         ..Options::default()
     };
     let verbose = run.verbose;
@@ -104,10 +103,11 @@ fn cmd_run(run: RunArgs) -> ExitCode {
                     s.backlink_rounds,
                     s.restarted_rounds
                 );
+                // The driver is handed its texts: parsing them is the build.
                 let t = report.timings;
                 eprintln!(
                     "pathalias: timings: parse {:?}, freeze {:?}, map {:?}, print {:?}",
-                    t.parse, t.freeze, t.map, t.print
+                    t.build, t.freeze, t.map, t.print
                 );
             }
             ExitCode::SUCCESS
@@ -188,27 +188,12 @@ fn cmd_freeze(fz: FreezeArgs) -> ExitCode {
         ignore_case: fz.ignore_case,
         ..Options::default()
     };
-    let mut parsed = Parsed::new();
-    let push = |file: &str, text: &str| {
-        parsed.push_str(file, text);
-        Ok(())
-    };
-    if let Err(code) = read_inputs(&fz.files, push) {
+    let mut built = Built::new(&options);
+    if let Err(code) = read_inputs(&fz.files, |file, text| built.parse_str(file, text)) {
         return code;
     }
-    let built = match parsed.build(&options) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("pathalias: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Each stage goes as soon as the next exists: the texts once
-    // built, the linked graph once frozen.
-    drop(parsed);
     let build_time = built.build_time;
-    let mut frozen = built.freeze();
-    drop(built);
+    let mut frozen = built.into_frozen();
     for w in frozen.warnings() {
         eprintln!("pathalias: warning: {w}");
     }

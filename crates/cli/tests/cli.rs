@@ -466,24 +466,37 @@ fn freeze_reports_errors() {
 
 #[test]
 fn an_unreadable_input_is_named() {
-    // The batch run and `freeze` read their inputs the same way, and
-    // name the file they could not read.
+    // The batch run and `freeze` read their inputs the same way, one
+    // file at a time, parsing each before reading the next: they name
+    // the file they could not read, and stop at the first bad file.
     let dir = std::env::temp_dir();
     let missing = dir.join(format!("pa-cli-nosuch-{}.map", std::process::id()));
+    let bad = dir.join(format!("pa-cli-bad-{}.map", std::process::id()));
     let snapshot = dir.join(format!("pa-cli-nosuch-{}.pagf", std::process::id()));
-    let (missing, snapshot) = (missing.to_str().unwrap(), snapshot.to_str().unwrap());
+    std::fs::write(&bad, "a $bad\n").unwrap();
+    let (missing, bad, snapshot) = (
+        missing.to_str().unwrap(),
+        bad.to_str().unwrap(),
+        snapshot.to_str().unwrap(),
+    );
     let why = std::fs::read(missing).unwrap_err();
-    for args in [vec![missing], vec!["freeze", "-o", snapshot, missing]] {
-        let out = Command::new(BIN).args(&args).output().unwrap();
-        assert_eq!(out.status.code(), Some(1), "{args:?}");
-        assert_eq!(
-            String::from_utf8_lossy(&out.stderr),
-            format!("pathalias: {missing}: {why}\n"),
-            "{args:?}"
+    for freeze in [&[][..], &["freeze", "-o", snapshot]] {
+        let run = |files: &[&str]| {
+            let out = Command::new(BIN).args(freeze).args(files).output().unwrap();
+            assert_eq!(out.status.code(), Some(1), "{freeze:?} {files:?}");
+            assert!(out.stdout.is_empty());
+            String::from_utf8_lossy(&out.stderr).into_owned()
+        };
+        assert_eq!(run(&[missing]), format!("pathalias: {missing}: {why}\n"));
+        let stderr = run(&[bad, missing]);
+        assert!(
+            stderr.starts_with(&format!("pathalias: parse error: {bad}:1:")),
+            "{stderr}"
         );
-        assert!(out.stdout.is_empty());
+        assert!(!stderr.contains(missing), "{stderr}");
     }
     assert!(!std::path::Path::new(snapshot).exists());
+    std::fs::remove_file(bad).unwrap();
 }
 
 #[test]

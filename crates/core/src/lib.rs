@@ -3,13 +3,14 @@
 //! "Pathalias runs in three phases: parse the input, build a shortest
 //! path tree, and print the routes." This reproduction splits the run
 //! into explicit [stages] — `Parsed → Built → Frozen → Mapped →
-//! Printed` — each a value you can keep, re-enter, and time; the
-//! freeze step snapshots the built graph into the immutable CSR form
-//! the mapper traverses. [`Pathalias`] wires the stages behind one
-//! builder-style API, with the original tool's options (`-l` local
-//! host, `-i` ignore case, `-c` print costs, `-t` trace) plus the
-//! reproduction's extras (heuristic configuration, second-best
-//! mapping, phase timings).
+//! Printed` — each a value you can keep, re-enter, and time; text
+//! becomes a graph in one place, [`Built::parse_str`], and the freeze
+//! step validates the built graph and snapshots it into the immutable
+//! CSR form the mapper traverses. [`Pathalias`] drives the same stages
+//! behind one builder-style API, with the original tool's options
+//! (`-l` local host, `-i` ignore case, `-c` print costs, `-t` trace)
+//! plus the reproduction's extras (heuristic configuration, phase
+//! timings).
 //!
 //! # Examples
 //!
@@ -45,8 +46,8 @@ pub use pathalias_graph::{
     DEFAULT_COST, INF,
 };
 pub use pathalias_mapper::{
-    format_trace, map, map_dual, map_dual_frozen, map_frozen, map_frozen_readonly, map_readonly,
-    repair_frozen, CostModel, DualTree, Label, MapError, MapOptions, MapStats, ShortestPathTree,
+    format_trace, map, map_frozen, map_frozen_readonly, map_readonly, repair_frozen, CostModel,
+    Label, MapError, MapOptions, MapStats, ShortestPathTree,
 };
 pub use pathalias_parser::{parse, parse_files, parse_into, ParseError};
 pub use pathalias_printer::{

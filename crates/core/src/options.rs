@@ -23,9 +23,6 @@ pub struct Options {
     pub no_backlinks: bool,
     /// Hosts whose relaxations should be traced (`-t`).
     pub trace: Vec<String>,
-    /// Also compute the domain-free "second-best" tree (the PROBLEMS
-    /// section experiment).
-    pub second_best: bool,
     /// Include hidden entries (networks, subdomains, private hosts) in
     /// the rendered output, `#`-marked.
     pub include_hidden: bool,
@@ -55,6 +52,5 @@ mod tests {
         assert!(!o.with_costs);
         assert_eq!(o.cost_model, CostModel::paper());
         assert!(!o.no_backlinks);
-        assert!(!o.second_best);
     }
 }

@@ -1,27 +1,26 @@
 //! The pipeline driver: a thin convenience wrapper over the staged API.
 //!
 //! [`Pathalias`] accumulates parsed input incrementally (the CLI shape:
-//! parse files as they arrive, then run), drives the
-//! [stages](crate::stages) `Built → Frozen → Mapped → Printed`, and
-//! caches the [`Frozen`] stage between runs — calling [`run`] twice
-//! with different mapping or printing options re-enters the pipeline at
-//! the map stage without re-parsing or re-freezing. The batch run
-//! itself, [`write_routes`], consumes the driver instead, and frees each
-//! stage as soon as the next one exists.
+//! parse files as they arrive, then run) into one [`Built`] stage,
+//! drives the [stages](crate::stages) `Built → Frozen → Mapped →
+//! Printed`, and caches the [`Frozen`] stage between runs — calling
+//! [`run`] twice with different mapping or printing options re-enters
+//! the pipeline at the map stage without re-parsing or re-freezing.
+//! The batch run itself, [`write_routes`], consumes the driver instead,
+//! and frees each stage as soon as the next one exists. Both return a
+//! [`Report`].
 //!
 //! [`run`]: Pathalias::run
 //! [`write_routes`]: Pathalias::write_routes
 
 use crate::options::Options;
-use crate::stages::{unreachable_names, Frozen, Mapped};
-use pathalias_graph::{Graph, NodeId, Warning};
-use pathalias_mapper::{format_trace, DualTree, MapError, MapStats, ShortestPathTree};
-use pathalias_parser::{parse_into, ParseError};
+use crate::stages::{unreachable_names, Built, Frozen, Mapped};
+use pathalias_graph::{Graph, Warning};
+use pathalias_mapper::{format_trace, MapError, MapStats, ShortestPathTree};
+use pathalias_parser::ParseError;
 use pathalias_printer::{compute_routes, render_tree, write_tree, RouteTable};
 use std::fmt;
 use std::io::Write;
-use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A fatal pipeline error.
@@ -33,10 +32,9 @@ pub enum Error {
     Map(MapError),
     /// The `-l` host does not appear in the input.
     UnknownLocal(String),
-    /// `run` was called with no parsed input.
+    /// No `-l` host was given and the input declares no host.
     NoInput,
-    /// Reading an input file, or writing the route file
-    /// ([`Pathalias::write_routes`]), failed.
+    /// Writing the route file ([`Pathalias::write_routes`]) failed.
     Io(std::io::Error),
 }
 
@@ -76,15 +74,14 @@ impl From<std::io::Error> for Error {
 /// the server exports the latest reload's timings over `METRICS`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
-    /// Time spent parsing input.
+    /// Time spent reading the input texts: a reload's file reads.
+    /// [`Pathalias`] is handed its texts and reports zero here.
     pub parse: Duration,
-    /// Time spent building the graph from parsed input. The
-    /// incremental [`Pathalias`] driver fuses building into parsing
-    /// (`parse_into` grows the graph as text arrives), so it reports
-    /// zero here; the staged `Parsed → Built` path (reloads, `freeze`)
-    /// reports the build stage separately.
+    /// Time spent parsing the texts into the graph
+    /// ([`Built::parse_str`]).
     pub build: Duration,
-    /// Time spent freezing the built graph into its CSR snapshot.
+    /// Time spent validating the built graph and freezing it into its
+    /// CSR snapshot.
     pub freeze: Duration,
     /// Time spent building the shortest-path tree.
     pub map: Duration,
@@ -96,22 +93,15 @@ pub struct PhaseTimings {
     pub print: Duration,
 }
 
-/// Everything a pipeline run produces.
+/// What [`Pathalias::run`] produces.
 #[derive(Debug)]
 pub struct Output {
     /// The rendered route list.
     pub rendered: String,
     /// The shortest-path tree.
     pub tree: ShortestPathTree,
-    /// The dual (second-best) result, when requested.
-    pub dual: Option<DualTree>,
-    /// Warnings accumulated while building the graph.
-    pub warnings: Vec<Warning>,
-    /// Hosts that stayed unreachable even after back links ("before
-    /// reporting these hosts on the error output").
-    pub unreachable: Vec<String>,
-    /// Phase timings.
-    pub timings: PhaseTimings,
+    /// Everything else the run found.
+    pub report: Report,
 }
 
 impl Output {
@@ -123,16 +113,16 @@ impl Output {
     }
 }
 
-/// What a batch run ([`Pathalias::write_routes`]) leaves for standard
-/// error once the routes are written, in the order `pathalias` prints
-/// it.
+/// What a run leaves for standard error besides its routes, in the
+/// order `pathalias` prints it.
 #[derive(Debug)]
 pub struct Report {
-    /// Warnings accumulated while building the graph.
+    /// Warnings from parsing, then from validating the whole graph.
     pub warnings: Vec<Warning>,
     /// The `-t` trace, formatted; empty when nothing was traced.
     pub trace: String,
-    /// Hosts that stayed unreachable even after back links.
+    /// Hosts that stayed unreachable even after back links ("before
+    /// reporting these hosts on the error output").
     pub unreachable: Vec<String>,
     /// Nodes in the built graph, counted before the freeze.
     pub nodes: usize,
@@ -144,6 +134,39 @@ pub struct Report {
     pub timings: PhaseTimings,
 }
 
+impl Report {
+    /// The report on `tree`, mapped from `frozen` in `map`; `frozen`
+    /// froze a graph of `nodes` and `links` built in `build`. The print
+    /// time is the caller's to fill in.
+    fn new(
+        tree: &ShortestPathTree,
+        frozen: &Frozen,
+        (nodes, links, build): (usize, usize, Duration),
+        map: Duration,
+    ) -> Report {
+        let trace = if tree.trace.is_empty() {
+            String::new()
+        } else {
+            format_trace(tree.frozen(), &tree.trace)
+        };
+        Report {
+            warnings: frozen.warnings().to_vec(),
+            trace,
+            unreachable: unreachable_names(tree),
+            nodes,
+            links,
+            stats: tree.stats,
+            timings: PhaseTimings {
+                parse: Duration::ZERO,
+                build,
+                freeze: frozen.freeze_time,
+                map,
+                print: Duration::ZERO,
+            },
+        }
+    }
+}
+
 /// The pipeline driver. Parse one or more inputs, then [`run`], or
 /// [`write_routes`] once.
 ///
@@ -152,11 +175,7 @@ pub struct Report {
 #[derive(Debug)]
 pub struct Pathalias {
     options: Options,
-    graph: Graph,
-    parsed_any: bool,
-    first_host: Option<NodeId>,
-    parse_time: Duration,
-    validated: bool,
+    built: Built,
     /// Cached frozen stage; dropped whenever new input arrives.
     frozen: Option<Frozen>,
 }
@@ -175,14 +194,9 @@ impl Pathalias {
 
     /// Creates a pipeline with the given options.
     pub fn with_options(options: Options) -> Self {
-        let graph = Graph::with_ignore_case(options.ignore_case);
         Pathalias {
+            built: Built::new(&options),
             options,
-            graph,
-            parsed_any: false,
-            first_host: None,
-            parse_time: Duration::ZERO,
-            validated: false,
             frozen: None,
         }
     }
@@ -194,69 +208,15 @@ impl Pathalias {
         &mut self.options
     }
 
-    /// Shared access to the options.
-    pub fn options(&self) -> &Options {
-        &self.options
-    }
-
     /// The graph built so far.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        self.built.graph()
     }
 
-    /// Parses one named input.
+    /// Parses one named input ([`Built::parse_str`]).
     pub fn parse_str(&mut self, file: &str, text: &str) -> Result<(), ParseError> {
-        let t0 = Instant::now();
-        let before = self.graph.node_count();
-        parse_into(&mut self.graph, file, text)?;
-        if self.first_host.is_none() && self.graph.node_count() > before {
-            self.first_host = Some(
-                self.graph
-                    .node_ids()
-                    .nth(before)
-                    .expect("a node was just created"),
-            );
-        }
-        self.parsed_any = true;
-        // New input invalidates the snapshot and requires revalidation.
         self.frozen = None;
-        self.validated = false;
-        self.parse_time += t0.elapsed();
-        Ok(())
-    }
-
-    /// Reads and parses an input file from disk.
-    pub fn parse_file(&mut self, path: impl AsRef<Path>) -> Result<(), Error> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)?;
-        let name = path.to_string_lossy().into_owned();
-        self.parse_str(&name, &text)?;
-        Ok(())
-    }
-
-    /// The frozen stage for the input parsed so far, building (and
-    /// caching) it on first use. Lets callers re-enter the staged API
-    /// directly — e.g. to fan out multi-source mapping over the same
-    /// snapshot [`run`](Pathalias::run) uses.
-    pub fn frozen(&mut self) -> Result<&Frozen, Error> {
-        if !self.parsed_any {
-            return Err(Error::NoInput);
-        }
-        if self.frozen.is_none() {
-            if !self.validated {
-                self.graph.validate();
-                self.validated = true;
-            }
-            let t0 = Instant::now();
-            let snapshot = Arc::new(self.graph.freeze());
-            self.frozen = Some(Frozen::from_parts(
-                snapshot,
-                self.first_host,
-                self.graph.warnings().to_vec(),
-                t0.elapsed(),
-            ));
-        }
-        Ok(self.frozen.as_ref().expect("just built"))
+        self.built.parse_str(file, text)
     }
 
     /// Runs the freeze, map and print stages, consuming nothing: `run`
@@ -264,102 +224,69 @@ impl Pathalias {
     /// the stages invalidated by intervening changes are redone —
     /// repeat runs on unchanged input skip straight to mapping.
     pub fn run(&mut self) -> Result<Output, Error> {
-        let options = self.options.clone();
-        let parse_time = self.parse_time;
-        let frozen = self.frozen()?;
-        let mapped: Mapped = frozen.map(&options)?;
+        let counts = self.counts();
+        let Pathalias {
+            options,
+            built,
+            frozen,
+        } = self;
+        let frozen = frozen.get_or_insert_with(|| built.freeze());
+        let Mapped { tree, map_time } = frozen.map(options)?;
         let t0 = Instant::now();
-        let rendered = render_tree(&mapped.tree, &options.print_options());
-        let unreachable = unreachable_names(&mapped.tree);
-        let print = t0.elapsed();
+        let rendered = render_tree(&tree, &options.print_options());
+        let mut report = Report::new(&tree, frozen, counts, map_time);
+        report.timings.print = t0.elapsed();
         Ok(Output {
             rendered,
-            tree: mapped.tree,
-            dual: mapped.dual,
-            warnings: frozen.warnings().to_vec(),
-            unreachable,
-            timings: PhaseTimings {
-                parse: parse_time,
-                build: Duration::ZERO,
-                freeze: frozen.freeze_time,
-                map: mapped.map_time,
-                print,
-            },
+            tree,
+            report,
         })
     }
 
     /// The batch run: freezes, maps and writes the route file to `out`
     /// (byte for byte [`run`](Pathalias::run)'s `rendered`), and returns
-    /// what is left to report. It consumes the driver so that no stage
+    /// the same report. It consumes the driver so that no stage
     /// outlives the next one: the linked graph is frozen in place
-    /// ([`Graph::into_frozen`]), the snapshot goes once mapped (the tree
-    /// holds the graph it mapped), and the routes are written as they
-    /// are rendered, never held whole. A failed write is
+    /// ([`Built::into_frozen`]), the snapshot goes once mapped (the
+    /// tree holds the graph it mapped), and the routes are written as
+    /// they are rendered, never held whole. A failed write is
     /// [`Error::Io`]; nothing else in here does I/O.
     pub fn write_routes(self, out: &mut impl Write) -> Result<Report, Error> {
+        let counts = self.counts();
         let Pathalias {
             options,
-            mut graph,
-            parsed_any,
-            first_host,
-            parse_time,
-            validated,
+            built,
             frozen,
         } = self;
-        if !parsed_any {
-            return Err(Error::NoInput);
-        }
-        let (nodes, links) = (graph.node_count(), graph.link_count());
         let frozen = match frozen {
             Some(frozen) => {
-                drop(graph);
+                drop(built);
                 frozen
             }
-            None => {
-                if !validated {
-                    graph.validate();
-                }
-                let warnings = graph.take_warnings();
-                let t0 = Instant::now();
-                let snapshot = Arc::new(graph.into_frozen());
-                Frozen::from_parts(snapshot, first_host, warnings, t0.elapsed())
-            }
+            None => built.into_frozen(),
         };
-        let Mapped { tree, map_time, .. } = frozen.map(&options)?;
-        let (warnings, freeze) = (frozen.warnings().to_vec(), frozen.freeze_time);
-        drop(frozen);
-
+        let Mapped { tree, map_time } = frozen.map(&options)?;
         let t0 = Instant::now();
+        let mut report = Report::new(&tree, &frozen, counts, map_time);
+        drop(frozen);
         write_tree(&tree, &options.print_options(), out)?;
-        let unreachable = unreachable_names(&tree);
-        let print = t0.elapsed();
-        let trace = if tree.trace.is_empty() {
-            String::new()
-        } else {
-            format_trace(tree.frozen(), &tree.trace)
-        };
-        Ok(Report {
-            warnings,
-            trace,
-            unreachable,
-            nodes,
-            links,
-            stats: tree.stats,
-            timings: PhaseTimings {
-                parse: parse_time,
-                build: Duration::ZERO,
-                freeze,
-                map: map_time,
-                print,
-            },
-        })
+        report.timings.print = t0.elapsed();
+        Ok(report)
+    }
+
+    /// The built graph's node and link counts, and its build time.
+    fn counts(&self) -> (usize, usize, Duration) {
+        let g = self.built.graph();
+        (g.node_count(), g.link_count(), self.built.build_time)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stages::Parsed;
     use pathalias_printer::Sort;
+    use std::sync::Arc;
 
     /// The paper's worked example input (OUTPUT section).
     const PAPER_1981: &str = "\
@@ -431,8 +358,8 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
         pa.options_mut().no_backlinks = true;
         pa.parse_str("m", "a b(1)\nisland remote(5)\n").unwrap();
         let out = pa.run().unwrap();
-        assert!(out.unreachable.contains(&"island".to_string()));
-        assert!(out.unreachable.contains(&"remote".to_string()));
+        assert!(out.report.unreachable.contains(&"island".to_string()));
+        assert!(out.report.unreachable.contains(&"remote".to_string()));
     }
 
     #[test]
@@ -440,23 +367,7 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
         let mut pa = Pathalias::new();
         pa.parse_str("m", "a b(10)\na b(20)\n").unwrap();
         let out = pa.run().unwrap();
-        assert!(!out.warnings.is_empty());
-    }
-
-    #[test]
-    fn second_best_included_when_requested() {
-        let mut pa = Pathalias::new();
-        pa.options_mut().second_best = true;
-        pa.options_mut().cost_model.relay_penalty = 0;
-        pa.parse_str(
-            "m",
-            "p caip(200), topaz(300)\ncaip .r.edu(200)\n.r.edu motown(25)\ntopaz motown(200)\n",
-        )
-        .unwrap();
-        let out = pa.run().unwrap();
-        let dual = out.dual.expect("dual requested");
-        let motown = pa.graph().try_node("motown").unwrap();
-        assert_eq!(dual.second_best(motown).unwrap().cost, 500);
+        assert!(!out.report.warnings.is_empty());
     }
 
     #[test]
@@ -487,23 +398,32 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
 
     #[test]
     fn input_after_a_run_is_still_validated() {
-        // A run between two parses must not leave later input
-        // unvalidated: the second file's gateway-into-ungated construct
-        // has to produce its warning.
+        // A run between two parses must leave later input validated,
+        // and earlier input validated once: each file's
+        // gateway-into-ungated construct warns once, as in one run over
+        // both files.
+        let files = [
+            ("one", "OPEN = {x}\nh OPEN(10)\ngateway {OPEN!h}\na h(5)\n"),
+            ("two", "SHUT = {y}\nk SHUT(10)\ngateway {SHUT!k}\na k(5)\n"),
+        ];
+        let gateway = |net: &str, host: &str| Warning::GatewayIntoUngated {
+            net: net.into(),
+            host: host.into(),
+        };
         let mut pa = Pathalias::new();
         pa.options_mut().local = Some("a".into());
-        pa.parse_str("one", "a b(10)\n").unwrap();
-        assert!(pa.run().unwrap().warnings.is_empty());
-        pa.parse_str("two", "OPEN = {x}\nh OPEN(10)\ngateway {OPEN!h}\na h(5)\n")
-            .unwrap();
-        let out = pa.run().unwrap();
-        assert!(
-            out.warnings
-                .iter()
-                .any(|w| matches!(w, Warning::GatewayIntoUngated { .. })),
-            "warnings: {:?}",
-            out.warnings
-        );
+        pa.parse_str(files[0].0, files[0].1).unwrap();
+        assert_eq!(pa.run().unwrap().report.warnings, [gateway("OPEN", "h")]);
+        pa.parse_str(files[1].0, files[1].1).unwrap();
+        let rerun = pa.run().unwrap().report.warnings;
+
+        let mut once = Pathalias::new();
+        once.options_mut().local = Some("a".into());
+        for (file, text) in files {
+            once.parse_str(file, text).unwrap();
+        }
+        assert_eq!(rerun, once.run().unwrap().report.warnings);
+        assert_eq!(rerun, [gateway("OPEN", "h"), gateway("SHUT", "k")]);
     }
 
     #[test]
@@ -526,42 +446,55 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
         assert_eq!(out.routes().find("c").unwrap().route, "b!c!%s");
     }
 
-    /// A driver over `text` with `options`, parsed and not yet run.
-    fn driver(options: &Options, text: &str) -> Pathalias {
+    /// A driver over `files` with `options`, parsed and not yet run.
+    fn driver(options: &Options, files: &[(&str, &str)]) -> Pathalias {
         let mut pa = Pathalias::with_options(options.clone());
-        pa.parse_str("m", text).unwrap();
+        for (file, text) in files {
+            pa.parse_str(file, text).unwrap();
+        }
         pa
     }
 
     #[test]
     fn write_routes_writes_what_run_renders_and_reports_the_rest() {
-        // A duplicate link, a back link, unreachable hosts and a net.
-        let text = format!("{PAPER_1981}unc\tduke(9)\nlone\tphs(3)\nx\ty(1)\n");
-        for (with_costs, sort, include_hidden, second_best) in [
-            (false, Sort::ByCost, false, false),
-            (true, Sort::ByCost, false, false),
-            (false, Sort::ByName, true, false),
-            (true, Sort::ByName, false, true),
+        // A duplicate link across files, a back link, unreachable
+        // hosts, a net and a gateway into it that validation warns of.
+        let files = [
+            ("paper", PAPER_1981),
+            ("more", "unc\tduke(9)\nlone\tphs(3)\nx\ty(1)\n"),
+            ("open", "OPEN = {q}\nduke OPEN(10)\ngateway {OPEN!duke}\n"),
+        ];
+        for (with_costs, sort, include_hidden) in [
+            (false, Sort::ByCost, false),
+            (true, Sort::ByCost, false),
+            (false, Sort::ByName, true),
+            (true, Sort::ByName, false),
         ] {
             let options = Options {
                 local: Some("unc".into()),
                 with_costs,
                 sort,
                 include_hidden,
-                second_best,
                 trace: vec!["lone".into()],
                 ..Options::default()
             };
-            let mut pa = driver(&options, &text);
+            let mut pa = driver(&options, &files);
             let want = pa.run().unwrap();
             let nodes = pa.graph().node_count();
             let mut written = Vec::new();
-            let report = driver(&options, &text).write_routes(&mut written).unwrap();
+            let report = driver(&options, &files).write_routes(&mut written).unwrap();
             assert_eq!(String::from_utf8(written).unwrap(), want.rendered);
-            assert_eq!(report.warnings, want.warnings);
-            assert!(!report.warnings.is_empty());
+            assert_eq!(report.warnings, want.report.warnings);
+            assert!(matches!(
+                report.warnings[..],
+                [
+                    Warning::DuplicateLink { .. },
+                    Warning::GatewayIntoUngated { .. }
+                ]
+            ));
             assert_eq!(report.unreachable, ["x", "y"]);
-            assert_eq!(report.unreachable, want.unreachable);
+            assert_eq!(report.unreachable, want.report.unreachable);
+            assert_eq!(report.trace, want.report.trace);
             assert_eq!(
                 report.trace,
                 format_trace(want.tree.frozen(), &want.tree.trace)
@@ -573,6 +506,18 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
             );
             assert_eq!(report.stats, want.tree.stats);
             assert_eq!(report.stats.invented_links, 1);
+
+            // The staged path, as a daemon loads: the same bytes,
+            // warnings and unreachable hosts.
+            let mut parsed = Parsed::new();
+            for (file, text) in files {
+                parsed.push_str(file, text);
+            }
+            let frozen = parsed.build(&options).unwrap().freeze();
+            let printed = frozen.map(&options).unwrap().print(&options);
+            assert_eq!(printed.rendered, want.rendered);
+            assert_eq!(frozen.warnings(), report.warnings);
+            assert_eq!(printed.unreachable, report.unreachable);
 
             // A driver that already froze (and ran) writes the same.
             let mut written = Vec::new();
@@ -590,11 +535,12 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
             local: Some("nosuch".into()),
             ..Options::default()
         };
-        let err = driver(&options, PAPER_1981).write_routes(&mut sink);
+        let paper = [("m", PAPER_1981)];
+        let err = driver(&options, &paper).write_routes(&mut sink);
         assert!(matches!(err, Err(Error::UnknownLocal(_))));
         assert!(sink.is_empty());
         let mut full: &mut [u8] = &mut [0; 8];
-        let err = driver(&Options::default(), PAPER_1981).write_routes(&mut full);
+        let err = driver(&Options::default(), &paper).write_routes(&mut full);
         assert!(matches!(err, Err(Error::Io(_))));
     }
 
@@ -604,7 +550,12 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
         pa.parse_str("m", PAPER_1981).unwrap();
         pa.options_mut().local = Some("unc".into());
         let out = pa.run().unwrap();
-        assert!(out.timings.parse > Duration::ZERO);
-        assert!(out.timings.freeze > Duration::ZERO);
+        assert!(out.report.timings.build > Duration::ZERO);
+        assert!(out.report.timings.freeze > Duration::ZERO);
+        let mut sink = Vec::new();
+        let report = driver(&Options::default(), &[("m", PAPER_1981)])
+            .write_routes(&mut sink)
+            .unwrap();
+        assert!(report.timings.build > Duration::ZERO);
     }
 }

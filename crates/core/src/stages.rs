@@ -5,13 +5,12 @@
 //! struct you can keep, re-enter, and time:
 //!
 //! * [`Parsed`] — the named input texts, before any graph exists;
-//! * [`Built`] — the mutable [`Graph`] produced by parsing (validated,
-//!   warnings recorded);
+//! * [`Built`] — the mutable [`Graph`] that parsing grows, one named
+//!   input at a time: the one place text becomes a graph;
 //! * [`Frozen`] — the immutable CSR snapshot
-//!   ([`pathalias_graph::FrozenGraph`]) plus everything later stages
-//!   need from the build (first host, warnings). Cheap to share.
-//! * [`Mapped`] — the shortest-path tree (and optional second-best
-//!   dual) from one mapping run;
+//!   ([`pathalias_graph::FrozenGraph`]) plus the build's warnings,
+//!   validation's included. Cheap to share.
+//! * [`Mapped`] — the shortest-path tree from one mapping run;
 //! * [`Printed`] — the route table and rendered text.
 //!
 //! Re-entry is the point: holding a [`Frozen`] stage, you can map with
@@ -41,8 +40,8 @@ use crate::pipeline::Error;
 use pathalias_graph::snapshot::{self, SnapshotError, StoredHierarchy};
 use pathalias_graph::{ChIndex, FrozenGraph, Graph, NodeId, ReverseGraph, Warning};
 use pathalias_mapper::cost_model::ch_weights;
-use pathalias_mapper::{map_dual_frozen, map_frozen, DualTree, MapOptions, ShortestPathTree};
-use pathalias_parser::parse_into;
+use pathalias_mapper::{map_frozen, MapOptions, ShortestPathTree};
+use pathalias_parser::{parse_into, ParseError};
 use pathalias_printer::{compute_routes, render, RouteTable};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -152,30 +151,14 @@ impl Parsed {
         self.inputs.is_empty()
     }
 
-    /// Stage 2: parses every input into a fresh graph (only
-    /// `options.ignore_case` matters here) and validates it.
+    /// Stage 2: parses every input, in order, into a fresh [`Built`]
+    /// (only `options.ignore_case` matters here).
     pub fn build(&self, options: &Options) -> Result<Built, Error> {
-        let t0 = Instant::now();
-        let mut graph = Graph::with_ignore_case(options.ignore_case);
-        let mut first_host = None;
+        let mut built = Built::new(options);
         for input in &self.inputs {
-            let before = graph.node_count();
-            parse_into(&mut graph, &input.file, &input.text)?;
-            if first_host.is_none() && graph.node_count() > before {
-                first_host = Some(
-                    graph
-                        .node_ids()
-                        .nth(before)
-                        .expect("a node was just created"),
-                );
-            }
+            built.parse_str(&input.file, &input.text)?;
         }
-        graph.validate();
-        Ok(Built {
-            graph,
-            first_host,
-            build_time: t0.elapsed(),
-        })
+        Ok(built)
     }
 }
 
@@ -185,39 +168,57 @@ fn read(path: &Path) -> std::io::Result<Arc<Input>> {
     Ok(Input::new(path.to_string_lossy().into_owned(), text))
 }
 
-/// Stage 2: the mutable graph built by parsing.
+/// Stage 2: the mutable graph that parsing grows, one named input at
+/// a time.
 #[derive(Debug)]
 pub struct Built {
     graph: Graph,
-    first_host: Option<NodeId>,
-    /// Wall-clock time spent parsing and validating.
+    /// Wall-clock time spent parsing into the graph.
     pub build_time: Duration,
 }
 
 impl Built {
+    /// An empty graph (only `options.ignore_case` matters here).
+    pub fn new(options: &Options) -> Built {
+        Built {
+            graph: Graph::with_ignore_case(options.ignore_case),
+            build_time: Duration::ZERO,
+        }
+    }
+
+    /// Parses one named input into the graph. Inputs parsed in turn
+    /// share it, with file-boundary semantics for `private`.
+    pub fn parse_str(&mut self, file: &str, text: &str) -> Result<(), ParseError> {
+        let t0 = Instant::now();
+        parse_into(&mut self.graph, file, text)?;
+        self.build_time += t0.elapsed();
+        Ok(())
+    }
+
     /// The built graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
     }
 
-    /// The first host declared in the input (the default `-l`).
-    pub fn first_host(&self) -> Option<NodeId> {
-        self.first_host
-    }
-
-    /// Stage 3: freezes the graph into its immutable CSR snapshot.
-    /// The `Built` stage survives the freeze, and a caller that needs
-    /// only the snapshot drops it afterwards (`pathalias freeze` does).
+    /// Stage 3: validates the whole graph and freezes it into its
+    /// immutable CSR snapshot. The stage's warnings are parsing's, then
+    /// validation's. The `Built` stage survives the freeze, so more
+    /// input can follow and freeze again.
     pub fn freeze(&self) -> Frozen {
         let t0 = Instant::now();
-        Frozen {
-            graph: Arc::new(self.graph.freeze()),
-            reverse: None,
-            hierarchy: None,
-            first_host: self.first_host,
-            warnings: self.graph.warnings().to_vec(),
-            freeze_time: t0.elapsed(),
-        }
+        let mut warnings = self.graph.warnings().to_vec();
+        warnings.extend(self.graph.validation_warnings());
+        Frozen::built(self.graph.freeze(), warnings, t0)
+    }
+
+    /// [`freeze`](Built::freeze), consuming the stage: the linked graph
+    /// is freed as the snapshot is made ([`Graph::into_frozen`]), so the
+    /// two never both live whole.
+    pub fn into_frozen(mut self) -> Frozen {
+        let t0 = Instant::now();
+        let mut warnings = self.graph.take_warnings();
+        warnings.extend(self.graph.validation_warnings());
+        Frozen::built(self.graph.into_frozen(), warnings, t0)
     }
 }
 
@@ -229,28 +230,20 @@ pub struct Frozen {
     /// The contraction hierarchy and the graph it is over: `graph`
     /// itself, or `graph` with the back links of one mapping appended.
     hierarchy: Option<(Arc<ChIndex>, Arc<FrozenGraph>)>,
-    first_host: Option<NodeId>,
     warnings: Vec<Warning>,
     /// Wall-clock time spent freezing.
     pub freeze_time: Duration,
 }
 
 impl Frozen {
-    /// Assembles the stage from parts (for drivers that build the
-    /// graph incrementally rather than through [`Parsed::build`]).
-    pub fn from_parts(
-        graph: Arc<FrozenGraph>,
-        first_host: Option<NodeId>,
-        warnings: Vec<Warning>,
-        freeze_time: Duration,
-    ) -> Self {
+    /// The stage a [`Built`] freezes into, its freeze begun at `t0`.
+    fn built(graph: FrozenGraph, warnings: Vec<Warning>, t0: Instant) -> Frozen {
         Frozen {
-            graph,
+            graph: Arc::new(graph),
             reverse: None,
             hierarchy: None,
-            first_host,
             warnings,
-            freeze_time,
+            freeze_time: t0.elapsed(),
         }
     }
 
@@ -290,11 +283,6 @@ impl Frozen {
     pub fn from_snapshot(path: impl AsRef<Path>) -> Result<Frozen, SnapshotError> {
         let t0 = Instant::now();
         let (graph, reverse, hierarchy) = snapshot::read_snapshot_all(path)?;
-        // `Parsed::build` pins the default `-l` to the first node
-        // parsing ever creates, which is node 0 of a non-empty pool;
-        // node ids survive freezing and serialization, so the same
-        // node is the default here.
-        let first_host = graph.node_ids().next();
         let graph = Arc::new(graph);
         let hierarchy = hierarchy.map(|StoredHierarchy { ch, augmented }| {
             let over = augmented.map_or_else(|| graph.clone(), Arc::new);
@@ -304,7 +292,6 @@ impl Frozen {
             graph,
             reverse: reverse.map(Arc::new),
             hierarchy,
-            first_host,
             warnings: Vec::new(),
             freeze_time: t0.elapsed(),
         })
@@ -371,7 +358,6 @@ impl Frozen {
                 graph: Arc::new(graph),
                 reverse: None,
                 hierarchy: None,
-                first_host: self.first_host,
                 warnings: self.warnings.clone(),
                 freeze_time: t0.elapsed(),
             },
@@ -415,20 +401,21 @@ impl Frozen {
     }
 
     /// Resolves the mapping source: `options.local` by name, else the
-    /// first declared host.
+    /// first host the input declared. That is the first node parsing
+    /// created, node 0: node ids survive freezing, patching and
+    /// snapshots.
     pub fn resolve_local(&self, options: &Options) -> Result<NodeId, Error> {
         match &options.local {
             Some(name) => self
                 .graph
                 .id_of(name)
                 .ok_or_else(|| Error::UnknownLocal(name.clone())),
-            None => self.first_host.ok_or(Error::NoInput),
+            None => self.graph.node_ids().next().ok_or(Error::NoInput),
         }
     }
 
-    /// Stage 4: maps from the local host (with back links, and the
-    /// second-best dual when requested). Re-entrant: call as often as
-    /// you like with different options.
+    /// Stage 4: maps from the local host, with back links. Re-entrant:
+    /// call as often as you like with different options.
     pub fn map(&self, options: &Options) -> Result<Mapped, Error> {
         let source = self.resolve_local(options)?;
         let map_opts = MapOptions {
@@ -442,15 +429,9 @@ impl Frozen {
             no_backlinks: options.no_backlinks,
         };
         let t0 = Instant::now();
-        let (tree, dual) = if options.second_best {
-            let dual = map_dual_frozen(&self.graph, source, &map_opts)?;
-            (dual.primary.clone(), Some(dual))
-        } else {
-            (map_frozen(&self.graph, source, &map_opts)?, None)
-        };
+        let tree = map_frozen(&self.graph, source, &map_opts)?;
         Ok(Mapped {
             tree,
-            dual,
             map_time: t0.elapsed(),
         })
     }
@@ -459,10 +440,8 @@ impl Frozen {
 /// Stage 4: the result of one mapping run.
 #[derive(Debug, Clone)]
 pub struct Mapped {
-    /// The shortest-path tree (the dual's primary when `-s` was set).
+    /// The shortest-path tree.
     pub tree: ShortestPathTree,
-    /// The second-best (domain-free) result, when requested.
-    pub dual: Option<DualTree>,
     /// Wall-clock time spent mapping.
     pub map_time: Duration,
 }

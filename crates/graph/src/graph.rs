@@ -555,9 +555,17 @@ impl Graph {
         true
     }
 
-    /// Post-parse validation: records warnings for suspicious but legal
-    /// constructs (currently: `gateway` links into ungated networks).
+    /// Post-parse validation: records the
+    /// [`validation_warnings`](Graph::validation_warnings).
     pub fn validate(&mut self) {
+        let found = self.validation_warnings();
+        self.warnings.extend(found);
+    }
+
+    /// Warnings for suspicious but legal constructs (currently:
+    /// `gateway` links into ungated networks) over the whole graph as
+    /// it stands, recorded nowhere.
+    pub fn validation_warnings(&self) -> Vec<Warning> {
         let mut found = Vec::new();
         for (from, node) in self.nodes.iter() {
             let mut cur = node.first_link;
@@ -572,7 +580,7 @@ impl Graph {
                 cur = link.next;
             }
         }
-        self.warnings.extend(found);
+        found
     }
 
     /// Warnings recorded so far.

@@ -21,10 +21,9 @@
 //! * back links: "we examine the connections out of each unreachable
 //!   host, invent links from its neighbors back to the host, and
 //!   continue" — realized as augmented frozen snapshots, so mapping
-//!   never mutates the caller's graph;
-//! * [`map_dual`] — the PROBLEMS-section experiment: "a modified
-//!   algorithm that maintains the 'second-best' path when the shortest
-//!   path to a host goes by way of a domain".
+//!   never mutates the caller's graph. (The PROBLEMS section's
+//!   "second-best" experiment maps twice with this crate's API, and
+//!   lives in `pathalias_bench::dual`.)
 //!
 //! # Examples
 //!
@@ -43,7 +42,6 @@
 
 pub mod cost_model;
 mod dijkstra;
-mod dual;
 mod tree;
 
 pub use cost_model::CostModel;
@@ -51,5 +49,4 @@ pub use dijkstra::{
     map, map_frozen, map_frozen_readonly, map_frozen_readonly_packed, map_readonly, repair_frozen,
     MapError, MapOptions,
 };
-pub use dual::{map_dual, map_dual_frozen, DualTree};
 pub use tree::{format_trace, Children, Label, MapStats, PackedTree, ShortestPathTree, TraceEvent};

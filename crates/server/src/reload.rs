@@ -664,10 +664,9 @@ fn try_delta_reload(
     cache: &StageCache,
 ) -> Result<Result<ServingParts, Declined>, LoadError> {
     // Only the plain serve configuration repairs: traces print
-    // per-relaxation output a repair would truncate, and the
-    // second-best dual has no incremental form.
-    if !options.trace.is_empty() || options.second_best {
-        return Ok(Err(("trace or second-best requested", None, 0)));
+    // per-relaxation output a repair would truncate.
+    if !options.trace.is_empty() {
+        return Ok(Err(("trace requested", None, 0)));
     }
     let fp = fingerprint(files)?;
     let mut slot = cache.slot.lock().expect("stage cache poisoned");
@@ -815,7 +814,6 @@ fn try_delta_reload(
     report.engine = t0.elapsed();
     serving.mapped = Mapped {
         tree: new_tree,
-        dual: None,
         map_time: report.phases.map,
     };
     Ok(Ok(commit(

@@ -61,13 +61,13 @@ fn main() {
     );
     println!(
         "unreachable after back links: {} hosts",
-        out.unreachable.len()
+        out.report.unreachable.len()
     );
     println!(
         "timings: parse {:?}, map {:?}, print {:?}",
-        out.timings.parse, out.timings.map, out.timings.print
+        out.report.timings.build, out.report.timings.map, out.report.timings.print
     );
-    println!("warnings from the map data: {}", out.warnings.len());
+    println!("warnings from the map data: {}", out.report.warnings.len());
 
     // Show the near end of the route list: the expensive tail is where
     // back links and penalties live.

@@ -135,7 +135,7 @@ fn self_contained_island_reports_unreachable() {
     pa.parse_str("m", "a b(1)\nx y(1)\ny x(1)\n").unwrap();
     pa.options_mut().local = Some("a".into());
     let out = pa.run().unwrap();
-    let mut unreachable = out.unreachable.clone();
+    let mut unreachable = out.report.unreachable.clone();
     unreachable.sort();
     assert_eq!(unreachable, vec!["x", "y"]);
 }
@@ -148,7 +148,7 @@ fn backlinks_cannot_cross_deleted_hosts() {
         .unwrap();
     pa.options_mut().local = Some("a".into());
     let out = pa.run().unwrap();
-    assert!(out.unreachable.contains(&"leaf".to_string()));
+    assert!(out.report.unreachable.contains(&"leaf".to_string()));
 }
 
 #[test]
@@ -172,6 +172,7 @@ fn duplicate_network_merge_is_stable() {
         assert!(out.routes().find(host).is_some(), "{host} routed");
     }
     assert!(out
+        .report
         .warnings
         .iter()
         .any(|w| matches!(w, pathalias::core::Warning::RedeclaredNet { .. })));

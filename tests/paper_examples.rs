@@ -33,8 +33,8 @@ ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
     pa.parse_str("map-1981", INPUT).unwrap();
     let out = pa.run().unwrap();
     assert_eq!(out.rendered, EXPECTED);
-    assert!(out.warnings.is_empty());
-    assert!(out.unreachable.is_empty());
+    assert!(out.report.warnings.is_empty());
+    assert!(out.report.unreachable.is_empty());
 }
 
 /// E2: the symbolic cost table, exactly as printed in the paper.

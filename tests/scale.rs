@@ -19,7 +19,11 @@ fn full_pipeline_reaches_everything() {
     let (mut pa, home) = paper_world();
     pa.options_mut().local = Some(home);
     let out = pa.run().unwrap();
-    assert!(out.unreachable.is_empty(), "{:?}", out.unreachable);
+    assert!(
+        out.report.unreachable.is_empty(),
+        "{:?}",
+        out.report.unreachable
+    );
     let visible = out.routes().visible().count();
     assert!(visible > 8_000, "visible routes: {visible}");
     // Route strings are well-formed at scale.
