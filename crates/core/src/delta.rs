@@ -41,14 +41,25 @@
 //!
 //! The last gate, and the rows a patch rebuilds, need every file, not
 //! just the edited one: a name's non-plain uses and a head's other rows
-//! can sit anywhere. Only the changed file is scanned, old and new. Every
-//! other file is read from its *outline*, cut from one scan of its text:
-//! the names its non-plain statements mention, and the head and byte
-//! span of each plain row. Names are kept as 64-bit key hashes, so an
-//! outline is a fraction of its text. A [`Parsed`] caches each input's
-//! outline beside its text, in the same allocation, and a reload that
-//! re-reads one file shares the others, outlines included. So once every
-//! file has been outlined, a plan scans the one file that changed.
+//! can sit anywhere. Each file is read from its *outline*, cut from one
+//! scan of its text: the names its non-plain statements mention, and
+//! the head and byte span of each plain row. Names are kept as 64-bit
+//! key hashes, so an outline is a fraction of its text. A [`Parsed`]
+//! caches each input's outline beside its text, in the same
+//! allocation, and a reload that re-reads one file shares the others,
+//! outlines included.
+//!
+//! The changed file's outline also bounds what a plan scans of it. The
+//! bytes the old and new texts share at the front and at the back are
+//! widened to the nearest plain rows the old outline lists: a row start
+//! is a clean scanner state (outside braces, just past an end of line),
+//! so only the window between them is scanned, old and new. The new
+//! text's outline is spliced from the old one (the window's rows
+//! replaced, later spans moved by the change in length) and cached with
+//! it, so once every file has been outlined a plan scans no whole text.
+//! An edit that is not plain leaves the new outline to be cut by a
+//! later plan, and one that changes which names a statement mentions
+//! scans the old text outside the window to check first mentions.
 //!
 //! A hash can collide, so no hash is trusted as proof. A row whose head
 //! hashes like a dirty head is re-scanned from its span, and it joins
@@ -85,7 +96,7 @@ pub enum DeltaPlan {
 
 /// Diffs `old` against `new` (parallel `(file, text)` lists) and plans
 /// the cheapest safe reload against `frozen`, the snapshot built from
-/// `old`. The files that did not change are outlined on the spot; a
+/// `old`. Every old text is outlined on the spot; a
 /// caller that plans again and again keeps its inputs in a [`Parsed`]
 /// and calls [`Parsed::plan_delta`], which cuts each outline once.
 ///
@@ -119,16 +130,31 @@ impl Parsed {
     /// texts it scanned.
     ///
     /// An input's outline is cut the first time a plan needs it, or
-    /// again when it was cut under the other `-i` fold. When `new` is
+    /// again when it was cut under the other `-i` fold; the changed
+    /// file's new outline is spliced from its old one. When `new` is
     /// `self` with the changed files re-read ([`Parsed::replace_file`]
     /// on a clone), it shares every other input, so after the first
-    /// plan a one-file edit scans two texts: that file, old and new.
+    /// plan a one-file cost edit scans no whole text, only the window
+    /// around the edit.
     pub fn plan_delta(&self, new: &Parsed, frozen: &FrozenGraph) -> (DeltaPlan, usize) {
         let old: Vec<Doc> = self.inputs().iter().map(Doc::from).collect();
         let new: Vec<Doc> = new.inputs().iter().map(Doc::from).collect();
         let mut scanned = 0;
         let plan = plan(&old, &new, frozen, &mut scanned);
         (plan, scanned)
+    }
+}
+
+impl Input {
+    /// Whether the planner keeps an outline of this input and, if so,
+    /// whether it is the one a scan of the text cuts. A plan splices
+    /// the changed file's new outline from its old one instead of
+    /// cutting it; this holds the two to each other in tests.
+    #[doc(hidden)]
+    pub fn outline_matches_text(&self) -> Option<bool> {
+        let outline = self.outline.get()?;
+        let cut = Outline::cut(&self.file, &self.text, outline.fold);
+        Some(cut.is_ok_and(|cut| cut == *outline))
     }
 }
 
@@ -208,22 +234,18 @@ fn plan(old: &[Doc<'_>], new: &[Doc<'_>], frozen: &FrozenGraph, scanned: &mut us
         return DeltaPlan::Unchanged;
     };
     let (od, nd) = (&old[ci], &new[ci]);
-    *scanned += 2;
-    let (Ok(old_view), Ok(new_view)) = (
-        Statements::scan(od.file, od.text),
-        Statements::scan(nd.file, nd.text),
-    ) else {
+    let fold = frozen.ignore_case();
+    let Ok(outline) = od.outline(fold, scanned) else {
         return DeltaPlan::Fallback("text does not scan");
     };
-    let fold = frozen.ignore_case();
-    // Outlined now, so that the new text keeps its outline whatever a
-    // gate below decides, and no later plan scans it again.
-    let new_outline = nd.keep(Outline::of(&new_view, fold));
+    let Ok(window) = Window::scan(od, nd, &outline) else {
+        return DeltaPlan::Fallback("text does not scan");
+    };
 
-    // Longest common prefix and suffix of the statement lists; the
-    // window between them is the edit.
+    // Longest common prefix and suffix of the window's statement lists;
+    // what lies between them is the edit.
     let (before, after): (Vec<Statement>, Vec<Statement>) =
-        (old_view.iter().collect(), new_view.iter().collect());
+        (window.old.iter().collect(), window.new.iter().collect());
     let same = |i: usize, j: usize| before[i].toks == after[j].toks;
     let (o, n) = (before.len(), after.len());
     let mut p = 0;
@@ -234,36 +256,60 @@ fn plan(old: &[Doc<'_>], new: &[Doc<'_>], frozen: &FrozenGraph, scanned: &mut us
     while s < o.min(n) - p && same(o - 1 - s, n - 1 - s) {
         s += 1;
     }
-    let edited = || before[p..o - s].iter().chain(&after[p..n - s]);
+    let (was, is) = (&before[p..o - s], &after[p..n - s]);
+    let edited = || was.iter().chain(is);
+    if edited().any(|st| st.kind != Kind::Links) {
+        // The new text is left for a later plan to outline.
+        return DeltaPlan::Fallback("edit touches a non-plain statement");
+    }
+    // Spliced now, so that the new text keeps its outline whatever a
+    // gate below decides, and no later plan scans it.
+    let new_outline = nd.keep(outline.spliced(&window, &after));
     if edited().next().is_none() {
         return DeltaPlan::Unchanged;
-    }
-    if edited().any(|st| st.kind != Kind::Links) {
-        return DeltaPlan::Fallback("edit touches a non-plain statement");
     }
 
     // Node ids are assigned in first-mention order across the file
     // set; the edited file's mention sequence must be unchanged. Under
     // `-i` the graph also keeps each name as first spelled, so a first
-    // mention must keep its spelling too.
-    let [was, is] = [&before, &after].map(|stmts| {
-        let mut seen = HashSet::new();
-        let names = stmts.iter().flat_map(|st| mentions(st.toks));
-        names
-            .filter(|&name| seen.insert(key(name, fold)))
-            .collect::<Vec<_>>()
-    });
-    if was != is {
-        let same_keys = was.len() == is.len()
-            && was
+    // mention must keep its spelling too. An edit that mentions the
+    // same names, spelled the same, keeps both (every cost edit does);
+    // any other is judged over the whole file, the statements outside
+    // the window scanned from the old text.
+    let (names_was, names_is) = (
+        was.iter().flat_map(|st| mentions(st.toks)),
+        is.iter().flat_map(|st| mentions(st.toks)),
+    );
+    if !names_was.eq(names_is) {
+        *scanned += 1;
+        let Ok((head, tail)) = window.outside(od) else {
+            return DeltaPlan::Fallback("text does not scan");
+        };
+        let (head, tail): (Vec<Statement>, Vec<Statement>) =
+            (head.iter().collect(), tail.iter().collect());
+        let [was, is] = [&before, &after].map(|stmts| {
+            let mut seen = HashSet::new();
+            let names = head
                 .iter()
-                .zip(&is)
-                .all(|(a, b)| key(a, fold) == key(b, fold));
-        return DeltaPlan::Fallback(if same_keys {
-            "first mention respelled"
-        } else {
-            "first-mention sequence changed"
+                .chain(stmts)
+                .chain(&tail)
+                .flat_map(|st| mentions(st.toks));
+            names
+                .filter(|&name| seen.insert(key(name, fold)))
+                .collect::<Vec<_>>()
         });
+        if was != is {
+            let same_keys = was.len() == is.len()
+                && was
+                    .iter()
+                    .zip(&is)
+                    .all(|(a, b)| key(a, fold) == key(b, fold));
+            return DeltaPlan::Fallback(if same_keys {
+                "first mention respelled"
+            } else {
+                "first-mention sequence changed"
+            });
+        }
     }
 
     // The dirty heads, and every name the edit touches.
@@ -288,10 +334,8 @@ fn plan(old: &[Doc<'_>], new: &[Doc<'_>], frozen: &FrozenGraph, scanned: &mut us
     dirty.dedup();
     head_keys.sort_unstable();
     head_keys.dedup();
-    drop(before);
-    drop(old_view);
 
-    // Every file's outline: the changed file's was cut above, the
+    // Every file's outline: the changed file's was spliced above, the
     // others come from their cache or are cut here.
     let mut outlines = Vec::with_capacity(new.len());
     for doc in new[..ci].iter().chain(&new[ci + 1..]) {
@@ -303,28 +347,12 @@ fn plan(old: &[Doc<'_>], new: &[Doc<'_>], frozen: &FrozenGraph, scanned: &mut us
     outlines.insert(ci, new_outline);
 
     // Every plain statement whose head is dirty, in file order — link
-    // order and duplicate handling must match a cold parse. The changed
-    // file's come off its view; every other file's are re-scanned from
-    // the spans its outline lists under a dirty head's hash.
+    // order and duplicate handling must match a cold parse — re-scanned
+    // from the spans each file's outline lists under a dirty head's
+    // hash.
     let mut rows = String::new();
     let mut targets = Vec::new();
-    let mut take = |text: &str, st: &Statement<'_, '_>| {
-        let mut names = mentions(st.toks);
-        let dirty_head = st.kind == Kind::Links
-            && names
-                .next()
-                .is_some_and(|head| heads.contains(&key(head, fold)));
-        if dirty_head {
-            rows.push_str(&text[st.span.clone()]);
-            rows.push('\n');
-            targets.extend(names.map(|name| key_hash(name, fold)));
-        }
-    };
-    for (i, (doc, outline)) in new.iter().zip(&outlines).enumerate() {
-        if i == ci {
-            new_view.iter().for_each(|st| take(doc.text, &st));
-            continue;
-        }
+    for (doc, outline) in new.iter().zip(&outlines) {
         let mut spans: Vec<&Range<usize>> = head_keys
             .iter()
             .flat_map(|&head| outline.rows_headed(head))
@@ -339,7 +367,16 @@ fn plan(old: &[Doc<'_>], new: &[Doc<'_>], frozen: &FrozenGraph, scanned: &mut us
             let (Some(st), None) = (stmts.next(), stmts.next()) else {
                 return DeltaPlan::Fallback("text does not scan");
             };
-            take(text, &st);
+            let mut names = mentions(st.toks);
+            let dirty_head = st.kind == Kind::Links
+                && names
+                    .next()
+                    .is_some_and(|head| heads.contains(&key(head, fold)));
+            if dirty_head {
+                rows.push_str(text);
+                rows.push('\n');
+                targets.extend(names.map(|name| key_hash(name, fold)));
+            }
         }
     }
 
@@ -358,10 +395,105 @@ fn plan(old: &[Doc<'_>], new: &[Doc<'_>], frozen: &FrozenGraph, scanned: &mut us
     build_patches(&rows, frozen, &dirty)
 }
 
+/// The part of one changed file an edit can have moved, scanned in the
+/// old text and in the new one. Both scans start at `start`, a plain
+/// row at or before the first byte that differs (or the start of the
+/// text), where the two texts are in the same scanner state. The old scan stops at `end`, a plain
+/// row after the last byte that differs (or the end of the text), and
+/// the new one where that row now starts, `end + shift`: from a
+/// statement start in the bytes both texts end with, they scan alike.
+/// The new scan stops at the first such row it reaches as a statement
+/// start, which is a later one than the nearest when the edit changed
+/// how the text around it scans (a `\` continuation, an opened `{`).
+struct Window<'a> {
+    start: usize,
+    end: usize,
+    /// How much longer the new text is than the old.
+    shift: isize,
+    old: Statements<'a>,
+    new: Statements<'a>,
+}
+
+impl<'a> Window<'a> {
+    fn scan(old: &Doc<'a>, new: &Doc<'a>, outline: &Outline) -> Result<Window<'a>, ParseError> {
+        let (a, b) = (old.text.as_bytes(), new.text.as_bytes());
+        let prefix = common_prefix(a, b);
+        let synced = a.len() - common_suffix(&a[prefix..], &b[prefix..]);
+        let shift = b.len() as isize - a.len() as isize;
+        // The nearest plain rows: the last to start in the common
+        // prefix, and the first to start in the common suffix.
+        let (mut start, mut next) = (0, a.len());
+        for (_, span) in &outline.rows {
+            if span.start <= prefix {
+                start = start.max(span.start);
+            }
+            if span.start >= synced {
+                next = next.min(span.start);
+            }
+        }
+        let mut later: Option<Vec<usize>> = None;
+        let (new_view, stop) = Statements::scan_from(new.file, new.text, start, |at| {
+            let Some(at) = at.checked_add_signed(-shift).filter(|&at| at >= synced) else {
+                return false;
+            };
+            at == next
+                || later
+                    .get_or_insert_with(|| {
+                        let rows = outline.rows.iter().map(|(_, span)| span.start);
+                        let mut later: Vec<usize> = rows.filter(|&at| at >= synced).collect();
+                        later.sort_unstable();
+                        later
+                    })
+                    .binary_search(&at)
+                    .is_ok()
+        })?;
+        let end = if stop == b.len() {
+            a.len()
+        } else {
+            stop.wrapping_add_signed(-shift)
+        };
+        let (old_view, _) = Statements::scan_from(old.file, old.text, start, |at| at >= end)?;
+        Ok(Window {
+            start,
+            end,
+            shift,
+            old: old_view,
+            new: new_view,
+        })
+    }
+
+    /// The old text's statements before the window and after it.
+    fn outside(&self, old: &Doc<'a>) -> Result<(Statements<'a>, Statements<'a>), ParseError> {
+        let (head, _) = Statements::scan_from(old.file, old.text, 0, |at| at >= self.start)?;
+        let (tail, _) = Statements::scan_from(old.file, old.text, self.end, |_| false)?;
+        Ok((head, tail))
+    }
+}
+
+/// How many bytes `a` and `b` share at the front: eight at a time,
+/// then one.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let words = a.chunks_exact(8).zip(b.chunks_exact(8));
+    let at = words.take_while(|(x, y)| x == y).count() * 8;
+    let bytes = a[at..].iter().zip(&b[at..]);
+    at + bytes.take_while(|(x, y)| x == y).count()
+}
+
+/// How many bytes `a` and `b` share at the back.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let words = a.rchunks_exact(8).zip(b.rchunks_exact(8));
+    let at = words.take_while(|(x, y)| x == y).count() * 8;
+    let bytes = a[..a.len() - at]
+        .iter()
+        .rev()
+        .zip(b[..b.len() - at].iter().rev());
+    at + bytes.take_while(|(x, y)| x == y).count()
+}
+
 /// What the planner needs of a file it did not change, cut from one
 /// scan of its text: the names its non-plain statements mention, and
 /// each plain row's head and byte span. Names are [`key_hash`]es.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Outline {
     /// Whether names were folded (`-i`) when the outline was cut.
     fold: bool,
@@ -395,6 +527,35 @@ impl Outline {
         Outline {
             fold,
             complex,
+            rows,
+        }
+    }
+
+    /// This outline of a window's old text, made the new text's: the
+    /// window's rows replaced by `after`'s (its statements in the new
+    /// text) and every later row moved by the shift. Only for a plain
+    /// edit: the window's non-plain statements are then the same in
+    /// both texts, so `complex` stands.
+    fn spliced(&self, window: &Window<'_>, after: &[Statement<'_, '_>]) -> Outline {
+        let moved = |at: usize| at.wrapping_add_signed(window.shift);
+        let mut rows = Vec::with_capacity(self.rows.len() + after.len());
+        for (head, span) in &self.rows {
+            if span.start < window.start {
+                rows.push((*head, span.clone()));
+            } else if span.start >= window.end {
+                rows.push((*head, moved(span.start)..moved(span.end)));
+            }
+        }
+        for st in after.iter().filter(|st| st.kind == Kind::Links) {
+            if let Some(head) = mentions(st.toks).next() {
+                rows.push((key_hash(head, self.fold), st.span.clone()));
+            }
+        }
+        // Two sorted runs, the second short: a stable sort merges them.
+        rows.sort_by_key(|(head, span)| (*head, span.start));
+        Outline {
+            fold: self.fold,
+            complex: self.complex.clone(),
             rows,
         }
     }
@@ -696,7 +857,7 @@ mod tests {
     }
 
     #[test]
-    fn parsed_plans_scan_only_the_changed_file_once_outlined() {
+    fn parsed_plans_scan_no_whole_text_once_outlined() {
         let old = inputs(&[
             ("one", "a b(10)\nb c(10)\n"),
             ("two", "b d(10)\nd a(1)\n"),
@@ -713,10 +874,11 @@ mod tests {
             format!("{:?}", plan_delta(&old, &new, &frozen))
         );
         assert!(matches!(plan, DeltaPlan::Patch { .. }));
-        assert_eq!(scanned, 4, "the edited file twice, then two outlines");
+        assert_eq!(scanned, 3, "each old text outlined once");
 
-        // The next edit, to another file, finds every other file
-        // outlined, the first edit's new text included.
+        // The next edit, to another file, finds every file outlined,
+        // the first edit's new text included (its outline spliced), and
+        // scans only the edit's window.
         let frozen = frozen_of(&new);
         let mut newer = new.clone();
         newer[1].1 = "b d(12)\nd a(1)\n".to_string();
@@ -726,7 +888,7 @@ mod tests {
             format!("{plan:?}"),
             format!("{:?}", plan_delta(&new, &newer, &frozen))
         );
-        assert_eq!(scanned, 2);
+        assert_eq!(scanned, 0);
         let patches = expect_patch(plan);
         assert_eq!(frozen.with_rows_replaced(&patches).0, frozen_of(&newer));
     }
@@ -745,7 +907,7 @@ mod tests {
         let cached = parsed(&old);
         let edited = reread(&cached, 0, &new[0].1);
         let (_, scanned) = cached.plan_delta(&edited, &frozen_of(&old));
-        assert_eq!(scanned, 3, "outlined without -i");
+        assert_eq!(scanned, 2, "outlined without -i");
 
         let mut g = pathalias_graph::Graph::with_ignore_case(true);
         for (f, t) in &old {
@@ -754,7 +916,7 @@ mod tests {
         g.validate();
         let folding = g.freeze();
         let (plan, scanned) = cached.plan_delta(&edited, &folding);
-        assert_eq!(scanned, 3, "the unfolded outline is cut again");
+        assert_eq!(scanned, 2, "the unfolded outlines are cut again");
         let cold = plan_delta(&old, &new, &folding);
         assert_eq!(format!("{plan:?}"), format!("{cold:?}"));
         let patches = expect_patch(plan);

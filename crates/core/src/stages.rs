@@ -59,9 +59,10 @@ pub struct Parsed {
 
 /// One named input text, and the delta planner's outline of it.
 ///
-/// The outline is cut on the first delta plan that needs it and
-/// cached beside the text, in the same `Arc`, so it is never served
-/// for any other text.
+/// The outline is cut on the first delta plan that needs it, or
+/// spliced by the plan that replaced this text from the old text's
+/// outline, and cached beside the text, in the same `Arc`, so it is
+/// never served for any other text.
 #[derive(Debug)]
 pub struct Input {
     pub(crate) file: String,

@@ -84,7 +84,35 @@ impl<'a> Statements<'a> {
     /// scanner does (a byte no token starts with, a number too large),
     /// and on braces that do not balance.
     pub fn scan(file: &'a str, text: &'a str) -> Result<Self, ParseError> {
-        let mut lx = Lexer::new(file, text);
+        Statements::scan_from(file, text, 0, |_| false).map(|(view, _)| view)
+    }
+
+    /// [`scan`](Statements::scan) of `text[from..]`, stopping before the
+    /// first statement whose start `stop` accepts. `from` must be where
+    /// a statement of `text` starts, or its end: there the scanner is
+    /// outside braces, just past an end of line, as at the start of a
+    /// file, so the statements are the ones a scan of all of `text`
+    /// cuts there. Spans are offsets into `text`. Returns the view and
+    /// where it stopped: the refused statement's start, or the end of
+    /// `text`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pathalias_parser::Statements;
+    ///
+    /// let text = "a b(1)\nb c(2)\nc a(3)\n";
+    /// let (view, end) = Statements::scan_from("map", text, 7, |at| at >= 14).unwrap();
+    /// let spans: Vec<&str> = view.iter().map(|st| &text[st.span]).collect();
+    /// assert_eq!((spans, end), (vec!["b c(2)"], 14));
+    /// ```
+    pub fn scan_from(
+        file: &'a str,
+        text: &'a str,
+        from: usize,
+        mut stop: impl FnMut(usize) -> bool,
+    ) -> Result<(Self, usize), ParseError> {
+        let mut lx = Lexer::new(file, &text[from..]);
         let (mut toks, mut stmts) = (Vec::new(), Vec::new());
         let (mut depth, mut first, mut span) = (0usize, 0, 0..0);
         loop {
@@ -96,7 +124,7 @@ impl<'a> Statements<'a> {
                         first = toks.len();
                     }
                     if t.tok == Tok::Eof {
-                        return Ok(Statements { toks, stmts });
+                        return Ok((Statements { toks, stmts }, text.len()));
                     }
                     continue;
                 }
@@ -107,8 +135,15 @@ impl<'a> Statements<'a> {
                 _ => {}
             }
             if t.tok != Tok::Eol {
-                let (at, lead) = (lx.span_of(&t), first == toks.len());
-                span = if lead { at } else { span.start..at.end };
+                let at = lx.span_of(&t);
+                let at = from + at.start..from + at.end;
+                if first < toks.len() {
+                    span.end = at.end;
+                } else if stop(at.start) {
+                    return Ok((Statements { toks, stmts }, at.start));
+                } else {
+                    span = at;
+                }
             }
             toks.push(t.tok);
         }
@@ -148,5 +183,27 @@ mod tests {
         for bad in ["N = {a, b\n", "a b}\n", "a $\n"] {
             assert!(Statements::scan("t", bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn a_scan_from_a_statement_start_cuts_what_the_whole_scan_cuts() {
+        let text = "a b(5), \\\n  c(6)\n# note\nN = {x,\n y}(5)\n\nb c(1)\nc {q}\n";
+        let whole = Statements::scan("t", text).unwrap();
+        let all: Vec<Statement> = whole.iter().collect();
+        for (i, st) in all.iter().enumerate() {
+            let (view, end) = Statements::scan_from("t", text, st.span.start, |_| false).unwrap();
+            let rest: Vec<Statement> = view.iter().collect();
+            assert_eq!(format!("{rest:?}"), format!("{:?}", &all[i..]));
+            assert_eq!(end, text.len());
+            // Stopped at the next statement: just this one.
+            let next = all.get(i + 1).map_or(text.len(), |next| next.span.start);
+            let (view, end) =
+                Statements::scan_from("t", text, st.span.start, |at| at >= next).unwrap();
+            let spans: Vec<Range<usize>> = view.iter().map(|s| s.span).collect();
+            assert_eq!(spans, vec![st.span.clone()]);
+            assert_eq!(end, next);
+        }
+        let (view, end) = Statements::scan_from("t", text, text.len(), |_| true).unwrap();
+        assert_eq!((view.iter().count(), end), (0, text.len()));
     }
 }

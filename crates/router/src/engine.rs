@@ -1,7 +1,7 @@
-//! The [`PointToPoint`] engine: a frozen graph, its reverse CSR, a
-//! pool of reusable search state, and a small cache of whole
-//! shortest-path trees for the sources that keep asking, answering
-//! `src → dst` queries.
+//! The [`PointToPoint`] engine: a frozen graph, its reverse CSR (built
+//! on first use), a pool of reusable search state, and a small cache of
+//! whole shortest-path trees for the sources that keep asking,
+//! answering `src → dst` queries.
 
 use crate::route::PathAnswer;
 use crate::search::{search, search_ch, Query, Scratch, SearchStats};
@@ -9,7 +9,7 @@ use pathalias_graph::{ChIndex, Cost, EdgeId, FrozenGraph, NodeId, ReverseGraph};
 use pathalias_mapper::cost_model::ch_weights;
 use pathalias_mapper::{map_frozen_readonly_packed, CostModel, Label, MapOptions, PackedTree};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Why a point-to-point query produced no route.
@@ -124,18 +124,21 @@ impl TreeCache {
 
 /// The point-to-point route engine.
 ///
-/// Holds an [`Arc<FrozenGraph>`] plus the reverse CSR (built once, or
-/// loaded from a PAGF snapshot's reverse section) and a pool of
+/// Holds an [`Arc<FrozenGraph>`] plus the reverse CSR and a pool of
 /// generation-stamped search scratch, so concurrent queries allocate
-/// nothing in the steady state. Cloning the engine is cheap — both
-/// graphs are shared; the scratch pool and the source-tree cache are
-/// too (an `Arc` each), so clones also share warmed-up buffers and
-/// kept trees. A new world means a new engine, so nothing ever has to
-/// invalidate a tree.
+/// nothing in the steady state. The reverse CSR is loaded from a PAGF
+/// snapshot's reverse section when there is one, and otherwise built
+/// by the first request that reads it (a bidirectional `PATH` search or
+/// `PATH * dst`), so an engine costs nothing to make and a daemon that
+/// answers only `QUERY` never holds one. Cloning the engine is cheap —
+/// both graphs are shared; the scratch pool and the source-tree cache
+/// are too (an `Arc` each), so clones also share warmed-up buffers and
+/// kept trees, and the reverse CSR whichever clone builds it. A new
+/// world means a new engine, so nothing ever has to invalidate a tree.
 #[derive(Clone)]
 pub struct PointToPoint {
     graph: Arc<FrozenGraph>,
-    reverse: Arc<ReverseGraph>,
+    reverse: Arc<OnceLock<Arc<ReverseGraph>>>,
     ch: Option<Arc<ChIndex>>,
     model: CostModel,
     scratch: Arc<Mutex<Vec<Scratch>>>,
@@ -152,47 +155,39 @@ impl fmt::Debug for PointToPoint {
 }
 
 impl PointToPoint {
-    /// Builds an engine over `graph`, constructing the reverse CSR
-    /// (O(n + m) counting sort).
+    /// Builds an engine over `graph`, in O(1): the reverse CSR (an
+    /// O(n + m) counting sort) waits for the first request that reads
+    /// it.
     pub fn new(graph: Arc<FrozenGraph>, model: CostModel) -> PointToPoint {
-        let reverse = Arc::new(graph.reverse());
-        PointToPoint::with_reverse(graph, reverse, model)
+        PointToPoint::with_sections(graph, None, None, model)
     }
 
-    /// Builds an engine reusing an already-built (or snapshot-loaded)
-    /// reverse CSR. The reverse index must be the transpose of `graph`
-    /// — snapshot loading validates this; a mismatched pair is caught
-    /// here in debug builds.
-    pub fn with_reverse(
-        graph: Arc<FrozenGraph>,
-        reverse: Arc<ReverseGraph>,
-        model: CostModel,
-    ) -> PointToPoint {
-        PointToPoint::with_sections(graph, reverse, None, model)
-    }
-
-    /// Builds an engine from snapshot sections: the reverse CSR plus,
-    /// optionally, a contraction hierarchy the `PATH` tier tries
-    /// first. The hierarchy is accepted only if it is structurally a
-    /// hierarchy over `graph` *and* its edge weights match what
-    /// [`ch_weights`] derives from `model` — on any mismatch (say, a
-    /// snapshot frozen under different penalties) it is dropped and
-    /// queries run bidirectional, merely slower.
+    /// Builds an engine from snapshot sections: the reverse CSR (built
+    /// on first use when `None`) plus, optionally, a contraction
+    /// hierarchy the `PATH` tier tries first. A given reverse index
+    /// must be the transpose of `graph` — snapshot loading validates
+    /// this; a mismatched pair is caught here in debug builds. The hierarchy is accepted
+    /// only if it is structurally a hierarchy over `graph` *and* its
+    /// edge weights match what [`ch_weights`] derives from `model` — on
+    /// any mismatch (say, a snapshot frozen under different penalties)
+    /// it is dropped and queries run bidirectional, merely slower.
     /// [`hierarchy`](Self::hierarchy) then returns `None`, which is how
     /// the daemon tells a `rejected` hierarchy from a `stored` one.
     pub fn with_sections(
         graph: Arc<FrozenGraph>,
-        reverse: Arc<ReverseGraph>,
+        reverse: Option<Arc<ReverseGraph>>,
         ch: Option<Arc<ChIndex>>,
         model: CostModel,
     ) -> PointToPoint {
-        debug_assert!(reverse.validate_against(&graph));
+        debug_assert!(reverse
+            .as_ref()
+            .map_or(true, |r| r.validate_against(&graph)));
         let ch = ch.filter(|ch| {
             ch.validate_against(&graph) && ch.weights_consistent(&ch_weights(&graph, &model))
         });
         PointToPoint {
             graph,
-            reverse,
+            reverse: Arc::new(reverse.map_or_else(OnceLock::new, OnceLock::from)),
             ch,
             model,
             scratch: Arc::new(Mutex::new(Vec::new())),
@@ -200,13 +195,12 @@ impl PointToPoint {
         }
     }
 
-    /// Builds an engine with a freshly constructed hierarchy (reverse
-    /// CSR transpose + contraction over the [`ch_weights`] metric) —
-    /// what servers do when no snapshot section is available.
+    /// Builds an engine with a freshly constructed hierarchy
+    /// (contraction over the [`ch_weights`] metric) — what servers do
+    /// when no snapshot section is available.
     pub fn with_fresh_hierarchy(graph: Arc<FrozenGraph>, model: CostModel) -> PointToPoint {
-        let reverse = Arc::new(graph.reverse());
         let ch = Arc::new(ChIndex::build(&graph, &ch_weights(&graph, &model)));
-        PointToPoint::with_sections(graph, reverse, Some(ch), model)
+        PointToPoint::with_sections(graph, None, Some(ch), model)
     }
 
     /// The graph this engine answers over.
@@ -214,9 +208,10 @@ impl PointToPoint {
         &self.graph
     }
 
-    /// The reverse adjacency index.
+    /// The reverse adjacency index, built now if no request has
+    /// needed it yet. Concurrent first callers wait for one build.
     pub fn reverse(&self) -> &Arc<ReverseGraph> {
-        &self.reverse
+        self.reverse.get_or_init(|| Arc::new(self.graph.reverse()))
     }
 
     /// The contraction hierarchy, when the engine carries one.
@@ -298,7 +293,7 @@ impl PointToPoint {
         let mut out: Vec<ViaEntry> = Vec::new();
         // Reverse rows are edge-id ascending, not grouped by tail, so
         // dedup via a sort at the end (rows are short).
-        for (tail, e) in self.reverse.in_edges(d) {
+        for (tail, e) in self.reverse().in_edges(d) {
             let cost = self.graph.edge_cost(e);
             match out.iter_mut().find(|v| v.node == tail) {
                 Some(v) => v.cost = v.cost.min(cost),
@@ -465,7 +460,6 @@ impl PointToPoint {
             src,
             dst,
         };
-        let reverse = bidirectional.then_some(&*self.reverse);
         // Tier order: contraction hierarchy, bidirectional, oracle —
         // each certified tier answers outright; an uncertified run
         // discards its labels and drops to the next (slower, but
@@ -477,14 +471,14 @@ impl PointToPoint {
                 o.stats.ch_certified = o.certified;
                 if !o.certified {
                     let ch_stats = o.stats;
-                    o = search(&q, reverse, &mut scratch);
+                    o = search(&q, Some(&**self.reverse()), &mut scratch);
                     o.stats.tried_ch = true;
                     o.stats.pruned += ch_stats.pruned;
                     o.stats.backward_settled += ch_stats.backward_settled;
                 }
                 o
             }
-            _ => search(&q, reverse, &mut scratch),
+            _ => search(&q, bidirectional.then(|| &**self.reverse()), &mut scratch),
         };
         if !outcome.certified {
             // The pruned run could not prove it matches the oracle

@@ -117,7 +117,7 @@ fn assert_parity_from(
 fn fresh(engine: &PointToPoint) -> PointToPoint {
     PointToPoint::with_sections(
         engine.graph().clone(),
-        engine.reverse().clone(),
+        Some(engine.reverse().clone()),
         engine.hierarchy().cloned(),
         *engine.model(),
     )
@@ -313,6 +313,52 @@ fn via_lists_one_hop_predecessors() {
         engine.via("nonesuch"),
         Err(RouteError::UnknownDest("nonesuch".to_string()))
     );
+}
+
+/// An engine from `PointToPoint::new` builds its reverse CSR on the
+/// first request that reads it: two bidirectional searches racing to
+/// be first, then `PATH * dst` and more searches, answer (and count
+/// their work) as an engine handed the reverse CSR up front does, and
+/// every clone reads the one CSR built.
+#[test]
+fn a_reverse_built_on_first_use_answers_as_one_built_up_front() {
+    let map = generate(&MapSpec::small(300, 7));
+    let (aug, _, _) = serving_world(&map.concatenated(), &map.home);
+    let model = CostModel::default();
+    let eager =
+        PointToPoint::with_sections(aug.clone(), Some(Arc::new(aug.reverse())), None, model);
+    let lazy = PointToPoint::new(aug.clone(), model);
+    let ids: Vec<NodeId> = aug.node_ids().step_by(11).collect();
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for (src, dst) in [(ids[0], ids[3]), (ids[1], ids[2])] {
+            let (lazy, eager, start) = (lazy.clone(), &eager, &start);
+            scope.spawn(move || {
+                start.wait();
+                assert_eq!(
+                    lazy.route_ids_uncached(src, dst),
+                    eager.route_ids_uncached(src, dst)
+                );
+            });
+        }
+    });
+    assert_eq!(**lazy.reverse(), **eager.reverse());
+    assert!(Arc::ptr_eq(lazy.reverse(), lazy.clone().reverse()));
+    for &dst in &ids {
+        let name = aug.name(dst);
+        assert_eq!(lazy.via(name), eager.via(name), "PATH * {name}");
+        for &src in ids.iter().step_by(5) {
+            assert_eq!(
+                lazy.route_ids_uncached(src, dst),
+                eager.route_ids_uncached(src, dst),
+                "PATH {} {name}",
+                aug.name(src)
+            );
+        }
+    }
+    // `PATH * dst` first builds it as well.
+    let lazy = PointToPoint::new(aug.clone(), model);
+    assert_eq!(lazy.via(aug.name(ids[4])), eager.via(aug.name(ids[4])));
 }
 
 #[test]

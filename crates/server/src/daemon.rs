@@ -705,8 +705,8 @@ impl State {
         out.family(
             "pathalias_reload_files_scanned_total",
             "counter",
-            "Map file texts the delta planner scanned: a one-file edit scans that file, \
-             old and new, plus each file it had not outlined yet.",
+            "Whole map file texts the delta planner scanned: each file it had not outlined \
+             yet, plus a changed file's old text when an edit changes what it mentions.",
         );
         for m in &maps {
             out.sample(

@@ -31,9 +31,10 @@ use pathalias_mailer::{
 };
 use pathalias_router::PointToPoint;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
 /// A loaded serving bundle: the resolver, the optional point-to-point
@@ -134,8 +135,10 @@ pub struct LoadReport {
     pub phases: PhaseTimings,
     /// Diffing the re-read files against the cached ones.
     pub plan_delta: Duration,
-    /// How many file texts the delta planner scanned: the changed
-    /// file, old and new, plus any file it had no outline of yet.
+    /// How many whole file texts the delta planner scanned: any file
+    /// it had no outline of yet, plus the changed file's old text when
+    /// the edit changes what its statements mention (a cost edit scans
+    /// only the window around the edit, and counts nothing).
     pub files_scanned: usize,
     /// Building (or patching) the in-memory route database. A full
     /// load builds the database from the printer's traversal, so its
@@ -250,22 +253,54 @@ struct ServingState {
     engine: Arc<PointToPoint>,
 }
 
+/// The stage cache's slot, locked. A panic while it is held (a reload
+/// that panics mid-repair) empties the slot as it unwinds, so nothing
+/// the panicking reload left half-updated is ever read: the next
+/// reload finds the cache empty and runs the full path. The mutex
+/// stays poisoned after that, and [`StageCache::lock`] reads past it.
+/// (Clearing the poison instead, at the next lock, needs a newer `std`
+/// than the workspace's `rust-version`.)
+struct Slot<'a>(MutexGuard<'a, Option<CachedStages>>);
+
+impl Deref for Slot<'_> {
+    type Target = Option<CachedStages>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for Slot<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            *self.0 = None;
+        }
+    }
+}
+
 impl StageCache {
+    /// Locks the slot; a panic while it is held empties it ([`Slot`]).
+    fn lock(&self) -> Slot<'_> {
+        Slot(self.slot.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
     /// The cached frozen snapshot, if any (used by tests to observe
     /// stage reuse).
     pub fn snapshot(&self) -> Option<Arc<FrozenGraph>> {
-        self.slot
-            .lock()
-            .expect("stage cache poisoned")
-            .as_ref()
-            .map(|c| c.frozen.graph().clone())
+        self.lock().as_ref().map(|c| c.frozen.graph().clone())
     }
 
     /// The route table of the mapping the cached serving state
     /// answers from, computed afresh from its tree (used by tests to
     /// compare it with a cold run's).
     pub fn routes(&self) -> Option<RouteTable> {
-        let slot = self.slot.lock().expect("stage cache poisoned");
+        let slot = self.lock();
         Some(compute_routes(
             &slot.as_ref()?.serving.as_ref()?.mapped.tree,
         ))
@@ -281,7 +316,7 @@ impl StageCache {
 
 impl fmt::Debug for StageCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let filled = self.slot.lock().map(|c| c.is_some()).unwrap_or(false);
+        let filled = self.lock().is_some();
         write!(f, "StageCache({})", if filled { "warm" } else { "empty" })
     }
 }
@@ -489,7 +524,7 @@ impl MapSource {
                 has_hosts(frozen.graph())?;
                 // Remember the serving artifacts so the next reload can
                 // repair them incrementally.
-                if let Some(cached) = cache.slot.lock().expect("stage cache poisoned").as_mut() {
+                if let Some(cached) = cache.lock().as_mut() {
                     cached.serving = Some(ServingState {
                         options: options.clone(),
                         mapped,
@@ -551,10 +586,10 @@ fn map_print_engine(
     let engine = match frozen.hierarchy().zip(frozen.hierarchy_graph()) {
         Some((ch, over)) if Arc::ptr_eq(&aug, over) || *aug == **over => {
             // The stored transpose is the snapshot graph's.
-            let reverse = match frozen.reverse_index() {
-                Some(rev) if Arc::ptr_eq(over, frozen.graph()) => rev.clone(),
-                _ => Arc::new(over.reverse()),
-            };
+            let reverse = frozen
+                .reverse_index()
+                .filter(|_| Arc::ptr_eq(over, frozen.graph()))
+                .cloned();
             let engine =
                 PointToPoint::with_sections(over.clone(), reverse, Some(ch.clone()), model);
             report.hierarchy = match engine.hierarchy() {
@@ -570,12 +605,13 @@ fn map_print_engine(
             report.hierarchy = HierarchyOutcome::Rebuilt;
             engine
         }
-        None => match frozen.reverse_index() {
-            Some(rev) if Arc::ptr_eq(&aug, frozen.graph()) => {
-                PointToPoint::with_sections(aug, rev.clone(), None, model)
-            }
-            _ => PointToPoint::new(aug, model),
-        },
+        None => {
+            let reverse = frozen
+                .reverse_index()
+                .filter(|_| Arc::ptr_eq(&aug, frozen.graph()))
+                .cloned();
+            PointToPoint::with_sections(aug, reverse, None, model)
+        }
     };
     report.engine = t0.elapsed() - report.hierarchy_build;
     // The database last: the engine's build scratch is freed by now.
@@ -669,7 +705,7 @@ fn try_delta_reload(
         return Ok(Err(("trace requested", None, 0)));
     }
     let fp = fingerprint(files)?;
-    let mut slot = cache.slot.lock().expect("stage cache poisoned");
+    let mut slot = cache.lock();
     let Some(cached) = slot.as_mut() else {
         return Ok(Err(("stage cache empty", None, 0)));
     };
@@ -924,7 +960,7 @@ fn frozen_stage(
     cache: &StageCache,
     reread: Option<Reread>,
 ) -> Result<(Frozen, PhaseTimings), LoadError> {
-    let mut slot = cache.slot.lock().expect("stage cache poisoned");
+    let mut slot = cache.lock();
     let reread = match reread {
         Some(reread) => reread,
         None => {
@@ -950,7 +986,7 @@ fn frozen_stage(
     };
     let built = parsed.build(options).map_err(LoadError::Pipeline)?;
     timings.build = built.build_time;
-    let frozen = built.freeze();
+    let frozen = built.into_frozen();
     timings.freeze = frozen.freeze_time;
     *slot = Some(CachedStages {
         fingerprint: fp,
@@ -969,7 +1005,7 @@ fn frozen_stage(
 /// hit reports zero.
 fn snapshot_stage(path: &PathBuf, cache: &StageCache) -> Result<(Frozen, PhaseTimings), LoadError> {
     let fp = fingerprint(std::iter::once(path))?;
-    let mut slot = cache.slot.lock().expect("stage cache poisoned");
+    let mut slot = cache.lock();
     if let Some(cached) = slot.as_ref() {
         // `ignore_case` is baked into the snapshot file, so the
         // fingerprint alone decides reuse.
@@ -1035,7 +1071,7 @@ mod tests {
     /// serving (delta tests compare them byte-for-byte against a cold
     /// pipeline).
     fn cached_rendered(cache: &StageCache) -> String {
-        let slot = cache.slot.lock().unwrap();
+        let slot = cache.lock();
         let serving = slot.as_ref().and_then(|c| c.serving.as_ref());
         let serving = serving.expect("serving state cached");
         pathalias_core::render_tree(&serving.mapped.tree, &serving.options.print_options())
@@ -1487,6 +1523,45 @@ mod tests {
         std::fs::remove_file(path).unwrap();
     }
 
+    /// A reload that panics while it holds the stage cache leaves the
+    /// cache empty, not poisoned for good: the next reload runs the
+    /// full path, and the one after it the delta path again.
+    #[test]
+    fn a_panic_under_the_stage_cache_empties_it() {
+        let path = temp("poison.map");
+        std::fs::write(&path, WIDE_MAP).unwrap();
+        let options = Options {
+            local: Some("hub".into()),
+            ..Default::default()
+        };
+        let source = MapSource::map_files(vec![path.clone()], options);
+        let MapSource::Map { cache, .. } = &source else {
+            unreachable!()
+        };
+        source.load_serving_timed().unwrap();
+        let held = cache.clone();
+        let panicked = std::thread::spawn(move || {
+            let _slot = held.lock();
+            panic!("a reload panics mid-repair");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(cache.slot.is_poisoned());
+
+        for (cost, path_taken, bailout) in [
+            ("35", LoadPath::Full, Some("stage cache empty")),
+            ("36", LoadPath::Delta, None),
+        ] {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let edited = WIDE_MAP.replace("n2\tx(20)", &format!("n2\tx({cost})"));
+            std::fs::write(&path, edited).unwrap();
+            let (resolver, _, report) = source.load_serving_timed().unwrap();
+            assert_eq!((report.path, report.bailout), (path_taken, bailout));
+            assert_eq!(resolver.resolve("x", "u").unwrap().route, "n1!x!u");
+        }
+        std::fs::remove_file(path).unwrap();
+    }
+
     #[test]
     fn non_tree_edge_edit_reuses_the_printed_table() {
         // Raising the cost of the link the tree already rejected
@@ -1547,7 +1622,7 @@ mod tests {
             unreachable!()
         };
         let second = || {
-            let slot = cache.slot.lock().unwrap();
+            let slot = cache.lock();
             let parsed = slot.as_ref().unwrap().parsed.as_ref().unwrap();
             parsed.inputs()[1].clone()
         };
@@ -1794,7 +1869,7 @@ mod tests {
         // Map files never carry a hierarchy; hand the cached serving
         // state one, as a source that did would have.
         {
-            let mut slot = cache.slot.lock().unwrap();
+            let mut slot = cache.lock();
             let serving = slot.as_mut().unwrap().serving.as_mut().unwrap();
             let graph = serving.engine.graph().clone();
             serving.engine = Arc::new(PointToPoint::with_fresh_hierarchy(

@@ -60,8 +60,8 @@ fn cold_pipeline(paths: &[PathBuf], options: &Options) -> (pathalias_core::Print
 }
 
 /// Every visible plain-host route the daemon serves must match the
-/// cold pipeline's table, and a sample of `PATH` answers must match
-/// the cold engine.
+/// cold pipeline's table, and a sample of `PATH` and `PATH * dst`
+/// answers must match the cold engine's.
 fn assert_daemon_matches_cold(
     client: &mut Client,
     paths: &[PathBuf],
@@ -93,6 +93,16 @@ fn assert_daemon_matches_cold(
                 assert_eq!(
                     info.route, answer.route,
                     "PATH {home} {} diverged from the cold engine",
+                    entry.name
+                );
+                let via = engine.via(&entry.name).unwrap();
+                let via = via
+                    .iter()
+                    .map(|v| (engine.graph().name(v.node).to_string(), v.cost));
+                assert_eq!(
+                    client.via(&entry.name).unwrap(),
+                    Some(via.collect()),
+                    "PATH * {} diverged from the cold engine",
                     entry.name
                 );
                 path_checked += 1;
@@ -286,11 +296,11 @@ fn the_served_database_footprint_is_scraped() {
     std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
 }
 
-/// A plan costs what changed: the first plan outlines the files that
-/// did not change, and from then on a cost edit to one file of a
-/// three-file map scans two texts, that file old and new.
+/// A plan costs what changed: the first plan outlines every old text,
+/// and from then on a cost edit to one file of a three-file map scans
+/// no whole text, only the window around the edit.
 #[test]
-fn a_warm_cost_edit_scans_only_the_changed_file() {
+fn a_warm_cost_edit_scans_no_whole_text() {
     let dir = temp_dir("scanned");
     let world = spoke_world();
     let files = [
@@ -315,10 +325,10 @@ fn a_warm_cost_edit_scans_only_the_changed_file() {
     };
 
     let edits = [
-        (0, world.replace("n2\tx(20)", "n2\tx(35)"), (4, 1)),
-        (1, "n3\tq(10)\nq\tr(6)\n".to_string(), (6, 2)),
-        (0, world.replace("n2\tx(20)", "n2\tx(36)"), (8, 3)),
-        (2, "n4\tw(11)\n".to_string(), (10, 4)),
+        (0, world.replace("n2\tx(20)", "n2\tx(35)"), (3, 1)),
+        (1, "n3\tq(10)\nq\tr(6)\n".to_string(), (3, 2)),
+        (0, world.replace("n2\tx(20)", "n2\tx(36)"), (3, 3)),
+        (2, "n4\tw(11)\n".to_string(), (3, 4)),
     ];
     for (file, text, want) in edits {
         std::thread::sleep(std::time::Duration::from_millis(20));
