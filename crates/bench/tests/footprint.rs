@@ -45,7 +45,7 @@ fn the_database_and_name_index_stay_within_their_budgets() {
     drop(rendered);
 
     let before = snapshot();
-    let db = RouteDb::from_tree(&tree);
+    let db = RouteDb::from_tree(&tree, &tree.children());
     let after = snapshot();
     let db_calls = after.since(&before).calls;
     let held = after.live() - before.live();

@@ -167,7 +167,7 @@ proptest! {
     ) {
         let (frozen, options) = world(hosts, seed, ignore_case);
         let tree = frozen.map(&options).unwrap().tree;
-        let streamed = RouteDb::from_tree(&tree);
+        let streamed = RouteDb::from_tree(&tree, &tree.children());
         assert_serves(&streamed, &tree);
     }
 
@@ -179,7 +179,7 @@ proptest! {
     ) {
         let (frozen, options) = world(hosts, seed, false);
         let old = frozen.map(&options).unwrap().tree;
-        let db = RouteDb::from_tree(&old);
+        let db = RouteDb::from_tree(&old, &old.children());
         let f = frozen.graph();
         // Cost-only edits keep every row's shape, so the same nodes
         // stay reachable and the trees line up.
@@ -209,11 +209,11 @@ proptest! {
             patches.push(RowPatch { node, edges: edges.collect() });
         }
         patches.sort_by_key(|p| p.node);
-        let (edited, _) = frozen.with_rows_replaced(&patches);
+        let edited = frozen.with_graph(std::sync::Arc::new(f.with_rows_replaced(&patches).0));
         let new = edited.map(&options).unwrap().tree;
         let changed: Vec<NodeId> = f.node_ids().filter(|&id| moved(&old, &new, id)).collect();
-        let routes = update_routes(&old, &new, &changed).expect("cost edits keep the labelled set");
-        let patched = db.patched(&old, &routes).unwrap_or_else(|| RouteDb::from_tree(&new));
+        let routes = update_routes(&old, &new, &new.children(), &changed).expect("cost edits keep the labelled set");
+        let patched = db.patched(&old, &routes).unwrap_or_else(|| RouteDb::from_tree(&new, &new.children()));
         assert_serves(&patched, &new);
     }
 

@@ -46,8 +46,8 @@ pub use pathalias_graph::{
     DEFAULT_COST, INF,
 };
 pub use pathalias_mapper::{
-    format_trace, map, map_frozen, map_frozen_readonly, map_readonly, repair_frozen, CostModel,
-    Label, MapError, MapOptions, MapStats, ShortestPathTree,
+    format_trace, map, map_frozen, map_frozen_readonly, map_readonly, repair_frozen, Children,
+    CostModel, Label, MapError, MapOptions, MapStats, ShortestPathTree,
 };
 pub use pathalias_parser::{parse, parse_files, parse_into, ParseError};
 pub use pathalias_printer::{

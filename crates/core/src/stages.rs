@@ -340,30 +340,23 @@ impl Frozen {
         }
     }
 
-    /// Re-enters the frozen stage with the given rows replaced — the
-    /// incremental-reload path, which patches the CSR in place of a
-    /// full re-parse/build/freeze ([`crate::delta`] plans the patches).
-    ///
-    /// The reverse index and the contraction hierarchy are *dropped*,
-    /// not patched: both are derived over the edge set, and serving a
-    /// stale hierarchy across a cost change answers `PATH` queries
-    /// wrongly. Callers rebuild what they need from the patched graph.
-    pub fn with_rows_replaced(
-        &self,
-        patches: &[pathalias_graph::RowPatch],
-    ) -> (Frozen, pathalias_graph::EdgeShift) {
-        let t0 = Instant::now();
-        let (graph, shift) = self.graph.with_rows_replaced(patches);
-        (
-            Frozen {
-                graph: Arc::new(graph),
-                reverse: None,
-                hierarchy: None,
-                warnings: self.warnings.clone(),
-                freeze_time: t0.elapsed(),
-            },
-            shift,
-        )
+    /// The stage over `graph`, a graph derived from this stage's (its
+    /// rows patched with [`FrozenGraph::with_rows_replaced`], back
+    /// links appended or removed): the warnings carry over, and the
+    /// reverse index and the hierarchy are dropped, not patched. Both
+    /// are derived over the edge set, and serving a stale hierarchy
+    /// across a cost change answers `PATH` queries wrongly. A daemon
+    /// keeps its stage over the graph it serves, so a generation holds
+    /// one CSR, and maps again from that graph without its back links
+    /// ([`FrozenGraph::without_back_links`]).
+    pub fn with_graph(&self, graph: Arc<FrozenGraph>) -> Frozen {
+        Frozen {
+            graph,
+            reverse: None,
+            hierarchy: None,
+            warnings: self.warnings.clone(),
+            freeze_time: self.freeze_time,
+        }
     }
 
     /// The frozen graph.

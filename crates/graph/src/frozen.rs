@@ -448,11 +448,13 @@ impl FrozenGraph {
     }
 
     /// Rebuilds the snapshot with the adjacency rows of the patched
-    /// nodes replaced wholesale, reusing the CSR prefix before the
-    /// first dirty row byte-for-byte (only the suffix shifts). This is
-    /// the incremental-freeze path: an entry-level map edit touches a
-    /// handful of rows, and every other node keeps its id and — up to a
-    /// uniform index shift — its edge range.
+    /// nodes replaced wholesale. This is the incremental-freeze path:
+    /// an entry-level map edit touches a handful of rows, and every
+    /// other node keeps its id and — up to a uniform index shift — its
+    /// edge range. When every patched row keeps its length (a cost
+    /// edit), the edge array is copied once and the patched rows are
+    /// overwritten in place; otherwise the CSR prefix before the first
+    /// patched row is reused byte-for-byte and only the suffix shifts.
     ///
     /// Patch edges are given raw, in declaration order; the same
     /// settling [`freeze`](FrozenGraph::freeze) performs is applied per
@@ -473,48 +475,79 @@ impl FrozenGraph {
             return (self.clone(), EdgeShift { spans: Vec::new() });
         }
         let n = self.node_count();
-        let first = patches[0].node.index();
         assert!(
             patches.last().unwrap().node.index() < n,
             "patch for a node outside the snapshot"
         );
 
-        // Reuse the untouched prefix: row starts for nodes 0..=first
-        // and every edge before the first dirty row.
-        let cut = self.row_start[first] as usize;
-        let mut row_start: Vec<u32> = self.row_start[..=first].to_vec();
-        let mut edges: Vec<FrozenEdge> = self.edges[..cut].to_vec();
-        let mut raw_cost: HashMap<u32, Cost> = HashMap::new();
-        let mut spans: Vec<(u32, u32, i64)> = Vec::with_capacity(patches.len());
-        let mut settle = RowSettler::new(n);
-
-        let mut next_patch = 0usize;
-        for u in first..n {
-            let old = self.row(u);
-            if next_patch < patches.len() && patches[next_patch].node.index() == u {
-                let patch = &patches[next_patch];
-                next_patch += 1;
-                if self.is_mappable(NodeId::from_raw(u as u32)) {
-                    let live = patch.edges.iter().copied().filter(|&(to, _, _, lflags)| {
-                        !lflags.contains(LinkFlags::DELETED) && self.is_mappable(to)
-                    });
-                    settle.row(&mut edges, &mut raw_cost, self.adjust[u], live);
-                }
-                // Cumulative shift for every old edge after this row.
-                let delta = edges.len() as i64 - old.end as i64;
-                spans.push((old.start as u32, old.end as u32, delta));
-            } else {
-                edges.extend_from_slice(&self.edges[old]);
+        // Settle every patched row on its own first, into one buffer:
+        // `settled[ends[i - 1]..ends[i]]` is patch `i`'s row, and
+        // `settled_raw` is keyed by offsets into `settled`.
+        let mut settle = RowSettler::sparse();
+        let mut settled: Vec<FrozenEdge> = Vec::new();
+        let mut settled_raw: HashMap<u32, Cost> = HashMap::new();
+        let mut ends: Vec<usize> = Vec::with_capacity(patches.len());
+        for patch in patches {
+            let u = patch.node.index();
+            if self.is_mappable(patch.node) {
+                let live = patch.edges.iter().copied().filter(|&(to, _, _, lflags)| {
+                    !lflags.contains(LinkFlags::DELETED) && self.is_mappable(to)
+                });
+                settle.row(&mut settled, &mut settled_raw, self.adjust[u], live);
             }
-            row_start.push(edges.len() as u32);
+            ends.push(settled.len());
         }
+        let span = |i: usize| if i == 0 { 0 } else { ends[i - 1] }..ends[i];
 
-        let shift = EdgeShift { spans };
+        let same_shape = patches
+            .iter()
+            .enumerate()
+            .all(|(i, p)| span(i).len() == self.degree(p.node));
+        let (row_start, edges, shift) = if same_shape {
+            let mut edges = self.edges.clone();
+            let mut spans = Vec::with_capacity(patches.len());
+            for (i, p) in patches.iter().enumerate() {
+                let old = self.row(p.node.index());
+                edges[old.clone()].copy_from_slice(&settled[span(i)]);
+                spans.push((old.start as u32, old.end as u32, 0));
+            }
+            (self.row_start.clone(), edges, EdgeShift { spans })
+        } else {
+            let first = patches[0].node.index();
+            let cut = self.row_start[first] as usize;
+            let mut row_start: Vec<u32> = self.row_start[..=first].to_vec();
+            let mut edges: Vec<FrozenEdge> = self.edges[..cut].to_vec();
+            let mut spans = Vec::with_capacity(patches.len());
+            let mut next_patch = 0usize;
+            for u in first..n {
+                let old = self.row(u);
+                if next_patch < patches.len() && patches[next_patch].node.index() == u {
+                    edges.extend_from_slice(&settled[span(next_patch)]);
+                    next_patch += 1;
+                    // Cumulative shift for every old edge after this row.
+                    let delta = edges.len() as i64 - old.end as i64;
+                    spans.push((old.start as u32, old.end as u32, delta));
+                } else {
+                    edges.extend_from_slice(&self.edges[old]);
+                }
+                row_start.push(edges.len() as u32);
+            }
+            (row_start, edges, EdgeShift { spans })
+        };
+
         // Raw-cost sidecar entries outside the dirty rows follow their
         // edges; entries inside were re-derived (or dropped) above.
-        for (&k, &v) in &self.raw_cost {
-            if let Some(nk) = shift.map(EdgeId::from_raw(k)) {
-                raw_cost.insert(nk.raw(), v);
+        let mut raw_cost: HashMap<u32, Cost> = self
+            .raw_cost
+            .iter()
+            .filter_map(|(&k, &v)| Some((shift.map(EdgeId(k))?.raw(), v)))
+            .collect();
+        for (i, p) in patches.iter().enumerate() {
+            let (from, to) = (span(i).start as u32, row_start[p.node.index()]);
+            for e in span(i) {
+                if let Some(&raw) = settled_raw.get(&(e as u32)) {
+                    raw_cost.insert(to + e as u32 - from, raw);
+                }
             }
         }
 
@@ -530,6 +563,44 @@ impl FrozenGraph {
             },
             shift,
         )
+    }
+
+    /// The graph without the links the back-link pass invented: every
+    /// edge flagged [`LinkFlags::BACK`] dropped, and every other one
+    /// kept in order, raw cost included. Only the back-link pass sets
+    /// the flag, and it appends, so for a graph it augmented from
+    /// `base`, `self.without_back_links()` is `base`: the mapping's
+    /// served graph carries its declared graph along.
+    pub fn without_back_links(&self) -> FrozenGraph {
+        let n = self.node_count();
+        let mut row_start = Vec::with_capacity(n + 1);
+        let mut edges = Vec::with_capacity(self.edges.len());
+        for u in 0..n {
+            row_start.push(edges.len() as u32);
+            let row = &self.edges[self.row(u)];
+            edges.extend(row.iter().filter(|e| !e.flags.contains(LinkFlags::BACK)));
+        }
+        row_start.push(edges.len() as u32);
+        // A kept edge moves back by the edges dropped from rows before
+        // its own, and no kept edge follows a dropped one in its row.
+        let raw_cost = self
+            .raw_cost
+            .iter()
+            .filter(|&(&e, _)| !self.edges[e as usize].flags.contains(LinkFlags::BACK))
+            .map(|(&e, &raw)| {
+                let u = self.row_start.partition_point(|&start| start <= e) - 1;
+                (e - self.row_start[u] + row_start[u], raw)
+            })
+            .collect();
+        FrozenGraph {
+            ignore_case: self.ignore_case,
+            names: self.names.clone(),
+            flags: self.flags.clone(),
+            adjust: self.adjust.clone(),
+            row_start,
+            edges,
+            raw_cost,
+        }
     }
 
     /// Whether name lookups fold case.
@@ -710,25 +781,43 @@ fn apply_adjust(cost: Cost, bias: i64) -> Cost {
 /// all kept.
 ///
 /// A duplicate is found without walking the row: each target's first
-/// edge in the row sits in an epoch-stamped per-node slot, and the
-/// row's edges to one target are chained from it, so a 200,000-link
-/// hub row settles in linear time.
+/// edge in the row sits in an epoch-stamped slot, and the row's edges
+/// to one target are chained from it, so a 200,000-link hub row
+/// settles in linear time.
 struct RowSettler {
     /// Bumped per row, so stale slots need no clearing.
     epoch: u32,
-    /// Per node: the epoch that last saw it as a target, and the
-    /// index in `edges` of the row's first edge to it.
-    first: Vec<(u32, u32)>,
+    /// Per target node: the epoch that last saw it as a target, and
+    /// the index in `edges` of the row's first edge to it.
+    first: Slots,
     /// Per edge of the row being settled, by offset from the row's
     /// start: the next edge of the row to the same target.
     next: Vec<Option<u32>>,
 }
 
+/// [`RowSettler`]'s per-target slots: one per node for a freeze, which
+/// settles every row, and only the targets seen for a patch, which
+/// settles a few.
+enum Slots {
+    Dense(Vec<(u32, u32)>),
+    Sparse(HashMap<u32, (u32, u32)>),
+}
+
 impl RowSettler {
+    /// A settler for the rows of a graph of `nodes` nodes.
     fn new(nodes: usize) -> RowSettler {
         RowSettler {
             epoch: 0,
-            first: vec![(0, 0); nodes],
+            first: Slots::Dense(vec![(0, 0); nodes]),
+            next: Vec::new(),
+        }
+    }
+
+    /// A settler for a few rows, sized by what they hold.
+    fn sparse() -> RowSettler {
+        RowSettler {
+            epoch: 0,
+            first: Slots::Sparse(HashMap::new()),
             next: Vec::new(),
         }
     }
@@ -744,14 +833,20 @@ impl RowSettler {
         row: impl Iterator<Item = (NodeId, Cost, RouteOp, LinkFlags)>,
     ) {
         self.epoch = self.epoch.checked_add(1).unwrap_or_else(|| {
-            self.first.iter_mut().for_each(|s| s.0 = 0);
+            match &mut self.first {
+                Slots::Dense(slots) => slots.iter_mut().for_each(|s| s.0 = 0),
+                Slots::Sparse(slots) => slots.clear(),
+            }
             1
         });
         self.next.clear();
         let base = edges.len();
         'edges: for (to, cost, op, lflags) in row {
             let cand = FrozenEdge::new(to, cost, op, lflags);
-            let slot = &mut self.first[to.index()];
+            let slot = match &mut self.first {
+                Slots::Dense(slots) => &mut slots[to.index()],
+                Slots::Sparse(slots) => slots.entry(to.raw()).or_default(),
+            };
             if slot.0 == self.epoch {
                 let mut at = slot.1 as usize;
                 loop {
@@ -1090,6 +1185,58 @@ mod tests {
         let (same, shift) = f.with_rows_replaced(&[]);
         assert_eq!(same, f);
         assert_eq!(shift.map(e), Some(e));
+    }
+
+    #[test]
+    fn cost_only_patch_of_a_biased_row_keeps_the_raw_sidecar() {
+        // a is biased, and so is b, after it: the one-copy path must
+        // re-derive a's raw costs and carry b's over.
+        let mut g = Graph::new();
+        let a = g.node("a");
+        let b = g.node("b");
+        let c = g.node("c");
+        g.declare_link(a, b, 10, RouteOp::UUCP);
+        g.declare_link(a, c, 20, RouteOp::UUCP);
+        g.declare_link(b, c, 30, RouteOp::UUCP);
+        g.adjust_node(a, 5);
+        g.adjust_node(b, 7);
+        let f = g.freeze();
+        let (patched, shift) = f.with_rows_replaced(&[RowPatch {
+            node: a,
+            edges: vec![
+                (b, 11, RouteOp::UUCP, LinkFlags::empty()),
+                (c, 20, RouteOp::UUCP, LinkFlags::empty()),
+            ],
+        }]);
+        assert!(shift.is_identity_outside_rows());
+        let mut cold = Graph::new();
+        let (a2, b2, c2) = (cold.node("a"), cold.node("b"), cold.node("c"));
+        cold.declare_link(a2, b2, 11, RouteOp::UUCP);
+        cold.declare_link(a2, c2, 20, RouteOp::UUCP);
+        cold.declare_link(b2, c2, 30, RouteOp::UUCP);
+        cold.adjust_node(a2, 5);
+        cold.adjust_node(b2, 7);
+        assert_eq!(patched, cold.freeze());
+    }
+
+    #[test]
+    fn without_back_links_undoes_appending() {
+        let mut g = Graph::new();
+        let a = g.node("a");
+        let b = g.node("b");
+        let c = g.node("c");
+        g.declare_link(a, b, 10, RouteOp::UUCP);
+        g.declare_link(b, c, 10, RouteOp::UUCP);
+        g.declare_link(c, a, 10, RouteOp::UUCP);
+        g.adjust_node(b, 3);
+        g.adjust_node(c, 4);
+        let f = g.freeze();
+        let aug = f.with_edges_appended(&[
+            (a, c, 20, RouteOp::UUCP, LinkFlags::BACK),
+            (b, a, 5, RouteOp::ARPA, LinkFlags::BACK),
+        ]);
+        assert_eq!(aug.without_back_links(), f);
+        assert_eq!(f.without_back_links(), f);
     }
 
     #[test]

@@ -46,7 +46,8 @@
 
 use crate::resolver::{walk, ResolvedVia};
 use pathalias_core::{
-    route_kind, route_name, Cost, Route, RouteKind, RouteTable, RouteWalk, ShortestPathTree,
+    route_kind, route_name, Children, Cost, Route, RouteKind, RouteTable, RouteWalk,
+    ShortestPathTree,
 };
 use std::convert::Infallible;
 use std::fmt;
@@ -267,19 +268,20 @@ impl RouteDb {
     }
 
     /// Builds the database [`RouteDb::from_table`] builds from
-    /// `compute_routes(tree)` straight from the printer's traversal: no
-    /// route table is held, and no route allocates. The tree is walked
-    /// twice, once to size each shard's arena and once to copy each
-    /// visible route's borrowed name and route into it; holding every
-    /// route's bytes between the walks would cost more memory than
-    /// the second walk costs time.
-    pub fn from_tree(tree: &ShortestPathTree) -> RouteDb {
+    /// `compute_routes(tree)` straight from the printer's traversal,
+    /// over `children`, the tree's child lists
+    /// ([`ShortestPathTree::children`]): no route table is held, and no
+    /// route allocates. The tree is walked twice, once to size each
+    /// shard's arena and once to copy each visible route's borrowed
+    /// name and route into it; holding every route's bytes between the
+    /// walks would cost more memory than the second walk costs time.
+    pub fn from_tree(tree: &ShortestPathTree, children: &Children) -> RouteDb {
         let visible = tree
             .frozen()
             .node_ids()
             .filter(|&id| route_kind(tree, id).is_some_and(RouteKind::is_visible))
             .count();
-        let mut walk = RouteWalk::new(tree);
+        let mut walk = RouteWalk::new(tree, children);
         RouteDb::pack(visible, |each| {
             walk.for_each(|r| {
                 if r.kind.is_visible() {
@@ -402,6 +404,16 @@ impl RouteDb {
             shards,
             len: self.len,
         })
+    }
+
+    /// How many of this database's shards `old` does not share: the
+    /// shards a [`patched`](RouteDb::patched) database rewrote, or all
+    /// of a fresh one's.
+    pub fn shards_rewritten_since(&self, old: &RouteDb) -> usize {
+        let shared = |i: usize, s| old.shards.get(i).is_some_and(|o| Arc::ptr_eq(o, s));
+        (self.shards.iter().enumerate())
+            .filter(|&(i, s)| !shared(i, s))
+            .count()
     }
 
     /// Number of entries.
@@ -891,7 +903,7 @@ mod tests {
             .node_ids()
             .filter(|&n| old.label(n) != new.label(n))
             .collect();
-        let moved = update_routes(&old, &new, &changed).expect("trees line up");
+        let moved = update_routes(&old, &new, &new.children(), &changed).expect("trees line up");
         (old, new, moved)
     }
 
@@ -917,7 +929,10 @@ mod tests {
         );
         for tree in [&old, &new] {
             let table = pathalias_core::compute_routes(tree);
-            assert_same(&RouteDb::from_tree(tree), &RouteDb::from_table(&table));
+            assert_same(
+                &RouteDb::from_tree(tree, &tree.children()),
+                &RouteDb::from_table(&table),
+            );
         }
     }
 
@@ -935,12 +950,10 @@ mod tests {
         let (old_tree, new_tree, moved) = edited(&text, "relay", &row);
         assert_eq!(moved.len(), names.len());
 
-        let old = RouteDb::from_tree(&old_tree);
+        let old = RouteDb::from_tree(&old_tree, &old_tree.children());
         assert_eq!(old.shards.len(), 8);
         let new = old.patched(&old_tree, &moved).expect("names unchanged");
-        let copied = (0..old.shards.len())
-            .filter(|&s| !Arc::ptr_eq(&old.shards[s], &new.shards[s]))
-            .count();
+        let copied = new.shards_rewritten_since(&old);
         let touched: std::collections::HashSet<usize> = names
             .iter()
             .map(|n| shard_of(hash(n.as_bytes()), old.shards.len()))
@@ -948,7 +961,7 @@ mod tests {
         assert_eq!(copied, touched.len());
 
         // Indistinguishable from a database built afresh.
-        assert_same(&new, &RouteDb::from_tree(&new_tree));
+        assert_same(&new, &RouteDb::from_tree(&new_tree, &new_tree.children()));
         let name = &names[0];
         assert_eq!(new.route_to(name, "u").unwrap(), format!("relay!{name}!u"));
         // The old generation still answers as it did.
@@ -961,16 +974,26 @@ mod tests {
         // `caip`.
         let text = "hub .edu(10), caip(100)\n.edu = {caip}(0)\n";
         let (old, new, moved) = edited(text, "hub", &[(".edu", 10), ("caip", 1)]);
-        let db = RouteDb::from_tree(&old);
-        assert!(db.get("caip.edu").is_some() && RouteDb::from_tree(&new).get("caip").is_some());
+        let db = RouteDb::from_tree(&old, &old.children());
+        assert!(
+            db.get("caip.edu").is_some()
+                && RouteDb::from_tree(&new, &new.children())
+                    .get("caip")
+                    .is_some()
+        );
         assert!(db.patched(&old, &moved).is_none());
 
         // `.rutgers` leaves `.edu` for the hub: a hidden subdomain
         // becomes a printed top-level domain.
         let text = "hub .edu(10), .rutgers(100)\n.edu = {.rutgers}(0)\n";
         let (old, new, moved) = edited(text, "hub", &[(".edu", 10), (".rutgers", 1)]);
-        let db = RouteDb::from_tree(&old);
-        assert!(db.get(".rutgers").is_none() && RouteDb::from_tree(&new).get(".rutgers").is_some());
+        let db = RouteDb::from_tree(&old, &old.children());
+        assert!(
+            db.get(".rutgers").is_none()
+                && RouteDb::from_tree(&new, &new.children())
+                    .get(".rutgers")
+                    .is_some()
+        );
         assert!(db.patched(&old, &moved).is_none());
     }
 
@@ -983,9 +1006,9 @@ mod tests {
         for moving in ["caip.edu", ".edu"] {
             let (old, new, moved) = edited(text, "x", &[(moving, 1)]);
             assert!(moved.iter().any(|r| r.name == "caip.edu"));
-            let db = RouteDb::from_tree(&old);
+            let db = RouteDb::from_tree(&old, &old.children());
             let patched = db.patched(&old, &moved).expect("names unchanged");
-            assert_same(&patched, &RouteDb::from_tree(&new));
+            assert_same(&patched, &RouteDb::from_tree(&new, &new.children()));
             let served = patched.get("caip.edu").unwrap().route;
             let member_moved = moving == ".edu";
             assert_eq!(served.starts_with("x!"), member_moved, "{served}");

@@ -15,7 +15,9 @@ use crate::cost_model::{
     Tail, LABELLED, MAPPED, NO_PRED,
 };
 use crate::tree::{Children, MapStats, PackedTree, ShortestPathTree, TraceDecision, TraceEvent};
-use pathalias_graph::{EdgeId, FrozenEdge, FrozenGraph, Graph, LinkFlags, NodeId};
+use pathalias_graph::{
+    EdgeId, EdgeShift, FrozenEdge, FrozenGraph, Graph, LinkFlags, NodeId, ReverseGraph,
+};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
@@ -84,7 +86,18 @@ struct Run<'g> {
     /// A relaxation out of a newly reached host tied or beat the label
     /// of a node in `earlier` (see [`map_frozen`]).
     interfered: bool,
+    /// In a repair, every node whose label it cleared or set, in the
+    /// order it did (with repeats); empty otherwise.
+    written: Vec<NodeId>,
 }
+
+/// How a run drains: from scratch, as a resumed back-link round (which
+/// also checks what it offers the nodes earlier rounds settled), or as
+/// a repair (which also notes every label it writes). The checks
+/// compile away in the runs that do not make them.
+const FROM_SCRATCH: u8 = 0;
+const RESUMED: u8 = 1;
+const REPAIR: u8 = 2;
 
 /// A drained run's per-node state, detached from the graph it was
 /// computed over: what one back-link round hands the next.
@@ -100,12 +113,7 @@ struct Carry {
 
 impl<'g> Run<'g> {
     fn new(f: &'g FrozenGraph, source: NodeId, opts: &MapOptions) -> Result<Self, MapError> {
-        if !f.is_mappable(source) {
-            return Err(MapError::DeletedSource);
-        }
-        if opts.exclude_domains && f.is_domain(source) {
-            return Err(MapError::ExcludedSource);
-        }
+        check_source(f, source, opts)?;
         let n = f.node_count();
         let mut run = Run::with_labels(
             f,
@@ -144,6 +152,7 @@ impl<'g> Run<'g> {
             trace: Vec::new(),
             earlier: Vec::new(),
             interfered: false,
+            written: Vec::new(),
         }
     }
 
@@ -210,12 +219,12 @@ impl<'g> Run<'g> {
             run.stats.relaxations += extras.len() as u64;
             for e_raw in extras {
                 let edge = f.edge(EdgeId::from_raw(e_raw));
-                if let Some(key) = run.relax::<true>(&tail, e_raw, edge) {
+                if let Some(key) = run.relax::<RESUMED>(&tail, e_raw, edge) {
                     run.push(&mut heap, key);
                 }
             }
         }
-        run.drain::<true>(&mut heap);
+        run.drain::<RESUMED>(&mut heap);
         run
     }
 
@@ -226,30 +235,29 @@ impl<'g> Run<'g> {
 
     /// Relaxes the frozen edge `e_raw` (= `edge`) out of `tail`; the
     /// head's new key if it has to be queued. The caller accounts
-    /// `stats.relaxations` once per adjacency run. `RESUMED` runs are
-    /// resumed back-link rounds, which also check what they offer the
-    /// nodes earlier rounds settled; every other run compiles without
-    /// that check.
+    /// `stats.relaxations` once per adjacency run. `MODE` says what
+    /// else the run checks or notes ([`FROM_SCRATCH`], [`RESUMED`],
+    /// [`REPAIR`]).
     // `always`: with a plain hint and the resumed round's seeding as a
     // second caller, LLVM leaves this a call inside the drain loop,
     // which costs a search on `big` 15–25%.
     #[inline(always)]
-    fn relax<const RESUMED: bool>(
-        &mut self,
-        tail: &Tail,
-        e_raw: u32,
-        edge: FrozenEdge,
-    ) -> Option<Key> {
+    fn relax<const MODE: u8>(&mut self, tail: &Tail, e_raw: u32, edge: FrozenEdge) -> Option<Key> {
         let v = edge.to();
         let vi = v.index();
         let vstate = self.state[vi];
         if vstate & MAPPED != 0 {
-            if RESUMED && self.earlier[vi] {
+            if MODE == RESUMED && self.earlier[vi] {
                 self.check_earlier(tail, e_raw, edge);
             }
             return None;
         }
         if self.exclude_domains && self.f.is_domain(v) {
+            return None;
+        }
+        // A run extracts its source first; a repair, which starts from
+        // labels none of which is extracted, must not offer it one.
+        if MODE == REPAIR && v == self.source {
             return None;
         }
         let step = self.model.step(self.f, tail, e_raw, edge);
@@ -283,7 +291,14 @@ impl<'g> Run<'g> {
                 },
             });
         }
-        (outcome == Settled::Improved).then_some(cand.0)
+        // A repair queues a tie it won as well: the node may hold an
+        // old label that was never queued, and its new one has to be
+        // offered on.
+        let written = MODE == REPAIR && outcome == Settled::TieWon;
+        if written || MODE == REPAIR && outcome == Settled::Improved {
+            self.written.push(v);
+        }
+        (outcome == Settled::Improved || written).then_some(cand.0)
     }
 
     /// A resumed round's relaxation into `edge.to()`, which an earlier
@@ -310,9 +325,9 @@ impl<'g> Run<'g> {
     /// pushed again and the superseded entry is skipped when popped
     /// (one state-byte test). A resumed round stops as soon as it has
     /// interfered with an earlier one: it is about to be discarded.
-    fn drain<const RESUMED: bool>(&mut self, heap: &mut BinaryHeap<Reverse<Key>>) {
+    fn drain<const MODE: u8>(&mut self, heap: &mut BinaryHeap<Reverse<Key>>) {
         while let Some(Reverse(key)) = heap.pop() {
-            if RESUMED && self.interfered {
+            if MODE == RESUMED && self.interfered {
                 return;
             }
             let u = NodeId::from_raw(key as u32);
@@ -329,7 +344,7 @@ impl<'g> Run<'g> {
             let (base_edge, row) = self.f.edge_slice(u);
             self.stats.relaxations += row.len() as u64;
             for (i, &edge) in row.iter().enumerate() {
-                if let Some(key) = self.relax::<RESUMED>(&tail, base_edge + i as u32, edge) {
+                if let Some(key) = self.relax::<MODE>(&tail, base_edge + i as u32, edge) {
                     self.push(heap, key);
                 }
             }
@@ -393,6 +408,17 @@ pub fn map_frozen_readonly_packed(
     Ok(heap_run(f, source, opts)?.pack())
 }
 
+/// Refuses a source no run may start from.
+fn check_source(f: &FrozenGraph, source: NodeId, opts: &MapOptions) -> Result<(), MapError> {
+    if !f.is_mappable(source) {
+        return Err(MapError::DeletedSource);
+    }
+    if opts.exclude_domains && f.is_domain(source) {
+        return Err(MapError::ExcludedSource);
+    }
+    Ok(())
+}
+
 /// The priority-queue run both entry points above share.
 fn heap_run<'g>(
     f: &'g FrozenGraph,
@@ -402,7 +428,7 @@ fn heap_run<'g>(
     let mut run = Run::new(f, source, opts)?;
     let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(256);
     run.push(&mut heap, pack_key(0, 0, source.raw()));
-    run.drain::<false>(&mut heap);
+    run.drain::<FROM_SCRATCH>(&mut heap);
     Ok(run)
 }
 
@@ -558,14 +584,23 @@ fn invent(run: &Run<'_>, opts: &MapOptions) -> Vec<Invention> {
 /// run state).
 ///
 /// The caller must pass `old`'s [`children`](ShortestPathTree::children),
-/// the `graph`/`shift` pair returned by
-/// [`FrozenGraph::with_rows_replaced`] applied to `old.frozen()`, and
-/// the same `opts` the old tree was mapped with. The repair seeds the
-/// priority queue with the dirty tails and the intact frontier around
-/// the invalidated subtrees and re-runs the ordinary relaxation; the
-/// deterministic tie break ("smaller (pred, edge) wins") is
-/// visit-order independent, so the repaired labels are bit-identical
-/// to a cold run's.
+/// the transpose of `old.frozen()` ([`ReverseGraph::build`]), the
+/// `graph`/`shift` pair returned by [`FrozenGraph::with_rows_replaced`]
+/// applied to `old.frozen()`, and the same `opts` the old tree was
+/// mapped with. The repair clears every strict descendant of a dirty
+/// node, then seeds the priority queue with the labelled dirty nodes
+/// and the labelled tails of the in-edges into what it cleared, and
+/// re-runs the ordinary relaxation. Tails read from the old graph's
+/// transpose are enough even when a patched row changes shape: every
+/// row outside the patch is unchanged, and the dirty tails are seeded
+/// anyway. The deterministic tie break ("smaller (pred, edge) wins")
+/// is visit-order independent, so the repaired labels are
+/// bit-identical to a cold run's.
+///
+/// Returns the repaired tree and the nodes whose labels the repair
+/// cleared or set, sorted: every node whose label differs from
+/// `old`'s is among them (a label elsewhere differs at most in its
+/// predecessor edge's id, as `shift` moves it).
 ///
 /// Returns `Ok(None)` — caller falls back to a full remap — when the
 /// repair cannot cheaply certify equivalence: tracing is on (a
@@ -575,41 +610,56 @@ fn invent(run: &Run<'_>, opts: &MapOptions) -> Vec<Invention> {
 /// set of reached nodes changed (the back-link pass would invent a
 /// different augmentation), or an unreachable dirty node gained an
 /// edge to a mapped host (a full run would invent a new back link).
+// The tree, its two indexes, the patched graph with its edit, and the
+// run's settings: grouping them would only name the call's arguments.
+#[allow(clippy::too_many_arguments)]
 pub fn repair_frozen(
     old: &ShortestPathTree,
     children: &Children,
+    reverse: &ReverseGraph,
     graph: &Arc<FrozenGraph>,
     dirty: &[NodeId],
-    shift: &pathalias_graph::EdgeShift,
+    shift: &EdgeShift,
     opts: &MapOptions,
     max_dirty_fraction: f64,
-) -> Result<Option<ShortestPathTree>, MapError> {
+) -> Result<Option<(ShortestPathTree, Vec<NodeId>)>, MapError> {
     let n = graph.node_count();
-    if !opts.trace.is_empty() || n != old.frozen().node_count() || n == 0 {
+    if !opts.trace.is_empty()
+        || n != old.frozen().node_count()
+        || n != reverse.node_count()
+        || n == 0
+    {
         return Ok(None);
     }
     let source = old.source;
-    let mut run = Run::new(graph, source, opts)?;
+    check_source(graph, source, opts)?;
 
-    // Re-load the packed run state from the old tree's labels (pred
-    // edge ids still in old-snapshot terms; remapped below).
+    // Load the packed run state from the old tree's labels (pred edge
+    // ids still in old-snapshot terms; shifted below).
+    let mut key = Vec::with_capacity(n);
+    let mut pred = Vec::with_capacity(n);
+    let mut state = Vec::with_capacity(n);
     for (i, label) in old.labels.iter().enumerate() {
-        if let Some(l) = label {
-            let node = NodeId::from_raw(i as u32);
-            run.set(node, pack_label(node, l));
-        }
+        let node = NodeId::from_raw(i as u32);
+        let (k, p, s) = match label {
+            Some(l) => pack_label(node, l),
+            None => (pack_key(0, 0, node.raw()), NO_PRED, 0),
+        };
+        key.push(k);
+        pred.push(p);
+        state.push(s);
     }
-
-    let mut is_dirty = vec![false; n];
-    for &d in dirty {
-        is_dirty[d.index()] = true;
-    }
+    let stats = MapStats {
+        backlink_rounds: old.stats.backlink_rounds,
+        invented_links: old.stats.invented_links,
+        ..MapStats::default()
+    };
+    let mut run = Run::with_labels(graph, source, opts, key, pred, state, stats);
 
     // Invalidate every strict descendant of a dirty node: its label
     // was derived (directly or transitively) through a replaced row.
     // The dirty nodes themselves keep their labels — the path *into*
     // them is intact.
-    let mut invalid = 0usize;
     let mut stack: Vec<NodeId> = Vec::new();
     for &d in dirty {
         stack.extend(children[d.index()].iter().copied());
@@ -620,52 +670,84 @@ pub fn repair_frozen(
             continue; // Already cleared via another dirty ancestor.
         }
         run.set(v, (pack_key(0, 0, v.raw()), NO_PRED, 0));
-        invalid += 1;
+        run.written.push(v);
         stack.extend(children[vi].iter().copied());
     }
+    let invalid = run.written.len();
     let budget = ((n as f64) * max_dirty_fraction) as usize;
     if invalid + dirty.len() > budget.max(1) {
         return Ok(None);
     }
 
     // Surviving labels still hold old edge ids; shift them into the
-    // new snapshot. An intact pred inside a replaced row is impossible
-    // (its head would have been invalidated above) — bail rather than
-    // trust a corrupt input.
-    for i in 0..n {
-        if run.state[i] & LABELLED != 0 && run.pred[i] != NO_PRED {
-            match shift.map(EdgeId::from_raw(run.pred[i].1)) {
-                Some(e) => run.pred[i].1 = e.raw(),
-                None => return Ok(None),
+    // new snapshot, unless no surviving edge moved. An intact pred
+    // inside a replaced row is impossible (its head would have been
+    // invalidated above) — bail rather than trust a corrupt input.
+    if !shift.is_identity_outside_rows() {
+        for i in 0..n {
+            if run.state[i] & LABELLED != 0 && run.pred[i] != NO_PRED {
+                match shift.map(EdgeId::from_raw(run.pred[i].1)) {
+                    Some(e) => run.pred[i].1 = e.raw(),
+                    None => return Ok(None),
+                }
             }
         }
     }
 
     // Seed the queue: every labelled dirty tail (its row's weights
-    // changed) and every intact node on the frontier of the cleared
-    // region (an edge into an unlabelled node). Over-seeding is
-    // harmless — a pop whose relaxations all lose is just wasted work.
+    // changed) and every labelled tail of an edge into the cleared
+    // region. Over-seeding is harmless — a pop whose relaxations all
+    // lose is just wasted work.
     let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(256);
-    for (i, &dirty) in is_dirty.iter().enumerate() {
-        if run.state[i] & LABELLED == 0 {
-            continue;
-        }
-        let seed = dirty || {
-            let (_, row) = graph.edge_slice(NodeId::from_raw(i as u32));
-            row.iter()
-                .any(|e| run.state[e.to().index()] & LABELLED == 0)
-        };
-        if seed {
-            run.push(&mut heap, run.key[i]);
+    let cleared = run.written.clone();
+    let tails = cleared
+        .iter()
+        .flat_map(|&v| reverse.in_edges(v).map(|(u, _)| u));
+    for u in dirty.iter().copied().chain(tails) {
+        if run.state[u.index()] & LABELLED != 0 {
+            run.push(&mut heap, run.key[u.index()]);
         }
     }
-    run.drain::<false>(&mut heap);
+    run.drain::<REPAIR>(&mut heap);
 
     // The reached set must be exactly the old one: anything else means
-    // the back-link pass would run differently on a cold start.
-    for i in 0..n {
-        if (run.state[i] & LABELLED != 0) != old.labels[i].is_some() {
-            return Ok(None);
+    // the back-link pass would run differently on a cold start. Only a
+    // written label can have changed.
+    let mut written = std::mem::take(&mut run.written);
+    written.sort_unstable();
+    written.dedup();
+    if written
+        .iter()
+        .any(|&v| (run.state[v.index()] & LABELLED != 0) != old.labels[v.index()].is_some())
+    {
+        return Ok(None);
+    }
+    // A child the repair left alone holds what its parent's old label
+    // offered it. Where the parent's label was rewritten, the child's
+    // must be what the new one offers, or the repair cannot vouch for
+    // it: the penalties are not monotone, and a cheaper label may
+    // offer its children dearer ones (which a relaxation, keeping the
+    // smaller key, would never write).
+    for &u in &written {
+        let ui = u.index();
+        if run.state[ui] & LABELLED == 0 {
+            continue;
+        }
+        let tail = Tail::load(graph, source, u, (run.key[ui], run.pred[ui], run.state[ui]));
+        for &c in &children[ui] {
+            if written.binary_search(&c).is_ok() {
+                continue;
+            }
+            let ci = c.index();
+            let e_raw = run.pred[ci].1;
+            let edge = graph.edge(EdgeId::from_raw(e_raw));
+            let offer = run
+                .model
+                .step(graph, &tail, e_raw, edge)
+                .label(&tail, e_raw, c);
+            if offer != (run.key[ci], run.pred[ci], run.state[ci] & !MAPPED) {
+                return Ok(None);
+            }
         }
     }
     // An unreachable dirty node whose *new* row reaches a mapped host
@@ -685,9 +767,7 @@ pub fn repair_frozen(
         }
     }
 
-    run.stats.backlink_rounds = old.stats.backlink_rounds;
-    run.stats.invented_links = old.stats.invented_links;
-    Ok(Some(run.finish(graph.clone())))
+    Ok(Some((run.finish(graph.clone()), written)))
 }
 
 /// Freezes `g` and maps it from `source` with back links (see
@@ -1037,6 +1117,30 @@ x y(1)
         assert_eq!(t1.label(x), t2.label(x));
     }
 
+    /// [`repair_frozen`] over `old`'s own child lists and transpose,
+    /// the tree it gives back.
+    fn repair(
+        old: &ShortestPathTree,
+        patched: &Arc<FrozenGraph>,
+        dirty: &[NodeId],
+        shift: &pathalias_graph::EdgeShift,
+        opts: &MapOptions,
+        budget: f64,
+    ) -> Option<ShortestPathTree> {
+        let reverse = old.frozen().reverse();
+        let repaired = repair_frozen(
+            old,
+            &old.children(),
+            &reverse,
+            patched,
+            dirty,
+            shift,
+            opts,
+            budget,
+        );
+        repaired.unwrap().map(|(tree, _)| tree)
+    }
+
     /// Asserts every label of `a` equals the matching label of `b`.
     fn assert_trees_equal(a: &ShortestPathTree, b: &ShortestPathTree) {
         for id in a.frozen().node_ids() {
@@ -1068,9 +1172,7 @@ y hub(1)
             edges: vec![(x, 1, pathalias_graph::RouteOp::UUCP, LinkFlags::empty())],
         }]);
         let patched = Arc::new(patched);
-        let repaired = repair_frozen(&old, &old.children(), &patched, &[a], &shift, &opts, 1.0)
-            .unwrap()
-            .expect("repair applies");
+        let repaired = repair(&old, &patched, &[a], &shift, &opts, 1.0).expect("repair applies");
         let cold = map_frozen_readonly(&patched, hub, &opts).unwrap();
         assert_trees_equal(&repaired, &cold);
         assert_eq!(repaired.cost(x), Some(11));
@@ -1101,9 +1203,7 @@ b a(70)
             edges: vec![],
         }]);
         let patched = Arc::new(patched);
-        let repaired = repair_frozen(&old, &old.children(), &patched, &[a], &shift, &opts, 1.0)
-            .unwrap()
-            .expect("repair applies");
+        let repaired = repair(&old, &patched, &[a], &shift, &opts, 1.0).expect("repair applies");
         let cold = map_frozen_readonly(&patched, hub, &opts).unwrap();
         assert_trees_equal(&repaired, &cold);
         assert_eq!(repaired.cost(x), Some(60), "re-routed via b");
@@ -1131,9 +1231,7 @@ c x(10)
             edges: vec![(x, 10, pathalias_graph::RouteOp::UUCP, LinkFlags::empty())],
         }]);
         let patched = Arc::new(patched);
-        let repaired = repair_frozen(&old, &old.children(), &patched, &[c], &shift, &opts, 1.0)
-            .unwrap()
-            .expect("repair applies");
+        let repaired = repair(&old, &patched, &[c], &shift, &opts, 1.0).expect("repair applies");
         let cold = map_frozen_readonly(&patched, hub, &opts).unwrap();
         assert_trees_equal(&repaired, &cold);
         let a = g.try_node("a").unwrap();
@@ -1159,11 +1257,7 @@ c x(10)
             edges: vec![],
         }]);
         let patched = Arc::new(patched);
-        assert!(
-            repair_frozen(&old, &old.children(), &patched, &[a], &shift, &opts, 1.0)
-                .unwrap()
-                .is_none()
-        );
+        assert!(repair(&old, &patched, &[a], &shift, &opts, 1.0).is_none());
         // And a too-small dirty budget bails before doing any work.
         let (same, shift2) = frozen.with_rows_replaced(&[pathalias_graph::RowPatch {
             node: a,
@@ -1171,9 +1265,7 @@ c x(10)
         }]);
         let same = Arc::new(same);
         assert!(
-            repair_frozen(&old, &old.children(), &same, &[a], &shift2, &opts, 0.0)
-                .unwrap()
-                .is_none(),
+            repair(&old, &same, &[a], &shift2, &opts, 0.0).is_none(),
             "zero budget always falls back"
         );
     }
@@ -1203,22 +1295,11 @@ c x(10)
         // With back links enabled a cold run would invent differently.
         let with_backlinks = MapOptions::default();
         assert!(
-            repair_frozen(
-                &old,
-                &old.children(),
-                &patched,
-                &[leaf],
-                &shift,
-                &with_backlinks,
-                1.0
-            )
-            .unwrap()
-            .is_none(),
+            repair(&old, &patched, &[leaf], &shift, &with_backlinks, 1.0).is_none(),
             "invention-changing delta must fall back"
         );
         // With back links disabled the repair can stand.
-        let repaired = repair_frozen(&old, &old.children(), &patched, &[leaf], &shift, &opts, 1.0)
-            .unwrap()
+        let repaired = repair(&old, &patched, &[leaf], &shift, &opts, 1.0)
             .expect("no inventions to differ on");
         let cold = map_frozen_readonly(&patched, hub, &opts).unwrap();
         assert_trees_equal(&repaired, &cold);
@@ -1255,8 +1336,7 @@ c x(10)
             aug.with_rows_replaced(&[pathalias_graph::RowPatch { node: a, edges }]);
         assert!(shift.is_identity_outside_rows());
         let patched = Arc::new(patched);
-        let repaired = repair_frozen(&old, &old.children(), &patched, &[a], &shift, &opts, 1.0)
-            .unwrap()
+        let repaired = repair(&old, &patched, &[a], &shift, &opts, 1.0)
             .expect("repair applies over the augmented snapshot");
         let cold = map_frozen_readonly(&patched, hub, &opts).unwrap();
         assert_trees_equal(&repaired, &cold);

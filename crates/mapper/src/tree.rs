@@ -248,6 +248,36 @@ pub struct Children {
     ids: Vec<NodeId>,
 }
 
+impl Children {
+    /// Moves `child` from `from`'s run to `to`'s, at its place in id
+    /// order: what a repair that re-parents `child` does to the tree's
+    /// lists. The ids between the two runs shift by one (a memmove),
+    /// and so do the offsets between them; no label is read. `child`
+    /// must be in `from`'s run.
+    pub fn reparent(&mut self, child: NodeId, from: NodeId, to: NodeId) {
+        let (f, t) = (from.index(), to.index());
+        if f == t {
+            return;
+        }
+        let run = |c: &Children, i: usize| c.offsets[i] as usize..c.offsets[i + 1] as usize;
+        let (of_from, of_to) = (run(self, f), run(self, t));
+        let at = match self.ids[of_from.clone()].binary_search(&child) {
+            Ok(k) => of_from.start + k,
+            Err(_) => panic!("{child:?} is not a child of {from:?}"),
+        };
+        let slot = of_to.start + self.ids[of_to].partition_point(|&c| c < child);
+        if f < t {
+            self.ids.copy_within(at + 1..slot, at);
+            self.ids[slot - 1] = child;
+            self.offsets[f + 1..=t].iter_mut().for_each(|o| *o -= 1);
+        } else {
+            self.ids.copy_within(slot..at, slot + 1);
+            self.ids[slot] = child;
+            self.offsets[t + 1..=f].iter_mut().for_each(|o| *o += 1);
+        }
+    }
+}
+
 impl Index<usize> for Children {
     type Output = [NodeId];
 
@@ -365,6 +395,24 @@ mod tests {
         assert_eq!(kids[0], vec![node(1), node(2)]);
         assert_eq!(kids[2], vec![node(3)]);
         assert!(kids[1].is_empty());
+    }
+
+    #[test]
+    fn reparenting_moves_a_child_between_runs() {
+        // 0 is the root; 1 and 3 hang off it, 2 and 4 off 1.
+        let mut t = tree_with(vec![
+            Some(lbl(0, None)),
+            Some(lbl(1, Some(0))),
+            Some(lbl(2, Some(1))),
+            Some(lbl(1, Some(0))),
+            Some(lbl(2, Some(1))),
+        ]);
+        let mut kids = t.children();
+        for (child, from, to) in [(4, 1, 3), (2, 1, 0), (4, 3, 1), (1, 0, 3), (2, 0, 0)] {
+            kids.reparent(node(child), node(from), node(to));
+            t.labels[child as usize] = Some(lbl(2, Some(to)));
+            assert_eq!(kids, t.children(), "moving {child} from {from} to {to}");
+        }
     }
 
     #[test]

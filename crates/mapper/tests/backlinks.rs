@@ -4,7 +4,9 @@
 //! statements, under the paper's model and the plain one, the
 //! continued run must give every node the same label (predecessor edge
 //! ids included) over the same augmented graph, and the rounds that
-//! could not be shown to match must be the ones it re-ran.
+//! could not be shown to match must be the ones it re-ran. And the
+//! augmented graph, with its back links dropped, is the one it grew
+//! from.
 
 use pathalias_graph::{FrozenGraph, LinkFlags, NodeId};
 use pathalias_mapgen::{generate, MapSpec};
@@ -103,6 +105,12 @@ fn compare(f: &Arc<FrozenGraph>, source: NodeId, model: CostModel) -> u32 {
     assert!(
         **tree.frozen() == **oracle.frozen(),
         "augmented graphs differ from {name}"
+    );
+    // The served graph carries the declared one: dropping the back
+    // links gives it back, raw-cost sidecar and all.
+    assert!(
+        tree.frozen().without_back_links() == **f,
+        "the augmented graph from {name} does not strip to the declared one"
     );
     for id in f.node_ids() {
         assert_eq!(

@@ -41,7 +41,7 @@ pub fn compute_routes(tree: &ShortestPathTree) -> RouteTable {
 /// name written there) and never exceeds the output being produced,
 /// and it allocates only when a buffer grows.
 pub fn for_each_route(tree: &ShortestPathTree, emit: impl FnMut(RouteRef<'_>)) {
-    RouteWalk::new(tree).for_each(emit);
+    RouteWalk::new(tree, &tree.children()).for_each(emit);
 }
 
 /// What the traversal gives `node`'s entry as its [`RouteKind`], read
@@ -83,15 +83,17 @@ pub fn route_name(tree: &ShortestPathTree, node: NodeId) -> Option<String> {
 
 /// The routes an incremental remap moved.
 ///
-/// `old` is the tree the served routes were computed from and `tree`
-/// its repair; `changed` lists the nodes whose labels differ between
-/// the two. A node's route depends on its own label and on its
-/// ancestors' routes, so only the subtree closure of `changed` (in the
-/// *new* tree) is re-traversed. Each maximal dirty subtree is walked
-/// once, seeded from its parent's route, re-derived along the new
-/// tree's predecessor chain: the parent is clean, so that route is the
-/// one it had. Returns the closure's routes as the new tree prints
-/// them, sorted by node.
+/// `old` is the tree the served routes were computed from, `tree` its
+/// repair and `children` the repair's child lists
+/// ([`ShortestPathTree::children`], or lists kept up to date with
+/// [`Children::reparent`]); `changed` lists the nodes whose labels
+/// differ between the two trees. A node's route depends on its own
+/// label and on its ancestors' routes, so only the subtree closure of
+/// `changed` (in the *new* tree) is re-traversed, and nothing else is
+/// read. Each maximal dirty subtree is walked once, seeded from its
+/// parent's route, re-derived along the new tree's predecessor chain:
+/// the parent is clean, so that route is the one it had. Returns the
+/// closure's routes as the new tree prints them, sorted by node.
 ///
 /// Requires that the labelled set is unchanged (the incremental-remap
 /// contract) and that both trees map from the same source; returns
@@ -100,12 +102,11 @@ pub fn route_name(tree: &ShortestPathTree, node: NodeId) -> Option<String> {
 pub fn update_routes(
     old: &ShortestPathTree,
     tree: &ShortestPathTree,
+    children: &Children,
     changed: &[NodeId],
 ) -> Option<Vec<Route>> {
-    let n = tree.frozen().node_count();
     if old.source != tree.source
-        || old.frozen().node_count() != n
-        || old.mapped_count() != tree.mapped_count()
+        || old.frozen().node_count() != tree.frozen().node_count()
         || changed
             .iter()
             .any(|&c| old.label(c).is_some() != tree.label(c).is_some())
@@ -115,35 +116,34 @@ pub fn update_routes(
     if changed.is_empty() {
         return Some(Vec::new());
     }
-    let mut walk = RouteWalk::new(tree);
 
     // The closure: every changed node plus all of its descendants in
-    // the new tree (their routes splice through it).
-    let mut needs = vec![false; n];
-    let mut marked = 0;
-    let mut dfs: Vec<NodeId> = changed
+    // the new tree (their routes splice through it). Each changed node
+    // collects the descendants no changed node below it roots, so
+    // every node is visited once.
+    let mut roots: Vec<NodeId> = changed
         .iter()
         .copied()
         .filter(|&c| tree.label(c).is_some())
         .collect();
+    roots.sort_unstable();
+    roots.dedup();
+    let mut closure: Vec<NodeId> = Vec::with_capacity(roots.len());
+    let mut dfs: Vec<NodeId> = roots.clone();
     while let Some(v) = dfs.pop() {
-        if std::mem::replace(&mut needs[v.index()], true) {
-            continue;
-        }
-        marked += 1;
-        dfs.extend(walk.children[v.index()].iter().copied());
+        closure.push(v);
+        let below = children[v.index()].iter().copied();
+        dfs.extend(below.filter(|c| roots.binary_search(c).is_err()));
     }
+    closure.sort_unstable();
 
     // Walk each maximal dirty subtree from its root, seeded with the
     // root's (route, name).
-    let mut fresh: Vec<Route> = Vec::with_capacity(marked);
-    for i in 0..n {
-        if !needs[i] {
-            continue;
-        }
-        let node = NodeId::from_raw(i as u32);
+    let mut walk = RouteWalk::new(tree, children);
+    let mut fresh: Vec<Route> = Vec::with_capacity(closure.len());
+    for &node in &closure {
         if let Some((parent, _)) = tree.label(node)?.pred {
-            if needs[parent.index()] {
+            if closure.binary_search(&parent).is_ok() {
                 continue; // an inner node; its subtree root seeds it
             }
         }
@@ -151,17 +151,18 @@ pub fn update_routes(
         walk.subtree(node, depth, &mut |r| fresh.push(r.to_route()));
     }
     fresh.sort_by_key(|r| r.node);
-    (fresh.len() == marked).then_some(fresh)
+    (fresh.len() == closure.len()).then_some(fresh)
 }
 
 /// The traversal of [`for_each_route`] as a value, for a consumer
 /// that walks one tree more than once (a database sizes its shards on
-/// a first walk and fills them on a second): the tree's child lists
-/// and the walk's buffers are made once.
+/// a first walk and fills them on a second): the walk's buffers are
+/// made once, and the tree's child lists are the caller's, made once
+/// and kept as long as it likes.
 pub struct RouteWalk<'t> {
     f: &'t FrozenGraph,
     tree: &'t ShortestPathTree,
-    children: Children,
+    children: &'t Children,
     /// `paths[d]`: the route and name of the node last visited at
     /// depth `d` — on the current path, the ancestor at that depth.
     paths: Vec<(String, String)>,
@@ -172,12 +173,13 @@ pub struct RouteWalk<'t> {
 }
 
 impl<'t> RouteWalk<'t> {
-    /// A walk over `tree`.
-    pub fn new(tree: &'t ShortestPathTree) -> RouteWalk<'t> {
+    /// A walk over `tree`, whose child lists are `children`
+    /// ([`ShortestPathTree::children`]).
+    pub fn new(tree: &'t ShortestPathTree, children: &'t Children) -> RouteWalk<'t> {
         RouteWalk {
             f: tree.frozen(),
             tree,
-            children: tree.children(),
+            children,
             paths: Vec::new(),
             stack: Vec::new(),
             chain: Vec::new(),
@@ -495,7 +497,8 @@ x z(1)
         });
         assert!(!changed.is_empty());
         let old = compute_routes(&old_tree);
-        let moved = update_routes(&old_tree, &new_tree, &changed).expect("trees line up");
+        let moved = update_routes(&old_tree, &new_tree, &new_tree.children(), &changed)
+            .expect("trees line up");
         assert!(moved.windows(2).all(|w| w[0].node < w[1].node));
         // The old table with the moved routes written over their nodes'
         // entries is the new tree's table.
@@ -549,7 +552,9 @@ princeton = fun
         let g = parse("a b(10)\nb c(20)\n").unwrap();
         let a = g.try_node("a").unwrap();
         let tree = map(&g, a, &MapOptions::default()).unwrap();
-        assert!(update_routes(&tree, &tree, &[]).unwrap().is_empty());
+        assert!(update_routes(&tree, &tree, &tree.children(), &[])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -559,7 +564,7 @@ princeton = fun
         let b = g.try_node("b").unwrap();
         let tree_a = map(&g, a, &MapOptions::default()).unwrap();
         let tree_b = map(&g, b, &MapOptions::default()).unwrap();
-        assert!(update_routes(&tree_b, &tree_a, &[a]).is_none());
+        assert!(update_routes(&tree_b, &tree_a, &tree_a.children(), &[a]).is_none());
     }
 
     #[test]

@@ -214,6 +214,12 @@ impl PointToPoint {
         self.reverse.get_or_init(|| Arc::new(self.graph.reverse()))
     }
 
+    /// The reverse adjacency index if the engine holds one already
+    /// (given, or built by a request), without building it.
+    pub fn built_reverse(&self) -> Option<&Arc<ReverseGraph>> {
+        self.reverse.get()
+    }
+
     /// The contraction hierarchy, when the engine carries one.
     pub fn hierarchy(&self) -> Option<&Arc<ChIndex>> {
         self.ch.as_ref()

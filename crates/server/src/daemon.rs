@@ -37,7 +37,7 @@ use crate::reload::MapSource;
 use crate::telemetry::{duration_ns, render_slow_entry, MapTelemetry};
 use pathalias_mailer::{BoxedResolver, ResolveError, Resolver};
 use pathalias_router::{PointToPoint, RouteError, SearchStats};
-use pathalias_telemetry::{Logger, PromText, SlowEntry};
+use pathalias_telemetry::{Histogram, Logger, PromText, SlowEntry};
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -506,7 +506,11 @@ impl State {
                     .field("generation", generation)
                     .field("entries", entries)
                     .field("duration_ms", ns / 1_000_000)
+                    .field("duration_us", ns / 1_000)
                     .field("files_scanned", report.files_scanned)
+                    .field("relabelled", report.relabelled)
+                    .field("moved", report.routes_moved)
+                    .field("shards", report.shards_rewritten)
                     .field("hierarchy", report.hierarchy.label())
                     .field("backlink_restarts", report.backlink_restarts)
                     .field("db_bytes", report.db_bytes)
@@ -807,12 +811,38 @@ impl State {
             }
         }
 
+        type Cone = fn(&MapTelemetry) -> &Histogram;
+        let cone: [(&str, &str, Cone); 3] = [
+            (
+                "pathalias_reload_relabelled",
+                "Labels each delta reload's repair moved.",
+                |t| &t.relabelled,
+            ),
+            (
+                "pathalias_reload_routes_moved",
+                "Routes each delta reload recomputed.",
+                |t| &t.routes_moved,
+            ),
+            (
+                "pathalias_reload_shards_rewritten",
+                "Route database shards each delta reload rewrote (the rest are shared).",
+                |t| &t.shards_rewritten,
+            ),
+        ];
+        for (name, help, histogram) in cone {
+            out.family(name, "histogram", help);
+            for m in &maps {
+                let snap = histogram(&m.telemetry).snapshot();
+                out.count_histogram(name, &[("map", &m.name)], &snap);
+            }
+        }
+
         out.family(
             "pathalias_reload_phase_seconds",
             "gauge",
             "Step durations of the latest reload: the pipeline phases, then plan_delta, \
-             routedb, engine and the hierarchy build (zero = skipped; absent until the \
-             first reload).",
+             routedb, engine, the hierarchy build and the delta path's transpose build \
+             (zero = skipped; absent until the first reload).",
         );
         for m in &maps {
             if let Some(r) = m.telemetry.last_reload() {
@@ -827,6 +857,7 @@ impl State {
                     ("routedb", r.routedb),
                     ("engine", r.engine),
                     ("hierarchy", r.hierarchy_build),
+                    ("reverse", r.reverse),
                 ];
                 for (phase, duration) in phases {
                     out.sample_f64(
@@ -1384,18 +1415,28 @@ mod tests {
     }
 
     fn wrap_states(built: Vec<Arc<MapState>>, default_map: usize) -> Arc<State> {
-        Arc::new(State {
+        logged_states(built, default_map).0
+    }
+
+    /// [`wrap_states`], with what the daemon logs.
+    fn logged_states(
+        built: Vec<Arc<MapState>>,
+        default_map: usize,
+    ) -> (Arc<State>, Arc<Mutex<String>>) {
+        // Captured, not stderr: unit tests stay silent and can assert
+        // on (or against) what the daemon would log.
+        let (logger, log) = Logger::capture(pathalias_telemetry::Level::Debug);
+        let state = Arc::new(State {
             maps: built,
             default_map,
             server_metrics: Arc::new(ServerMetrics::default()),
-            // Captured, not stderr: unit tests stay silent and can
-            // assert on (or against) what the daemon would log.
-            logger: Logger::capture(pathalias_telemetry::Level::Debug).0,
+            logger,
             next_conn_id: AtomicU64::new(1),
             shutting_down: AtomicBool::new(false),
             #[cfg(unix)]
             workers: Mutex::new(Vec::new()),
-        })
+        });
+        (state, log)
     }
 
     fn state_for(text: &str) -> Arc<State> {
@@ -2081,6 +2122,58 @@ mod tests {
             }),
             vec![Response::BadRequest("unknown map `nope`".into())]
         );
+    }
+
+    /// A delta reload says how far its edit reached: in its report, on
+    /// its log line, in the `METRICS` cone histograms, and with the
+    /// transpose its repair seeded from timed as its own phase.
+    #[test]
+    fn a_delta_reload_reports_its_cone() {
+        // Raising n2 -> x moves x under n1, and y with it: a cone
+        // well inside the delta path's budget of a quarter of the
+        // world.
+        let spokes: Vec<String> = (1..=16).map(|i| format!("n{i}(10)")).collect();
+        let world = format!(
+            "hub\t{}\nn1\tx(30)\nn2\tx(20)\nx\ty(5)\n",
+            spokes.join(", ")
+        );
+        let path = temp_routes("cone", &world);
+        let options = pathalias_core::Options {
+            local: Some("hub".into()),
+            ..Default::default()
+        };
+        let source = MapSource::map_files(vec![path.clone()], options);
+        let (state, log) = logged_states(vec![state_from_source(DEFAULT_MAP_NAME, source)], 0);
+        std::thread::sleep(Duration::from_millis(20));
+        std::fs::write(&path, world.replace("n2\tx(20)", "n2\tx(35)")).unwrap();
+        assert_eq!(one(&state, Request::Reload { map: None }).code(), 200);
+
+        let report = state.maps[0].telemetry.last_reload().unwrap();
+        assert_eq!(report.path, crate::reload::LoadPath::Delta);
+        let cone = (
+            report.relabelled,
+            report.routes_moved,
+            report.shards_rewritten,
+        );
+        assert_eq!(cone, (2, 2, 1), "x and y moved, in the one shard");
+        assert!(
+            report.reverse > Duration::ZERO,
+            "the first delta builds the transpose"
+        );
+        let logged = log.lock().unwrap().clone();
+        for field in ["relabelled=2", "moved=2", "shards=1", "duration_us="] {
+            assert!(logged.contains(field), "{field} missing from {logged}");
+        }
+        let metrics = state.render_metrics(None);
+        for series in [
+            "pathalias_reload_relabelled_sum{map=\"default\"} 2",
+            "pathalias_reload_routes_moved_count{map=\"default\"} 1",
+            "pathalias_reload_shards_rewritten_bucket{map=\"default\",le=\"1\"} 1",
+            "pathalias_reload_phase_seconds{map=\"default\",phase=\"reverse\"}",
+        ] {
+            assert!(metrics.contains(series), "{series} missing from {metrics}");
+        }
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! them.
 
 use pathalias_core::{
-    compute_routes, repair_frozen, update_routes, DeltaPlan, EdgeShift, Frozen, FrozenGraph,
-    MapOptions, Mapped, NodeId, Options, Parsed, PhaseTimings, RouteTable, RowPatch, SnapshotError,
+    compute_routes, repair_frozen, update_routes, Children, DeltaPlan, EdgeId, EdgeShift, Frozen,
+    FrozenGraph, Label, LinkFlags, MapOptions, Mapped, NodeId, Options, Parsed, PhaseTimings,
+    ReverseGraph, RouteTable, RowPatch, SnapshotError,
 };
 use pathalias_mailer::{
     disk::DiskError, disk::MappedDb, BoxedResolver, DbError, RouteDb, SharedRouteDb,
@@ -150,6 +151,19 @@ pub struct LoadReport {
     /// Building the point-to-point engine, unless `hierarchy_build`
     /// covers it.
     pub engine: Duration,
+    /// On the delta path: building the transpose of the served graph,
+    /// which the repair seeds from. The engine keeps it and the next
+    /// generation's engine inherits it when the edit moved no edge, so
+    /// only the first delta after a full load (or after an edit that
+    /// reshaped a row) pays for it.
+    pub reverse: Duration,
+    /// On the delta path: how many labels the repair moved.
+    pub relabelled: usize,
+    /// On the delta path: how many routes were recomputed.
+    pub routes_moved: usize,
+    /// On the delta path: how many of the database's shards were
+    /// rewritten; the rest are shared with the last generation.
+    pub shards_rewritten: usize,
     /// What became of the contraction hierarchy.
     pub hierarchy: HierarchyOutcome,
     /// Rebuilding the hierarchy, with the engine around it (zero
@@ -225,11 +239,19 @@ fn stamp(p: &PathBuf) -> std::io::Result<FileStamp> {
 pub struct StageCache {
     slot: Arc<Mutex<Option<CachedStages>>>,
     delta_reloads: Arc<AtomicU64>,
+    /// Makes the next delta reload decline after its repair, where the
+    /// route update would, and the full path that follows fail.
+    #[cfg(test)]
+    fail_after_repair: Arc<std::sync::atomic::AtomicBool>,
 }
 
 struct CachedStages {
     fingerprint: Fingerprint,
     ignore_case: bool,
+    /// The frozen stage. For a map-file source it is over the graph the
+    /// cached mapping serves, back links included, so a generation
+    /// holds one CSR; the stage a mapping starts from is that graph
+    /// without them ([`CachedStages::base`]).
     frozen: Frozen,
     /// The input texts `frozen` was built from (map-file sources only)
     /// — what the next reload diffs against.
@@ -245,6 +267,10 @@ struct ServingState {
     /// The mapping `db` serves the routes of. No route table is kept:
     /// a delta reload re-derives the routes it needs from the trees.
     mapped: Mapped,
+    /// `mapped.tree`'s child lists: made by the full load's database
+    /// walk, and patched by each delta reload that commits (a delta
+    /// that bails leaves them as they were).
+    children: Children,
     /// The resolver handle (an `Arc` wrapper — cloning is a refcount
     /// bump, so a reload whose inputs did not change at all serves the
     /// cached table directly).
@@ -284,16 +310,53 @@ impl Drop for Slot<'_> {
     }
 }
 
+impl CachedStages {
+    /// The stage a mapping starts from: the frozen stage without the
+    /// back links the cached mapping invented (only those carry
+    /// [`LinkFlags::BACK`]). The graph is built only when there are
+    /// some.
+    fn base(&self) -> Frozen {
+        match &self.serving {
+            Some(serving) if serving.mapped.tree.stats.invented_links > 0 => {
+                let graph = self.frozen.graph().without_back_links();
+                self.frozen.with_graph(Arc::new(graph))
+            }
+            _ => self.frozen.clone(),
+        }
+    }
+}
+
 impl StageCache {
     /// Locks the slot; a panic while it is held empties it ([`Slot`]).
     fn lock(&self) -> Slot<'_> {
         Slot(self.slot.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// The cached frozen snapshot, if any (used by tests to observe
-    /// stage reuse).
+    /// The cached frozen snapshot a mapping starts from, if any (used
+    /// by tests to observe stage reuse): for a map-file source, the
+    /// served graph without its back links, built on the call when it
+    /// has any.
     pub fn snapshot(&self) -> Option<Arc<FrozenGraph>> {
-        self.lock().as_ref().map(|c| c.frozen.graph().clone())
+        self.lock().as_ref().map(|c| c.base().graph().clone())
+    }
+
+    /// Whether what the cache keeps beside the served tree is what a
+    /// rebuild from that tree makes: its child lists, and the engine's
+    /// transpose when it holds one (carried from the last generation,
+    /// or built since). True when nothing is cached.
+    #[doc(hidden)]
+    pub fn kept_state_matches_rebuild(&self) -> bool {
+        let slot = self.lock();
+        let Some(serving) = slot.as_ref().and_then(|c| c.serving.as_ref()) else {
+            return true;
+        };
+        let tree = &serving.mapped.tree;
+        serving.children == tree.children()
+            && Arc::ptr_eq(serving.engine.graph(), tree.frozen())
+            && serving
+                .engine
+                .built_reverse()
+                .map_or(true, |r| **r == ReverseGraph::build(tree.frozen()))
     }
 
     /// The route table of the mapping the cached serving state
@@ -497,7 +560,7 @@ impl MapSource {
                     phases,
                     ..LoadReport::default()
                 };
-                let (db, engine, _) = map_print_engine(&frozen, options, &mut report)?;
+                let (db, engine, _, _) = map_print_engine(&frozen, options, &mut report)?;
                 Ok((Box::new(db), Some(engine), report))
             }
             MapSource::Map {
@@ -513,24 +576,54 @@ impl MapSource {
                         Ok(out) => return Ok(out),
                         Err(declined) => declined,
                     };
-                let (frozen, phases) = frozen_stage(files, options, cache, reread)?;
+                let (frozen, phases, built) = frozen_stage(files, options, cache, reread)?;
+                #[cfg(test)]
+                if cache.fail_after_repair.swap(false, Ordering::SeqCst) {
+                    return Err(LoadError::Validation("injected failure".into()));
+                }
                 let mut report = LoadReport {
                     bailout: Some(bailout),
                     phases,
                     files_scanned,
                     ..LoadReport::default()
                 };
-                let (db, engine, mapped) = map_print_engine(&frozen, options, &mut report)?;
+                let (db, engine, mapped, children) =
+                    map_print_engine(&frozen, options, &mut report)?;
                 has_hosts(frozen.graph())?;
-                // Remember the serving artifacts so the next reload can
-                // repair them incrementally.
-                if let Some(cached) = cache.lock().as_mut() {
-                    cached.serving = Some(ServingState {
-                        options: options.clone(),
-                        mapped,
-                        db: db.clone(),
-                        engine: engine.clone(),
-                    });
+                // Only a load that succeeded replaces what the cache
+                // holds: after a failure the old generation serves on,
+                // and the next reload diffs against what it serves. The
+                // stage keeps the served graph, not a second CSR.
+                let frozen = frozen.with_graph(mapped.tree.frozen().clone());
+                let serving = Some(ServingState {
+                    options: options.clone(),
+                    mapped,
+                    children,
+                    db: db.clone(),
+                    engine: engine.clone(),
+                });
+                let mut slot = cache.lock();
+                match (built, slot.as_mut()) {
+                    (
+                        Some(Reread {
+                            fingerprint,
+                            parsed,
+                            ..
+                        }),
+                        _,
+                    ) => {
+                        *slot = Some(CachedStages {
+                            fingerprint,
+                            ignore_case: options.ignore_case,
+                            frozen,
+                            parsed: Some(parsed),
+                            serving,
+                        });
+                    }
+                    (None, Some(cached)) => (cached.frozen, cached.serving) = (frozen, serving),
+                    // A panic emptied the cache meanwhile: the next
+                    // reload runs in full.
+                    (None, None) => {}
                 }
                 Ok((Box::new(db), Some(engine), report))
             }
@@ -560,15 +653,16 @@ fn in_memory(db: RouteDb) -> (BoxedResolver, usize) {
     (Box::new(SharedRouteDb::new(db)), bytes)
 }
 
-/// The map stage, the database served from the mapped tree and the
-/// point-to-point engine over its augmented graph. The engine and the
+/// The map stage, the database served from the mapped tree, the
+/// point-to-point engine over its augmented graph, and the tree's
+/// child lists the database was walked with. The engine and the
 /// database come from the *same* mapping run, so they can never
 /// disagree about what the world looks like.
 fn map_print_engine(
     frozen: &Frozen,
     options: &Options,
     report: &mut LoadReport,
-) -> Result<(SharedRouteDb, Arc<PointToPoint>, Mapped), LoadError> {
+) -> Result<(SharedRouteDb, Arc<PointToPoint>, Mapped, Children), LoadError> {
     let t0 = Instant::now();
     let mapped = frozen.map(options).map_err(LoadError::Pipeline)?;
     report.phases.map = t0.elapsed();
@@ -617,10 +711,11 @@ fn map_print_engine(
     // The database last: the engine's build scratch is freed by now.
     // It is built straight from the tree; no route table is held.
     let t0 = Instant::now();
-    let db = RouteDb::from_tree(&mapped.tree);
+    let children = mapped.tree.children();
+    let db = RouteDb::from_tree(&mapped.tree, &children);
     report.routedb = t0.elapsed();
     report.db_bytes = db.heap_bytes();
-    Ok((SharedRouteDb::new(db), Arc::new(engine), mapped))
+    Ok((SharedRouteDb::new(db), Arc::new(engine), mapped, children))
 }
 
 /// The map files as one reload read them: their stamps, and their
@@ -676,16 +771,18 @@ impl Reread {
 type Declined = (&'static str, Option<Reread>, usize);
 
 /// The O(delta) reload path: diff the re-read map files against the
-/// cached inputs, patch the frozen CSR rows the edit touched
+/// cached inputs, patch the served CSR's rows the edit touched
 /// ([`pathalias_core::delta`] proves which edits are safe), repair the
 /// shortest-path tree from the patched rows outward
-/// ([`repair_frozen`]), recompute only the routes whose labels moved
-/// ([`update_routes`]), and rewrite the database's shards that hold
-/// them ([`RouteDb::patched`]). Nothing is rendered and nothing
-/// table-sized is copied. Every gate failure returns
-/// `Ok(Err(declined))` and the caller falls back to the full pipeline —
-/// the full run stays the oracle, the delta path only ever reproduces
-/// it faster.
+/// ([`repair_frozen`], seeded through the served graph's transpose),
+/// recompute only the routes whose labels moved ([`update_routes`],
+/// over the kept child lists), and rewrite the database's shards that
+/// hold them ([`RouteDb::patched`]). Past the one copy of the served
+/// CSR, each step reads only the edit's cone; nothing is rendered.
+/// Every gate failure returns `Ok(Err(declined))` and the caller
+/// falls back to the full pipeline — the full run stays the oracle,
+/// the delta path only ever reproduces it faster — with the cached
+/// state as it was.
 ///
 /// One conservative drop on this path, because "stale index answers
 /// queries wrongly" beats "reload is slower": the point-to-point
@@ -693,7 +790,8 @@ type Declined = (&'static str, Option<Reread>, usize);
 /// contraction hierarchy — a CH is cost-dependent and serving
 /// yesterday's hierarchy across a cost change would return wrong
 /// `PATH` answers (the report says `dropped` when the replaced engine
-/// carried one).
+/// carried one). The transpose is edge-set data and carries over when
+/// the edit moved no edge.
 fn try_delta_reload(
     files: &[PathBuf],
     options: &Options,
@@ -729,8 +827,12 @@ fn try_delta_reload(
 
     let reread = Reread::of(files, fp, Some(cached))?;
     report.phases.parse = reread.took;
+    let old_tree = &serving.mapped.tree;
+    let served = old_tree.frozen();
+    // The planner reads only names, which every graph derived from the
+    // parsed one shares.
     let t0 = Instant::now();
-    let (plan, scanned) = parsed.plan_delta(&reread.parsed, cached.frozen.graph());
+    let (plan, scanned) = parsed.plan_delta(&reread.parsed, served);
     report.plan_delta = t0.elapsed();
     report.files_scanned = scanned;
     let patches = match plan {
@@ -745,12 +847,38 @@ fn try_delta_reload(
     };
     report.path = LoadPath::Delta;
 
-    // Patch the base snapshot. No build phase on this path: the
-    // patches splice straight into the CSR.
+    // The served graph's transpose: the engine's, which the first
+    // delta after a full load builds.
     let t0 = Instant::now();
-    let (new_frozen, base_shift) = cached.frozen.with_rows_replaced(&patches);
+    let reverse = if Arc::ptr_eq(serving.engine.graph(), served) {
+        serving.engine.reverse().clone()
+    } else {
+        Arc::new(served.reverse())
+    };
+    report.reverse = t0.elapsed();
+
+    // Patch the one CSR the generation holds. No build phase on this
+    // path: the patches splice straight into it. When the mapping
+    // invented back links, the served graph is the declared one plus
+    // an invented BACK tail per row, and has to be patched with the
+    // same care.
+    let t0 = Instant::now();
+    let patched = if old_tree.stats.invented_links == 0 {
+        Some(served.with_rows_replaced(&patches))
+    } else {
+        patch_augmented(served, &reverse, &patches)
+    };
+    let Some((graph, shift)) = patched else {
+        return Ok(Err((
+            "invented back links depend on the edit",
+            Some(reread),
+            scanned,
+        )));
+    };
+    let graph = Arc::new(graph);
     report.phases.freeze = t0.elapsed();
     let dirty: Vec<NodeId> = patches.iter().map(|p| p.node).collect();
+    let carried = same_transpose(served, &graph, &dirty, &shift);
     let map_opts = MapOptions {
         model: options.cost_model,
         trace: Vec::new(),
@@ -758,29 +886,11 @@ fn try_delta_reload(
         no_backlinks: options.no_backlinks,
     };
 
-    // Repair the tree over whichever graph it actually runs on. When
-    // the previous mapping invented no back links the tree points at
-    // the base snapshot itself; otherwise it runs over an augmented
-    // snapshot (base plus invented BACK rows) that has to be patched
-    // with the same care.
-    let old_tree = &serving.mapped.tree;
     let t0 = Instant::now();
-    let (graph, shift) = if Arc::ptr_eq(old_tree.frozen(), cached.frozen.graph()) {
-        (new_frozen.graph().clone(), base_shift)
-    } else {
-        let Some(augmented) = patch_augmented(old_tree.frozen(), cached.frozen.graph(), &patches)
-        else {
-            return Ok(Err((
-                "invented back links depend on the edit",
-                Some(reread),
-                scanned,
-            )));
-        };
-        augmented
-    };
-    let Ok(Some(new_tree)) = repair_frozen(
+    let Ok(Some((new_tree, written))) = repair_frozen(
         old_tree,
-        &old_tree.children(),
+        &serving.children,
+        &reverse,
         &graph,
         &dirty,
         &shift,
@@ -791,39 +901,40 @@ fn try_delta_reload(
     };
     report.phases.map = t0.elapsed();
 
-    // Recompute routes only for nodes whose label moved. A label is
-    // unmoved when every route-relevant field matches and its
-    // predecessor is the same physical edge (old edge ids read through
-    // the shift; an edge inside a replaced row never matches).
+    // Recompute routes only for nodes whose label moved, among those
+    // the repair wrote.
     let t0 = Instant::now();
-    let mut changed: Vec<NodeId> = Vec::new();
-    for id in new_tree.frozen().node_ids() {
-        let same = match (old_tree.label(id), new_tree.label(id)) {
-            (None, None) => true,
-            (Some(o), Some(n)) => {
-                o.cost == n.cost
-                    && o.hops == n.hops
-                    && o.has_left == n.has_left
-                    && o.has_right == n.has_right
-                    && o.tainted == n.tainted
-                    && o.via_backlink == n.via_backlink
-                    && o.ambiguous == n.ambiguous
-                    && match (o.pred, n.pred) {
-                        (None, None) => true,
-                        (Some((op, oe)), Some((np, ne))) => op == np && shift.map(oe) == Some(ne),
-                        _ => false,
-                    }
-            }
-            _ => false,
-        };
-        if !same {
-            changed.push(id);
-        }
+    let changed: Vec<NodeId> = written
+        .into_iter()
+        .filter(|&id| !same_label(old_tree.label(id), new_tree.label(id), &shift))
+        .collect();
+    report.relabelled = changed.len();
+    // The route update reads the new tree's child lists, and is the
+    // last gate: move every re-parented node in the kept lists, and
+    // put them back if it declines.
+    let moves: Vec<(NodeId, NodeId, NodeId)> = changed
+        .iter()
+        .filter_map(|&id| {
+            let from = old_tree.label(id)?.pred?.0;
+            let to = new_tree.label(id)?.pred?.0;
+            (from != to).then_some((id, from, to))
+        })
+        .collect();
+    let serving = cached.serving.as_mut().expect("checked above");
+    for &(id, from, to) in &moves {
+        serving.children.reparent(id, from, to);
     }
-    let Some(moved) = update_routes(old_tree, &new_tree, &changed) else {
+    let update = update_routes(&serving.mapped.tree, &new_tree, &serving.children, &changed);
+    #[cfg(test)]
+    let update = update.filter(|_| !cache.fail_after_repair.load(Ordering::SeqCst));
+    let Some(moved) = update else {
+        for &(id, from, to) in moves.iter().rev() {
+            serving.children.reparent(id, to, from);
+        }
         return Ok(Err(("labelled set changed", Some(reread), scanned)));
     };
     report.phases.print = t0.elapsed();
+    report.routes_moved = moved.len();
 
     // The edit moved `moved.len()` routes (none, when it retuned a
     // link the tree does not use): the next database shares every
@@ -832,10 +943,10 @@ fn try_delta_reload(
     let t0 = Instant::now();
     let db = serving
         .db
-        .patched(old_tree, &moved)
-        .unwrap_or_else(|| RouteDb::from_tree(&new_tree));
+        .patched(&serving.mapped.tree, &moved)
+        .unwrap_or_else(|| RouteDb::from_tree(&new_tree, &serving.children));
     report.routedb = t0.elapsed();
-    let serving = cached.serving.as_mut().expect("checked above");
+    report.shards_rewritten = db.shards_rewritten_since(&serving.db);
     serving.db = SharedRouteDb::new(db);
     // `PATH` answers read edge costs the tree never looked at, so the
     // engine is rebuilt whatever the edit moved.
@@ -843,8 +954,10 @@ fn try_delta_reload(
         report.hierarchy = HierarchyOutcome::Dropped;
     }
     let t0 = Instant::now();
-    serving.engine = Arc::new(PointToPoint::new(
-        new_tree.frozen().clone(),
+    serving.engine = Arc::new(PointToPoint::with_sections(
+        graph.clone(),
+        carried.then_some(reverse),
+        None,
         options.cost_model,
     ));
     report.engine = t0.elapsed();
@@ -852,32 +965,57 @@ fn try_delta_reload(
         tree: new_tree,
         map_time: report.phases.map,
     };
-    Ok(Ok(commit(
-        cached,
-        cache,
-        Some(reread),
-        Some(new_frozen),
-        report,
-    )))
+    Ok(Ok(commit(cached, cache, Some(reread), Some(graph), report)))
+}
+
+/// Whether a node's label is unmoved across a repair: every field
+/// matches, its predecessor edge read through the shift (an edge
+/// inside a replaced row never matches).
+fn same_label(old: Option<&Label>, new: Option<&Label>, shift: &EdgeShift) -> bool {
+    match (old, new) {
+        (Some(o), Some(n)) => {
+            let moved = o.pred.map(|(p, e)| (p, shift.map(e)));
+            Label { pred: None, ..*o } == Label { pred: None, ..*n }
+                && moved == n.pred.map(|(p, e)| (p, Some(e)))
+        }
+        (o, n) => o.is_none() && n.is_none(),
+    }
+}
+
+/// Whether `new`, `old` with the `dirty` rows patched as `shift`
+/// says, has `old`'s transpose: no surviving edge moved, and every
+/// patched row kept its targets in order (a cost edit, whichever
+/// graph it patched).
+fn same_transpose(
+    old: &FrozenGraph,
+    new: &FrozenGraph,
+    dirty: &[NodeId],
+    shift: &EdgeShift,
+) -> bool {
+    shift.is_identity_outside_rows()
+        && dirty.iter().all(|&d| {
+            let (a, b) = (old.edge_slice(d).1, new.edge_slice(d).1);
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to() == y.to())
+        })
 }
 
 /// The delta path's one commit step: adopt what the reload read and
 /// built — the new stamps and texts if any file moved, the patched
-/// snapshot if the edit changed the world — count the reload, and
-/// serve what the cache now holds.
+/// graph if the edit changed the world — count the reload, and serve
+/// what the cache now holds.
 fn commit(
     cached: &mut CachedStages,
     cache: &StageCache,
     reread: Option<Reread>,
-    frozen: Option<Frozen>,
+    graph: Option<Arc<FrozenGraph>>,
     report: LoadReport,
 ) -> ServingParts {
     if let Some(reread) = reread {
         cached.fingerprint = reread.fingerprint;
         cached.parsed = Some(reread.parsed);
     }
-    if let Some(frozen) = frozen {
-        cached.frozen = frozen;
+    if let Some(graph) = graph {
+        cached.frozen = cached.frozen.with_graph(graph);
     }
     let serving = cached.serving.as_ref().expect("the delta path checked");
     cache.delta_reloads.fetch_add(1, Ordering::Relaxed);
@@ -889,11 +1027,11 @@ fn commit(
     (resolver, Some(serving.engine.clone()), report)
 }
 
-/// Applies `patches` (planned against the *base* snapshot) to the
-/// augmented graph `aug` the previous mapping run produced — base rows
-/// plus an invented BACK tail appended per row. Returns the patched
-/// augmented graph and its edge shift, or `None` when the edit is not
-/// provably safe there:
+/// Applies `patches` (planned against the declared graph) to `aug`,
+/// the graph a mapping that invented back links serves: each row the
+/// declared links, then the invented BACK tail. `reverse` is `aug`'s
+/// transpose. Returns the patched graph and its edge shift, or `None`
+/// when the edit is not provably safe there:
 ///
 /// * a patch that changes a row's shape (targets, operators or flags,
 ///   not just costs) could add or remove reachability the invented
@@ -901,27 +1039,38 @@ fn commit(
 /// * an invented link *targeting* a dirty node had its cost derived
 ///   from that node's row — stale after the edit.
 fn patch_augmented(
-    aug: &Arc<FrozenGraph>,
-    base: &Arc<FrozenGraph>,
+    aug: &FrozenGraph,
+    reverse: &ReverseGraph,
     patches: &[RowPatch],
-) -> Option<(Arc<FrozenGraph>, EdgeShift)> {
-    let is_dirty = |node: NodeId| patches.binary_search_by(|p| p.node.cmp(&node)).is_ok();
+) -> Option<(FrozenGraph, EdgeShift)> {
     let mut aug_patches = Vec::with_capacity(patches.len());
     for p in patches {
-        let (_, base_row) = base.edge_slice(p.node);
+        let (start, row) = aug.edge_slice(p.node);
+        // Only invention sets BACK, and it appends.
+        let declared = row
+            .iter()
+            .take_while(|e| !e.flags().contains(LinkFlags::BACK))
+            .count();
         // Cost-only: the new row must keep the old shape.
-        if base_row.len() != p.edges.len() {
+        if declared != p.edges.len() {
             return None;
         }
-        for (old, new) in base_row.iter().zip(&p.edges) {
+        for (old, new) in row.iter().zip(&p.edges) {
             if old.to() != new.0 || old.op() != new.2 || old.flags() != new.3 {
                 return None;
             }
         }
-        // Rebuild the augmented row: the patched base row, then the
-        // invented tail exactly as it stands.
+        if reverse
+            .in_edges(p.node)
+            .any(|(_, e)| aug.edge_flags(e).contains(LinkFlags::BACK))
+        {
+            return None;
+        }
+        // Rebuild the augmented row: the patched declared row, then
+        // the invented tail exactly as it stands.
         let mut edges = p.edges.clone();
-        for e in aug.out_edges(p.node).skip(base_row.len()) {
+        for e in start + declared as u32..start + row.len() as u32 {
+            let e = EdgeId::from_raw(e);
             edges.push((
                 aug.edge_target(e),
                 aug.edge_raw_cost(e),
@@ -934,33 +1083,24 @@ fn patch_augmented(
             edges,
         });
     }
-    // Any invented link pointing *at* a dirty node is stale.
-    for id in aug.node_ids() {
-        let base_len = base.degree(id);
-        for e in aug.out_edges(id).skip(base_len) {
-            if is_dirty(aug.edge_target(e)) {
-                return None;
-            }
-        }
-    }
-    let (patched, shift) = aug.with_rows_replaced(&aug_patches);
-    Some((Arc::new(patched), shift))
+    Some(aug.with_rows_replaced(&aug_patches))
 }
 
 /// The parse/build/freeze stages for a map-file source, reusing the
-/// cached snapshot when the files' fingerprint is unchanged (the
-/// "reload with only mapping options changed" fast path). The build
-/// reads the inputs the delta path already re-read, when it got that
-/// far, and otherwise only the files whose stamp moved. The returned
-/// timings cover the stages that actually ran — all zero on a cache
-/// hit.
+/// cached stage when the files' fingerprint is unchanged (the "reload
+/// with only mapping options changed" fast path). The build reads the
+/// inputs the delta path already re-read, when it got that far, and
+/// otherwise only the files whose stamp moved. Returns the stage, the
+/// timings of the stages that actually ran (all zero on a cache hit),
+/// and, when it built one, the re-read whose stamps and inputs the
+/// cache is to hold once the load succeeds.
 fn frozen_stage(
     files: &[PathBuf],
     options: &Options,
     cache: &StageCache,
     reread: Option<Reread>,
-) -> Result<(Frozen, PhaseTimings), LoadError> {
-    let mut slot = cache.lock();
+) -> Result<(Frozen, PhaseTimings, Option<Reread>), LoadError> {
+    let slot = cache.lock();
     let reread = match reread {
         Some(reread) => reread,
         None => {
@@ -969,33 +1109,22 @@ fn frozen_stage(
                 // `ignore_case` is the one option the build stage
                 // depends on.
                 if cached.fingerprint == fp && cached.ignore_case == options.ignore_case {
-                    return Ok((cached.frozen.clone(), PhaseTimings::default()));
+                    return Ok((cached.base(), PhaseTimings::default(), None));
                 }
             }
             Reread::of(files, fp, slot.as_ref())?
         }
     };
-    let Reread {
-        fingerprint: fp,
-        parsed,
-        took,
-    } = reread;
+    drop(slot);
     let mut timings = PhaseTimings {
-        parse: took,
+        parse: reread.took,
         ..PhaseTimings::default()
     };
-    let built = parsed.build(options).map_err(LoadError::Pipeline)?;
+    let built = reread.parsed.build(options).map_err(LoadError::Pipeline)?;
     timings.build = built.build_time;
     let frozen = built.into_frozen();
     timings.freeze = frozen.freeze_time;
-    *slot = Some(CachedStages {
-        fingerprint: fp,
-        ignore_case: options.ignore_case,
-        frozen: frozen.clone(),
-        parsed: Some(parsed),
-        serving: None,
-    });
-    Ok((frozen, timings))
+    Ok((frozen, timings, Some(reread)))
 }
 
 /// The frozen stage for a snapshot source: re-read the `.pagf` file
@@ -1558,6 +1687,97 @@ mod tests {
             let (resolver, _, report) = source.load_serving_timed().unwrap();
             assert_eq!((report.path, report.bailout), (path_taken, bailout));
             assert_eq!(resolver.resolve("x", "u").unwrap().route, "n1!x!u");
+        }
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// A delta that gets through its repair and then declines leaves
+    /// the kept child lists as they were, and a full path that then
+    /// fails leaves the cache with the generation still serving: the
+    /// next cost edit takes the delta path again and serves as a cold
+    /// run over the bytes on disk.
+    #[test]
+    fn a_declined_delta_and_a_failed_full_load_keep_the_served_generation() {
+        let path = temp("declined.map");
+        std::fs::write(&path, WIDE_MAP).unwrap();
+        let options = Options {
+            local: Some("hub".into()),
+            ..Default::default()
+        };
+        let source = MapSource::map_files(vec![path.clone()], options.clone());
+        let MapSource::Map { cache, .. } = &source else {
+            unreachable!()
+        };
+        source.load_serving_timed().unwrap();
+        let served = cached_rendered(cache);
+
+        // x re-parents under n1: the kept lists are patched, then put
+        // back when the route update declines.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let first = WIDE_MAP.replace("n2\tx(20)", "n2\tx(35)");
+        std::fs::write(&path, &first).unwrap();
+        cache.fail_after_repair.store(true, Ordering::SeqCst);
+        assert!(matches!(
+            source.load_serving_timed(),
+            Err(LoadError::Validation(why)) if why == "injected failure"
+        ));
+        assert_eq!(cache.delta_reloads(), 0);
+        assert!(cache.kept_state_matches_rebuild());
+        assert_eq!(
+            cached_rendered(cache),
+            served,
+            "the old generation serves on"
+        );
+
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::fs::write(&path, first.replace("n1\tx(30)", "n1\tx(31)")).unwrap();
+        let (resolver, _, report) = source.load_serving_timed().unwrap();
+        assert_eq!((report.path, report.bailout), (LoadPath::Delta, None));
+        assert!(cache.kept_state_matches_rebuild());
+        let cold = MapSource::map_files(vec![path.clone()], options);
+        let (cold_resolver, _, _) = cold.load_serving_timed().unwrap();
+        let MapSource::Map {
+            cache: cold_cache, ..
+        } = &cold
+        else {
+            unreachable!()
+        };
+        assert_eq!(cached_rendered(cache), cached_rendered(cold_cache));
+        for host in ["n1", "n2", "x", "y"] {
+            assert_eq!(
+                resolver.resolve(host, "u").unwrap().route,
+                cold_resolver.resolve(host, "u").unwrap().route,
+                "route to {host} differs"
+            );
+        }
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// The transpose the repair seeds from is built once and handed
+    /// to the next engine across cost edits; an edit that reshapes a
+    /// row moves edge ids, and the next engine builds its own.
+    #[test]
+    fn only_cost_edits_carry_the_transpose() {
+        let path = temp("carried.map");
+        std::fs::write(&path, WIDE_MAP).unwrap();
+        let options = Options {
+            local: Some("hub".into()),
+            ..Default::default()
+        };
+        let source = MapSource::map_files(vec![path.clone()], options);
+        let MapSource::Map { cache, .. } = &source else {
+            unreachable!()
+        };
+        source.load_serving_timed().unwrap();
+        let costed = WIDE_MAP.replace("n2\tx(20)", "n2\tx(35)");
+        let reshaped = costed.replace("n2\tx(35)", "n2\tx(35), n1(5)");
+        for (text, carried) in [(&costed, true), (&reshaped, false)] {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            std::fs::write(&path, text).unwrap();
+            let (_, engine, report) = source.load_serving_timed().unwrap();
+            assert_eq!(report.path, LoadPath::Delta);
+            assert_eq!(engine.unwrap().built_reverse().is_some(), carried);
+            assert!(cache.kept_state_matches_rebuild());
         }
         std::fs::remove_file(path).unwrap();
     }

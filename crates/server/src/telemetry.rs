@@ -44,6 +44,12 @@ pub struct MapTelemetry {
     pub reload: Histogram,
     /// The worst-[`SLOWLOG_CAPACITY`] requests against this map.
     pub slowlog: SlowLog,
+    /// Per delta reload: the labels its repair moved.
+    pub relabelled: Histogram,
+    /// Per delta reload: the routes it recomputed.
+    pub routes_moved: Histogram,
+    /// Per delta reload: the database shards it rewrote.
+    pub shards_rewritten: Histogram,
     /// The latest successful reload's report (`None` until the first
     /// one). Stages skipped by the stage cache report zero.
     last_reload: Mutex<Option<LoadReport>>,
@@ -76,6 +82,9 @@ impl MapTelemetry {
             mquery_item: Histogram::new(),
             path: Histogram::new(),
             reload: Histogram::new(),
+            relabelled: Histogram::new(),
+            routes_moved: Histogram::new(),
+            shards_rewritten: Histogram::new(),
             slowlog: SlowLog::new(SLOWLOG_CAPACITY),
             last_reload: Mutex::new(None),
             reload_paths: Default::default(),
@@ -102,13 +111,19 @@ impl MapTelemetry {
 
     /// Records a successful reload: its report, its path, the gate
     /// that sent it down the full path, if one did, the texts its plan
-    /// scanned, and what it left serving.
+    /// scanned, what it left serving, and, for a delta reload, the size
+    /// of its cone.
     pub fn record_reload(&self, report: &LoadReport) {
         if let Ok(mut slot) = self.last_reload.lock() {
             *slot = Some(*report);
         }
         self.record_load(report);
         self.reload_paths[report.path as usize].fetch_add(1, Ordering::Relaxed);
+        if report.path == LoadPath::Delta {
+            self.relabelled.record(report.relabelled as u64);
+            self.routes_moved.record(report.routes_moved as u64);
+            self.shards_rewritten.record(report.shards_rewritten as u64);
+        }
         self.files_scanned
             .fetch_add(report.files_scanned as u64, Ordering::Relaxed);
         if let (Some(reason), Ok(mut bailouts)) = (report.bailout, self.bailouts.lock()) {
@@ -249,5 +264,15 @@ mod tests {
         let loads = t.hierarchy_loads();
         assert_eq!(loads[1], (HierarchyOutcome::Rebuilt, 1));
         assert_eq!(loads[4], (HierarchyOutcome::None, 2));
+        assert_eq!(t.relabelled.count(), 0, "only delta reloads have a cone");
+        t.record_reload(&LoadReport {
+            path: LoadPath::Delta,
+            relabelled: 3,
+            routes_moved: 5,
+            shards_rewritten: 1,
+            ..LoadReport::default()
+        });
+        let cone = [&t.relabelled, &t.routes_moved, &t.shards_rewritten];
+        assert_eq!(cone.map(|h| (h.count(), h.sum())), [(1, 3), (1, 5), (1, 1)]);
     }
 }

@@ -4,7 +4,9 @@
 //! over the same bytes. The delta path is an optimization with *no*
 //! observable surface beyond speed and the `delta_reloads` counter.
 
-use pathalias_core::{plan_delta, render, ChIndex, Cost, DeltaPlan, Options, Parsed, RouteKind};
+use pathalias_core::{
+    plan_delta, render, ChIndex, Cost, DeltaPlan, FrozenGraph, Options, Parsed, RouteKind,
+};
 use pathalias_mapgen::{generate, MapSpec};
 use pathalias_parser::{Kind, Statements, Tok};
 use pathalias_router::PointToPoint;
@@ -48,15 +50,19 @@ fn plain_cost_statements(text: &str) -> Vec<&str> {
 }
 
 /// The cold oracle: the full pipeline over the bytes currently on
-/// disk, under the same options the daemon serves with.
-fn cold_pipeline(paths: &[PathBuf], options: &Options) -> (pathalias_core::Printed, PointToPoint) {
+/// disk, under the same options the daemon serves with, and the
+/// frozen graph it maps from.
+fn cold_pipeline(
+    paths: &[PathBuf],
+    options: &Options,
+) -> (pathalias_core::Printed, PointToPoint, Arc<FrozenGraph>) {
     let mut parsed = Parsed::new();
     parsed.push_files(paths).unwrap();
     let frozen = parsed.build(options).unwrap().freeze();
     let mapped = frozen.map(options).unwrap();
     let printed = mapped.print(options);
     let engine = PointToPoint::new(mapped.tree.frozen().clone(), options.cost_model);
-    (printed, engine)
+    (printed, engine, frozen.graph().clone())
 }
 
 /// Every visible plain-host route the daemon serves must match the
@@ -68,7 +74,7 @@ fn assert_daemon_matches_cold(
     options: &Options,
     home: &str,
 ) {
-    let (printed, engine) = cold_pipeline(paths, options);
+    let (printed, engine, _) = cold_pipeline(paths, options);
     let mut path_checked = 0;
     for entry in printed.routes.visible() {
         if entry.name.starts_with('.') || entry.kind != RouteKind::Host {
@@ -433,7 +439,7 @@ fn reload_replaces_kept_source_trees_only_when_the_world_changes() {
         before + 1,
         "the edit took the delta path"
     );
-    let (_, cold_engine) = cold_pipeline(&paths, &options);
+    let (_, cold_engine, _) = cold_pipeline(&paths, &options);
     let cold = cold_engine.route("hub", "y").unwrap();
     assert_eq!(cold.route, "n1!x!y!%s");
     // The new engine has seen no source: it searches, then builds its
@@ -459,8 +465,8 @@ fn reload_replaces_kept_source_trees_only_when_the_world_changes() {
 fn patching_a_frozen_stage_drops_its_derived_sections() {
     // A contraction hierarchy is cost-dependent: serving yesterday's
     // hierarchy over today's costs answers PATH queries wrongly. The
-    // frozen stage therefore drops the hierarchy (and the transpose)
-    // when rows are patched, and the engines rebuild from the patched
+    // frozen stage over a patched graph therefore drops the hierarchy
+    // (and the transpose), and the engines rebuild from the patched
     // graph.
     let mut parsed = Parsed::new();
     parsed.push_str("map", "hub\ta(10), b(12)\na\tx(20)\nb\tx(20)\nx\ty(5)\n");
@@ -485,8 +491,8 @@ fn patching_a_frozen_stage_drops_its_derived_sections() {
     for e in g.out_edges(a) {
         edges.push((g.edge_target(e), 1, g.edge_op(e), g.edge_flags(e)));
     }
-    let (patched, _shift) =
-        frozen.with_rows_replaced(&[pathalias_core::RowPatch { node: a, edges }]);
+    let (patched, _shift) = g.with_rows_replaced(&[pathalias_core::RowPatch { node: a, edges }]);
+    let patched = frozen.with_graph(Arc::new(patched));
     assert!(
         patched.hierarchy().is_none(),
         "a stale hierarchy must not survive a cost change"
@@ -748,7 +754,10 @@ fn apply(
 
 /// What a map source serves after a reload — the routes of its cached
 /// mapping (rendered), its resolver and its `PATH` engine — against a
-/// cold run over the bytes on disk, byte for byte.
+/// cold run over the bytes on disk, byte for byte. And what it keeps
+/// beside them against a rebuild: the tree's child lists, the
+/// transpose the engine carries, and the graph a mapping starts from,
+/// which is the served one without its back links.
 fn serves_like_a_cold_run(
     source: &MapSource,
     resolver: pathalias_mailer::BoxedResolver,
@@ -761,7 +770,18 @@ fn serves_like_a_cold_run(
     let MapSource::Map { cache, .. } = source else {
         unreachable!()
     };
-    let (printed, cold_engine) = cold_pipeline(paths, options);
+    let (printed, cold_engine, cold_graph) = cold_pipeline(paths, options);
+    prop_assert!(
+        cache.kept_state_matches_rebuild(),
+        "kept child lists or transpose drifted after {:?}",
+        step
+    );
+    let base = cache.snapshot().expect("the map source caches its stage");
+    prop_assert!(
+        *base == *cold_graph,
+        "the base view drifted after {:?}",
+        step
+    );
     let routes = cache.routes().expect("the map source caches its mapping");
     let rendered = render(&routes, &options.print_options());
     let drift = rendered

@@ -48,12 +48,35 @@ impl PromText {
     /// long tail of trailing empty buckets collapses straight to
     /// `+Inf` to keep scrapes compact.
     pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], snap: &HistogramSnapshot) {
+        self.histogram_in(name, labels, snap, fmt_seconds);
+    }
+
+    /// [`histogram`](PromText::histogram) for a histogram of counts
+    /// rather than nanoseconds: `le` bounds and `_sum` are plain
+    /// integers.
+    pub fn count_histogram(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        snap: &HistogramSnapshot,
+    ) {
+        self.histogram_in(name, labels, snap, |n| n.to_string());
+    }
+
+    /// A histogram body whose bounds and sum `unit` writes.
+    fn histogram_in(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        snap: &HistogramSnapshot,
+        unit: fn(u64) -> String,
+    ) {
         let last_used = (0..BUCKETS).rev().find(|&i| snap.buckets[i] > 0);
         let mut cumulative = 0u64;
         if let Some(last) = last_used {
             for (i, &bucket) in snap.buckets.iter().enumerate().take(last + 1) {
                 cumulative += bucket;
-                let le = fmt_seconds(crate::Histogram::bucket_bound(i));
+                let le = unit(crate::Histogram::bucket_bound(i));
                 self.push_series(&format!("{name}_bucket"), labels, Some(&le));
                 let _ = writeln!(self.buf, " {cumulative}");
             }
@@ -61,7 +84,7 @@ impl PromText {
         self.push_series(&format!("{name}_bucket"), labels, Some("+Inf"));
         let _ = writeln!(self.buf, " {}", snap.count);
         self.push_series(&format!("{name}_sum"), labels, None);
-        let _ = writeln!(self.buf, " {}", fmt_seconds(snap.sum));
+        let _ = writeln!(self.buf, " {}", unit(snap.sum));
         self.push_series(&format!("{name}_count"), labels, None);
         let _ = writeln!(self.buf, " {}", snap.count);
     }
