@@ -90,8 +90,13 @@ pub fn tokenize(file: &str, text: &str) -> Result<Vec<OwnedTok>, ParseError> {
                 col += 1;
             }
             Class::Backslash => {
-                if i + 1 < chars.len() && chars[i + 1] == '\n' {
-                    i += 2;
+                let eol = match chars[i + 1..] {
+                    ['\n', ..] => 2,
+                    ['\r', '\n', ..] => 3,
+                    _ => 0,
+                };
+                if eol > 0 {
+                    i += eol;
                     line += 1;
                     col = 1;
                 } else {

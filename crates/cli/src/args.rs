@@ -22,8 +22,9 @@ options:
   -l host   local host (mapping source); default: first host in input
   -c        print costs
   -i        ignore case in host names
-  -v        verbose statistics on stderr, after the routes; the print
-            timing includes writing them out
+  -v        verbose statistics on stderr, after the routes; the parse
+            timing includes reading the files, the print timing
+            writing the routes out
   -n        sort output by name instead of cost
   -t host   trace routing decisions for host (repeatable)
   -h        this help

@@ -65,7 +65,7 @@ fn cmd_run(run: RunArgs) -> ExitCode {
     };
     let verbose = run.verbose;
     let mut pa = Pathalias::with_options(options);
-    if let Err(code) = read_inputs(&run.files, |file, text| pa.parse_str(file, text)) {
+    if let Err(code) = read_inputs(&run.files, |texts| pa.parse_inputs(texts)) {
         return code;
     }
 
@@ -103,7 +103,8 @@ fn cmd_run(run: RunArgs) -> ExitCode {
                     s.backlink_rounds,
                     s.restarted_rounds
                 );
-                // The driver is handed its texts: parsing them is the build.
+                // The build reads the files as it parses them, so `parse`
+                // counts both.
                 let t = report.timings;
                 eprintln!(
                     "pathalias: timings: parse {:?}, freeze {:?}, map {:?}, print {:?}",
@@ -137,30 +138,55 @@ fn cmd_mapgen(mg: MapgenArgs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Reads standard input, or each of `files` in turn, and hands each
-/// text to `parse` under its name before reading the next, so no text
-/// outlives its parse. A read or parse error is reported, naming the
-/// input, and ends the run.
+/// Why taking the inputs stopped: an input that could not be read, or
+/// one that did not parse.
+enum InputError {
+    Read(String),
+    Parse(ParseError),
+}
+
+impl From<ParseError> for InputError {
+    fn from(e: ParseError) -> Self {
+        InputError::Parse(e)
+    }
+}
+
+/// The named texts of a run, each read when it is taken.
+type Texts<'a> = Box<dyn Iterator<Item = Result<(&'a str, String), InputError>> + Send + 'a>;
+
+/// Hands `parse` the texts of standard input, or of each of `files` in
+/// turn, read as they are taken: the build's helper thread reads a
+/// file when it is ready to scan it, so at most two texts are alive,
+/// the one being declared and the one being scanned. A read or parse
+/// error is reported, naming the input, and ends the run; no later
+/// input is read.
 fn read_inputs(
     files: &[String],
-    mut parse: impl FnMut(&str, &str) -> Result<(), ParseError>,
+    parse: impl FnOnce(Texts<'_>) -> Result<(), InputError>,
 ) -> Result<(), ExitCode> {
-    let fail = |msg: String| {
+    let texts: Texts<'_> = if files.is_empty() {
+        Box::new(std::iter::once_with(|| {
+            let mut text = String::new();
+            std::io::stdin()
+                .read_to_string(&mut text)
+                .map_err(|e| InputError::Read(format!("reading stdin: {e}")))?;
+            Ok(("<stdin>", text))
+        }))
+    } else {
+        Box::new(files.iter().map(|file| {
+            let text = std::fs::read_to_string(file)
+                .map_err(|e| InputError::Read(format!("{file}: {e}")))?;
+            Ok((file.as_str(), text))
+        }))
+    };
+    parse(texts).map_err(|e| {
+        let msg = match e {
+            InputError::Read(msg) => msg,
+            InputError::Parse(e) => Error::from(e).to_string(),
+        };
         eprintln!("pathalias: {msg}");
         ExitCode::FAILURE
-    };
-    if files.is_empty() {
-        let mut text = String::new();
-        std::io::stdin()
-            .read_to_string(&mut text)
-            .map_err(|e| fail(format!("reading stdin: {e}")))?;
-        return parse("<stdin>", &text).map_err(|e| fail(Error::from(e).to_string()));
-    }
-    for file in files {
-        let text = std::fs::read_to_string(file).map_err(|e| fail(format!("{file}: {e}")))?;
-        parse(file, &text).map_err(|e| fail(Error::from(e).to_string()))?;
-    }
-    Ok(())
+    })
 }
 
 /// Writes `text` to standard output in one call.
@@ -189,7 +215,7 @@ fn cmd_freeze(fz: FreezeArgs) -> ExitCode {
         ..Options::default()
     };
     let mut built = Built::new(&options);
-    if let Err(code) = read_inputs(&fz.files, |file, text| built.parse_str(file, text)) {
+    if let Err(code) = read_inputs(&fz.files, |texts| built.parse_inputs(texts)) {
         return code;
     }
     let build_time = built.build_time;

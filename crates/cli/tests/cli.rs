@@ -500,6 +500,49 @@ fn an_unreadable_input_is_named() {
 }
 
 #[test]
+fn only_the_first_failing_input_is_reported() {
+    // The build reads the next file while it declares the last one,
+    // yet reports errors in input order: the first input that fails
+    // ends the run, and nothing after it is read or reported.
+    let dir = std::env::temp_dir();
+    let path = |tag: &str| dir.join(format!("pa-cli-order-{tag}-{}.map", std::process::id()));
+    let (good, bad, missing) = (path("good"), path("bad"), path("missing"));
+    let snapshot = path("snap");
+    std::fs::write(&good, "a b(10)\n").unwrap();
+    std::fs::write(&bad, "a b(10)\nq $\n").unwrap();
+    let [good, bad, missing, snapshot] =
+        [&good, &bad, &missing, &snapshot].map(|p| p.to_str().unwrap().to_string());
+    let why = std::fs::read(&missing).unwrap_err();
+    let parse_error = format!("pathalias: parse error: {bad}:2:3: unexpected character `$`\n");
+    let read_error = format!("pathalias: {missing}: {why}\n");
+    for (files, want) in [
+        ([&bad, &missing], &parse_error),
+        ([&missing, &bad], &read_error),
+        ([&good, &missing], &read_error),
+    ] {
+        for cmd in [vec!["-l", "a"], vec!["freeze", "-o", &snapshot]] {
+            let out = Command::new(BIN).args(&cmd).args(files).output().unwrap();
+            assert_eq!(out.status.code(), Some(1), "{cmd:?} {files:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stderr),
+                *want,
+                "{cmd:?} {files:?}"
+            );
+            assert!(out.stdout.is_empty());
+        }
+    }
+    assert!(!std::path::Path::new(&snapshot).exists());
+    let (stdout, stderr, ok) = run_with_stdin(&["-l", "a"], "a b(10)\nq $\n");
+    assert!(!ok && stdout.is_empty());
+    assert_eq!(
+        stderr,
+        "pathalias: parse error: <stdin>:2:3: unexpected character `$`\n"
+    );
+    std::fs::remove_file(good).unwrap();
+    std::fs::remove_file(bad).unwrap();
+}
+
+#[test]
 fn serve_map_set_end_to_end() {
     // A daemon serving three namespaces through `--map-set`, driven
     // entirely through the CLI client: `--maps`, `--map-name`

@@ -4,7 +4,8 @@
 //! path tree, and print the routes." This reproduction splits the run
 //! into explicit [stages] — `Parsed → Built → Frozen → Mapped →
 //! Printed` — each a value you can keep, re-enter, and time; text
-//! becomes a graph in one place, [`Built::parse_str`], and the freeze
+//! becomes a graph in one place, [`Built`] ([`Built::parse_inputs`]
+//! on two threads, or [`Built::parse_str`] for one input), and the freeze
 //! step validates the built graph and snapshots it into the immutable
 //! CSR form the mapper traverses. [`Pathalias`] drives the same stages
 //! behind one builder-style API, with the original tool's options

@@ -75,10 +75,11 @@ impl From<std::io::Error> for Error {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
     /// Time spent reading the input texts: a reload's file reads.
-    /// [`Pathalias`] is handed its texts and reports zero here.
+    /// [`Pathalias`] reports zero here: its texts are read, if at all,
+    /// inside the build ([`Pathalias::parse_inputs`]).
     pub parse: Duration,
     /// Time spent parsing the texts into the graph
-    /// ([`Built::parse_str`]).
+    /// ([`Built::build_time`]).
     pub build: Duration,
     /// Time spent validating the built graph and freezing it into its
     /// CSR snapshot.
@@ -217,6 +218,20 @@ impl Pathalias {
     pub fn parse_str(&mut self, file: &str, text: &str) -> Result<(), ParseError> {
         self.frozen = None;
         self.built.parse_str(file, text)
+    }
+
+    /// Parses named inputs in order, on two threads
+    /// ([`Built::parse_inputs`]).
+    pub fn parse_inputs<I, N, T, E>(&mut self, inputs: I) -> Result<(), E>
+    where
+        I: IntoIterator<Item = Result<(N, T), E>>,
+        I::IntoIter: Send,
+        N: AsRef<str> + Send + Sync,
+        T: AsRef<str> + Send + Sync,
+        E: From<ParseError> + Send,
+    {
+        self.frozen = None;
+        self.built.parse_inputs(inputs)
     }
 
     /// Runs the freeze, map and print stages, consuming nothing: `run`

@@ -5,8 +5,9 @@
 //! struct you can keep, re-enter, and time:
 //!
 //! * [`Parsed`] — the named input texts, before any graph exists;
-//! * [`Built`] — the mutable [`Graph`] that parsing grows, one named
-//!   input at a time: the one place text becomes a graph;
+//! * [`Built`] — the mutable [`Graph`] that parsing grows, named
+//!   inputs in order: the one place text becomes a graph, read and
+//!   scanned on a helper thread while the caller's thread declares;
 //! * [`Frozen`] — the immutable CSR snapshot
 //!   ([`pathalias_graph::FrozenGraph`]) plus the build's warnings,
 //!   validation's included. Cheap to share.
@@ -41,7 +42,7 @@ use pathalias_graph::snapshot::{self, SnapshotError, StoredHierarchy};
 use pathalias_graph::{ChIndex, FrozenGraph, Graph, NodeId, ReverseGraph, Warning};
 use pathalias_mapper::cost_model::ch_weights;
 use pathalias_mapper::{map_frozen, MapOptions, ShortestPathTree};
-use pathalias_parser::{parse_into, ParseError};
+use pathalias_parser::{parse_inputs, parse_into, ParseError};
 use pathalias_printer::{compute_routes, render, RouteTable};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -153,12 +154,15 @@ impl Parsed {
     }
 
     /// Stage 2: parses every input, in order, into a fresh [`Built`]
-    /// (only `options.ignore_case` matters here).
+    /// (only `options.ignore_case` matters here), on two threads
+    /// ([`Built::parse_inputs`]).
     pub fn build(&self, options: &Options) -> Result<Built, Error> {
         let mut built = Built::new(options);
-        for input in &self.inputs {
-            built.parse_str(&input.file, &input.text)?;
-        }
+        let inputs = self
+            .inputs
+            .iter()
+            .map(|input| Ok((&*input.file, &*input.text)));
+        built.parse_inputs(inputs).map_err(Error::Parse)?;
         Ok(built)
     }
 }
@@ -169,12 +173,14 @@ fn read(path: &Path) -> std::io::Result<Arc<Input>> {
     Ok(Input::new(path.to_string_lossy().into_owned(), text))
 }
 
-/// Stage 2: the mutable graph that parsing grows, one named input at
-/// a time.
+/// Stage 2: the mutable graph that parsing grows, named inputs in
+/// order.
 #[derive(Debug)]
 pub struct Built {
     graph: Graph,
-    /// Wall-clock time spent parsing into the graph.
+    /// Wall-clock time spent parsing into the graph; under
+    /// [`parse_inputs`](Built::parse_inputs) that includes taking the
+    /// items, so the CLI's file reads count here.
     pub build_time: Duration,
 }
 
@@ -194,6 +200,28 @@ impl Built {
         parse_into(&mut self.graph, file, text)?;
         self.build_time += t0.elapsed();
         Ok(())
+    }
+
+    /// Parses named inputs, in order, as [`parse_str`] on each would:
+    /// a helper thread takes each item and scans it while this thread
+    /// declares what it read ([`parse_inputs`]). The first `Err` item
+    /// or parse error ends the run and is returned; the graph keeps
+    /// what was declared before it. The build time counts the whole
+    /// call, taking the items included.
+    ///
+    /// [`parse_str`]: Built::parse_str
+    pub fn parse_inputs<I, N, T, E>(&mut self, inputs: I) -> Result<(), E>
+    where
+        I: IntoIterator<Item = Result<(N, T), E>>,
+        I::IntoIter: Send,
+        N: AsRef<str> + Send + Sync,
+        T: AsRef<str> + Send + Sync,
+        E: From<ParseError> + Send,
+    {
+        let t0 = Instant::now();
+        let parsed = parse_inputs(&mut self.graph, inputs);
+        self.build_time += t0.elapsed();
+        parsed
     }
 
     /// The built graph.

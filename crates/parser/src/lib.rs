@@ -4,8 +4,13 @@
 //! scanner with a hand-built one, cutting total run time by 40 %. This
 //! crate is the fast half: a zero-copy, hand-built scanner ([`scan`])
 //! used by the recursive-descent parser ([`parse`] / [`parse_into`] /
-//! [`parse_files`]). The lex stand-in it is compared against
-//! (experiment E3) lives in `pathalias_bench::slow`.
+//! [`parse_files`] / [`parse_inputs`]). The lex stand-in it is compared
+//! against (experiment E3) lives in `pathalias_bench::slow`.
+//!
+//! The parser records the graph calls a statement makes and declares
+//! them from the record; [`parse_inputs`] records on a helper thread
+//! while the calling thread declares, so building the graph from
+//! several inputs, or one large one, takes two cores.
 //!
 //! The same scanner also cuts a file into [`Statements`]: per statement
 //! its tokens, byte span and [`Kind`], the rule the parser dispatches
@@ -48,6 +53,7 @@
 
 mod error;
 mod expr;
+mod ops;
 #[allow(clippy::module_inception)]
 mod parse;
 pub mod scan;
@@ -55,6 +61,6 @@ mod stmt;
 mod token;
 
 pub use error::ParseError;
-pub use parse::{parse, parse_files, parse_into};
+pub use parse::{parse, parse_files, parse_inputs, parse_into};
 pub use stmt::{Kind, Statement, Statements};
 pub use token::{Tok, Token};

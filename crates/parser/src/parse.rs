@@ -5,13 +5,36 @@
 //! networks, and accommodation of host name collisions." The grammar is
 //! small and LL(2); a hand parser keeps the crate dependency-free and
 //! gives better error messages than the original's `syntax error`.
+//!
+//! The parser records what it would declare ([`Ops`]) instead of
+//! calling the [`Graph`], and a [`Declarer`] replays the record. Several
+//! inputs ([`parse_inputs`]) are read and recorded on a helper thread
+//! while the calling thread declares, a buffer of about [`CHUNK`] ops at
+//! a time; one input ([`parse_into`]) alternates the two steps on one
+//! thread. Either way the graph sees the same calls in the same order,
+//! so node ids, warnings and errors do not depend on the split.
 
 use crate::error::ParseError;
 use crate::expr;
+use crate::ops::{Declarer, Op, Ops, Span};
 use crate::scan::Lexer;
 use crate::stmt::Kind;
 use crate::token::{Tok, Token};
-use pathalias_graph::{Cost, Dir, Graph, NodeId, RouteOp, DEFAULT_COST};
+use pathalias_graph::{Dir, Graph, RouteOp, DEFAULT_COST};
+use std::mem;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
+use std::thread;
+
+/// Ops a buffer collects before the parser hands it over, at the end
+/// of the statement that reaches this many.
+const CHUNK: usize = 4096;
+
+/// Buffers that circulate between the two threads of [`parse_inputs`].
+const BUFFERS: usize = 4;
+
+/// [`DEFAULT_COST`] as an op holds it.
+const DEFAULT: u32 = DEFAULT_COST as u32;
 
 /// Parses a single anonymous input, returning the graph.
 ///
@@ -32,36 +55,232 @@ pub fn parse(text: &str) -> Result<Graph, ParseError> {
 /// semantics for `private` declarations, then validates.
 pub fn parse_files(inputs: &[(&str, &str)]) -> Result<Graph, ParseError> {
     let mut g = Graph::new();
-    for (file, text) in inputs {
-        parse_into(&mut g, file, text)?;
-    }
+    parse_inputs(&mut g, inputs.iter().map(|&input| Ok(input)))?;
     g.validate();
     Ok(g)
 }
 
 /// Parses one input file into an existing graph. Does not validate;
-/// callers should invoke [`Graph::validate`] after the last file.
+/// callers should invoke [`Graph::validate`] after the last file. On an
+/// error the graph keeps every declaration made before it.
 pub fn parse_into(g: &mut Graph, file: &str, text: &str) -> Result<(), ParseError> {
+    let mut p = Parser::new(file, text)?;
     g.begin_file(file);
-    let mut p = Parser {
-        lx: Lexer::new(file, text),
-        g,
-    };
-    p.run()
+    let mut declarer = Declarer::default();
+    loop {
+        let filled = p.fill();
+        declarer.apply(g, &p.ops, text);
+        p.ops.clear();
+        if filled? {
+            return Ok(());
+        }
+    }
 }
 
-struct Parser<'g, 'a> {
-    lx: Lexer<'a>,
-    g: &'g mut Graph,
+/// Parses named inputs, in order, into an existing graph, as
+/// [`parse_into`] on each in turn would, on two threads: a helper
+/// thread takes each input from `inputs` and records it while this one
+/// declares what is recorded. Does not validate.
+///
+/// The first error ends the run, and is the one returned: an `Err` item
+/// of `inputs`, or a parse error, which leaves the graph holding every
+/// declaration made before it. No later item is taken from `inputs`.
+/// At most two texts are alive at a time, the one being declared and
+/// the one being read: an item is taken only once the declaring thread
+/// is done with the text before the previous one.
+///
+/// # Examples
+///
+/// ```
+/// use pathalias_graph::Graph;
+/// use pathalias_parser::{parse_inputs, ParseError};
+///
+/// let mut g = Graph::new();
+/// let inputs = [("one", "a b(10)\n"), ("two", "b c(20)\n")];
+/// parse_inputs(&mut g, inputs.map(Ok::<_, ParseError>)).unwrap();
+/// assert_eq!(g.node_count(), 3);
+///
+/// let bad = [("three", "c d(\n")];
+/// let e = parse_inputs(&mut g, bad.map(Ok::<_, ParseError>)).unwrap_err();
+/// assert_eq!(e.to_string(), "three:1:5: expected a cost, found end of line");
+/// assert!(g.try_node("d").is_none()); // `c` was declared, `d` not yet.
+/// ```
+pub fn parse_inputs<I, N, T, E>(g: &mut Graph, inputs: I) -> Result<(), E>
+where
+    I: IntoIterator<Item = Result<(N, T), E>>,
+    I::IntoIter: Send,
+    N: AsRef<str> + Send + Sync,
+    T: AsRef<str> + Send + Sync,
+    E: From<ParseError> + Send,
+{
+    let inputs = inputs.into_iter();
+    let (full_tx, full_rx) = mpsc::channel();
+    let (free_tx, free_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
+    for _ in 0..BUFFERS {
+        // Allocated on this thread, so the helper allocates next to
+        // nothing of its own.
+        let _ = free_tx.send(Ops::with_capacity(CHUNK + CHUNK / 4));
+    }
+    thread::scope(|s| {
+        thread::Builder::new()
+            .name("pathalias-scan".to_string())
+            .spawn_scoped(s, move || record(inputs, &full_tx, &free_rx, &done_rx))
+            .expect("starting the scanning thread");
+        declare(g, full_rx, free_tx, done_tx)
+    })
 }
 
-impl<'a> Parser<'_, 'a> {
-    fn run(&mut self) -> Result<(), ParseError> {
+/// What the recording thread of [`parse_inputs`] sends the declaring
+/// one, in input order.
+enum Msg<N, T, E> {
+    /// The next input's name and text: the ops that follow are its,
+    /// and their spans are into this text.
+    Input(Arc<(N, T)>),
+    /// A filled buffer, to be declared and handed back.
+    Ops(Ops),
+    /// The error that ends the run; nothing follows it.
+    Fail(E),
+}
+
+/// The helper thread of [`parse_inputs`]: takes each input, records it
+/// into buffers from `free` and sends them on `full`. Returns at the
+/// first error, after sending it, or when the other thread has gone.
+fn record<N, T, E>(
+    mut inputs: impl Iterator<Item = Result<(N, T), E>>,
+    full: &Sender<Msg<N, T, E>>,
+    free: &Receiver<Ops>,
+    done: &Receiver<()>,
+) where
+    N: AsRef<str>,
+    T: AsRef<str>,
+    E: From<ParseError>,
+{
+    // Inputs sent whose text the declaring thread still holds.
+    let mut held = 0;
+    loop {
+        while held == 2 {
+            if done.recv().is_err() {
+                return;
+            }
+            held -= 1;
+        }
+        let input = match inputs.next() {
+            None => return,
+            Some(Ok(input)) => Arc::new(input),
+            Some(Err(e)) => {
+                let _ = full.send(Msg::Fail(e));
+                return;
+            }
+        };
+        let (file, text) = (input.0.as_ref(), input.1.as_ref());
+        let mut p = match Parser::new(file, text) {
+            Ok(p) => p,
+            Err(e) => {
+                let _ = full.send(Msg::Fail(e.into()));
+                return;
+            }
+        };
+        if full.send(Msg::Input(input.clone())).is_err() {
+            return;
+        }
+        held += 1;
         loop {
+            let Ok(ops) = free.recv() else { return };
+            p.ops = ops;
+            let filled = p.fill();
+            if full.send(Msg::Ops(mem::take(&mut p.ops))).is_err() {
+                return;
+            }
+            match filled {
+                Ok(false) => continue,
+                Ok(true) => break,
+                Err(e) => {
+                    let _ = full.send(Msg::Fail(e.into()));
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// The calling thread of [`parse_inputs`]: declares what `full`
+/// brings, hands each buffer back on `free`, and says on `done` when
+/// it lets go of a text. It owns its ends of the channels, so that if
+/// it panics they close and the helper, which may be waiting on them,
+/// returns.
+fn declare<N, T, E>(
+    g: &mut Graph,
+    full: Receiver<Msg<N, T, E>>,
+    free: Sender<Ops>,
+    done: Sender<()>,
+) -> Result<(), E>
+where
+    N: AsRef<str>,
+    T: AsRef<str>,
+{
+    let mut declarer = Declarer::default();
+    let mut input: Option<Arc<(N, T)>> = None;
+    for msg in full {
+        match msg {
+            Msg::Input(next) => {
+                g.begin_file(next.0.as_ref());
+                if let Some(last) = input.replace(next) {
+                    drop(last);
+                    let _ = done.send(());
+                }
+            }
+            Msg::Ops(mut ops) => {
+                let input = input.as_deref().expect("an input precedes its ops");
+                declarer.apply(g, &ops, input.1.as_ref());
+                ops.clear();
+                let _ = free.send(ops);
+            }
+            Msg::Fail(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Records one input's statements, a buffer at a time.
+struct Parser<'a> {
+    lx: Lexer<'a>,
+    text: &'a str,
+    /// The buffer being filled.
+    ops: Ops,
+    /// A network's members and their costs, while its list is read.
+    members: Vec<(u32, Option<u32>)>,
+}
+
+impl<'a> Parser<'a> {
+    /// A parser of `text`, which fails when the text is too long for
+    /// the 32-bit spans of [`Ops`].
+    fn new(file: &'a str, text: &'a str) -> Result<Parser<'a>, ParseError> {
+        if u32::try_from(text.len()).is_err() {
+            return Err(ParseError::new(
+                file,
+                1,
+                1,
+                format!("input of {} bytes is over the 4 GiB limit", text.len()),
+            ));
+        }
+        Ok(Parser {
+            lx: Lexer::new(file, text),
+            text,
+            ops: Ops::default(),
+            members: Vec::new(),
+        })
+    }
+
+    /// Records statements until the buffer holds [`CHUNK`] ops or the
+    /// input ends; `Ok(true)` at the end. On an error the buffer holds
+    /// what was recorded before it.
+    fn fill(&mut self) -> Result<bool, ParseError> {
+        while self.ops.len() < CHUNK {
             let t = self.lx.next_token()?;
             match t.tok {
                 Tok::Eol => continue,
-                Tok::Eof => return Ok(()),
+                Tok::Eof => return Ok(true),
                 Tok::Name(name) => self.statement(name)?,
                 other => {
                     return Err(self
@@ -70,6 +289,13 @@ impl<'a> Parser<'_, 'a> {
                 }
             }
         }
+        Ok(false)
+    }
+
+    /// Records [`Graph::node`] for `name`, a slice of the text; returns
+    /// its slot.
+    fn node(&mut self, name: &str) -> u32 {
+        self.ops.node(Span::of(self.text, name))
     }
 
     /// Dispatches on the [`Kind`] the leading name and the token after
@@ -91,7 +317,7 @@ impl<'a> Parser<'_, 'a> {
 
     /// `host target, target, ...` — also a bare `host` declaring a node.
     fn links(&mut self, first: &str) -> Result<(), ParseError> {
-        let from = self.g.node(first);
+        let from = self.node(first);
         loop {
             let t = self.lx.peek()?;
             match t.tok {
@@ -103,7 +329,12 @@ impl<'a> Parser<'_, 'a> {
                 _ => {}
             }
             let (to, cost, op) = self.target()?;
-            self.g.declare_link(from, to, cost, op);
+            self.ops.push(Op::Link {
+                from,
+                to,
+                cost,
+                op: op.into(),
+            });
             let sep = self.lx.next_token()?;
             match sep.tok {
                 Tok::Comma => continue,
@@ -119,7 +350,7 @@ impl<'a> Parser<'_, 'a> {
     }
 
     /// One link target: `[op]name[op][(cost)]`.
-    fn target(&mut self) -> Result<(NodeId, Cost, RouteOp), ParseError> {
+    fn target(&mut self) -> Result<(u32, u32, RouteOp), ParseError> {
         let mut prefix: Option<char> = None;
         let mut t = self.lx.next_token()?;
         if let Tok::Op(c) = t.tok {
@@ -154,12 +385,17 @@ impl<'a> Parser<'_, 'a> {
             },
             (None, None) => RouteOp::UUCP,
         };
-        let cost = if self.lx.peek()?.tok == Tok::LParen {
-            expr::parse_cost(&mut self.lx)?
-        } else {
-            DEFAULT_COST
-        };
-        Ok((self.g.node(name), cost, op))
+        let cost = self.cost()?.unwrap_or(DEFAULT);
+        Ok((self.node(name), cost, op))
+    }
+
+    /// A parenthesized cost, if one follows.
+    fn cost(&mut self) -> Result<Option<u32>, ParseError> {
+        if self.lx.peek()?.tok != Tok::LParen {
+            return Ok(None);
+        }
+        // `parse_cost` refuses costs above `u32::MAX`.
+        expr::parse_cost(&mut self.lx).map(|cost| Some(cost as u32))
     }
 
     /// After `name =`: either a network `[op]{members}(cost)` or an
@@ -168,9 +404,9 @@ impl<'a> Parser<'_, 'a> {
         let t = self.lx.next_token()?;
         match t.tok {
             Tok::Name(other) => {
-                let a = self.g.node(first);
-                let b = self.g.node(other);
-                self.g.declare_alias(a, b);
+                let a = self.node(first);
+                let b = self.node(other);
+                self.ops.push(Op::Alias(a, b));
                 self.end_of_statement()
             }
             Tok::Op(c) => {
@@ -201,19 +437,15 @@ impl<'a> Parser<'_, 'a> {
     /// Per-member costs override the default, e.g. `{a(10), b}` with
     /// `(20)` after the brace gives a→net 10 and b→net 20.
     fn network(&mut self, net_name: &str, op: RouteOp) -> Result<(), ParseError> {
-        let mut members: Vec<(NodeId, Option<Cost>)> = Vec::new();
+        self.members.clear();
         loop {
             let t = self.next_skip_eol()?;
             match t.tok {
                 Tok::RBrace => break,
                 Tok::Name(m) => {
-                    let id = self.g.node(m);
-                    let cost = if self.lx.peek()?.tok == Tok::LParen {
-                        Some(expr::parse_cost(&mut self.lx)?)
-                    } else {
-                        None
-                    };
-                    members.push((id, cost));
+                    let id = self.node(m);
+                    let cost = self.cost()?;
+                    self.members.push((id, cost));
                     let sep = self.next_skip_eol()?;
                     match sep.tok {
                         Tok::Comma => continue,
@@ -234,17 +466,13 @@ impl<'a> Parser<'_, 'a> {
                 }
             }
         }
-        let default_cost = if self.lx.peek()?.tok == Tok::LParen {
-            expr::parse_cost(&mut self.lx)?
-        } else {
-            DEFAULT_COST
-        };
-        let net = self.g.node(net_name);
-        let resolved: Vec<(NodeId, Cost)> = members
-            .into_iter()
-            .map(|(id, c)| (id, c.unwrap_or(default_cost)))
-            .collect();
-        self.g.declare_network(net, &resolved, op);
+        let default_cost = self.cost()?.unwrap_or(DEFAULT);
+        let net = self.node(net_name);
+        for &(node, cost) in &self.members {
+            let cost = cost.unwrap_or(default_cost);
+            self.ops.push(Op::Member { node, cost });
+        }
+        self.ops.push(Op::Net { net, op: op.into() });
         self.end_of_statement()
     }
 
@@ -293,7 +521,7 @@ impl<'a> Parser<'_, 'a> {
     fn command_item(&mut self, kw: &str, name: &'a str, at: &Token<'a>) -> Result<(), ParseError> {
         match kw {
             "private" => {
-                self.g.declare_private(name);
+                self.ops.push(Op::Private(Span::of(self.text, name)));
             }
             "dead" | "delete" => {
                 // `name` alone is a host; `from!to` is a link.
@@ -306,20 +534,20 @@ impl<'a> Parser<'_, 'a> {
                             format!("expected a host after `!` in {kw} list, found {}", t2.tok),
                         ));
                     };
-                    let from = self.g.node(name);
-                    let to = self.g.node(to_name);
-                    if kw == "dead" {
-                        self.g.mark_dead_link(from, to);
+                    let from = self.node(name);
+                    let to = self.node(to_name);
+                    self.ops.push(if kw == "dead" {
+                        Op::DeadLink(from, to)
                     } else {
-                        self.g.delete_link(from, to);
-                    }
+                        Op::DeleteLink(from, to)
+                    });
                 } else {
-                    let id = self.g.node(name);
-                    if kw == "dead" {
-                        self.g.mark_dead(id);
+                    let id = self.node(name);
+                    self.ops.push(if kw == "dead" {
+                        Op::Dead(id)
                     } else {
-                        self.g.delete_node(id);
-                    }
+                        Op::Delete(id)
+                    });
                 }
             }
             "adjust" => {
@@ -330,15 +558,15 @@ impl<'a> Parser<'_, 'a> {
                     ));
                 }
                 let bias = expr::parse_signed(&mut self.lx)?;
-                let id = self.g.node(name);
-                self.g.adjust_node(id, bias);
+                let node = self.node(name);
+                self.ops.push(Op::Adjust { node, bias });
             }
             "file" => {
-                self.g.begin_file(name);
+                self.ops.push(Op::File(Span::of(self.text, name)));
             }
             "gated" => {
-                let id = self.g.node(name);
-                self.g.mark_gated(id);
+                let id = self.node(name);
+                self.ops.push(Op::Gated(id));
             }
             "gateway" => {
                 let bang = self.lx.next_token()?;
@@ -355,9 +583,9 @@ impl<'a> Parser<'_, 'a> {
                         format!("expected a gateway host after `!`, found {}", t2.tok),
                     ));
                 };
-                let net = self.g.node(name);
-                let host = self.g.node(host_name);
-                self.g.declare_gateway(net, host);
+                let net = self.node(name);
+                let host = self.node(host_name);
+                self.ops.push(Op::Gateway { net, host });
             }
             _ => unreachable!("statement() filters keywords"),
         }
@@ -388,7 +616,7 @@ impl<'a> Parser<'_, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathalias_graph::{LinkFlags, NodeFlags};
+    use pathalias_graph::{Cost, LinkFlags, NodeFlags};
 
     fn link_cost(g: &Graph, from: &str, to: &str) -> Option<Cost> {
         let f = g.try_node(from)?;
@@ -546,6 +774,16 @@ mod tests {
     fn continuation_line() {
         let g = parse("a b(10), \\\n  c(20)\n").unwrap();
         assert_eq!(link_cost(&g, "a", "c"), Some(20));
+    }
+
+    #[test]
+    fn continuation_line_in_a_crlf_file() {
+        let crlf = parse("a b(10), \\\r\n  c(20)\r\n").unwrap();
+        assert_eq!(link_cost(&crlf, "a", "c"), Some(20));
+        let net = parse("N = {a, \\\r\n b}(5)\r\nx y\r\n").unwrap();
+        assert_eq!(link_cost(&net, "b", "N"), Some(5));
+        let e = parse("a b(10), \\\r\n  c(20)\r\nq $\r\n").unwrap_err();
+        assert_eq!((e.line, e.col), (3, 3));
     }
 
     #[test]

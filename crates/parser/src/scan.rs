@@ -101,9 +101,14 @@ impl<'a> Lexer<'a> {
                 b' ' | b'\t' | b'\r' => {
                     self.pos += 1;
                 }
-                b'\\' if self.src.get(self.pos + 1) == Some(&b'\n') => {
-                    // Line continuation: swallow both, stay mid-statement.
-                    self.pos += 2;
+                b'\\' => {
+                    // Line continuation: swallow it, stay mid-statement.
+                    let len = match &self.src[self.pos + 1..] {
+                        [b'\n', ..] => 2,
+                        [b'\r', b'\n', ..] => 3,
+                        _ => break,
+                    };
+                    self.pos += len;
                     self.line += 1;
                     self.line_start = self.pos;
                 }
@@ -270,6 +275,19 @@ mod tests {
             toks("unc duke(5), \\\n  phs(6)\n"),
             toks("unc duke(5), phs(6)\n")
         );
+    }
+
+    #[test]
+    fn continuation_before_crlf_joins_lines() {
+        assert_eq!(
+            toks("unc duke(5), \\\r\n  phs(6)\r\n"),
+            toks("unc duke(5), phs(6)\n")
+        );
+        let ts = tokenize("t", "a \\\r\n  b\r\n").unwrap();
+        assert_eq!((ts[1].line, ts[1].col), (2, 3));
+        // At the end of the input, and a `\r` that ends no line.
+        assert_eq!(toks("a \\\n"), toks("a"));
+        assert!(tokenize("t", "a \\\r b\n").is_err());
     }
 
     #[test]
