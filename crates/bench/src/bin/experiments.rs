@@ -1,6 +1,6 @@
-//! Regenerates every table and figure from the paper next to our
-//! measured values. The README's "Tests and benches" table lists the
-//! experiment ids.
+//! Regenerates the paper's engineering studies next to our measured
+//! values (its worked examples are pinned by `tests/paper_examples.rs`).
+//! The README's "Tests and benches" table lists the experiment ids.
 //!
 //! Run with: `cargo run --release -p pathalias-bench --bin experiments`
 
@@ -8,10 +8,7 @@ use pathalias_arena::counting::{snapshot, CountingAlloc};
 use pathalias_bench::boxed::BoxedGraph;
 use pathalias_bench::dual::map_dual;
 use pathalias_bench::study::map_frozen_quadratic_readonly;
-use pathalias_bench::{
-    clique_world, host_names, random_sparse, sparse_world, MOTOWN_MAP, PAPER_1981_MAP,
-};
-use pathalias_core::{Options, Pathalias};
+use pathalias_bench::{clique_world, host_names, random_sparse, sparse_world, MOTOWN_MAP};
 use pathalias_graph::{Graph, NodeId, RouteOp};
 use pathalias_hash::{GrowthPolicy, HostTable, SecondaryHash, TableConfig, ALPHA_LOW};
 use pathalias_mailer::RouteDb;
@@ -99,8 +96,6 @@ fn main() {
     let want = |id: &str| only.is_empty() || only.iter().any(|o| o == id);
 
     let experiments: &[(&str, fn())] = &[
-        ("e1", e1_worked_example),
-        ("e2", e2_cost_table),
         ("e3", e3_scanner),
         ("e4", e4_alloc),
         ("e5", e5_secondary_hash),
@@ -112,7 +107,6 @@ fn main() {
         ("e11", e11_motown),
         ("e12", e12_second_best),
         ("e13", e13_probes_at_high_water),
-        ("e14", e14_domains),
         ("e15", e15_mailer),
         ("e16", e16_heuristic_ablation),
         ("e17", e17_incremental_reload),
@@ -192,42 +186,6 @@ fn e16_heuristic_ablation() {
     }
     println!("(baseline = full paper model; via-domain counts hosts whose mail");
     println!(" would transit a domain; mixed counts !-after-@ ambiguous routes)");
-}
-
-fn e1_worked_example() {
-    header("E1", "the 1981 worked example (paper OUTPUT section)");
-    let mut pa = Pathalias::with_options(Options {
-        local: Some("unc".into()),
-        with_costs: true,
-        ..Options::default()
-    });
-    pa.parse_str("map-1981", PAPER_1981_MAP).unwrap();
-    let out = pa.run().unwrap();
-    println!("paper output                             ?= measured output");
-    let expected = [
-        "0\tunc\t%s",
-        "500\tduke\tduke!%s",
-        "800\tphs\tduke!phs!%s",
-        "3000\tresearch\tduke!research!%s",
-        "3300\tucbvax\tduke!research!ucbvax!%s",
-        "3395\tmit-ai\tduke!research!ucbvax!%s@mit-ai",
-        "3395\tstanford\tduke!research!ucbvax!%s@stanford",
-    ];
-    for (want, got) in expected.iter().zip(out.rendered.lines()) {
-        let mark = if want == &got { "==" } else { "!!" };
-        println!("{want:<40} {mark} {got}");
-    }
-}
-
-fn e2_cost_table() {
-    header("E2", "symbolic cost table");
-    println!("{:<12} {:>8}", "symbol", "value");
-    for (sym, val) in pathalias_graph::symbol_table() {
-        if *sym == "DEAD" {
-            continue; // Documented extension, not in the paper's table.
-        }
-        println!("{sym:<12} {val:>8}");
-    }
 }
 
 fn e3_scanner() {
@@ -671,30 +629,6 @@ fn e13_probes_at_high_water() {
     // uniform hashing the prediction assumes.
     let claim = "2 probes per access when the table is full";
     verdict(measured.med <= 2.0, false, claim);
-}
-
-fn e14_domains() {
-    header("E14", "domain figures: name synthesis and masquerade");
-    let g = pathalias_parser::parse(
-        "u seismo(100)\nseismo .edu(95)\n.edu = {.rutgers}(0)\n.rutgers = {caip}(0)\n",
-    )
-    .unwrap();
-    let u = g.try_node("u").unwrap();
-    let tree = map(&g, u, &MapOptions::default()).unwrap();
-    let table = compute_routes(&tree);
-    println!(
-        "caip.rutgers.edu: {}   (paper: seismo!caip.rutgers.edu!%s)",
-        table.find("caip.rutgers.edu").unwrap().route
-    );
-
-    let g = pathalias_parser::parse("u caip(50)\n.rutgers.edu = {caip(0), blue(0)}\n").unwrap();
-    let u = g.try_node("u").unwrap();
-    let tree = map(&g, u, &MapOptions::default()).unwrap();
-    let table = compute_routes(&tree);
-    println!(
-        "masquerade blue:  {}   (paper: caip!blue.rutgers.edu!%s)",
-        table.find("blue.rutgers.edu").unwrap().route
-    );
 }
 
 fn e15_mailer() {

@@ -36,7 +36,7 @@ impl DualTree {
 
     /// The second-best (domain-free) label for `node`, when the primary
     /// route goes by way of a domain and an alternative exists.
-    pub fn second_best(&self, node: NodeId) -> Option<&Label> {
+    pub fn second_best(&self, node: NodeId) -> Option<Label> {
         if self.via_domain(node) {
             self.clean.label(node)
         } else {
@@ -47,7 +47,7 @@ impl DualTree {
     /// The label a mailer should prefer: the domain-free alternative if
     /// the primary is domain-routed and an alternative exists, else the
     /// primary.
-    pub fn preferred(&self, node: NodeId) -> Option<&Label> {
+    pub fn preferred(&self, node: NodeId) -> Option<Label> {
         self.second_best(node).or_else(|| self.primary.label(node))
     }
 }

@@ -31,16 +31,6 @@ use pathalias_parser::{Kind, Statements, Tok};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The paper's worked-example map (OUTPUT section).
-pub const PAPER_1981_MAP: &str = "\
-unc\tduke(HOURLY), phs(HOURLY*4)
-duke\tunc(DEMAND), research(DAILY/2), phs(DEMAND)
-phs\tunc(HOURLY*4), duke(HOURLY)
-research\tduke(DEMAND), ucbvax(DEMAND)
-ucbvax\tresearch(DAILY)
-ARPA = @{mit-ai, ucbvax, stanford}(DEDICATED)
-";
-
 /// The PROBLEMS-section motown graph.
 pub const MOTOWN_MAP: &str = "\
 princeton caip(200), topaz(300)

@@ -97,7 +97,7 @@ fn assert_serves(got: &RouteDb, tree: &ShortestPathTree) {
 /// Whether the route printed for `id` could differ between the trees:
 /// its label, or the operator and flags of the edge that reached it.
 fn moved(old: &ShortestPathTree, new: &ShortestPathTree, id: NodeId) -> bool {
-    let edge = |t: &ShortestPathTree, l: &Label| {
+    let edge = |t: &ShortestPathTree, l: Label| {
         l.pred
             .map(|(p, e)| (p, t.frozen().edge_op(e), t.frozen().edge_flags(e)))
     };
@@ -212,7 +212,7 @@ proptest! {
         let edited = frozen.with_graph(std::sync::Arc::new(f.with_rows_replaced(&patches).0));
         let new = edited.map(&options).unwrap().tree;
         let changed: Vec<NodeId> = f.node_ids().filter(|&id| moved(&old, &new, id)).collect();
-        let routes = update_routes(&old, &new, &new.children(), &changed).expect("cost edits keep the labelled set");
+        let routes = update_routes(&new, &new.children(), &changed).expect("cost edits keep the labelled set");
         let patched = db.patched(&old, &routes).unwrap_or_else(|| RouteDb::from_tree(&new, &new.children()));
         assert_serves(&patched, &new);
     }

@@ -48,7 +48,7 @@ pub use pathalias_graph::{
 };
 pub use pathalias_mapper::{
     format_trace, map, map_frozen, map_frozen_readonly, map_readonly, repair_frozen, Children,
-    CostModel, Label, MapError, MapOptions, MapStats, ShortestPathTree,
+    CostModel, Label, MapError, MapOptions, MapStats, Repair, ShortestPathTree,
 };
 pub use pathalias_parser::{parse, parse_files, parse_into, ParseError};
 pub use pathalias_printer::{

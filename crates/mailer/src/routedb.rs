@@ -903,7 +903,7 @@ mod tests {
             .node_ids()
             .filter(|&n| old.label(n) != new.label(n))
             .collect();
-        let moved = update_routes(&old, &new, &new.children(), &changed).expect("trees line up");
+        let moved = update_routes(&new, &new.children(), &changed).expect("the chains hold");
         (old, new, moved)
     }
 

@@ -87,7 +87,7 @@ pub fn unpack_label((key, pred, st): Packed) -> Option<Label> {
 
 /// The inverse of [`unpack_label`] for `node`'s label (not yet
 /// [`MAPPED`]).
-pub fn pack_label(node: NodeId, l: &Label) -> Packed {
+pub fn pack_label(node: NodeId, l: Label) -> Packed {
     let bit = |on: bool, b: u8| if on { b } else { 0 };
     (
         pack_key(l.cost, l.hops, node.raw()),

@@ -11,10 +11,10 @@
 //! `*_frozen` entry points.
 
 use crate::cost_model::{
-    pack_key, pack_label, settle, source_label, unpack_label, CostModel, Key, Packed, Settled,
-    Tail, LABELLED, MAPPED, NO_PRED,
+    pack_key, settle, source_label, unpack_label, CostModel, Key, Packed, Settled, Tail, LABELLED,
+    MAPPED, NO_PRED,
 };
-use crate::tree::{Children, MapStats, PackedTree, ShortestPathTree, TraceDecision, TraceEvent};
+use crate::tree::{Children, Label, MapStats, ShortestPathTree, TraceDecision, TraceEvent};
 use pathalias_graph::{
     EdgeId, EdgeShift, FrozenEdge, FrozenGraph, Graph, LinkFlags, NodeId, ReverseGraph,
 };
@@ -86,15 +86,18 @@ struct Run<'g> {
     /// A relaxation out of a newly reached host tied or beat the label
     /// of a node in `earlier` (see [`map_frozen`]).
     interfered: bool,
-    /// In a repair, every node whose label it cleared or set, in the
-    /// order it did (with repeats); empty otherwise.
-    written: Vec<NodeId>,
+    /// In a repair, every label it cleared or set, as it was before,
+    /// in the order it did (with repeats); empty otherwise.
+    undo: Vec<(NodeId, Packed)>,
+    /// In a repair, every node it extracted; empty otherwise.
+    extracted: Vec<NodeId>,
 }
 
 /// How a run drains: from scratch, as a resumed back-link round (which
 /// also checks what it offers the nodes earlier rounds settled), or as
-/// a repair (which also notes every label it writes). The checks
-/// compile away in the runs that do not make them.
+/// a repair (which also logs every label it overwrites and every node
+/// it extracts). The checks compile away in the runs that do not make
+/// them.
 const FROM_SCRATCH: u8 = 0;
 const RESUMED: u8 = 1;
 const REPAIR: u8 = 2;
@@ -152,7 +155,8 @@ impl<'g> Run<'g> {
             trace: Vec::new(),
             earlier: Vec::new(),
             interfered: false,
-            written: Vec::new(),
+            undo: Vec::new(),
+            extracted: Vec::new(),
         }
     }
 
@@ -267,6 +271,7 @@ impl<'g> Run<'g> {
         self.stats.mixed_penalties += u64::from(step.mixed > 0);
 
         let cand = step.label(tail, e_raw, v);
+        let before = (self.key[vi], self.pred[vi], vstate);
         let outcome = settle(
             vstate & LABELLED != 0,
             &mut self.key[vi],
@@ -296,7 +301,7 @@ impl<'g> Run<'g> {
         // offered on.
         let written = MODE == REPAIR && outcome == Settled::TieWon;
         if written || MODE == REPAIR && outcome == Settled::Improved {
-            self.written.push(v);
+            self.undo.push((v, before));
         }
         (outcome == Settled::Improved || written).then_some(cand.0)
     }
@@ -339,6 +344,9 @@ impl<'g> Run<'g> {
             self.stats.pops += 1;
             self.state[ui] |= MAPPED;
             self.stats.mapped += 1;
+            if MODE == REPAIR {
+                self.extracted.push(u);
+            }
             let label = (self.key[ui], self.pred[ui], self.state[ui]);
             let tail = Tail::load(self.f, self.source, u, label);
             let (base_edge, row) = self.f.edge_slice(u);
@@ -351,27 +359,18 @@ impl<'g> Run<'g> {
         }
     }
 
-    /// Materializes the packed run state into the public tree labels.
-    fn finish(self, frozen: Arc<FrozenGraph>) -> ShortestPathTree {
-        let labels = (self.key.iter().zip(&self.pred).zip(&self.state))
-            .map(|((&key, &pred), &st)| unpack_label((key, pred, st)))
-            .collect();
+    /// Hands the packed run state over as the tree, every label's
+    /// [`MAPPED`] bit cleared.
+    fn finish(mut self, frozen: Arc<FrozenGraph>) -> ShortestPathTree {
+        self.state.iter_mut().for_each(|s| *s &= !MAPPED);
         ShortestPathTree {
             source: self.source,
             frozen,
-            labels,
-            stats: self.stats,
-            trace: self.trace,
-        }
-    }
-
-    /// Hands the packed run state over as it stands.
-    fn pack(self) -> PackedTree {
-        PackedTree {
             key: self.key,
             pred: self.pred,
             state: self.state,
             stats: self.stats,
+            trace: self.trace,
         }
     }
 }
@@ -394,20 +393,6 @@ pub fn map_frozen_readonly(
     Ok(heap_run(f, source, opts)?.finish(f.clone()))
 }
 
-/// [`map_frozen_readonly`] — the same run, relaxation for relaxation —
-/// with the result left in the run's packed arrays instead of
-/// materialized as labels: no second per-node array is built, and a
-/// kept tree costs 25 bytes a node. For callers that keep several
-/// trees and read a few labels from each (the point-to-point engine's
-/// source-tree cache). Traced relaxations are not carried over.
-pub fn map_frozen_readonly_packed(
-    f: &FrozenGraph,
-    source: NodeId,
-    opts: &MapOptions,
-) -> Result<PackedTree, MapError> {
-    Ok(heap_run(f, source, opts)?.pack())
-}
-
 /// Refuses a source no run may start from.
 fn check_source(f: &FrozenGraph, source: NodeId, opts: &MapOptions) -> Result<(), MapError> {
     if !f.is_mappable(source) {
@@ -419,7 +404,7 @@ fn check_source(f: &FrozenGraph, source: NodeId, opts: &MapOptions) -> Result<()
     Ok(())
 }
 
-/// The priority-queue run both entry points above share.
+/// The priority-queue run every mapping starts with.
 fn heap_run<'g>(
     f: &'g FrozenGraph,
     source: NodeId,
@@ -576,45 +561,46 @@ fn invent(run: &Run<'_>, opts: &MapOptions) -> Vec<Invention> {
     inventions
 }
 
-/// Repairs `old` — a tree mapped over a snapshot that differs from
-/// `graph` only in the adjacency rows of the `dirty` nodes — into the
-/// tree a fresh [`map_frozen_readonly`] run over `graph` would
-/// produce, in time proportional to the affected cone rather than the
-/// whole world (Ramalingam–Reps-style dynamic SSSP over the packed
-/// run state).
+/// Repairs `tree` in place — a tree mapped over a snapshot that
+/// differs from `graph` only in the adjacency rows of the `dirty`
+/// nodes — into the tree a fresh [`map_frozen_readonly`] run over
+/// `graph` would produce, in time proportional to the affected cone
+/// rather than the whole world (Ramalingam–Reps-style dynamic SSSP over
+/// the tree's packed labels).
 ///
-/// The caller must pass `old`'s [`children`](ShortestPathTree::children),
-/// the transpose of `old.frozen()` ([`ReverseGraph::build`]), the
+/// The caller must pass `tree`'s [`children`](ShortestPathTree::children),
+/// the transpose of `tree.frozen()` ([`ReverseGraph::build`]), the
 /// `graph`/`shift` pair returned by [`FrozenGraph::with_rows_replaced`]
-/// applied to `old.frozen()`, and the same `opts` the old tree was
-/// mapped with. The repair clears every strict descendant of a dirty
-/// node, then seeds the priority queue with the labelled dirty nodes
-/// and the labelled tails of the in-edges into what it cleared, and
-/// re-runs the ordinary relaxation. Tails read from the old graph's
-/// transpose are enough even when a patched row changes shape: every
-/// row outside the patch is unchanged, and the dirty tails are seeded
-/// anyway. The deterministic tie break ("smaller (pred, edge) wins")
-/// is visit-order independent, so the repaired labels are
-/// bit-identical to a cold run's.
+/// applied to `tree.frozen()`, and the same `opts` the tree was mapped
+/// with. The repair clears every strict descendant of a dirty node,
+/// then seeds the priority queue with the labelled dirty nodes and the
+/// labelled tails of the in-edges into what it cleared, and re-runs the
+/// ordinary relaxation. Tails read from the old graph's transpose are
+/// enough even when a patched row changes shape: every row outside the
+/// patch is unchanged, and the dirty tails are seeded anyway. The
+/// deterministic tie break ("smaller (pred, edge) wins") is visit-order
+/// independent, so the repaired labels are bit-identical to a cold
+/// run's.
 ///
-/// Returns the repaired tree and the nodes whose labels the repair
-/// cleared or set, sorted: every node whose label differs from
-/// `old`'s is among them (a label elsewhere differs at most in its
-/// predecessor edge's id, as `shift` moves it).
+/// Returns the [`Repair`], the log of what it overwrote, which undoes
+/// it. Past the predecessor shift taken when the edit moved edge ids,
+/// nothing reads or writes a label outside the cone.
 ///
-/// Returns `Ok(None)` — caller falls back to a full remap — when the
-/// repair cannot cheaply certify equivalence: tracing is on (a
-/// repair's trace log would differ from a full run's), the dirty cone
-/// exceeds `max_dirty_fraction` of the world (the worst-case guard:
-/// a delta must never cost more than the full run it replaces), the
-/// set of reached nodes changed (the back-link pass would invent a
-/// different augmentation), or an unreachable dirty node gained an
-/// edge to a mapped host (a full run would invent a new back link).
+/// Returns `Ok(None)`, with `tree` as it was, when the repair cannot
+/// cheaply certify equivalence (the caller falls back to a full remap):
+/// tracing is on (a repair's trace log would differ from a full run's),
+/// the dirty cone exceeds `max_dirty_fraction` of the world (the
+/// worst-case guard: a delta must never cost more than the full run it
+/// replaces), the set of reached nodes changed (the back-link pass
+/// would invent a different augmentation), a child the repair left
+/// alone is not what its rewritten parent offers it, or an unreachable
+/// dirty node gained an edge to a mapped host (a full run would invent
+/// a new back link). A panic mid-repair leaves `tree` without labels.
 // The tree, its two indexes, the patched graph with its edit, and the
 // run's settings: grouping them would only name the call's arguments.
 #[allow(clippy::too_many_arguments)]
 pub fn repair_frozen(
-    old: &ShortestPathTree,
+    tree: &mut ShortestPathTree,
     children: &Children,
     reverse: &ReverseGraph,
     graph: &Arc<FrozenGraph>,
@@ -622,152 +608,223 @@ pub fn repair_frozen(
     shift: &EdgeShift,
     opts: &MapOptions,
     max_dirty_fraction: f64,
-) -> Result<Option<(ShortestPathTree, Vec<NodeId>)>, MapError> {
+) -> Result<Option<Repair>, MapError> {
     let n = graph.node_count();
     if !opts.trace.is_empty()
-        || n != old.frozen().node_count()
+        || n != tree.frozen.node_count()
         || n != reverse.node_count()
         || n == 0
     {
         return Ok(None);
     }
-    let source = old.source;
+    let source = tree.source;
     check_source(graph, source, opts)?;
-
-    // Load the packed run state from the old tree's labels (pred edge
-    // ids still in old-snapshot terms; shifted below).
-    let mut key = Vec::with_capacity(n);
-    let mut pred = Vec::with_capacity(n);
-    let mut state = Vec::with_capacity(n);
-    for (i, label) in old.labels.iter().enumerate() {
-        let node = NodeId::from_raw(i as u32);
-        let (k, p, s) = match label {
-            Some(l) => pack_label(node, l),
-            None => (pack_key(0, 0, node.raw()), NO_PRED, 0),
-        };
-        key.push(k);
-        pred.push(p);
-        state.push(s);
-    }
+    // When edge ids move, every surviving predecessor is shifted below,
+    // and the undo keeps the old ones whole.
+    let old_pred = (!shift.is_identity_outside_rows()).then(|| tree.pred.clone());
     let stats = MapStats {
-        backlink_rounds: old.stats.backlink_rounds,
-        invented_links: old.stats.invented_links,
+        backlink_rounds: tree.stats.backlink_rounds,
+        invented_links: tree.stats.invented_links,
         ..MapStats::default()
     };
+    let (key, pred, state) = (
+        std::mem::take(&mut tree.key),
+        std::mem::take(&mut tree.pred),
+        std::mem::take(&mut tree.state),
+    );
     let mut run = Run::with_labels(graph, source, opts, key, pred, state, stats);
-
-    // Invalidate every strict descendant of a dirty node: its label
-    // was derived (directly or transitively) through a replaced row.
-    // The dirty nodes themselves keep their labels — the path *into*
-    // them is intact.
-    let mut stack: Vec<NodeId> = Vec::new();
-    for &d in dirty {
-        stack.extend(children[d.index()].iter().copied());
-    }
-    while let Some(v) = stack.pop() {
-        let vi = v.index();
-        if run.state[vi] & LABELLED == 0 {
-            continue; // Already cleared via another dirty ancestor.
+    let labelled = |s: u8| s & LABELLED != 0;
+    let stands = 'repair: {
+        // Invalidate every strict descendant of a dirty node: its label
+        // was derived (directly or transitively) through a replaced row.
+        // The dirty nodes themselves keep their labels — the path *into*
+        // them is intact.
+        let mut stack: Vec<NodeId> = Vec::new();
+        for &d in dirty {
+            stack.extend(children[d.index()].iter().copied());
         }
-        run.set(v, (pack_key(0, 0, v.raw()), NO_PRED, 0));
-        run.written.push(v);
-        stack.extend(children[vi].iter().copied());
-    }
-    let invalid = run.written.len();
-    let budget = ((n as f64) * max_dirty_fraction) as usize;
-    if invalid + dirty.len() > budget.max(1) {
-        return Ok(None);
-    }
+        while let Some(v) = stack.pop() {
+            let vi = v.index();
+            if !labelled(run.state[vi]) {
+                continue; // Already cleared via another dirty ancestor.
+            }
+            run.undo
+                .push((v, (run.key[vi], run.pred[vi], run.state[vi])));
+            run.set(v, (pack_key(0, 0, v.raw()), NO_PRED, 0));
+            stack.extend(children[vi].iter().copied());
+        }
+        let cleared: Vec<NodeId> = run.undo.iter().map(|&(v, _)| v).collect();
+        let budget = ((n as f64) * max_dirty_fraction) as usize;
+        if cleared.len() + dirty.len() > budget.max(1) {
+            break 'repair false;
+        }
 
-    // Surviving labels still hold old edge ids; shift them into the
-    // new snapshot, unless no surviving edge moved. An intact pred
-    // inside a replaced row is impossible (its head would have been
-    // invalidated above) — bail rather than trust a corrupt input.
-    if !shift.is_identity_outside_rows() {
-        for i in 0..n {
-            if run.state[i] & LABELLED != 0 && run.pred[i] != NO_PRED {
-                match shift.map(EdgeId::from_raw(run.pred[i].1)) {
-                    Some(e) => run.pred[i].1 = e.raw(),
-                    None => return Ok(None),
+        // Surviving labels still hold old edge ids; shift them into the
+        // new snapshot, unless no surviving edge moved. An intact pred
+        // inside a replaced row is impossible (its head would have been
+        // invalidated above) — bail rather than trust a corrupt input.
+        if old_pred.is_some() {
+            for i in 0..n {
+                if labelled(run.state[i]) && run.pred[i] != NO_PRED {
+                    match shift.map(EdgeId::from_raw(run.pred[i].1)) {
+                        Some(e) => run.pred[i].1 = e.raw(),
+                        None => break 'repair false,
+                    }
                 }
             }
         }
-    }
 
-    // Seed the queue: every labelled dirty tail (its row's weights
-    // changed) and every labelled tail of an edge into the cleared
-    // region. Over-seeding is harmless — a pop whose relaxations all
-    // lose is just wasted work.
-    let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(256);
-    let cleared = run.written.clone();
-    let tails = cleared
-        .iter()
-        .flat_map(|&v| reverse.in_edges(v).map(|(u, _)| u));
-    for u in dirty.iter().copied().chain(tails) {
-        if run.state[u.index()] & LABELLED != 0 {
-            run.push(&mut heap, run.key[u.index()]);
+        // Seed the queue: every labelled dirty tail (its row's weights
+        // changed) and every labelled tail of an edge into the cleared
+        // region. Over-seeding is harmless — a pop whose relaxations all
+        // lose is just wasted work.
+        let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(256);
+        let tails = cleared
+            .iter()
+            .flat_map(|&v| reverse.in_edges(v).map(|(u, _)| u));
+        for u in dirty.iter().copied().chain(tails) {
+            if labelled(run.state[u.index()]) {
+                run.push(&mut heap, run.key[u.index()]);
+            }
         }
-    }
-    run.drain::<REPAIR>(&mut heap);
+        run.drain::<REPAIR>(&mut heap);
 
-    // The reached set must be exactly the old one: anything else means
-    // the back-link pass would run differently on a cold start. Only a
-    // written label can have changed.
-    let mut written = std::mem::take(&mut run.written);
-    written.sort_unstable();
-    written.dedup();
-    if written
-        .iter()
-        .any(|&v| (run.state[v.index()] & LABELLED != 0) != old.labels[v.index()].is_some())
-    {
+        // Each written node once, with the label it had. The reached
+        // set must be exactly the old one: anything else means the
+        // back-link pass would run differently on a cold start. Only a
+        // written label can have changed.
+        run.undo.sort_by_key(|&(v, _)| v);
+        run.undo.dedup_by_key(|&mut (v, _)| v);
+        let written = |v: NodeId| run.undo.binary_search_by_key(&v, |&(w, _)| w).is_ok();
+        if (run.undo.iter())
+            .any(|&(v, (_, _, was))| labelled(run.state[v.index()]) != labelled(was))
+        {
+            break 'repair false;
+        }
+        // A child the repair left alone holds what its parent's old label
+        // offered it. Where the parent's label was rewritten, the child's
+        // must be what the new one offers, or the repair cannot vouch for
+        // it: the penalties are not monotone, and a cheaper label may
+        // offer its children dearer ones (which a relaxation, keeping the
+        // smaller key, would never write).
+        for &(u, _) in &run.undo {
+            let ui = u.index();
+            if !labelled(run.state[ui]) {
+                continue;
+            }
+            let tail = Tail::load(graph, source, u, (run.key[ui], run.pred[ui], run.state[ui]));
+            for &c in children[ui].iter().filter(|&&c| !written(c)) {
+                let ci = c.index();
+                let e_raw = run.pred[ci].1;
+                let edge = graph.edge(EdgeId::from_raw(e_raw));
+                let offer = (run.model.step(graph, &tail, e_raw, edge)).label(&tail, e_raw, c);
+                if offer != (run.key[ci], run.pred[ci], run.state[ci] & !MAPPED) {
+                    break 'repair false;
+                }
+            }
+        }
+        // An unreachable dirty node whose *new* row reaches a mapped host
+        // would make a cold run invent a back link that the old
+        // augmentation lacks.
+        opts.no_backlinks
+            || !dirty.iter().any(|&d| {
+                !labelled(run.state[d.index()])
+                    && graph.edge_slice(d).1.iter().any(|e| {
+                        !e.flags().contains(LinkFlags::BACK) && labelled(run.state[e.to().index()])
+                    })
+            })
+    };
+    let Run {
+        key,
+        pred,
+        mut state,
+        stats,
+        mut undo,
+        extracted,
+        ..
+    } = run;
+    for v in extracted {
+        state[v.index()] &= !MAPPED;
+    }
+    (tree.key, tree.pred, tree.state) = (key, pred, state);
+    // A node's first logged label is the one it had.
+    undo.sort_by_key(|&(v, _)| v);
+    undo.dedup_by_key(|&mut (v, _)| v);
+    let (written, labels) = undo.into_iter().unzip();
+    let mut repair = Repair {
+        written,
+        labels,
+        pred: old_pred,
+        frozen: std::mem::replace(&mut tree.frozen, graph.clone()),
+        stats: std::mem::replace(&mut tree.stats, stats),
+    };
+    if !stands {
+        repair.swap(tree);
         return Ok(None);
     }
-    // A child the repair left alone holds what its parent's old label
-    // offered it. Where the parent's label was rewritten, the child's
-    // must be what the new one offers, or the repair cannot vouch for
-    // it: the penalties are not monotone, and a cheaper label may
-    // offer its children dearer ones (which a relaxation, keeping the
-    // smaller key, would never write).
-    for &u in &written {
-        let ui = u.index();
-        if run.state[ui] & LABELLED == 0 {
-            continue;
-        }
-        let tail = Tail::load(graph, source, u, (run.key[ui], run.pred[ui], run.state[ui]));
-        for &c in &children[ui] {
-            if written.binary_search(&c).is_ok() {
-                continue;
-            }
-            let ci = c.index();
-            let e_raw = run.pred[ci].1;
-            let edge = graph.edge(EdgeId::from_raw(e_raw));
-            let offer = run
-                .model
-                .step(graph, &tail, e_raw, edge)
-                .label(&tail, e_raw, c);
-            if offer != (run.key[ci], run.pred[ci], run.state[ci] & !MAPPED) {
-                return Ok(None);
-            }
-        }
-    }
-    // An unreachable dirty node whose *new* row reaches a mapped host
-    // would make a cold run invent a back link that the old
-    // augmentation lacks.
-    if !opts.no_backlinks {
-        for &d in dirty {
-            if run.state[d.index()] & LABELLED != 0 {
-                continue;
-            }
-            let (_, row) = graph.edge_slice(d);
-            if row.iter().any(|e| {
-                !e.flags().contains(LinkFlags::BACK) && run.state[e.to().index()] & LABELLED != 0
-            }) {
-                return Ok(None);
-            }
-        }
+    Ok(Some(repair))
+}
+
+/// What [`repair_frozen`] overwrote in the tree it repaired in place:
+/// the label each written node had, the tree's graph handle and
+/// counters, and, when the edit moved edge ids, the whole predecessor
+/// array as it was. Apart from that array it is the size of the cone.
+#[derive(Debug)]
+pub struct Repair {
+    written: Vec<NodeId>,
+    /// `labels[i]`: the other generation's label of `written[i]`, its
+    /// predecessor read from `pred` when that is kept.
+    labels: Vec<Packed>,
+    pred: Option<Vec<(u32, u32)>>,
+    frozen: Arc<FrozenGraph>,
+    stats: MapStats,
+}
+
+impl Repair {
+    /// The nodes whose labels the repair cleared or set, sorted: every
+    /// node whose label differs from the old tree's is among them (a
+    /// label elsewhere differs at most in its predecessor edge's id, as
+    /// the edit's shift moves it).
+    pub fn written(&self) -> &[NodeId] {
+        &self.written
     }
 
-    Ok(Some((run.finish(graph.clone()), written)))
+    /// The label `written()[i]` had before the repair, its predecessor
+    /// edge an id of the old graph (between two [`swap`](Repair::swap)s,
+    /// the repaired label).
+    pub fn old_label(&self, i: usize) -> Option<Label> {
+        let (key, pred, state) = self.labels[i];
+        let pred = self
+            .pred
+            .as_ref()
+            .map_or(pred, |p| p[self.written[i].index()]);
+        unpack_label((key, pred, state))
+    }
+
+    /// Exchanges the generation `tree` holds with the one this log
+    /// holds, in O(cone): the first call puts the tree back as it was
+    /// before the repair, bit for bit, and a second returns it to the
+    /// repaired one. A reader of the old tree runs between two calls.
+    pub fn swap(&mut self, tree: &mut ShortestPathTree) {
+        for (&v, (key, pred, state)) in self.written.iter().zip(&mut self.labels) {
+            let i = v.index();
+            std::mem::swap(&mut tree.key[i], key);
+            std::mem::swap(&mut tree.state[i], state);
+            if self.pred.is_none() {
+                std::mem::swap(&mut tree.pred[i], pred);
+            }
+        }
+        if let Some(pred) = &mut self.pred {
+            std::mem::swap(&mut tree.pred, pred);
+        }
+        std::mem::swap(&mut tree.frozen, &mut self.frozen);
+        std::mem::swap(&mut tree.stats, &mut self.stats);
+    }
+
+    /// Puts `tree` back as it was before the repair, bit for bit.
+    pub fn undo(mut self, tree: &mut ShortestPathTree) {
+        self.swap(tree);
+    }
 }
 
 /// Freezes `g` and maps it from `source` with back links (see
@@ -797,6 +854,16 @@ mod tests {
         names.iter().map(|n| g.try_node(n).unwrap()).collect()
     }
 
+    /// The tree path from the source to `v`, which must be reached.
+    fn path(t: &ShortestPathTree, v: NodeId) -> Vec<NodeId> {
+        let mut path = vec![v];
+        while let Some((p, _)) = t.label(path[path.len() - 1]).unwrap().pred {
+            path.push(p);
+        }
+        path.reverse();
+        path
+    }
+
     #[test]
     fn straight_line_costs() {
         let g = parse("a b(10)\nb c(20)\nc d(5)\n").unwrap();
@@ -806,7 +873,7 @@ mod tests {
         assert_eq!(t.cost(v[1]), Some(10));
         assert_eq!(t.cost(v[2]), Some(30));
         assert_eq!(t.cost(v[3]), Some(35));
-        assert_eq!(t.path_to(v[3]).unwrap(), v);
+        assert_eq!(path(&t, v[3]), v);
     }
 
     #[test]
@@ -817,7 +884,7 @@ mod tests {
         let v = ids(&g, &["unc", "duke", "phs"]);
         let t = map(&g, v[0], &MapOptions::default()).unwrap();
         assert_eq!(t.cost(v[2]), Some(800));
-        assert_eq!(t.path_to(v[2]).unwrap(), v);
+        assert_eq!(path(&t, v[2]), v);
     }
 
     #[test]
@@ -1045,7 +1112,7 @@ gateway {GNET!g}
         };
         let t = map(&g, v[0], &opts).unwrap();
         assert_eq!(t.cost(v[2]), Some(12), "c via b, leaf");
-        assert_eq!(t.path_to(v[2]).unwrap(), vec![v[0], v[1], v[3], v[2]]);
+        assert_eq!(path(&t, v[2]), vec![v[0], v[1], v[3], v[2]]);
         assert_eq!((t.stats.backlink_rounds, t.stats.restarted_rounds), (1, 1));
         // Under the paper's model the back link is last-resort, so the
         // round continues.
@@ -1117,8 +1184,9 @@ x y(1)
         assert_eq!(t1.label(x), t2.label(x));
     }
 
-    /// [`repair_frozen`] over `old`'s own child lists and transpose,
-    /// the tree it gives back.
+    /// [`repair_frozen`] of a copy of `old`, over `old`'s own child
+    /// lists and transpose: the repaired tree. A declined repair must
+    /// leave the copy as it was.
     fn repair(
         old: &ShortestPathTree,
         patched: &Arc<FrozenGraph>,
@@ -1128,8 +1196,9 @@ x y(1)
         budget: f64,
     ) -> Option<ShortestPathTree> {
         let reverse = old.frozen().reverse();
+        let mut tree = old.clone();
         let repaired = repair_frozen(
-            old,
+            &mut tree,
             &old.children(),
             &reverse,
             patched,
@@ -1138,7 +1207,13 @@ x y(1)
             opts,
             budget,
         );
-        repaired.unwrap().map(|(tree, _)| tree)
+        match repaired.unwrap() {
+            Some(_) => Some(tree),
+            None => {
+                assert_eq!(&tree, old, "a declined repair restores the tree");
+                None
+            }
+        }
     }
 
     /// Asserts every label of `a` equals the matching label of `b`.

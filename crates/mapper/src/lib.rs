@@ -46,7 +46,6 @@ mod tree;
 
 pub use cost_model::CostModel;
 pub use dijkstra::{
-    map, map_frozen, map_frozen_readonly, map_frozen_readonly_packed, map_readonly, repair_frozen,
-    MapError, MapOptions,
+    map, map_frozen, map_frozen_readonly, map_readonly, repair_frozen, MapError, MapOptions, Repair,
 };
-pub use tree::{format_trace, Children, Label, MapStats, PackedTree, ShortestPathTree, TraceEvent};
+pub use tree::{format_trace, Children, Label, MapStats, ShortestPathTree, TraceEvent};

@@ -1,5 +1,6 @@
 //! The shortest-path tree produced by mapping.
 
+use crate::cost_model::{unpack_label, Key, LABELLED, NO_PRED};
 use pathalias_graph::{Cost, EdgeId, FrozenGraph, NodeId};
 use std::ops::Index;
 use std::sync::Arc;
@@ -119,40 +120,28 @@ pub struct TraceEvent {
 /// which, after a back-link pass, may be an *augmented* copy of the
 /// graph the caller froze — so edge ids in the labels always resolve
 /// against the right snapshot and the printer needs nothing else.
-#[derive(Debug, Clone)]
+///
+/// The labels stay in the run's own packed arrays, 25 bytes a node (a
+/// [`Label`] is 32): the run hands them over as they stand, and
+/// [`label`](ShortestPathTree::label) unpacks one on each read. A kept
+/// tree is repaired in place ([`repair_frozen`](crate::repair_frozen)).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShortestPathTree {
     /// The mapping source (the local host).
     pub source: NodeId,
     /// The frozen graph the labels refer to.
     pub(crate) frozen: Arc<FrozenGraph>,
-    pub(crate) labels: Vec<Option<Label>>,
-    /// Counters from the run.
-    pub stats: MapStats,
-    /// Traced relaxations for hosts requested in the options.
-    pub trace: Vec<TraceEvent>,
-}
-
-/// A mapping run's result left in the run's own packed arrays (25
-/// bytes a node) — what
-/// [`map_frozen_readonly_packed`](crate::map_frozen_readonly_packed)
-/// returns. Labels are unpacked one at a time, on request; edge ids in
-/// them refer to the graph the run was given.
-#[derive(Debug)]
-pub struct PackedTree {
-    pub(crate) key: Vec<crate::cost_model::Key>,
+    /// Each node's packed rank (cost, hops, id), predecessor and
+    /// path-state bits. The state never carries
+    /// [`MAPPED`](crate::cost_model::MAPPED): a repair reads that bit
+    /// as "extracted by the repair".
+    pub(crate) key: Vec<Key>,
     pub(crate) pred: Vec<(u32, u32)>,
     pub(crate) state: Vec<u8>,
     /// Counters from the run.
     pub stats: MapStats,
-}
-
-impl PackedTree {
-    /// The label for `node`, if it was reached — field for field what
-    /// [`ShortestPathTree::label`] gives for the same run.
-    pub fn label(&self, node: NodeId) -> Option<Label> {
-        let i = node.index();
-        crate::cost_model::unpack_label((*self.key.get(i)?, self.pred[i], self.state[i]))
-    }
+    /// Traced relaxations for hosts requested in the options.
+    pub trace: Vec<TraceEvent>,
 }
 
 impl ShortestPathTree {
@@ -163,8 +152,10 @@ impl ShortestPathTree {
     }
 
     /// The label for `node`, if it was reached.
-    pub fn label(&self, node: NodeId) -> Option<&Label> {
-        self.labels.get(node.index()).and_then(|l| l.as_ref())
+    #[inline]
+    pub fn label(&self, node: NodeId) -> Option<Label> {
+        let i = node.index();
+        unpack_label((*self.key.get(i)?, self.pred[i], self.state[i]))
     }
 
     /// The path cost to `node`, if reached.
@@ -174,46 +165,35 @@ impl ShortestPathTree {
 
     /// Whether `node` was reached.
     pub fn is_mapped(&self, node: NodeId) -> bool {
-        self.label(node).is_some()
+        self.state
+            .get(node.index())
+            .is_some_and(|s| s & LABELLED != 0)
     }
 
     /// Number of reached nodes.
     pub fn mapped_count(&self) -> usize {
-        self.labels.iter().filter(|l| l.is_some()).count()
+        self.state.iter().filter(|&&s| s & LABELLED != 0).count()
     }
 
-    /// The tree path from the source to `node` (inclusive), or `None`
-    /// if unreached.
-    pub fn path_to(&self, node: NodeId) -> Option<Vec<NodeId>> {
-        self.label(node)?;
-        let mut path = vec![node];
-        let mut cur = node;
-        while let Some(l) = self.label(cur) {
-            match l.pred {
-                Some((p, _)) => {
-                    path.push(p);
-                    cur = p;
-                }
-                None => break,
-            }
-            assert!(
-                path.len() <= self.labels.len(),
-                "predecessor chain contains a cycle"
-            );
-        }
-        path.reverse();
-        Some(path)
+    /// Heap bytes of the label arrays and the trace.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.key.capacity() * size_of::<Key>()
+            + self.pred.capacity() * size_of::<(u32, u32)>()
+            + self.state.capacity()
+            + self.trace.capacity() * size_of::<TraceEvent>()
     }
 
     /// Builds every node's children list (indexed by node), each
     /// sorted by node id for deterministic traversal.
     pub fn children(&self) -> Children {
-        let parent = |l: &Option<Label>| l.as_ref()?.pred.map(|(p, _)| p.index());
+        // Only a labelled node other than the source has a predecessor.
+        let parent = |&(p, _): &(u32, u32)| (p != NO_PRED.0).then_some(p as usize);
         // Count each node's children, turn the counts into row starts,
         // then fill the rows visiting nodes in ascending id order.
-        let n = self.labels.len();
+        let n = self.pred.len();
         let mut offsets = vec![0u32; n + 1];
-        for p in self.labels.iter().filter_map(parent) {
+        for p in self.pred.iter().filter_map(parent) {
             offsets[p + 1] += 1;
         }
         for i in 1..=n {
@@ -221,7 +201,7 @@ impl ShortestPathTree {
         }
         let mut ids = vec![NodeId::from_raw(0); offsets[n] as usize];
         let mut next = offsets[..n].to_vec();
-        for (i, l) in self.labels.iter().enumerate() {
+        for (i, l) in self.pred.iter().enumerate() {
             if let Some(p) = parent(l) {
                 ids[next[p] as usize] = NodeId::from_raw(i as u32);
                 next[p] += 1;
@@ -330,6 +310,7 @@ pub fn format_trace(f: &FrozenGraph, events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost_model::pack_label;
     use pathalias_graph::Graph;
 
     fn node(i: u32) -> NodeId {
@@ -343,13 +324,26 @@ mod tests {
         for i in 0..labels.len() {
             g.node(&format!("n{i}"));
         }
-        ShortestPathTree {
+        let mut t = ShortestPathTree {
             source: node(0),
             frozen: Arc::new(g.freeze()),
-            labels,
+            key: vec![0; labels.len()],
+            pred: vec![NO_PRED; labels.len()],
+            state: vec![0; labels.len()],
             stats: MapStats::default(),
             trace: Vec::new(),
+        };
+        for (i, l) in labels.iter().enumerate() {
+            if let Some(l) = l {
+                set(&mut t, i as u32, *l);
+            }
         }
+        t
+    }
+
+    fn set(t: &mut ShortestPathTree, i: u32, l: Label) {
+        let i = i as usize;
+        (t.key[i], t.pred[i], t.state[i]) = pack_label(node(i as u32), l);
     }
 
     fn lbl(cost: Cost, pred: Option<u32>) -> Label {
@@ -374,9 +368,12 @@ mod tests {
             Some(lbl(9, Some(1))),
             None,
         ]);
-        assert_eq!(t.path_to(node(2)), Some(vec![node(0), node(1), node(2)]));
-        assert_eq!(t.path_to(node(0)), Some(vec![node(0)]));
-        assert_eq!(t.path_to(node(3)), None);
+        let parent = |v: u32| t.label(node(v)).and_then(|l| l.pred).map(|(p, _)| p);
+        assert_eq!(
+            (parent(2), parent(1), parent(0)),
+            (Some(node(1)), Some(node(0)), None)
+        );
+        assert_eq!((t.cost(node(2)), t.label(node(3))), (Some(9), None));
         assert_eq!(t.mapped_count(), 3);
         assert!(t.is_mapped(node(1)));
         assert!(!t.is_mapped(node(3)));
@@ -410,15 +407,8 @@ mod tests {
         let mut kids = t.children();
         for (child, from, to) in [(4, 1, 3), (2, 1, 0), (4, 3, 1), (1, 0, 3), (2, 0, 0)] {
             kids.reparent(node(child), node(from), node(to));
-            t.labels[child as usize] = Some(lbl(2, Some(to)));
+            set(&mut t, child, lbl(2, Some(to)));
             assert_eq!(kids, t.children(), "moving {child} from {from} to {to}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cycle")]
-    fn cyclic_pred_detected() {
-        let t = tree_with(vec![Some(lbl(1, Some(1))), Some(lbl(1, Some(0)))]);
-        let _ = t.path_to(node(0));
     }
 }

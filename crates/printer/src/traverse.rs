@@ -83,36 +83,27 @@ pub fn route_name(tree: &ShortestPathTree, node: NodeId) -> Option<String> {
 
 /// The routes an incremental remap moved.
 ///
-/// `old` is the tree the served routes were computed from, `tree` its
-/// repair and `children` the repair's child lists
+/// `tree` is the repaired tree and `children` its child lists
 /// ([`ShortestPathTree::children`], or lists kept up to date with
-/// [`Children::reparent`]); `changed` lists the nodes whose labels
-/// differ between the two trees. A node's route depends on its own
-/// label and on its ancestors' routes, so only the subtree closure of
-/// `changed` (in the *new* tree) is re-traversed, and nothing else is
-/// read. Each maximal dirty subtree is walked once, seeded from its
-/// parent's route, re-derived along the new tree's predecessor chain:
-/// the parent is clean, so that route is the one it had. Returns the
-/// closure's routes as the new tree prints them, sorted by node.
+/// [`Children::reparent`]); `changed` lists the nodes whose labels the
+/// repair moved. A node's route depends on its own label and on its
+/// ancestors' routes, so only the subtree closure of `changed` (in the
+/// repaired tree) is re-traversed, and nothing else is read. Each
+/// maximal dirty subtree is walked once, seeded from its parent's
+/// route, re-derived along the tree's predecessor chain: the parent is
+/// clean, so that route is the one it had. Returns the closure's routes
+/// as the tree prints them, sorted by node.
 ///
-/// Requires that the labelled set is unchanged (the incremental-remap
-/// contract) and that both trees map from the same source; returns
-/// `None` when they don't, so the caller can fall back to a full
-/// traversal.
+/// Requires that the repair left the labelled set as it was (the
+/// incremental-remap contract, which
+/// [`repair_frozen`](pathalias_mapper::repair_frozen) checks); returns
+/// `None` when a changed node's predecessor chain does not reach the
+/// source, so the caller can fall back to a full traversal.
 pub fn update_routes(
-    old: &ShortestPathTree,
     tree: &ShortestPathTree,
     children: &Children,
     changed: &[NodeId],
 ) -> Option<Vec<Route>> {
-    if old.source != tree.source
-        || old.frozen().node_count() != tree.frozen().node_count()
-        || changed
-            .iter()
-            .any(|&c| old.label(c).is_some() != tree.label(c).is_some())
-    {
-        return None;
-    }
     if changed.is_empty() {
         return Some(Vec::new());
     }
@@ -497,8 +488,8 @@ x z(1)
         });
         assert!(!changed.is_empty());
         let old = compute_routes(&old_tree);
-        let moved = update_routes(&old_tree, &new_tree, &new_tree.children(), &changed)
-            .expect("trees line up");
+        let moved = update_routes(&new_tree, &new_tree.children(), &changed)
+            .expect("the chains reach the source");
         assert!(moved.windows(2).all(|w| w[0].node < w[1].node));
         // The old table with the moved routes written over their nodes'
         // entries is the new tree's table.
@@ -552,19 +543,9 @@ princeton = fun
         let g = parse("a b(10)\nb c(20)\n").unwrap();
         let a = g.try_node("a").unwrap();
         let tree = map(&g, a, &MapOptions::default()).unwrap();
-        assert!(update_routes(&tree, &tree, &tree.children(), &[])
+        assert!(update_routes(&tree, &tree.children(), &[])
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn update_routes_rejects_mismatched_trees() {
-        let g = parse("a b(10)\n").unwrap();
-        let a = g.try_node("a").unwrap();
-        let b = g.try_node("b").unwrap();
-        let tree_a = map(&g, a, &MapOptions::default()).unwrap();
-        let tree_b = map(&g, b, &MapOptions::default()).unwrap();
-        assert!(update_routes(&tree_b, &tree_a, &tree_a.children(), &[a]).is_none());
     }
 
     #[test]

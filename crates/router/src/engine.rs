@@ -7,7 +7,7 @@ use crate::route::PathAnswer;
 use crate::search::{search, search_ch, Query, Scratch, SearchStats};
 use pathalias_graph::{ChIndex, Cost, EdgeId, FrozenGraph, NodeId, ReverseGraph};
 use pathalias_mapper::cost_model::ch_weights;
-use pathalias_mapper::{map_frozen_readonly_packed, CostModel, Label, MapOptions, PackedTree};
+use pathalias_mapper::{map_frozen_readonly, CostModel, Label, MapOptions, ShortestPathTree};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -58,7 +58,7 @@ const SEEN_SLOTS: usize = 8;
 /// What the tree cache knows about a request's source.
 enum Sighting {
     /// Its tree is kept: read the answer out of it.
-    Kept(Arc<PackedTree>),
+    Kept(Arc<ShortestPathTree>),
     /// It asked recently and has no tree: build one and keep it.
     Repeat,
     /// Not seen recently: search, and remember it asked.
@@ -75,7 +75,7 @@ enum Sighting {
 /// cost one search and one tree, then a table read each.
 struct TreeCache {
     /// At most [`TREE_SLOTS`] entries, most recently used first.
-    trees: Vec<(NodeId, Arc<PackedTree>)>,
+    trees: Vec<(NodeId, Arc<ShortestPathTree>)>,
     seen: [Option<NodeId>; SEEN_SLOTS],
     /// The `seen` slot the next first sighting overwrites.
     next_seen: usize,
@@ -109,7 +109,7 @@ impl TreeCache {
         Sighting::First
     }
 
-    fn keep(&mut self, src: NodeId, tree: Arc<PackedTree>) {
+    fn keep(&mut self, src: NodeId, tree: Arc<ShortestPathTree>) {
         // Two threads can build the same source's tree at once; the
         // trees are identical, so the second is simply dropped.
         if self.trees.iter().any(|(s, _)| *s == src) {
@@ -401,7 +401,7 @@ impl PointToPoint {
                     ..MapOptions::default()
                 };
                 let tree = Arc::new(
-                    map_frozen_readonly_packed(&self.graph, src, &opts)
+                    map_frozen_readonly(&self.graph, src, &opts)
                         .expect("a mappable source roots a tree"),
                 );
                 let stats = SearchStats {

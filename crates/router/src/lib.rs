@@ -69,11 +69,12 @@
 //! In front of the tiers sits the paper's own trick, "map once, then
 //! every route is a table read", applied per source: a source's first
 //! request is searched; a second one soon after has the mapper build
-//! that source's whole tree (`map_frozen_readonly_packed` — the run
-//! the parity tests compare every search against, on the kernel the
-//! searches call, so a cached answer is the oracle's by
-//! construction); every later request is the destination's
-//! label plus a predecessor walk. An engine keeps at most four trees,
+//! that source's whole tree (`map_frozen_readonly` — the run the
+//! parity tests compare every search against, on the kernel the
+//! searches call, so a cached answer is the oracle's by construction;
+//! a tree keeps the run's packed arrays, 25 bytes a node); every later
+//! request is the destination's label, unpacked on read, plus a
+//! predecessor walk. An engine keeps at most four trees,
 //! least recently used out first, and remembers the last eight
 //! sources that asked once. There is nothing to configure and nothing
 //! to invalidate — a changed world is a new engine.

@@ -141,7 +141,7 @@ pub(crate) struct MapState {
 impl MapState {
     /// The current engine, if this map's backend carries one.
     fn engine(&self) -> Option<Arc<PointToPoint>> {
-        self.engine.lock().expect("engine lock poisoned").clone()
+        crate::lock(&self.engine).clone()
     }
 }
 
@@ -466,7 +466,7 @@ impl State {
         map: &MapState,
         wire_name: Option<String>,
     ) -> (Response, Displaced) {
-        let _guard = map.reload_lock.lock().expect("reload lock poisoned");
+        let _guard = crate::lock(&map.reload_lock);
         let start = Instant::now();
         // A rebuild that panics is a failed reload, not a lost thread:
         // caught here, under the guard, so the lock is not poisoned,
@@ -490,10 +490,7 @@ impl State {
                 // The engine follows the table: swapped only on
                 // success, so a failed rebuild keeps PATH and QUERY
                 // answering from the same old mapping run.
-                let old_engine = std::mem::replace(
-                    &mut *map.engine.lock().expect("engine lock poisoned"),
-                    engine,
-                );
+                let old_engine = std::mem::replace(&mut *crate::lock(&map.engine), engine);
                 bump(&map.metrics.reloads);
                 let ns = duration_ns(start.elapsed());
                 map.telemetry.reload.record(ns);
@@ -514,6 +511,7 @@ impl State {
                     .field("hierarchy", report.hierarchy.label())
                     .field("backlink_restarts", report.backlink_restarts)
                     .field("db_bytes", report.db_bytes)
+                    .field("tree_bytes", report.tree_bytes)
                     .emit();
                 let response = Response::Reloaded {
                     map: wire_name,
@@ -584,7 +582,7 @@ impl State {
         // unchanged.
         #[cfg(unix)]
         {
-            let workers = self.workers.lock().expect("workers lock poisoned").clone();
+            let workers = crate::lock(&self.workers).clone();
             if !workers.is_empty() {
                 out.family(
                     "pathalias_connections_open",
@@ -787,6 +785,19 @@ impl State {
                 m.telemetry.table_bytes(),
             );
         }
+        out.family(
+            "pathalias_tree_bytes",
+            "gauge",
+            "Heap bytes of the shortest-path tree a map-file source keeps for its delta \
+             reloads: its label arrays, 25 bytes a node (zero for other sources).",
+        );
+        for m in &maps {
+            out.sample(
+                "pathalias_tree_bytes",
+                &[("map", &m.name)],
+                m.telemetry.tree_bytes(),
+            );
+        }
 
         out.family(
             "pathalias_request_latency_seconds",
@@ -880,7 +891,7 @@ impl State {
             self.logger.info("shutdown").emit();
         }
         #[cfg(unix)]
-        for worker in self.workers.lock().expect("workers lock poisoned").iter() {
+        for worker in crate::lock(&self.workers).iter() {
             worker.wake_up();
         }
     }
@@ -994,6 +1005,7 @@ impl Server {
                 .field("hierarchy", report.hierarchy.label())
                 .field("backlink_restarts", report.backlink_restarts)
                 .field("db_bytes", report.db_bytes)
+                .field("tree_bytes", report.tree_bytes)
                 .emit();
             let telemetry = MapTelemetry::new();
             telemetry.record_load(&report);
@@ -1102,7 +1114,7 @@ impl Server {
         }
         // Registered before any worker runs, so SHUTDOWN handled
         // by the first worker can already wake all of them.
-        *state.workers.lock().expect("workers lock poisoned") = shareds.clone();
+        *crate::lock(&state.workers) = shareds.clone();
 
         for (index, wake_read) in wake_reads.into_iter().enumerate() {
             let setup = crate::event::WorkerSetup {
@@ -1852,6 +1864,68 @@ mod tests {
         assert_eq!(next_line(), "200 new!a!u\n");
         handle.shutdown();
         std::fs::remove_file(path).unwrap();
+    }
+
+    /// A thread that panics while it holds a map's engine lock, and
+    /// another that panics while it holds its reload lock, poison both;
+    /// the daemon reads past the poison, so `QUERY`, `PATH` and `RELOAD`
+    /// still answer, and the reload swaps the engine in.
+    #[test]
+    fn poisoned_locks_keep_answering() {
+        let state = path_state();
+        let map = state.maps[0].clone();
+        let held = map.clone();
+        let engine = std::thread::spawn(move || {
+            let _engine = held.engine.lock().unwrap();
+            panic!("injected panic under the engine lock");
+        });
+        assert!(engine.join().is_err());
+        let held = map.clone();
+        let reload = std::thread::spawn(move || {
+            let _reload = held.reload_lock.lock().unwrap();
+            panic!("injected panic under the reload lock");
+        });
+        assert!(reload.join().is_err());
+        assert!(map.engine.is_poisoned() && map.reload_lock.is_poisoned());
+
+        let path = |cost| {
+            let path = Request::Path {
+                map: None,
+                src: "unc".into(),
+                dst: "research".into(),
+            };
+            let routed = Response::Path {
+                map: None,
+                cost,
+                hops: 2,
+                route: "duke!research!%s".into(),
+            };
+            assert_eq!(one(&state, path), routed);
+        };
+        let query = || {
+            let query = Request::Query {
+                map: None,
+                host: "research".into(),
+                user: Some("u".into()),
+            };
+            assert_eq!(
+                one(&state, query),
+                Response::Route("duke!research!u".into())
+            );
+        };
+        query();
+        path(300);
+        let MapSource::Map { files, .. } = &map.source else {
+            unreachable!()
+        };
+        let text = std::fs::read_to_string(&files[0]).unwrap();
+        std::fs::write(&files[0], text.replace("research(200)", "research(150)")).unwrap();
+        assert!(matches!(
+            one(&state, Request::Reload { map: None }),
+            Response::Reloaded { generation: 1, .. }
+        ));
+        query();
+        path(250);
     }
 
     #[test]

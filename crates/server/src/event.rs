@@ -96,16 +96,13 @@ impl WorkerShared {
     /// Pokes the worker out of its poll. A full pipe is fine — the
     /// worker is already awake for the bytes in flight.
     pub(crate) fn wake_up(&self) {
-        if let Some(pipe) = &*self.wake.lock().expect("wake lock poisoned") {
+        if let Some(pipe) = &*crate::lock(&self.wake) {
             let _ = (&*pipe).write(&[1]);
         }
     }
 
     fn deliver(&self, delivery: Delivery) {
-        self.inbox
-            .lock()
-            .expect("inbox lock poisoned")
-            .push(delivery);
+        crate::lock(&self.inbox).push(delivery);
         self.wake_up();
     }
 }
@@ -653,8 +650,7 @@ impl Worker {
     }
 
     fn deliver_inbox(&mut self) {
-        let deliveries: Vec<Delivery> =
-            std::mem::take(&mut *self.shared.inbox.lock().expect("inbox lock poisoned"));
+        let deliveries: Vec<Delivery> = std::mem::take(&mut *crate::lock(&self.shared.inbox));
         for delivery in deliveries {
             match delivery {
                 Delivery::Conn(handoff) => {

@@ -94,3 +94,10 @@ pub use telemetry::{MapTelemetry, SLOWLOG_CAPACITY};
 // Re-exported so callers can build a [`ServerConfig`] (whose `logger`
 // field is a telemetry type) without naming the telemetry crate.
 pub use pathalias_telemetry::{Level, Logger};
+
+/// Locks `mutex`, reading past poison: a panic must not wedge the daemon.
+pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -23,9 +23,9 @@
 //! them.
 
 use pathalias_core::{
-    compute_routes, repair_frozen, update_routes, Children, DeltaPlan, EdgeId, EdgeShift, Frozen,
-    FrozenGraph, Label, LinkFlags, MapOptions, Mapped, NodeId, Options, Parsed, PhaseTimings,
-    ReverseGraph, RouteTable, RowPatch, SnapshotError,
+    compute_routes, map_frozen_readonly, repair_frozen, update_routes, Children, DeltaPlan, EdgeId,
+    EdgeShift, Frozen, FrozenGraph, Label, LinkFlags, MapOptions, Mapped, NodeId, Options, Parsed,
+    PhaseTimings, ReverseGraph, RouteTable, RowPatch, SnapshotError,
 };
 use pathalias_mailer::{
     disk::DiskError, disk::MappedDb, BoxedResolver, DbError, RouteDb, SharedRouteDb,
@@ -35,7 +35,7 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant, SystemTime};
 
 /// A loaded serving bundle: the resolver, the optional point-to-point
@@ -148,6 +148,9 @@ pub struct LoadReport {
     /// Heap bytes of the database served ([`RouteDb::heap_bytes`]);
     /// zero for a `padb-mmap` source, which holds no table.
     pub db_bytes: usize,
+    /// Heap bytes of the tree a map-file source keeps for its delta
+    /// reloads (`ShortestPathTree::heap_bytes`); zero for the others.
+    pub tree_bytes: usize,
     /// Building the point-to-point engine, unless `hierarchy_build`
     /// covers it.
     pub engine: Duration,
@@ -329,7 +332,7 @@ impl CachedStages {
 impl StageCache {
     /// Locks the slot; a panic while it is held empties it ([`Slot`]).
     fn lock(&self) -> Slot<'_> {
-        Slot(self.slot.lock().unwrap_or_else(PoisonError::into_inner))
+        Slot(crate::lock(&self.slot))
     }
 
     /// The cached frozen snapshot a mapping starts from, if any (used
@@ -340,7 +343,8 @@ impl StageCache {
         self.lock().as_ref().map(|c| c.base().graph().clone())
     }
 
-    /// Whether what the cache keeps beside the served tree is what a
+    /// Whether the served tree is a cold map of the graph it serves,
+    /// label for label, and what the cache keeps beside it is what a
     /// rebuild from that tree makes: its child lists, and the engine's
     /// transpose when it holds one (carried from the last generation,
     /// or built since). True when nothing is cached.
@@ -351,7 +355,9 @@ impl StageCache {
             return true;
         };
         let tree = &serving.mapped.tree;
-        serving.children == tree.children()
+        let cold = map_frozen_readonly(tree.frozen(), tree.source, &map_options(&serving.options));
+        cold.is_ok_and(|cold| (tree.frozen().node_ids()).all(|v| cold.label(v) == tree.label(v)))
+            && serving.children == tree.children()
             && Arc::ptr_eq(serving.engine.graph(), tree.frozen())
             && serving
                 .engine
@@ -589,6 +595,7 @@ impl MapSource {
                 };
                 let (db, engine, mapped, children) =
                     map_print_engine(&frozen, options, &mut report)?;
+                report.tree_bytes = mapped.tree.heap_bytes();
                 has_hosts(frozen.graph())?;
                 // Only a load that succeeded replaces what the cache
                 // holds: after a failure the old generation serves on,
@@ -773,7 +780,7 @@ type Declined = (&'static str, Option<Reread>, usize);
 /// The O(delta) reload path: diff the re-read map files against the
 /// cached inputs, patch the served CSR's rows the edit touched
 /// ([`pathalias_core::delta`] proves which edits are safe), repair the
-/// shortest-path tree from the patched rows outward
+/// served shortest-path tree in place from the patched rows outward
 /// ([`repair_frozen`], seeded through the served graph's transpose),
 /// recompute only the routes whose labels moved ([`update_routes`],
 /// over the kept child lists), and rewrite the database's shards that
@@ -782,7 +789,7 @@ type Declined = (&'static str, Option<Reread>, usize);
 /// Every gate failure returns `Ok(Err(declined))` and the caller
 /// falls back to the full pipeline — the full run stays the oracle,
 /// the delta path only ever reproduces it faster — with the cached
-/// state as it was.
+/// state as it was (the repair's log undoes it).
 ///
 /// One conservative drop on this path, because "stale index answers
 /// queries wrongly" beats "reload is slower": the point-to-point
@@ -879,22 +886,20 @@ fn try_delta_reload(
     report.phases.freeze = t0.elapsed();
     let dirty: Vec<NodeId> = patches.iter().map(|p| p.node).collect();
     let carried = same_transpose(served, &graph, &dirty, &shift);
-    let map_opts = MapOptions {
-        model: options.cost_model,
-        trace: Vec::new(),
-        exclude_domains: false,
-        no_backlinks: options.no_backlinks,
-    };
 
+    // The tree is repaired in place; every gate that declines from here
+    // on undoes the repair, which leaves the tree as it was.
+    let serving = cached.serving.as_mut().expect("checked above");
+    let tree = &mut serving.mapped.tree;
     let t0 = Instant::now();
-    let Ok(Some((new_tree, written))) = repair_frozen(
-        old_tree,
+    let Ok(Some(mut repair)) = repair_frozen(
+        tree,
         &serving.children,
         &reverse,
         &graph,
         &dirty,
         &shift,
-        &map_opts,
+        &map_options(options),
         DELTA_MAX_DIRTY_FRACTION,
     ) else {
         return Ok(Err(("tree repair declined", Some(reread), scanned)));
@@ -902,35 +907,37 @@ fn try_delta_reload(
     report.phases.map = t0.elapsed();
 
     // Recompute routes only for nodes whose label moved, among those
-    // the repair wrote.
+    // the repair wrote, reading the old labels off its log. The route
+    // update reads the new tree's child lists, and is the last gate:
+    // move every re-parented node in the kept lists, and put them back
+    // if it declines.
     let t0 = Instant::now();
-    let changed: Vec<NodeId> = written
-        .into_iter()
-        .filter(|&id| !same_label(old_tree.label(id), new_tree.label(id), &shift))
-        .collect();
+    let mut changed: Vec<NodeId> = Vec::new();
+    let mut moves: Vec<(NodeId, NodeId, NodeId)> = Vec::new();
+    for (i, &id) in repair.written().iter().enumerate() {
+        let (old, new) = (repair.old_label(i), tree.label(id));
+        if same_label(old, new, &shift) {
+            continue;
+        }
+        changed.push(id);
+        if let Some(((from, _), (to, _))) = old.and_then(|o| o.pred).zip(new.and_then(|n| n.pred)) {
+            if from != to {
+                moves.push((id, from, to));
+            }
+        }
+    }
     report.relabelled = changed.len();
-    // The route update reads the new tree's child lists, and is the
-    // last gate: move every re-parented node in the kept lists, and
-    // put them back if it declines.
-    let moves: Vec<(NodeId, NodeId, NodeId)> = changed
-        .iter()
-        .filter_map(|&id| {
-            let from = old_tree.label(id)?.pred?.0;
-            let to = new_tree.label(id)?.pred?.0;
-            (from != to).then_some((id, from, to))
-        })
-        .collect();
-    let serving = cached.serving.as_mut().expect("checked above");
     for &(id, from, to) in &moves {
         serving.children.reparent(id, from, to);
     }
-    let update = update_routes(&serving.mapped.tree, &new_tree, &serving.children, &changed);
+    let update = update_routes(tree, &serving.children, &changed);
     #[cfg(test)]
     let update = update.filter(|_| !cache.fail_after_repair.load(Ordering::SeqCst));
     let Some(moved) = update else {
         for &(id, from, to) in moves.iter().rev() {
             serving.children.reparent(id, to, from);
         }
+        repair.undo(tree);
         return Ok(Err(("labelled set changed", Some(reread), scanned)));
     };
     report.phases.print = t0.elapsed();
@@ -939,12 +946,13 @@ fn try_delta_reload(
     // The edit moved `moved.len()` routes (none, when it retuned a
     // link the tree does not use): the next database shares every
     // shard but theirs. Only a route that changed its name or its
-    // visibility forces a fresh build.
+    // visibility forces a fresh build; the old names and kinds are
+    // read with the old labels swapped back in for the call.
     let t0 = Instant::now();
-    let db = serving
-        .db
-        .patched(&serving.mapped.tree, &moved)
-        .unwrap_or_else(|| RouteDb::from_tree(&new_tree, &serving.children));
+    repair.swap(tree);
+    let db = serving.db.patched(tree, &moved);
+    repair.swap(tree);
+    let db = db.unwrap_or_else(|| RouteDb::from_tree(tree, &serving.children));
     report.routedb = t0.elapsed();
     report.shards_rewritten = db.shards_rewritten_since(&serving.db);
     serving.db = SharedRouteDb::new(db);
@@ -961,21 +969,28 @@ fn try_delta_reload(
         options.cost_model,
     ));
     report.engine = t0.elapsed();
-    serving.mapped = Mapped {
-        tree: new_tree,
-        map_time: report.phases.map,
-    };
     Ok(Ok(commit(cached, cache, Some(reread), Some(graph), report)))
+}
+
+/// The mapping options a repair of a tree mapped under `options` runs
+/// with (the delta path declines traced reloads before it gets here).
+fn map_options(options: &Options) -> MapOptions {
+    MapOptions {
+        model: options.cost_model,
+        trace: Vec::new(),
+        exclude_domains: false,
+        no_backlinks: options.no_backlinks,
+    }
 }
 
 /// Whether a node's label is unmoved across a repair: every field
 /// matches, its predecessor edge read through the shift (an edge
 /// inside a replaced row never matches).
-fn same_label(old: Option<&Label>, new: Option<&Label>, shift: &EdgeShift) -> bool {
+fn same_label(old: Option<Label>, new: Option<Label>, shift: &EdgeShift) -> bool {
     match (old, new) {
         (Some(o), Some(n)) => {
             let moved = o.pred.map(|(p, e)| (p, shift.map(e)));
-            Label { pred: None, ..*o } == Label { pred: None, ..*n }
+            Label { pred: None, ..o } == Label { pred: None, ..n }
                 && moved == n.pred.map(|(p, e)| (p, Some(e)))
         }
         (o, n) => o.is_none() && n.is_none(),
@@ -1022,6 +1037,7 @@ fn commit(
     let resolver: BoxedResolver = Box::new(serving.db.clone());
     let report = LoadReport {
         db_bytes: serving.db.heap_bytes(),
+        tree_bytes: serving.mapped.tree.heap_bytes(),
         ..report
     };
     (resolver, Some(serving.engine.clone()), report)
@@ -1710,9 +1726,22 @@ mod tests {
         };
         source.load_serving_timed().unwrap();
         let served = cached_rendered(cache);
+        let kept = || {
+            let slot = cache.lock();
+            slot.as_ref()
+                .unwrap()
+                .serving
+                .as_ref()
+                .unwrap()
+                .mapped
+                .tree
+                .clone()
+        };
+        let before = kept();
 
-        // x re-parents under n1: the kept lists are patched, then put
-        // back when the route update declines.
+        // x re-parents under n1: the tree is repaired in place and the
+        // kept lists are patched, then both are put back when the route
+        // update declines.
         std::thread::sleep(std::time::Duration::from_millis(20));
         let first = WIDE_MAP.replace("n2\tx(20)", "n2\tx(35)");
         std::fs::write(&path, &first).unwrap();
@@ -1723,6 +1752,9 @@ mod tests {
         ));
         assert_eq!(cache.delta_reloads(), 0);
         assert!(cache.kept_state_matches_rebuild());
+        let after = kept();
+        assert!(Arc::ptr_eq(after.frozen(), before.frozen()));
+        assert!(after == before, "the kept tree is as it was");
         assert_eq!(
             cached_rendered(cache),
             served,
@@ -1750,6 +1782,38 @@ mod tests {
                 "route to {host} differs"
             );
         }
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// A delta reload whose moved entry turns hidden (a top-level
+    /// domain that becomes a subdomain) rebuilds the database rather
+    /// than patch it: the kinds the entries had are read off the old
+    /// labels, swapped back into the repaired tree for the call.
+    #[test]
+    fn a_delta_that_hides_an_entry_serves_like_a_cold_load() {
+        let path = temp("hides.map");
+        // Unreached hosts keep the cone under the dirty budget.
+        let filler: String = (0..40).map(|i| format!("f{i}\tf{}(1)\n", i + 1)).collect();
+        let text = format!(
+            "hub\ta(10), b(1)\na\t.edu(5)\nb\t.rutgers(5)\n.edu = {{.rutgers}}(0)\n{filler}"
+        );
+        std::fs::write(&path, &text).unwrap();
+        let options = Options {
+            local: Some("hub".into()),
+            ..Default::default()
+        };
+        let source = MapSource::map_files(vec![path.clone()], options.clone());
+        let (before, _, _) = source.load_serving_timed().unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::fs::write(&path, text.replace("b(1)", "b(100)")).unwrap();
+        let (after, _, report) = source.load_serving_timed().unwrap();
+        assert_eq!(report.path, LoadPath::Delta);
+        let (cold, _, _) = MapSource::map_files(vec![path.clone()], options)
+            .load_serving_timed()
+            .unwrap();
+        assert_eq!(before.entries(), cold.entries() + 1, ".rutgers was printed");
+        assert_eq!(after.entries(), cold.entries());
+        assert!(after.resolve(".rutgers", "u").is_err() && cold.resolve(".rutgers", "u").is_err());
         std::fs::remove_file(path).unwrap();
     }
 

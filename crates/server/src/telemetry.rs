@@ -65,6 +65,8 @@ pub struct MapTelemetry {
     hierarchy_loads: [AtomicU64; 5],
     /// Heap bytes of the database now serving ([`LoadReport::db_bytes`]).
     table_bytes: AtomicU64,
+    /// Heap bytes of the tree kept beside it ([`LoadReport::tree_bytes`]).
+    tree_bytes: AtomicU64,
 }
 
 impl Default for MapTelemetry {
@@ -92,16 +94,20 @@ impl MapTelemetry {
             files_scanned: AtomicU64::new(0),
             hierarchy_loads: Default::default(),
             table_bytes: AtomicU64::new(0),
+            tree_bytes: AtomicU64::new(0),
         }
     }
 
     /// Records what any load, start-up included, leaves serving: what
-    /// it did with the hierarchy and how many bytes its database holds.
+    /// it did with the hierarchy and how many bytes its database and
+    /// its kept tree hold.
     /// [`MapTelemetry::record_reload`] calls it too.
     pub fn record_load(&self, report: &LoadReport) {
         self.hierarchy_loads[report.hierarchy as usize].fetch_add(1, Ordering::Relaxed);
         self.table_bytes
             .store(report.db_bytes as u64, Ordering::Relaxed);
+        self.tree_bytes
+            .store(report.tree_bytes as u64, Ordering::Relaxed);
     }
 
     /// Loads per hierarchy outcome, in [`HierarchyOutcome::ALL`] order.
@@ -147,6 +153,11 @@ impl MapTelemetry {
     /// Heap bytes of the database now serving.
     pub fn table_bytes(&self) -> u64 {
         self.table_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Heap bytes of the tree kept beside the database.
+    pub fn tree_bytes(&self) -> u64 {
+        self.tree_bytes.load(Ordering::Relaxed)
     }
 
     /// File texts the delta planner scanned, over every reload.
@@ -243,6 +254,7 @@ mod tests {
             bailout: Some("options changed"),
             files_scanned: 2,
             db_bytes: 4096,
+            tree_bytes: 2048,
             ..LoadReport::default()
         };
         report.phases.parse = Duration::from_millis(3);
@@ -256,11 +268,12 @@ mod tests {
         assert_eq!(t.bailouts(), vec![("options changed", 2)]);
         assert_eq!(t.files_scanned(), 4);
         assert_eq!(t.table_bytes(), 4096);
+        assert_eq!(t.tree_bytes(), 2048);
         t.record_load(&LoadReport {
             hierarchy: HierarchyOutcome::Rebuilt,
             ..LoadReport::default()
         });
-        assert_eq!(t.table_bytes(), 0);
+        assert_eq!((t.table_bytes(), t.tree_bytes()), (0, 0));
         let loads = t.hierarchy_loads();
         assert_eq!(loads[1], (HierarchyOutcome::Rebuilt, 1));
         assert_eq!(loads[4], (HierarchyOutcome::None, 2));

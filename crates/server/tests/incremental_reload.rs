@@ -277,6 +277,8 @@ fn reload_paths_and_bailouts_are_counted() {
 /// `pathalias_table_bytes` follows the database each load leaves
 /// serving: the start-up load's, a delta reload's patch of it, and a
 /// full reload's rebuild over a world one host larger.
+/// `pathalias_tree_bytes` follows the kept tree, which a delta reload
+/// repairs in place, in the arrays it had.
 #[test]
 fn the_served_database_footprint_is_scraped() {
     let world = spoke_world();
@@ -287,15 +289,19 @@ fn the_served_database_footprint_is_scraped() {
     let (path, mut client, handle) = serve_world("bytes", &world, &options);
     let loaded = scraped(&mut client, "pathalias_table_bytes");
     assert!(loaded > 0);
+    let tree = scraped(&mut client, "pathalias_tree_bytes");
+    assert!(tree >= 25 * world.lines().count() as u64, "{tree}");
 
     std::thread::sleep(std::time::Duration::from_millis(20));
     std::fs::write(&path, world.replace("n2\tx(20)", "n2\tx(35)")).unwrap();
     client.reload().unwrap();
     assert!(scraped(&mut client, "pathalias_table_bytes") > 0);
+    assert_eq!(scraped(&mut client, "pathalias_tree_bytes"), tree);
 
     std::fs::write(&path, format!("{world}z\thub(1)\n")).unwrap();
     client.reload().unwrap();
     assert!(scraped(&mut client, "pathalias_table_bytes") > loaded);
+    assert!(scraped(&mut client, "pathalias_tree_bytes") > tree);
 
     client.quit().unwrap();
     handle.shutdown();
