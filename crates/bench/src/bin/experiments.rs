@@ -8,6 +8,7 @@ use pathalias_arena::counting::{snapshot, CountingAlloc};
 use pathalias_bench::boxed::BoxedGraph;
 use pathalias_bench::dual::map_dual;
 use pathalias_bench::study::map_frozen_quadratic_readonly;
+use pathalias_bench::PooledGraph;
 use pathalias_bench::{clique_world, host_names, random_sparse, sparse_world, MOTOWN_MAP};
 use pathalias_graph::{Graph, NodeId, RouteOp};
 use pathalias_hash::{GrowthPolicy, HostTable, SecondaryHash, TableConfig, ALPHA_LOW};
@@ -236,21 +237,26 @@ fn e4_alloc() {
         "E4",
         "pooled (buffered-sbrk) vs boxed (malloc-per-object) graph",
     );
-    let (mut pooled, mut boxed) = (Vec::new(), Vec::new());
+    let (mut flat, mut pooled, mut boxed) = (Vec::new(), Vec::new(), Vec::new());
     for seed in 11..16 {
         let parsed = pathalias_parser::parse(&pathalias_bench::map_text(3_000, seed)).unwrap();
-        pooled.push(counted(|| pathalias_bench::rebuild_pooled(&parsed)));
+        flat.push(counted(|| pathalias_bench::rebuild_flat(&parsed)));
+        pooled.push(counted(|| PooledGraph::from_graph(&parsed)));
         boxed.push(counted(|| BoxedGraph::from_graph(&parsed)));
     }
     let column = |rows: &[[f64; 4]], c: usize| Spread::of(rows.iter().map(|r| r[c]).collect());
     println!(
-        "the same graph in both layouts, median [min–max] over 5 generated 3,000-host worlds:"
+        "the same graph in three layouts, median [min–max] over 5 generated 3,000-host worlds:"
     );
     println!(
         "{:<20} {:<24} {:<24} {:<32} bytes live",
         "layout", "time ms", "alloc calls", "bytes requested"
     );
-    for (label, rows) in [("pooled (arena)", &pooled), ("boxed (per-object)", &boxed)] {
+    for (label, rows) in [
+        ("flat (build graph)", &flat),
+        ("pooled (1986 arena)", &pooled),
+        ("boxed (per-object)", &boxed),
+    ] {
         println!(
             "{label:<20} {:<24} {:<24} {:<32} {:.0}",
             format!("{:.2}", column(rows, 0)),
@@ -259,23 +265,17 @@ fn e4_alloc() {
             column(rows, 3)
         );
     }
-    let ratio = |c| {
-        Spread::of(
-            boxed
-                .iter()
-                .zip(&pooled)
-                .map(|(b, p)| b[c] / p[c])
-                .collect(),
-        )
+    let ratio = |over: &[[f64; 4]], c| {
+        Spread::of(boxed.iter().zip(over).map(|(b, p)| b[c] / p[c]).collect())
     };
-    let (calls, live): (Spread, Spread) = (ratio(1), ratio(3));
+    let (calls, live) = (ratio(&pooled, 1), ratio(&pooled, 3));
     println!("boxed / pooled allocator calls: {calls:.1}");
     println!("boxed / pooled live bytes:      {live:.2}");
+    println!("boxed / flat allocator calls:   {:.1}", ratio(&flat, 1));
     let claim = "per-object allocation makes more allocator calls";
     verdict(calls.min > 1.0, true, claim);
     // The counting allocator sees the bytes a layout asks for, not the
-    // per-object headers a 1986 malloc added to them, and the pooled
-    // graph carries the name table the replica does without.
+    // per-object headers a 1986 malloc added to them.
     verdict(live.min > 1.0, false, "and holds more bytes");
 }
 

@@ -1,4 +1,5 @@
-//! Chunked bump arena for string data.
+//! Chunked bump arena for string data: the 1986 layout's name storage,
+//! kept for the allocator experiment (E4).
 //!
 //! The original pathalias obtained memory from a buffered `sbrk` and
 //! never freed it; host names, being the bulk of parse-time data, were
@@ -61,7 +62,7 @@ pub struct BumpStats {
 /// # Examples
 ///
 /// ```
-/// use pathalias_arena::Bump;
+/// use pathalias_bench::bump::Bump;
 ///
 /// let mut arena = Bump::new();
 /// let a = arena.push_str("ihnp4");

@@ -5,8 +5,9 @@
 //! figures and studies to experiment ids; this crate holds the workload
 //! builders those experiments share, the paper's decrease-key [`heap`]
 //! and the O(v²) mapper of [`study`] (experiment E7), the lex stand-in
-//! scanner [`slow`] (E3), the 1986 pointer-per-object layout [`boxed`]
-//! (E4), the route-table [`diff`] (E16), the PROBLEMS section's
+//! scanner [`slow`] (E3), the 1986 layouts E4 compares — the chunked
+//! arena ([`bump`], [`pool`], [`PooledGraph`]) and pointer-per-object
+//! [`boxed`] — the route-table [`diff`] (E16), the PROBLEMS section's
 //! second-best mapping [`dual`] (E12), the multi-source fan-out
 //! [`parallel`], and the two checks on the map generator and the
 //! parser: [`stats`] (shape) and [`unparse`] (round trip).
@@ -15,17 +16,20 @@
 #![warn(missing_docs)]
 
 pub mod boxed;
+pub mod bump;
 pub mod diff;
 pub mod dual;
 pub mod heap;
 pub mod legacy;
 pub mod parallel;
+pub mod pool;
 pub mod slow;
 pub mod stats;
 pub mod study;
 pub mod unparse;
 
-use pathalias_graph::{Graph, NodeId, RouteOp};
+use pathalias_arena::Handle;
+use pathalias_graph::{Cost, Graph, LinkFlags, NodeId, RouteOp};
 use pathalias_mapgen::{generate, MapSpec};
 use pathalias_parser::{Kind, Statements, Tok};
 use rand::rngs::StdRng;
@@ -111,20 +115,71 @@ pub fn clique_world(n: usize, star: bool) -> (Graph, NodeId) {
     (g, entry)
 }
 
-/// Rebuilds a graph's structure into a fresh pooled [`Graph`] — the
-/// arena-discipline counterpart of [`boxed::BoxedGraph`]
-/// for the allocator experiment (same nodes, names and live links).
-pub fn rebuild_pooled(src: &Graph) -> Graph {
+/// Rebuilds a graph's structure into a fresh [`Graph`], the layout the
+/// program builds today (one vector per kind, no per-object
+/// allocation), for the allocator experiment: same nodes, names and
+/// live links as [`PooledGraph`] and [`boxed::BoxedGraph`].
+pub fn rebuild_flat(src: &Graph) -> Graph {
     let mut g = Graph::new();
     let ids: Vec<NodeId> = src.node_ids().map(|id| g.node(src.name(id))).collect();
     for from in src.node_ids() {
         for (_, l) in src.links_from(from) {
-            if !l.flags.contains(pathalias_graph::LinkFlags::DELETED) {
+            if !l.flags.contains(LinkFlags::DELETED) {
                 g.add_raw_link(ids[from.index()], ids[l.to.index()], l.cost, l.op, l.flags);
             }
         }
     }
     g
+}
+
+/// The 1986 layout the paper's allocator claim is about: names bumped
+/// end to end into chunks, nodes and links in pools, each node heading
+/// a list of its links — the arena counterpart of
+/// [`boxed::BoxedGraph`], with the same nodes, names and live links.
+#[derive(Debug, Default)]
+pub struct PooledGraph {
+    /// Host names.
+    pub names: bump::Bump,
+    /// Per node: its name and the head of its link list.
+    pub nodes: pool::Pool<(bump::Span, Option<Handle<PooledLink>>)>,
+    /// Every live link.
+    pub links: pool::Pool<PooledLink>,
+}
+
+/// A link cell of a [`PooledGraph`].
+#[derive(Debug, Clone, Copy)]
+pub struct PooledLink {
+    /// Index of the destination node.
+    pub to: u32,
+    /// Link cost.
+    pub cost: Cost,
+    /// Next cell in the list.
+    pub next: Option<Handle<PooledLink>>,
+}
+
+impl PooledGraph {
+    /// Builds the arena replica of `g` (live links only).
+    pub fn from_graph(g: &Graph) -> PooledGraph {
+        let mut p = PooledGraph::default();
+        for id in g.node_ids() {
+            let name = p.names.push_str(g.name(id));
+            p.nodes.alloc((name, None));
+        }
+        for (from, node) in g.node_ids().zip(p.nodes.handles().collect::<Vec<_>>()) {
+            for (_, l) in g.links_from(from) {
+                if !l.flags.contains(LinkFlags::DELETED) {
+                    let next = p.nodes[node].1;
+                    let cell = p.links.alloc(PooledLink {
+                        to: l.to.raw(),
+                        cost: l.cost,
+                        next,
+                    });
+                    p.nodes[node].1 = Some(cell);
+                }
+            }
+        }
+        p
+    }
 }
 
 /// Deterministic host names for the hashing experiments (a mix of

@@ -1,10 +1,11 @@
 //! The batch run's peak heap, counted by the allocator: the driver
-//! the `pathalias` CLI calls (`Pathalias::write_routes`) frees each
-//! stage once the next exists and streams its routes, so its peak stays
-//! below the linked graph plus the route file twice over (once in the
-//! render's arena, once written), which running first and writing the
-//! rendered text afterwards (`Pathalias::run`) passes by far: it holds
-//! the linked graph, the snapshot, the tree and every copy of the
+//! the `pathalias` CLI calls (`Pathalias::write_routes`) moves the
+//! build graph into its snapshot, frees each stage once the next
+//! exists and streams its routes, so its peak stays below the build
+//! graph plus the route file twice over (once in the render's arena,
+//! once written), which running first and writing the rendered text
+//! afterwards (`Pathalias::run`) passes by far: it holds the build
+//! graph, a copy of its snapshot, the tree and every copy of the
 //! routes at once.
 //!
 //! The counting allocator is process-wide, so this binary holds one
@@ -27,7 +28,7 @@ fn parsed(map: &GeneratedMap, options: &Options) -> Pathalias {
     pa
 }
 
-/// `map` parsed with `options`, the linked graph's live bytes, and the
+/// `map` parsed with `options`, the build graph's live bytes, and the
 /// peak heap `run` reaches on the driver, both counted above the bytes
 /// live before parsing (the map texts).
 fn peak_of<T>(

@@ -1,6 +1,7 @@
 //! Property tests for the bump arena and pools.
 
-use pathalias_arena::{Bump, Pool};
+use pathalias_bench::bump::Bump;
+use pathalias_bench::pool::Pool;
 use proptest::prelude::*;
 
 proptest! {

@@ -261,7 +261,7 @@ impl Pathalias {
     /// The batch run: freezes, maps and writes the route file to `out`
     /// (byte for byte [`run`](Pathalias::run)'s `rendered`), and returns
     /// the same report. It consumes the driver so that no stage
-    /// outlives the next one: the linked graph is frozen in place
+    /// outlives the next one: the build graph moves into its snapshot
     /// ([`Built::into_frozen`]), the snapshot goes once mapped (the
     /// tree holds the graph it mapped), and the routes are written as
     /// they are rendered, never held whole. A failed write is

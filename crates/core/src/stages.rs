@@ -240,9 +240,10 @@ impl Built {
         Frozen::built(self.graph.freeze(), warnings, t0)
     }
 
-    /// [`freeze`](Built::freeze), consuming the stage: the linked graph
-    /// is freed as the snapshot is made ([`Graph::into_frozen`]), so the
-    /// two never both live whole.
+    /// [`freeze`](Built::freeze), consuming the stage: the build graph's
+    /// names, flags and biases move into the snapshot, and its links
+    /// are freed once the CSR is made ([`Graph::into_frozen`]), so
+    /// nothing is copied that the build already holds.
     pub fn into_frozen(mut self) -> Frozen {
         let t0 = Instant::now();
         let mut warnings = self.graph.take_warnings();

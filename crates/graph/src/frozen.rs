@@ -1,12 +1,13 @@
 //! The frozen graph: an immutable compressed-sparse-row snapshot.
 //!
 //! The paper's mapping phase is "mostly pointers and flags": the
-//! mutable [`Graph`] keeps singly-linked adjacency lists, so every
-//! traversal chases pointers across the heap. Freezing rebuilds the
-//! graph into contiguous arrays — per-node `[start, end)` ranges into
-//! parallel `edge_*` slices — which is what Dijkstra actually wants to
+//! mutable [`Graph`] chains each node's links through one vector, so a
+//! walk of a row chases indices across it. Freezing sorts the links
+//! into contiguous rows — per-node `[start, end)` ranges into one
+//! packed edge array — which is what Dijkstra actually wants to
 //! iterate: one cache line holds many edges, and the visit state is a
-//! dense array indexed by node id instead of a hash lookup.
+//! dense array indexed by node id instead of a hash lookup. The names,
+//! node flags and biases are the build's own vectors, moved in.
 //!
 //! Freezing is also where declaration-time bookkeeping is settled once
 //! instead of per relaxation:
@@ -44,7 +45,7 @@
 use crate::cost::Cost;
 use crate::flags::{LinkFlags, NodeFlags};
 use crate::graph::{Graph, NodeId};
-use crate::link::{Dir, RouteOp};
+use crate::link::{Dir, Link, RouteOp};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -211,8 +212,8 @@ impl EdgeShift {
 
 /// An immutable, cache-friendly snapshot of a built [`Graph`].
 ///
-/// Node ids are shared with the source graph (the pool indices are
-/// already dense `u32`s), so a [`NodeId`] means the same node before
+/// Node ids are shared with the source graph (they are already dense
+/// `u32` indices), so a [`NodeId`] means the same node before
 /// and after freezing. Edges get fresh dense [`EdgeId`]s in CSR order:
 /// all edges out of node 0, then node 1, and so on, each adjacency run
 /// in declaration order.
@@ -237,48 +238,72 @@ pub struct FrozenGraph {
     pub(crate) raw_cost: HashMap<u32, Cost>,
 }
 
-/// A snapshot's node names and their lookup index.
-#[derive(Debug, PartialEq, Eq)]
+/// Every node's name, in id order, and the index that finds a node by
+/// name. The build graph grows it as it declares nodes, and the freeze
+/// moves it into the snapshot whole, so a name is copied once, from the
+/// input text, and hashed once.
+#[derive(Debug, Clone)]
 pub(crate) struct Names {
     /// All node names, concatenated; `off` has n+1 offsets.
     pub(crate) data: String,
     pub(crate) off: Vec<u32>,
     /// Whether lookups fold ASCII case.
-    fold: bool,
+    pub(crate) fold: bool,
     /// Open addressing with linear probing: node ids keyed by their
-    /// names in `data`, [`VACANT`] where none sits. About two thirds
-    /// full, so a name costs six bytes here and a lookup about two
-    /// probes.
-    index: Box<[u32]>,
+    /// names in `data`, [`VACANT`] where none sits. Between half and
+    /// three quarters full, so a name costs at most eight bytes here
+    /// and a lookup about two probes.
+    index: Vec<u32>,
+    /// Slots of `index` that hold an id.
+    indexed: usize,
 }
 
 /// An empty slot of the name index.
 const VACANT: u32 = u32::MAX;
 
+/// Two name lists are equal when they hold the same names: the index
+/// is derived, and its size depends on how it grew.
+impl PartialEq for Names {
+    fn eq(&self, other: &Names) -> bool {
+        self.fold == other.fold && self.off == other.off && self.data == other.data
+    }
+}
+
+impl Eq for Names {}
+
 impl Names {
-    /// Indexes `data`/`off` for `id_of`: every global name, claimed by
-    /// its first node, then each name only `private` nodes carry, by
-    /// the first of them (a file-scoped host `-l`/`-t` may still
-    /// name). The one builder behind [`FrozenGraph::freeze`] and the
-    /// PAGF1 loader, which stores no index.
+    /// No names yet. Small, so an empty [`Graph`] costs nothing to make.
+    pub(crate) fn empty(fold: bool) -> Names {
+        Names {
+            data: String::new(),
+            off: vec![0],
+            fold,
+            index: vec![VACANT; 4],
+            indexed: 0,
+        }
+    }
+
+    /// Indexes `data`/`off` for `id_of` as a build would have: every
+    /// global name, claimed by its first node, then the names only
+    /// `private` nodes carry. The PAGF1 loader's builder, as the file
+    /// stores no index.
     pub(crate) fn new(data: String, off: Vec<u32>, flags: &[NodeFlags], fold: bool) -> Names {
         let n = off.len().saturating_sub(1);
         let mut names = Names {
             data,
             off,
             fold,
-            index: vec![VACANT; n + n / 2 + 1].into_boxed_slice(),
+            index: vec![VACANT; n + n / 2 + 1],
+            indexed: 0,
         };
-        for private_pass in [false, true] {
-            for (id, f) in flags.iter().enumerate() {
-                if f.contains(NodeFlags::PRIVATE) == private_pass {
-                    let name = names.get(id);
-                    if let Err(slot) = names.probe(name) {
-                        names.index[slot] = id as u32;
-                    }
+        for (id, f) in flags.iter().enumerate() {
+            if !f.contains(NodeFlags::PRIVATE) {
+                if let Err(slot) = names.probe(names.get(id)) {
+                    names.insert_at(slot, id as u32);
                 }
             }
         }
+        names.index_private_only(flags);
         names
     }
 
@@ -288,16 +313,23 @@ impl Names {
         &self.data[self.off[id] as usize..self.off[id + 1] as usize]
     }
 
+    /// Appends the next node's name, unindexed.
+    pub(crate) fn push(&mut self, name: &str) {
+        self.data.push_str(name);
+        let end = u32::try_from(self.data.len()).expect("host names over 4 GiB");
+        self.off.push(end);
+    }
+
+    /// Where `name`'s probe sequence starts.
+    fn home(&self, name: &str) -> usize {
+        let h = pathalias_hash::name_key(name, self.fold);
+        ((u128::from(h) * self.index.len() as u128) >> 64) as usize
+    }
+
     /// The node `name` finds, or the vacant slot where it would go.
-    fn probe(&self, name: &str) -> Result<u32, usize> {
+    pub(crate) fn probe(&self, name: &str) -> Result<u32, usize> {
         let len = self.index.len();
-        let mut h: u64 = 0;
-        for &b in name.as_bytes() {
-            let b = if self.fold { b.to_ascii_lowercase() } else { b };
-            h = (h.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-        let h = (h ^ (h >> 29)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let mut slot = ((u128::from(h) * len as u128) >> 64) as usize;
+        let mut slot = self.home(name);
         loop {
             let id = self.index[slot];
             if id == VACANT {
@@ -311,6 +343,37 @@ impl Names {
         }
     }
 
+    /// Indexes node `id` at `slot`, the vacant slot [`probe`](Names::probe)
+    /// found for its name, and grows the index past three quarters full.
+    pub(crate) fn insert_at(&mut self, slot: usize, id: u32) {
+        self.index[slot] = id;
+        self.indexed += 1;
+        if self.indexed * 4 > self.index.len() * 3 {
+            let old = std::mem::replace(&mut self.index, vec![VACANT; self.indexed * 2]);
+            let len = self.index.len();
+            for id in old.into_iter().filter(|&id| id != VACANT) {
+                let mut slot = self.home(self.get(id as usize));
+                while self.index[slot] != VACANT {
+                    slot = if slot + 1 == len { 0 } else { slot + 1 };
+                }
+                self.index[slot] = id;
+            }
+        }
+    }
+
+    /// Indexes each name that only `private` nodes carry, by the first
+    /// of them: a file-scoped host `-l`/`-t` may still name once the
+    /// files' scopes are gone.
+    pub(crate) fn index_private_only(&mut self, flags: &[NodeFlags]) {
+        for (id, f) in flags.iter().enumerate() {
+            if f.contains(NodeFlags::PRIVATE) {
+                if let Err(slot) = self.probe(self.get(id)) {
+                    self.insert_at(slot, id as u32);
+                }
+            }
+        }
+    }
+
     /// Heap bytes of the index, names not counted.
     fn index_bytes(&self) -> usize {
         std::mem::size_of_val(&*self.index)
@@ -320,49 +383,68 @@ impl Names {
 impl FrozenGraph {
     /// Builds the CSR snapshot. Equivalent to [`Graph::freeze`].
     pub fn freeze(g: &Graph) -> FrozenGraph {
-        let n = g.node_count();
-        let mut name_data = String::new();
-        let mut name_off = Vec::with_capacity(n + 1);
-        let mut flags = Vec::with_capacity(n);
-        let mut adjust = Vec::with_capacity(n);
+        g.freeze()
+    }
 
-        let mut row_start: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut edges: Vec<FrozenEdge> = Vec::new();
-        let mut raw_cost: HashMap<u32, Cost> = HashMap::new();
-
-        // Scratch reused per node: adjacency in declaration order.
-        let mut row: Vec<(NodeId, Cost, RouteOp, LinkFlags)> = Vec::new();
-        let mut settle = RowSettler::new(n);
-
-        for (id, node) in g.iter_nodes() {
-            name_off.push(name_data.len() as u32);
-            name_data.push_str(g.name(id));
-            flags.push(node.flags);
-            adjust.push(node.adjust);
-
-            row_start.push(edges.len() as u32);
-            if !node.is_mappable() {
-                continue; // Deleted nodes keep their slot but lose all edges.
-            }
-            // The adjacency list is stored newest-first; reverse it so
-            // CSR order is declaration order and the "smaller link id
-            // wins" tie break keeps its meaning.
-            row.clear();
-            for (_, l) in g.links_from(id) {
-                if l.flags.contains(LinkFlags::DELETED) || !g.node_ref(l.to).is_mappable() {
-                    continue;
-                }
-                row.push((l.to, l.cost, l.op, l.flags));
-            }
-            row.reverse();
-            settle.row(&mut edges, &mut raw_cost, node.adjust, row.iter().copied());
+    /// The snapshot of a build's parts: its names (every private-only
+    /// name indexed), node flags and biases, and its links in
+    /// declaration order. A stable counting sort by tail puts each
+    /// row's live links in declaration order, and one sequential pass
+    /// settles the rows into the edge array. The vectors a build grew
+    /// give back their spare capacity, as the snapshot never grows.
+    pub(crate) fn from_parts(
+        mut names: Names,
+        mut flags: Vec<NodeFlags>,
+        mut adjust: Vec<i64>,
+        links: &[Link],
+    ) -> FrozenGraph {
+        names.data.shrink_to_fit();
+        names.off.shrink_to_fit();
+        flags.shrink_to_fit();
+        adjust.shrink_to_fit();
+        let n = flags.len();
+        let mappable = |id: NodeId| !flags[id.index()].contains(NodeFlags::DELETED);
+        // Deleted links go, and deleted nodes lose their edges both ways.
+        let live =
+            |l: &Link| !l.flags.contains(LinkFlags::DELETED) && mappable(l.from) && mappable(l.to);
+        let mut row_start = vec![0u32; n + 1];
+        for l in links.iter().filter(|l| live(l)) {
+            row_start[l.from.index()] += 1;
         }
-        name_off.push(name_data.len() as u32);
-        row_start.push(edges.len() as u32);
+        let mut total = 0;
+        for start in &mut row_start {
+            let count = *start;
+            *start = total;
+            total += count;
+        }
+        // Placing the links in declaration order keeps each row in it,
+        // which the "smaller edge id wins" tie break relies on. Placing
+        // a link advances its row's start, so each start ends up where
+        // its row ends, and every placeholder is overwritten.
+        let placeholder =
+            FrozenEdge::new(NodeId::from_raw(0), 0, RouteOp::UUCP, LinkFlags::empty());
+        let mut edges = vec![placeholder; total as usize];
+        for l in links.iter().filter(|l| live(l)) {
+            let at = &mut row_start[l.from.index()];
+            edges[*at as usize] = FrozenEdge::new(l.to, l.cost, l.op, l.flags);
+            *at += 1;
+        }
+        // Each row settles in place, towards the front.
+        let mut raw_cost: HashMap<u32, Cost> = HashMap::new();
+        let mut settle = RowSettler::new(n);
+        let (mut begin, mut settled) = (0, 0);
+        for (u, &bias) in adjust.iter().enumerate() {
+            let end = row_start[u] as usize;
+            row_start[u] = settled as u32;
+            settled = settle.row(&mut edges, &mut raw_cost, bias, begin..end, settled);
+            begin = end;
+        }
+        edges.truncate(settled);
+        row_start[n] = settled as u32;
 
         FrozenGraph {
-            ignore_case: g.ignore_case(),
-            names: Arc::new(Names::new(name_data, name_off, &flags, g.ignore_case())),
+            ignore_case: names.fold,
+            names: Arc::new(names),
             flags,
             adjust,
             row_start,
@@ -490,10 +572,16 @@ impl FrozenGraph {
         for patch in patches {
             let u = patch.node.index();
             if self.is_mappable(patch.node) {
-                let live = patch.edges.iter().copied().filter(|&(to, _, _, lflags)| {
+                let start = settled.len();
+                let live = patch.edges.iter().filter(|&&(to, _, _, lflags)| {
                     !lflags.contains(LinkFlags::DELETED) && self.is_mappable(to)
                 });
-                settle.row(&mut settled, &mut settled_raw, self.adjust[u], live);
+                settled.extend(
+                    live.map(|&(to, cost, op, lflags)| FrozenEdge::new(to, cost, op, lflags)),
+                );
+                let raw = start..settled.len();
+                let end = settle.row(&mut settled, &mut settled_raw, self.adjust[u], raw, start);
+                settled.truncate(end);
             }
             ends.push(settled.len());
         }
@@ -758,14 +846,6 @@ impl FrozenGraph {
     }
 }
 
-impl Graph {
-    /// Freezes the built graph into its immutable CSR snapshot (see
-    /// [`FrozenGraph`]).
-    pub fn freeze(&self) -> FrozenGraph {
-        FrozenGraph::freeze(self)
-    }
-}
-
 /// Applies an `adjust` bias to a cost, clamping into the `Cost` range.
 #[inline]
 fn apply_adjust(cost: Cost, bias: i64) -> Cost {
@@ -785,7 +865,7 @@ fn apply_adjust(cost: Cost, bias: i64) -> Cost {
 /// to one target are chained from it, so a 200,000-link hub row
 /// settles in linear time.
 struct RowSettler {
-    /// Bumped per row, so stale slots need no clearing.
+    /// Advanced per row, so stale slots need no clearing.
     epoch: u32,
     /// Per target node: the epoch that last saw it as a target, and
     /// the index in `edges` of the row's first edge to it.
@@ -822,16 +902,21 @@ impl RowSettler {
         }
     }
 
-    /// Appends one settled row to `edges`, from `row`'s raw links in
-    /// declaration order, noting raw costs in `raw_cost` when `bias`
+    /// Settles the row whose raw edges sit at `edges[read]`, in
+    /// declaration order, into `edges[write..]`, and returns where the
+    /// settled row ends. A settled row is never longer than its raw
+    /// one, so `write` may be `read.start` or anywhere before it. Raw
+    /// costs go to `raw_cost`, keyed by settled position, when `bias`
     /// applies.
     fn row(
         &mut self,
-        edges: &mut Vec<FrozenEdge>,
+        edges: &mut [FrozenEdge],
         raw_cost: &mut HashMap<u32, Cost>,
         bias: i64,
-        row: impl Iterator<Item = (NodeId, Cost, RouteOp, LinkFlags)>,
-    ) {
+        read: Range<usize>,
+        write: usize,
+    ) -> usize {
+        debug_assert!(write <= read.start);
         self.epoch = self.epoch.checked_add(1).unwrap_or_else(|| {
             match &mut self.first {
                 Slots::Dense(slots) => slots.iter_mut().for_each(|s| s.0 = 0),
@@ -840,12 +925,12 @@ impl RowSettler {
             1
         });
         self.next.clear();
-        let base = edges.len();
-        'edges: for (to, cost, op, lflags) in row {
-            let cand = FrozenEdge::new(to, cost, op, lflags);
+        let mut end = write;
+        'edges: for r in read {
+            let cand = edges[r];
             let slot = match &mut self.first {
-                Slots::Dense(slots) => &mut slots[to.index()],
-                Slots::Sparse(slots) => slots.entry(to.raw()).or_default(),
+                Slots::Dense(slots) => &mut slots[cand.to as usize],
+                Slots::Sparse(slots) => slots.entry(cand.to).or_default(),
             };
             if slot.0 == self.epoch {
                 let mut at = slot.1 as usize;
@@ -855,25 +940,27 @@ impl RowSettler {
                         e.cost = e.cost.min(cand.cost);
                         continue 'edges;
                     }
-                    match self.next[at - base] {
+                    match self.next[at - write] {
                         Some(next) => at = next as usize,
                         None => break,
                     }
                 }
-                self.next[at - base] = Some(edges.len() as u32);
+                self.next[at - write] = Some(end as u32);
             } else {
-                *slot = (self.epoch, edges.len() as u32);
+                *slot = (self.epoch, end as u32);
             }
             self.next.push(None);
-            edges.push(cand);
+            edges[end] = cand;
+            end += 1;
         }
         // Remember the raw value for source-edge exemption.
         if bias != 0 {
-            for (e, edge) in edges.iter_mut().enumerate().skip(base) {
+            for (e, edge) in edges.iter_mut().enumerate().take(end).skip(write) {
                 raw_cost.insert(e as u32, edge.cost);
                 edge.cost = apply_adjust(edge.cost, bias);
             }
         }
+        end
     }
 }
 

@@ -1,15 +1,16 @@
-//! The connectivity graph: pools, name resolution, and declaration
-//! semantics (duplicate links, networks, aliases, private scoping).
+//! The connectivity graph: node and link vectors, name resolution, and
+//! declaration semantics (duplicate links, networks, aliases, private
+//! scoping).
 
 use crate::cost::Cost;
 use crate::diag::Warning;
 use crate::flags::{LinkFlags, NodeFlags};
-use crate::frozen::FrozenGraph;
+use crate::frozen::{FrozenGraph, Names};
 use crate::link::{Link, RouteOp};
 use crate::node::Node;
-use pathalias_arena::{Bump, Handle, Pool};
-use pathalias_hash::HostTable;
+use pathalias_arena::Handle;
 use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// Identifies a node in the graph.
@@ -17,6 +18,9 @@ pub type NodeId = Handle<Node>;
 
 /// Identifies a link in the graph.
 pub type LinkId = Handle<Link>;
+
+/// The end of a row's chain: no link.
+pub(crate) const NO_LINK: u32 = u32::MAX;
 
 /// Identifies an input file (for private scoping and diagnostics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
@@ -49,25 +53,31 @@ impl RowKind {
 
 /// "Seen target → newest link" for the links of one kind in one row,
 /// so a declaration asks "is there already a link to `to`?" without
-/// walking the row's list. One walk fills it when a declaration moves
+/// walking the row's chain. One walk fills it when a declaration moves
 /// to another row or kind; `add_raw_link`, the only code that grows a
-/// row, keeps it current; `node_mut` and `link_mut`, which can rewire
-/// anything, drop it.
+/// row, keeps it current.
 #[derive(Debug, Default)]
 struct RowIndex {
     /// The indexed row and kind; `None` when nothing is indexed.
     row: Option<(NodeId, RowKind)>,
     /// Links of that kind in the row.
     len: usize,
-    /// Bumped on every fill, so stale entries need no clearing.
+    /// Advanced on every fill, so stale entries need no clearing.
     epoch: u32,
     /// Per node: the epoch that last saw it as a target, and the link
-    /// the row's list reaches first (the newest).
+    /// the row's chain reaches first (the newest).
     seen: Vec<(u32, LinkId)>,
 }
 
 /// The in-memory connectivity graph built by the parsing phase and
 /// consumed by the mapping and printing phases.
+///
+/// The layout is the one the CSR snapshot wants, so that freezing
+/// moves data instead of copying it: names in one store with their
+/// index, node flags and biases in vectors, and links appended to one
+/// vector in declaration order, each carrying its tail. Each node's
+/// links also form a chain, newest first, as the original's adjacency
+/// lists did: the declaration rules walk it.
 ///
 /// # Name resolution
 ///
@@ -93,10 +103,15 @@ struct RowIndex {
 /// ```
 #[derive(Debug)]
 pub struct Graph {
-    names: Bump,
-    nodes: Pool<Node>,
-    links: Pool<Link>,
-    table: HostTable<NodeId>,
+    /// Every node's name, and the index that resolves global names.
+    names: Names,
+    /// Per node: flags, `adjust` bias, and the newest link of its row
+    /// ([`NO_LINK`] when it has none).
+    flags: Vec<NodeFlags>,
+    adjust: Vec<i64>,
+    first_link: Vec<u32>,
+    /// Every link, in declaration order.
+    links: Vec<Link>,
     /// `private` bindings for the current file only.
     private_scope: HashMap<Box<str>, NodeId>,
     /// Per node: the last file whose text resolved a name to it
@@ -105,7 +120,6 @@ pub struct Graph {
     mentioned_in: Vec<FileId>,
     row_index: RowIndex,
     files: Vec<String>,
-    ignore_case: bool,
     warnings: Vec<Warning>,
 }
 
@@ -125,22 +139,22 @@ impl Graph {
     /// to lower case on every lookup (pathalias `-i`).
     pub fn with_ignore_case(ignore_case: bool) -> Self {
         Graph {
-            names: Bump::new(),
-            nodes: Pool::new(),
-            links: Pool::new(),
-            table: HostTable::new(),
+            names: Names::empty(ignore_case),
+            flags: Vec::new(),
+            adjust: Vec::new(),
+            first_link: Vec::new(),
+            links: Vec::new(),
             private_scope: HashMap::new(),
             mentioned_in: Vec::new(),
             row_index: RowIndex::default(),
             files: vec!["<input>".to_string()],
-            ignore_case,
             warnings: Vec::new(),
         }
     }
 
     /// Whether lookups fold case.
     pub fn ignore_case(&self) -> bool {
-        self.ignore_case
+        self.names.fold
     }
 
     /// Starts a new input file: private scope and mention tracking from
@@ -161,11 +175,18 @@ impl Graph {
         &self.files[f.index()]
     }
 
-    /// The lookup key for `name`: borrowed unless case folding has to
-    /// rewrite it, so the hot path (case-sensitive maps, and lowercase
-    /// names under `-i`) never allocates.
+    /// The `private` binding of `name` in the current file.
+    fn private_binding(&self, name: &str) -> Option<NodeId> {
+        if self.private_scope.is_empty() {
+            return None;
+        }
+        self.private_scope.get(self.key_of(name).as_ref()).copied()
+    }
+
+    /// The `private` scope's key for `name`: borrowed unless case
+    /// folding has to rewrite it.
     fn key_of<'a>(&self, name: &'a str) -> Cow<'a, str> {
-        if self.ignore_case && name.bytes().any(|b| b.is_ascii_uppercase()) {
+        if self.ignore_case() && name.bytes().any(|b| b.is_ascii_uppercase()) {
             Cow::Owned(name.to_ascii_lowercase())
         } else {
             Cow::Borrowed(name)
@@ -173,21 +194,18 @@ impl Graph {
     }
 
     fn new_node(&mut self, name: &str, extra: NodeFlags) -> NodeId {
-        let span = self.names.push_str(name);
+        let id = NodeId::from_raw(u32::try_from(self.flags.len()).expect("too many nodes"));
         let mut flags = extra;
         if name.starts_with('.') {
             flags.insert(NodeFlags::DOMAIN);
         }
-        let file = self.current_file();
-        self.mentioned_in.push(file);
+        self.names.push(name);
+        self.flags.push(flags);
+        self.adjust.push(0);
+        self.first_link.push(NO_LINK);
+        self.mentioned_in.push(self.current_file());
         self.row_index.seen.push((0, LinkId::from_raw(0)));
-        self.nodes.alloc(Node {
-            name: span,
-            flags,
-            first_link: None,
-            file,
-            adjust: 0,
-        })
+        id
     }
 
     /// Resolves `name` to a node, creating it if unknown. Private
@@ -195,79 +213,70 @@ impl Graph {
     /// name space.
     pub fn node(&mut self, name: &str) -> NodeId {
         assert!(!name.is_empty(), "host names cannot be empty");
-        let key = self.key_of(name);
-        if let Some(&id) = self.private_scope.get(key.as_ref()) {
+        if let Some(id) = self.private_binding(name) {
             return id;
         }
-        if let Some(&id) = self.table.peek(&key) {
-            self.mentioned_in[id.index()] = self.current_file();
-            return id;
+        match self.names.probe(name) {
+            Ok(id) => {
+                self.mentioned_in[id as usize] = self.current_file();
+                NodeId::from_raw(id)
+            }
+            Err(slot) => {
+                let id = self.new_node(name, NodeFlags::empty());
+                self.names.insert_at(slot, id.raw());
+                id
+            }
         }
-        let id = self.new_node(name, NodeFlags::empty());
-        self.table.insert(&key, id);
-        id
     }
 
     /// Looks `name` up without creating it.
     pub fn try_node(&self, name: &str) -> Option<NodeId> {
-        let key = self.key_of(name);
-        if let Some(&id) = self.private_scope.get(key.as_ref()) {
-            return Some(id);
-        }
-        self.table.peek(&key).copied()
+        self.private_binding(name)
+            .or_else(|| self.names.probe(name).ok().map(NodeId::from_raw))
     }
 
     /// Declares `name` private: a fresh node scoped from here to the end
     /// of the current file. Repeating the declaration in the same file
     /// returns the same node.
     pub fn declare_private(&mut self, name: &str) -> NodeId {
-        let key = self.key_of(name);
-        if let Some(&id) = self.private_scope.get(key.as_ref()) {
+        if let Some(id) = self.private_binding(name) {
             return id;
         }
         // A private binding would have returned above, so a mention in
         // this file can only have resolved to the global node.
-        let global = self.table.peek(&key);
-        if global.is_some_and(|g| self.mentioned_in[g.index()] == self.current_file()) {
+        let global = self.names.probe(name).ok();
+        if global.is_some_and(|g| self.mentioned_in[g as usize] == self.current_file()) {
             self.warnings.push(Warning::PrivateAfterUse {
                 host: name.to_string(),
             });
         }
         let id = self.new_node(name, NodeFlags::PRIVATE);
-        self.private_scope.insert(key.into_owned().into(), id);
+        let key = self.key_of(name).into_owned().into();
+        self.private_scope.insert(key, id);
         id
     }
 
     /// The node's display name.
     pub fn name(&self, id: NodeId) -> &str {
-        self.names.str(self.nodes[id].name)
+        self.names.get(id.index())
     }
 
-    /// Shared node access.
-    pub fn node_ref(&self, id: NodeId) -> &Node {
-        &self.nodes[id]
-    }
-
-    /// Mutable node access.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        self.row_index.row = None;
-        &mut self.nodes[id]
+    /// The node's flags and bias, by value.
+    pub fn node_ref(&self, id: NodeId) -> Node {
+        Node {
+            flags: self.flags[id.index()],
+            adjust: self.adjust[id.index()],
+        }
     }
 
     /// Shared link access.
     pub fn link_ref(&self, id: LinkId) -> &Link {
-        &self.links[id]
-    }
-
-    /// Mutable link access.
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        self.row_index.row = None;
-        &mut self.links[id]
+        &self.links[id.index()]
     }
 
     /// Number of nodes (including private, deleted and network nodes).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.flags.len()
     }
 
     /// Number of links (including implicit and deleted ones).
@@ -276,25 +285,26 @@ impl Graph {
     }
 
     /// Iterates over all nodes in creation order.
-    pub fn iter_nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> {
-        self.nodes.iter()
+    pub fn iter_nodes(&self) -> impl Iterator<Item = (NodeId, Node)> + '_ {
+        self.node_ids().map(|id| (id, self.node_ref(id)))
     }
 
     /// Iterates over all node ids in creation order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        self.nodes.handles()
+        (0..self.flags.len() as u32).map(NodeId::from_raw)
     }
 
-    /// Iterates over the adjacency list of `from` in list order.
+    /// Iterates over the links of `from`, newest first, as the
+    /// original's adjacency lists ran.
     pub fn links_from(&self, from: NodeId) -> LinkIter<'_> {
         LinkIter {
             links: &self.links,
-            cur: self.nodes[from].first_link,
+            cur: self.first_link[from.index()],
         }
     }
 
-    /// Adds a link unconditionally (no duplicate handling), prepending
-    /// it to the adjacency list exactly as the original did.
+    /// Adds a link unconditionally (no duplicate handling), heading
+    /// its row's chain exactly as the original prepended it.
     pub fn add_raw_link(
         &mut self,
         from: NodeId,
@@ -303,16 +313,22 @@ impl Graph {
         op: RouteOp,
         flags: LinkFlags,
     ) -> LinkId {
-        let head = self.nodes[from].first_link;
-        let id = self.links.alloc(Link {
+        let raw = u32::try_from(self.links.len())
+            .ok()
+            .filter(|&raw| raw != NO_LINK)
+            .expect("too many links");
+        let head = &mut self.first_link[from.index()];
+        self.links.push(Link {
+            from,
             to,
             cost,
             op,
             flags,
-            next: head,
+            next: *head,
         });
-        self.nodes[from].first_link = Some(id);
-        // The new link heads the list, so it is what a walk finds first.
+        *head = raw;
+        let id = LinkId::from_raw(raw);
+        // The new link heads the chain, so it is what a walk finds first.
         let index = &mut self.row_index;
         if index
             .row
@@ -339,7 +355,7 @@ impl Graph {
         });
         let row = LinkIter {
             links: &self.links,
-            cur: self.nodes[from].first_link,
+            cur: self.first_link[from.index()],
         };
         for (id, link) in row.filter(|(_, l)| kind.admits(l.flags)) {
             index.len += 1;
@@ -389,9 +405,9 @@ impl Graph {
         }
         self.index_row(from, RowKind::Explicit);
         if let Some(existing) = self.indexed_link(to) {
-            let old = self.links[existing].cost;
+            let old = self.links[existing.index()].cost;
             let (kept, dropped) = if cost < old {
-                let l = &mut self.links[existing];
+                let l = &mut self.links[existing.index()];
                 l.cost = cost;
                 l.op = op;
                 (cost, old)
@@ -415,12 +431,12 @@ impl Graph {
     /// network, but you get off for free").
     pub fn declare_network(&mut self, net: NodeId, members: &[(NodeId, Cost)], op: RouteOp) {
         self.index_row(net, RowKind::NetOut);
-        if self.nodes[net].is_net() && self.row_index.len > 0 {
+        if self.node_ref(net).is_net() && self.row_index.len > 0 {
             self.warnings.push(Warning::RedeclaredNet {
                 net: self.name(net).to_string(),
             });
         }
-        self.nodes[net].flags.insert(NodeFlags::NET);
+        self.flags[net.index()].insert(NodeFlags::NET);
         for &(m, cost) in members {
             if m == net {
                 let host = self.name(net).to_string();
@@ -434,9 +450,10 @@ impl Graph {
                 .map(|(id, _)| id);
             match dup_in {
                 Some(id) => {
-                    if cost < self.links[id].cost {
-                        self.links[id].cost = cost;
-                        self.links[id].op = op;
+                    let l = &mut self.links[id.index()];
+                    if cost < l.cost {
+                        l.cost = cost;
+                        l.op = op;
                     }
                 }
                 None => {
@@ -474,7 +491,7 @@ impl Graph {
 
     /// Marks a host dead: a legal destination that must never relay.
     pub fn mark_dead(&mut self, id: NodeId) {
-        self.nodes[id].flags.insert(NodeFlags::DEAD);
+        self.flags[id.index()].insert(NodeFlags::DEAD);
     }
 
     /// Marks the link `from -> to` dead (last resort). Returns false,
@@ -482,7 +499,7 @@ impl Graph {
     pub fn mark_dead_link(&mut self, from: NodeId, to: NodeId) -> bool {
         match self.find_link(from, to) {
             Some(l) => {
-                self.links[l].flags.insert(LinkFlags::DEAD);
+                self.links[l.index()].flags.insert(LinkFlags::DEAD);
                 true
             }
             None => {
@@ -497,7 +514,7 @@ impl Graph {
 
     /// Deletes a host outright: it disappears from mapping and output.
     pub fn delete_node(&mut self, id: NodeId) {
-        self.nodes[id].flags.insert(NodeFlags::DELETED);
+        self.flags[id.index()].insert(NodeFlags::DELETED);
     }
 
     /// Deletes the link `from -> to`. Returns false, with a warning, if
@@ -505,7 +522,7 @@ impl Graph {
     pub fn delete_link(&mut self, from: NodeId, to: NodeId) -> bool {
         match self.find_link(from, to) {
             Some(l) => {
-                self.links[l].flags.insert(LinkFlags::DELETED);
+                self.links[l.index()].flags.insert(LinkFlags::DELETED);
                 true
             }
             None => {
@@ -521,16 +538,14 @@ impl Graph {
     /// Applies an `adjust` bias to a node (added to every path that
     /// transits it).
     pub fn adjust_node(&mut self, id: NodeId, bias: i64) {
-        let n = &mut self.nodes[id];
-        n.adjust = n.adjust.saturating_add(bias);
-        n.flags.insert(NodeFlags::ADJUSTED);
+        let adjust = &mut self.adjust[id.index()];
+        *adjust = adjust.saturating_add(bias);
+        self.flags[id.index()].insert(NodeFlags::ADJUSTED);
     }
 
     /// Marks a network as requiring explicit gateways.
     pub fn mark_gated(&mut self, id: NodeId) {
-        self.nodes[id]
-            .flags
-            .insert(NodeFlags::GATED | NodeFlags::NET);
+        self.flags[id.index()].insert(NodeFlags::GATED | NodeFlags::NET);
     }
 
     /// Declares `host` a gateway into `net`: every live link host→net
@@ -550,7 +565,7 @@ impl Graph {
             return false;
         }
         for id in ids {
-            self.links[id].flags.insert(LinkFlags::GATEWAY);
+            self.links[id.index()].flags.insert(LinkFlags::GATEWAY);
         }
         true
     }
@@ -564,23 +579,27 @@ impl Graph {
 
     /// Warnings for suspicious but legal constructs (currently:
     /// `gateway` links into ungated networks) over the whole graph as
-    /// it stands, recorded nowhere.
+    /// it stands, recorded nowhere. They come in node order, newest
+    /// link first within a row: the order a walk of every chain finds
+    /// them in.
     pub fn validation_warnings(&self) -> Vec<Warning> {
-        let mut found = Vec::new();
-        for (from, node) in self.nodes.iter() {
-            let mut cur = node.first_link;
-            while let Some(lid) = cur {
-                let link = &self.links[lid];
-                if link.flags.contains(LinkFlags::GATEWAY) && !self.nodes[link.to].is_gated() {
-                    found.push(Warning::GatewayIntoUngated {
-                        net: self.names.str(self.nodes[link.to].name).to_string(),
-                        host: self.names.str(self.nodes[from].name).to_string(),
-                    });
-                }
-                cur = link.next;
-            }
-        }
+        let mut found: Vec<(NodeId, Reverse<usize>)> = self
+            .links
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| {
+                l.flags.contains(LinkFlags::GATEWAY) && !self.node_ref(l.to).is_gated()
+            })
+            .map(|(i, l)| (l.from, Reverse(i)))
+            .collect();
+        found.sort_unstable();
         found
+            .into_iter()
+            .map(|(from, Reverse(i))| Warning::GatewayIntoUngated {
+                net: self.name(self.links[i].to).to_string(),
+                host: self.name(from).to_string(),
+            })
+            .collect()
     }
 
     /// Warnings recorded so far.
@@ -598,35 +617,50 @@ impl Graph {
         self.warnings.push(w);
     }
 
-    /// [`freeze`](Graph::freeze), consuming the graph: what only
-    /// declarations read (the host table, the private scope, the row
-    /// index and the mention list) is freed before the CSR copy, and
-    /// the rest once it is made, so the linked graph and the snapshot
-    /// never both live whole. Take the warnings first
-    /// ([`take_warnings`](Graph::take_warnings)).
-    pub fn into_frozen(mut self) -> FrozenGraph {
-        self.table = HostTable::new();
-        self.private_scope = HashMap::new();
-        self.row_index = RowIndex::default();
-        self.mentioned_in = Vec::new();
-        FrozenGraph::freeze(&self)
+    /// Freezes the built graph into its immutable CSR snapshot (see
+    /// [`FrozenGraph`]); the graph stays as it is, so more input can
+    /// follow.
+    pub fn freeze(&self) -> FrozenGraph {
+        let mut names = self.names.clone();
+        names.index_private_only(&self.flags);
+        FrozenGraph::from_parts(names, self.flags.clone(), self.adjust.clone(), &self.links)
+    }
+
+    /// [`freeze`](Graph::freeze), consuming the graph: the names, node
+    /// flags and biases move into the snapshot, what only declarations
+    /// read is freed before the CSR is built, and the links once it is.
+    /// Take the warnings first ([`take_warnings`](Graph::take_warnings)).
+    pub fn into_frozen(self) -> FrozenGraph {
+        let Graph {
+            mut names,
+            flags,
+            adjust,
+            links,
+            private_scope,
+            mentioned_in,
+            row_index,
+            ..
+        } = self;
+        drop((private_scope, mentioned_in, row_index));
+        names.index_private_only(&flags);
+        FrozenGraph::from_parts(names, flags, adjust, &links)
     }
 }
 
-/// Iterator over a node's adjacency list.
+/// Iterator over a node's links, newest first.
 pub struct LinkIter<'a> {
-    links: &'a Pool<Link>,
-    cur: Option<LinkId>,
+    links: &'a [Link],
+    cur: u32,
 }
 
 impl<'a> Iterator for LinkIter<'a> {
     type Item = (LinkId, &'a Link);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let id = self.cur?;
-        let link = &self.links[id];
+        let id = self.cur;
+        let link = self.links.get(id as usize)?;
         self.cur = link.next;
-        Some((id, link))
+        Some((LinkId::from_raw(id), link))
     }
 }
 
@@ -867,12 +901,10 @@ mod tests {
         g.add_raw_link(a, e, 0, RouteOp::UUCP, LinkFlags::ALIAS);
         let ae = g.declare_link(a, e, 7, RouteOp::UUCP).unwrap();
         assert_eq!(g.find_explicit_link(a, e), Some(ae));
-        // Rewiring through `link_mut` is seen too.
-        let f = g.node("f");
-        g.link_mut(ab).to = f;
-        assert_eq!(g.declare_link(a, f, 9, RouteOp::UUCP), Some(ab));
-        assert_ne!(g.declare_link(a, b, 9, RouteOp::UUCP), Some(ab));
-        assert_eq!(g.links_from(a).count(), 7);
+        // The oldest link of the row is still found after all that.
+        assert_eq!(g.declare_link(a, b, 9, RouteOp::UUCP), Some(ab));
+        assert_eq!(g.link_ref(ab).cost, 9);
+        assert_eq!(g.links_from(a).count(), 6);
         assert_eq!(g.warnings().len(), 3);
     }
 
@@ -965,7 +997,7 @@ mod tests {
         let mut g = Graph::new();
         let net = g.node("OPEN");
         let host = g.node("h");
-        g.node_mut(net).flags.insert(NodeFlags::NET);
+        g.declare_network(net, &[], RouteOp::UUCP);
         g.declare_link(host, net, 10, RouteOp::UUCP);
         g.declare_gateway(net, host);
         g.validate();

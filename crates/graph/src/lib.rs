@@ -4,12 +4,13 @@
 //! communication links among them" as a directed graph held in an
 //! adjacency-list representation: each node points at a singly-linked
 //! list of *links*, and each link carries a destination, a non-negative
-//! cost, a routing operator, and flags. This crate reproduces that
-//! layout with index-based pools (the safe Rust idiom for the original's
-//! pointer soup) plus everything the input semantics need:
+//! cost, a routing operator, and flags. This crate keeps those lists as
+//! chains of indices through one link vector (the safe Rust idiom for
+//! the original's pointer soup) plus everything the input semantics
+//! need:
 //!
-//! * [`Graph`] — node/link pools, the host-name table, and file-scoped
-//!   `private` name resolution;
+//! * [`Graph`] — one name store with its index, node and link vectors,
+//!   and file-scoped `private` name resolution;
 //! * [`FrozenGraph`] — the immutable compressed-sparse-row snapshot
 //!   ([`Graph::freeze`]) the mapping and printing phases traverse;
 //! * [`snapshot`] — PAGF1, the versioned, checksummed on-disk form of

@@ -1,7 +1,7 @@
 //! Links: weighted, labelled directed edges.
 
 use crate::flags::LinkFlags;
-use crate::graph::{LinkId, NodeId};
+use crate::graph::NodeId;
 use crate::Cost;
 use std::fmt;
 
@@ -126,9 +126,13 @@ impl fmt::Display for RouteOp {
 ///
 /// Mirrors the paper's `link` struct: "a pointer to the next link on the
 /// list, a pointer to the destination host on the edge it represents, a
-/// non-negative cost, and some flags".
+/// non-negative cost, and some flags". It also carries its source, so
+/// the freeze can sort the graph's links into rows without walking the
+/// lists.
 #[derive(Debug, Clone, Copy)]
 pub struct Link {
+    /// Source node: the row the link belongs to.
+    pub from: NodeId,
     /// Destination node.
     pub to: NodeId,
     /// Link weight.
@@ -137,9 +141,9 @@ pub struct Link {
     pub op: RouteOp,
     /// Flags.
     pub flags: LinkFlags,
-    /// Next link in the source node's adjacency list (singly linked, as
-    /// in the original).
-    pub next: Option<LinkId>,
+    /// The next older link in the source node's row (singly linked, as
+    /// in the original), or none.
+    pub(crate) next: u32,
 }
 
 #[cfg(test)]

@@ -1,26 +1,15 @@
 //! Nodes: hosts, networks and domains.
 
 use crate::flags::NodeFlags;
-use crate::graph::{FileId, LinkId};
-use pathalias_arena::Span;
 
-/// A vertex in the connectivity graph: a host, a network placeholder, or
-/// a domain.
-///
-/// Mirrors the paper's `node` struct — "a structure consisting mostly of
-/// pointers and flags", with a pointer to a singly-linked list of
-/// adjacent hosts.
-#[derive(Debug, Clone)]
+/// A vertex in the connectivity graph — a host, a network placeholder,
+/// or a domain — as [`Graph::node_ref`](crate::Graph::node_ref) reads
+/// it: its flags and its bias, by value. The graph keeps each field in
+/// a vector of its own, the shape the frozen snapshot takes over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Node {
-    /// Handle to the node's name in the graph's string arena.
-    pub name: Span,
     /// Flags.
     pub flags: NodeFlags,
-    /// Head of the adjacency list.
-    pub first_link: Option<LinkId>,
-    /// File in which the node was first mentioned (private scoping and
-    /// diagnostics).
-    pub file: FileId,
     /// Cost bias from an `adjust` declaration, applied to every path
     /// that *transits* this node (edges leaving it). May be negative;
     /// effective link costs clamp at zero.
@@ -57,10 +46,7 @@ mod tests {
 
     fn blank() -> Node {
         Node {
-            name: pathalias_arena::Bump::new().push_str(""),
             flags: NodeFlags::empty(),
-            first_link: None,
-            file: FileId::default(),
             adjust: 0,
         }
     }

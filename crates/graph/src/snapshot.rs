@@ -12,10 +12,11 @@
 //! file is read once, sequentially, and the packed little-endian
 //! arrays decode in one linear pass straight into the CSR arrays — no
 //! text parsing, no graph construction, no per-edge allocation. Only
-//! the name index (a hash map the file does not store) is rebuilt,
-//! with exactly the algorithm [`FrozenGraph::freeze`] uses, so a
-//! loaded snapshot is *equal* to the freeze that wrote it
-//! (`PartialEq` — and therefore routes byte-identically).
+//! the name index (which the file does not store) is rebuilt,
+//! claiming each name as the build did, so a loaded snapshot is
+//! *equal* to the freeze that wrote it (`PartialEq`, which compares
+//! the names and not the index — and therefore routes
+//! byte-identically).
 //!
 //! # On-disk layout
 //!
@@ -804,8 +805,7 @@ pub fn from_bytes_all(
     }
 
     // The name index is not stored: it is a pure function of the
-    // names and flags, rebuilt by the builder `FrozenGraph::freeze`
-    // uses.
+    // names and flags, rebuilt claiming names as the build did.
     let graph = FrozenGraph {
         ignore_case,
         names: Arc::new(Names::new(name_data, name_off, &flags, ignore_case)),

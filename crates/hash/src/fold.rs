@@ -49,6 +49,31 @@ pub fn fold_bytes(bytes: &[u8]) -> u64 {
     k
 }
 
+/// The key the graph's name index probes with: the paper's byte-at-a-
+/// time fold, each step spread by a multiply, and a shift-xor-multiply
+/// finaliser, so the high bits (which pick the slot) depend on every
+/// byte. With `fold_case` set, ASCII letters hash as lower case
+/// (pathalias `-i`). The build graph and the frozen snapshot share the
+/// one index this keys, so they agree on every name by construction.
+///
+/// # Examples
+///
+/// ```
+/// use pathalias_hash::name_key;
+///
+/// assert_eq!(name_key("UCBVAX", true), name_key("ucbvax", true));
+/// assert_ne!(name_key("UCBVAX", false), name_key("ucbvax", false));
+/// ```
+#[inline]
+pub fn name_key(name: &str, fold_case: bool) -> u64 {
+    let mut h: u64 = 0;
+    for &b in name.as_bytes() {
+        let b = if fold_case { b.to_ascii_lowercase() } else { b };
+        h = (h.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    (h ^ (h >> 29)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

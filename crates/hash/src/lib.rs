@@ -13,7 +13,10 @@
 //!
 //! All of those variants are implemented here so the benchmark harness
 //! can reproduce the paper's comparisons (experiments E5, E6 and E13 in
-//! the README's "Tests and benches" table).
+//! the README's "Tests and benches" table); the program itself no
+//! longer uses [`HostTable`]. What it does use is [`name_key`], the one
+//! key function behind the graph's name index, which the build grows
+//! and the frozen snapshot keeps.
 //!
 //! # Examples
 //!
@@ -34,7 +37,7 @@ mod fold;
 pub mod primes;
 mod table;
 
-pub use fold::{fold, fold_bytes};
+pub use fold::{fold, fold_bytes, name_key};
 pub use table::{
     GrowthPolicy, HostTable, ProbeStats, SecondaryHash, TableConfig, ALPHA_HIGH, ALPHA_LOW,
 };

@@ -236,11 +236,10 @@ fn dump(g: &Graph) -> Vec<String> {
                 .map(|(_, l)| format!("{}/{}/{}/{:?}", l.to.index(), l.cost, l.op, l.flags))
                 .collect();
             format!(
-                "{} {} {:?} {} {} [{}]",
+                "{} {} {:?} {} [{}]",
                 id.index(),
                 g.name(id),
                 n.flags,
-                g.file_name(n.file),
                 n.adjust,
                 row.join(" ")
             )

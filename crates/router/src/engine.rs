@@ -9,7 +9,7 @@ use pathalias_graph::{ChIndex, Cost, EdgeId, FrozenGraph, NodeId, ReverseGraph};
 use pathalias_mapper::cost_model::ch_weights;
 use pathalias_mapper::{map_frozen_readonly, CostModel, Label, MapOptions, ShortestPathTree};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Why a point-to-point query produced no route.
@@ -120,6 +120,14 @@ impl TreeCache {
         self.trees.truncate(TREE_SLOTS - 1);
         self.trees.insert(0, (src, tree));
     }
+}
+
+/// Locks `mutex`, reading past poison: the tree cache and the scratch
+/// pool stay whole if a thread panics while it holds one (each is only
+/// read, or gains or loses one whole entry, under the lock), and a
+/// panic in one search must not fail every later `PATH`.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The point-to-point route engine.
@@ -386,7 +394,7 @@ impl PointToPoint {
         if !self.graph.is_mappable(src) {
             return Err(RouteError::DeletedSource);
         }
-        let sighting = self.trees.lock().expect("tree cache poisoned").sight(src);
+        let sighting = lock(&self.trees).sight(src);
         let from_tree = SearchStats {
             from_tree: true,
             ..SearchStats::default()
@@ -412,10 +420,7 @@ impl PointToPoint {
                     ),
                     ..from_tree
                 };
-                self.trees
-                    .lock()
-                    .expect("tree cache poisoned")
-                    .keep(src, tree.clone());
+                lock(&self.trees).keep(src, tree.clone());
                 (tree, stats)
             }
         };
@@ -456,10 +461,7 @@ impl PointToPoint {
         if !self.graph.is_mappable(src) {
             return Err(RouteError::DeletedSource);
         }
-        let mut scratch = {
-            let mut pool = self.scratch.lock().expect("scratch pool poisoned");
-            pool.pop().unwrap_or_else(Scratch::new)
-        };
+        let mut scratch = lock(&self.scratch).pop().unwrap_or_else(Scratch::new);
         let q = Query {
             f: &self.graph,
             model: &self.model,
@@ -501,10 +503,49 @@ impl PointToPoint {
         let answer = self
             .answer(dst, |node| scratch.label(node))
             .map(|answer| (answer, outcome.stats));
-        self.scratch
-            .lock()
-            .expect("scratch pool poisoned")
-            .push(scratch);
+        lock(&self.scratch).push(scratch);
         answer.ok_or(RouteError::NoRoute)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pathalias_graph::{Graph, RouteOp};
+
+    /// Threads that panic while they hold the tree cache and the
+    /// scratch pool poison both; `PATH` reads past the poison through a
+    /// first sighting (a search), a repeat (a tree built and kept) and
+    /// a kept tree, and answers as an engine that saw no panic.
+    #[test]
+    fn poisoned_locks_keep_answering() {
+        let mut g = Graph::new();
+        let (unc, duke, research) = (g.node("unc"), g.node("duke"), g.node("research"));
+        g.declare_link(unc, duke, 100, RouteOp::UUCP);
+        g.declare_link(duke, research, 200, RouteOp::UUCP);
+        let graph = Arc::new(g.freeze());
+        let clean = PointToPoint::new(graph.clone(), CostModel::default());
+        let engine = PointToPoint::new(graph, CostModel::default());
+        let trees = engine.trees.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _held = trees.lock().unwrap();
+            panic!("injected panic under the tree-cache lock");
+        });
+        assert!(poisoner.join().is_err());
+        let scratch = engine.scratch.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _held = scratch.lock().unwrap();
+            panic!("injected panic under the scratch-pool lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(engine.trees.is_poisoned() && engine.scratch.is_poisoned());
+
+        let want = clean.route("unc", "research").unwrap();
+        assert_eq!(want.cost, 300);
+        for from_tree in [false, true, true] {
+            let (answer, stats) = engine.route_with_stats("unc", "research").unwrap();
+            assert_eq!(answer, want);
+            assert_eq!(stats.from_tree, from_tree);
+        }
     }
 }

@@ -1866,10 +1866,10 @@ mod tests {
         std::fs::remove_file(path).unwrap();
     }
 
-    /// A thread that panics while it holds a map's engine lock, and
-    /// another that panics while it holds its reload lock, poison both;
-    /// the daemon reads past the poison, so `QUERY`, `PATH` and `RELOAD`
-    /// still answer, and the reload swaps the engine in.
+    /// Threads that panic while they hold a map's engine lock, its
+    /// reload lock and its swap cell's write lock poison all three; the
+    /// daemon reads past the poison, so `QUERY`, `PATH` and `RELOAD`
+    /// still answer, and the reload swaps the table and the engine in.
     #[test]
     fn poisoned_locks_keep_answering() {
         let state = path_state();
@@ -1886,7 +1886,14 @@ mod tests {
             panic!("injected panic under the reload lock");
         });
         assert!(reload.join().is_err());
+        let held = map.clone();
+        let swap = std::thread::spawn(move || {
+            let _swap = held.cached.swap.current.write().unwrap();
+            panic!("injected panic under the swap cell's write lock");
+        });
+        assert!(swap.join().is_err());
         assert!(map.engine.is_poisoned() && map.reload_lock.is_poisoned());
+        assert!(map.cached.swap.current.is_poisoned());
 
         let path = |cost| {
             let path = Request::Path {

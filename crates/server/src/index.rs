@@ -19,7 +19,7 @@
 use crate::metrics::{bump, Metrics};
 use pathalias_mailer::{Resolution, ResolveError, Resolver, RouteDb, SharedRouteDb};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// One immutable table generation over any [`Resolver`] backend.
 #[derive(Debug, Clone)]
@@ -74,7 +74,7 @@ impl RouteIndex<SharedRouteDb> {
 /// other and a reload never blocks an in-flight query.
 #[derive(Debug)]
 pub struct SwapCell<R = SharedRouteDb> {
-    current: RwLock<Arc<RouteIndex<R>>>,
+    pub(crate) current: RwLock<Arc<RouteIndex<R>>>,
 }
 
 impl<R: Resolver> SwapCell<R> {
@@ -87,7 +87,10 @@ impl<R: Resolver> SwapCell<R> {
 
     /// The current snapshot. Cheap: a read-lock around one `Arc` clone.
     pub fn load(&self) -> Arc<RouteIndex<R>> {
-        self.current.read().expect("swap cell poisoned").clone()
+        // A panic under the lock cannot tear the `Arc` it guards (a
+        // store only swaps one in), so the poison is read past.
+        let current = self.current.read();
+        current.unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Atomically replaces the snapshot and returns the one it
@@ -96,7 +99,7 @@ impl<R: Resolver> SwapCell<R> {
     #[must_use = "dropping the displaced snapshot here may free a whole table"]
     pub fn store(&self, index: RouteIndex<R>) -> Arc<RouteIndex<R>> {
         let new = Arc::new(index);
-        let mut current = self.current.write().expect("swap cell poisoned");
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
         std::mem::replace(&mut *current, new)
     }
 }
@@ -129,7 +132,7 @@ impl<R: Resolver> SwapCell<R> {
 /// assert_eq!(served.metrics().hits.load(std::sync::atomic::Ordering::Relaxed), 1);
 /// ```
 pub struct Cached<R> {
-    swap: SwapCell<R>,
+    pub(crate) swap: SwapCell<R>,
     metrics: Arc<Metrics>,
     /// The generation the next successful [`Cached::replace`] will
     /// publish.
